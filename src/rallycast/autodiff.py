@@ -3,12 +3,16 @@
 Small by design: rank <= 3, numpy storage, one backward closure per
 primitive. Every primitive checks its output for NaN/Inf and raises
 NumericHealthError on violation, so a diverging computation fails at the op
-that produced the bad values instead of at the loss.
+that produced the bad values instead of at the loss. Inside `no_tape()` the
+same primitives run with the same checks but record no graph, which is how
+inference avoids keeping every intermediate alive.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,9 +101,34 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _TapeState(threading.local):
+    recording = True
+
+
+_tape_state = _TapeState()
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Build tensors without recording parents or backward closures.
+
+    Every primitive still checks its output and raises NumericHealthError;
+    only differentiation through the tensors made inside is lost. Nests, and
+    restores the previous mode when the body exits or raises.
+    """
+    saved = _tape_state.recording
+    _tape_state.recording = False
+    try:
+        yield
+    finally:
+        _tape_state.recording = saved
+
+
 def _make(data: np.ndarray, parents: tuple, bwd: Callable, op: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericHealthError(f"{op} produced non-finite values")
+    if not _tape_state.recording:
+        return Tensor(data)
     return Tensor(data, _parents=parents, _bwd=bwd)
 
 
@@ -216,26 +245,28 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product of rank-2 or rank-3 operands; a rank-2 operand is shared by the batch."""
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
+        raise ValueError(f"matmul expects rank-2 or rank-3 operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out_data, (a, b), bwd, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError("transpose expects a rank-2 tensor")
-    out_data = a.data.T.copy()
+    """Swap the last two axes of a rank-2 or rank-3 tensor."""
+    if a.ndim not in (2, 3):
+        raise ValueError("transpose expects a rank-2 or rank-3 tensor")
+    out_data = np.swapaxes(a.data, -1, -2).copy()
 
     def bwd(g):
-        _accumulate(a, g.T)
+        _accumulate(a, np.swapaxes(g, -1, -2))
 
     return _make(out_data, (a,), bwd, "transpose")
 
@@ -370,8 +401,8 @@ def tslice(a: Tensor, key) -> Tensor:
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("embedding_lookup expects a 1-D id vector")
+    if ids.ndim not in (1, 2):
+        raise ValueError("embedding_lookup expects a 1-D or 2-D id array")
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ValueError("embedding id out of range")
     out_data = table.data[ids]

@@ -90,7 +90,6 @@ CONFIG_SCHEMA = {
     "min_rally_length": int,
     "samples": int,
     "horizon": int,
-    "jobs": int,
     "mirror": str,
 }
 
@@ -118,7 +117,6 @@ DEFAULTS = {
     "min_rally_length": TAU + 1,
     "samples": EXPECTED_SAMPLE_SETS,
     "horizon": 20,
-    "jobs": 1,
     "mirror": "none",
 }
 
@@ -249,7 +247,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         ffn_dim=settings["ffn_dim"],
         dropout_rate=settings["dropout"],
         vocab_size=vocab.size,
-        n_players=max(1, len({n for r in train_set for n in (r.player_a, r.player_b)})),
         embedding_mode=settings["embedding_mode"],
     )
     train_config = TrainConfig(
@@ -295,9 +292,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise ParseError(f"rallies too short to predict (need {tau + 1} strokes): {short[:5]}")
 
     n_samples = settings["samples"]
-    sets = generate_sample_sets(
-        model, rallies, n_samples, settings["seed"], jobs=settings["jobs"], horizon=horizon
-    )
+    sets = generate_sample_sets(model, rallies, n_samples, settings["seed"], horizon=horizon)
     export_predictions(rallies, sets, model.vocab, out)
     n_rows = sum(len(suffix) for one in sets for suffix in one)
     print(f"wrote {n_rows} prediction rows ({n_samples} sample sets) to {out}")
@@ -436,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--horizon", type=int, help="strokes per rally in open-ended mode")
     p.add_argument("--open-ended", dest="open_ended", action="store_true",
                    help="generate a fixed horizon instead of matching ground-truth lengths")

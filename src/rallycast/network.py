@@ -27,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .court import CourtSpec, Player, Rally, ShotType, ShotTypeVocab, Stroke, normalize_coord
+from .dataset import ParseError
 from .seeding import TAG_INIT, rng_from_key
 
 UNKNOWN_PLAYER = 0  # reserved row of the player embedding table
@@ -173,53 +174,83 @@ class PredictionStep:
     rho: float  # in (-1, 1)
     nodes: dict[str, Tensor] | None = None
 
-    @property
-    def area_gauss(self) -> tuple[float, float, float, float, float]:
-        return (float(self.mu[0]), float(self.mu[1]), float(self.sigma[0]), float(self.sigma[1]), self.rho)
+
+@dataclass(frozen=True)
+class StrokeInputs:
+    """The network's inputs for equal-length histories, as arrays.
+
+    Every array has the leading shape (..., n): (n,) for one history, or
+    (B, n) for a batch of B histories of n strokes each.
+    """
+
+    type_ids: np.ndarray  # (..., n) int64
+    player_ids: np.ndarray  # (..., n) int64 rows of the player table
+    hit_by_a: np.ndarray  # (..., n) bool; the player context groups equal values
+    landings: np.ndarray  # (..., n, 2) normalized landing points
+    locations: np.ndarray  # (..., n, 2) normalized hitter locations
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.type_ids, self.player_ids, self.hit_by_a, self.landings, self.locations)
+
+    @staticmethod
+    def stack(histories: Sequence["StrokeInputs"]) -> "StrokeInputs":
+        """Batch equal-length (n,) histories into one (B, n) input."""
+        return StrokeInputs(*(np.stack(arrays) for arrays in zip(*(h._arrays() for h in histories))))
+
+    def append(self, column: "StrokeInputs") -> "StrokeInputs":
+        """Extend each of B histories by one stroke; column holds B strokes as a (B,) input."""
+        pairs = zip(self._arrays(), column._arrays())
+        return StrokeInputs(*(np.concatenate([a, c[:, None]], axis=1) for a, c in pairs))
+
+    def rows(self, keep: Sequence[int]) -> "StrokeInputs":
+        """The histories at the given batch rows, in that order."""
+        idx = np.asarray(keep, dtype=np.int64)
+        return StrokeInputs(*(a[idx] for a in self._arrays()))
 
 
-def embed_strokes(
-    strokes: Sequence[Stroke],
-    player_ids: Sequence[int],
-    params: ModelParams,
-    config: ModelConfig,
-    court: CourtSpec,
-) -> tuple[Tensor, Tensor]:
-    """Per-stroke shot and area channels, positional encoding included."""
+def stroke_inputs(strokes: Sequence[Stroke], player_ids: Sequence[int], court: CourtSpec) -> StrokeInputs:
+    """Arrays of one stroke sequence; player_ids gives each stroke's row of the player table."""
     if not strokes:
-        raise ValueError("embed_strokes needs at least one stroke")
+        raise ValueError("a history needs at least one stroke")
     n = len(strokes)
     ids = np.asarray(player_ids, dtype=np.int64)
     if ids.shape != (n,):
         raise ValueError("player_ids must align with strokes")
-    if ids.max() > config.n_players or ids.min() < 0:
+    return StrokeInputs(
+        type_ids=np.array([s.shot_type for s in strokes], dtype=np.int64),
+        player_ids=ids,
+        hit_by_a=np.array([s.player is Player.A for s in strokes], dtype=bool),
+        landings=np.array([normalize_coord(s.landing, court) for s in strokes]),
+        locations=np.array([normalize_coord(s.player_location, court) for s in strokes]),
+    )
+
+
+def embed_strokes(inputs: StrokeInputs, params: ModelParams, config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Per-stroke shot and area channels, positional encoding included; shape (..., n, d)."""
+    if inputs.player_ids.max() > config.n_players or inputs.player_ids.min() < 0:
         raise ValueError("player id outside the embedding table")
-
-    type_ids = np.array([s.shot_type for s in strokes], dtype=np.int64)
-    if type_ids.max() >= config.vocab_size:
+    if inputs.type_ids.max() >= config.vocab_size or inputs.type_ids.min() < 0:
         raise ValueError("shot type id outside the vocabulary")
-    landings = np.array([normalize_coord(s.landing, court) for s in strokes])
-    locations = np.array([normalize_coord(s.player_location, court) for s in strokes])
 
-    type_e = ad.embedding_lookup(params["type_emb"], type_ids)
-    player_e = ad.embedding_lookup(params["player_emb"], ids)
-    area_proj = ad.add(ad.matmul(Tensor(landings), params["area_w"]), params["area_b"])
+    type_e = ad.embedding_lookup(params["type_emb"], inputs.type_ids)
+    player_e = ad.embedding_lookup(params["player_emb"], inputs.player_ids)
+    area_proj = ad.add(ad.matmul(Tensor(inputs.landings), params["area_w"]), params["area_b"])
 
     if config.embedding_mode == "modified":
-        loc_proj = ad.add(ad.matmul(Tensor(locations), params["loc_w"]), params["loc_b"])
+        loc_proj = ad.add(ad.matmul(Tensor(inputs.locations), params["loc_w"]), params["loc_b"])
         shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(area_proj, loc_proj)
     else:
         shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(ad.relu(area_proj), player_e)
 
-    pe = Tensor(sinusoidal_encoding(n, config.embed_dim))
+    pe = Tensor(sinusoidal_encoding(inputs.type_ids.shape[-1], config.embed_dim))
     return ad.add(shot_channel, pe), ad.add(area_channel, pe)
 
 
 def _attention(x: Tensor, allowed: np.ndarray, params: ModelParams, layer: int, config: ModelConfig) -> Tensor:
     p = f"enc{layer}_"
-    n, d = x.shape
+    d = x.shape[-1]
     q = ad.matmul(x, params[p + "wq"])
     k = ad.matmul(x, params[p + "wk"])
     v = ad.matmul(x, params[p + "wv"])
@@ -228,11 +259,11 @@ def _attention(x: Tensor, allowed: np.ndarray, params: ModelParams, layer: int, 
     heads = []
     for h in range(config.n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[:, cols], k[:, cols], v[:, cols]
+        qh, kh, vh = q[..., cols], k[..., cols], v[..., cols]
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
         scores = ad.masked_fill(scores, blocked)
         heads.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
-    merged = ad.concat(heads, axis=1)
+    merged = ad.concat(heads, axis=-1)
     return ad.add(ad.matmul(merged, params[p + "wo"]), params[p + "bo"])
 
 
@@ -256,21 +287,28 @@ def _encoder_stack(
 
 def encode_contexts(
     x: Tensor,
-    players: Sequence[Player],
+    players: Sequence[Player] | np.ndarray,
     params: ModelParams,
     config: ModelConfig,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Causal rally context and player-restricted context for each position.
 
-    The same encoder weights are applied under two masks, so a length-1
-    sequence yields identical contexts.
+    x is (..., n, d). players names the hitter of each position: a
+    sequence of Player for one history, or a (..., n) array of labels that
+    compare equal for the same hitter. The same encoder weights are applied
+    under two masks of shape (..., n, n), so a length-1 sequence yields
+    identical contexts.
     """
-    n = x.shape[0]
-    if len(players) != n:
+    if isinstance(players, np.ndarray):
+        hitters = players
+    else:
+        hitters = np.array([p is Player.A for p in players], dtype=bool)
+    if hitters.shape != x.shape[:-1]:
         raise ValueError("players must align with the sequence")
-    causal = np.tril(np.ones((n, n), dtype=bool))
-    same = np.array([[pi is pj for pj in players] for pi in players], dtype=bool)
+    n = x.shape[-2]
+    same = hitters[..., :, None] == hitters[..., None, :]
+    causal = np.broadcast_to(np.tril(np.ones((n, n), dtype=bool)), same.shape)
     rally_ctx = _encoder_stack(x, causal, params, config, rng)
     player_ctx = _encoder_stack(x, causal & same, params, config, rng)
     return rally_ctx, player_ctx
@@ -278,7 +316,7 @@ def encode_contexts(
 
 def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: ModelParams) -> Tensor:
     """Position-aware gate: fused = g * rally + (1 - g) * player."""
-    gate_in = ad.concat([rally_ctx, player_ctx, pos_enc], axis=1)
+    gate_in = ad.concat([rally_ctx, player_ctx, pos_enc], axis=-1)
     g = ad.sigmoid(ad.add(ad.matmul(gate_in, params["gate_w"]), params["gate_b"]))
     one_minus = ad.sub(Tensor(np.ones(g.shape)), g)
     return ad.add(ad.mul(g, rally_ctx), ad.mul(one_minus, player_ctx))
@@ -291,13 +329,13 @@ RHO_CAP = 1.0 - 1e-12
 
 
 def prediction_heads(fused: Tensor, params: ModelParams) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Rowwise (type_probs, mu, log_sigma, rho) for a (n, d) fused tensor."""
+    """Per-position (type_probs, mu, log_sigma, rho) for a (..., n, d) fused tensor."""
     logits = ad.add(ad.matmul(fused, params["type_head_w"]), params["type_head_b"])
     probs = ad.softmax(logits, axis=-1)
     area = ad.add(ad.matmul(fused, params["area_head_w"]), params["area_head_b"])
-    mu = area[:, 0:2]
-    log_sigma = ad.clip(area[:, 2:4], -LOG_SIGMA_RANGE, LOG_SIGMA_RANGE)
-    rho = ad.scale(ad.tanh(area[:, 4]), RHO_CAP)
+    mu = area[..., 0:2]
+    log_sigma = ad.clip(area[..., 2:4], -LOG_SIGMA_RANGE, LOG_SIGMA_RANGE)
+    rho = ad.scale(ad.tanh(area[..., 4]), RHO_CAP)
     return probs, mu, log_sigma, rho
 
 
@@ -340,6 +378,31 @@ class Forecaster:
         a, b = rally_names
         return [self.player_id(a if p is Player.A else b) for p in players]
 
+    def stroke_inputs(self, strokes: Sequence[Stroke], rally_names: tuple[str, str]) -> StrokeInputs:
+        """Inputs of one history whose A and B sides are the named players."""
+        ids = self.stroke_player_ids(rally_names, [s.player for s in strokes])
+        return stroke_inputs(strokes, ids, self.court)
+
+    def forward(
+        self,
+        inputs: StrokeInputs,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """Next-stroke head outputs at every position: (..., n, V), (..., n, 2), (..., n, 2), (..., n).
+
+        One definition serves one history (training, teacher forcing) and a
+        (B, n) batch (lockstep sampling); every row of a batch gets the same
+        values it would get alone.
+        """
+        shot_ch, area_ch = embed_strokes(inputs, self.params, self.config)
+        x = ad.scale(ad.add(shot_ch, area_ch), 0.5)
+        drop_rng = rng if training else None
+        rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, drop_rng)
+        pe = sinusoidal_encoding(x.shape[-2], self.config.embed_dim)
+        fused = fuse_contexts(rally_ctx, player_ctx, Tensor(np.broadcast_to(pe, x.shape)), self.params)
+        return prediction_heads(fused, self.params)
+
     def forward_positions(
         self,
         strokes: Sequence[Stroke],
@@ -348,15 +411,7 @@ class Forecaster:
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Next-stroke head outputs at every position of the given history."""
-        players = [s.player for s in strokes]
-        ids = self.stroke_player_ids(rally_names, players)
-        shot_ch, area_ch = embed_strokes(strokes, ids, self.params, self.config, self.court)
-        x = ad.scale(ad.add(shot_ch, area_ch), 0.5)
-        drop_rng = rng if training else None
-        rally_ctx, player_ctx = encode_contexts(x, players, self.params, self.config, drop_rng)
-        pe = Tensor(sinusoidal_encoding(len(strokes), self.config.embed_dim))
-        fused = fuse_contexts(rally_ctx, player_ctx, pe, self.params)
-        return prediction_heads(fused, self.params)
+        return self.forward(self.stroke_inputs(strokes, rally_names), training=training, rng=rng)
 
     def save(self, path: str | Path) -> None:
         save_checkpoint(path, self)
@@ -410,28 +465,48 @@ def save_checkpoint(path: str | Path, model: Forecaster) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Forecaster:
+    """Read a checkpoint, checking every length in it against the file.
+
+    A truncated file, a header that does not describe the file's arrays, and
+    bytes after the last array raise ParseError naming what is wrong.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"not a checkpoint file: {path}")
     off = len(CHECKPOINT_MAGIC)
+    if len(raw) < off + 8:
+        raise ParseError(f"{path}: truncated before the header length")
     hlen = int.from_bytes(raw[off : off + 8], "little")
     off += 8
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
+    if hlen > len(raw) - off:
+        raise ParseError(f"{path}: header length {hlen} exceeds the {len(raw) - off} bytes after it")
+    try:
+        header = json.loads(raw[off : off + hlen].decode("utf-8"))
+        config = ModelConfig(**header["config"])
+        court = CourtSpec(**header["court"])
+        vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in header["vocab"]))
+        player_index = {k: int(v) for k, v in header["player_index"].items()}
+        arrays = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from exc
     off += hlen
-    config = ModelConfig(**header["config"])
-    court = CourtSpec(**header["court"])
-    vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in header["vocab"]))
+    if arrays != list(param_shapes(config).items()):
+        raise ParseError(f"{path}: header arrays do not match the parameter shapes of its model config")
     tensors: dict[str, Tensor] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw[off : off + 8 * count], dtype="<f8").reshape(shape).copy()
-        off += 8 * count
-        tensors[entry["name"]] = Tensor(arr)
+    for name, shape in arrays:
+        nbytes = 8 * int(np.prod(shape))
+        if nbytes > len(raw) - off:
+            raise ParseError(
+                f"{path}: array {name!r} {shape} needs {nbytes} bytes at offset {off}, only {len(raw) - off} remain"
+            )
+        tensors[name] = Tensor(np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy())
+        off += nbytes
+    if off != len(raw):
+        raise ParseError(f"{path}: {len(raw) - off} trailing bytes after the last array {arrays[-1][0]!r}")
     return Forecaster(
         params=ModelParams(tensors),
         config=config,
         court=court,
         vocab=vocab,
-        player_index={k: int(v) for k, v in header["player_index"].items()},
+        player_index=player_index,
     )

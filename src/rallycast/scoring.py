@@ -15,15 +15,15 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .court import Player, Rally, ShotTypeVocab, Stroke, denormalize_coord, mirror_coord
-from .network import Forecaster
+from . import autodiff as ad
+from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, denormalize_coord, mirror_coord
+from .network import Forecaster, StrokeInputs, stroke_inputs
 from .seeding import TAG_EVAL
 
 PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
@@ -75,64 +75,10 @@ def generate_suffix(
     Service types are masked out of the sampled distribution (they occur only
     on the opening stroke), the hitter of each generated stroke is the
     previous landing point mirrored into the new canonical frame, and the
-    whole draw is deterministic under (params, prefix, seed).
+    whole draw is deterministic under (params, prefix, seed). This is the
+    one-continuation case of the lockstep sampler behind generate_sample_sets.
     """
-    tau = model.config.tau
-    if len(rally) < tau:
-        raise ValueError(f"rally {rally.rally_id}: prefix needs {tau} strokes, found {len(rally)}")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    rng = np.random.default_rng(seed)
-    court = model.court
-    serve_ids = list(model.vocab.serve_ids)
-
-    history: list[Stroke] = list(rally.strokes[:tau])
-    out: list[GeneratedStroke] = []
-    for _ in range(horizon):
-        probs_t, mu_t, log_sigma_t, rho_t = model.forward_positions(
-            history, (rally.player_a, rally.player_b)
-        )
-        probs = probs_t.data[-1].copy()
-        probs[serve_ids] = 0.0
-        mass = probs.sum()
-        if mass <= 0.0:
-            raise RuntimeError("service mask removed all probability mass; vocabulary has no rally types")
-        probs /= mass
-        type_id = _sample_index(rng, probs)
-
-        mu = mu_t.data[-1]
-        sigma = np.exp(log_sigma_t.data[-1])
-        rho = float(rho_t.data[-1])
-        chol = np.array(
-            [
-                [sigma[0], 0.0],
-                [rho * sigma[1], sigma[1] * math.sqrt(max(1.0 - rho * rho, 0.0))],
-            ]
-        )
-        z = mu + chol @ rng.standard_normal(2)
-        landing = denormalize_coord((float(z[0]), float(z[1])), court)
-        landing_q = (quantize6(landing[0]), quantize6(landing[1]))
-        probs_q = quantize_simplex(probs)
-
-        prev = history[-1]
-        stroke = Stroke(
-            round_index=prev.round_index + 1,
-            player=prev.player.opponent,
-            shot_type=type_id,
-            landing=landing_q,
-            player_location=mirror_coord(prev.landing, court),
-        )
-        history.append(stroke)
-        out.append(
-            GeneratedStroke(
-                round_index=stroke.round_index,
-                player=stroke.player,
-                type_id=type_id,
-                landing=landing_q,
-                type_probs=probs_q,
-            )
-        )
-    return out
+    return _sample_lockstep(model, [(rally, horizon, seed)])[0]
 
 
 def generate_sample_sets(
@@ -140,31 +86,129 @@ def generate_sample_sets(
     rallies: Sequence[Rally],
     n_sets: int,
     seed: int,
-    jobs: int = 1,
     horizon: int | None = None,
 ) -> list[list[list[GeneratedStroke]]]:
     """Draw n_sets suffix samples per rally, shaped [set][rally][stroke].
 
-    Stream seeds derive from (seed, rally index, set index), so the first
-    draws of a larger n_sets reproduce a smaller run exactly, and thread
-    fan-out cannot change any values (jobs only controls parallelism).
+    Every continuation has its own stream, seeded from (seed, rally index,
+    set index), and each row of the lockstep batch gets the values it would
+    get alone. So the draws do not depend on batch composition, and the first
+    draws of a larger n_sets reproduce a smaller run exactly.
     When horizon is None each rally is continued to its ground-truth length.
     """
     tau = model.config.tau
-
-    def one(task: tuple[int, int]) -> list[GeneratedStroke]:
-        r_idx, j = task
-        rally = rallies[r_idx]
-        steps = horizon if horizon is not None else len(rally) - tau
-        return generate_suffix(model, rally, steps, np.random.SeedSequence([seed, TAG_EVAL, r_idx, j]))
-
-    tasks = [(r_idx, j) for j in range(n_sets) for r_idx in range(len(rallies))]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
+    tasks = [
+        (
+            rally,
+            horizon if horizon is not None else len(rally) - tau,
+            np.random.SeedSequence([seed, TAG_EVAL, r_idx, j]),
+        )
+        for j in range(n_sets)
+        for r_idx, rally in enumerate(rallies)
+    ]
+    results = _sample_lockstep(model, tasks)
     return [results[j * len(rallies) : (j + 1) * len(rallies)] for j in range(n_sets)]
+
+
+def _sample_lockstep(
+    model: Forecaster,
+    tasks: Sequence[tuple[Rally, int, int | np.random.SeedSequence]],
+) -> list[list[GeneratedStroke]]:
+    """Sample one continuation per (rally, horizon, seed), all in one batched forward per step.
+
+    Every history starts from its tau-stroke prefix, so at step t all active
+    histories hold tau + t strokes and need no padding; a continuation leaves
+    the batch once it reaches its horizon. The forward runs without a tape.
+    """
+    tau = model.config.tau
+    for rally, horizon, _ in tasks:
+        if len(rally) < tau:
+            raise ValueError(f"rally {rally.rally_id}: prefix needs {tau} strokes, found {len(rally)}")
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
+    if not tasks:
+        return []
+    court = model.court
+    serve_ids = list(model.vocab.serve_ids)
+    names = [(rally.player_a, rally.player_b) for rally, _, _ in tasks]
+    rngs = [np.random.default_rng(seed) for _, _, seed in tasks]
+    prev = [rally.strokes[tau - 1] for rally, _, _ in tasks]
+    outs: list[list[GeneratedStroke]] = [[] for _ in tasks]
+
+    active = list(range(len(tasks)))  # task index of each batch row
+    inputs = StrokeInputs.stack([model.stroke_inputs(r.strokes[:tau], n) for (r, _, _), n in zip(tasks, names)])
+    with ad.no_tape():
+        while active:
+            probs_t, mu_t, log_sigma_t, rho_t = model.forward(inputs)
+            new: list[Stroke] = []
+            for row, c in enumerate(active):
+                stroke, generated = _draw_stroke(
+                    rngs[c],
+                    prev[c],
+                    probs_t.data[row, -1],
+                    mu_t.data[row, -1],
+                    log_sigma_t.data[row, -1],
+                    float(rho_t.data[row, -1]),
+                    serve_ids,
+                    court,
+                )
+                prev[c] = stroke
+                outs[c].append(generated)
+                new.append(stroke)
+            ids = [model.stroke_player_ids(names[c], [s.player])[0] for c, s in zip(active, new)]
+            inputs = inputs.append(stroke_inputs(new, ids, court))
+            keep = [row for row, c in enumerate(active) if len(outs[c]) < tasks[c][1]]
+            if len(keep) < len(active):
+                inputs = inputs.rows(keep)
+                active = [active[row] for row in keep]
+    return outs
+
+
+def _draw_stroke(
+    rng: np.random.Generator,
+    prev: Stroke,
+    type_probs: np.ndarray,
+    mu: np.ndarray,
+    log_sigma: np.ndarray,
+    rho: float,
+    serve_ids: list[int],
+    court: CourtSpec,
+) -> tuple[Stroke, GeneratedStroke]:
+    """Draw the stroke after prev: random() picks the type, then standard_normal(2) the landing."""
+    probs = type_probs.copy()
+    probs[serve_ids] = 0.0
+    mass = probs.sum()
+    if mass <= 0.0:
+        raise RuntimeError("service mask removed all probability mass; vocabulary has no rally types")
+    probs /= mass
+    type_id = _sample_index(rng, probs)
+
+    sigma = np.exp(log_sigma)
+    chol = np.array(
+        [
+            [sigma[0], 0.0],
+            [rho * sigma[1], sigma[1] * math.sqrt(max(1.0 - rho * rho, 0.0))],
+        ]
+    )
+    z = mu + chol @ rng.standard_normal(2)
+    landing = denormalize_coord((float(z[0]), float(z[1])), court)
+    landing_q = (quantize6(landing[0]), quantize6(landing[1]))
+
+    stroke = Stroke(
+        round_index=prev.round_index + 1,
+        player=prev.player.opponent,
+        shot_type=type_id,
+        landing=landing_q,
+        player_location=mirror_coord(prev.landing, court),
+    )
+    generated = GeneratedStroke(
+        round_index=stroke.round_index,
+        player=stroke.player,
+        type_id=type_id,
+        landing=landing_q,
+        type_probs=quantize_simplex(probs),
+    )
+    return stroke, generated
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,12 @@ from .network import (
     forward_teacher_forced,
     init_params,
 )
-from .scoring import ScoreReport, generate_sample_sets, score_sample_sets
+from .scoring import PROB_FLOOR, ScoreReport, generate_sample_sets, score_sample_sets
 from .seeding import TAG_DROPOUT, TAG_SHUFFLE, rng_from_key
 
 log = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
-PROB_FLOOR = 1e-12
 RHO_FLOOR = 1e-12  # keeps log(1 - rho^2) finite
 
 
@@ -281,7 +280,6 @@ def eval_best_of_k(
     rallies: Sequence[Rally],
     k: int,
     seed: int,
-    jobs: int = 1,
 ) -> ScoreReport:
     """Best-of-k evaluation: per rally, keep the closest of k sampled suffixes.
 
@@ -292,5 +290,5 @@ def eval_best_of_k(
         raise ValueError("k must be at least 1")
     if not rallies:
         raise ValueError("no rallies to evaluate")
-    sets = generate_sample_sets(model, rallies, k, seed, jobs=jobs)
+    sets = generate_sample_sets(model, rallies, k, seed)
     return score_sample_sets(sets, rallies, protocol="best_of_k", tau=model.config.tau)

@@ -21,6 +21,7 @@ from rallycast.network import (
     forward_teacher_forced,
     init_params,
     sinusoidal_encoding,
+    stroke_inputs,
 )
 from rallycast.scoring import (
     GeneratedStroke,
@@ -150,14 +151,14 @@ def test_criterion_embedding_mode_contract(corpus):
     for mode in ("modified", "baseline"):
         model = tiny_model(rallies, vocab, embedding_mode=mode, param_scale=0.4, seed=2)
         ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-        _, area0 = embed_strokes(rally.strokes, ids, model.params, model.config, model.court)
+        _, area0 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
         model.params["player_emb"].data += 0.37
-        _, area1 = embed_strokes(rally.strokes, ids, model.params, model.config, model.court)
+        _, area1 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
         insensitive = np.array_equal(area0.data, area1.data)
 
         model.params.set_all(0.0)
         model.params["area_b"].data[:] = -1.5
-        _, area = embed_strokes(rally.strokes, ids, model.params, model.config, model.court)
+        _, area = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
         residual = area.data - sinusoidal_encoding(len(rally), model.config.embed_dim)
         keeps_negative = np.all(residual < 0.0)
         clamped = np.all(residual == 0.0)

@@ -158,6 +158,35 @@ def test_grad_matmul_transpose_scale(case):
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
+def test_grad_batched_matmul_transpose(case):
+    rng = np.random.default_rng(250 + case)
+    bsz, m, k, n = (int(rng.integers(1, 4)) for _ in range(4))
+    a, b2, b3 = _rand(rng, bsz, m, k), _rand(rng, k, n), _rand(rng, bsz, k, n)
+    w = rng.normal(size=(bsz, m, n))
+    wt = rng.normal(size=(bsz, k, m))
+    _check(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], ts[1]), Tensor(w))), [a, b2])  # shared rank-2 weight
+    _check(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], ts[1]), Tensor(w))), [a, b3])
+    _check(lambda ts: ad.tsum(ad.mul(ad.transpose(ts[0]), Tensor(wt))), [a])
+
+
+def test_batched_matmul_rows_equal_unbatched_products():
+    rng = np.random.default_rng(3)
+    a, w = _rand(rng, 5, 7, 16), _rand(rng, 16, 16)
+    batched = ad.matmul(Tensor(a), Tensor(w)).data
+    for row in range(5):
+        assert np.array_equal(batched[row], ad.matmul(Tensor(a[row]), Tensor(w)).data)
+
+
+def test_matmul_rejects_mismatched_batches():
+    with pytest.raises(ValueError):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ValueError):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 2))))
+    with pytest.raises(ValueError):
+        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
 def test_grad_unary_smooth(case):
     rng = np.random.default_rng(300 + case)
     shape = _shapes(rng)
@@ -217,6 +246,8 @@ def test_grad_embedding_masked_fill(case):
     table = _rand(rng, 6, 3)
     ids = rng.integers(0, 6, size=5)
     _check(lambda ts: _weighted_sum(ad.embedding_lookup(ts[0], ids), np.random.default_rng(case)), [table])
+    batch_ids = rng.integers(0, 6, size=(3, 4))  # repeated ids accumulate
+    _check(lambda ts: _weighted_sum(ad.embedding_lookup(ts[0], batch_ids), np.random.default_rng(case)), [table])
 
     x = _rand(rng, 4, 4)
     mask = rng.random((4, 4)) < 0.3
@@ -273,3 +304,48 @@ def test_dropout_inverted_scaling():
 def test_dropout_rate_bounds():
     with pytest.raises(ValueError):
         ad.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# no_tape
+# ---------------------------------------------------------------------------
+
+def test_no_tape_still_checks_every_op():
+    with ad.no_tape():
+        with pytest.raises(NumericHealthError, match="log"):
+            ad.log(Tensor([-1.0]))
+        with pytest.raises(NumericHealthError, match="exp"):
+            ad.exp(Tensor([1000.0]))
+
+
+def test_no_tape_records_no_parents():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    with ad.no_tape():
+        y = ad.softmax(ad.matmul(x, x), axis=-1)
+        z = ad.tsum(ad.mul(y, y))
+    assert y._parents == () and y._bwd is None
+    assert z._parents == () and z._bwd is None
+    assert len(Tape(z)) == 1
+    taped = ad.tsum(ad.mul(x, x))
+    assert taped._parents and taped._bwd is not None
+    assert np.array_equal(ad.softmax(ad.matmul(x, x), axis=-1).data, y.data)
+
+
+def test_no_tape_restores_taping_after_the_body_raises():
+    x = Tensor([1.0, 2.0])
+    with pytest.raises(NumericHealthError):
+        with ad.no_tape():
+            ad.log(Tensor([-1.0]))
+    y = ad.mul(x, x)
+    assert y._parents == (x, x)
+
+
+def test_no_tape_nests():
+    x = Tensor([1.0, 2.0])
+    with ad.no_tape():
+        with ad.no_tape():
+            inner = ad.mul(x, x)
+        after_inner = ad.mul(x, x)
+    outside = ad.mul(x, x)
+    assert inner._parents == () and after_inner._parents == ()
+    assert outside._parents == (x, x)

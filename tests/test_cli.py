@@ -130,12 +130,18 @@ def test_predict_rows_serve_mask_and_determinism(trained, tmp_path, vocab):
             assert cells[col] == "0.000000"
 
 
-def test_predict_jobs_fanout_is_byte_identical(trained, tmp_path):
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    base = ["predict", "--checkpoint", trained / "model.ckpt", "--data", trained / "val_split.csv", "--seed", 4]
-    assert run_cli(*base, "--out", serial).returncode == 0
-    assert run_cli(*base, "--out", parallel, "--jobs", 4).returncode == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+@pytest.mark.parametrize("damage", ["truncated", "trailing"])
+def test_predict_with_a_damaged_checkpoint_exits_1(trained, tmp_path, damage):
+    raw = (trained / "model.ckpt").read_bytes()
+    damaged = tmp_path / "damaged.ckpt"
+    damaged.write_bytes(raw[:-5] if damage == "truncated" else raw + b"extra")
+    out = run_cli(
+        "predict", "--checkpoint", damaged, "--data", trained / "val_split.csv", "--out", tmp_path / "p.csv",
+    )
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    assert ("array 'area_head_b'" if damage == "truncated" else "5 trailing bytes") in out.stderr
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_open_ended_horizon(trained, tmp_path, vocab):

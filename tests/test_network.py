@@ -4,6 +4,7 @@ import pytest
 from rallycast import autodiff as ad
 from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
 from rallycast.court import CourtSpec, Player, ShotTypeVocab
+from rallycast.dataset import ParseError
 from rallycast.network import (
     ModelConfig,
     embed_strokes,
@@ -12,6 +13,7 @@ from rallycast.network import (
     fuse_contexts,
     predict_step,
     sinusoidal_encoding,
+    stroke_inputs,
 )
 from rallycast.training import step_loss
 
@@ -50,7 +52,7 @@ def test_zero_params_leave_positional_encoding_only(setup):
     pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
     for mode in ("modified", "baseline"):
         config = ModelConfig(**{**model.config.__dict__, "embedding_mode": mode})
-        e_s, e_a = embed_strokes(rally.strokes, ids, model.params, config, model.court)
+        e_s, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, config)
         assert np.array_equal(e_s.data, pe)
         assert np.array_equal(e_a.data, pe)
 
@@ -58,9 +60,9 @@ def test_zero_params_leave_positional_encoding_only(setup):
 def test_modified_area_channel_ignores_player_embedding(setup):
     vocab, rally, model = setup
     ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-    e_s0, e_a0 = embed_strokes(rally.strokes, ids, model.params, model.config, model.court)
+    e_s0, e_a0 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
     model.params["player_emb"].data += 0.731
-    e_s1, e_a1 = embed_strokes(rally.strokes, ids, model.params, model.config, model.court)
+    e_s1, e_a1 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
     assert np.array_equal(e_a0.data, e_a1.data)  # bit-identical
     assert not np.array_equal(e_s0.data, e_s1.data)
 
@@ -69,9 +71,9 @@ def test_baseline_area_channel_sees_player_embedding(setup):
     vocab, rally, model = setup
     config = ModelConfig(**{**model.config.__dict__, "embedding_mode": "baseline"})
     ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-    _, e_a0 = embed_strokes(rally.strokes, ids, model.params, config, model.court)
+    _, e_a0 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, config)
     model.params["player_emb"].data += 0.5
-    _, e_a1 = embed_strokes(rally.strokes, ids, model.params, config, model.court)
+    _, e_a1 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, config)
     assert not np.array_equal(e_a0.data, e_a1.data)
 
 
@@ -85,18 +87,18 @@ def test_area_relu_only_in_baseline_mode(setup):
     pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
 
     modified = ModelConfig(**{**model.config.__dict__, "embedding_mode": "modified"})
-    _, e_a = embed_strokes(rally.strokes, ids, model.params, modified, model.court)
+    _, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, modified)
     assert np.allclose(e_a.data - pe, -2.0)  # negatives preserved
 
     baseline = ModelConfig(**{**model.config.__dict__, "embedding_mode": "baseline"})
-    _, e_a = embed_strokes(rally.strokes, ids, model.params, baseline, model.court)
+    _, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, baseline)
     assert np.allclose(e_a.data - pe, 0.0)  # clamped at zero
 
 
 def test_area_gradient_wrt_player_table_is_zero_in_modified_mode(setup):
     vocab, rally, model = setup
     ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-    _, e_a = embed_strokes(rally.strokes, ids, model.params, model.config, model.court)
+    _, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
     backward(ad.tsum(e_a))
     assert np.array_equal(grad_of(model.params["player_emb"]), np.zeros_like(model.params["player_emb"].data))
 
@@ -104,7 +106,7 @@ def test_area_gradient_wrt_player_table_is_zero_in_modified_mode(setup):
 def test_embed_rejects_unknown_player_id(setup):
     vocab, rally, model = setup
     with pytest.raises(ValueError):
-        embed_strokes(rally.strokes, [99] * len(rally), model.params, model.config, model.court)
+        embed_strokes(stroke_inputs(rally.strokes, [99] * len(rally), model.court), model.params, model.config)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +139,7 @@ def test_player_context_masks_out_other_player(setup):
     ids = model.stroke_player_ids((rally.player_a, rally.player_b), players)
 
     def player_ctx_at_a_positions(strokes):
-        e_s, e_a = embed_strokes(strokes, ids, model.params, model.config, model.court)
+        e_s, e_a = embed_strokes(stroke_inputs(strokes, ids, model.court), model.params, model.config)
         x = ad.scale(ad.add(e_s, e_a), 0.5)
         _, player_ctx = encode_contexts(x, players, model.params, model.config)
         a_rows = [i for i, p in enumerate(players) if p is Player.A]
@@ -261,6 +263,42 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, setup):
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
     loaded.save(tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, setup):
+    vocab, rally, model = setup
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    raw = path.read_bytes()
+    last = model.params.names()[-1]
+
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(raw[:-3])
+    with pytest.raises(ParseError, match=f"array '{last}'"):
+        type(model).load(cut)
+
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes(raw + b"\0" * 8)
+    with pytest.raises(ParseError, match="8 trailing bytes"):
+        type(model).load(padded)
+
+    header_cut = tmp_path / "header_cut.ckpt"
+    header_cut.write_bytes(raw[:40])
+    with pytest.raises(ParseError, match="header length"):
+        type(model).load(header_cut)
+
+
+def test_checkpoint_rejects_a_header_that_disagrees_with_its_config(tmp_path, setup):
+    vocab, rally, model = setup
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    raw = path.read_bytes()
+    # claim a wider model; the header keeps its length, so only the shape check can catch it
+    bad = raw.replace(b'"embed_dim":4', b'"embed_dim":8', 1)
+    assert bad != raw
+    path.write_bytes(bad)
+    with pytest.raises(ParseError, match="parameter shapes"):
+        type(model).load(path)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rallycast import scoring
 from rallycast.court import Player
 from rallycast.scoring import (
     GeneratedStroke,
     evaluate_sample_set,
     export_predictions,
+    generate_sample_sets,
     generate_suffix,
     import_predictions,
     quantize6,
@@ -15,6 +17,8 @@ from rallycast.scoring import (
     score_min6,
     score_sample_sets,
 )
+
+from rallycast.seeding import TAG_EVAL
 
 from conftest import make_rally, random_rallies, small_vocab, tiny_model
 from metric_reference import reference_min6, reference_sample_set_loss
@@ -234,6 +238,61 @@ def test_generated_values_are_quantized(gen_setup):
         assert g.landing[0] == quantize6(g.landing[0])
         assert all(p == quantize6(p) for p in g.type_probs)
         assert abs(g.type_probs.sum() - 1.0) < 1e-6
+
+
+@pytest.fixture
+def mixed_lengths():
+    """Rallies of lengths tau+1 up to tau+17 between three players, and a model that knows two of them."""
+    vocab = small_vocab()
+    rally_types = [2, 3, 4, 5]
+    lengths = [5, 21, 8, 12, 6]
+    names = [("ana", "bo"), ("bo", "cy"), ("cy", "ana"), ("ana", "bo"), ("bo", "ana")]
+    rallies = [
+        make_rally([0] + [rally_types[(i + k) % 4] for k in range(n - 1)], rally_id=f"r{i}", player_a=a, player_b=b)
+        for i, (n, (a, b)) in enumerate(zip(lengths, names))
+    ]
+    model = tiny_model(rallies[:1], vocab, param_scale=0.4, seed=3)  # "cy" maps to the unknown row
+    return model, rallies
+
+
+def _reference_suffix(model, rally, horizon, seed):
+    """One continuation the slow way: the taped forward over the whole history for every stroke."""
+    rng = np.random.default_rng(seed)
+    history = list(rally.strokes[: model.config.tau])
+    out = []
+    for _ in range(horizon):
+        probs, mu, log_sigma, rho = model.forward_positions(history, (rally.player_a, rally.player_b))
+        stroke, generated = scoring._draw_stroke(
+            rng, history[-1], probs.data[-1], mu.data[-1], log_sigma.data[-1], float(rho.data[-1]),
+            list(model.vocab.serve_ids), model.court,
+        )
+        history.append(stroke)
+        out.append(generated)
+    return out
+
+
+def test_lockstep_sample_sets_equal_one_continuation_at_a_time(mixed_lengths):
+    model, rallies = mixed_lengths
+    tau = model.config.tau
+    seed = 21
+    for horizon in (None, 9):
+        sets = generate_sample_sets(model, rallies, 6, seed, horizon=horizon)
+        assert len(sets) == 6
+        for j, one in enumerate(sets):
+            for r_idx, rally in enumerate(rallies):
+                steps = horizon if horizon is not None else len(rally) - tau
+                stream = np.random.SeedSequence([seed, TAG_EVAL, r_idx, j])
+                assert _same_strokes(one[r_idx], generate_suffix(model, rally, steps, stream))
+                assert _same_strokes(one[r_idx], _reference_suffix(model, rally, steps, stream))
+    six = generate_sample_sets(model, rallies, 6, seed)
+    two = generate_sample_sets(model, rallies, 2, seed)
+    assert all(_same_strokes(a, b) for s6, s2 in zip(six[:2], two) for a, b in zip(s6, s2))
+
+
+def test_sample_sets_reject_a_rally_without_a_suffix(mixed_lengths):
+    model, rallies = mixed_lengths
+    with pytest.raises(ValueError, match="horizon"):
+        generate_sample_sets(model, rallies + [make_rally([0, 2, 3, 4], rally_id="short")], 2, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,12 @@ def test_eval_best_of_k_nested_monotonicity(vocab, corpus):
     assert scores[100] <= scores[10] <= scores[1]
 
 
-def test_eval_best_of_k_deterministic_and_parallel_equal(vocab, corpus):
+def test_eval_best_of_k_deterministic(vocab, corpus):
     model = tiny_model(corpus, vocab, param_scale=0.4)
     a = eval_best_of_k(model, corpus, 4, seed=2)
     b = eval_best_of_k(model, corpus, 4, seed=2)
-    c = eval_best_of_k(model, corpus, 4, seed=2, jobs=4)
-    assert a.score == b.score == c.score
-    assert a.sample_losses == b.sample_losses == c.sample_losses
+    assert a.score == b.score
+    assert a.sample_losses == b.sample_losses
 
 
 def test_eval_best_of_k_argument_checks(vocab, corpus):
