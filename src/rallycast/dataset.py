@@ -40,7 +40,7 @@ MALFORMED_ROW_LIMIT = 0.10
 
 
 class ParseError(RuntimeError):
-    """Raised when a dataset or checkpoint file is too damaged to use."""
+    """Raised when a dataset, checkpoint or prediction file is too damaged to use."""
 
 
 @dataclass(frozen=True)

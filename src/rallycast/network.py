@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .court import CourtSpec, Player, Rally, ShotType, ShotTypeVocab, Stroke, normalize_coord
-from .dataset import ParseError
+from .dataset import TAU, ParseError
 from .seeding import TAG_INIT, rng_from_key
 
 UNKNOWN_PLAYER = 0  # reserved row of the player embedding table
@@ -47,7 +47,7 @@ class ModelConfig:
     vocab_size: int = 10
     n_players: int = 2  # real players; the table has one extra unknown row
     embedding_mode: str = "modified"
-    tau: int = 4
+    tau: int = TAU
 
     def __post_init__(self) -> None:
         if self.embed_dim % self.n_heads != 0:
@@ -157,22 +157,6 @@ def sinusoidal_encoding(n: int, d: int) -> np.ndarray:
     angles = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / d)
     enc = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
     return enc
-
-
-@dataclass
-class PredictionStep:
-    """Model output for one future stroke.
-
-    type_probs is a simplex over the vocabulary; the landing distribution is
-    a bivariate Gaussian in normalized court units. nodes keeps the live
-    graph tensors when the step was produced for training.
-    """
-
-    type_probs: np.ndarray
-    mu: np.ndarray  # (2,)
-    sigma: np.ndarray  # (2,), positive
-    rho: float  # in (-1, 1)
-    nodes: dict[str, Tensor] | None = None
 
 
 @dataclass(frozen=True)
@@ -339,28 +323,6 @@ def prediction_heads(fused: Tensor, params: ModelParams) -> tuple[Tensor, Tensor
     return probs, mu, log_sigma, rho
 
 
-def _step_from_rows(probs: Tensor, mu: Tensor, log_sigma: Tensor, rho: Tensor, row: int, keep_nodes: bool) -> PredictionStep:
-    p_row, mu_row, ls_row, rho_row = probs[row], mu[row], log_sigma[row], rho[row]
-    step = PredictionStep(
-        type_probs=p_row.data.copy(),
-        mu=mu_row.data.copy(),
-        sigma=np.exp(ls_row.data),
-        rho=float(rho_row.data),
-    )
-    if keep_nodes:
-        step.nodes = {"probs": p_row, "mu": mu_row, "log_sigma": ls_row, "rho": rho_row}
-    return step
-
-
-def predict_step(fused: Tensor | np.ndarray, params: ModelParams) -> PredictionStep:
-    """Run the heads on a single fused vector."""
-    data = fused.data if isinstance(fused, Tensor) else np.asarray(fused, dtype=np.float64)
-    if data.ndim == 1:
-        data = data.reshape(1, -1)
-    probs, mu, log_sigma, rho = prediction_heads(Tensor(data), params)
-    return _step_from_rows(probs, mu, log_sigma, rho, 0, keep_nodes=False)
-
-
 @dataclass
 class Forecaster:
     """A trained (or freshly initialized) model plus everything needed to run it."""
@@ -426,8 +388,12 @@ def forward_teacher_forced(
     rally: Rally,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[PredictionStep]:
-    """One PredictionStep per stroke tau+1 .. |rally|, conditioned on truth."""
+) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Head outputs for strokes tau+1 .. |rally|, conditioned on truth.
+
+    Row i predicts stroke tau+1+i from the strokes before it. The shapes are
+    (m, V), (m, 2), (m, 2) and (m,) for m = |rally| - tau targets.
+    """
     tau = model.config.tau
     if len(rally) < tau + 1:
         raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {tau + 1}")
@@ -435,11 +401,8 @@ def forward_teacher_forced(
     probs, mu, log_sigma, rho = model.forward_positions(
         history, (rally.player_a, rally.player_b), training=training, rng=rng
     )
-    steps = []
-    for target_round in range(tau + 1, len(rally) + 1):
-        row = target_round - 2  # position of the stroke preceding the target
-        steps.append(_step_from_rows(probs, mu, log_sigma, rho, row, keep_nodes=training))
-    return steps
+    # position p (0-based) predicts round p + 2, so round tau + 1 is row tau - 1
+    return probs[tau - 1 :], mu[tau - 1 :], log_sigma[tau - 1 :], rho[tau - 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +430,13 @@ def save_checkpoint(path: str | Path, model: Forecaster) -> None:
 def load_checkpoint(path: str | Path) -> Forecaster:
     """Read a checkpoint, checking every length in it against the file.
 
-    A truncated file, a header that does not describe the file's arrays, and
-    bytes after the last array raise ParseError naming what is wrong.
+    A file without the magic, a truncated file, a header that does not
+    describe the file's arrays, and bytes after the last array raise
+    ParseError naming what is wrong.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
-        raise ValueError(f"not a checkpoint file: {path}")
+        raise ParseError(f"{path}: not a checkpoint file (no {CHECKPOINT_MAGIC.strip().decode()} magic)")
     off = len(CHECKPOINT_MAGIC)
     if len(raw) < off + 8:
         raise ParseError(f"{path}: truncated before the header length")

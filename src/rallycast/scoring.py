@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, denormalize_coord, mirror_coord
+from .dataset import TAU, ParseError
 from .network import Forecaster, StrokeInputs, stroke_inputs
 from .seeding import TAG_EVAL
 
@@ -229,7 +230,7 @@ class SetEvaluation:
 
 
 def evaluate_sample_set(
-    samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = 4
+    samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = TAU
 ) -> SetEvaluation:
     if len(samples) != len(truths):
         raise ValueError(f"sample set covers {len(samples)} rallies, ground truth has {len(truths)}")
@@ -257,7 +258,7 @@ def evaluate_sample_set(
     return SetEvaluation(rally_sums, stroke_losses, n_strokes)
 
 
-def sample_set_loss(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = 4) -> float:
+def sample_set_loss(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = TAU) -> float:
     """Mean per-stroke CE + L1 loss of one sample set over all rallies."""
     return evaluate_sample_set(samples, truths, tau=tau).loss
 
@@ -314,7 +315,7 @@ def score_sample_sets(
     sets: Sequence[Sequence[Sequence[GeneratedStroke]]],
     truths: Sequence[Rally],
     protocol: str = "min_of_sets",
-    tau: int = 4,
+    tau: int = TAU,
 ) -> ScoreReport:
     """Score k sample sets under either aggregation protocol."""
     if protocol not in ("min_of_sets", "best_of_k"):
@@ -425,6 +426,12 @@ class PredictionFile:
 
 
 def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile:
+    """Read a prediction file; a damaged row raises ParseError naming its line.
+
+    Every numeric cell must parse, landings must be finite, and each row's
+    probabilities must lie in [0, 1] and sum to 1. A header that does not
+    match the vocabulary raises ValueError.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"prediction file not found: {path}")
@@ -441,18 +448,27 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
                 continue
             cells = line.split(",")
             if len(cells) != 5 + vocab.size:
-                raise ValueError(f"line {line_number}: expected {5 + vocab.size} columns")
-            rally_id, sample_s, round_s = cells[0], cells[1], cells[2]
-            sample_id = int(sample_s)
-            probs = np.array([float(c) for c in cells[5:]])
+                raise ParseError(f"line {line_number}: expected {5 + vocab.size} columns, found {len(cells)}")
+            rally_id = cells[0]
+            try:
+                sample_id, ball_round = int(cells[1]), int(cells[2])
+                landing = (float(cells[3]), float(cells[4]))
+                values = [float(c) for c in cells[5:]]
+            except ValueError as exc:
+                raise ParseError(f"line {line_number}: {exc}") from exc
+            if not (math.isfinite(landing[0]) and math.isfinite(landing[1])):
+                raise ParseError(f"line {line_number}: landing ({cells[3]}, {cells[4]}) is not finite")
+            for col, p in enumerate(values, start=5):
+                if not 0.0 <= p <= 1.0:  # NaN fails too
+                    raise ParseError(f"line {line_number}: {header.split(',')[col]} = {cells[col]} is not in [0, 1]")
+            probs = np.array(values)
             if abs(probs.sum() - 1.0) > 1e-6:
-                raise ValueError(f"line {line_number}: probabilities sum to {probs.sum():.8f}")
-            ball_round = int(round_s)
+                raise ParseError(f"line {line_number}: probabilities sum to {probs.sum():.8f}")
             g = GeneratedStroke(
                 round_index=ball_round,
                 player=Player.A if ball_round % 2 == 1 else Player.B,
                 type_id=int(np.argmax(probs)),
-                landing=(float(cells[3]), float(cells[4])),
+                landing=landing,
                 type_probs=probs,
             )
             rows.setdefault(rally_id, {}).setdefault(sample_id, []).append(g)

@@ -24,7 +24,6 @@ from .court import CourtSpec, Rally, ShotTypeVocab, Stroke, normalize_coord
 from .network import (
     Forecaster,
     ModelConfig,
-    PredictionStep,
     build_player_index,
     forward_teacher_forced,
     init_params,
@@ -96,70 +95,53 @@ class LossBundle:
     n_steps: int
 
 
-def _gaussian_nll(mu: Tensor, log_sigma: Tensor, rho: Tensor, target: tuple[float, float]) -> Tensor:
-    """Negative log-likelihood of one 2-D point under one predicted Gaussian."""
-    dx = Tensor(target[0]) - mu[0]
-    dy = Tensor(target[1]) - mu[1]
-    sigma_x = ad.exp(log_sigma[0])
-    sigma_y = ad.exp(log_sigma[1])
-    one_m_rho2 = ad.clamp_min(Tensor(1.0) - rho * rho, RHO_FLOOR)
-    zx = dx / sigma_x
-    zy = dy / sigma_y
-    quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
-    return Tensor(LOG_2PI) + log_sigma[0] + log_sigma[1] + 0.5 * ad.log(one_m_rho2) + quad / (2.0 * one_m_rho2)
+Heads = tuple[Tensor, Tensor, Tensor, Tensor]  # (m, V), (m, 2), (m, 2), (m,)
 
 
-def _step_tensors(step: PredictionStep) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    if step.nodes is not None:
-        n = step.nodes
-        return n["probs"], n["mu"], n["log_sigma"], n["rho"]
-    return (
-        Tensor(step.type_probs),
-        Tensor(step.mu),
-        Tensor(np.log(step.sigma)),
-        Tensor(step.rho),
-    )
+def step_loss(heads: Sequence[Heads], targets: Sequence[Stroke], court: CourtSpec) -> LossBundle:
+    """Mean cross-entropy and mean Gaussian NLL over a batch of target strokes.
 
-
-def step_loss(
-    predictions: Sequence[PredictionStep],
-    targets: Sequence[Stroke],
-    court: CourtSpec,
-) -> LossBundle:
-    """Mean cross-entropy and mean Gaussian NLL over aligned prediction steps.
-
-    Differentiable when the steps carry live graph nodes; plain steps are
-    treated as constants and only the values are meaningful.
+    heads holds one (probs, mu, log_sigma, rho) tuple per rally, as returned
+    by forward_teacher_forced; their rows, concatenated, align with targets.
+    Both losses are computed once over (N,) arrays. Differentiable when the
+    heads are live graph nodes; constant heads give only the values.
     """
-    if len(predictions) != len(targets) or not predictions:
-        raise ValueError(f"got {len(predictions)} predictions for {len(targets)} targets")
-    ce_terms = []
-    nll_terms = []
-    for step, target in zip(predictions, targets):
-        probs, mu, log_sigma, rho = _step_tensors(step)
-        p_true = probs[target.shot_type]
-        if float(p_true.data) < PROB_FLOOR:
-            log.warning("true-type probability underflowed (%.3e); clamping", float(p_true.data))
-        ce_terms.append(-ad.log(ad.clamp_min(p_true, PROB_FLOOR)))
-        nll_terms.append(_gaussian_nll(mu, log_sigma, rho, normalize_coord(target.landing, court)))
-    inv_n = 1.0 / len(predictions)
-    shot = ad.scale(_sum_scalars(ce_terms), inv_n)
-    area = ad.scale(_sum_scalars(nll_terms), inv_n)
+    n = sum(h[0].shape[0] for h in heads)
+    if n != len(targets) or not targets:
+        raise ValueError(f"got {n} prediction rows for {len(targets)} targets")
+    probs, mu, log_sigma, rho = (ad.concat(parts, axis=0) for parts in zip(*heads))
+    true_types = np.array([s.shot_type for s in targets], dtype=np.int64)
+    xy = np.array([normalize_coord(s.landing, court) for s in targets])
+
+    p_true = probs[np.arange(n), true_types]
+    underflowed = p_true.data < PROB_FLOOR
+    if underflowed.any():
+        log.warning(
+            "%d true-type probabilities underflowed (min %.3e); clamping",
+            int(underflowed.sum()),
+            float(p_true.data.min()),
+        )
+    ce = -ad.log(ad.clamp_min(p_true, PROB_FLOOR))
+
+    # bivariate-Gaussian NLL of each true landing point
+    ls_x, ls_y = log_sigma[:, 0], log_sigma[:, 1]
+    zx = (Tensor(xy[:, 0]) - mu[:, 0]) / ad.exp(ls_x)
+    zy = (Tensor(xy[:, 1]) - mu[:, 1]) / ad.exp(ls_y)
+    one_m_rho2 = ad.clamp_min(Tensor(1.0) - rho * rho, RHO_FLOOR)
+    quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
+    nll = Tensor(LOG_2PI) + ls_x + ls_y + 0.5 * ad.log(one_m_rho2) + quad / (2.0 * one_m_rho2)
+
+    inv_n = 1.0 / n
+    shot = ad.scale(ad.tsum(ce), inv_n)
+    area = ad.scale(ad.tsum(nll), inv_n)
     total = shot + area
     return LossBundle(
         shot_loss=float(shot.data),
         area_loss=float(area.data),
         total_loss=float(total.data),
         node=total,
-        n_steps=len(predictions),
+        n_steps=n,
     )
-
-
-def _sum_scalars(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
 
 
 class Adam:
@@ -231,14 +213,14 @@ def train(
         for b_idx in range(0, len(order), train_config.batch_size):
             batch = [train_set[i] for i in order[b_idx : b_idx + train_config.batch_size]]
             params.zero_grad()
-            steps: list[PredictionStep] = []
+            heads: list[Heads] = []
             targets: list[Stroke] = []
             try:
                 for pos, rally in enumerate(batch):
                     rng = rng_from_key(train_config.seed, TAG_DROPOUT, epoch, b_idx, pos)
-                    steps.extend(forward_teacher_forced(model, rally, training=True, rng=rng))
+                    heads.append(forward_teacher_forced(model, rally, training=True, rng=rng))
                     targets.extend(rally.strokes[config.tau :])
-                bundle = step_loss(steps, targets, court)
+                bundle = step_loss(heads, targets, court)
                 ad.backward(bundle.node)
             except NumericHealthError as exc:
                 ids = ", ".join(r.rally_id for r in batch)

@@ -134,8 +134,8 @@ def test_criterion_gradient_integrity():
     def loss_fn(leaves):
         for name, leaf in zip(names, leaves):
             model.params.tensors[name] = leaf
-        steps = forward_teacher_forced(model, rally, training=True)
-        return step_loss(steps, rally.strokes[4:], court).node
+        heads = forward_teacher_forced(model, rally, training=True)
+        return step_loss([heads], rally.strokes[4:], court).node
 
     err = ad.gradient_check(loss_fn, base)
     elapsed = time.perf_counter() - started
@@ -195,11 +195,11 @@ def test_criterion_overfit_experiment(corpus):
 
     model, report = train(rallies, [], model_config, train_config, vocab=vocab)
 
-    steps, targets = [], []
+    heads, targets = [], []
     for rally in rallies:
-        steps.extend(forward_teacher_forced(model, rally))
+        heads.append(forward_teacher_forced(model, rally))
         targets.extend(rally.strokes[4:])
-    final_shot = step_loss(steps, targets, model.court).shot_loss
+    final_shot = step_loss(heads, targets, model.court).shot_loss
 
     untrained = Forecaster(init_params(model.config, train_config.seed), model.config, model.court, vocab, model.player_index)
     score_before = eval_best_of_k(untrained, rallies, 6, train_config.seed).score

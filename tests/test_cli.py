@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -130,17 +131,25 @@ def test_predict_rows_serve_mask_and_determinism(trained, tmp_path, vocab):
             assert cells[col] == "0.000000"
 
 
-@pytest.mark.parametrize("damage", ["truncated", "trailing"])
+# damage: (damaged bytes from the checkpoint's bytes, what the error names)
+CHECKPOINT_DAMAGE = {
+    "truncated": (lambda raw: raw[:-5], "array 'area_head_b'"),
+    "trailing": (lambda raw: raw + b"extra", "5 trailing bytes"),
+    "no_magic": (lambda raw: CORPUS32.read_bytes(), "not a checkpoint file"),  # a file without the magic
+}
+
+
+@pytest.mark.parametrize("damage", list(CHECKPOINT_DAMAGE))
 def test_predict_with_a_damaged_checkpoint_exits_1(trained, tmp_path, damage):
-    raw = (trained / "model.ckpt").read_bytes()
+    corrupt, message = CHECKPOINT_DAMAGE[damage]
     damaged = tmp_path / "damaged.ckpt"
-    damaged.write_bytes(raw[:-5] if damage == "truncated" else raw + b"extra")
+    damaged.write_bytes(corrupt((trained / "model.ckpt").read_bytes()))
     out = run_cli(
         "predict", "--checkpoint", damaged, "--data", trained / "val_split.csv", "--out", tmp_path / "p.csv",
     )
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr
-    assert ("array 'area_head_b'" if damage == "truncated" else "5 trailing bytes") in out.stderr
+    assert message in out.stderr
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -194,6 +203,37 @@ def test_score_rejects_five_sample_file(tmp_path):
     out = run_cli("score", "--predictions", five, "--truth", HAND_SCORED / "truth.csv")
     assert out.returncode == 2
     assert "expected 6 sample sets" in out.stderr
+
+
+# damage: (column of the first data row, sample 1 round 5, to overwrite, with what, what the error names)
+PREDICTION_DAMAGE = {
+    # -0.2 moved onto the true type would lower the score from 1.539721 to 1.371485
+    "negative_probability": ({"prob_net_shot": "-0.200000", "prob_smash": "0.700000"}, "prob_net_shot = -0.200000"),
+    "nan_landing": ({"landing_x": "nan"}, "landing (nan, 9.000000) is not finite"),
+}
+
+
+@pytest.mark.parametrize("damage", list(PREDICTION_DAMAGE))
+def test_damaged_prediction_row_is_rejected_with_its_line(tmp_path, vocab, damage):
+    from rallycast.dataset import ParseError
+    from rallycast.scoring import import_predictions
+
+    cells, message = PREDICTION_DAMAGE[damage]
+    lines = (HAND_SCORED / "predictions.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[1].split(",")
+    for name, value in cells.items():
+        row[header.index(name)] = value
+    damaged = tmp_path / "damaged.csv"
+    damaged.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n", encoding="utf-8")
+
+    with pytest.raises(ParseError, match=f"line 2: {re.escape(message)}"):
+        import_predictions(damaged, vocab)
+    out = run_cli("score", "--predictions", damaged, "--truth", HAND_SCORED / "truth.csv")
+    assert out.returncode == 1, out.stdout
+    assert f"line 2: {message}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Score" not in out.stdout
 
 
 def test_score_deterministic_report(tmp_path):

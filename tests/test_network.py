@@ -11,13 +11,13 @@ from rallycast.network import (
     encode_contexts,
     forward_teacher_forced,
     fuse_contexts,
-    predict_step,
+    prediction_heads,
     sinusoidal_encoding,
     stroke_inputs,
 )
 from rallycast.training import step_loss
 
-from conftest import make_rally, small_vocab, tiny_model
+from conftest import FIXTURES, make_rally, small_vocab, tiny_model
 
 
 def _replace_stroke(rally, index, **changes):
@@ -197,10 +197,11 @@ def test_zero_heads_give_uniform_and_unit_gaussian(setup):
     vocab, rally, model = setup
     for name in ("type_head_w", "type_head_b", "area_head_w", "area_head_b"):
         model.params[name].data[:] = 0.0
-    step = predict_step(np.random.default_rng(0).normal(size=model.config.embed_dim), model.params)
-    assert np.allclose(step.type_probs, 1.0 / vocab.size)
-    assert np.allclose(step.sigma, 1.0)
-    assert step.rho == 0.0
+    fused = Tensor(np.random.default_rng(0).normal(size=(1, model.config.embed_dim)))
+    probs, mu, log_sigma, rho = prediction_heads(fused, model.params)
+    assert np.allclose(probs.data, 1.0 / vocab.size)
+    assert np.allclose(np.exp(log_sigma.data), 1.0)
+    assert rho.data[0] == 0.0
 
 
 def test_head_ranges_over_random_draws(setup):
@@ -209,11 +210,12 @@ def test_head_ranges_over_random_draws(setup):
     for _ in range(1000):
         for t in model.params.tensors.values():
             t.data[:] = rng.normal(0.0, 1.5, size=t.shape)
-        step = predict_step(rng.normal(0.0, 2.0, size=model.config.embed_dim), model.params)
-        assert abs(step.type_probs.sum() - 1.0) < 1e-9
-        assert np.all(step.type_probs >= 0.0)
-        assert np.all(step.sigma > 0.0)
-        assert abs(step.rho) < 1.0
+        fused = Tensor(rng.normal(0.0, 2.0, size=(1, model.config.embed_dim)))
+        probs, mu, log_sigma, rho = prediction_heads(fused, model.params)
+        assert abs(probs.data.sum() - 1.0) < 1e-9
+        assert np.all(probs.data >= 0.0)
+        assert np.all(np.exp(log_sigma.data) > 0.0)
+        assert abs(rho.data[0]) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,10 @@ def test_forward_step_counts(setup):
     vocab, rally, model = setup
     five = make_rally([0, 2, 3, 4, 2])
     nine = make_rally([0, 2, 3, 4, 2, 3, 4, 5, 2])
-    assert len(forward_teacher_forced(model, five)) == 1
-    assert len(forward_teacher_forced(model, nine)) == 5
+    for rally_, m in ((five, 1), (nine, 5)):
+        probs, mu, log_sigma, rho = forward_teacher_forced(model, rally_)
+        assert probs.shape == (m, model.config.vocab_size)
+        assert mu.shape == log_sigma.shape == (m, 2) and rho.shape == (m,)
     with pytest.raises(ValueError):
         forward_teacher_forced(model, make_rally([0, 2, 3, 4]))
 
@@ -234,17 +238,14 @@ def test_forward_eval_mode_is_deterministic(setup):
     vocab, rally, model = setup
     a = forward_teacher_forced(model, rally)
     b = forward_teacher_forced(model, rally)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.type_probs, sb.type_probs)
-        assert np.array_equal(sa.mu, sb.mu)
-        assert np.array_equal(sa.sigma, sb.sigma)
-        assert sa.rho == sb.rho
+    for ha, hb in zip(a, b):
+        assert np.array_equal(ha.data, hb.data)
 
 
 def test_forward_training_keeps_graph_nodes(setup):
     vocab, rally, model = setup
-    steps = forward_teacher_forced(model, rally, training=True, rng=np.random.default_rng(0))
-    assert all(s.nodes is not None for s in steps)
+    heads = forward_teacher_forced(model, rally, training=True, rng=np.random.default_rng(0))
+    assert all(h._bwd is not None for h in heads)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +288,9 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, setup):
     with pytest.raises(ParseError, match="header length"):
         type(model).load(header_cut)
 
+    with pytest.raises(ParseError, match="not a checkpoint file"):
+        type(model).load(FIXTURES / "corpus32.csv")
+
 
 def test_checkpoint_rejects_a_header_that_disagrees_with_its_config(tmp_path, setup):
     vocab, rally, model = setup
@@ -316,8 +320,8 @@ def test_full_model_gradient_check():
     def loss_fn(leaves):
         for name, leaf in zip(names, leaves):
             model.params.tensors[name] = leaf
-        steps = forward_teacher_forced(model, rally, training=True)
-        bundle = step_loss(steps, rally.strokes[model.config.tau :], court)
+        heads = forward_teacher_forced(model, rally, training=True)
+        bundle = step_loss([heads], rally.strokes[model.config.tau :], court)
         return bundle.node
 
     err = gradient_check(loss_fn, base)

@@ -4,25 +4,28 @@ import numpy as np
 import pytest
 
 from rallycast import autodiff as ad
-from rallycast.court import denormalize_coord
+from rallycast.autodiff import Tensor
+from rallycast.court import denormalize_coord, normalize_coord
 from rallycast.dataset import SynthConfig, synthesize_dataset
-from rallycast.network import ModelConfig, PredictionStep, forward_teacher_forced
+from rallycast.network import ModelConfig, forward_teacher_forced
+from rallycast.scoring import PROB_FLOOR
 from rallycast.training import Adam, TrainConfig, eval_best_of_k, step_loss, train
 
 from conftest import make_rally, tiny_model
 
 
-def _plain_step(vocab, p_true, true_type, mu, sigma=(1.0, 1.0), rho=0.0):
+def _plain_heads(vocab, p_true, true_type, mu, sigma=(1.0, 1.0), rho=0.0):
+    """Constant one-row heads: (1, V), (1, 2), (1, 2), (1,)."""
     probs = np.full(vocab.size, (1.0 - p_true) / (vocab.size - 1))
     probs[true_type] = p_true
-    return PredictionStep(type_probs=probs, mu=np.array(mu), sigma=np.array(sigma), rho=rho)
+    return Tensor(probs[None]), Tensor([mu]), Tensor(np.log([sigma])), Tensor([rho])
 
 
 def test_step_loss_gaussian_at_mean(vocab, court):
     mu = (0.3, -0.2)
     target = make_rally([0, 2, 3, 4, 2], landings=[(1.0, 8.0)] * 4 + [denormalize_coord(mu, court)])
-    step = _plain_step(vocab, 1.0, target.strokes[4].shot_type, mu)
-    bundle = step_loss([step], target.strokes[4:], court)
+    heads = _plain_heads(vocab, 1.0, target.strokes[4].shot_type, mu)
+    bundle = step_loss([heads], target.strokes[4:], court)
     assert bundle.shot_loss == 0.0
     assert abs(bundle.area_loss - math.log(2 * math.pi)) < 1e-9
     assert abs(bundle.area_loss - 1.8379) < 1e-4
@@ -30,26 +33,26 @@ def test_step_loss_gaussian_at_mean(vocab, court):
 
 def test_step_loss_half_probability(vocab, court):
     target = make_rally([0, 2, 3, 4, 2])
-    step = _plain_step(vocab, 0.5, target.strokes[4].shot_type, (0.0, 0.0))
-    bundle = step_loss([step], target.strokes[4:], court)
+    heads = _plain_heads(vocab, 0.5, target.strokes[4].shot_type, (0.0, 0.0))
+    bundle = step_loss([heads], target.strokes[4:], court)
     assert abs(bundle.shot_loss - math.log(2)) < 1e-12
 
 
 def test_step_loss_two_step_mean(vocab, court):
     target = make_rally([0, 2, 3, 4, 2, 3])
-    steps = [
-        _plain_step(vocab, 0.5, target.strokes[4].shot_type, (0.0, 0.0)),
-        _plain_step(vocab, 0.25, target.strokes[5].shot_type, (0.0, 0.0)),
+    heads = [
+        _plain_heads(vocab, 0.5, target.strokes[4].shot_type, (0.0, 0.0)),
+        _plain_heads(vocab, 0.25, target.strokes[5].shot_type, (0.0, 0.0)),
     ]
-    bundle = step_loss(steps, target.strokes[4:], court)
+    bundle = step_loss(heads, target.strokes[4:], court)
     assert abs(bundle.shot_loss - 1.0397) < 1e-4
     assert abs(bundle.shot_loss - (0.6931471805599453 + 1.3862943611198906) / 2) < 1e-12
 
 
 def test_step_loss_total_is_sum(vocab, court):
     target = make_rally([0, 2, 3, 4, 2])
-    step = _plain_step(vocab, 0.5, target.strokes[4].shot_type, (0.1, 0.2), sigma=(0.5, 2.0), rho=0.3)
-    bundle = step_loss([step], target.strokes[4:], court)
+    heads = _plain_heads(vocab, 0.5, target.strokes[4].shot_type, (0.1, 0.2), sigma=(0.5, 2.0), rho=0.3)
+    bundle = step_loss([heads], target.strokes[4:], court)
     assert abs(bundle.total_loss - (bundle.shot_loss + bundle.area_loss)) < 1e-12
     assert bundle.node.size == 1
 
@@ -58,6 +61,73 @@ def test_step_loss_length_mismatch(vocab, court):
     target = make_rally([0, 2, 3, 4, 2])
     with pytest.raises(ValueError):
         step_loss([], target.strokes[4:], court)
+
+
+def _reference_losses(rows, targets, court):
+    """Per-stroke mean CE and mean NLL from the closed-form bivariate-Gaussian density, in floats."""
+    ce, nll = [], []
+    for (probs, mu, sigma, rho), stroke in zip(rows, targets):
+        ce.append(-math.log(max(probs[stroke.shot_type], PROB_FLOOR)))
+        x, y = normalize_coord(stroke.landing, court)
+        zx, zy = (x - mu[0]) / sigma[0], (y - mu[1]) / sigma[1]
+        q = (zx * zx + zy * zy - 2.0 * rho * zx * zy) / (1.0 - rho * rho)
+        density = math.exp(-0.5 * q) / (2.0 * math.pi * sigma[0] * sigma[1] * math.sqrt(1.0 - rho * rho))
+        nll.append(-math.log(density))
+    return sum(ce) / len(ce), sum(nll) / len(nll)
+
+
+def _random_heads(rng, rally, vocab, court, tau=4):
+    """Constant heads for one rally's targets: sigma_x != sigma_y, rho != 0, landings near mu."""
+    targets = rally.strokes[tau:]
+    rows = []
+    for stroke in targets:
+        probs = rng.dirichlet(np.ones(vocab.size))
+        sigma = rng.uniform(0.3, 2.0, size=2)
+        mu = np.array(normalize_coord(stroke.landing, court)) + rng.normal(0.0, 0.5, size=2) * sigma
+        rows.append((probs, mu, sigma, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.9))))
+    heads = (
+        Tensor(np.stack([r[0] for r in rows])),
+        Tensor(np.stack([r[1] for r in rows])),
+        Tensor(np.log(np.stack([r[2] for r in rows]))),
+        Tensor([r[3] for r in rows]),
+    )
+    return rows, heads
+
+
+def test_step_loss_matches_a_per_stroke_closed_form_reference(vocab, court, caplog):
+    rng = np.random.default_rng(11)
+    rallies = [
+        make_rally([0, 2, 3, 4, 2], rally_id="a"),
+        make_rally([1, 2, 5, 6, 7, 8, 9], rally_id="b"),
+        make_rally([0, 3, 4, 5, 6, 7, 8, 9, 2, 3], rally_id="c"),
+    ]
+    rows, heads, targets = [], [], []
+    for rally in rallies:
+        r, h = _random_heads(rng, rally, vocab, court)
+        rows.extend(r)
+        heads.append(h)
+        targets.extend(rally.strokes[4:])
+    # push one true-type probability below the CE floor
+    probs, true_type = rows[5][0], targets[5].shot_type
+    probs[true_type] = 1e-15
+    probs /= probs.sum()
+    heads[2][0].data[1] = probs
+    assert [h[0].shape[0] for h in heads] == [1, 3, 6]
+
+    with caplog.at_level("WARNING", logger="rallycast.training"):
+        bundle = step_loss(heads, targets, court)
+    shot_ref, area_ref = _reference_losses(rows, targets, court)
+    assert abs(bundle.shot_loss - shot_ref) < 1e-10
+    assert abs(bundle.area_loss - area_ref) < 1e-10
+    assert bundle.n_steps == 10
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage().startswith("1 true-type probabilities underflowed")
+
+    # the loss graph has the same size for 10 targets as for 3
+    short = [make_rally([0, 2, 3, 4, 2], rally_id=f"s{i}") for i in range(3)]
+    short_heads = [_random_heads(rng, rally, vocab, court)[1] for rally in short]
+    short_loss = step_loss(short_heads, [r.strokes[4] for r in short], court)
+    assert len(ad.backward(bundle.node)) == len(ad.backward(short_loss.node))
 
 
 @pytest.fixture
@@ -108,11 +178,11 @@ def test_single_tiny_step_does_not_increase_smooth_loss(vocab, corpus):
     model = tiny_model(corpus, vocab, dropout_rate=0.0, param_scale=None)
 
     def batch_loss():
-        steps, targets = [], []
+        heads, targets = [], []
         for rally in corpus[:4]:
-            steps.extend(forward_teacher_forced(model, rally, training=True))
+            heads.append(forward_teacher_forced(model, rally, training=True))
             targets.extend(rally.strokes[4:])
-        return step_loss(steps, targets, model.court)
+        return step_loss(heads, targets, model.court)
 
     before = batch_loss()
     model.params.zero_grad()
