@@ -124,6 +124,11 @@ def no_tape() -> Iterator[None]:
         _tape_state.recording = saved
 
 
+def is_recording() -> bool:
+    """Whether primitives record the tape here; False inside no_tape()."""
+    return _tape_state.recording
+
+
 def _make(data: np.ndarray, parents: tuple, bwd: Callable, op: str) -> Tensor:
     if not np.isfinite(data).all():
         raise NumericHealthError(f"{op} produced non-finite values")

@@ -83,10 +83,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams({k: Tensor(v.data.copy()) for k, v in self.tensors.items()})
 
-    def set_all(self, value: float) -> None:
-        for t in self.tensors.values():
-            t.data[:] = value
-
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, v = config.embed_dim, config.vocab_size
@@ -151,8 +147,9 @@ def build_player_index(rallies: Sequence[Rally]) -> dict[str, int]:
     return {name: i + 1 for i, name in enumerate(names)}
 
 
-def sinusoidal_encoding(n: int, d: int) -> np.ndarray:
-    pos = np.arange(n, dtype=np.float64)[:, None]
+def sinusoidal_encoding(n: int, d: int, start: int = 0) -> np.ndarray:
+    """Encodings of positions start .. n-1, shape (n - start, d)."""
+    pos = np.arange(start, n, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / d)
     enc = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
@@ -181,10 +178,17 @@ class StrokeInputs:
         """Batch equal-length (n,) histories into one (B, n) input."""
         return StrokeInputs(*(np.stack(arrays) for arrays in zip(*(h._arrays() for h in histories))))
 
-    def append(self, column: "StrokeInputs") -> "StrokeInputs":
-        """Extend each of B histories by one stroke; column holds B strokes as a (B,) input."""
-        pairs = zip(self._arrays(), column._arrays())
-        return StrokeInputs(*(np.concatenate([a, c[:, None]], axis=1) for a, c in pairs))
+    def padded(self, width: int) -> "StrokeInputs":
+        """The (B, n) histories in zeroed (B, width) arrays, so a caller can write later strokes in place."""
+        out = StrokeInputs(*(np.zeros(a.shape[:1] + (width,) + a.shape[2:], a.dtype) for a in self._arrays()))
+        n = self.type_ids.shape[1]
+        for buf, a in zip(out._arrays(), self._arrays()):
+            buf[:, :n] = a
+        return out
+
+    def positions(self, start: int, stop: int) -> "StrokeInputs":
+        """The strokes at positions start .. stop-1 of (B, n) histories, as contiguous arrays."""
+        return StrokeInputs(*(np.ascontiguousarray(a[:, start:stop]) for a in self._arrays()))
 
     def rows(self, keep: Sequence[int]) -> "StrokeInputs":
         """The histories at the given batch rows, in that order."""
@@ -209,8 +213,58 @@ def stroke_inputs(strokes: Sequence[Stroke], player_ids: Sequence[int], court: C
     )
 
 
-def embed_strokes(inputs: StrokeInputs, params: ModelParams, config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Per-stroke shot and area channels, positional encoding included; shape (..., n, d)."""
+# BLAS may round a row of a matrix product differently depending on where
+# the row falls in the product's row blocking: OpenBLAS's SkylakeX kernels
+# round the rows of whole 4-row groups one way and leftover rows another,
+# and numpy sends a one-row product to a matrix-vector kernel. So the cache
+# keeps only whole blocks of CACHE_BLOCK positions, a multiple of such
+# groups, and each cached step recomputes every position after the last
+# whole block, at least two: each product then blocks its rows as the full
+# forward does, so every row is rounded the same.
+CACHE_BLOCK = 8
+
+
+class KVCache:
+    """Keys and values of the first `length` positions of B histories, per context and encoder layer.
+
+    Forecaster.forward(inputs, cache=cache) extends it; see there. It carries
+    no autodiff tape, so it serves inference only.
+    """
+
+    def __init__(self, batch: int, config: ModelConfig):
+        d = config.embed_dim
+        self.hitters = np.zeros((batch, 0), dtype=bool)  # (B, length) hit_by_a of the cached positions
+        # kv[context][layer] = [keys, values], each (B, length, d); context 0 is the rally context
+        empty = np.zeros((batch, 0, d))
+        self.kv = [[[empty, empty] for _ in range(config.n_layers)] for _ in range(2)]
+
+    @property
+    def length(self) -> int:
+        return self.hitters.shape[1]
+
+    def keep_rows(self, keep: Sequence[int]) -> None:
+        """Keep only the histories at the given batch rows, in that order."""
+        idx = np.asarray(keep, dtype=np.int64)
+        self.hitters = self.hitters[idx]
+        self.kv = [[[a[idx] for a in kv] for kv in ctx] for ctx in self.kv]
+
+    def commit(self, hitters: np.ndarray, kv: list[list[list[np.ndarray]]]) -> None:
+        """Keep the whole blocks of a step's positions; hitters and kv cover every position it attended over.
+
+        The last position is never kept, so the next step feeds at least two.
+        """
+        keep = CACHE_BLOCK * ((hitters.shape[1] - 1) // CACHE_BLOCK)
+        self.hitters = hitters[:, :keep]
+        self.kv = [[[a[:, :keep] for a in layer] for layer in ctx] for ctx in kv]
+
+
+def embed_strokes(
+    inputs: StrokeInputs, params: ModelParams, config: ModelConfig, start: int = 0
+) -> tuple[Tensor, Tensor]:
+    """Per-stroke shot and area channels, positional encoding included; shape (..., n, d).
+
+    The strokes sit at positions start .. start+n-1 of their histories.
+    """
     if inputs.player_ids.max() > config.n_players or inputs.player_ids.min() < 0:
         raise ValueError("player id outside the embedding table")
     if inputs.type_ids.max() >= config.vocab_size or inputs.type_ids.min() < 0:
@@ -228,16 +282,33 @@ def embed_strokes(inputs: StrokeInputs, params: ModelParams, config: ModelConfig
         shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(ad.relu(area_proj), player_e)
 
-    pe = Tensor(sinusoidal_encoding(inputs.type_ids.shape[-1], config.embed_dim))
+    pe = Tensor(sinusoidal_encoding(start + inputs.type_ids.shape[-1], config.embed_dim, start))
     return ad.add(shot_channel, pe), ad.add(area_channel, pe)
 
 
-def _attention(x: Tensor, allowed: np.ndarray, params: ModelParams, layer: int, config: ModelConfig) -> Tensor:
+def _attention(
+    x: Tensor,
+    allowed: np.ndarray,
+    params: ModelParams,
+    layer: int,
+    config: ModelConfig,
+    kv: list[np.ndarray] | None = None,
+) -> Tensor:
+    """Masked multi-head self-attention of x's positions.
+
+    kv, when given, holds the [keys, values] of cached positions before x's:
+    they are prepended to x's own keys and values, and kv is replaced by the
+    result, so allowed has one column per cached and new position.
+    """
     p = f"enc{layer}_"
     d = x.shape[-1]
     q = ad.matmul(x, params[p + "wq"])
     k = ad.matmul(x, params[p + "wk"])
     v = ad.matmul(x, params[p + "wv"])
+    if kv is not None:
+        k = ad.concat([Tensor(kv[0]), k], axis=-2)
+        v = ad.concat([Tensor(kv[1]), v], axis=-2)
+        kv[:] = [k.data, v.data]
     dh = d // config.n_heads
     blocked = ~allowed
     heads = []
@@ -257,10 +328,12 @@ def _encoder_stack(
     params: ModelParams,
     config: ModelConfig,
     rng: np.random.Generator | None,
+    kv: list[list[np.ndarray]] | None = None,
 ) -> Tensor:
     for i in range(config.n_layers):
         p = f"enc{i}_"
-        att = ad.dropout(_attention(x, allowed, params, i, config), config.dropout_rate, rng)
+        att = _attention(x, allowed, params, i, config, None if kv is None else kv[i])
+        att = ad.dropout(att, config.dropout_rate, rng)
         x = ad.layer_norm(ad.add(x, att), params[p + "ln1_g"], params[p + "ln1_b"])
         hidden = ad.relu(ad.add(ad.matmul(x, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
         ff = ad.add(ad.matmul(hidden, params[p + "ffn_w2"]), params[p + "ffn_b2"])
@@ -275,6 +348,7 @@ def encode_contexts(
     params: ModelParams,
     config: ModelConfig,
     rng: np.random.Generator | None = None,
+    cache: KVCache | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Causal rally context and player-restricted context for each position.
 
@@ -282,7 +356,9 @@ def encode_contexts(
     sequence of Player for one history, or a (..., n) array of labels that
     compare equal for the same hitter. The same encoder weights are applied
     under two masks of shape (..., n, n), so a length-1 sequence yields
-    identical contexts.
+    identical contexts. With a cache, x holds the (B, n, d) positions after
+    the cached ones; they also attend over the cached positions, and the
+    cache then keeps every whole block of positions.
     """
     if isinstance(players, np.ndarray):
         hitters = players
@@ -290,11 +366,18 @@ def encode_contexts(
         hitters = np.array([p is Player.A for p in players], dtype=bool)
     if hitters.shape != x.shape[:-1]:
         raise ValueError("players must align with the sequence")
-    n = x.shape[-2]
-    same = hitters[..., :, None] == hitters[..., None, :]
-    causal = np.broadcast_to(np.tril(np.ones((n, n), dtype=bool)), same.shape)
-    rally_ctx = _encoder_stack(x, causal, params, config, rng)
-    player_ctx = _encoder_stack(x, causal & same, params, config, rng)
+    every = hitters if cache is None else np.concatenate([cache.hitters, hitters], axis=-1)
+    n_new, n = hitters.shape[-1], every.shape[-1]
+    same = hitters[..., :, None] == every[..., None, :]
+    causal = np.broadcast_to(np.tril(np.ones((n_new, n), dtype=bool), n - n_new), same.shape)
+    rally_kv = player_kv = None
+    if cache is not None:
+        # copies of the cache's lists, so a step that raises leaves the cache as it was
+        rally_kv, player_kv = [[list(kv) for kv in ctx] for ctx in cache.kv]
+    rally_ctx = _encoder_stack(x, causal, params, config, rng, rally_kv)
+    player_ctx = _encoder_stack(x, causal & same, params, config, rng, player_kv)
+    if cache is not None:
+        cache.commit(every, [rally_kv, player_kv])
     return rally_ctx, player_ctx
 
 
@@ -350,18 +433,32 @@ class Forecaster:
         inputs: StrokeInputs,
         training: bool = False,
         rng: np.random.Generator | None = None,
+        cache: KVCache | None = None,
     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Next-stroke head outputs at every position: (..., n, V), (..., n, 2), (..., n, 2), (..., n).
 
         One definition serves one history (training, teacher forcing) and a
         (B, n) batch (lockstep sampling); every row of a batch gets the same
         values it would get alone.
+
+        With a cache (inference only, inside autodiff.no_tape()), inputs holds
+        the strokes of B histories from position cache.length on, and the
+        outputs are those of these positions, bit-identical to the full
+        forward's. The cache then holds the keys and values of every whole
+        block of CACHE_BLOCK positions; the caller feeds the rest again.
         """
-        shot_ch, area_ch = embed_strokes(inputs, self.params, self.config)
+        start = 0
+        if cache is not None:
+            if training or ad.is_recording():
+                raise RuntimeError("a cached forward is for inference inside autodiff.no_tape()")
+            if inputs.type_ids.ndim != 2 or len(inputs.type_ids) != len(cache.hitters):
+                raise ValueError("a cached forward takes (B, n) inputs for the cache's B histories")
+            start = cache.length
+        shot_ch, area_ch = embed_strokes(inputs, self.params, self.config, start)
         x = ad.scale(ad.add(shot_ch, area_ch), 0.5)
         drop_rng = rng if training else None
-        rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, drop_rng)
-        pe = sinusoidal_encoding(x.shape[-2], self.config.embed_dim)
+        rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, drop_rng, cache)
+        pe = sinusoidal_encoding(start + x.shape[-2], self.config.embed_dim, start)
         fused = fuse_contexts(rally_ctx, player_ctx, Tensor(np.broadcast_to(pe, x.shape)), self.params)
         return prediction_heads(fused, self.params)
 

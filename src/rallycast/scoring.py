@@ -15,6 +15,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, denormalize_coord, mirror_coord
+from .court import CourtSpec, Player, Rally, ShotTypeVocab
 from .dataset import TAU, ParseError
-from .network import Forecaster, StrokeInputs, stroke_inputs
+from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
 
 PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
@@ -36,16 +37,37 @@ def quantize6(v: float) -> float:
     return float(f"{v:.6f}")
 
 
-def quantize_simplex(probs: np.ndarray) -> np.ndarray:
-    """Quantize a probability vector so the 6-decimal values sum to exactly 1.
+# quantize6_array rounds x * 1e6 to the nearest integer. That equals
+# quantize6 unless rounding the product moved it across a tie k + 0.5, and
+# for |x| < FAST_LIMIT that rounding error is below 1e-7, while x * 1e6
+# minus its nearest integer is exact. So a value whose x * 1e6 lies within
+# TIE_BAND of a tie, or a larger value, takes the formatted path; NaN stays NaN.
+TIE_BAND = 1e-6
+FAST_LIMIT = 1e3
 
-    The rounding residual (at most 5e-7 per entry) is folded into the largest
-    entry, which is orders of magnitude bigger than the correction.
+
+def quantize6_array(x: np.ndarray) -> np.ndarray:
+    """quantize6 of every element, bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    scaled = np.minimum(np.maximum(x, -FAST_LIMIT), FAST_LIMIT) * 1e6  # no overflow from the slow values
+    whole = np.rint(scaled)
+    slow = (np.abs(x) >= FAST_LIMIT) | (np.abs(scaled - whole) > 0.5 - TIE_BAND)
+    out = whole / 1e6
+    if slow.any():
+        for i in zip(*np.nonzero(slow)):
+            out[i] = quantize6(float(x[i]))
+    return out
+
+
+def quantize_simplex(probs: np.ndarray) -> np.ndarray:
+    """Quantize (B, V) probability rows so each row's 6-decimal values sum to exactly 1.
+
+    The rounding residual (at most 5e-7 per entry) is folded into the row's
+    largest entry, which is orders of magnitude bigger than the correction.
     """
-    q = np.array([quantize6(p) for p in probs])
-    residual = 1.0 - q.sum()
-    top = int(np.argmax(q))
-    q[top] = quantize6(q[top] + residual)
+    q = quantize6_array(probs)
+    rows, top = np.arange(len(q)), q.argmax(axis=1)
+    q[rows, top] = quantize6_array(q[rows, top] + (1.0 - q.sum(axis=1)))
     return q
 
 
@@ -58,11 +80,6 @@ class GeneratedStroke:
     type_id: int
     landing: tuple[float, float]  # meters, quantized
     type_probs: np.ndarray  # (V,), serve-masked, renormalized, quantized
-
-
-def _sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
-    cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum / cum[-1], rng.random(), side="right"), len(probs) - 1))
 
 
 def generate_suffix(
@@ -119,7 +136,9 @@ def _sample_lockstep(
 
     Every history starts from its tau-stroke prefix, so at step t all active
     histories hold tau + t strokes and need no padding; a continuation leaves
-    the batch once it reaches its horizon. The forward runs without a tape.
+    the batch once it reaches its horizon. The forward runs without a tape,
+    from a key/value cache of the earlier positions, and only each
+    continuation's own random() and standard_normal(2) are drawn per row.
     """
     tau = model.config.tau
     for rally, horizon, _ in tasks:
@@ -133,83 +152,97 @@ def _sample_lockstep(
     serve_ids = list(model.vocab.serve_ids)
     names = [(rally.player_a, rally.player_b) for rally, _, _ in tasks]
     rngs = [np.random.default_rng(seed) for _, _, seed in tasks]
-    prev = [rally.strokes[tau - 1] for rally, _, _ in tasks]
+    horizons = np.array([horizon for _, horizon, _ in tasks])
     outs: list[list[GeneratedStroke]] = [[] for _ in tasks]
 
-    active = list(range(len(tasks)))  # task index of each batch row
-    inputs = StrokeInputs.stack([model.stroke_inputs(r.strokes[:tau], n) for (r, _, _), n in zip(tasks, names)])
+    # per batch row: the stroke before the next one, and the player-table rows of sides A and B
+    last = [rally.strokes[tau - 1] for rally, _, _ in tasks]
+    prev_landing = np.array([s.landing for s in last])
+    prev_a = np.array([s.player is Player.A for s in last])
+    prev_round = np.array([s.round_index for s in last])
+    side_ids = np.array([[model.player_id(a), model.player_id(b)] for a, b in names])
+
+    active = np.arange(len(tasks))  # task index of each batch row
+    prefixes = StrokeInputs.stack([model.stroke_inputs(r.strokes[:tau], n) for (r, _, _), n in zip(tasks, names)])
+    history = prefixes.padded(tau + int(horizons.max()))
+    cache = KVCache(len(tasks), model.config)
+    center = np.array([court.mean_x, court.mean_y])
+    spread = np.array([court.std_x, court.std_y])
+    size = np.array([court.width_m, court.length_m])
     with ad.no_tape():
-        while active:
-            probs_t, mu_t, log_sigma_t, rho_t = model.forward(inputs)
-            new: list[Stroke] = []
-            for row, c in enumerate(active):
-                stroke, generated = _draw_stroke(
-                    rngs[c],
-                    prev[c],
-                    probs_t.data[row, -1],
-                    mu_t.data[row, -1],
-                    log_sigma_t.data[row, -1],
-                    float(rho_t.data[row, -1]),
-                    serve_ids,
-                    court,
-                )
-                prev[c] = stroke
-                outs[c].append(generated)
-                new.append(stroke)
-            ids = [model.stroke_player_ids(names[c], [s.player])[0] for c, s in zip(active, new)]
-            inputs = inputs.append(stroke_inputs(new, ids, court))
-            keep = [row for row, c in enumerate(active) if len(outs[c]) < tasks[c][1]]
+        for n in range(tau, history.type_ids.shape[1]):
+            probs, mu, log_sigma, rho = model.forward(history.positions(cache.length, n), cache=cache)
+            type_ids, landing, type_probs = _draw_strokes(
+                [rngs[c] for c in active],
+                probs.data[:, -1],
+                mu.data[:, -1],
+                log_sigma.data[:, -1],
+                rho.data[:, -1],
+                serve_ids,
+                center,
+                spread,
+            )
+            hit_a = ~prev_a
+            rounds = prev_round + 1
+            for row, (c, t, xy, a, r) in enumerate(
+                zip(active.tolist(), type_ids.tolist(), landing.tolist(), hit_a.tolist(), rounds.tolist())
+            ):
+                outs[c].append(GeneratedStroke(r, Player.A if a else Player.B, t, tuple(xy), type_probs[row]))
+            history.type_ids[:, n] = type_ids
+            history.player_ids[:, n] = np.where(hit_a, side_ids[:, 0], side_ids[:, 1])
+            history.hit_by_a[:, n] = hit_a
+            history.landings[:, n] = (landing - center) / spread
+            history.locations[:, n] = (size - prev_landing - center) / spread  # the previous landing, mirrored
+            prev_landing, prev_a, prev_round = landing, hit_a, rounds
+
+            keep = np.flatnonzero(horizons[active] > n + 1 - tau)
+            if len(keep) == 0:
+                break
             if len(keep) < len(active):
-                inputs = inputs.rows(keep)
-                active = [active[row] for row in keep]
+                active, history = active[keep], history.rows(keep)
+                prev_landing, prev_a, prev_round, side_ids = prev_landing[keep], prev_a[keep], prev_round[keep], side_ids[keep]
+                cache.keep_rows(keep)
     return outs
 
 
-def _draw_stroke(
-    rng: np.random.Generator,
-    prev: Stroke,
+def _draw_strokes(
+    rngs: Sequence[np.random.Generator],
     type_probs: np.ndarray,
     mu: np.ndarray,
     log_sigma: np.ndarray,
-    rho: float,
+    rho: np.ndarray,
     serve_ids: list[int],
-    court: CourtSpec,
-) -> tuple[Stroke, GeneratedStroke]:
-    """Draw the stroke after prev: random() picks the type, then standard_normal(2) the landing."""
+    center: np.ndarray,
+    spread: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the next stroke of each row: random() picks the type, then standard_normal(2) the landing.
+
+    Takes (B, V), (B, 2), (B, 2) and (B,) head outputs, one generator per
+    row, and the court's normalization means and stds. Returns the (B,) type
+    ids, the (B, 2) quantized landings in meters and the (B, V) serve-masked,
+    renormalized, quantized distributions.
+    """
     probs = type_probs.copy()
-    probs[serve_ids] = 0.0
-    mass = probs.sum()
-    if mass <= 0.0:
+    probs[:, serve_ids] = 0.0
+    mass = probs.sum(axis=1)
+    if (mass <= 0.0).any():
         raise RuntimeError("service mask removed all probability mass; vocabulary has no rally types")
-    probs /= mass
-    type_id = _sample_index(rng, probs)
+    probs /= mass[:, None]
+    u = np.empty(len(rngs))
+    noise = np.empty((len(rngs), 2))
+    for row, rng in enumerate(rngs):
+        u[row] = rng.random()
+        noise[row] = rng.standard_normal(2)
+    cum = probs.cumsum(axis=1)
+    type_ids = np.minimum((cum / cum[:, -1:] <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
 
     sigma = np.exp(log_sigma)
-    chol = np.array(
-        [
-            [sigma[0], 0.0],
-            [rho * sigma[1], sigma[1] * math.sqrt(max(1.0 - rho * rho, 0.0))],
-        ]
-    )
-    z = mu + chol @ rng.standard_normal(2)
-    landing = denormalize_coord((float(z[0]), float(z[1])), court)
-    landing_q = (quantize6(landing[0]), quantize6(landing[1]))
-
-    stroke = Stroke(
-        round_index=prev.round_index + 1,
-        player=prev.player.opponent,
-        shot_type=type_id,
-        landing=landing_q,
-        player_location=mirror_coord(prev.landing, court),
-    )
-    generated = GeneratedStroke(
-        round_index=stroke.round_index,
-        player=stroke.player,
-        type_id=type_id,
-        landing=landing_q,
-        type_probs=quantize_simplex(probs),
-    )
-    return stroke, generated
+    chol = np.zeros((len(rngs), 2, 2))
+    chol[:, 0, 0] = sigma[:, 0]
+    chol[:, 1, 0] = rho * sigma[:, 1]
+    chol[:, 1, 1] = sigma[:, 1] * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+    z = mu + (chol @ noise[:, :, None])[:, :, 0]  # a matrix-vector product per row, as for one row
+    return type_ids, quantize6_array(z * spread + center), quantize_simplex(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +458,23 @@ class PredictionFile:
         return sets
 
 
+_ROUND = operator.attrgetter("round_index")
+
+
 def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile:
     """Read a prediction file; a damaged row raises ParseError naming its line.
 
     Every numeric cell must parse, landings must be finite, and each row's
-    probabilities must lie in [0, 1] and sum to 1. A header that does not
-    match the vocabulary raises ValueError.
+    probabilities must lie in [0, 1] and sum to 1. A (rally, sample, round)
+    may appear once, and the sample ids must run 1..k without a gap. A header
+    that does not match the vocabulary raises ValueError.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"prediction file not found: {path}")
     expected_header = prediction_header(vocab)
     rows: dict[str, dict[int, list[GeneratedStroke]]] = {}
-    max_sample = 0
+    first_line: dict[int, int] = {}  # sample id -> the first line that has it
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected_header:
@@ -464,6 +501,10 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
             probs = np.array(values)
             if abs(probs.sum() - 1.0) > 1e-6:
                 raise ParseError(f"line {line_number}: probabilities sum to {probs.sum():.8f}")
+            if sample_id not in first_line:
+                if sample_id < 1:
+                    raise ParseError(f"line {line_number}: sample id {sample_id} is below 1")
+                first_line[sample_id] = line_number
             g = GeneratedStroke(
                 round_index=ball_round,
                 player=Player.A if ball_round % 2 == 1 else Player.B,
@@ -472,8 +513,35 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
                 type_probs=probs,
             )
             rows.setdefault(rally_id, {}).setdefault(sample_id, []).append(g)
-            max_sample = max(max_sample, sample_id)
+    ids = sorted(first_line)
+    n_samples = len(ids)
+    if ids and ids[-1] != n_samples:
+        gap = next(i for i, sample_id in enumerate(ids, start=1) if sample_id != i)
+        line_number, sample_id = min((line, sid) for sid, line in first_line.items() if sid > gap)
+        raise ParseError(f"line {line_number}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
     for per_sample in rows.values():
         for suffix in per_sample.values():
-            suffix.sort(key=lambda g: g.round_index)
-    return PredictionFile(vocab=vocab, n_samples=max_sample, rows=rows)
+            suffix.sort(key=_ROUND)
+            if len({g.round_index for g in suffix}) < len(suffix):
+                raise ParseError(_first_repeat(path))
+    return PredictionFile(vocab=vocab, n_samples=n_samples, rows=rows)
+
+
+def _first_repeat(path: Path) -> str:
+    """Name the first line whose (rally, sample, round) an earlier line has.
+
+    Only a file known to repeat one is read again, so a valid file costs no
+    per-row record.
+    """
+    seen: dict[tuple[str, int, int], int] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        for line_number, line in enumerate(fh, start=2):
+            cells = line.strip().split(",", 3)
+            if len(cells) < 3:
+                continue
+            key = (cells[0], int(cells[1]), int(cells[2]))
+            if key in seen:
+                return f"line {line_number}: rally {key[0]} sample {key[1]} round {key[2]} repeats line {seen[key]}"
+            seen[key] = line_number
+    return f"{path}: a repeated round that a second read no longer finds; the file changed while it was read"

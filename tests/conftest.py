@@ -2,11 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke
 from rallycast.network import Forecaster, ModelConfig, build_player_index, init_params
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# property tests draw the same examples on every run, with no wall-clock deadline and no example database
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -95,3 +100,9 @@ def tiny_model(
         for t in params.tensors.values():
             t.data[:] = rng.normal(0.0, param_scale, size=t.shape)
     return Forecaster(params, config, court, vocab, index)
+
+
+def zero_params(params):
+    """Set every learnable array of a ModelParams to zero, in place."""
+    for t in params.tensors.values():
+        t.data[:] = 0.0

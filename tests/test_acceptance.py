@@ -35,7 +35,7 @@ from rallycast.scoring import (
 )
 from rallycast.training import TrainConfig, eval_best_of_k, step_loss, train
 
-from conftest import FIXTURES, make_rally, random_rallies, tiny_model
+from conftest import FIXTURES, make_rally, random_rallies, tiny_model, zero_params
 from metric_reference import reference_min6, reference_sample_set_loss
 import test_autodiff as op_checks
 
@@ -156,7 +156,7 @@ def test_criterion_embedding_mode_contract(corpus):
         _, area1 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
         insensitive = np.array_equal(area0.data, area1.data)
 
-        model.params.set_all(0.0)
+        zero_params(model.params)
         model.params["area_b"].data[:] = -1.5
         _, area = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
         residual = area.data - sinusoidal_encoding(len(rally), model.config.embed_dim)

@@ -236,6 +236,42 @@ def test_damaged_prediction_row_is_rejected_with_its_line(tmp_path, vocab, damag
     assert "Score" not in out.stdout
 
 
+# damage: (edit of the data lines, what the error names)
+PREDICTION_FILE_DAMAGE = {
+    # the first data row twice; this scored as "predictions cover rounds [5, 5, 6]" and exited 2
+    "duplicate_row": (lambda rows: rows[:1] + rows, "line 3: rally h0001 sample 1 round 5 repeats line 2"),
+    # sample 6 renumbered 7, still six sets; this read as 7 sample sets and exited 2
+    "sample_id_gap": (
+        lambda rows: [r.replace("h0001,6,", "h0001,7,") for r in rows],
+        "line 12: sample id 7 skips sample id 6",
+    ),
+    "sample_id_far_gap": (
+        lambda rows: [r.replace("h0001,6,", "h0001,1000000000000,") for r in rows],
+        "line 12: sample id 1000000000000 skips sample id 6",
+    ),
+    "sample_id_zero": (lambda rows: [r.replace("h0001,1,", "h0001,0,") for r in rows], "line 2: sample id 0 is below 1"),
+}
+
+
+@pytest.mark.parametrize("damage", list(PREDICTION_FILE_DAMAGE))
+def test_damaged_prediction_file_is_rejected_with_its_line(tmp_path, vocab, damage):
+    from rallycast.dataset import ParseError
+    from rallycast.scoring import import_predictions
+
+    edit, message = PREDICTION_FILE_DAMAGE[damage]
+    lines = (HAND_SCORED / "predictions.csv").read_text().splitlines()
+    damaged = tmp_path / "damaged.csv"
+    damaged.write_text("\n".join([lines[0], *edit(lines[1:])]) + "\n", encoding="utf-8")
+
+    with pytest.raises(ParseError, match=re.escape(message)):
+        import_predictions(damaged, vocab)
+    out = run_cli("score", "--predictions", damaged, "--truth", HAND_SCORED / "truth.csv")
+    assert out.returncode == 1, out.stdout
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Score" not in out.stdout
+
+
 def test_score_deterministic_report(tmp_path):
     reports = []
     for name in ("r1.csv", "r2.csv"):

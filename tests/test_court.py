@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rallycast.court import (
     CourtSpec,
@@ -12,6 +14,7 @@ from rallycast.court import (
     ZONE_OUT,
     coord_to_zone,
     denormalize_coord,
+    mirror_coord,
     normalize_coord,
     validate_rally,
 )
@@ -156,6 +159,48 @@ def test_zone_partition_property(court):
     ys = rng.uniform(court.length_m / 2, court.length_m, size=10_000)
     zones = np.array([coord_to_zone((x, y), court, Player.B) for x, y in zip(xs, ys)])
     assert zones.min() >= 1 and zones.max() <= 9
+
+
+@given(
+    st.floats(-2.0, 8.0, allow_nan=False),
+    st.floats(-2.0, 16.0, allow_nan=False),
+    st.sampled_from([Player.A, Player.B]),
+)
+def test_zones_partition_the_court(x, y, side):
+    """Zones 1..9 are exactly the receiver's half, each point in the cell its id names."""
+    court = CourtSpec()
+    w, l = court.width_m, court.length_m
+    half = l / 2
+    zone = coord_to_zone((x, y), court, side)
+    in_half = 0.0 <= x <= w and (half <= y <= l if side is Player.B else 0.0 <= y <= half)
+    assert 1 <= zone <= 10
+    assert (zone != ZONE_OUT) == in_half
+    if in_half:
+        depth, left = (y - half, w - x) if side is Player.B else (half - y, x)
+        row, col = divmod(zone - 1, 3)
+        # a cell holds its far edges; a point on a grid line takes the lower id
+        for value, index, edges in ((depth, row, (0.0, l / 6, l / 3, half)), (left, col, (0.0, w / 3, 2 * w / 3, w))):
+            assert (value > edges[index] or index == 0) and value <= edges[index + 1]
+
+
+@given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False))
+def test_mirror_coord_is_an_involution(x, y):
+    court = CourtSpec()
+    back = mirror_coord(mirror_coord((x, y), court), court)
+    # exact up to the rounding of the two subtractions
+    for got, want in zip(back, (x, y)):
+        assert abs(got - want) <= 2 * math.ulp(max(abs(want), court.length_m))
+
+
+@given(st.integers(0, 6_100_000), st.integers(0, 13_400_000))
+def test_mirror_coord_twice_keeps_a_six_decimal_point(kx, ky):
+    """Prediction-file coordinates survive two mirrorings bit for bit at 6 decimals."""
+    from rallycast.scoring import quantize6
+
+    court = CourtSpec()
+    p = (quantize6(kx / 1e6), quantize6(ky / 1e6))
+    back = mirror_coord(mirror_coord(p, court), court)
+    assert (quantize6(back[0]), quantize6(back[1])) == p
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,23 @@ from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
 from rallycast.court import CourtSpec, Player, ShotTypeVocab
 from rallycast.dataset import ParseError
 from rallycast.network import (
+    CACHE_BLOCK,
+    Forecaster,
+    KVCache,
     ModelConfig,
+    StrokeInputs,
     embed_strokes,
     encode_contexts,
     forward_teacher_forced,
     fuse_contexts,
+    init_params,
     prediction_heads,
     sinusoidal_encoding,
     stroke_inputs,
 )
 from rallycast.training import step_loss
 
-from conftest import FIXTURES, make_rally, small_vocab, tiny_model
+from conftest import FIXTURES, make_rally, small_vocab, tiny_model, zero_params
 
 
 def _replace_stroke(rally, index, **changes):
@@ -47,7 +52,7 @@ def setup():
 
 def test_zero_params_leave_positional_encoding_only(setup):
     vocab, rally, model = setup
-    model.params.set_all(0.0)
+    zero_params(model.params)
     ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
     pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
     for mode in ("modified", "baseline"):
@@ -80,7 +85,7 @@ def test_baseline_area_channel_sees_player_embedding(setup):
 def test_area_relu_only_in_baseline_mode(setup):
     vocab, rally, model = setup
     # force the landing projection negative, silence every other contribution
-    model.params.set_all(0.0)
+    zero_params(model.params)
     model.params["area_w"].data[:] = 0.0
     model.params["area_b"].data[:] = -2.0
     ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
@@ -246,6 +251,63 @@ def test_forward_training_keeps_graph_nodes(setup):
     vocab, rally, model = setup
     heads = forward_teacher_forced(model, rally, training=True, rng=np.random.default_rng(0))
     assert all(h._bwd is not None for h in heads)
+
+
+# ---------------------------------------------------------------------------
+# cached forward
+# ---------------------------------------------------------------------------
+
+def _random_histories(rng, batch, width, config):
+    """(batch, width) inputs with irregular hitters and some strokes of the unknown player row."""
+    return StrokeInputs(
+        type_ids=rng.integers(0, config.vocab_size, size=(batch, width)),
+        player_ids=rng.integers(0, config.n_players + 1, size=(batch, width)),
+        hit_by_a=rng.random((batch, width)) < 0.5,
+        landings=rng.normal(size=(batch, width, 2)),
+        locations=rng.normal(size=(batch, width, 2)),
+    )
+
+
+def test_cached_steps_equal_the_full_forward_bit_for_bit():
+    # the benchmark's width and the default 10 types, two layers; the lengths
+    # cross several cache blocks, and rows leave at different steps
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10, n_players=3)
+    model = Forecaster(init_params(config, 4), config, CourtSpec(), ShotTypeVocab.default())
+    rng = np.random.default_rng(0)
+    tau, width = 4, 3 * CACHE_BLOCK + 5
+    history = _random_histories(rng, 7, width, config)
+    assert (history.player_ids == 0).any() and (history.hit_by_a[:, 1:] == history.hit_by_a[:, :-1]).any()
+    last_step = {0: 9, 1: width, 2: 5, 3: 17, 4: width, 5: 12, 6: 24}  # row -> history length of its last step
+    rows = list(range(7))
+    cache = KVCache(len(rows), config)
+    steps = 0
+    with ad.no_tape():
+        for n in range(tau, width + 1):
+            cached = model.forward(history.rows(rows).positions(cache.length, n), cache=cache)
+            assert cache.length % CACHE_BLOCK == 0 and cache.length < n
+            for i, row in enumerate(rows):
+                full = model.forward(history.rows([row]).positions(0, n))
+                for c, f in zip(cached, full):
+                    assert np.array_equal(c.data[i, -1], f.data[0, -1]), (n, row)
+                steps += 1
+            keep = [i for i, row in enumerate(rows) if last_step[row] > n]
+            if len(keep) < len(rows):
+                rows = [rows[i] for i in keep]
+                cache.keep_rows(keep)
+            if not rows:
+                break
+    assert rows == [] and steps == sum(last_step[r] - tau + 1 for r in range(7))
+
+
+def test_cached_forward_refuses_the_tape_and_training(setup):
+    vocab, rally, model = setup
+    inputs = StrokeInputs.stack([model.stroke_inputs(rally.strokes, (rally.player_a, rally.player_b))])
+    with pytest.raises(RuntimeError, match="no_tape"):
+        model.forward(inputs, cache=KVCache(1, model.config))
+    with ad.no_tape(), pytest.raises(RuntimeError, match="no_tape"):
+        model.forward(inputs, training=True, rng=np.random.default_rng(0), cache=KVCache(1, model.config))
+    with ad.no_tape(), pytest.raises(ValueError, match="B histories"):
+        model.forward(inputs, cache=KVCache(2, model.config))
 
 
 # ---------------------------------------------------------------------------

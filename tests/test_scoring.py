@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rallycast import scoring
-from rallycast.court import Player
+from rallycast.court import Player, Stroke, denormalize_coord, mirror_coord
 from rallycast.scoring import (
     GeneratedStroke,
     evaluate_sample_set,
@@ -13,6 +16,8 @@ from rallycast.scoring import (
     generate_suffix,
     import_predictions,
     quantize6,
+    quantize6_array,
+    quantize_simplex,
     sample_set_loss,
     score_min6,
     score_sample_sets,
@@ -255,20 +260,100 @@ def mixed_lengths():
     return model, rallies
 
 
+def _reference_quantize_simplex(probs):
+    """One probability vector at a time, through the formatted quantize6."""
+    q = np.array([quantize6(p) for p in probs])
+    residual = 1.0 - q.sum()
+    top = int(np.argmax(q))
+    q[top] = quantize6(q[top] + residual)
+    return q
+
+
+def _sample_index(rng, probs):
+    cum = np.cumsum(probs)
+    return int(min(np.searchsorted(cum / cum[-1], rng.random(), side="right"), len(probs) - 1))
+
+
+def _reference_draw(rng, prev, type_probs, mu, log_sigma, rho, serve_ids, court):
+    """Draw the stroke after prev: random() picks the type, then standard_normal(2) the landing."""
+    probs = type_probs.copy()
+    probs[serve_ids] = 0.0
+    mass = probs.sum()
+    if mass <= 0.0:
+        raise RuntimeError("service mask removed all probability mass; vocabulary has no rally types")
+    probs /= mass
+    type_id = _sample_index(rng, probs)
+
+    sigma = np.exp(log_sigma)
+    chol = np.array(
+        [
+            [sigma[0], 0.0],
+            [rho * sigma[1], sigma[1] * math.sqrt(max(1.0 - rho * rho, 0.0))],
+        ]
+    )
+    z = mu + chol @ rng.standard_normal(2)
+    landing = denormalize_coord((float(z[0]), float(z[1])), court)
+    landing_q = (quantize6(landing[0]), quantize6(landing[1]))
+
+    stroke = Stroke(
+        round_index=prev.round_index + 1,
+        player=prev.player.opponent,
+        shot_type=type_id,
+        landing=landing_q,
+        player_location=mirror_coord(prev.landing, court),
+    )
+    generated = GeneratedStroke(
+        round_index=stroke.round_index,
+        player=stroke.player,
+        type_id=type_id,
+        landing=landing_q,
+        type_probs=_reference_quantize_simplex(probs),
+    )
+    return stroke, generated
+
+
 def _reference_suffix(model, rally, horizon, seed):
-    """One continuation the slow way: the taped forward over the whole history for every stroke."""
+    """One continuation the slow way: the taped forward over the whole history and a one-row draw per stroke."""
     rng = np.random.default_rng(seed)
     history = list(rally.strokes[: model.config.tau])
     out = []
     for _ in range(horizon):
         probs, mu, log_sigma, rho = model.forward_positions(history, (rally.player_a, rally.player_b))
-        stroke, generated = scoring._draw_stroke(
+        stroke, generated = _reference_draw(
             rng, history[-1], probs.data[-1], mu.data[-1], log_sigma.data[-1], float(rho.data[-1]),
             list(model.vocab.serve_ids), model.court,
         )
         history.append(stroke)
         out.append(generated)
     return out
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_quantize6_array_equals_quantize6_on_finite_floats(values):
+    want = np.array([quantize6(v) for v in values])
+    assert quantize6_array(np.array(values)).tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+
+def test_quantize6_array_keeps_non_finite_values():
+    got = quantize6_array(np.array([np.nan, np.inf, -np.inf]))
+    assert np.isnan(got[0]) and got[1] == quantize6(np.inf) and got[2] == quantize6(-np.inf)
+
+
+@given(st.integers(-(10**10), 10**10), st.integers(-4, 4))
+def test_quantize6_array_equals_quantize6_near_rounding_ties(k, ulps):
+    x = k / 1e6 + 5e-7
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    assert quantize6_array(np.array([x, -x])).tobytes() == np.array([quantize6(x), quantize6(-x)]).tobytes()
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 10)), elements=st.floats(0.0, 1.0)))
+def test_batched_quantize_simplex_rows_equal_the_per_row_reference(raw):
+    assume((raw.sum(axis=1) > 0.0).all())
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    batched = quantize_simplex(probs)
+    for got, row in zip(batched, probs):
+        assert got.tobytes() == _reference_quantize_simplex(row).tobytes()
 
 
 def test_lockstep_sample_sets_equal_one_continuation_at_a_time(mixed_lengths):
