@@ -1,9 +1,9 @@
 """Command-line entry point: synth, validate, train, predict, score, analyze.
 
-Settings resolve in three layers: built-in defaults, then a flat `key = value`
-config file (--config), then explicit flags. Unknown config keys are
-rejected. Exit codes: 0 success, 1 runtime or numeric failure, 2 config or
-usage error.
+Settings resolve in three layers: the defaults in SETTINGS, then a flat
+`key = value` config file (--config), then explicit flags. Unknown config
+keys are rejected. Exit codes: 0 success, 1 runtime or numeric failure,
+2 config or usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -53,7 +54,7 @@ class UsageError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
 
 
-def _parse_bool(raw: str) -> bool:
+def boolean(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
@@ -62,62 +63,54 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_optional_int(raw: str) -> int | None:
+def int_or_none(raw: str) -> int | None:
     return None if raw.strip().lower() == "none" else int(raw)
 
 
-CONFIG_SCHEMA = {
-    "seed": int,
-    "n_rallies": int,
-    "mean_length": float,
-    "vocab": str,
-    "embed_dim": int,
-    "n_heads": int,
-    "n_layers": int,
-    "ffn_dim": _parse_optional_int,
-    "dropout": float,
-    "embedding_mode": str,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "clip_norm": float,
-    "eval_every": int,
-    "eval_samples": int,
-    "train_fraction": float,
-    "split_by_match": _parse_bool,
-    "max_rally_length": _parse_optional_int,
-    "max_match_total_rounds": _parse_optional_int,
-    "min_rally_length": int,
-    "samples": int,
-    "horizon": int,
-    "mirror": str,
-}
+class Choice(tuple):
+    """Parser for one of a fixed set of names; the flag lists them as choices."""
 
-DEFAULTS = {
-    "seed": 0,
-    "n_rallies": 32,
-    "mean_length": 7.0,
-    "vocab": None,
-    "embed_dim": 16,
-    "n_heads": 2,
-    "n_layers": 1,
-    "ffn_dim": None,
-    "dropout": 0.2,
-    "embedding_mode": "modified",
-    "epochs": 300,
-    "batch_size": 16,
-    "learning_rate": 1e-4,
-    "clip_norm": 5.0,
-    "eval_every": 0,
-    "eval_samples": 100,
-    "train_fraction": 0.8,
-    "split_by_match": False,
-    "max_rally_length": 35,
-    "max_match_total_rounds": 300,
-    "min_rally_length": TAU + 1,
-    "samples": EXPECTED_SAMPLE_SETS,
-    "horizon": 20,
-    "mirror": "none",
+    def __call__(self, raw: str) -> str:
+        if raw not in self:
+            raise ValueError(f"expected one of {', '.join(self)}, found {raw!r}")
+        return raw
+
+
+class Setting(NamedTuple):
+    """How a setting's config value and flag parse, its default, and its flag's help."""
+
+    parse: Callable[[str], object]
+    default: object
+    help: str | None = None
+
+
+# Each setting is declared here once; a default that a library config
+# declares is read from that config.
+SETTINGS = {
+    "seed": Setting(int, TrainConfig.seed),
+    "n_rallies": Setting(int, 32),
+    "mean_length": Setting(float, SynthConfig.mean_length),
+    "vocab": Setting(str, None, "vocabulary CSV (type_id,name,is_serve)"),
+    "embed_dim": Setting(int, ModelConfig.embed_dim),
+    "n_heads": Setting(int, ModelConfig.n_heads),
+    "n_layers": Setting(int, ModelConfig.n_layers),
+    "ffn_dim": Setting(int_or_none, ModelConfig.ffn_dim),
+    "dropout": Setting(float, ModelConfig.dropout_rate),
+    "embedding_mode": Setting(Choice(("baseline", "modified")), ModelConfig.embedding_mode),
+    "epochs": Setting(int, TrainConfig.epochs),
+    "batch_size": Setting(int, TrainConfig.batch_size),
+    "learning_rate": Setting(float, TrainConfig.learning_rate),
+    "clip_norm": Setting(float, TrainConfig.clip_norm),
+    "eval_every": Setting(int, TrainConfig.eval_every),
+    "eval_samples": Setting(int, TrainConfig.eval_samples),
+    "train_fraction": Setting(float, 0.8),
+    "split_by_match": Setting(boolean, False),
+    "max_rally_length": Setting(int_or_none, FilterPolicy.max_rally_length),
+    "max_match_total_rounds": Setting(int_or_none, FilterPolicy.max_match_total_rounds),
+    "min_rally_length": Setting(int, FilterPolicy.min_rally_length),
+    "samples": Setting(int, EXPECTED_SAMPLE_SETS),
+    "horizon": Setting(int, 20, "strokes per rally in open-ended mode"),
+    "mirror": Setting(Choice(("none", "odd", "even")), "none", "mirror this round parity on ingest"),
 }
 
 
@@ -134,10 +127,10 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{p}:{lineno}: expected 'key = value', found {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_SCHEMA:
+        if key not in SETTINGS:
             raise UsageError(f"{p}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = CONFIG_SCHEMA[key](value)
+            out[key] = SETTINGS[key].parse(value)
         except ValueError as exc:
             raise UsageError(f"{p}:{lineno}: bad value for {key}: {exc}") from exc
     return out
@@ -147,13 +140,11 @@ class Settings:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
 
     def __init__(self, args: argparse.Namespace):
-        self.values = dict(DEFAULTS)
+        self.values = {key: setting.default for key, setting in SETTINGS.items()}
         if getattr(args, "config", None):
             self.values.update(load_config_file(args.config))
-        for key in CONFIG_SCHEMA:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                self.values[key] = flag
+        # a setting's flag is in args only when given, so a flag may set None
+        self.values.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -378,78 +369,66 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def add_setting_flags(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    """One flag per setting key, parsed as its config value is; absent unless given."""
+    for key in keys:
+        setting = SETTINGS[key]
+        flag = "--n" if key == "n_rallies" else "--" + key.replace("_", "-")
+        kwargs = {"dest": key, "default": argparse.SUPPRESS, "help": setting.help}
+        if setting.parse is boolean:
+            kwargs.update(action="store_const", const=True)
+        elif isinstance(setting.parse, Choice):
+            kwargs.update(choices=setting.parse)
+        else:
+            kwargs.update(type=setting.parse)
+        p.add_argument(flag, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rallycast", description="Rally stroke forecasting toolkit")
     parser.add_argument("--version", action="version", version=f"rallycast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, handler, summary: str, keys: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+        """A subcommand with --config and the flags of the shared settings plus its own keys."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--vocab", help="vocabulary CSV (type_id,name,is_serve)")
-        p.add_argument("--mirror", choices=["none", "odd", "even"], help="mirror this round parity on ingest")
+        add_setting_flags(p, ("seed", "vocab", "mirror") + keys)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    common(p)
-    p.add_argument("--n", dest="n_rallies", type=int)
-    p.add_argument("--mean-length", dest="mean_length", type=float)
+    p = command("synth", cmd_synth, "generate a synthetic dataset CSV", ("n_rallies", "mean_length"))
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("validate", help="check a dataset against the rally invariants")
-    common(p)
+    p = command("validate", cmd_validate, "check a dataset against the rally invariants")
     p.add_argument("--data", required=True)
     p.add_argument("--strict-serve", action="store_true")
-    p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("train", help="filter, split, and train a forecaster")
-    common(p)
+    p = command("train", cmd_train, "filter, split, and train a forecaster", (
+        "embed_dim", "n_heads", "n_layers", "ffn_dim", "dropout", "embedding_mode",
+        "epochs", "batch_size", "learning_rate", "clip_norm", "eval_every", "eval_samples",
+        "train_fraction", "split_by_match", "max_rally_length", "max_match_total_rounds", "min_rally_length",
+    ))
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--n-heads", dest="n_heads", type=int)
-    p.add_argument("--n-layers", dest="n_layers", type=int)
-    p.add_argument("--ffn-dim", dest="ffn_dim", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--embedding-mode", dest="embedding_mode", choices=["baseline", "modified"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--eval-samples", dest="eval_samples", type=int)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--split-by-match", dest="split_by_match", action="store_const", const=True)
-    p.add_argument("--max-rally-length", dest="max_rally_length", type=int)
-    p.add_argument("--max-match-total-rounds", dest="max_match_total_rounds", type=int)
-    p.add_argument("--min-rally-length", dest="min_rally_length", type=int)
-    p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("predict", help="sample suffix sets for every rally in a dataset")
-    common(p)
+    p = command("predict", cmd_predict, "sample suffix sets for every rally in a dataset", ("samples", "horizon"))
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--horizon", type=int, help="strokes per rally in open-ended mode")
     p.add_argument("--open-ended", dest="open_ended", action="store_true",
                    help="generate a fixed horizon instead of matching ground-truth lengths")
-    p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("score", help="score a prediction file against ground truth")
-    common(p)
+    p = command("score", cmd_score, "score a prediction file against ground truth")
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_score)
 
-    p = sub.add_parser("analyze", help="emit analysis tables from datasets or predictions")
-    common(p)
+    p = command("analyze", cmd_analyze, "emit analysis tables from datasets or predictions")
     p.add_argument("--kind", required=True)
     p.add_argument("--data")
     p.add_argument("--predictions")
     p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(handler=cmd_analyze)
 
     return parser
 

@@ -344,7 +344,7 @@ def _encoder_stack(
 
 def encode_contexts(
     x: Tensor,
-    players: Sequence[Player] | np.ndarray,
+    hitters: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
     rng: np.random.Generator | None = None,
@@ -352,20 +352,15 @@ def encode_contexts(
 ) -> tuple[Tensor, Tensor]:
     """Causal rally context and player-restricted context for each position.
 
-    x is (..., n, d). players names the hitter of each position: a
-    sequence of Player for one history, or a (..., n) array of labels that
-    compare equal for the same hitter. The same encoder weights are applied
-    under two masks of shape (..., n, n), so a length-1 sequence yields
-    identical contexts. With a cache, x holds the (B, n, d) positions after
-    the cached ones; they also attend over the cached positions, and the
-    cache then keeps every whole block of positions.
+    x is (..., n, d). hitters is the (..., n) bool array of who hits each
+    position, True for player A (StrokeInputs.hit_by_a). The same encoder
+    weights are applied under two masks of shape (..., n, n), so a length-1
+    sequence yields identical contexts. With a cache, x holds the (B, n, d)
+    positions after the cached ones; they also attend over the cached
+    positions, and the cache then keeps every whole block of positions.
     """
-    if isinstance(players, np.ndarray):
-        hitters = players
-    else:
-        hitters = np.array([p is Player.A for p in players], dtype=bool)
     if hitters.shape != x.shape[:-1]:
-        raise ValueError("players must align with the sequence")
+        raise ValueError("hitters must align with the sequence")
     every = hitters if cache is None else np.concatenate([cache.hitters, hitters], axis=-1)
     n_new, n = hitters.shape[-1], every.shape[-1]
     same = hitters[..., :, None] == every[..., None, :]
@@ -528,8 +523,9 @@ def load_checkpoint(path: str | Path) -> Forecaster:
     """Read a checkpoint, checking every length in it against the file.
 
     A file without the magic, a truncated file, a header that does not
-    describe the file's arrays, and bytes after the last array raise
-    ParseError naming what is wrong.
+    parse or holds a value its config, court or vocabulary rejects, a header
+    that does not describe the file's arrays, and bytes after the last array
+    raise ParseError naming the file and what is wrong.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -548,7 +544,7 @@ def load_checkpoint(path: str | Path) -> Forecaster:
         vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in header["vocab"]))
         player_index = {k: int(v) for k, v in header["player_index"].items()}
         arrays = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers both decode errors
         raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from exc
     off += hlen
     if arrays != list(param_shapes(config).items()):

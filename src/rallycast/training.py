@@ -35,6 +35,9 @@ log = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
 RHO_FLOOR = 1e-12  # keeps log(1 - rho^2) finite
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -46,9 +49,6 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 16
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 5.0
     eval_every: int = 0  # 0 disables periodic evaluation
     eval_samples: int = 100
@@ -163,13 +163,13 @@ class Adam:
                 factor = c.clip_norm / norm
                 grads = {k: g * factor for k, g in grads.items()}
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for k, tensor in self.params.tensors.items():
             g = grads[k]
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.adam_eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
             tensor.data -= c.learning_rate * update
 
 

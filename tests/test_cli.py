@@ -1,8 +1,11 @@
+import json
 import re
 import subprocess
 import sys
 
 import pytest
+
+from rallycast.network import CHECKPOINT_MAGIC
 
 from conftest import FIXTURES
 
@@ -56,6 +59,150 @@ def test_unknown_config_key_exits_2(tmp_path):
     out = run_cli("synth", "--n", 5, "--out", tmp_path / "x.csv", "--config", cfg)
     assert out.returncode == 2
     assert "optimizer" in out.stderr
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mirror = sideways", "bad value for mirror: expected one of none, odd, even"),
+    ("embedding_mode = both", "bad value for embedding_mode: expected one of baseline, modified"),
+])
+def test_a_config_value_outside_its_choices_exits_2_naming_its_line(tmp_path, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n{line}\n", encoding="utf-8")
+    out = run_cli("synth", "--n", 5, "--out", tmp_path / "x.csv", "--config", cfg)
+    assert out.returncode == 2
+    assert f"{cfg}:2: {message}" in out.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+# each subcommand's flags: (option strings, dest, choices, nargs); nargs 0 is a switch
+HELP = (("-h", "--help"), "help", None, 0)
+SHARED_FLAGS = [
+    (("--config",), "config", None, None),
+    (("--seed",), "seed", None, None),
+    (("--vocab",), "vocab", None, None),
+    (("--mirror",), "mirror", ("none", "odd", "even"), None),
+]
+COMMAND_FLAGS = {
+    "synth": [
+        (("--n",), "n_rallies", None, None),
+        (("--mean-length",), "mean_length", None, None),
+        (("--out",), "out", None, None),
+    ],
+    "validate": [
+        (("--data",), "data", None, None),
+        (("--strict-serve",), "strict_serve", None, 0),
+    ],
+    "train": [
+        (("--data",), "data", None, None),
+        (("--out-dir",), "out_dir", None, None),
+        (("--embed-dim",), "embed_dim", None, None),
+        (("--n-heads",), "n_heads", None, None),
+        (("--n-layers",), "n_layers", None, None),
+        (("--ffn-dim",), "ffn_dim", None, None),
+        (("--dropout",), "dropout", None, None),
+        (("--embedding-mode",), "embedding_mode", ("baseline", "modified"), None),
+        (("--epochs",), "epochs", None, None),
+        (("--batch-size",), "batch_size", None, None),
+        (("--learning-rate",), "learning_rate", None, None),
+        (("--clip-norm",), "clip_norm", None, None),
+        (("--eval-every",), "eval_every", None, None),
+        (("--eval-samples",), "eval_samples", None, None),
+        (("--train-fraction",), "train_fraction", None, None),
+        (("--split-by-match",), "split_by_match", None, 0),
+        (("--max-rally-length",), "max_rally_length", None, None),
+        (("--max-match-total-rounds",), "max_match_total_rounds", None, None),
+        (("--min-rally-length",), "min_rally_length", None, None),
+    ],
+    "predict": [
+        (("--checkpoint",), "checkpoint", None, None),
+        (("--data",), "data", None, None),
+        (("--out",), "out", None, None),
+        (("--samples",), "samples", None, None),
+        (("--horizon",), "horizon", None, None),
+        (("--open-ended",), "open_ended", None, 0),
+    ],
+    "score": [
+        (("--predictions",), "predictions", None, None),
+        (("--truth",), "truth", None, None),
+        (("--out",), "out", None, None),
+    ],
+    "analyze": [
+        (("--kind",), "kind", None, None),
+        (("--data",), "data", None, None),
+        (("--predictions",), "predictions", None, None),
+        (("--out-dir",), "out_dir", None, None),
+    ],
+}
+
+
+def test_each_subcommand_keeps_its_flags_dests_and_choices():
+    from rallycast.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert list(commands) == list(COMMAND_FLAGS)
+    for name, sub in commands.items():
+        flags = sorted(
+            (tuple(a.option_strings), a.dest, None if a.choices is None else tuple(a.choices), a.nargs)
+            for a in sub._actions
+        )
+        assert flags == sorted([HELP, *SHARED_FLAGS, *COMMAND_FLAGS[name]]), name
+
+
+def test_settings_defaults_are_unchanged():
+    from rallycast.cli import Settings, build_parser
+
+    args = build_parser().parse_args(["train", "--data", "d.csv", "--out-dir", "run"])
+    assert Settings(args).values == {
+        "seed": 0, "n_rallies": 32, "mean_length": 7.0, "vocab": None,
+        "embed_dim": 16, "n_heads": 2, "n_layers": 1, "ffn_dim": None, "dropout": 0.2,
+        "embedding_mode": "modified", "epochs": 300, "batch_size": 16, "learning_rate": 1e-4,
+        "clip_norm": 5.0, "eval_every": 0, "eval_samples": 100, "train_fraction": 0.8,
+        "split_by_match": False, "max_rally_length": 35, "max_match_total_rounds": 300,
+        "min_rally_length": 5, "samples": 6, "horizon": 20, "mirror": "none",
+    }
+
+
+@pytest.mark.parametrize("key", ["ffn_dim", "max_rally_length", "max_match_total_rounds"])
+def test_optional_int_flags_accept_none_as_their_config_keys_do(tmp_path, key):
+    from rallycast.cli import Settings, build_parser, load_config_file
+
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text(f"{key} = none\n", encoding="utf-8")
+    assert load_config_file(str(cfg)) == {key: None}
+    flag = "--" + key.replace("_", "-")
+    args = build_parser().parse_args(["train", "--data", "d.csv", "--out-dir", "run", flag, "none"])
+    assert Settings(args)[key] is None
+
+
+def test_train_on_300_synthesized_rallies_needs_no_match_rounds_limit(tmp_path):
+    data = tmp_path / "s.csv"
+    assert run_cli("synth", "--n", 300, "--seed", 1, "--out", data).returncode == 0
+    # the 300-round default drops every rally of a 300-rally synthesized match
+    limited = run_cli("train", "--data", data, "--out-dir", tmp_path / "a", "--epochs", 1, "--embed-dim", 4)
+    assert limited.returncode == 2
+    assert "no rallies left after filtering" in limited.stderr
+    unlimited = run_cli(
+        "train", "--data", data, "--out-dir", tmp_path / "b", "--epochs", 1, "--embed-dim", 4,
+        "--max-match-total-rounds", "none",
+    )
+    assert unlimited.returncode == 0, unlimited.stderr
+    assert (tmp_path / "b" / "model.ckpt").exists()
+
+
+def test_flags_override_the_config_file_which_overrides_defaults(tmp_path):
+    from rallycast.network import Forecaster, ModelConfig
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("embed_dim = 8\ndropout = 0.1\nepochs = 1\n", encoding="utf-8")
+    result = run_cli(
+        "train", "--data", CORPUS32, "--out-dir", tmp_path / "run", "--config", cfg, "--embed-dim", 4,
+    )
+    assert result.returncode == 0, result.stderr
+    config = Forecaster.load(tmp_path / "run" / "model.ckpt").config
+    assert config.embed_dim == 4  # the flag beats the config file
+    assert config.dropout_rate == 0.1  # the config file beats the default
+    assert config.n_heads == ModelConfig.n_heads  # set by neither
+    assert len((tmp_path / "run" / "report.csv").read_text().splitlines()) == 2  # epochs = 1 from the file
 
 
 @pytest.fixture(scope="module")
@@ -131,11 +278,39 @@ def test_predict_rows_serve_mask_and_determinism(trained, tmp_path, vocab):
             assert cells[col] == "0.000000"
 
 
+def _edit_header(edit):
+    """Damage that rewrites the checkpoint's JSON header with edit(header), keeping its length field true."""
+
+    def damage(raw):
+        start = len(CHECKPOINT_MAGIC) + 8
+        end = start + int.from_bytes(raw[len(CHECKPOINT_MAGIC) : start], "little")
+        header = json.loads(raw[start:end])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + raw[end:]
+
+    return damage
+
+
+def _first_player_index_not_an_int(header):
+    first = next(iter(header["player_index"]))
+    header["player_index"][first] = "one"
+
+
 # damage: (damaged bytes from the checkpoint's bytes, what the error names)
 CHECKPOINT_DAMAGE = {
     "truncated": (lambda raw: raw[:-5], "array 'area_head_b'"),
     "trailing": (lambda raw: raw + b"extra", "5 trailing bytes"),
     "no_magic": (lambda raw: CORPUS32.read_bytes(), "not a checkpoint file"),  # a file without the magic
+    # header values the model config, court or vocabulary rejects; each exited 2 without the file name
+    "n_heads_not_dividing": (
+        _edit_header(lambda h: h["config"].update(n_heads=3)), "embed_dim must be divisible by n_heads",
+    ),
+    "court_std_zero": (_edit_header(lambda h: h["court"].update(std_x=0.0)), "normalization stds must be positive"),
+    "vocab_ids_gapped": (
+        _edit_header(lambda h: h["vocab"][1].__setitem__(0, 5)), "type_ids must be contiguous",
+    ),
+    "player_index_not_an_int": (_edit_header(_first_player_index_not_an_int), "invalid literal for int()"),
 }
 
 
@@ -149,6 +324,7 @@ def test_predict_with_a_damaged_checkpoint_exits_1(trained, tmp_path, damage):
     )
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr
+    assert f"{damaged}: " in out.stderr
     assert message in out.stderr
     assert not (tmp_path / "p.csv").exists()
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rallycast.court import CourtSpec, validate_rally
+from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, validate_rally
 from rallycast.dataset import (
     CSV_HEADER,
     FilterPolicy,
@@ -106,6 +108,54 @@ def test_parse_write_round_trip_bytes(tmp_path, vocab):
     out = tmp_path / "rewritten.csv"
     write_dataset(parsed, vocab, out)
     assert out.read_bytes() == original
+
+
+# the spellings a float cell may arrive in; write_dataset uses the first
+FLOAT_SPELLINGS = (repr, "{:.17g}".format, "{:.16e}".format, "{:+.17g}".format)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spelled_rallies(draw):
+    """(rallies, their dataset CSV text with every float cell spelled one of several ways)."""
+    n_types = ShotTypeVocab.default().size
+    rallies, rows = [], []
+    for i in range(draw(st.integers(1, 4))):
+        match_id = draw(st.sampled_from(["m0", "m1", "match 2"]))
+        strokes = []
+        for k in range(1, draw(st.integers(1, 6)) + 1):
+            stroke = Stroke(
+                round_index=k,
+                player=draw(st.sampled_from(list(Player))),
+                shot_type=draw(st.integers(0, n_types - 1)),
+                landing=(draw(finite), draw(finite)),
+                player_location=(draw(finite), draw(finite)),
+            )
+            strokes.append(stroke)
+            cells = [*stroke.landing, *stroke.player_location]
+            spelled = [draw(st.sampled_from(FLOAT_SPELLINGS))(v) for v in cells]
+            name = ShotTypeVocab.default().name_of(stroke.shot_type)
+            rows.append(",".join([match_id, f"r{i}", str(k), stroke.player.value, name, *spelled]))
+        rallies.append(Rally(f"r{i}", match_id, f"{match_id}:A", f"{match_id}:B", tuple(strokes)))
+    return rallies, "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+@given(spelled_rallies())
+def test_parse_then_write_is_byte_stable_on_generated_rallies(tmp_path_factory, case):
+    rallies, text = case
+    vocab = ShotTypeVocab.default()
+    d = tmp_path_factory.mktemp("stable")
+    (d / "spelled.csv").write_text(text, encoding="utf-8")
+    parsed, _, rejects = parse_dataset(d / "spelled.csv", vocab, write_rejects=False)
+    assert rejects == []
+    assert parsed == rallies
+    write_dataset(parsed, vocab, d / "once.csv")
+    write_dataset(rallies, vocab, d / "direct.csv")
+    assert (d / "once.csv").read_bytes() == (d / "direct.csv").read_bytes()
+    reparsed, _, _ = parse_dataset(d / "once.csv", vocab, write_rejects=False)
+    assert reparsed == rallies  # the written floats lose no bit
+    write_dataset(reparsed, vocab, d / "twice.csv")
+    assert (d / "twice.csv").read_bytes() == (d / "once.csv").read_bytes()
 
 
 def test_parse_mirror_even_rounds(tmp_path, vocab):

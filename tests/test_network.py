@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rallycast import autodiff as ad
 from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
@@ -121,7 +125,7 @@ def test_embed_rejects_unknown_player_id(setup):
 def test_length_one_contexts_coincide(setup):
     vocab, rally, model = setup
     x = Tensor(np.random.default_rng(0).normal(size=(1, model.config.embed_dim)))
-    rally_ctx, player_ctx = encode_contexts(x, [Player.A], model.params, model.config)
+    rally_ctx, player_ctx = encode_contexts(x, np.array([True]), model.params, model.config)
     assert np.array_equal(rally_ctx.data, player_ctx.data)
 
 
@@ -146,7 +150,7 @@ def test_player_context_masks_out_other_player(setup):
     def player_ctx_at_a_positions(strokes):
         e_s, e_a = embed_strokes(stroke_inputs(strokes, ids, model.court), model.params, model.config)
         x = ad.scale(ad.add(e_s, e_a), 0.5)
-        _, player_ctx = encode_contexts(x, players, model.params, model.config)
+        _, player_ctx = encode_contexts(x, np.array([p is Player.A for p in players]), model.params, model.config)
         a_rows = [i for i, p in enumerate(players) if p is Player.A]
         return player_ctx.data[a_rows]
 
@@ -328,6 +332,53 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, setup):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
+@st.composite
+def any_forecaster(draw):
+    """A model of any valid shape, header and court, with arbitrary float64 bit patterns for its weights."""
+    names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6, unique_by=str.casefold))
+    players = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
+    n_heads = draw(st.integers(1, 3))
+    config = ModelConfig(
+        embed_dim=n_heads * draw(st.integers(1, 3)),
+        n_heads=n_heads,
+        n_layers=draw(st.integers(1, 2)),
+        ffn_dim=draw(st.none() | st.integers(1, 6)),
+        dropout_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        vocab_size=len(names),
+        n_players=len(players),
+        embedding_mode=draw(st.sampled_from(["baseline", "modified"])),
+    )
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    court = CourtSpec(
+        width_m=draw(positive),
+        length_m=draw(positive),
+        mean_x=draw(finite),
+        mean_y=draw(finite),
+        std_x=draw(positive),
+        std_y=draw(positive),
+    )
+    params = init_params(config, 0)
+    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for t in params.tensors.values():
+        t.data.view(np.uint64)[...] = bits.integers(0, 2**64, size=t.shape, dtype=np.uint64)
+    vocab = ShotTypeVocab.from_names(names, names[:1])
+    return Forecaster(params, config, court, vocab, {name: i for i, name in enumerate(players)})
+
+
+@given(any_forecaster())
+def test_checkpoint_write_read_write_is_byte_identical(tmp_path_factory, model):
+    d = tmp_path_factory.mktemp("ckpt")
+    model.save(d / "once.ckpt")
+    loaded = Forecaster.load(d / "once.ckpt")
+    assert (loaded.config, loaded.court, loaded.vocab) == (model.config, model.court, model.vocab)
+    assert loaded.player_index == model.player_index
+    for name in model.params.names():
+        assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
+    loaded.save(d / "twice.ckpt")
+    assert (d / "twice.ckpt").read_bytes() == (d / "once.ckpt").read_bytes()
+
+
 def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, setup):
     vocab, rally, model = setup
     path = tmp_path / "model.ckpt"
@@ -364,6 +415,12 @@ def test_checkpoint_rejects_a_header_that_disagrees_with_its_config(tmp_path, se
     assert bad != raw
     path.write_bytes(bad)
     with pytest.raises(ParseError, match="parameter shapes"):
+        type(model).load(path)
+    # a value the model config rejects, again at the same header length
+    bad = raw.replace(b'"n_heads":2', b'"n_heads":3', 1)
+    assert bad != raw
+    path.write_bytes(bad)
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))}: .*embed_dim must be divisible by n_heads"):
         type(model).load(path)
 
 

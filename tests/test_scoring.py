@@ -406,6 +406,51 @@ def test_export_import_round_trip_scores_identically(tmp_path, gen_setup):
     assert direct.sample_losses == reimported.sample_losses
 
 
+@st.composite
+def scored_predictions(draw):
+    """(truths, sample sets) with the 6-decimal landings and type rows that generation produces."""
+    vocab = small_vocab()
+    coord = st.floats(-20.0, 40.0)
+    truths = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(5, 8))
+        types = [0] + draw(st.lists(st.integers(0, vocab.size - 1), min_size=n - 1, max_size=n - 1))
+        landings = [(draw(coord), draw(coord)) for _ in range(n)]
+        truths.append(make_rally(types, rally_id=f"r{i}", landings=landings))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=vocab.size, max_size=vocab.size).filter(lambda w: sum(w) > 0)
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        one = []
+        for rally in truths:
+            suffix = []
+            for k in range(5, len(rally) + 1):
+                w = np.array(draw(weights))
+                suffix.append(
+                    GeneratedStroke(
+                        round_index=k,
+                        player=Player.A if k % 2 == 1 else Player.B,
+                        type_id=int(np.argmax(w)),
+                        landing=tuple(quantize6_array(np.array([draw(coord), draw(coord)]))),
+                        type_probs=quantize_simplex((w / w.sum())[None, :])[0],
+                    )
+                )
+            one.append(suffix)
+        sets.append(one)
+    return vocab, truths, sets
+
+
+@given(scored_predictions(), st.sampled_from(["min_of_sets", "best_of_k"]))
+def test_export_import_score_equals_the_in_memory_score_bit_for_bit(tmp_path_factory, case, protocol):
+    vocab, truths, sets = case
+    path = tmp_path_factory.mktemp("preds") / "preds.csv"
+    export_predictions(truths, sets, vocab, path)
+    pred = import_predictions(path, vocab)
+    assert pred.n_samples == len(sets)
+    direct = score_sample_sets(sets, truths, protocol=protocol)
+    reimported = score_sample_sets(pred.sample_sets(truths), truths, protocol=protocol)
+    assert reimported == direct
+
+
 def test_import_rejects_wrong_header(tmp_path, vocab):
     path = tmp_path / "bad.csv"
     path.write_text("rally_id,sample_id\n", encoding="utf-8")
