@@ -50,9 +50,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, leaf={self._bwd is None})"
 
@@ -452,14 +449,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return add(mul(normed, gain), bias)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; rng=None means eval mode (identity)."""
+def dropout(a: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
+    """Inverted dropout of the entries whose uniform is below rate; uniforms=None means eval mode (identity)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    if uniforms is None or rate == 0.0:
         return a
-    keep = rng.random(a.shape) >= rate
-    factor = keep / (1.0 - rate)
+    if uniforms.shape != a.shape:
+        raise ValueError(f"dropout uniforms shape {uniforms.shape} does not match tensor shape {a.shape}")
+    factor = (uniforms >= rate) / (1.0 - rate)
     out_data = a.data * factor
 
     def bwd(g):

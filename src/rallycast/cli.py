@@ -258,7 +258,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     checkpoint = out_dir / "model.ckpt"
     model.save(checkpoint)
-    report.checkpoint_path = str(checkpoint)
     report.write_csv(out_dir / "report.csv")
     write_dataset(train_set, vocab, out_dir / "train_split.csv")
     write_dataset(val_set, vocab, out_dir / "val_split.csv")
@@ -389,42 +388,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rallycast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, summary: str, keys: tuple[str, ...] = ()) -> argparse.ArgumentParser:
-        """A subcommand with --config and the flags of the shared settings plus its own keys."""
+    def command(name: str, handler, summary: str, keys: tuple[str, ...]) -> argparse.ArgumentParser:
+        """A subcommand with --config and the flags of the settings it reads."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key = value config file")
-        add_setting_flags(p, ("seed", "vocab", "mirror") + keys)
+        add_setting_flags(p, keys)
         p.set_defaults(handler=handler)
         return p
 
-    p = command("synth", cmd_synth, "generate a synthetic dataset CSV", ("n_rallies", "mean_length"))
+    p = command("synth", cmd_synth, "generate a synthetic dataset CSV", ("seed", "vocab", "n_rallies", "mean_length"))
     p.add_argument("--out", required=True)
 
-    p = command("validate", cmd_validate, "check a dataset against the rally invariants")
+    p = command("validate", cmd_validate, "check a dataset against the rally invariants", ("vocab", "mirror"))
     p.add_argument("--data", required=True)
     p.add_argument("--strict-serve", action="store_true")
 
     p = command("train", cmd_train, "filter, split, and train a forecaster", (
-        "embed_dim", "n_heads", "n_layers", "ffn_dim", "dropout", "embedding_mode",
+        "seed", "vocab", "mirror", "embed_dim", "n_heads", "n_layers", "ffn_dim", "dropout", "embedding_mode",
         "epochs", "batch_size", "learning_rate", "clip_norm", "eval_every", "eval_samples",
         "train_fraction", "split_by_match", "max_rally_length", "max_match_total_rounds", "min_rally_length",
     ))
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
-    p = command("predict", cmd_predict, "sample suffix sets for every rally in a dataset", ("samples", "horizon"))
+    p = command("predict", cmd_predict, "sample suffix sets for every rally in a dataset",
+                ("seed", "mirror", "samples", "horizon"))
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--open-ended", dest="open_ended", action="store_true",
                    help="generate a fixed horizon instead of matching ground-truth lengths")
 
-    p = command("score", cmd_score, "score a prediction file against ground truth")
+    p = command("score", cmd_score, "score a prediction file against ground truth", ("vocab", "mirror"))
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out")
 
-    p = command("analyze", cmd_analyze, "emit analysis tables from datasets or predictions")
+    p = command("analyze", cmd_analyze, "emit analysis tables from datasets or predictions", ("vocab", "mirror"))
     p.add_argument("--kind", required=True)
     p.add_argument("--data")
     p.add_argument("--predictions")
@@ -438,10 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (UsageError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, NumericHealthError, TrainingDivergedError, RuntimeError) as exc:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 DEFAULT_WIDTH_M = 6.1
 DEFAULT_LENGTH_M = 13.4
@@ -27,6 +28,25 @@ ZONE_OUT = 10  # any point outside the chosen half-court
 # receiver's perspective: rows run near-net to baseline, columns left to
 # right, zone = 3 * row + col + 1. Boundary ties resolve to the lower id.
 ZoneId = int
+
+
+class ParseError(RuntimeError):
+    """Raised when a dataset, vocabulary, checkpoint or prediction file is too damaged to use."""
+
+
+@contextmanager
+def utf8_line_errors(path: Path) -> Iterator[None]:
+    """Turn a UnicodeDecodeError while reading path as text into a ParseError naming the line of the first bad byte."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")  # the text reader decodes in chunks, so find the byte's offset in the whole file
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
+        raise
 
 
 class Player(str, Enum):
@@ -114,12 +134,14 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
     if not path.exists():
         raise FileNotFoundError(f"vocabulary file not found: {path}")
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
         reader = csv.DictReader(fh)
         for row in reader:
-            entries.append(
-                ShotType(int(row["type_id"]), row["name"], row["is_serve"].strip().lower() in ("1", "true", "yes"))
-            )
+            try:
+                type_id = int(row["type_id"])
+            except ValueError:
+                raise ParseError(f"{path}: line {reader.line_num}: type_id {row['type_id']!r} is not an integer") from None
+            entries.append(ShotType(type_id, row["name"], row["is_serve"].strip().lower() in ("1", "true", "yes")))
     entries.sort(key=lambda e: e.type_id)
     return ShotTypeVocab(tuple(entries))
 

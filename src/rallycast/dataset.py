@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, mirror_coord
+from .court import CourtSpec, ParseError, Player, Rally, ShotTypeVocab, Stroke, mirror_coord, utf8_line_errors
 from .seeding import TAG_SYNTH, rng_from_key
 
 log = logging.getLogger(__name__)
@@ -37,10 +37,6 @@ CSV_HEADER = "match_id,rally_id,ball_round,player,type,landing_x,landing_y,playe
 
 # share of row-level malformed rows above which parsing aborts
 MALFORMED_ROW_LIMIT = 0.10
-
-
-class ParseError(RuntimeError):
-    """Raised when a dataset, checkpoint or prediction file is too damaged to use."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,7 @@ def parse_dataset(
     groups: dict[tuple[str, str], list[tuple[int, Stroke]]] = {}
     n_rows = 0
     n_malformed = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ParseError(f"unexpected header in {path}: {header!r}")

@@ -1,11 +1,11 @@
 """The stroke-forecasting network.
 
-Dual-channel stroke embeddings feed a causal transformer encoder that is run
-twice with different attention masks: once over the whole rally (rally
-context) and once restricted to strokes hit by the query position's player
-(player context). A position-aware sigmoid gate fuses the two contexts, and
-two heads emit a shot-type distribution and a bivariate Gaussian over the
-normalized landing point.
+Dual-channel stroke embeddings feed a causal transformer encoder that runs
+once over two copies of each history, stacked along the batch axis: one copy
+attends over the whole rally (rally context), the other only over strokes
+hit by the query position's player (player context). A position-aware
+sigmoid gate fuses the two contexts, and two heads emit a shot-type
+distribution and a bivariate Gaussian over the normalized landing point.
 
 Embedding modes:
   modified  shot channel = type embedding + player-id embedding,
@@ -225,18 +225,17 @@ CACHE_BLOCK = 8
 
 
 class KVCache:
-    """Keys and values of the first `length` positions of B histories, per context and encoder layer.
+    """Keys and values of the first `length` positions of B histories, per encoder layer.
 
     Forecaster.forward(inputs, cache=cache) extends it; see there. It carries
     no autodiff tape, so it serves inference only.
     """
 
     def __init__(self, batch: int, config: ModelConfig):
-        d = config.embed_dim
         self.hitters = np.zeros((batch, 0), dtype=bool)  # (B, length) hit_by_a of the cached positions
-        # kv[context][layer] = [keys, values], each (B, length, d); context 0 is the rally context
-        empty = np.zeros((batch, 0, d))
-        self.kv = [[[empty, empty] for _ in range(config.n_layers)] for _ in range(2)]
+        # kv[layer] = [keys, values], each (2B, length, d): the B rally-context rows, then the B player-context rows
+        empty = np.zeros((2 * batch, 0, config.embed_dim))
+        self.kv = [[empty, empty] for _ in range(config.n_layers)]
 
     @property
     def length(self) -> int:
@@ -245,17 +244,18 @@ class KVCache:
     def keep_rows(self, keep: Sequence[int]) -> None:
         """Keep only the histories at the given batch rows, in that order."""
         idx = np.asarray(keep, dtype=np.int64)
+        both = np.concatenate([idx, idx + len(self.hitters)])
         self.hitters = self.hitters[idx]
-        self.kv = [[[a[idx] for a in kv] for kv in ctx] for ctx in self.kv]
+        self.kv = [[a[both] for a in layer] for layer in self.kv]
 
-    def commit(self, hitters: np.ndarray, kv: list[list[list[np.ndarray]]]) -> None:
+    def commit(self, hitters: np.ndarray, kv: list[list[np.ndarray]]) -> None:
         """Keep the whole blocks of a step's positions; hitters and kv cover every position it attended over.
 
         The last position is never kept, so the next step feeds at least two.
         """
         keep = CACHE_BLOCK * ((hitters.shape[1] - 1) // CACHE_BLOCK)
         self.hitters = hitters[:, :keep]
-        self.kv = [[[a[:, :keep] for a in layer] for layer in ctx] for ctx in kv]
+        self.kv = [[a[:, :keep] for a in layer] for layer in kv]
 
 
 def embed_strokes(
@@ -327,17 +327,18 @@ def _encoder_stack(
     allowed: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
-    rng: np.random.Generator | None,
+    uniforms: np.ndarray | None,
     kv: list[list[np.ndarray]] | None = None,
 ) -> Tensor:
+    """The encoder layers over x; uniforms[2i] and uniforms[2i + 1] drive layer i's two dropouts."""
     for i in range(config.n_layers):
         p = f"enc{i}_"
         att = _attention(x, allowed, params, i, config, None if kv is None else kv[i])
-        att = ad.dropout(att, config.dropout_rate, rng)
+        att = ad.dropout(att, config.dropout_rate, None if uniforms is None else uniforms[2 * i])
         x = ad.layer_norm(ad.add(x, att), params[p + "ln1_g"], params[p + "ln1_b"])
         hidden = ad.relu(ad.add(ad.matmul(x, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
         ff = ad.add(ad.matmul(hidden, params[p + "ffn_w2"]), params[p + "ffn_b2"])
-        ff = ad.dropout(ff, config.dropout_rate, rng)
+        ff = ad.dropout(ff, config.dropout_rate, None if uniforms is None else uniforms[2 * i + 1])
         x = ad.layer_norm(ad.add(x, ff), params[p + "ln2_g"], params[p + "ln2_b"])
     return x
 
@@ -353,27 +354,31 @@ def encode_contexts(
     """Causal rally context and player-restricted context for each position.
 
     x is (..., n, d). hitters is the (..., n) bool array of who hits each
-    position, True for player A (StrokeInputs.hit_by_a). The same encoder
-    weights are applied under two masks of shape (..., n, n), so a length-1
-    sequence yields identical contexts. With a cache, x holds the (B, n, d)
-    positions after the cached ones; they also attend over the cached
-    positions, and the cache then keeps every whole block of positions.
+    position, True for player A (StrokeInputs.hit_by_a). One encoder pass
+    runs over x's B histories twice, stacked: under the causal mask, then
+    the causal same-hitter mask, so a length-1 sequence yields identical
+    contexts. rng draws the dropout masks as two separate passes would.
+    With a cache, x holds the (B, n, d) positions after the cached ones;
+    they also attend over the cached positions, and the cache then keeps
+    every whole block of positions.
     """
     if hitters.shape != x.shape[:-1]:
         raise ValueError("hitters must align with the sequence")
+    single = x.ndim == 2
+    if single:  # a one-row batch
+        x, hitters = x[None], hitters[None]
     every = hitters if cache is None else np.concatenate([cache.hitters, hitters], axis=-1)
     n_new, n = hitters.shape[-1], every.shape[-1]
     same = hitters[..., :, None] == every[..., None, :]
     causal = np.broadcast_to(np.tril(np.ones((n_new, n), dtype=bool), n - n_new), same.shape)
-    rally_kv = player_kv = None
+    # (2, 2 * n_layers, B, n, d) uniforms -> (2 * n_layers, 2B, n, d), rally rows first
+    uniforms = None if rng is None else np.concatenate(rng.random((2, 2 * config.n_layers) + x.shape), axis=1)
+    kv = None if cache is None else [list(layer) for layer in cache.kv]  # a step that raises leaves the cache as it was
+    out = _encoder_stack(ad.concat([x, x], axis=0), np.concatenate([causal, causal & same]), params, config, uniforms, kv)
     if cache is not None:
-        # copies of the cache's lists, so a step that raises leaves the cache as it was
-        rally_kv, player_kv = [[list(kv) for kv in ctx] for ctx in cache.kv]
-    rally_ctx = _encoder_stack(x, causal, params, config, rng, rally_kv)
-    player_ctx = _encoder_stack(x, causal & same, params, config, rng, player_kv)
-    if cache is not None:
-        cache.commit(every, [rally_kv, player_kv])
-    return rally_ctx, player_ctx
+        cache.commit(every, kv)
+    b = len(hitters)
+    return (out[0], out[1]) if single else (out[:b], out[b:])
 
 
 def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: ModelParams) -> Tensor:

@@ -316,7 +316,6 @@ class ScoreReport:
     whichever of the two the caller's protocol defines.
     """
 
-    protocol: str  # "min_of_sets" or "best_of_k"
     score: float
     sample_losses: list[float]
     min_of_sets: float
@@ -384,7 +383,6 @@ def score_sample_sets(
 
     score = min_sets if protocol == "min_of_sets" else best_agg
     return ScoreReport(
-        protocol=protocol,
         score=score,
         sample_losses=losses,
         min_of_sets=min_sets,

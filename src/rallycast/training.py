@@ -75,7 +75,6 @@ class TrainReport:
     evals: list[tuple[int, float]] = field(default_factory=list)
     best_epoch: int = 0
     wall_clock_s: float = 0.0
-    checkpoint_path: str | None = None
 
     def write_csv(self, path: str | Path) -> None:
         scores = dict(self.evals)

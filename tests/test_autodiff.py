@@ -268,10 +268,11 @@ def test_grad_layer_norm(case):
 def test_grad_dropout_fixed_mask(case):
     rng = np.random.default_rng(1000 + case)
     x = _rand(rng, 4, 3)
+    uniforms = np.random.default_rng(42 + case).random(x.shape)
 
     def fn(ts):
-        # fresh generator with a fixed seed -> identical mask on every call
-        return _weighted_sum(ad.dropout(ts[0], 0.3, np.random.default_rng(42 + case)), np.random.default_rng(case))
+        # the same uniforms -> identical mask on every call
+        return _weighted_sum(ad.dropout(ts[0], 0.3, uniforms), np.random.default_rng(case))
 
     _check(fn, [x])
 
@@ -287,23 +288,31 @@ def test_dropout_eval_mode_is_identity():
 
 def test_dropout_deterministic_under_seed():
     x = Tensor(np.ones((8, 8)))
-    a = ad.dropout(x, 0.4, np.random.default_rng(9)).data
-    b = ad.dropout(x, 0.4, np.random.default_rng(9)).data
+    a = ad.dropout(x, 0.4, np.random.default_rng(9).random(x.shape)).data
+    b = ad.dropout(x, 0.4, np.random.default_rng(9).random(x.shape)).data
     assert np.array_equal(a, b)
-    c = ad.dropout(x, 0.4, np.random.default_rng(10)).data
+    c = ad.dropout(x, 0.4, np.random.default_rng(10).random(x.shape)).data
     assert not np.array_equal(a, c)
 
 
 def test_dropout_inverted_scaling():
     x = Tensor(np.ones((1000,)))
-    out = ad.dropout(x, 0.25, np.random.default_rng(1)).data
+    out = ad.dropout(x, 0.25, np.random.default_rng(1).random(x.shape)).data
     kept = out[out > 0]
     assert np.allclose(kept, 1.0 / 0.75)
 
 
 def test_dropout_rate_bounds():
     with pytest.raises(ValueError):
-        ad.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
+        ad.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0).random(1))
+
+
+def test_dropout_rejects_uniforms_of_another_shape():
+    # (4, 1) uniforms would broadcast over a (4, 3) tensor, giving every row one mask value
+    x = Tensor(np.ones((4, 3)))
+    for shape in ((4, 1), (3,), (1, 4, 3)):
+        with pytest.raises(ValueError, match="does not match"):
+            ad.dropout(x, 0.5, np.random.default_rng(0).random(shape))
 
 
 # ---------------------------------------------------------------------------

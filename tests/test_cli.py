@@ -53,6 +53,41 @@ def test_missing_vocab_file_exits_2(tmp_path):
     assert "missing_vocab.csv" in out.stderr
 
 
+@pytest.mark.parametrize("kept_rows", [4, None])  # None keeps the whole file, past the text reader's first chunk
+def test_dataset_with_a_byte_that_is_not_utf8_exits_1_naming_its_line(tmp_path, kept_rows):
+    lines = CORPUS32.read_bytes().splitlines(keepends=True)[: None if kept_rows is None else 1 + kept_rows]
+    row = lines[-1].split(b",")
+    row[4] = b"\xff\xfe"
+    data = tmp_path / "damaged.csv"
+    data.write_bytes(b"".join(lines) + b",".join(row))
+    out = run_cli("validate", "--data", data)
+    assert out.returncode == 1, out.stderr
+    assert f"{data}: line {len(lines) + 1}: byte 0xff is not UTF-8" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_vocabulary_with_a_non_integer_type_id_exits_1_naming_its_line_and_field(tmp_path):
+    vocab = tmp_path / "vocab.csv"
+    vocab.write_text("type_id,name,is_serve\n0,long service,true\nx,net shot,false\n", encoding="utf-8")
+    out = run_cli("validate", "--data", CORPUS32, "--vocab", vocab)
+    assert out.returncode == 1, out.stderr
+    assert f"{vocab}: line 3: type_id 'x' is not an integer" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["predict", "--checkpoint", "m.ckpt", "--data", "d.csv", "--out", "p.csv"], ["--vocab", "/nonexistent/vocab.csv"]),
+    (["validate", "--data", "d.csv"], ["--seed", "1"]),
+    (["score", "--predictions", "p.csv", "--truth", "t.csv"], ["--seed", "1"]),
+    (["analyze", "--kind", "vote", "--predictions", "p.csv"], ["--seed", "1"]),
+    (["synth", "--out", "s.csv"], ["--mirror", "odd"]),
+])
+def test_a_flag_the_subcommand_never_reads_is_a_usage_error(command, flag):
+    out = run_cli(*command, *flag)
+    assert out.returncode == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in out.stderr
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("optimizer = sgd\n", encoding="utf-8")
@@ -76,23 +111,28 @@ def test_a_config_value_outside_its_choices_exits_2_naming_its_line(tmp_path, li
 
 # each subcommand's flags: (option strings, dest, choices, nargs); nargs 0 is a switch
 HELP = (("-h", "--help"), "help", None, 0)
-SHARED_FLAGS = [
-    (("--config",), "config", None, None),
-    (("--seed",), "seed", None, None),
-    (("--vocab",), "vocab", None, None),
-    (("--mirror",), "mirror", ("none", "odd", "even"), None),
-]
+CONFIG = (("--config",), "config", None, None)
+SEED = (("--seed",), "seed", None, None)
+VOCAB = (("--vocab",), "vocab", None, None)
+MIRROR = (("--mirror",), "mirror", ("none", "odd", "even"), None)
 COMMAND_FLAGS = {
     "synth": [
+        SEED,
+        VOCAB,
         (("--n",), "n_rallies", None, None),
         (("--mean-length",), "mean_length", None, None),
         (("--out",), "out", None, None),
     ],
     "validate": [
+        VOCAB,
+        MIRROR,
         (("--data",), "data", None, None),
         (("--strict-serve",), "strict_serve", None, 0),
     ],
     "train": [
+        SEED,
+        VOCAB,
+        MIRROR,
         (("--data",), "data", None, None),
         (("--out-dir",), "out_dir", None, None),
         (("--embed-dim",), "embed_dim", None, None),
@@ -114,6 +154,8 @@ COMMAND_FLAGS = {
         (("--min-rally-length",), "min_rally_length", None, None),
     ],
     "predict": [
+        SEED,
+        MIRROR,
         (("--checkpoint",), "checkpoint", None, None),
         (("--data",), "data", None, None),
         (("--out",), "out", None, None),
@@ -122,11 +164,15 @@ COMMAND_FLAGS = {
         (("--open-ended",), "open_ended", None, 0),
     ],
     "score": [
+        VOCAB,
+        MIRROR,
         (("--predictions",), "predictions", None, None),
         (("--truth",), "truth", None, None),
         (("--out",), "out", None, None),
     ],
     "analyze": [
+        VOCAB,
+        MIRROR,
         (("--kind",), "kind", None, None),
         (("--data",), "data", None, None),
         (("--predictions",), "predictions", None, None),
@@ -145,7 +191,7 @@ def test_each_subcommand_keeps_its_flags_dests_and_choices():
             (tuple(a.option_strings), a.dest, None if a.choices is None else tuple(a.choices), a.nargs)
             for a in sub._actions
         )
-        assert flags == sorted([HELP, *SHARED_FLAGS, *COMMAND_FLAGS[name]]), name
+        assert flags == sorted([HELP, CONFIG, *COMMAND_FLAGS[name]]), name
 
 
 def test_settings_defaults_are_unchanged():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rallycast import autodiff as ad
+from rallycast import autodiff as ad, network
 from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
 from rallycast.court import CourtSpec, Player, ShotTypeVocab
 from rallycast.dataset import ParseError
@@ -15,6 +15,7 @@ from rallycast.network import (
     KVCache,
     ModelConfig,
     StrokeInputs,
+    build_player_index,
     embed_strokes,
     encode_contexts,
     forward_teacher_forced,
@@ -158,6 +159,98 @@ def test_player_context_masks_out_other_player(setup):
     changed = _replace_stroke(rally, 1, landing=(0.4, 7.1), shot_type=4)  # stroke 2 is B's
     after = player_ctx_at_a_positions(changed.strokes)
     assert np.max(np.abs(base - after)) <= 1e-12
+
+
+def _reference_encode_contexts(x, hitters, params, config, rng=None):
+    """Two encoder passes, one per mask, each drawing its dropout uniforms from rng as the sites come."""
+
+    def drop(t):
+        if rng is None or config.dropout_rate == 0.0:
+            return t
+        return ad.dropout(t, config.dropout_rate, rng.random(t.shape))
+
+    def stack(x, allowed):
+        for i in range(config.n_layers):
+            p = f"enc{i}_"
+            att = drop(network._attention(x, allowed, params, i, config))
+            x = ad.layer_norm(ad.add(x, att), params[p + "ln1_g"], params[p + "ln1_b"])
+            hidden = ad.relu(ad.add(ad.matmul(x, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
+            ff = drop(ad.add(ad.matmul(hidden, params[p + "ffn_w2"]), params[p + "ffn_b2"]))
+            x = ad.layer_norm(ad.add(x, ff), params[p + "ln2_g"], params[p + "ln2_b"])
+        return x
+
+    n = hitters.shape[-1]
+    same = hitters[..., :, None] == hitters[..., None, :]
+    causal = np.broadcast_to(np.tril(np.ones((n, n), dtype=bool)), same.shape)
+    return stack(x, causal), stack(x, causal & same)
+
+
+def _context_case(n_layers, batch, dropout_rate):
+    """A config, its initial params, x and mixed hitters for one (n, d) history or a (B, n, d) batch."""
+    config = ModelConfig(embed_dim=8, n_heads=2, n_layers=n_layers, dropout_rate=dropout_rate, vocab_size=4)
+    rng = np.random.default_rng(10 * n_layers + (batch or 0))
+    params = init_params(config, n_layers)
+    lead = (6,) if batch is None else (batch, 6)
+    hitters = rng.random(lead) < 0.5
+    hitters[..., :2] = [True, False]  # both players hit in every history
+    x = rng.normal(size=lead + (config.embed_dim,))
+    return config, params, x, hitters
+
+
+CONTEXT_CASES = [
+    (n_layers, batch, rate) for n_layers in (1, 2) for batch in (None, 3) for rate in (0.0, 0.2)
+]
+
+
+@pytest.mark.parametrize("n_layers,batch,dropout_rate", CONTEXT_CASES)
+def test_one_pass_contexts_equal_two_passes_bit_for_bit(n_layers, batch, dropout_rate):
+    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate)
+    for training in (False, True):
+        # eval mode passes no generator; in training both sides draw from the same seed
+        got = encode_contexts(Tensor(x), hitters, params, config, np.random.default_rng(7) if training else None)
+        want = _reference_encode_contexts(Tensor(x), hitters, params, config, np.random.default_rng(7) if training else None)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == x.shape
+            assert np.array_equal(g.data, w.data), (training, n_layers, batch, dropout_rate)
+    if dropout_rate > 0.0:  # the training masks really drop something
+        assert not np.array_equal(got[0].data, encode_contexts(Tensor(x), hitters, params, config)[0].data)
+
+
+@pytest.mark.parametrize("n_layers,batch,dropout_rate", CONTEXT_CASES)
+def test_one_pass_context_gradients_equal_two_passes(n_layers, batch, dropout_rate):
+    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate)
+    weights = np.random.default_rng(3).normal(size=(2,) + x.shape)
+
+    def grads(encode):
+        leaves = params.copy()
+        x_leaf = Tensor(x)
+        rally_ctx, player_ctx = encode(x_leaf, hitters, leaves, config, np.random.default_rng(7))
+        loss = ad.add(ad.tsum(ad.mul(rally_ctx, Tensor(weights[0]))), ad.tsum(ad.mul(player_ctx, Tensor(weights[1]))))
+        backward(loss)
+        return {"x": grad_of(x_leaf), **{name: grad_of(leaves[name]) for name in leaves.names() if name.startswith("enc")}}
+
+    got, want = grads(encode_contexts), grads(_reference_encode_contexts)
+    assert got.keys() == want.keys() and len(got) == 1 + 13 * n_layers
+    for name, w in want.items():
+        assert np.abs(w).max() > 0, name
+        assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+# a teacher-forced forward at overfit.cfg width in training mode; the
+# two-pass encoder took 160 primitive ops
+FORWARD_OP_BUDGET = 103
+
+
+def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=1, dropout_rate=0.2, vocab_size=10)
+    vocab = ShotTypeVocab.default()
+    rally = make_rally([0, 2, 3, 4, 2, 3, 4, 5])
+    model = Forecaster(init_params(config, 0), config, CourtSpec(), vocab, build_player_index([rally]))
+    made = []
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", lambda *args: made.append(args[-1]) or make(*args))
+    forward_teacher_forced(model, rally, training=True, rng=np.random.default_rng(0))
+    assert 0 < len(made) <= FORWARD_OP_BUDGET, f"{len(made)} ops: {sorted(set(made))}"
 
 
 # ---------------------------------------------------------------------------
