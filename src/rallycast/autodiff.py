@@ -1,11 +1,14 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Small by design: rank <= 3, numpy storage, one backward closure per
-primitive. Every primitive checks its output for NaN/Inf and raises
-NumericHealthError on violation, so a diverging computation fails at the op
-that produced the bad values instead of at the loss. Inside `no_tape()` the
-same primitives run with the same checks but record no graph, which is how
-inference avoids keeping every intermediate alive.
+primitive. Layer norm, softmax, multi-head attention and the affine map
+x @ w + b are single primitives with hand-derived backwards, so a forward
+pays the per-op overhead once for each. Every primitive checks its output
+for NaN/Inf and raises NumericHealthError on violation, so a diverging
+computation fails at the op that produced the bad values instead of at the
+loss. Inside `no_tape()` the same primitives run with the same checks but
+record no graph, which is how inference avoids keeping every intermediate
+alive.
 """
 
 from __future__ import annotations
@@ -136,6 +139,9 @@ def _make(data: np.ndarray, parents: tuple, bwd: Callable, op: str) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
+        if g.ndim and g.shape == t.shape:
+            t.grad = g + 0.0  # a fresh array; + 0.0 turns -0.0 into +0.0, as zeros + g does
+            return
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
@@ -429,24 +435,117 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float = NEG_MASK_VALUE) -> T
     return _make(out_data, (a,), bwd, "masked_fill")
 
 
+def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+    # shift by the rowwise max, which softmax is invariant to
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient of the logits of softmax output y, given the output's gradient g."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    # shift by the (constant) rowwise max; softmax is shift-invariant, so
-    # treating the shift as a constant leaves the gradient exact
-    shifted = sub(a, Tensor(a.data.max(axis=axis, keepdims=True)))
-    e = exp(shifted)
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    out_data = _softmax_data(a.data, axis)
+
+    def bwd(g):
+        _accumulate(a, _softmax_grad(out_data, g, axis))
+
+    return _make(out_data, (a,), bwd, "softmax")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The backward is the closed form of Ba et al. (2016), "Layer Normalization".
+    """
     d = a.shape[-1]
-    mu = tmean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, Tensor(np.full(var.shape, eps)))))
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last axis")
-    return add(mul(normed, gain), bias)
+    inv_d = 1.0 / d
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) * inv_d
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    if not np.isfinite(var).all():  # an overflowed variance would normalize every row to 0
+        raise NumericHealthError("layer_norm produced a non-finite variance")
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    out_data = normed * gain.data
+    out_data += bias.data
+
+    def bwd(g):
+        g_normed = g * gain.data
+        mean_g = g_normed.sum(axis=-1, keepdims=True) * inv_d
+        mean_gn = (g_normed * normed).sum(axis=-1, keepdims=True) * inv_d
+        _accumulate(a, (g_normed - mean_g - normed * mean_gn) / std)
+        _accumulate(gain, _unbroadcast(g * normed, gain.shape))
+        _accumulate(bias, _unbroadcast(g, bias.shape))
+
+    return _make(out_data, (a, gain, bias), bwd, "layer_norm")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, blocked: np.ndarray, n_heads: int) -> Tensor:
+    """Masked multi-head scaled dot-product attention (Vaswani et al., 2017), all heads in one op.
+
+    q is (..., n, d) and k, v are (..., m, d); head h reads columns
+    h*d/n_heads .. (h+1)*d/n_heads of each. blocked is the (..., n, m) bool
+    array of the keys each query may not see: their scores become
+    NEG_MASK_VALUE before the row softmax. The output is the heads' weighted
+    sums of v side by side, (..., n, d).
+    """
+    d = q.shape[-1]
+    if q.ndim not in (2, 3) or k.shape != v.shape or k.shape[:-2] + k.shape[-1:] != q.shape[:-2] + (d,):
+        raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    if n_heads < 1 or d % n_heads:
+        raise ValueError(f"{d} columns do not split into {n_heads} heads")
+    blocked = np.asarray(blocked, dtype=bool)
+    if blocked.shape != q.shape[:-1] + k.shape[-2:-1]:
+        raise ValueError(f"mask shape {blocked.shape} does not match scores shape {q.shape[:-1] + k.shape[-2:-1]}")
+    dh = d // n_heads
+    c = float(1.0 / np.sqrt(dh))
+    saved = []
+    heads = []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, vh = q.data[..., cols].copy(), v.data[..., cols].copy()
+        kh_t = np.swapaxes(k.data[..., cols], -1, -2).copy()
+        scores = np.where(blocked, NEG_MASK_VALUE, (qh @ kh_t) * c)
+        if not np.isfinite(scores).all():
+            raise NumericHealthError("attention produced non-finite scores")
+        probs = _softmax_data(scores, -1)
+        heads.append(probs @ vh)
+        saved.append((cols, qh, kh_t, vh, probs))
+    out_data = np.concatenate(heads, axis=-1)
+
+    def bwd(g):
+        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        for cols, qh, kh_t, vh, probs in saved:
+            gh = g[..., cols]
+            dv[..., cols] = np.swapaxes(probs, -1, -2) @ gh
+            d_scores = _softmax_grad(probs, gh @ np.swapaxes(vh, -1, -2), -1)
+            d_scores = np.where(blocked, 0.0, d_scores) * c
+            dq[..., cols] = d_scores @ np.swapaxes(kh_t, -1, -2)
+            dk[..., cols] = np.swapaxes(d_scores, -1, -2) @ qh
+        _accumulate(q, dq)
+        _accumulate(k, dk)
+        _accumulate(v, dv)
+
+    return _make(out_data, (q, k, v), bwd, "attention")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a rank-2 or rank-3 x, a rank-2 weight w and a bias b over w's columns."""
+    if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def bwd(g):
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
+
+    return _make(out_data, (x, w, b), bwd, "linear")
 
 
 def dropout(a: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:

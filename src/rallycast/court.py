@@ -128,6 +128,9 @@ class ShotTypeVocab:
         return self.entries[type_id].is_serve
 
 
+VOCAB_COLUMNS = ("type_id", "name", "is_serve")
+
+
 def load_vocab(path: str | Path) -> ShotTypeVocab:
     """Read a vocabulary CSV with header type_id,name,is_serve."""
     path = Path(path)
@@ -136,7 +139,14 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
     entries = []
     with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
         reader = csv.DictReader(fh)
+        missing = [c for c in VOCAB_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(
+                f"{path}: line 1: missing column {', '.join(missing)}; the header must be {','.join(VOCAB_COLUMNS)}"
+            )
         for row in reader:
+            if None in row.values():
+                raise ParseError(f"{path}: line {reader.line_num}: expected {len(VOCAB_COLUMNS)} cells")
             try:
                 type_id = int(row["type_id"])
             except ValueError:
@@ -147,7 +157,7 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
 
 
 def save_vocab(vocab: ShotTypeVocab, path: str | Path) -> None:
-    lines = ["type_id,name,is_serve"]
+    lines = [",".join(VOCAB_COLUMNS)]
     for e in vocab.entries:
         lines.append(f"{e.type_id},{e.name},{'true' if e.is_serve else 'false'}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -272,10 +272,10 @@ def embed_strokes(
 
     type_e = ad.embedding_lookup(params["type_emb"], inputs.type_ids)
     player_e = ad.embedding_lookup(params["player_emb"], inputs.player_ids)
-    area_proj = ad.add(ad.matmul(Tensor(inputs.landings), params["area_w"]), params["area_b"])
+    area_proj = ad.linear(Tensor(inputs.landings), params["area_w"], params["area_b"])
 
     if config.embedding_mode == "modified":
-        loc_proj = ad.add(ad.matmul(Tensor(inputs.locations), params["loc_w"]), params["loc_b"])
+        loc_proj = ad.linear(Tensor(inputs.locations), params["loc_w"], params["loc_b"])
         shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(area_proj, loc_proj)
     else:
@@ -301,7 +301,6 @@ def _attention(
     result, so allowed has one column per cached and new position.
     """
     p = f"enc{layer}_"
-    d = x.shape[-1]
     q = ad.matmul(x, params[p + "wq"])
     k = ad.matmul(x, params[p + "wk"])
     v = ad.matmul(x, params[p + "wv"])
@@ -309,17 +308,8 @@ def _attention(
         k = ad.concat([Tensor(kv[0]), k], axis=-2)
         v = ad.concat([Tensor(kv[1]), v], axis=-2)
         kv[:] = [k.data, v.data]
-    dh = d // config.n_heads
-    blocked = ~allowed
-    heads = []
-    for h in range(config.n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[..., cols], k[..., cols], v[..., cols]
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        scores = ad.masked_fill(scores, blocked)
-        heads.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
-    merged = ad.concat(heads, axis=-1)
-    return ad.add(ad.matmul(merged, params[p + "wo"]), params[p + "bo"])
+    merged = ad.attention(q, k, v, ~allowed, config.n_heads)
+    return ad.linear(merged, params[p + "wo"], params[p + "bo"])
 
 
 def _encoder_stack(
@@ -336,8 +326,8 @@ def _encoder_stack(
         att = _attention(x, allowed, params, i, config, None if kv is None else kv[i])
         att = ad.dropout(att, config.dropout_rate, None if uniforms is None else uniforms[2 * i])
         x = ad.layer_norm(ad.add(x, att), params[p + "ln1_g"], params[p + "ln1_b"])
-        hidden = ad.relu(ad.add(ad.matmul(x, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
-        ff = ad.add(ad.matmul(hidden, params[p + "ffn_w2"]), params[p + "ffn_b2"])
+        hidden = ad.relu(ad.linear(x, params[p + "ffn_w1"], params[p + "ffn_b1"]))
+        ff = ad.linear(hidden, params[p + "ffn_w2"], params[p + "ffn_b2"])
         ff = ad.dropout(ff, config.dropout_rate, None if uniforms is None else uniforms[2 * i + 1])
         x = ad.layer_norm(ad.add(x, ff), params[p + "ln2_g"], params[p + "ln2_b"])
     return x
@@ -384,7 +374,7 @@ def encode_contexts(
 def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: ModelParams) -> Tensor:
     """Position-aware gate: fused = g * rally + (1 - g) * player."""
     gate_in = ad.concat([rally_ctx, player_ctx, pos_enc], axis=-1)
-    g = ad.sigmoid(ad.add(ad.matmul(gate_in, params["gate_w"]), params["gate_b"]))
+    g = ad.sigmoid(ad.linear(gate_in, params["gate_w"], params["gate_b"]))
     one_minus = ad.sub(Tensor(np.ones(g.shape)), g)
     return ad.add(ad.mul(g, rally_ctx), ad.mul(one_minus, player_ctx))
 
@@ -397,9 +387,9 @@ RHO_CAP = 1.0 - 1e-12
 
 def prediction_heads(fused: Tensor, params: ModelParams) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Per-position (type_probs, mu, log_sigma, rho) for a (..., n, d) fused tensor."""
-    logits = ad.add(ad.matmul(fused, params["type_head_w"]), params["type_head_b"])
+    logits = ad.linear(fused, params["type_head_w"], params["type_head_b"])
     probs = ad.softmax(logits, axis=-1)
-    area = ad.add(ad.matmul(fused, params["area_head_w"]), params["area_head_b"])
+    area = ad.linear(fused, params["area_head_w"], params["area_head_b"])
     mu = area[..., 0:2]
     log_sigma = ad.clip(area[..., 2:4], -LOG_SIGMA_RANGE, LOG_SIGMA_RANGE)
     rho = ad.scale(ad.tanh(area[..., 4]), RHO_CAP)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .court import CourtSpec, Player, Rally, ShotTypeVocab
+from .court import CourtSpec, Player, Rally, ShotTypeVocab, utf8_line_errors
 from .dataset import TAU, ParseError
 from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
@@ -473,7 +473,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     expected_header = prediction_header(vocab)
     rows: dict[str, dict[int, list[GeneratedStroke]]] = {}
     first_line: dict[int, int] = {}  # sample id -> the first line that has it
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
         header = fh.readline().strip()
         if header != expected_header:
             raise ValueError(f"prediction header does not match the vocabulary: {header!r}")

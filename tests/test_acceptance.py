@@ -121,6 +121,8 @@ def test_criterion_gradient_integrity():
         op_checks.test_grad_concat_slice(case)
         op_checks.test_grad_embedding_masked_fill(case)
         op_checks.test_grad_layer_norm(case)
+        op_checks.test_grad_attention(case)
+        op_checks.test_grad_linear(case)
         op_checks.test_grad_dropout_fixed_mask(case)
 
     # full model at d=4, V=4, 2 heads, sequence length 5

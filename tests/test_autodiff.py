@@ -68,6 +68,17 @@ def test_numeric_health_trips():
         ad.exp(Tensor([1000.0]))
 
 
+def test_fused_primitives_trip_on_overflow():
+    huge = Tensor(np.array([[1e200, -1e200, 1e200, -1e200], [1.0, 2.0, 3.0, 4.0]]))
+    with ad.no_tape(), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericHealthError, match="layer_norm"):  # the variance overflows; every row would read 0
+            ad.layer_norm(huge, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        with pytest.raises(NumericHealthError, match="attention"):
+            ad.attention(huge, huge, huge, np.zeros((2, 2), dtype=bool), 2)
+        with pytest.raises(NumericHealthError, match="linear"):
+            ad.linear(huge, Tensor(np.full((4, 1), 1e200)), Tensor(np.zeros(1)))
+
+
 def test_masked_fill_requires_matching_shape():
     with pytest.raises(ValueError):
         ad.masked_fill(Tensor(np.zeros((2, 2))), np.zeros((2, 3), dtype=bool))
@@ -214,6 +225,13 @@ def test_grad_softmax(case):
     x = _rand(rng, 3, 4)
     w = rng.normal(size=(3, 4))
     _check(lambda ts: ad.tsum(ad.mul(ad.softmax(ts[0], axis=-1), Tensor(w))), [x])
+    # rank 3 over each axis, with saturated rows: one logit 60 above the rest of its row
+    x3 = _rand(rng, 2, 3, 4)
+    x3[0, 1, int(rng.integers(4))] += 60.0
+    x3[1, :, 0] -= 55.0
+    w3 = rng.normal(size=x3.shape)
+    for axis in (-1, 1, 0):
+        _check(lambda ts, a=axis: ad.tsum(ad.mul(ad.softmax(ts[0], axis=a), Tensor(w3))), [x3])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -262,6 +280,82 @@ def test_grad_layer_norm(case):
     bias = _rand(rng, 5)
     w = rng.normal(size=(3, 5))
     _check(lambda ts: ad.tsum(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), Tensor(w))), [x, gain, bias])
+    # rank 3 with rows of different spreads, and a one-position sequence
+    for lead in ((2, 4), (1, 1)):
+        x3 = _rand(rng, *lead, 5) * np.array([1.0, 30.0, 0.1, 1.0])[: lead[1], None]
+        w3 = rng.normal(size=x3.shape)
+        _check(lambda ts: ad.tsum(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), Tensor(w3))), [x3, gain, bias])
+
+
+def _attention_inputs(rng, case):
+    """q, k, v, blocked and n_heads for one case, cycling through the shapes and masks the model meets.
+
+    Even cases are rank 2, odd cases rank 3; the kinds are a causal mask, a
+    one-position sequence, cached keys longer than the queries, key columns
+    no query may see, and rows whose scores saturate the softmax.
+    """
+    kind = case % 5
+    lead = () if case % 2 == 0 else (2,)
+    n_heads = 1 + (case // 5) % 2
+    n, m = {1: (1, 1), 2: (3, 7)}.get(kind, (4, 4))
+    q, k, v = _rand(rng, *lead, n, 4), _rand(rng, *lead, m, 4), _rand(rng, *lead, m, 4)
+    blocked = np.broadcast_to(~np.tril(np.ones((n, m), dtype=bool), m - n), lead + (n, m)).copy()
+    if kind == 3:
+        blocked[..., :, 1] = True  # no query sees key 1
+        blocked[..., 2, :] = True  # and query 2 sees nothing at all
+    if kind == 4:
+        # key j's columns sum to about 3j, so the scores of a row differ by far more than 50
+        q = np.full(lead + (n, 4), 40.0) + 0.1 * q
+        k = 3.0 * np.arange(m)[:, None] + 0.1 * k
+    return q, k, v, blocked, n_heads
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_grad_attention(case):
+    rng = np.random.default_rng(1100 + case)
+    q, k, v, blocked, n_heads = _attention_inputs(rng, case)
+    w = rng.normal(size=q.shape)
+    if case % 5 == 4:
+        dh = q.shape[-1] // n_heads
+        scores = q[..., :dh] @ np.swapaxes(k[..., :dh], -1, -2) / np.sqrt(dh)
+        top2 = np.sort(np.where(blocked, -np.inf, scores), axis=-1)[..., -2:]
+        assert (top2[..., 1] - top2[..., 0] > 50.0).all()
+    _check(lambda ts: ad.tsum(ad.mul(ad.attention(ts[0], ts[1], ts[2], blocked, n_heads), Tensor(w))), [q, k, v])
+    if q.shape == k.shape and case % 5 != 4:  # self-attention: one tensor feeds q, k and v, so its gradients add up
+        _check(lambda ts: ad.tsum(ad.mul(ad.attention(ts[0], ts[0], ts[0], blocked, n_heads), Tensor(w))), [q])
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_grad_linear(case):
+    rng = np.random.default_rng(1200 + case)
+    lead = (3,) if case % 2 == 0 else (2, 3)
+    x, wt, b = _rand(rng, *lead, 4), _rand(rng, 4, 5), _rand(rng, 5)
+    w = rng.normal(size=lead + (5,))
+    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1], ts[2]), Tensor(w))), [x, wt, b])
+
+
+def test_fused_primitives_evaluate_the_composite_expressions_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x, w, b = rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    assert np.array_equal(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    assert np.array_equal(ad.softmax(Tensor(x), axis=1).data, e / e.sum(axis=1, keepdims=True))
+
+
+def test_fused_primitives_reject_mismatched_shapes():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+    with pytest.raises(ValueError, match="mask shape"):
+        ad.attention(x, x, x, np.zeros((2, 3, 4), dtype=bool), 2)
+    with pytest.raises(ValueError, match="heads"):
+        ad.attention(x, x, x, np.zeros((2, 3, 3), dtype=bool), 3)
+    with pytest.raises(ValueError, match="attention shape"):
+        ad.attention(x, Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 4))), np.zeros((2, 3, 3), dtype=bool), 2)
+    with pytest.raises(ValueError, match="gain/bias"):
+        ad.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
 
 @pytest.mark.parametrize("case", range(N_CASES))

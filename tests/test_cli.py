@@ -75,6 +75,32 @@ def test_vocabulary_with_a_non_integer_type_id_exits_1_naming_its_line_and_field
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    # a missing column reached the CLI as a bare KeyError and exited 2
+    ("type_id,name\n0,long service\n1,net shot\n", "line 1: missing column is_serve; the header must be type_id,name,is_serve"),
+    # a short row read its missing cell as None and died with an AttributeError traceback
+    ("type_id,name,is_serve\n0,long service\n1,net shot,false\n", "line 2: expected 3 cells"),
+], ids=["missing_column", "short_row"])
+def test_vocabulary_with_a_missing_column_or_cell_exits_1_naming_it(tmp_path, text, message):
+    vocab = tmp_path / "vocab.csv"
+    vocab.write_text(text, encoding="utf-8")
+    out = run_cli("validate", "--data", CORPUS32, "--vocab", vocab)
+    assert out.returncode == 1, out.stderr
+    assert f"{vocab}: {message}" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_prediction_file_with_a_byte_that_is_not_utf8_exits_1_naming_its_line(tmp_path):
+    lines = (HAND_SCORED / "predictions.csv").read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b",", b"\xff,", 1)  # in the rally id of line 6
+    damaged = tmp_path / "damaged.csv"
+    damaged.write_bytes(b"".join(lines))
+    out = run_cli("score", "--predictions", damaged, "--truth", HAND_SCORED / "truth.csv")
+    assert out.returncode == 1, out.stderr
+    assert f"{damaged}: line 6: byte 0xff is not UTF-8" in out.stderr
+    assert "Traceback" not in out.stderr and "Score" not in out.stdout
+
+
 @pytest.mark.parametrize("command, flag", [
     (["predict", "--checkpoint", "m.ckpt", "--data", "d.csv", "--out", "p.csv"], ["--vocab", "/nonexistent/vocab.csv"]),
     (["validate", "--data", "d.csv"], ["--seed", "1"]),

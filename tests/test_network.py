@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rallycast import autodiff as ad, network
 from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
 from rallycast.court import CourtSpec, Player, ShotTypeVocab
-from rallycast.dataset import ParseError
+from rallycast.dataset import FilterPolicy, ParseError, filter_training, parse_dataset, split
 from rallycast.network import (
     CACHE_BLOCK,
     Forecaster,
@@ -236,9 +236,11 @@ def test_one_pass_context_gradients_equal_two_passes(n_layers, batch, dropout_ra
         assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
 
 
-# a teacher-forced forward at overfit.cfg width in training mode; the
-# two-pass encoder took 160 primitive ops
-FORWARD_OP_BUDGET = 103
+# a teacher-forced forward at overfit.cfg width in training mode takes 48
+# primitive ops with the fused layer norm, softmax, attention and linear
+# primitives; the one-pass encoder built from elementary ops took 103, and
+# the two-pass encoder 160
+FORWARD_OP_BUDGET = 50
 
 
 def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
@@ -251,6 +253,134 @@ def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
     monkeypatch.setattr(ad, "_make", lambda *args: made.append(args[-1]) or make(*args))
     forward_teacher_forced(model, rally, training=True, rng=np.random.default_rng(0))
     assert 0 < len(made) <= FORWARD_OP_BUDGET, f"{len(made)} ops: {sorted(set(made))}"
+
+
+# the tape of one 16-rally batch of overfit.cfg training on corpus32, loss
+# included, measured at 921 nodes; with layer norm, softmax, attention and
+# the affine maps built from elementary ops it was 1,881
+TAPE_NODE_BUDGET = 921
+
+
+def test_a_corpus32_batch_stays_within_its_tape_budget():
+    vocab, court = ShotTypeVocab.default(), CourtSpec()
+    rallies, _, _ = parse_dataset(FIXTURES / "corpus32.csv", vocab, court, write_rejects=False)
+    kept, _ = filter_training(rallies, FilterPolicy())
+    batch = split(kept, 0.8, 7)[0][:16]
+    index = build_player_index(batch)
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=1, dropout_rate=0.2, vocab_size=vocab.size, n_players=len(index))
+    model = Forecaster(init_params(config, 7), config, court, vocab, index)
+    heads = [forward_teacher_forced(model, r, training=True, rng=np.random.default_rng(i)) for i, r in enumerate(batch)]
+    targets = [s for r in batch for s in r.strokes[config.tau :]]
+    tape = backward(step_loss(heads, targets, court).node)
+    assert len(batch) == 16 and 0 < len(tape) <= TAPE_NODE_BUDGET, f"{len(tape)} tape nodes"
+
+
+# ---------------------------------------------------------------------------
+# the fused encoder against plain numpy
+# ---------------------------------------------------------------------------
+
+def _np_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _np_layer_norm(x, gain, bias):
+    inv_d = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_d
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    return centered / np.sqrt(var + 1e-5) * gain + bias
+
+
+def _np_attention(x, allowed, w, layer, config, kv=None):
+    """Multi-head attention as a loop over heads of plain-numpy scores, scale, mask, softmax and weighted sum.
+
+    Each head's slices and transposed keys are contiguous copies, as the
+    per-head loop of elementary ops made them, so every product sees the
+    memory layout it had there.
+    """
+    p = f"enc{layer}_"
+    q, k, v = x @ w[p + "wq"], x @ w[p + "wk"], x @ w[p + "wv"]
+    if kv is not None:
+        k, v = np.concatenate([kv[0], k], axis=-2), np.concatenate([kv[1], v], axis=-2)
+    dh = x.shape[-1] // config.n_heads
+    heads = []
+    for h in range(config.n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, kh, vh = q[..., cols].copy(), k[..., cols].copy(), v[..., cols].copy()
+        scores = (qh @ np.swapaxes(kh, -1, -2).copy()) * float(1.0 / np.sqrt(dh))
+        heads.append(_np_softmax(np.where(allowed, scores, ad.NEG_MASK_VALUE)) @ vh)
+    return np.concatenate(heads, axis=-1) @ w[p + "wo"] + w[p + "bo"]
+
+
+def _np_encoder(x, allowed, w, config, uniforms, kv=None):
+    """The encoder layers on plain arrays; uniforms[2i] and uniforms[2i + 1] drive layer i's dropouts."""
+
+    def drop(a, u):
+        return a if u is None else a * ((u >= config.dropout_rate) / (1.0 - config.dropout_rate))
+
+    for i in range(config.n_layers):
+        p = f"enc{i}_"
+        att = drop(_np_attention(x, allowed, w, i, config, None if kv is None else kv[i]), None if uniforms is None else uniforms[2 * i])
+        x = _np_layer_norm(x + att, w[p + "ln1_g"], w[p + "ln1_b"])
+        hidden = x @ w[p + "ffn_w1"] + w[p + "ffn_b1"]
+        ff = np.where(hidden > 0, hidden, 0.0) @ w[p + "ffn_w2"] + w[p + "ffn_b2"]
+        x = _np_layer_norm(x + drop(ff, None if uniforms is None else uniforms[2 * i + 1]), w[p + "ln2_g"], w[p + "ln2_b"])
+    return x
+
+
+def _np_encode_contexts(x, hitters, w, config, rng=None, cached=None):
+    """Both contexts from one plain-numpy pass over [x, x]; cached is (hitters, kv) of positions before x's."""
+    single = x.ndim == 2
+    if single:
+        x, hitters = x[None], hitters[None]
+    every = hitters if cached is None else np.concatenate([cached[0], hitters], axis=-1)
+    n_new, n = hitters.shape[-1], every.shape[-1]
+    same = hitters[..., :, None] == every[..., None, :]
+    causal = np.broadcast_to(np.tril(np.ones((n_new, n), dtype=bool), n - n_new), same.shape)
+    uniforms = None if rng is None else np.concatenate(rng.random((2, 2 * config.n_layers) + x.shape), axis=1)
+    out = _np_encoder(np.concatenate([x, x]), np.concatenate([causal, causal & same]), w, config, uniforms, None if cached is None else cached[1])
+    b = len(hitters)
+    return (out[0], out[1]) if single else (out[:b], out[b:])
+
+
+@pytest.mark.parametrize("n_layers,batch,dropout_rate", CONTEXT_CASES)
+def test_fused_encoder_equals_a_plain_numpy_reference_bit_for_bit(n_layers, batch, dropout_rate):
+    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate)
+    w = {name: params[name].data for name in params.names()}
+    allowed = np.broadcast_to(np.tril(np.ones((6, 6), dtype=bool)), hitters.shape + (6,))
+    got = network._attention(Tensor(x), allowed, params, 0, config).data
+    assert np.array_equal(got, _np_attention(x, allowed, w, 0, config))
+    for training in (False, True):
+        rng = np.random.default_rng(7) if training else None
+        got = encode_contexts(Tensor(x), hitters, params, config, rng)
+        want = _np_encode_contexts(x, hitters, w, config, np.random.default_rng(7) if training else None)
+        for g, ref in zip(got, want):
+            assert np.array_equal(g.data, ref), (training, n_layers, batch, dropout_rate)
+
+
+def test_fused_cached_step_equals_a_plain_numpy_reference_bit_for_bit():
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10)
+    params = init_params(config, 5)
+    w = {name: params[name].data for name in params.names()}
+    rng = np.random.default_rng(11)
+    width = CACHE_BLOCK + 5
+    x, hitters = rng.normal(size=(3, width, config.embed_dim)), rng.random((3, width)) < 0.5
+    cache = KVCache(3, config)
+    with ad.no_tape():
+        encode_contexts(Tensor(x[:, : CACHE_BLOCK + 2]), hitters[:, : CACHE_BLOCK + 2], params, config, cache=cache)
+        assert cache.length == CACHE_BLOCK
+        cached = (cache.hitters, [list(layer) for layer in cache.kv])
+        # one attention layer over cached keys: 5 queries against 13 keys
+        allowed = np.tril(np.ones((5, width), dtype=bool), width - 5)
+        x_new = np.concatenate([x[:, CACHE_BLOCK:], x[:, CACHE_BLOCK:]])
+        allowed = np.broadcast_to(allowed, (6, 5, width))
+        got = network._attention(Tensor(x_new), allowed, params, 0, config, list(cache.kv[0])).data
+        want = _np_attention(x_new, allowed, w, 0, config, cached[1][0])
+        assert np.array_equal(got, want)
+        got = encode_contexts(Tensor(x[:, CACHE_BLOCK:]), hitters[:, CACHE_BLOCK:], params, config, cache=cache)
+    want = _np_encode_contexts(x[:, CACHE_BLOCK:], hitters[:, CACHE_BLOCK:], w, config, cached=cached)
+    for g, ref in zip(got, want):
+        assert np.array_equal(g.data, ref)
 
 
 # ---------------------------------------------------------------------------
