@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .court import N_ZONES, CourtSpec, Player, Rally, ShotTypeVocab, coord_to_zone
-from .scoring import PredictionFile
+from .court import N_ZONES, CourtSpec, Player, Rally, ShotTypeVocab, coord_to_zones
+from .scoring import PredictionFile, run_starts
 
 GROUPINGS = ("ball_round", "player", "landing_zone", "player_location_zone")
 
@@ -67,18 +67,18 @@ def shot_distribution(
     if group_by not in GROUPINGS:
         raise ValueError(f"group_by must be one of {GROUPINGS}, got {group_by!r}")
     court = court or CourtSpec()
+    strokes = [s for r in rallies for s in r.strokes]
+    if group_by == "ball_round":
+        keys = [s.round_index for s in strokes]
+    elif group_by == "player":
+        keys = [r.name_of(s.player) for r in rallies for s in r.strokes]
+    elif group_by == "landing_zone":
+        keys = coord_to_zones([s.landing for s in strokes], court, Player.B).tolist()
+    else:
+        keys = coord_to_zones([s.player_location for s in strokes], court, Player.A).tolist()
     counts: dict[str, Counter[int]] = defaultdict(Counter)
-    for r in rallies:
-        for s in r.strokes:
-            if group_by == "ball_round":
-                key = str(s.round_index)
-            elif group_by == "player":
-                key = r.name_of(s.player)
-            elif group_by == "landing_zone":
-                key = str(coord_to_zone(s.landing, court, Player.B))
-            else:
-                key = str(coord_to_zone(s.player_location, court, Player.A))
-            counts[key][s.shot_type] += 1
+    for key, s in zip(keys, strokes):
+        counts[str(key)][s.shot_type] += 1
     rows: list[DistRow] = []
     sort_key = _group_sort_key(group_by)
     for key in sorted(counts, key=sort_key):
@@ -98,6 +98,19 @@ class VoteResult:
     votes: int
 
 
+def _normalized(pred: PredictionFile) -> np.ndarray:
+    """Every probability row divided by its sum (the file format quantizes them to six decimals)."""
+    return pred.probs / pred.probs.sum(axis=1, keepdims=True)
+
+
+def _running_sum(rows: np.ndarray) -> np.ndarray:
+    """0.0 + rows[0] + rows[1] + ..., added in row order as a loop of += from zeros adds them.
+
+    The + 0.0 turns a column of only negative zeros into 0.0, as that loop does.
+    """
+    return np.cumsum(rows, axis=0)[-1] + 0.0
+
+
 def predicted_type_vote(pred: PredictionFile, vocab: ShotTypeVocab) -> tuple[list[VoteResult], DistributionTable]:
     """Majority vote over each stroke's per-sample argmax types.
 
@@ -105,27 +118,31 @@ def predicted_type_vote(pred: PredictionFile, vocab: ShotTypeVocab) -> tuple[lis
     then by the lower type id. Probability rows are renormalized before use
     (the file format quantizes them to six decimals).
     """
-    winners: list[VoteResult] = []
-    aggregate: Counter[int] = Counter()
-    for rally_id in pred.rows:
-        per_sample = pred.rows[rally_id]
-        rounds = sorted({g.round_index for suffix in per_sample.values() for g in suffix})
-        by_round: dict[int, list[np.ndarray]] = {r: [] for r in rounds}
-        for sample_id in sorted(per_sample):
-            for g in per_sample[sample_id]:
-                by_round[g.round_index].append(g.type_probs / g.type_probs.sum())
-        for ball_round in rounds:
-            vectors = by_round[ball_round]
-            votes = Counter(int(np.argmax(v)) for v in vectors)
-            summed = np.sum(vectors, axis=0)
-            best = max(votes, key=lambda t: (votes[t], summed[t], -t))
-            winners.append(VoteResult(rally_id, ball_round, best, vocab.name_of(best), votes[best]))
-            aggregate[best] += 1
-    total = sum(aggregate.values())
-    rows = [
-        DistRow("all", vocab.name_of(t), aggregate[t], aggregate[t] / total)
-        for t in sorted(aggregate)
+    # a stroke is a (rally, round); its rows run by sample id, then in file order
+    order = np.lexsort((pred.sample_ids, pred.rounds, pred.rally_index))
+    vectors = _normalized(pred)[order]
+    rally_index, rounds = pred.rally_index[order], pred.rounds[order]
+    new = run_starts(rally_index, rounds)
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(order)))
+    votes = np.zeros((len(starts), vocab.size), dtype=np.int64)
+    np.add.at(votes, (np.cumsum(new) - 1, vectors.argmax(axis=1)), 1)
+    summed = vectors[starts]  # summed left to right, one sample position at a time
+    for j in range(1, int(sizes.max(initial=0))):
+        live = np.flatnonzero(sizes > j)
+        summed[live] += vectors[starts[live] + j]
+    tied = votes == votes.max(axis=1, keepdims=True)
+    mass = np.where(tied, summed, -np.inf)
+    tied &= mass == mass.max(axis=1, keepdims=True)
+    best = tied.argmax(axis=1)
+    counts = votes[np.arange(len(best)), best].tolist()
+    winners = [
+        VoteResult(pred.rally_ids[r], ball_round, t, vocab.name_of(t), n)
+        for r, ball_round, t, n in zip(rally_index[starts].tolist(), rounds[starts].tolist(), best.tolist(), counts)
     ]
+    aggregate = np.bincount(best, minlength=vocab.size).tolist()
+    total = len(winners)
+    rows = [DistRow("all", vocab.name_of(t), c, c / total) for t, c in enumerate(aggregate) if c]
     return winners, DistributionTable("final_type", rows)
 
 
@@ -144,15 +161,11 @@ class ZoneHistogram:
 def landing_zone_distribution(pred: PredictionFile, court: CourtSpec | None = None) -> ZoneHistogram:
     """Zone histogram over every sample of every predicted stroke."""
     court = court or CourtSpec()
-    counts = {z: 0 for z in range(1, N_ZONES + 1)}
-    total = 0
-    for per_sample in pred.rows.values():
-        for suffix in per_sample.values():
-            for g in suffix:
-                counts[coord_to_zone(g.landing, court, Player.B)] += 1
-                total += 1
+    zones = coord_to_zones(pred.landings, court, Player.B)
+    total = len(zones)
     if total == 0:
         raise ValueError("prediction file has no strokes")
+    counts = dict(enumerate(np.bincount(zones, minlength=N_ZONES + 1)[1:].tolist(), start=1))
     return ZoneHistogram(counts, {z: c / total for z, c in counts.items()})
 
 
@@ -174,29 +187,19 @@ class RoundTrend:
 
 def round_trend(pred: PredictionFile, vocab: ShotTypeVocab) -> RoundTrend:
     """Per-round mean of the predicted type distribution over all samples."""
-    sums: dict[int, np.ndarray] = defaultdict(lambda: np.zeros(vocab.size))
-    counts: Counter[int] = Counter()
-    for per_sample in pred.rows.values():
-        for suffix in per_sample.values():
-            for g in suffix:
-                sums[g.round_index] += g.type_probs / g.type_probs.sum()
-                counts[g.round_index] += 1
-    rounds = sorted(sums)
-    matrix = np.stack([sums[r] / counts[r] for r in rounds])
-    return RoundTrend(rounds, [e.name for e in vocab.entries], matrix)
+    order = np.argsort(pred.rounds, kind="stable")
+    vectors = _normalized(pred)[order]
+    rounds, starts, counts = np.unique(pred.rounds[order], return_index=True, return_counts=True)
+    means = [_running_sum(vectors[s : s + c]) / c for s, c in zip(starts.tolist(), counts.tolist())]
+    return RoundTrend(rounds.tolist(), [e.name for e in vocab.entries], np.stack(means))
 
 
 def mean_probability(pred: PredictionFile, vocab: ShotTypeVocab) -> dict[str, float]:
     """Mean predicted probability per type over every stroke and sample."""
-    total = np.zeros(vocab.size)
-    count = 0
-    for per_sample in pred.rows.values():
-        for suffix in per_sample.values():
-            for g in suffix:
-                total += g.type_probs / g.type_probs.sum()
-                count += 1
+    count = len(pred.probs)
     if count == 0:
         raise ValueError("prediction file has no strokes")
+    total = _running_sum(_normalized(pred))
     return {e.name: float(total[e.type_id] / count) for e in vocab.entries}
 
 

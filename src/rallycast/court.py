@@ -18,6 +18,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 DEFAULT_WIDTH_M = 6.1
 DEFAULT_LENGTH_M = 13.4
 
@@ -203,26 +205,37 @@ def coord_to_zone(landing: tuple[float, float], court: CourtSpec, receiver_side:
     Side A occupies the low-y half, side B the high-y half. Zones 1..9 are a
     3x3 grid oriented from the receiver's point of view (row 0 nearest the
     net, column 0 on the receiver's left); zone 10 is anything outside the
-    receiver's half, including the far half and out-of-court points.
+    receiver's half, including the far half and out-of-court points. This is
+    the one-point case of coord_to_zones.
     """
     x, y = landing
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite landing coordinate: {landing!r}")
+    return int(coord_to_zones(np.array([[x, y]], dtype=np.float64), court, receiver_side)[0])
+
+
+def coord_to_zones(points: np.ndarray, court: CourtSpec, receiver_side: Player) -> np.ndarray:
+    """coord_to_zone of every row of an (n, 2) array of points, as an (n,) int array."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        x, y = points[np.argmin(finite)].tolist()
+        raise ValueError(f"non-finite landing coordinate: {(x, y)!r}")
+    x, y = points[:, 0], points[:, 1]
     w, l = court.width_m, court.length_m
     half = l / 2
     if receiver_side is Player.B:
-        if not (0.0 <= x <= w and half <= y <= l):
-            return ZONE_OUT
+        inside = (0.0 <= x) & (x <= w) & (half <= y) & (y <= l)
         depth = y - half  # distance past the net
         left = w - x  # receiver faces -y, so their left is the +x sideline
     else:
-        if not (0.0 <= x <= w and 0.0 <= y <= half):
-            return ZONE_OUT
+        inside = (0.0 <= x) & (x <= w) & (0.0 <= y) & (y <= half)
         depth = half - y
         left = x
-    row = 0 if depth <= l / 6 else (1 if depth <= l / 3 else 2)
-    col = 0 if left <= w / 3 else (1 if left <= 2 * w / 3 else 2)
-    return 3 * row + col + 1
+    # a point on a row or column boundary takes the lower zone id
+    row = (depth > l / 6).astype(np.int64) + (depth > l / 3)
+    col = (left > w / 3).astype(np.int64) + (left > 2 * w / 3)
+    return np.where(inside, 3 * row + col + 1, ZONE_OUT)
 
 
 @dataclass(frozen=True)

@@ -259,11 +259,12 @@ class KVCache:
 
 
 def embed_strokes(
-    inputs: StrokeInputs, params: ModelParams, config: ModelConfig, start: int = 0
+    inputs: StrokeInputs, params: ModelParams, config: ModelConfig, pe: np.ndarray | None = None
 ) -> tuple[Tensor, Tensor]:
     """Per-stroke shot and area channels, positional encoding included; shape (..., n, d).
 
-    The strokes sit at positions start .. start+n-1 of their histories.
+    pe holds the (n, d) sinusoidal encodings of the strokes' positions in
+    their histories; by default the strokes sit at positions 0 .. n-1.
     """
     if inputs.player_ids.max() > config.n_players or inputs.player_ids.min() < 0:
         raise ValueError("player id outside the embedding table")
@@ -282,7 +283,7 @@ def embed_strokes(
         shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(ad.relu(area_proj), player_e)
 
-    pe = Tensor(sinusoidal_encoding(start + inputs.type_ids.shape[-1], config.embed_dim, start))
+    pe = Tensor(sinusoidal_encoding(inputs.type_ids.shape[-1], config.embed_dim) if pe is None else pe)
     return ad.add(shot_channel, pe), ad.add(area_channel, pe)
 
 
@@ -444,11 +445,11 @@ class Forecaster:
             if inputs.type_ids.ndim != 2 or len(inputs.type_ids) != len(cache.hitters):
                 raise ValueError("a cached forward takes (B, n) inputs for the cache's B histories")
             start = cache.length
-        shot_ch, area_ch = embed_strokes(inputs, self.params, self.config, start)
+        pe = sinusoidal_encoding(start + inputs.type_ids.shape[-1], self.config.embed_dim, start)
+        shot_ch, area_ch = embed_strokes(inputs, self.params, self.config, pe)
         x = ad.scale(ad.add(shot_ch, area_ch), 0.5)
         drop_rng = rng if training else None
         rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, drop_rng, cache)
-        pe = sinusoidal_encoding(start + x.shape[-2], self.config.embed_dim, start)
         fused = fuse_contexts(rally_ctx, player_ctx, Tensor(np.broadcast_to(pe, x.shape)), self.params)
         return prediction_heads(fused, self.params)
 

@@ -9,16 +9,18 @@ independently sampled sets.
 
 Generated strokes are quantized to six decimal places (the prediction-file
 format) at generation time, so scoring a file and scoring in memory agree
-bit for bit.
+bit for bit. Scoring, export and import hold sample sets and prediction
+files as columns (SampleSets, PredictionFile), not as an object per stroke.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, cycle, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .seeding import TAG_EVAL
 
 PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
 EXPECTED_SAMPLE_SETS = 6
+PARSE_BLOCK_LINES = 4096  # prediction-file lines parsed and checked, or rows formatted, as one block
 
 
 def quantize6(v: float) -> float:
@@ -71,7 +74,7 @@ def quantize_simplex(probs: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratedStroke:
     """One sampled future stroke plus the full predictive type distribution."""
 
@@ -246,15 +249,114 @@ def _draw_strokes(
 
 
 # ---------------------------------------------------------------------------
+# sample sets as columns
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SampleSets:
+    """k sample sets over the same R rallies, held as columns.
+
+    Rows run [set][rally][stroke]: set 1's suffix of the first rally, then of
+    the second, and so on, then set 2's.
+    """
+
+    lengths: np.ndarray  # (k, R) strokes in each set's suffix of each rally
+    rounds: np.ndarray  # (M,) ball rounds
+    landings: np.ndarray  # (M, 2) meters
+    probs: np.ndarray  # (M, V) predicted type distributions
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @classmethod
+    def from_nested(cls, sets: Sequence[Sequence[Sequence[GeneratedStroke]]]) -> "SampleSets":
+        """Columns of [set][rally][stroke] lists, as generate_sample_sets returns them."""
+        n_rallies = {len(one) for one in sets}
+        if len(n_rallies) > 1:
+            raise ValueError(f"sample sets cover different numbers of rallies: {sorted(n_rallies)}")
+        strokes = [g for one in sets for suffix in one for g in suffix]
+        lengths = np.array([[len(suffix) for suffix in one] for one in sets], dtype=np.int64)
+        return cls(
+            lengths.reshape(len(sets), len(sets[0]) if sets else 0),
+            np.array([g.round_index for g in strokes], dtype=np.int64),
+            np.array([g.landing for g in strokes], dtype=np.float64).reshape(len(strokes), 2),
+            np.array([g.type_probs for g in strokes], dtype=np.float64) if strokes else np.zeros((0, 0)),
+        )
+
+
+def _as_sample_sets(sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]]) -> SampleSets:
+    return sets if isinstance(sets, SampleSets) else SampleSets.from_nested(sets)
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True at the first row and at every row whose keys differ from the row before's."""
+    new = np.ones(len(keys[0]), dtype=bool)
+    new[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return new
+
+
+def _segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Row indices of the segments [start, start + length), concatenated in the given order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
+# ---------------------------------------------------------------------------
 # the CE + MAE metric
 # ---------------------------------------------------------------------------
 
+def _stroke_losses(sets: SampleSets, truths: Sequence[Rally], tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, N) per-stroke CE + L1 losses of every set, and the (R,) suffix length of each rally.
+
+    Every set's suffix of a rally must cover the rally's rounds tau+1..n, so
+    all sets share one layout of N strokes.
+    """
+    k, n_rallies = sets.lengths.shape
+    if n_rallies != len(truths):
+        raise ValueError(f"sample set covers {n_rallies} rallies, ground truth has {len(truths)}")
+    suffix = np.array([max(len(r) - tau, 0) for r in truths], dtype=np.int64)
+    flat = sets.lengths.ravel()
+    starts = np.cumsum(flat) - flat
+    position = np.arange(len(sets.rounds)) - np.repeat(starts, flat)
+    off_rows = np.repeat(np.arange(flat.size), flat)[sets.rounds != position + tau + 1]
+    bad = (sets.lengths != suffix).ravel() | (np.bincount(off_rows, minlength=flat.size) > 0)
+    if bad.any():
+        seg = int(np.argmax(bad))
+        rally = truths[seg % n_rallies]
+        got = sets.rounds[starts[seg] : starts[seg] + flat[seg]].tolist()
+        expected = list(range(tau + 1, len(rally) + 1))
+        raise ValueError(f"rally {rally.rally_id}: predictions cover rounds {got}, expected {expected}")
+    future = [s for r in truths for s in r.strokes[tau:]]
+    n = len(future)
+    if n == 0:
+        raise ValueError("no predicted strokes to score")
+    true_types = np.tile(np.array([s.shot_type for s in future], dtype=np.int64), k)
+    true_xy = np.tile(np.array([s.landing for s in future], dtype=np.float64), (k, 1))
+    p_true = np.maximum(sets.probs[np.arange(k * n), true_types], PROB_FLOOR)
+    ce = -np.fromiter(map(math.log, p_true.tolist()), dtype=np.float64, count=k * n)
+    mae = np.abs(true_xy[:, 0] - sets.landings[:, 0]) + np.abs(true_xy[:, 1] - sets.landings[:, 1])
+    return (ce + mae).reshape(k, n), suffix
+
+
+def _rally_sums(losses: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """(k, R) sums of each rally's stroke losses, added left to right as Python's sum does.
+
+    One step per stroke position, each across every set and every rally that
+    long.
+    """
+    starts = np.cumsum(suffix) - suffix
+    sums = np.zeros((len(losses), len(suffix)))
+    for j in range(int(suffix.max(initial=0))):
+        live = np.flatnonzero(suffix > j)
+        sums[:, live] += losses[:, starts[live] + j]
+    return sums
+
+
 @dataclass
 class SetEvaluation:
-    """Per-rally and per-stroke losses of one sample set."""
+    """Per-rally losses of one sample set."""
 
     rally_sums: np.ndarray  # (R,) summed stroke losses per rally
-    stroke_losses: list[list[tuple[int, float]]]  # per rally: (ball_round, loss)
     n_strokes: int
 
     @property
@@ -265,30 +367,8 @@ class SetEvaluation:
 def evaluate_sample_set(
     samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = TAU
 ) -> SetEvaluation:
-    if len(samples) != len(truths):
-        raise ValueError(f"sample set covers {len(samples)} rallies, ground truth has {len(truths)}")
-    rally_sums = np.zeros(len(truths))
-    stroke_losses: list[list[tuple[int, float]]] = []
-    n_strokes = 0
-    for i, (suffix, rally) in enumerate(zip(samples, truths)):
-        expected = list(range(tau + 1, len(rally) + 1))
-        got = [g.round_index for g in suffix]
-        if got != expected:
-            raise ValueError(
-                f"rally {rally.rally_id}: predictions cover rounds {got}, expected {expected}"
-            )
-        per_stroke: list[tuple[int, float]] = []
-        for g, truth in zip(suffix, rally.strokes[tau:]):
-            p_true = float(g.type_probs[truth.shot_type])
-            ce = -math.log(max(p_true, PROB_FLOOR))
-            mae = abs(truth.landing[0] - g.landing[0]) + abs(truth.landing[1] - g.landing[1])
-            per_stroke.append((g.round_index, ce + mae))
-        rally_sums[i] = sum(loss for _, loss in per_stroke)
-        stroke_losses.append(per_stroke)
-        n_strokes += len(per_stroke)
-    if n_strokes == 0:
-        raise ValueError("no predicted strokes to score")
-    return SetEvaluation(rally_sums, stroke_losses, n_strokes)
+    losses, suffix = _stroke_losses(SampleSets.from_nested([samples]), truths, tau)
+    return SetEvaluation(_rally_sums(losses, suffix)[0], losses.shape[1])
 
 
 def sample_set_loss(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = TAU) -> float:
@@ -344,19 +424,20 @@ class ScoreReport:
 
 
 def score_sample_sets(
-    sets: Sequence[Sequence[Sequence[GeneratedStroke]]],
+    sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]],
     truths: Sequence[Rally],
     protocol: str = "min_of_sets",
     tau: int = TAU,
 ) -> ScoreReport:
-    """Score k sample sets under either aggregation protocol."""
+    """Score k sample sets, as columns or [set][rally][stroke] lists, under either aggregation protocol."""
     if protocol not in ("min_of_sets", "best_of_k"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    if not sets:
+    if not len(sets):
         raise ValueError("need at least one sample set")
-    evals = [evaluate_sample_set(s, truths, tau=tau) for s in sets]
-    n = evals[0].n_strokes
-    losses = [e.loss for e in evals]
+    stroke_losses, suffix = _stroke_losses(_as_sample_sets(sets), truths, tau)
+    rally_sums = _rally_sums(stroke_losses, suffix)  # (k, R)
+    n = stroke_losses.shape[1]
+    losses = [float(row.sum() / n) for row in rally_sums]
 
     if protocol == "min_of_sets":
         min_sets = score_min6(losses) if len(losses) == EXPECTED_SAMPLE_SETS else min(losses)
@@ -364,22 +445,19 @@ def score_sample_sets(
         min_sets = min(losses)
     assert all(min_sets <= l for l in losses)
 
-    per_rally_matrix = np.stack([e.rally_sums for e in evals])  # (k, R)
-    best_idx = np.argmin(per_rally_matrix, axis=0)
-    best_agg = float(per_rally_matrix.min(axis=0).sum() / n)
+    best_idx = np.argmin(rally_sums, axis=0)
+    best_agg = float(rally_sums.min(axis=0).sum() / n)
 
     # per-rally contributions and the round breakdown follow each rally's
-    # winning set so they describe the scored prediction, not a loser
-    per_rally: dict[str, float] = {}
-    round_sum: dict[int, float] = {}
-    round_count: dict[int, int] = {}
-    for i, rally in enumerate(truths):
-        e = evals[int(best_idx[i])]
-        per_rally[rally.rally_id] = float(e.rally_sums[i])
-        for ball_round, loss in e.stroke_losses[i]:
-            round_sum[ball_round] = round_sum.get(ball_round, 0.0) + loss
-            round_count[ball_round] = round_count.get(ball_round, 0) + 1
-    per_round = {r: round_sum[r] / round_count[r] for r in round_sum}
+    # winning set so they describe the scored prediction, not a loser;
+    # round sums accumulate rally by rally, as a loop over the rallies would
+    per_rally = {rally.rally_id: v for rally, v in zip(truths, rally_sums[best_idx, np.arange(len(truths))].tolist())}
+    rally_of_stroke = np.repeat(np.arange(len(truths)), suffix)
+    position = np.arange(n) - np.repeat(np.cumsum(suffix) - suffix, suffix)
+    round_sum = np.zeros(int(suffix.max()))
+    np.add.at(round_sum, position, stroke_losses[best_idx[rally_of_stroke], np.arange(n)])
+    round_mean = round_sum / np.bincount(position)
+    per_round = {tau + 1 + j: v for j, v in enumerate(round_mean.tolist())}
 
     score = min_sets if protocol == "min_of_sets" else best_agg
     return ScoreReport(
@@ -407,56 +485,121 @@ def prediction_header(vocab: ShotTypeVocab) -> str:
 
 def export_predictions(
     truths: Sequence[Rally],
-    sets: Sequence[Sequence[Sequence[GeneratedStroke]]],
+    sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]],
     vocab: ShotTypeVocab,
     path: str | Path,
 ) -> None:
-    """Write sampled suffix sets as a prediction CSV (6-decimal floats)."""
+    """Write sample sets, as columns or [set][rally][stroke] lists, as a prediction CSV (6-decimal floats)."""
     ids = [r.rally_id for r in truths]
     if len(set(ids)) != len(ids):
         raise ValueError("rally_ids must be unique to export predictions")
-    lines = [prediction_header(vocab)]
-    for i, rally in enumerate(truths):
-        for set_idx, sample_set in enumerate(sets, start=1):
-            for g in sample_set[i]:
-                cells = [
-                    rally.rally_id,
-                    str(set_idx),
-                    str(g.round_index),
-                    f"{g.landing[0]:.6f}",
-                    f"{g.landing[1]:.6f}",
-                ]
-                cells.extend(f"{p:.6f}" for p in g.type_probs)
-                lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sets = _as_sample_sets(sets)
+    k, n_rallies = sets.lengths.shape
+    if k and n_rallies != len(truths):
+        raise ValueError(f"sample set covers {n_rallies} rallies, ground truth has {len(truths)}")
+    # the file runs rally by rally, each rally's sets in order
+    by_rally = sets.lengths.T.ravel()
+    starts = (np.cumsum(sets.lengths) - sets.lengths.ravel()).reshape(k, n_rallies).T.ravel()
+    order = _segment_rows(starts, by_rally)
+    prefixes = [f"{rally_id},{set_idx}," for rally_id in ids for set_idx in range(1, k + 1)]
+    prefix_of_row = np.repeat(np.arange(len(prefixes)), by_rally)
+    row = "%s%d" + ",%.6f" * (2 + sets.probs.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(prediction_header(vocab) + "\n")
+        for block in range(0, len(order), PARSE_BLOCK_LINES):  # so that few rows are Python objects at once
+            rows = order[block : block + PARSE_BLOCK_LINES]
+            values = np.column_stack((sets.landings[rows], sets.probs[rows])).tolist()
+            prefix = prefix_of_row[block : block + PARSE_BLOCK_LINES].tolist()
+            rounds = sets.rounds[rows].tolist()
+            fh.write("".join([row % (prefixes[p], r, *v) for p, r, v in zip(prefix, rounds, values)]))
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictionFile:
-    """Parsed prediction CSV: rows grouped by rally and sample id."""
+    """A parsed prediction CSV as columns, one row per data line.
+
+    Rows run rally by rally in first-seen order, each rally's samples in
+    first-seen order, and each sample's strokes by ascending round, lines of
+    one round keeping their file order.
+    """
 
     vocab: ShotTypeVocab
     n_samples: int
-    rows: dict[str, dict[int, list[GeneratedStroke]]]  # rally_id -> sample_id -> suffix
+    rally_ids: list[str]  # in first-seen order
+    rally_index: np.ndarray  # (M,) each row's position in rally_ids
+    sample_ids: np.ndarray  # (M,)
+    rounds: np.ndarray  # (M,)
+    landings: np.ndarray  # (M, 2)
+    probs: np.ndarray  # (M, V)
 
-    def sample_sets(self, truths: Sequence[Rally]) -> list[list[list[GeneratedStroke]]]:
-        """Reshape to [sample][rally] order aligned with the given rallies."""
-        missing = [r.rally_id for r in truths if r.rally_id not in self.rows]
+    @classmethod
+    def from_columns(
+        cls,
+        vocab: ShotTypeVocab,
+        rally_ids: list[str],
+        rally_index: np.ndarray,
+        sample_ids: np.ndarray,
+        rounds: np.ndarray,
+        landings: np.ndarray,
+        probs: np.ndarray,
+    ) -> "PredictionFile":
+        """Group rows given in file order; rally_index numbers rallies in first-seen order."""
+        rally_index, sample_ids, rounds = (np.asarray(a, dtype=np.int64) for a in (rally_index, sample_ids, rounds))
+        # the first line of each row's (rally, sample) orders the samples of a rally
+        pair = np.lexsort((sample_ids, rally_index))
+        new = run_starts(rally_index[pair], sample_ids[pair])
+        first_line = np.empty_like(pair)
+        first_line[pair] = pair[new][np.cumsum(new) - 1]
+        order = np.lexsort((rounds, first_line, rally_index))
+        return cls(
+            vocab,
+            int(sample_ids.max(initial=0)),
+            rally_ids,
+            rally_index[order],
+            sample_ids[order],
+            rounds[order],
+            np.asarray(landings, dtype=np.float64)[order],
+            np.asarray(probs, dtype=np.float64)[order],
+        )
+
+    @cached_property
+    def rows(self) -> dict[str, dict[int, list[GeneratedStroke]]]:
+        """rally_id -> sample_id -> suffix, one GeneratedStroke per row, built on first use.
+
+        Each type_probs is a view of its row of probs.
+        """
+        out: dict[str, dict[int, list[GeneratedStroke]]] = {}
+        columns = zip(
+            self.rally_index.tolist(),
+            self.sample_ids.tolist(),
+            self.rounds.tolist(),
+            self.landings.tolist(),
+            self.probs.argmax(axis=1).tolist(),
+            self.probs,
+        )
+        for r, sample_id, ball_round, xy, type_id, probs in columns:
+            g = GeneratedStroke(ball_round, Player.A if ball_round % 2 == 1 else Player.B, type_id, tuple(xy), probs)
+            out.setdefault(self.rally_ids[r], {}).setdefault(sample_id, []).append(g)
+        return out
+
+    def sample_sets(self, truths: Sequence[Rally]) -> SampleSets:
+        """Sample sets 1..n_samples over the given rallies, in their order."""
+        index = {rally_id: i for i, rally_id in enumerate(self.rally_ids)}
+        missing = [r.rally_id for r in truths if r.rally_id not in index]
         if missing:
             raise ValueError(f"prediction file lacks rallies: {missing[:5]}")
-        sets = []
-        for sample_id in range(1, self.n_samples + 1):
-            one = []
-            for r in truths:
-                per_sample = self.rows[r.rally_id]
-                if sample_id not in per_sample:
-                    raise ValueError(f"rally {r.rally_id} lacks sample {sample_id}")
-                one.append(per_sample[sample_id])
-            sets.append(one)
-        return sets
-
-
-_ROUND = operator.attrgetter("round_index")
+        starts = np.flatnonzero(run_starts(self.rally_index, self.sample_ids))  # one run of rows per (rally, sample)
+        counts = np.diff(np.append(starts, len(self.rounds)))
+        sample_ids = self.sample_ids[starts]
+        table = np.full((self.n_samples, len(self.rally_ids)), -1)  # (sample, rally) -> its run of rows
+        named = np.flatnonzero((sample_ids >= 1) & (sample_ids <= self.n_samples))
+        table[sample_ids[named] - 1, self.rally_index[starts[named]]] = named
+        runs = table[:, [index[r.rally_id] for r in truths]]
+        if (runs < 0).any():
+            sample, rally = divmod(int(np.argmax(runs.ravel() < 0)), len(truths))
+            raise ValueError(f"rally {truths[rally].rally_id} lacks sample {sample + 1}")
+        rows = _segment_rows(starts[runs.ravel()], counts[runs.ravel()])
+        return SampleSets(counts[runs], self.rounds[rows], self.landings[rows], self.probs[rows])
 
 
 def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile:
@@ -466,72 +609,138 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     probabilities must lie in [0, 1] and sum to 1. A (rally, sample, round)
     may appear once, and the sample ids must run 1..k without a gap. A header
     that does not match the vocabulary raises ValueError.
+
+    Lines are parsed in blocks, each converted and checked as arrays; a block
+    that fails is read again line by line, which names the first bad line.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"prediction file not found: {path}")
     expected_header = prediction_header(vocab)
-    rows: dict[str, dict[int, list[GeneratedStroke]]] = {}
-    first_line: dict[int, int] = {}  # sample id -> the first line that has it
+    codes: dict[str, int] = {}  # rally id -> its position in first-seen order
+    blocks: list[tuple[np.ndarray, ...]] = []
     with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
         header = fh.readline().strip()
         if header != expected_header:
             raise ValueError(f"prediction header does not match the vocabulary: {header!r}")
-        for line_number, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 5 + vocab.size:
-                raise ParseError(f"line {line_number}: expected {5 + vocab.size} columns, found {len(cells)}")
-            rally_id = cells[0]
-            try:
-                sample_id, ball_round = int(cells[1]), int(cells[2])
-                landing = (float(cells[3]), float(cells[4]))
-                values = [float(c) for c in cells[5:]]
-            except ValueError as exc:
-                raise ParseError(f"line {line_number}: {exc}") from exc
-            if not (math.isfinite(landing[0]) and math.isfinite(landing[1])):
-                raise ParseError(f"line {line_number}: landing ({cells[3]}, {cells[4]}) is not finite")
-            for col, p in enumerate(values, start=5):
-                if not 0.0 <= p <= 1.0:  # NaN fails too
-                    raise ParseError(f"line {line_number}: {header.split(',')[col]} = {cells[col]} is not in [0, 1]")
-            probs = np.array(values)
-            if abs(probs.sum() - 1.0) > 1e-6:
-                raise ParseError(f"line {line_number}: probabilities sum to {probs.sum():.8f}")
-            if sample_id not in first_line:
-                if sample_id < 1:
-                    raise ParseError(f"line {line_number}: sample id {sample_id} is below 1")
-                first_line[sample_id] = line_number
-            g = GeneratedStroke(
-                round_index=ball_round,
-                player=Player.A if ball_round % 2 == 1 else Player.B,
-                type_id=int(np.argmax(probs)),
-                landing=landing,
-                type_probs=probs,
-            )
-            rows.setdefault(rally_id, {}).setdefault(sample_id, []).append(g)
-    ids = sorted(first_line)
-    n_samples = len(ids)
-    if ids and ids[-1] != n_samples:
-        gap = next(i for i, sample_id in enumerate(ids, start=1) if sample_id != i)
-        line_number, sample_id = min((line, sid) for sid, line in first_line.items() if sid > gap)
-        raise ParseError(f"line {line_number}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
-    for per_sample in rows.values():
-        for suffix in per_sample.values():
-            suffix.sort(key=_ROUND)
-            if len({g.round_index for g in suffix}) < len(suffix):
-                raise ParseError(_first_repeat(path))
-    return PredictionFile(vocab=vocab, n_samples=n_samples, rows=rows)
+        columns = header.split(",")
+        line_number = 2
+        huge_sample_id = False
+        for block in _line_blocks(fh):
+            arrays = _parse_block(block, len(columns), codes)
+            if arrays is None:
+                _check_lines(block, line_number, columns)
+                huge_sample_id = True  # its lines pass one at a time, so a sample id overflowed int64
+            else:
+                blocks.append(arrays)
+            line_number += len(block)
+    blocks.append(_parse_block([], len(columns), codes))  # columns even for a file without rows
+    rally_index, sample_ids, rounds, numbers = (np.concatenate(column) for column in zip(*blocks))
+    blocks.clear()
+    ids = np.unique(sample_ids)
+    if huge_sample_id or (len(ids) and ids[-1] != len(ids)):
+        raise ParseError(_grouping_error(path))
+    landings, probs = numbers[:, :2], numbers[:, 2:]
+    pred = PredictionFile.from_columns(vocab, list(codes), rally_index, sample_ids, rounds, landings, probs)
+    if not run_starts(pred.rally_index, pred.sample_ids, pred.rounds).all():
+        raise ParseError(_grouping_error(path))
+    return pred
 
 
-def _first_repeat(path: Path) -> str:
-    """Name the first line whose (rally, sample, round) an earlier line has.
+def _line_blocks(fh) -> Iterator[list[str]]:
+    """The file's remaining lines in blocks of PARSE_BLOCK_LINES.
 
-    Only a file known to repeat one is read again, so a valid file costs no
-    per-row record.
+    Before a byte that is not UTF-8 stops the read, the lines read so far
+    are handed on, so a bad row before it is still reported first.
     """
+    block: list[str] = []
+    try:
+        for line in fh:
+            block.append(line)
+            if len(block) == PARSE_BLOCK_LINES:
+                yield block
+                block = []
+    except UnicodeDecodeError:
+        yield block
+        raise
+    if block:
+        yield block
+
+
+def _parse_block(block: list[str], n_columns: int, codes: dict[str, int]) -> tuple[np.ndarray, ...] | None:
+    """(rally index, sample id, round, landings and probabilities) arrays of a block, or None if a check fails."""
+    lines = list(filter(None, map(str.strip, block)))
+    if set(map(str.count, lines, repeat(","))) - {n_columns - 1}:
+        return None
+    n = len(lines)
+    cells = ",".join(lines).split(",") if lines else []
+    numeric = cycle([False] * 3 + [True] * (n_columns - 3))
+    try:
+        sample_ids = np.fromiter(map(int, cells[1::n_columns]), dtype=np.int64, count=n)
+        rounds = np.fromiter(map(int, cells[2::n_columns]), dtype=np.int64, count=n)
+        numbers = np.fromiter(map(float, compress(cells, numeric)), dtype=np.float64, count=n * (n_columns - 3))
+    except (ValueError, OverflowError):
+        return None
+    numbers = numbers.reshape(n, n_columns - 3)
+    probs = numbers[:, 2:]
+    if not (
+        np.isfinite(numbers[:, :2]).all()
+        and ((probs >= 0.0) & (probs <= 1.0)).all()
+        and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6).all()
+        and (sample_ids >= 1).all()
+    ):
+        return None
+    rally_ids = cells[0::n_columns]
+    for rally_id in dict.fromkeys(rally_ids):
+        codes.setdefault(rally_id, len(codes))
+    rally_index = np.fromiter(map(codes.__getitem__, rally_ids), dtype=np.int64, count=n)
+    return rally_index, sample_ids, rounds, numbers
+
+
+def _check_lines(block: list[str], first_line: int, columns: list[str]) -> None:
+    """The checks of _parse_block, one line at a time: raises ParseError naming the first bad line.
+
+    Returns only for a block whose one fault is a sample id beyond int64, a
+    sample id that must skip one.
+    """
+    for line_number, line in enumerate(block, start=first_line):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ParseError(f"line {line_number}: expected {len(columns)} columns, found {len(cells)}")
+        try:
+            sample_id, ball_round = int(cells[1]), int(cells[2])
+            landing = (float(cells[3]), float(cells[4]))
+            values = [float(c) for c in cells[5:]]
+        except ValueError as exc:
+            raise ParseError(f"line {line_number}: {exc}") from exc
+        if not (math.isfinite(landing[0]) and math.isfinite(landing[1])):
+            raise ParseError(f"line {line_number}: landing ({cells[3]}, {cells[4]}) is not finite")
+        for col, p in enumerate(values, start=5):
+            if not 0.0 <= p <= 1.0:  # NaN fails too
+                raise ParseError(f"line {line_number}: {columns[col]} = {cells[col]} is not in [0, 1]")
+        total = np.array(values).sum()
+        if abs(total - 1.0) > 1e-6:
+            raise ParseError(f"line {line_number}: probabilities sum to {total:.8f}")
+        if sample_id < 1:
+            raise ParseError(f"line {line_number}: sample id {sample_id} is below 1")
+        if not -(2**63) <= ball_round < 2**63:
+            raise ParseError(f"line {line_number}: ball round {ball_round} does not fit in 64 bits")
+
+
+def _grouping_error(path: Path) -> str:
+    """The message for a file whose sample ids skip one or whose (rally, sample, round) repeats.
+
+    Sample ids are checked first: the message names the first line whose id
+    lies past the first unused one, else the first line that repeats an
+    earlier line's (rally, sample, round). Only a file known to have one of these faults is read again, so a valid
+    file costs no per-row record.
+    """
+    first_line: dict[int, int] = {}  # sample id -> the first line that has it
     seen: dict[tuple[str, int, int], int] = {}
+    repeat = None
     with open(path, newline="", encoding="utf-8") as fh:
         fh.readline()
         for line_number, line in enumerate(fh, start=2):
@@ -539,7 +748,13 @@ def _first_repeat(path: Path) -> str:
             if len(cells) < 3:
                 continue
             key = (cells[0], int(cells[1]), int(cells[2]))
-            if key in seen:
-                return f"line {line_number}: rally {key[0]} sample {key[1]} round {key[2]} repeats line {seen[key]}"
-            seen[key] = line_number
-    return f"{path}: a repeated round that a second read no longer finds; the file changed while it was read"
+            first_line.setdefault(key[1], line_number)
+            if repeat is None and key in seen:
+                repeat = f"line {line_number}: rally {key[0]} sample {key[1]} round {key[2]} repeats line {seen[key]}"
+            seen.setdefault(key, line_number)
+    ids = sorted(first_line)
+    if ids and ids[-1] != len(ids):
+        gap = next(i for i, sample_id in enumerate(ids, start=1) if sample_id != i)
+        line_number, sample_id = min((line, sid) for sid, line in first_line.items() if sid > gap)
+        return f"line {line_number}: sample id {sample_id} skips sample id {gap}; ids must run 1..k"
+    return repeat or f"{path}: a fault that a second read no longer finds; the file changed while it was read"

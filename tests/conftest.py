@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke
 from rallycast.network import Forecaster, ModelConfig, build_player_index, init_params
+from rallycast.scoring import PredictionFile
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -106,3 +107,18 @@ def zero_params(params):
     """Set every learnable array of a ModelParams to zero, in place."""
     for t in params.tensors.values():
         t.data[:] = 0.0
+
+
+def prediction_file(vocab, strokes_by_rally_sample):
+    """A PredictionFile of {(rally_id, sample_id): [GeneratedStroke, ...]}, rows in the dict's order."""
+    rally_ids = list(dict.fromkeys(rally_id for rally_id, _ in strokes_by_rally_sample))
+    rows = [(rally_ids.index(r), s, g) for (r, s), strokes in strokes_by_rally_sample.items() for g in strokes]
+    return PredictionFile.from_columns(
+        vocab,
+        rally_ids,
+        [r for r, _, _ in rows],
+        [s for _, s, _ in rows],
+        [g.round_index for _, _, g in rows],
+        np.array([g.landing for _, _, g in rows], dtype=float).reshape(len(rows), 2),
+        np.array([g.type_probs for _, _, g in rows], dtype=float).reshape(len(rows), vocab.size),
+    )

@@ -25,7 +25,6 @@ from rallycast.network import (
 )
 from rallycast.scoring import (
     GeneratedStroke,
-    PredictionFile,
     evaluate_sample_set,
     generate_suffix,
     import_predictions,
@@ -35,7 +34,7 @@ from rallycast.scoring import (
 )
 from rallycast.training import TrainConfig, eval_best_of_k, step_loss, train
 
-from conftest import FIXTURES, make_rally, random_rallies, tiny_model, zero_params
+from conftest import FIXTURES, make_rally, prediction_file, random_rallies, tiny_model, zero_params
 from metric_reference import reference_min6, reference_sample_set_loss
 import test_autodiff as op_checks
 
@@ -325,7 +324,7 @@ def test_criterion_analysis_partitions(corpus):
         )
         for _ in range(n)
     ]
-    hist = landing_zone_distribution(PredictionFile(vocab, 1, {"r": {1: strokes}}), court)
+    hist = landing_zone_distribution(prediction_file(vocab, {("r", 1): strokes}), court)
     deviation = max(abs(hist.fractions[z] - 1 / 9) for z in range(1, 10))
     ok &= deviation < 0.02 and hist.fractions[10] == 0.0
     _report("analysis-partitions", ok, f"fraction err={worst:.1e}, zone deviation={deviation:.4f} at n={n}")

@@ -1,26 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rallycast.analysis import (
     landing_zone_distribution,
+    mean_probability,
     predicted_type_vote,
     round_trend,
     shot_distribution,
 )
-from rallycast.court import Player
+from rallycast.court import CourtSpec, Player
 from rallycast.dataset import PlayerStyle, SynthConfig, synthesize_dataset
-from rallycast.scoring import GeneratedStroke, PredictionFile
+from rallycast.scoring import GeneratedStroke, import_predictions, prediction_header, quantize_simplex
 
-from conftest import make_rally
-
-
-def _pred_file(vocab, strokes_by_rally_sample):
-    rows = {}
-    n_samples = 0
-    for (rally_id, sample_id), strokes in strokes_by_rally_sample.items():
-        rows.setdefault(rally_id, {})[sample_id] = strokes
-        n_samples = max(n_samples, sample_id)
-    return PredictionFile(vocab=vocab, n_samples=n_samples, rows=rows)
+from analysis_reference import (
+    reference_mean_probability,
+    reference_round_trend,
+    reference_type_vote,
+    reference_zone_distribution,
+)
+from conftest import make_rally, prediction_file, small_vocab
 
 
 def _g(vocab, round_index, probs, landing=(3.0, 10.0)):
@@ -105,7 +105,7 @@ def test_vote_unanimous(vocab):
     probs = np.zeros(vocab.size)
     probs[3] = 0.7
     probs[4] = 0.3
-    pred = _pred_file(vocab, {("r1", s): [_g(vocab, 5, probs)] for s in range(1, 7)})
+    pred = prediction_file(vocab, {("r1", s): [_g(vocab, 5, probs)] for s in range(1, 7)})
     winners, table = predicted_type_vote(pred, vocab)
     assert len(winners) == 1
     assert winners[0].type_id == 3 and winners[0].votes == 6
@@ -124,7 +124,7 @@ def test_vote_tie_breaks_by_summed_probability(vocab):
     b[smash], b[net] = 0.26666666666666666, 0.6333333333333333
     b[vocab.id_of("drive")] = 1.0 - b[smash] - b[net]
     strokes = {("r1", s): [_g(vocab, 5, a if s <= 3 else b)] for s in range(1, 7)}
-    pred = _pred_file(vocab, strokes)
+    pred = prediction_file(vocab, strokes)
     winners, _ = predicted_type_vote(pred, vocab)
     total_smash = 3 * a[smash] + 3 * b[smash]
     total_net = 3 * a[net] + 3 * b[net]
@@ -140,7 +140,7 @@ def test_vote_tie_breaks_by_lower_type_id(vocab):
     b = np.zeros(vocab.size)
     b[t1], b[t2] = 0.25, 0.75
     strokes = {("r1", s): [_g(vocab, 5, a if s <= 3 else b)] for s in range(1, 7)}
-    winners, _ = predicted_type_vote(_pred_file(vocab, strokes), vocab)
+    winners, _ = predicted_type_vote(prediction_file(vocab, strokes), vocab)
     assert winners[0].type_id == t1  # counts and summed probs equal
 
 
@@ -151,7 +151,7 @@ def test_vote_aggregate_fractions_sum_to_one(vocab):
         for s in range(1, 7):
             probs = rng.dirichlet(np.ones(vocab.size))
             strokes[(f"r{r}", s)] = [_g(vocab, 5, probs), _g(vocab, 6, rng.dirichlet(np.ones(vocab.size)))]
-    _, table = predicted_type_vote(_pred_file(vocab, strokes), vocab)
+    _, table = predicted_type_vote(prediction_file(vocab, strokes), vocab)
     assert abs(sum(row.fraction for row in table.rows) - 1.0) < 1e-9
 
 
@@ -161,7 +161,7 @@ def test_vote_aggregate_fractions_sum_to_one(vocab):
 
 def test_zone_histogram_all_center(vocab, court):
     center = (court.width_m / 2, 3 * court.length_m / 4)
-    pred = _pred_file(vocab, {("r1", s): [_g(vocab, 5, np.ones(vocab.size) / vocab.size, center)] for s in range(1, 7)})
+    pred = prediction_file(vocab, {("r1", s): [_g(vocab, 5, np.ones(vocab.size) / vocab.size, center)] for s in range(1, 7)})
     hist = landing_zone_distribution(pred, court)
     assert hist.fractions[5] == 1.0
     assert sum(hist.counts.values()) == 6
@@ -169,7 +169,7 @@ def test_zone_histogram_all_center(vocab, court):
 
 def test_zone_histogram_all_out(vocab, court):
     out_point = (court.width_m / 2, court.length_m + 2.0)
-    pred = _pred_file(vocab, {("r1", 1): [_g(vocab, 5, np.ones(vocab.size) / vocab.size, out_point)]})
+    pred = prediction_file(vocab, {("r1", 1): [_g(vocab, 5, np.ones(vocab.size) / vocab.size, out_point)]})
     hist = landing_zone_distribution(pred, court)
     assert hist.fractions[10] == 1.0
 
@@ -182,7 +182,7 @@ def test_zone_histogram_uniform_points(vocab, court):
            (float(rng.uniform(0, court.width_m)), float(rng.uniform(court.length_m / 2, court.length_m))))
         for _ in range(n)
     ]
-    pred = _pred_file(vocab, {("r1", 1): strokes})
+    pred = prediction_file(vocab, {("r1", 1): strokes})
     # bypass round bookkeeping: histogram only reads landings
     hist = landing_zone_distribution(pred, court)
     for zone in range(1, 10):
@@ -198,7 +198,7 @@ def test_zone_histogram_uniform_points(vocab, court):
 def test_round_trend_single_prediction(vocab):
     probs = np.zeros(vocab.size)
     probs[2], probs[3] = 0.25, 0.75
-    trend = round_trend(_pred_file(vocab, {("r1", 1): [_g(vocab, 5, probs)]}), vocab)
+    trend = round_trend(prediction_file(vocab, {("r1", 1): [_g(vocab, 5, probs)]}), vocab)
     assert trend.rounds == [5]
     assert np.allclose(trend.matrix[0], probs)
 
@@ -211,20 +211,18 @@ def test_round_trend_rows_sum_to_one(vocab):
             strokes[(f"r{r}", s)] = [
                 _g(vocab, k, rng.dirichlet(np.ones(vocab.size))) for k in range(5, 5 + int(rng.integers(1, 4)))
             ]
-    trend = round_trend(_pred_file(vocab, strokes), vocab)
+    trend = round_trend(prediction_file(vocab, strokes), vocab)
     assert np.all(np.abs(trend.matrix.sum(axis=1) - 1.0) < 1e-9)
 
 
 def test_mean_probability_sums_to_one(vocab):
-    from rallycast.analysis import mean_probability
-
     rng = np.random.default_rng(2)
     strokes = {
         (f"r{r}", s): [_g(vocab, 5, rng.dirichlet(np.ones(vocab.size)))]
         for r in range(3)
         for s in range(1, 7)
     }
-    means = mean_probability(_pred_file(vocab, strokes), vocab)
+    means = mean_probability(prediction_file(vocab, strokes), vocab)
     assert abs(sum(means.values()) - 1.0) < 1e-9
     assert set(means) == {e.name for e in vocab.entries}
 
@@ -244,3 +242,54 @@ def test_tables_write_csv(tmp_path, vocab):
     lines = path.read_text().splitlines()
     assert lines[0] == "ball_round,type,count,fraction"
     assert len(lines) == 1 + len(table.rows)
+
+
+# ---------------------------------------------------------------------------
+# array analyses against the per-stroke oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def prediction_lines(draw):
+    """Data lines of a valid prediction file in shuffled order.
+
+    Every (rally, sample) has its own first round and suffix length, sample
+    ids reach the file out of order, and probability rows come from small
+    integer weights, so argmax votes and summed probabilities often tie.
+    Zero probabilities are written signed or unsigned.
+    """
+    vocab = small_vocab()
+    coord = st.one_of(st.floats(-1.0, 15.0), st.sampled_from([0.0, 6.1, 6.7, 13.4]))
+    n_samples = draw(st.integers(1, 6))
+    lines = []
+    for r in range(draw(st.integers(1, 4))):
+        for sample_id in range(1, n_samples + 1):
+            first = draw(st.integers(1, 6))
+            for ball_round in range(first, first + draw(st.integers(1, 5))):
+                w = np.array(draw(st.lists(st.integers(0, 3), min_size=vocab.size, max_size=vocab.size).filter(any)), dtype=float)
+                probs = quantize_simplex((w / w.sum())[None, :])[0]
+                cells = [f"r{r}", str(sample_id), str(ball_round), f"{draw(coord):.6f}", f"{draw(coord):.6f}"]
+                zero = "-0.000000" if draw(st.booleans()) else "0.000000"  # both parse, to -0.0 and 0.0
+                lines.append(",".join(cells + [f"{p:.6f}" if p else zero for p in probs]))
+    return vocab, draw(st.permutations(lines))
+
+
+@given(prediction_lines())
+def test_array_analyses_equal_the_per_stroke_oracles(tmp_path_factory, case):
+    vocab, lines = case
+    path = tmp_path_factory.mktemp("pred") / "pred.csv"
+    path.write_text("\n".join([prediction_header(vocab), *lines]) + "\n", encoding="utf-8")
+    pred = import_predictions(path, vocab)
+    court = CourtSpec()
+    first_seen = {}  # rallies, then each rally's samples, in the order lines name them
+    for line in lines:
+        rally_id, sample_id = line.split(",")[:2]
+        first_seen.setdefault(rally_id, {}).setdefault(int(sample_id))
+    assert [(r, list(s)) for r, s in pred.rows.items()] == [(r, list(s)) for r, s in first_seen.items()]
+    assert all(np.all(np.diff([g.round_index for g in suffix]) > 0) for s in pred.rows.values() for suffix in s.values())
+
+    assert repr(predicted_type_vote(pred, vocab)) == repr(reference_type_vote(pred, vocab))
+    assert repr(landing_zone_distribution(pred, court)) == repr(reference_zone_distribution(pred, court))
+    trend, want = round_trend(pred, vocab), reference_round_trend(pred, vocab)
+    assert repr(trend.rounds) == repr(want.rounds)
+    assert [[repr(float(v)) for v in row] for row in trend.matrix] == [[repr(float(v)) for v in row] for row in want.matrix]
+    assert repr(mean_probability(pred, vocab)) == repr(reference_mean_probability(pred, vocab))

@@ -498,6 +498,15 @@ PREDICTION_FILE_DAMAGE = {
         "line 12: sample id 1000000000000 skips sample id 6",
     ),
     "sample_id_zero": (lambda rows: [r.replace("h0001,1,", "h0001,0,") for r in rows], "line 2: sample id 0 is below 1"),
+    # beyond int64, where an array of sample ids cannot hold it
+    "sample_id_overflow": (
+        lambda rows: [r.replace("h0001,6,", "h0001,100000000000000000000,") for r in rows],
+        "line 12: sample id 100000000000000000000 skips sample id 6",
+    ),
+    "ball_round_overflow": (
+        lambda rows: [r.replace("h0001,3,6,", "h0001,3,100000000000000000000,") for r in rows],
+        "line 7: ball round 100000000000000000000 does not fit in 64 bits",
+    ),
 }
 
 
@@ -518,6 +527,26 @@ def test_damaged_prediction_file_is_rejected_with_its_line(tmp_path, vocab, dama
     assert message in out.stderr
     assert "Traceback" not in out.stderr
     assert "Score" not in out.stdout
+
+
+def test_damaged_row_past_the_first_parse_block_names_its_line(tmp_path, vocab):
+    """Blank lines in the first block and just before the damaged row still count."""
+    from rallycast.dataset import ParseError
+    from rallycast.scoring import PARSE_BLOCK_LINES, import_predictions
+
+    lines = (HAND_SCORED / "predictions.csv").read_text().splitlines()
+    rows = [row.replace("h0001,", f"r{i:05d},") for i in range(PARSE_BLOCK_LINES // 12 + 2) for row in lines[1:]]
+    text = [lines[0], rows[0], "", "  ", *rows[1:PARSE_BLOCK_LINES], "", ""]
+    damaged_line = len(text) + 1
+    bad = rows[PARSE_BLOCK_LINES].split(",")
+    bad[7] = "-0.200000"
+    text += [",".join(bad), *rows[PARSE_BLOCK_LINES + 1 :]]
+    assert PARSE_BLOCK_LINES + 1 < damaged_line <= 2 * PARSE_BLOCK_LINES
+    damaged = tmp_path / "damaged.csv"
+    damaged.write_text("\n".join(text) + "\n", encoding="utf-8")
+
+    with pytest.raises(ParseError, match=f"^line {damaged_line}: prob_net_shot = -0.200000 is not in \\[0, 1\\]$"):
+        import_predictions(damaged, vocab)
 
 
 def test_score_deterministic_report(tmp_path):

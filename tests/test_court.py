@@ -13,12 +13,14 @@ from rallycast.court import (
     Stroke,
     ZONE_OUT,
     coord_to_zone,
+    coord_to_zones,
     denormalize_coord,
     mirror_coord,
     normalize_coord,
     validate_rally,
 )
 
+from analysis_reference import reference_coord_to_zone
 from conftest import make_rally
 
 REQUIRED_TYPE_NAMES = ["long service", "short service", "net shot", "smash", "drive", "defensive shot"]
@@ -234,3 +236,33 @@ def test_vocab_file_round_trip(tmp_path, vocab):
     assert load_vocab(path) == vocab
     with pytest.raises(FileNotFoundError):
         load_vocab(tmp_path / "missing.csv")
+
+
+def _zone_lines(court):
+    """Every row and column boundary of both half-courts, and the lines just either side of each."""
+    w, l = court.width_m, court.length_m
+    half = l / 2
+    xs = [0.0, w / 3, 2 * w / 3, w, w - w / 3, w - 2 * w / 3]
+    ys = [0.0, half, l, half + l / 6, half + l / 3, half - l / 6, half - l / 3]
+    return [n for v in xs + ys for n in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+@given(
+    st.sampled_from([CourtSpec(), CourtSpec(width_m=6.0, length_m=12.0)]),
+    st.lists(st.tuples(st.floats(-2.0, 16.0), st.floats(-2.0, 16.0)), max_size=30),
+    st.lists(st.tuples(st.integers(0, 38), st.integers(0, 38)), max_size=30),
+    st.sampled_from([Player.A, Player.B]),
+)
+def test_array_zones_equal_the_per_point_reference(court, free, on_lines, side):
+    """Random points and points on exact row and column boundaries, ties included."""
+    lines = _zone_lines(court)
+    assert len(lines) == 39
+    points = free + [(lines[i], lines[j]) for i, j in on_lines]
+    want = [reference_coord_to_zone(p, court, side) for p in points]
+    assert coord_to_zones(np.array(points).reshape(-1, 2), court, side).tolist() == want
+    assert [coord_to_zone(p, court, side) for p in points] == want
+
+
+def test_array_zones_reject_a_non_finite_point(court):
+    with pytest.raises(ValueError, match=r"non-finite landing coordinate: \(nan, 10.0\)"):
+        coord_to_zones(np.array([[3.0, 10.0], [math.nan, 10.0], [math.inf, 1.0]]), court, Player.B)

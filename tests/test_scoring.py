@@ -399,6 +399,8 @@ def test_export_import_round_trip_scores_identically(tmp_path, gen_setup):
 
     pred = import_predictions(path, vocab)
     assert pred.n_samples == 6
+    g = pred.rows[rally.rally_id][1][0]
+    assert np.shares_memory(g.type_probs, pred.probs) and pred.rows is pred.rows  # row views, built once
     round_tripped = pred.sample_sets(truths)
     direct = score_sample_sets(sets, truths, protocol="min_of_sets")
     reimported = score_sample_sets(round_tripped, truths, protocol="min_of_sets")
@@ -449,6 +451,43 @@ def test_export_import_score_equals_the_in_memory_score_bit_for_bit(tmp_path_fac
     direct = score_sample_sets(sets, truths, protocol=protocol)
     reimported = score_sample_sets(pred.sample_sets(truths), truths, protocol=protocol)
     assert reimported == direct
+    assert direct == _loop_report(sets, truths, protocol)
+
+
+def _loop_report(sets, truths, protocol, tau=4):
+    """The ScoreReport of [set][rally][stroke] lists one stroke at a time, summed left to right in Python."""
+    rally_sums, stroke_losses = [], []
+    for one in sets:
+        sums, per_set = [], []
+        for suffix, rally in zip(one, truths):
+            per_stroke = []
+            for g, truth in zip(suffix, rally.strokes[tau:]):
+                ce = -math.log(max(float(g.type_probs[truth.shot_type]), 1e-12))
+                mae = abs(truth.landing[0] - g.landing[0]) + abs(truth.landing[1] - g.landing[1])
+                per_stroke.append((g.round_index, ce + mae))
+            sums.append(sum(loss for _, loss in per_stroke))
+            per_set.append(per_stroke)
+        rally_sums.append(sums)
+        stroke_losses.append(per_set)
+    n = sum(len(r) - tau for r in truths)
+    matrix = np.array(rally_sums)
+    losses = [float(row.sum() / n) for row in matrix]
+    best = matrix.argmin(axis=0)
+    round_sum, round_count = {}, {}
+    for i, rally in enumerate(truths):
+        for ball_round, loss in stroke_losses[best[i]][i]:
+            round_sum[ball_round] = round_sum.get(ball_round, 0.0) + loss
+            round_count[ball_round] = round_count.get(ball_round, 0) + 1
+    best_agg = float(matrix.min(axis=0).sum() / n)
+    return scoring.ScoreReport(
+        score=min(losses) if protocol == "min_of_sets" else best_agg,
+        sample_losses=losses,
+        min_of_sets=min(losses),
+        best_per_rally_agg=best_agg,
+        per_rally={rally.rally_id: float(matrix[best[i], i]) for i, rally in enumerate(truths)},
+        per_round={r: round_sum[r] / round_count[r] for r in round_sum},
+        n_strokes=n,
+    )
 
 
 def test_import_rejects_wrong_header(tmp_path, vocab):
