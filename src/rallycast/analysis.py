@@ -8,15 +8,16 @@ trends suitable for comparing two embedding modes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .court import N_ZONES, CourtSpec, Player, Rally, ShotTypeVocab, coord_to_zones
-from .scoring import PredictionFile, run_starts
+from .court import N_ZONES, CourtSpec, Player, Rally, ShotTypeVocab, coord_to_zones, run_starts
+from .scoring import PredictionFile
 
 GROUPINGS = ("ball_round", "player", "landing_zone", "player_location_zone")
 
@@ -47,10 +48,9 @@ class DistributionTable:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _group_sort_key(group_key: str):
-    if group_key in ("ball_round", "landing_zone", "player_location_zone"):
-        return lambda k: (int(k), )
-    return lambda k: (k, )
+def _points(pairs: list[tuple[float, float]]) -> np.ndarray:
+    """An (n, 2) float array of n (x, y) pairs."""
+    return np.fromiter(chain.from_iterable(pairs), dtype=np.float64, count=2 * len(pairs)).reshape(-1, 2)
 
 
 def shot_distribution(
@@ -63,29 +63,39 @@ def shot_distribution(
 
     Zone groupings use the canonical frame: landings are zoned in the
     receiver's (high-y) half, hitter locations in the hitter's (low-y) half.
+    Groups run in ascending order of their value (a round or zone number,
+    or a player name), and each group's types by id.
     """
     if group_by not in GROUPINGS:
         raise ValueError(f"group_by must be one of {GROUPINGS}, got {group_by!r}")
     court = court or CourtSpec()
-    strokes = [s for r in rallies for s in r.strokes]
-    if group_by == "ball_round":
-        keys = [s.round_index for s in strokes]
-    elif group_by == "player":
-        keys = [r.name_of(s.player) for r in rallies for s in r.strokes]
-    elif group_by == "landing_zone":
-        keys = coord_to_zones([s.landing for s in strokes], court, Player.B).tolist()
+    type_ids = [s.shot_type for r in rallies for s in r.strokes]
+    n = len(type_ids)
+    types = np.fromiter(type_ids, dtype=np.int64, count=n)
+    if group_by == "player":
+        labels = sorted({name for r in rallies for name in (r.player_a, r.player_b)})
+        index = {name: i for i, name in enumerate(labels)}
+        lengths = [len(r.strokes) for r in rallies]
+        side_a = Player.A  # one enum lookup, not one per stroke
+        codes = np.where(
+            np.fromiter([s.player is side_a for r in rallies for s in r.strokes], dtype=bool, count=n),
+            np.repeat(np.array([index[r.player_a] for r in rallies], dtype=np.int64), lengths),
+            np.repeat(np.array([index[r.player_b] for r in rallies], dtype=np.int64), lengths),
+        )
     else:
-        keys = coord_to_zones([s.player_location for s in strokes], court, Player.A).tolist()
-    counts: dict[str, Counter[int]] = defaultdict(Counter)
-    for key, s in zip(keys, strokes):
-        counts[str(key)][s.shot_type] += 1
+        if group_by == "ball_round":
+            keys = np.fromiter([s.round_index for r in rallies for s in r.strokes], dtype=np.int64, count=n)
+        elif group_by == "landing_zone":
+            keys = coord_to_zones(_points([s.landing for r in rallies for s in r.strokes]), court, Player.B)
+        else:
+            keys = coord_to_zones(_points([s.player_location for r in rallies for s in r.strokes]), court, Player.A)
+        values, codes = np.unique(keys, return_inverse=True)
+        labels = [str(v) for v in values.tolist()]
+    width = int(types.max(initial=0)) + 1
+    counts = np.bincount(codes * width + types, minlength=len(labels) * width).reshape(len(labels), width)
     rows: list[DistRow] = []
-    sort_key = _group_sort_key(group_by)
-    for key in sorted(counts, key=sort_key):
-        total = sum(counts[key].values())
-        for type_id in sorted(counts[key]):
-            c = counts[key][type_id]
-            rows.append(DistRow(key, vocab.name_of(type_id), c, c / total))
+    for label, row, total in zip(labels, counts.tolist(), counts.sum(axis=1).tolist()):
+        rows.extend(DistRow(label, vocab.name_of(t), c, c / total) for t, c in enumerate(row) if c)
     return DistributionTable(group_by, rows)
 
 

@@ -21,12 +21,24 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .court import CourtSpec, ParseError, Player, Rally, ShotTypeVocab, Stroke, mirror_coord, utf8_line_errors
+from .court import (
+    PARSE_BLOCK_LINES,
+    CourtSpec,
+    ParseError,
+    Player,
+    Rally,
+    ShotTypeVocab,
+    Stroke,
+    line_blocks,
+    run_starts,
+    utf8_line_errors,
+)
 from .seeding import TAG_SYNTH, rng_from_key
 
 log = logging.getLogger(__name__)
@@ -74,26 +86,27 @@ class DroppedRally:
     reason: str
 
 
-def _meta_from(rallies: Sequence[Rally]) -> DatasetMeta:
-    per_player: Counter[str] = Counter()
-    lengths: Counter[int] = Counter()
-    for r in rallies:
-        lengths[len(r)] += 1
-        for s in r.strokes:
-            per_player[r.name_of(s.player)] += 1
-    players = {name for r in rallies for name in (r.player_a, r.player_b)}
+def _meta_from(match_ids: list[str], lengths: np.ndarray, is_b: np.ndarray) -> DatasetMeta:
+    """The DatasetMeta of parsed rallies, given each one's match and length and, stroke by stroke, whether B hit it."""
+    matches: dict[str, int] = {}
+    match_of = np.array([matches.setdefault(match_id, len(matches)) for match_id in match_ids], dtype=np.int64)
+    per_player = np.bincount(np.repeat(match_of, lengths) * 2 + is_b, minlength=2 * len(matches))
+    names = [f"{match_id}:{side}" for match_id in matches for side in "AB"]
+    histogram = np.bincount(lengths).tolist()
     return DatasetMeta(
-        n_matches=len({r.match_id for r in rallies}),
-        n_rallies=len(rallies),
-        n_players=len(players),
-        strokes_per_player=dict(sorted(per_player.items())),
-        rally_length_histogram=dict(sorted(lengths.items())),
+        n_matches=len(matches),
+        n_rallies=len(match_ids),
+        n_players=len(names),
+        strokes_per_player=dict(sorted((name, c) for name, c in zip(names, per_player.tolist()) if c)),
+        rally_length_histogram={length: c for length, c in enumerate(histogram) if c},
     )
 
 
-def _parse_row(
-    fields: list[str], vocab: ShotTypeVocab, court: CourtSpec, mirror: str
-) -> tuple[str, str, Stroke]:
+def _parse_row(fields: list[str], vocab: ShotTypeVocab) -> tuple[str, str, int, str, int, list[float]]:
+    """(match_id, rally_id, ball_round, player, type id, coordinates) of one row's cells.
+
+    Raises ValueError or KeyError, whose text is the row's reject reason.
+    """
     if len(fields) != 9:
         raise ValueError(f"expected 9 columns, found {len(fields)}")
     match_id, rally_id, round_s, player_s, type_name = fields[:5]
@@ -106,21 +119,130 @@ def _parse_row(
     coords = [float(v) for v in fields[5:]]
     if not all(math.isfinite(c) for c in coords):
         raise ValueError("non-finite coordinate")
-    landing = (coords[0], coords[1])
-    location = (coords[2], coords[3])
-    if mirror != "none":
-        flip_odd = mirror == "odd"
-        if (round_index % 2 == 1) == flip_odd:
-            landing = mirror_coord(landing, court)
-            location = mirror_coord(location, court)
-    stroke = Stroke(
-        round_index=round_index,
-        player=Player(player_s),
-        shot_type=type_id,
-        landing=landing,
-        player_location=location,
+    return match_id, rally_id, round_index, player_s, type_id, coords
+
+
+# The columns of a run of rows: line numbers, codes of "match_id,rally_id",
+# ball rounds, whether player is B, type ids and (n, 4) coordinates.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _parse_block(
+    lines: list[str], numbers: np.ndarray, vocab: ShotTypeVocab, keys: dict[str, int]
+) -> Columns | None:
+    """The columns of a block of non-empty lines, or None if any line fails a check of _parse_row.
+
+    keys maps each "match_id,rally_id" to its code, in first-seen order; a
+    block that passes adds its new ones. (Strings, unlike tuples, add no
+    work for the garbage collector.)
+    """
+    if set(map(str.count, lines, repeat(","))) - {8}:
+        return None
+    n = len(lines)
+    cells = ",".join(lines).split(",") if lines else []
+    players, type_names = cells[3::9], cells[4::9]
+    if set(players) - {"A", "B"}:
+        return None
+    try:
+        rounds = np.fromiter(map(int, cells[2::9]), dtype=np.int64, count=n)
+        ids = {name: vocab.id_of(name) for name in set(type_names)}
+        columns = chain(cells[5::9], cells[6::9], cells[7::9], cells[8::9])
+        coords = np.fromiter(map(float, columns), dtype=np.float64, count=4 * n).reshape(4, n).T
+    except (ValueError, KeyError, OverflowError):
+        return None
+    if not ((rounds >= 1).all() and np.isfinite(coords).all()):
+        return None
+    rallies = list(map(",".join, zip(cells[0::9], cells[1::9])))
+    for key in dict.fromkeys(rallies):
+        keys.setdefault(key, len(keys))
+    return (
+        numbers,
+        np.fromiter(map(keys.__getitem__, rallies), dtype=np.int64, count=n),
+        rounds,
+        np.fromiter(map("B".__eq__, players), dtype=bool, count=n),
+        np.fromiter(map(ids.__getitem__, type_names), dtype=np.int64, count=n),
+        coords,
     )
-    return match_id, rally_id, stroke
+
+
+def _parse_lines(
+    lines: list[str],
+    numbers: np.ndarray,
+    vocab: ShotTypeVocab,
+    keys: dict[str, int],
+    rejects: list[RejectedRow],
+    huge_rounds: dict[int, int],
+) -> Columns:
+    """The columns of _parse_block, one line at a time: a line that fails a check of _parse_row is rejected.
+
+    A ball_round beyond int64 is held clipped; huge_rounds keeps its line's true value.
+    """
+    rows = []
+    for line_number, line in zip(numbers.tolist(), lines):
+        fields = line.split(",")
+        try:
+            match_id, rally_id, round_index, player_s, type_id, coords = _parse_row(fields, vocab)
+        except (ValueError, KeyError) as exc:
+            rejects.append(RejectedRow(line_number, tuple(fields), str(exc).strip("'\"")))
+            continue
+        if round_index > INT64_MAX:
+            huge_rounds[line_number] = round_index
+        code = keys.setdefault(f"{match_id},{rally_id}", len(keys))
+        rows.append((line_number, code, min(round_index, INT64_MAX), player_s == "B", type_id, coords))
+    line_numbers, codes, rounds, is_b, types, coords = zip(*rows) if rows else ((),) * 6
+    return (
+        np.array(line_numbers, dtype=np.int64),
+        np.array(codes, dtype=np.int64),
+        np.array(rounds, dtype=np.int64),
+        np.array(is_b, dtype=bool),
+        np.array(types, dtype=np.int64),
+        np.array(coords, dtype=np.float64).reshape(-1, 4),
+    )
+
+
+def _read_rows(
+    path: Path, vocab: ShotTypeVocab, rejects: list[RejectedRow], huge_rounds: dict[int, int]
+) -> tuple[dict[str, int], Columns, int]:
+    """The file's rows as columns, the code of each "match_id,rally_id", and the number of non-empty lines.
+
+    Lines are parsed in blocks, each converted and checked as arrays; a block
+    that fails a check is read again line by line, which appends its
+    malformed rows to rejects.
+    """
+    keys: dict[str, int] = {}
+    blocks: list[Columns] = []
+    n_rows = 0
+    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ParseError(f"unexpected header in {path}: {header!r}")
+        line_number = 2
+        for block in line_blocks(fh):
+            stripped = [line.rstrip("\n").rstrip("\r") for line in block]
+            lines = list(filter(None, stripped))
+            numbers = np.flatnonzero(np.fromiter(map(bool, stripped), dtype=bool, count=len(stripped))) + line_number
+            n_rows += len(lines)
+            columns = _parse_block(lines, numbers, vocab, keys)
+            blocks.append(columns or _parse_lines(lines, numbers, vocab, keys, rejects, huge_rounds))
+            line_number += len(block)
+    blocks.append(_parse_block([], np.zeros(0, dtype=np.int64), vocab, keys))  # columns even for a file without rows
+    return keys, tuple(np.concatenate(column) for column in zip(*blocks)), n_rows
+
+
+SIDES = (Player.A, Player.B)
+
+
+def _strokes(
+    order: np.ndarray, rounds: np.ndarray, is_b: np.ndarray, types: np.ndarray, coords: np.ndarray
+) -> Iterator[Stroke]:
+    """A Stroke per row in the given order, built PARSE_BLOCK_LINES rows at a time, so few lists are alive at once."""
+    for start in range(0, len(order), PARSE_BLOCK_LINES):
+        rows = order[start : start + PARSE_BLOCK_LINES]
+        lx, ly, px, py = coords[rows].T.tolist()
+        sides = map(SIDES.__getitem__, is_b[rows].tolist())
+        yield from map(Stroke, rounds[rows].tolist(), sides, types[rows].tolist(), zip(lx, ly), zip(px, py))
 
 
 def parse_dataset(
@@ -135,6 +257,9 @@ def parse_dataset(
     Malformed rows and structurally broken rallies land in the reject report
     (also written next to the input as <name>.rejects.csv) instead of
     aborting; only a row-level malformed share above 10% is a hard failure.
+
+    Lines are parsed in blocks of arrays (_read_rows), so every reject is
+    worded by _parse_row, and rows are grouped into rallies by one sort.
     """
     path = Path(path)
     if not path.exists():
@@ -145,60 +270,53 @@ def parse_dataset(
     court = court or CourtSpec()
 
     rejects: list[RejectedRow] = []
-    groups: dict[tuple[str, str], list[tuple[int, Stroke]]] = {}
-    n_rows = 0
-    n_malformed = 0
-    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ParseError(f"unexpected header in {path}: {header!r}")
-        for line_number, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            n_rows += 1
-            fields = line.split(",")
-            try:
-                match_id, rally_id, stroke = _parse_row(fields, vocab, court, mirror)
-            except (ValueError, KeyError) as exc:
-                n_malformed += 1
-                reason = str(exc).strip("'\"")
-                rejects.append(RejectedRow(line_number, tuple(fields), reason))
-                continue
-            groups.setdefault((match_id, rally_id), []).append((line_number, stroke))
-
+    huge_rounds: dict[int, int] = {}
+    keys, (numbers, codes, rounds, is_b, types, coords), n_rows = _read_rows(path, vocab, rejects, huge_rounds)
+    n_malformed = len(rejects)
     if n_rows and n_malformed / n_rows > MALFORMED_ROW_LIMIT:
         sample = ", ".join(f"line {r.line_number} ({r.reason})" for r in rejects[:20])
         raise ParseError(
             f"{n_malformed}/{n_rows} rows malformed in {path} (limit {MALFORMED_ROW_LIMIT:.0%}): {sample}"
         )
 
-    rallies: list[Rally] = []
-    for (match_id, rally_id), rows in groups.items():
-        rows.sort(key=lambda item: item[1].round_index)
-        rounds = [s.round_index for _, s in rows]
-        problem = None
-        for k, got in enumerate(rounds, start=1):
-            if got != k:
-                problem = f"round_index gap at {k}" if got > k else f"duplicate round_index {got}"
-                break
-        if problem is not None:
-            for line_number, _ in rows:
-                rejects.append(RejectedRow(line_number, ("",) * 9, f"rally {match_id}/{rally_id}: {problem}"))
-            continue
-        rallies.append(
-            Rally(
-                rally_id=rally_id,
-                match_id=match_id,
-                player_a=f"{match_id}:A",
-                player_b=f"{match_id}:B",
-                strokes=tuple(s for _, s in rows),
-            )
-        )
+    if mirror != "none":
+        flip = (rounds % 2 == 1) == (mirror == "odd")
+        np.subtract([court.width_m, court.length_m] * 2, coords, out=coords, where=flip[:, None])
+
+    # each rally's rows by round, then file order; codes run in first-seen order, so rally g is code g
+    order = np.lexsort((numbers, rounds, codes))
+    sorted_codes, sorted_rounds = codes[order], rounds[order]
+    starts = np.flatnonzero(run_starts(sorted_codes))
+    sizes = np.diff(np.append(starts, len(order)))
+    position = np.arange(1, len(order) + 1) - np.repeat(starts, sizes)
+    wrong = np.flatnonzero(sorted_rounds != position)
+    pairs = [key.split(",") for key in keys]
+    broken = np.zeros(len(pairs), dtype=bool)
+    for i in wrong[run_starts(sorted_codes[wrong])].tolist():  # the first row out of place in each broken rally
+        code, k, got = int(sorted_codes[i]), int(position[i]), int(sorted_rounds[i])
+        broken[code] = True
+        problem = f"round_index gap at {k}" if got > k else f"duplicate round_index {got}"
+        rows = order[starts[code] : starts[code] + sizes[code]]
+        in_order = zip(rounds[rows].tolist(), numbers[rows].tolist())
+        if huge_rounds:  # the arrays hold those rounds clipped
+            in_order = sorted((huge_rounds.get(n, r), n) for r, n in in_order)
+        match_id, rally_id = pairs[code]
+        rejects.extend(RejectedRow(n, ("",) * 9, f"rally {match_id}/{rally_id}: {problem}") for _, n in in_order)
+    kept = ~broken
+    kept_rows = order[np.repeat(kept, sizes)]
+    meta = _meta_from([pairs[code][0] for code in np.flatnonzero(kept).tolist()], sizes[kept], is_b[kept_rows])
+    del numbers, codes, sorted_codes, sorted_rounds, position, kept_rows  # freed before the strokes are built
+
+    strokes = _strokes(order, rounds, is_b, types, coords)  # a broken rally's are built and skipped
+    rallies = []
+    for (match_id, rally_id), size, bad in zip(pairs, sizes.tolist(), broken.tolist()):
+        rally = tuple(islice(strokes, size))
+        if not bad:
+            rallies.append(Rally(rally_id, match_id, f"{match_id}:A", f"{match_id}:B", rally))
 
     if rejects and write_rejects:
         _write_rejects(path, rejects)
-    return rallies, _meta_from(rallies), rejects
+    return rallies, meta, rejects
 
 
 def _write_rejects(source: Path, rejects: list[RejectedRow]) -> None:

@@ -20,19 +20,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, cycle, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .court import CourtSpec, Player, Rally, ShotTypeVocab, utf8_line_errors
+from .court import PARSE_BLOCK_LINES, CourtSpec, Player, Rally, ShotTypeVocab, line_blocks, run_starts, utf8_line_errors
 from .dataset import TAU, ParseError
 from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
 
 PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
 EXPECTED_SAMPLE_SETS = 6
-PARSE_BLOCK_LINES = 4096  # prediction-file lines parsed and checked, or rows formatted, as one block
 
 
 def quantize6(v: float) -> float:
@@ -286,13 +285,6 @@ class SampleSets:
 
 def _as_sample_sets(sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]]) -> SampleSets:
     return sets if isinstance(sets, SampleSets) else SampleSets.from_nested(sets)
-
-
-def run_starts(*keys: np.ndarray) -> np.ndarray:
-    """True at the first row and at every row whose keys differ from the row before's."""
-    new = np.ones(len(keys[0]), dtype=bool)
-    new[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
-    return new
 
 
 def _segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -626,7 +618,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
         columns = header.split(",")
         line_number = 2
         huge_sample_id = False
-        for block in _line_blocks(fh):
+        for block in line_blocks(fh):
             arrays = _parse_block(block, len(columns), codes)
             if arrays is None:
                 _check_lines(block, line_number, columns)
@@ -645,26 +637,6 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     if not run_starts(pred.rally_index, pred.sample_ids, pred.rounds).all():
         raise ParseError(_grouping_error(path))
     return pred
-
-
-def _line_blocks(fh) -> Iterator[list[str]]:
-    """The file's remaining lines in blocks of PARSE_BLOCK_LINES.
-
-    Before a byte that is not UTF-8 stops the read, the lines read so far
-    are handed on, so a bad row before it is still reported first.
-    """
-    block: list[str] = []
-    try:
-        for line in fh:
-            block.append(line)
-            if len(block) == PARSE_BLOCK_LINES:
-                yield block
-                block = []
-    except UnicodeDecodeError:
-        yield block
-        raise
-    if block:
-        yield block
 
 
 def _parse_block(block: list[str], n_columns: int, codes: dict[str, int]) -> tuple[np.ndarray, ...] | None:

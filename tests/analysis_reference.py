@@ -1,10 +1,10 @@
-"""Per-stroke reimplementations of the prediction-file analyses and of the zone map.
+"""Per-stroke reimplementations of the analyses and of the zone map.
 
 Deliberately naive (Python loops over PredictionFile.rows, one
-GeneratedStroke at a time; only the result types come from
-rallycast.analysis, and the zone map is a copy, not rallycast.court's) so
-they can serve as oracles for the array forms. Each adds in the order the
-array forms must reproduce.
+GeneratedStroke at a time, or over a rally list one Stroke at a time; only
+the result types come from rallycast.analysis, and the zone map is a copy,
+not rallycast.court's) so they can serve as oracles for the array forms.
+Each adds in the order the array forms must reproduce.
 """
 
 import math
@@ -35,6 +35,29 @@ def reference_coord_to_zone(landing, court, receiver_side):
     row = 0 if depth <= l / 6 else (1 if depth <= l / 3 else 2)
     col = 0 if left <= w / 3 else (1 if left <= 2 * w / 3 else 2)
     return 3 * row + col + 1
+
+
+def reference_shot_distribution(rallies, group_by, vocab, court):
+    strokes = [s for r in rallies for s in r.strokes]
+    if group_by == "ball_round":
+        keys = [s.round_index for s in strokes]
+    elif group_by == "player":
+        keys = [r.name_of(s.player) for r in rallies for s in r.strokes]
+    elif group_by == "landing_zone":
+        keys = [reference_coord_to_zone(s.landing, court, Player.B) for s in strokes]
+    else:
+        keys = [reference_coord_to_zone(s.player_location, court, Player.A) for s in strokes]
+    counts = defaultdict(Counter)
+    for key, s in zip(keys, strokes):
+        counts[str(key)][s.shot_type] += 1
+    sort_key = (lambda k: k) if group_by == "player" else int
+    rows = []
+    for key in sorted(counts, key=sort_key):
+        total = sum(counts[key].values())
+        for type_id in sorted(counts[key]):
+            c = counts[key][type_id]
+            rows.append(DistRow(key, vocab.name_of(type_id), c, c / total))
+    return DistributionTable(group_by, rows)
 
 
 def reference_type_vote(pred, vocab):

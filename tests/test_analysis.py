@@ -4,19 +4,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rallycast.analysis import (
+    GROUPINGS,
     landing_zone_distribution,
     mean_probability,
     predicted_type_vote,
     round_trend,
     shot_distribution,
 )
-from rallycast.court import CourtSpec, Player
+from rallycast.court import CourtSpec, Player, Rally, Stroke
 from rallycast.dataset import PlayerStyle, SynthConfig, synthesize_dataset
 from rallycast.scoring import GeneratedStroke, import_predictions, prediction_header, quantize_simplex
 
 from analysis_reference import (
     reference_mean_probability,
     reference_round_trend,
+    reference_shot_distribution,
     reference_type_vote,
     reference_zone_distribution,
 )
@@ -247,6 +249,38 @@ def test_tables_write_csv(tmp_path, vocab):
 # ---------------------------------------------------------------------------
 # array analyses against the per-stroke oracles
 # ---------------------------------------------------------------------------
+
+@st.composite
+def distribution_rallies(draw):
+    """Rallies, possibly none, some without strokes, whose player names differ only in case or by a space, and whose
+    points lie on zone boundaries, outside the court or in the wrong half (zone 10)."""
+    vocab = small_vocab()
+    names = st.sampled_from(["ana", "Ana", "bo", "Bo ", "zed", "m1:A", "m1:B"])
+    coord = st.one_of(st.floats(-1.0, 15.0), st.sampled_from([0.0, -0.0, 2.0333333333333337, 6.1, 6.7, 8.9333, 13.4]))
+    rallies = []
+    for i in range(draw(st.integers(0, 5))):
+        strokes = tuple(
+            Stroke(
+                round_index=draw(st.integers(1, 12)),
+                player=draw(st.sampled_from(list(Player))),
+                shot_type=draw(st.integers(0, vocab.size - 1)),
+                landing=(draw(coord), draw(coord)),
+                player_location=(draw(coord), draw(coord)),
+            )
+            for _ in range(draw(st.integers(0, 8)))
+        )
+        rallies.append(Rally(f"r{i}", "m1", draw(names), draw(names), strokes))
+    return vocab, rallies
+
+
+@given(distribution_rallies())
+def test_shot_distribution_equals_the_per_stroke_oracle(case):
+    vocab, rallies = case
+    court = CourtSpec()
+    for group_by in GROUPINGS:
+        want = reference_shot_distribution(rallies, group_by, vocab, court)
+        assert repr(shot_distribution(rallies, group_by, vocab, court)) == repr(want)
+
 
 @st.composite
 def prediction_lines(draw):

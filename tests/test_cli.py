@@ -66,6 +66,23 @@ def test_dataset_with_a_byte_that_is_not_utf8_exits_1_naming_its_line(tmp_path, 
     assert "Traceback" not in out.stderr
 
 
+def test_dataset_byte_that_is_not_utf8_past_the_first_parse_block_exits_1_naming_its_line(tmp_path, vocab):
+    from rallycast.court import PARSE_BLOCK_LINES
+    from rallycast.dataset import SynthConfig, synthesize_dataset, write_dataset
+
+    data = tmp_path / "damaged.csv"
+    write_dataset(synthesize_dataset(SynthConfig(n_rallies=700, seed=3, vocab=vocab)), vocab, data)
+    lines = data.read_bytes().splitlines(keepends=True)
+    bad = PARSE_BLOCK_LINES + 40
+    assert len(lines) > bad
+    lines[bad - 1] = lines[bad - 1].replace(b",", b"\xff,", 1)
+    data.write_bytes(b"".join(lines))
+    out = run_cli("validate", "--data", data)
+    assert out.returncode == 1, out.stderr
+    assert f"{data}: line {bad}: byte 0xff is not UTF-8" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_vocabulary_with_a_non_integer_type_id_exits_1_naming_its_line_and_field(tmp_path):
     vocab = tmp_path / "vocab.csv"
     vocab.write_text("type_id,name,is_serve\n0,long service,true\nx,net shot,false\n", encoding="utf-8")

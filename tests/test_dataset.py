@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, validate_rally
+from rallycast import court as court_module
+from rallycast.court import PARSE_BLOCK_LINES, CourtSpec, Player, Rally, ShotTypeVocab, Stroke, validate_rally
 from rallycast.dataset import (
     CSV_HEADER,
     FilterPolicy,
@@ -19,6 +20,7 @@ from rallycast.dataset import (
 )
 
 from conftest import make_rally
+from dataset_reference import reference_parse_dataset
 
 
 def _write(tmp_path, rows, name="data.csv"):
@@ -311,3 +313,136 @@ def test_synthetic_lengths_geometric_floor(vocab):
     lengths = np.array([len(r) for r in rallies])
     assert lengths.min() >= 5
     assert abs(lengths.mean() - 6.0) < 0.75
+
+
+# ---------------------------------------------------------------------------
+# the block parser against the line-by-line oracle
+# ---------------------------------------------------------------------------
+
+# each damage breaks one row in the way _parse_row words one reject reason,
+# or spells a cell in a form int or float still accepts
+ROW_DAMAGE = {
+    "eight_columns": lambda cells: cells[:8],
+    "ten_columns": lambda cells: cells + ["1.0"],
+    "player_c": lambda cells: cells[:3] + ["C"] + cells[4:],
+    "player_spaced": lambda cells: cells[:3] + [" " + cells[3]] + cells[4:],
+    "round_word": lambda cells: cells[:2] + ["x"] + cells[3:],
+    "round_empty": lambda cells: cells[:2] + [""] + cells[3:],
+    "round_zero": lambda cells: cells[:2] + ["0"] + cells[3:],
+    "round_negative": lambda cells: cells[:2] + ["-2"] + cells[3:],
+    "round_spaced": lambda cells: cells[:2] + [" " + cells[2]] + cells[3:],
+    "round_underscored": lambda cells: cells[:2] + ["1_0"] + cells[3:],
+    "round_beyond_int64": lambda cells: cells[:2] + [str(2**64 + int(cells[2]))] + cells[3:],
+    "type_unknown": lambda cells: cells[:4] + ["banana"] + cells[5:],
+    "coord_nan": lambda cells: cells[:5] + ["nan"] + cells[6:],
+    "coord_inf": lambda cells: cells[:8] + ["-inf"],
+    "coord_word": lambda cells: cells[:6] + ["x"] + cells[7:],
+    "coord_underscored": lambda cells: cells[:7] + ["1_0"] + cells[8:],
+    "coord_spaced": lambda cells: cells[:5] + [" 2.5 "] + cells[6:],
+}
+TYPE_SPELLINGS = (str, str.upper, str.title, str.swapcase)
+COORD_CELLS = st.sampled_from(["0.0", "-0.0", "3.05", "6.1", "13.4", "1e-3", "2.5000000000000004", "7"])
+
+
+@st.composite
+def damaged_dataset_text(draw):
+    """(dataset CSV text, mirror, parse block size) with damaged rows, rallies broken by gapped or repeated rounds,
+    blank and whitespace-only lines, shuffled rows and every line ending."""
+    vocab = ShotTypeVocab.default()
+    # a clean rally whose rows keep a few damaged ones below the 10% limit, or none, so that it is reached too
+    pad = range(1, draw(st.sampled_from([0, 15, 40])) + 1)
+    rows = [["pad", "p0", str(k), "AB"[(k + 1) % 2], "drive", "1.0", "9.5", "3.0", "2.0"] for k in pad]
+    for _ in range(draw(st.integers(0, 6))):
+        match_id = draw(st.sampled_from(["m0", "m1", "match 2"]))
+        rally_id = draw(st.sampled_from(["r0", "r1", "r2"]))  # a rally id may recur in another match
+        rounds = list(range(1, draw(st.integers(1, 6)) + 1))
+        if draw(st.booleans()):
+            rounds[draw(st.integers(0, len(rounds) - 1))] = draw(st.integers(1, len(rounds) + 1))  # a gap or a repeat
+        for k in rounds:
+            name = draw(st.sampled_from(TYPE_SPELLINGS))(vocab.name_of(draw(st.integers(0, vocab.size - 1))))
+            rows.append([match_id, rally_id, str(k), "AB"[(k + 1) % 2], name, *(draw(COORD_CELLS) for _ in range(4))])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = ROW_DAMAGE[draw(st.sampled_from(sorted(ROW_DAMAGE)))](rows[i])
+    rows = [",".join(cells) for cells in rows] + [""] * draw(st.integers(0, 2))
+    rows += draw(st.sampled_from([[], [" "], ["\t"], [" , "]]))  # whitespace-only lines are rows, and malformed
+    rows = draw(st.permutations(rows))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    text = "".join(line + end for line, end in zip([CSV_HEADER, *rows], endings))
+    if rows and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line ending after the last row
+    return text, draw(st.sampled_from(["none", "odd", "even"])), draw(st.sampled_from([1, 2, 3, 5, PARSE_BLOCK_LINES]))
+
+
+def _parse_outcome(parse, path, vocab, mirror):
+    """What a parse returns, or the ParseError it raises, with the bytes of the reject report it writes."""
+    report = path.with_name(path.name + ".rejects.csv")
+    report.unlink(missing_ok=True)
+    try:
+        result = repr(parse(path, vocab, CourtSpec(), mirror=mirror))
+    except ParseError as exc:
+        result = f"ParseError: {exc}"
+    return result, report.read_bytes() if report.exists() else None
+
+
+def _assert_parse_matches_the_oracle(path, mirror, block_lines):
+    vocab = ShotTypeVocab.default()
+    want = _parse_outcome(reference_parse_dataset, path, vocab, mirror)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(court_module, "PARSE_BLOCK_LINES", block_lines)
+        got = _parse_outcome(parse_dataset, path, vocab, mirror)
+    assert got == want
+
+
+@given(damaged_dataset_text())
+def test_block_parse_equals_the_line_by_line_oracle(tmp_path_factory, case):
+    text, mirror, block_lines = case
+    path = tmp_path_factory.mktemp("blocks") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_parse_matches_the_oracle(path, mirror, block_lines)
+
+
+@pytest.mark.parametrize("damage", sorted(ROW_DAMAGE))
+def test_each_row_damage_is_rejected_as_the_oracle_rejects_it(tmp_path, vocab, damage):
+    rallies = synthesize_dataset(SynthConfig(n_rallies=4, seed=1, vocab=vocab))
+    path = tmp_path / "data.csv"
+    write_dataset(rallies, vocab, path)
+    lines = path.read_text().splitlines()
+    lines[7] = ",".join(ROW_DAMAGE[damage](lines[7].split(",")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_parse_matches_the_oracle(path, "odd", 5)
+
+
+def test_rounds_beyond_int64_list_a_broken_rally_in_round_order(tmp_path, vocab):
+    rows = [_row(ball_round=1)] + [_row(ball_round=2**64 + k, player="B", type_name="drive") for k in (9, 1, 2**70, 5)]
+    path = _write(tmp_path, rows * 3)
+    _assert_parse_matches_the_oracle(path, "none", 4)
+    _, _, rejects = parse_dataset(path, vocab, write_rejects=False)
+    assert [r.line_number for r in rejects] == [2, 7, 12, 4, 9, 14, 6, 11, 16, 3, 8, 13, 5, 10, 15]
+
+
+def test_damaged_rows_on_both_sides_of_a_parse_block_boundary_match_the_oracle(tmp_path, vocab):
+    path = tmp_path / "data.csv"
+    write_dataset(synthesize_dataset(SynthConfig(n_rallies=700, seed=3, vocab=vocab)), vocab, path)
+    lines = path.read_text().splitlines()  # lines[k] is line k + 1; the first block ends at line PARSE_BLOCK_LINES + 1
+    assert len(lines) > PARSE_BLOCK_LINES + 2
+    lines[PARSE_BLOCK_LINES] = ",".join(ROW_DAMAGE["player_c"](lines[PARSE_BLOCK_LINES].split(",")))
+    lines[PARSE_BLOCK_LINES + 1] += ",extra"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    got = _parse_outcome(parse_dataset, path, vocab, "none")
+    assert got == _parse_outcome(reference_parse_dataset, path, vocab, "none")
+    _, _, rejects = parse_dataset(path, vocab, write_rejects=False)
+    assert [r.line_number for r in rejects[:2]] == [PARSE_BLOCK_LINES + 1, PARSE_BLOCK_LINES + 2]
+
+
+def test_parse_names_the_first_malformed_rows_above_the_threshold(tmp_path, vocab):
+    path = _write(tmp_path, [_row(), "garbage,row", _row(ball_round=2, player="B", type_name="kiwi")])
+    message = (
+        f"2/3 rows malformed in {path} (limit 10%): line 3 (expected 9 columns, found 2), "
+        "line 4 (unknown shot type: 'kiwi)"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_dataset(path, vocab)
+    assert str(err.value) == message
+
