@@ -154,10 +154,7 @@ def _resolve_vocab(settings: Settings) -> ShotTypeVocab:
     path = settings["vocab"]
     if path is None:
         return ShotTypeVocab.default()
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"vocabulary file not found: {p}")
-    return load_vocab(p)
+    return load_vocab(path)
 
 
 def _require(args: argparse.Namespace, name: str) -> str:
@@ -168,12 +165,9 @@ def _require(args: argparse.Namespace, name: str) -> str:
 
 
 def _load_rallies(path: str, vocab: ShotTypeVocab, court: CourtSpec, mirror: str):
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"dataset file not found: {p}")
-    rallies, meta, rejects = parse_dataset(p, vocab, court, mirror=mirror)
+    rallies, meta, rejects = parse_dataset(path, vocab, court, mirror=mirror)
     if rejects:
-        print(f"note: {len(rejects)} rows rejected, see {p.name}.rejects.csv")
+        print(f"note: {len(rejects)} rows rejected, see {Path(path).name}.rejects.csv")
     return rallies, meta
 
 
@@ -273,13 +267,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = Forecaster.load(checkpoint)
     rallies, _ = _load_rallies(_require(args, "data"), model.vocab, model.court, settings["mirror"])
     out = Path(_require(args, "out"))
-    tau = model.config.tau
     open_ended = bool(getattr(args, "open_ended", False))
     horizon = settings["horizon"] if open_ended else None
     if not open_ended:
-        short = [r.rally_id for r in rallies if len(r) < tau + 1]
+        short = [r.rally_id for r in rallies if len(r) < TAU + 1]
         if short:
-            raise ParseError(f"rallies too short to predict (need {tau + 1} strokes): {short[:5]}")
+            raise ParseError(f"rallies too short to predict (need {TAU + 1} strokes): {short[:5]}")
 
     n_samples = settings["samples"]
     sets = generate_sample_sets(model, rallies, n_samples, settings["seed"], horizon=horizon)
@@ -294,10 +287,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     vocab = _resolve_vocab(settings)
     court = CourtSpec()
     truths, _ = _load_rallies(_require(args, "truth"), vocab, court, settings["mirror"])
-    pred_path = Path(_require(args, "predictions"))
-    if not pred_path.exists():
-        raise UsageError(f"prediction file not found: {pred_path}")
-    pred = import_predictions(pred_path, vocab)
+    pred = import_predictions(_require(args, "predictions"), vocab)
     if pred.n_samples != EXPECTED_SAMPLE_SETS:
         raise UsageError(f"expected {EXPECTED_SAMPLE_SETS} sample sets, found {pred.n_samples}")
     scorable = [r for r in truths if len(r) >= TAU + 1]
@@ -337,8 +327,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pred_path = getattr(args, "predictions", None)
     if not pred_path:
         raise UsageError(f"--kind {kind} needs --predictions")
-    if not Path(pred_path).exists():
-        raise UsageError(f"prediction file not found: {pred_path}")
     pred = import_predictions(pred_path, vocab)
 
     if kind == "vote":

@@ -202,31 +202,29 @@ def save_vocab(vocab: ShotTypeVocab, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class CourtSpec:
-    """Court dimensions and the affine coordinate normalization.
-
-    The default normalization maps the court onto [-1, 1] in both axes.
-    """
+    """Court dimensions; coordinates normalize by the court's own size (see center)."""
 
     width_m: float = DEFAULT_WIDTH_M
     length_m: float = DEFAULT_LENGTH_M
-    mean_x: float = DEFAULT_WIDTH_M / 2
-    mean_y: float = DEFAULT_LENGTH_M / 2
-    std_x: float = DEFAULT_WIDTH_M / 2
-    std_y: float = DEFAULT_LENGTH_M / 2
 
     def __post_init__(self) -> None:
         if self.width_m <= 0 or self.length_m <= 0:
             raise ValueError("court dimensions must be positive")
-        if self.std_x <= 0 or self.std_y <= 0:
-            raise ValueError("normalization stds must be positive")
+
+    @property
+    def center(self) -> tuple[float, float]:
+        """The court's center, which is also its half-extent: normalization maps the court onto [-1, 1]."""
+        return self.width_m / 2, self.length_m / 2
 
 
 def normalize_coord(p: tuple[float, float], court: CourtSpec) -> tuple[float, float]:
-    return (p[0] - court.mean_x) / court.std_x, (p[1] - court.mean_y) / court.std_y
+    cx, cy = court.center
+    return (p[0] - cx) / cx, (p[1] - cy) / cy
 
 
 def denormalize_coord(p: tuple[float, float], court: CourtSpec) -> tuple[float, float]:
-    return p[0] * court.std_x + court.mean_x, p[1] * court.std_y + court.mean_y
+    cx, cy = court.center
+    return p[0] * cx + cx, p[1] * cy + cy
 
 
 def mirror_coord(p: tuple[float, float], court: CourtSpec) -> tuple[float, float]:

@@ -28,6 +28,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .court import (
+    DEFAULT_LENGTH_M,
+    DEFAULT_WIDTH_M,
     PARSE_BLOCK_LINES,
     CourtSpec,
     ParseError,
@@ -439,7 +441,6 @@ class SynthConfig:
     mean_length: float = 7.0
     vocab: ShotTypeVocab = field(default_factory=ShotTypeVocab.default)
     player_styles: dict[str, PlayerStyle] | None = None
-    court: CourtSpec = field(default_factory=CourtSpec)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -449,16 +450,13 @@ class SynthConfig:
             raise ValueError(f"mean_length must be at least {TAU + 1}")
 
 
-def default_player_styles(
-    vocab: ShotTypeVocab, names: Sequence[str] = ("alice", "bruno", "chen", "dara"), court: CourtSpec | None = None
-) -> dict[str, PlayerStyle]:
-    """Deterministic, visibly distinct styles for synthetic corpora."""
-    court = court or CourtSpec()
+def default_player_styles(vocab: ShotTypeVocab) -> dict[str, PlayerStyle]:
+    """Deterministic, visibly distinct styles of four players for synthetic corpora."""
     v = vocab.size
     non_serve = [i for i in range(v) if not vocab.is_serve(i)]
-    w, l = court.width_m, court.length_m
+    w, l = DEFAULT_WIDTH_M, DEFAULT_LENGTH_M
     styles: dict[str, PlayerStyle] = {}
-    for k, name in enumerate(names):
+    for k, name in enumerate(("alice", "bruno", "chen", "dara")):
         prefs = np.full(v, 0.05)
         for s in vocab.serve_ids:
             prefs[s] = 0.5 if (s + k) % 2 == 0 else 0.1
@@ -494,8 +492,8 @@ def synthesize_dataset(config: SynthConfig) -> list[Rally]:
     mean_length with a floor of five. Deterministic under the seed.
     """
     vocab = config.vocab
-    court = config.court
-    styles = config.player_styles or default_player_styles(vocab, court=court)
+    court = CourtSpec()
+    styles = config.player_styles or default_player_styles(vocab)
     if len(styles) < 2:
         raise ValueError("need at least two player styles")
     for name, style in styles.items():

@@ -47,7 +47,6 @@ class ModelConfig:
     vocab_size: int = 10
     n_players: int = 2  # real players; the table has one extra unknown row
     embedding_mode: str = "modified"
-    tau: int = TAU
 
     def __post_init__(self) -> None:
         if self.embed_dim % self.n_heads != 0:
@@ -56,8 +55,8 @@ class ModelConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.embedding_mode not in ("baseline", "modified"):
             raise ValueError(f"unknown embedding_mode: {self.embedding_mode!r}")
-        if self.vocab_size < 1 or self.n_players < 1 or self.n_layers < 1 or self.tau < 1:
-            raise ValueError("vocab_size, n_players, n_layers, and tau must be positive")
+        if self.vocab_size < 1 or self.n_players < 1 or self.n_layers < 1:
+            raise ValueError("vocab_size, n_players, and n_layers must be positive")
 
     @property
     def ffn_width(self) -> int:
@@ -135,7 +134,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         elif name in ("type_emb", "player_emb"):
             data = rng.normal(0.0, 0.1, size=shape)
         else:
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
+            fan_in = shape[0]
             data = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
         tensors[name] = Tensor(data)
     return ModelParams(tensors)
@@ -477,20 +476,19 @@ def forward_teacher_forced(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Head outputs for strokes tau+1 .. |rally|, conditioned on truth.
+    """Head outputs for strokes TAU+1 .. |rally|, conditioned on truth.
 
-    Row i predicts stroke tau+1+i from the strokes before it. The shapes are
-    (m, V), (m, 2), (m, 2) and (m,) for m = |rally| - tau targets.
+    Row i predicts stroke TAU+1+i from the strokes before it. The shapes are
+    (m, V), (m, 2), (m, 2) and (m,) for m = |rally| - TAU targets.
     """
-    tau = model.config.tau
-    if len(rally) < tau + 1:
-        raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {tau + 1}")
+    if len(rally) < TAU + 1:
+        raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")
     history = rally.strokes[:-1]
     probs, mu, log_sigma, rho = model.forward_positions(
         history, (rally.player_a, rally.player_b), training=training, rng=rng
     )
-    # position p (0-based) predicts round p + 2, so round tau + 1 is row tau - 1
-    return probs[tau - 1 :], mu[tau - 1 :], log_sigma[tau - 1 :], rho[tau - 1 :]
+    # position p (0-based) predicts round p + 2, so round TAU + 1 is row TAU - 1
+    return probs[TAU - 1 :], mu[TAU - 1 :], log_sigma[TAU - 1 :], rho[TAU - 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +513,26 @@ def save_checkpoint(path: str | Path, model: Forecaster) -> None:
             fh.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
 
 
+def _config_and_court(path: str | Path, header: dict) -> tuple[ModelConfig, CourtSpec]:
+    """The model config and court of a checkpoint header.
+
+    Earlier headers also carried tau and the court normalization (mean_x,
+    mean_y, std_x, std_y), values that are now fixed: tau is TAU, and a court
+    normalizes by its center. Such a key loads at its fixed value; any other
+    value raises ParseError naming the key.
+    """
+    config_fields, court_fields = dict(header["config"]), dict(header["court"])
+    found = {"tau": config_fields.pop("tau", TAU)}
+    found.update((key, court_fields.pop(key)) for key in ("mean_x", "mean_y", "std_x", "std_y") if key in court_fields)
+    config, court = ModelConfig(**config_fields), CourtSpec(**court_fields)
+    cx, cy = court.center
+    fixed = {"tau": TAU, "mean_x": cx, "mean_y": cy, "std_x": cx, "std_y": cy}
+    for key, value in found.items():
+        if value != fixed[key]:
+            raise ParseError(f"{path}: header {key} is {value!r}, but {key} is fixed at {fixed[key]!r}")
+    return config, court
+
+
 def load_checkpoint(path: str | Path) -> Forecaster:
     """Read a checkpoint, checking every length in it against the file.
 
@@ -535,8 +553,7 @@ def load_checkpoint(path: str | Path) -> Forecaster:
         raise ParseError(f"{path}: header length {hlen} exceeds the {len(raw) - off} bytes after it")
     try:
         header = json.loads(raw[off : off + hlen].decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        court = CourtSpec(**header["court"])
+        config, court = _config_and_court(path, header)
         vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in header["vocab"]))
         player_index = {k: int(v) for k, v in header["player_index"].items()}
         arrays = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]

@@ -31,6 +31,7 @@ from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
 
 PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
+PROB_SUM_TOL = 1e-6  # how far a prediction row's probabilities may sum from 1
 EXPECTED_SAMPLE_SETS = 6
 
 
@@ -116,11 +117,10 @@ def generate_sample_sets(
     draws of a larger n_sets reproduce a smaller run exactly.
     When horizon is None each rally is continued to its ground-truth length.
     """
-    tau = model.config.tau
     tasks = [
         (
             rally,
-            horizon if horizon is not None else len(rally) - tau,
+            horizon if horizon is not None else len(rally) - TAU,
             np.random.SeedSequence([seed, TAG_EVAL, r_idx, j]),
         )
         for j in range(n_sets)
@@ -136,21 +136,19 @@ def _sample_lockstep(
 ) -> list[list[GeneratedStroke]]:
     """Sample one continuation per (rally, horizon, seed), all in one batched forward per step.
 
-    Every history starts from its tau-stroke prefix, so at step t all active
-    histories hold tau + t strokes and need no padding; a continuation leaves
+    Every history starts from its TAU-stroke prefix, so at step t all active
+    histories hold TAU + t strokes and need no padding; a continuation leaves
     the batch once it reaches its horizon. The forward runs without a tape,
     from a key/value cache of the earlier positions, and only each
     continuation's own random() and standard_normal(2) are drawn per row.
     """
-    tau = model.config.tau
     for rally, horizon, _ in tasks:
-        if len(rally) < tau:
-            raise ValueError(f"rally {rally.rally_id}: prefix needs {tau} strokes, found {len(rally)}")
+        if len(rally) < TAU:
+            raise ValueError(f"rally {rally.rally_id}: prefix needs {TAU} strokes, found {len(rally)}")
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
     if not tasks:
         return []
-    court = model.court
     serve_ids = list(model.vocab.serve_ids)
     names = [(rally.player_a, rally.player_b) for rally, _, _ in tasks]
     rngs = [np.random.default_rng(seed) for _, _, seed in tasks]
@@ -158,21 +156,21 @@ def _sample_lockstep(
     outs: list[list[GeneratedStroke]] = [[] for _ in tasks]
 
     # per batch row: the stroke before the next one, and the player-table rows of sides A and B
-    last = [rally.strokes[tau - 1] for rally, _, _ in tasks]
+    last = [rally.strokes[TAU - 1] for rally, _, _ in tasks]
     prev_landing = np.array([s.landing for s in last])
     prev_a = np.array([s.player is Player.A for s in last])
     prev_round = np.array([s.round_index for s in last])
     side_ids = np.array([[model.player_id(a), model.player_id(b)] for a, b in names])
 
     active = np.arange(len(tasks))  # task index of each batch row
-    prefixes = StrokeInputs.stack([model.stroke_inputs(r.strokes[:tau], n) for (r, _, _), n in zip(tasks, names)])
-    history = prefixes.padded(tau + int(horizons.max()))
+    prefixes = StrokeInputs.stack([model.stroke_inputs(r.strokes[:TAU], n) for (r, _, _), n in zip(tasks, names)])
+    history = prefixes.padded(TAU + int(horizons.max()))
     cache = KVCache(len(tasks), model.config)
-    center = np.array([court.mean_x, court.mean_y])
-    spread = np.array([court.std_x, court.std_y])
+    court = model.court
+    center = np.array(court.center)  # also the half-extent, so normalized = (meters - center) / center
     size = np.array([court.width_m, court.length_m])
     with ad.no_tape():
-        for n in range(tau, history.type_ids.shape[1]):
+        for n in range(TAU, history.type_ids.shape[1]):
             probs, mu, log_sigma, rho = model.forward(history.positions(cache.length, n), cache=cache)
             type_ids, landing, type_probs = _draw_strokes(
                 [rngs[c] for c in active],
@@ -182,7 +180,6 @@ def _sample_lockstep(
                 rho.data[:, -1],
                 serve_ids,
                 center,
-                spread,
             )
             hit_a = ~prev_a
             rounds = prev_round + 1
@@ -193,11 +190,11 @@ def _sample_lockstep(
             history.type_ids[:, n] = type_ids
             history.player_ids[:, n] = np.where(hit_a, side_ids[:, 0], side_ids[:, 1])
             history.hit_by_a[:, n] = hit_a
-            history.landings[:, n] = (landing - center) / spread
-            history.locations[:, n] = (size - prev_landing - center) / spread  # the previous landing, mirrored
+            history.landings[:, n] = (landing - center) / center
+            history.locations[:, n] = (size - prev_landing - center) / center  # the previous landing, mirrored
             prev_landing, prev_a, prev_round = landing, hit_a, rounds
 
-            keep = np.flatnonzero(horizons[active] > n + 1 - tau)
+            keep = np.flatnonzero(horizons[active] > n + 1 - TAU)
             if len(keep) == 0:
                 break
             if len(keep) < len(active):
@@ -215,12 +212,11 @@ def _draw_strokes(
     rho: np.ndarray,
     serve_ids: list[int],
     center: np.ndarray,
-    spread: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the next stroke of each row: random() picks the type, then standard_normal(2) the landing.
 
     Takes (B, V), (B, 2), (B, 2) and (B,) head outputs, one generator per
-    row, and the court's normalization means and stds. Returns the (B,) type
+    row, and the court's center, which normalizes landings. Returns the (B,) type
     ids, the (B, 2) quantized landings in meters and the (B, V) serve-masked,
     renormalized, quantized distributions.
     """
@@ -244,7 +240,7 @@ def _draw_strokes(
     chol[:, 1, 0] = rho * sigma[:, 1]
     chol[:, 1, 1] = sigma[:, 1] * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
     z = mu + (chol @ noise[:, :, None])[:, :, 0]  # a matrix-vector product per row, as for one row
-    return type_ids, quantize6_array(z * spread + center), quantize_simplex(probs)
+    return type_ids, quantize6_array(z * center + center), quantize_simplex(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +293,28 @@ def _segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # the CE + MAE metric
 # ---------------------------------------------------------------------------
 
-def _stroke_losses(sets: SampleSets, truths: Sequence[Rally], tau: int) -> tuple[np.ndarray, np.ndarray]:
+def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarray, np.ndarray]:
     """(k, N) per-stroke CE + L1 losses of every set, and the (R,) suffix length of each rally.
 
-    Every set's suffix of a rally must cover the rally's rounds tau+1..n, so
+    Every set's suffix of a rally must cover the rally's rounds TAU+1..n, so
     all sets share one layout of N strokes.
     """
     k, n_rallies = sets.lengths.shape
     if n_rallies != len(truths):
         raise ValueError(f"sample set covers {n_rallies} rallies, ground truth has {len(truths)}")
-    suffix = np.array([max(len(r) - tau, 0) for r in truths], dtype=np.int64)
+    suffix = np.array([max(len(r) - TAU, 0) for r in truths], dtype=np.int64)
     flat = sets.lengths.ravel()
     starts = np.cumsum(flat) - flat
     position = np.arange(len(sets.rounds)) - np.repeat(starts, flat)
-    off_rows = np.repeat(np.arange(flat.size), flat)[sets.rounds != position + tau + 1]
+    off_rows = np.repeat(np.arange(flat.size), flat)[sets.rounds != position + TAU + 1]
     bad = (sets.lengths != suffix).ravel() | (np.bincount(off_rows, minlength=flat.size) > 0)
     if bad.any():
         seg = int(np.argmax(bad))
         rally = truths[seg % n_rallies]
         got = sets.rounds[starts[seg] : starts[seg] + flat[seg]].tolist()
-        expected = list(range(tau + 1, len(rally) + 1))
+        expected = list(range(TAU + 1, len(rally) + 1))
         raise ValueError(f"rally {rally.rally_id}: predictions cover rounds {got}, expected {expected}")
-    future = [s for r in truths for s in r.strokes[tau:]]
+    future = [s for r in truths for s in r.strokes[TAU:]]
     n = len(future)
     if n == 0:
         raise ValueError("no predicted strokes to score")
@@ -356,16 +352,14 @@ class SetEvaluation:
         return float(self.rally_sums.sum() / self.n_strokes)
 
 
-def evaluate_sample_set(
-    samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = TAU
-) -> SetEvaluation:
-    losses, suffix = _stroke_losses(SampleSets.from_nested([samples]), truths, tau)
+def evaluate_sample_set(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally]) -> SetEvaluation:
+    losses, suffix = _stroke_losses(SampleSets.from_nested([samples]), truths)
     return SetEvaluation(_rally_sums(losses, suffix)[0], losses.shape[1])
 
 
-def sample_set_loss(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally], tau: int = TAU) -> float:
+def sample_set_loss(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally]) -> float:
     """Mean per-stroke CE + L1 loss of one sample set over all rallies."""
-    return evaluate_sample_set(samples, truths, tau=tau).loss
+    return evaluate_sample_set(samples, truths).loss
 
 
 def score_min6(losses: Sequence[float]) -> float:
@@ -419,14 +413,13 @@ def score_sample_sets(
     sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]],
     truths: Sequence[Rally],
     protocol: str = "min_of_sets",
-    tau: int = TAU,
 ) -> ScoreReport:
     """Score k sample sets, as columns or [set][rally][stroke] lists, under either aggregation protocol."""
     if protocol not in ("min_of_sets", "best_of_k"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if not len(sets):
         raise ValueError("need at least one sample set")
-    stroke_losses, suffix = _stroke_losses(_as_sample_sets(sets), truths, tau)
+    stroke_losses, suffix = _stroke_losses(_as_sample_sets(sets), truths)
     rally_sums = _rally_sums(stroke_losses, suffix)  # (k, R)
     n = stroke_losses.shape[1]
     losses = [float(row.sum() / n) for row in rally_sums]
@@ -449,7 +442,7 @@ def score_sample_sets(
     round_sum = np.zeros(int(suffix.max()))
     np.add.at(round_sum, position, stroke_losses[best_idx[rally_of_stroke], np.arange(n)])
     round_mean = round_sum / np.bincount(position)
-    per_round = {tau + 1 + j: v for j, v in enumerate(round_mean.tolist())}
+    per_round = {TAU + 1 + j: v for j, v in enumerate(round_mean.tolist())}
 
     score = min_sets if protocol == "min_of_sets" else best_agg
     return ScoreReport(
@@ -658,7 +651,7 @@ def _parse_block(block: list[str], n_columns: int, codes: dict[str, int]) -> tup
     if not (
         np.isfinite(numbers[:, :2]).all()
         and ((probs >= 0.0) & (probs <= 1.0)).all()
-        and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6).all()
+        and (np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all()
         and (sample_ids >= 1).all()
     ):
         return None
@@ -694,7 +687,7 @@ def _check_lines(block: list[str], first_line: int, columns: list[str]) -> None:
             if not 0.0 <= p <= 1.0:  # NaN fails too
                 raise ParseError(f"line {line_number}: {columns[col]} = {cells[col]} is not in [0, 1]")
         total = np.array(values).sum()
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise ParseError(f"line {line_number}: probabilities sum to {total:.8f}")
         if sample_id < 1:
             raise ParseError(f"line {line_number}: sample id {sample_id} is below 1")

@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericHealthError, Tensor
 from .court import CourtSpec, Rally, ShotTypeVocab, Stroke, normalize_coord
+from .dataset import TAU
 from .network import (
     Forecaster,
     ModelConfig,
@@ -188,7 +189,7 @@ def train(
     """
     if not train_set:
         raise ValueError("training set is empty")
-    short = [r.rally_id for r in train_set if len(r) < model_config.tau + 1]
+    short = [r.rally_id for r in train_set if len(r) < TAU + 1]
     if short:
         raise ValueError(f"rallies too short to train on: {short[:5]}")
     court = court or CourtSpec()
@@ -218,7 +219,7 @@ def train(
                 for pos, rally in enumerate(batch):
                     rng = rng_from_key(train_config.seed, TAG_DROPOUT, epoch, b_idx, pos)
                     heads.append(forward_teacher_forced(model, rally, training=True, rng=rng))
-                    targets.extend(rally.strokes[config.tau :])
+                    targets.extend(rally.strokes[TAU:])
                 bundle = step_loss(heads, targets, court)
                 ad.backward(bundle.node)
             except NumericHealthError as exc:
@@ -272,4 +273,4 @@ def eval_best_of_k(
     if not rallies:
         raise ValueError("no rallies to evaluate")
     sets = generate_sample_sets(model, rallies, k, seed)
-    return score_sample_sets(sets, rallies, protocol="best_of_k", tau=model.config.tau)
+    return score_sample_sets(sets, rallies, protocol="best_of_k")

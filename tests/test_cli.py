@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
+from rallycast.dataset import TAU
 from rallycast.network import CHECKPOINT_MAGIC
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_rally, tiny_model
 
 CORPUS32 = FIXTURES / "corpus32.csv"
 HAND_SCORED = FIXTURES / "hand_scored"
@@ -51,6 +52,41 @@ def test_missing_vocab_file_exits_2(tmp_path):
     out = run_cli("synth", "--n", 5, "--out", tmp_path / "x.csv", "--vocab", tmp_path / "missing_vocab.csv")
     assert out.returncode == 2
     assert "missing_vocab.csv" in out.stderr
+
+
+# (command line with the missing file, what the error calls that file)
+MISSING_FILE = {
+    "validate_data": (lambda missing, tmp: ["validate", "--data", missing], "dataset"),
+    "train_data": (lambda missing, tmp: ["train", "--data", missing, "--out-dir", tmp / "run"], "dataset"),
+    "predict_data": (
+        lambda missing, tmp: ["predict", "--checkpoint", tmp / "m.ckpt", "--data", missing, "--out", tmp / "p.csv"],
+        "dataset",
+    ),
+    "score_truth": (
+        lambda missing, tmp: ["score", "--predictions", HAND_SCORED / "predictions.csv", "--truth", missing], "dataset",
+    ),
+    "analyze_data": (
+        lambda missing, tmp: ["analyze", "--kind", "shot-by-round", "--data", missing, "--out-dir", tmp], "dataset",
+    ),
+    "vocabulary": (lambda missing, tmp: ["validate", "--data", CORPUS32, "--vocab", missing], "vocabulary"),
+    "score_predictions": (
+        lambda missing, tmp: ["score", "--predictions", missing, "--truth", HAND_SCORED / "truth.csv"], "prediction",
+    ),
+    "analyze_predictions": (
+        lambda missing, tmp: ["analyze", "--kind", "vote", "--predictions", missing, "--out-dir", tmp], "prediction",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_FILE))
+def test_a_missing_input_file_exits_2_naming_its_kind_and_path(tmp_path, vocab, case):
+    command, kind = MISSING_FILE[case]
+    tiny_model([make_rally([0, 2, 3, 4, 5])], vocab).save(tmp_path / "m.ckpt")
+    missing = tmp_path / "missing.csv"
+    out = run_cli(*command(missing, tmp_path))
+    assert out.returncode == 2, out.stderr
+    assert f"error: {kind} file not found: {missing}" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("kept_rows", [4, None])  # None keeps the whole file, past the text reader's first chunk
@@ -251,6 +287,22 @@ def test_settings_defaults_are_unchanged():
     }
 
 
+def test_every_config_field_is_a_setting_or_derived_from_the_data():
+    """A field that no setting reaches is a value nothing sets: give it a SETTINGS key or delete it."""
+    from dataclasses import fields
+
+    from rallycast.cli import SETTINGS
+    from rallycast.dataset import FilterPolicy
+    from rallycast.network import ModelConfig
+    from rallycast.training import TrainConfig
+
+    derived = {"vocab_size", "n_players"}  # train() sets these from the vocabulary and the training set
+    setting_of = {"dropout_rate": "dropout"}
+    for config in (ModelConfig, TrainConfig, FilterPolicy):
+        for f in fields(config):
+            assert f.name in derived or setting_of.get(f.name, f.name) in SETTINGS, f"{config.__name__}.{f.name}"
+
+
 @pytest.mark.parametrize("key", ["ffn_dim", "max_rally_length", "max_match_total_rounds"])
 def test_optional_int_flags_accept_none_as_their_config_keys_do(tmp_path, key):
     from rallycast.cli import Settings, build_parser, load_config_file
@@ -386,6 +438,18 @@ def _first_player_index_not_an_int(header):
     header["player_index"][first] = "one"
 
 
+def _earlier_header_format(raw, tau=TAU):
+    """The checkpoint with tau and the court normalization back in its header, as earlier versions wrote it."""
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(raw[len(CHECKPOINT_MAGIC) : start], "little")
+    header = json.loads(raw[start:end])
+    header["config"]["tau"] = tau
+    half_width, half_length = header["court"]["width_m"] / 2, header["court"]["length_m"] / 2
+    header["court"].update(mean_x=half_width, mean_y=half_length, std_x=half_width, std_y=half_length)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + raw[end:]
+
+
 # damage: (damaged bytes from the checkpoint's bytes, what the error names)
 CHECKPOINT_DAMAGE = {
     "truncated": (lambda raw: raw[:-5], "array 'area_head_b'"),
@@ -395,11 +459,14 @@ CHECKPOINT_DAMAGE = {
     "n_heads_not_dividing": (
         _edit_header(lambda h: h["config"].update(n_heads=3)), "embed_dim must be divisible by n_heads",
     ),
-    "court_std_zero": (_edit_header(lambda h: h["court"].update(std_x=0.0)), "normalization stds must be positive"),
+    # a normalization earlier headers carried, now fixed at the court's center
+    "court_std_zero": (_edit_header(lambda h: h["court"].update(std_x=0.0)), "header std_x is 0.0, but std_x is fixed at 3.05"),
     "vocab_ids_gapped": (
         _edit_header(lambda h: h["vocab"][1].__setitem__(0, 5)), "type_ids must be contiguous",
     ),
     "player_index_not_an_int": (_edit_header(_first_player_index_not_an_int), "invalid literal for int()"),
+    # an earlier header's tau other than the fixed one; it loaded and predicted rounds that score rejected
+    "tau_5": (lambda raw: _earlier_header_format(raw, tau=5), "header tau is 5, but tau is fixed at 4"),
 }
 
 
@@ -416,6 +483,25 @@ def test_predict_with_a_damaged_checkpoint_exits_1(trained, tmp_path, damage):
     assert f"{damaged}: " in out.stderr
     assert message in out.stderr
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_a_checkpoint_in_the_earlier_header_format_loads_and_predicts_the_same_bytes(trained, tmp_path):
+    from rallycast.network import Forecaster
+
+    current = trained / "model.ckpt"
+    earlier = tmp_path / "earlier.ckpt"
+    earlier.write_bytes(_earlier_header_format(current.read_bytes()))
+    want, got = Forecaster.load(current), Forecaster.load(earlier)
+    assert (got.config, got.court, got.vocab, got.player_index) == (want.config, want.court, want.vocab, want.player_index)
+    for name in want.params.names():
+        assert got.params[name].data.tobytes() == want.params[name].data.tobytes()
+    outputs = []
+    for checkpoint in (current, earlier):
+        out = tmp_path / f"{checkpoint.stem}.csv"
+        result = run_cli("predict", "--checkpoint", checkpoint, "--data", trained / "val_split.csv", "--out", out, "--seed", 3)
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_predict_open_ended_horizon(trained, tmp_path, vocab):
@@ -475,6 +561,7 @@ PREDICTION_DAMAGE = {
     # -0.2 moved onto the true type would lower the score from 1.539721 to 1.371485
     "negative_probability": ({"prob_net_shot": "-0.200000", "prob_smash": "0.700000"}, "prob_net_shot = -0.200000"),
     "nan_landing": ({"landing_x": "nan"}, "landing (nan, 9.000000) is not finite"),
+    "probabilities_off_one": ({"prob_smash": "0.500002"}, "probabilities sum to 1.00000200"),
 }
 
 

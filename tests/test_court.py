@@ -210,8 +210,9 @@ def test_mirror_coord_twice_keeps_a_six_decimal_point(kx, ky):
 # ---------------------------------------------------------------------------
 
 def test_normalize_reference_points(court):
-    assert normalize_coord((court.mean_x, court.mean_y), court) == (0.0, 0.0)
-    nx, ny = normalize_coord((court.mean_x + court.std_x, court.mean_y), court)
+    cx, cy = court.width_m / 2, court.length_m / 2
+    assert normalize_coord((cx, cy), court) == (0.0, 0.0)
+    nx, ny = normalize_coord((court.width_m, cy), court)
     assert math.isclose(nx, 1.0, abs_tol=1e-15) and ny == 0.0
 
 
@@ -221,11 +222,6 @@ def test_normalize_round_trip(court):
         p = (float(rng.uniform(-5, 15)), float(rng.uniform(-5, 25)))
         q = denormalize_coord(normalize_coord(p, court), court)
         assert abs(q[0] - p[0]) < 1e-12 and abs(q[1] - p[1]) < 1e-12
-
-
-def test_zero_std_rejected():
-    with pytest.raises(ValueError):
-        CourtSpec(std_x=0.0)
 
 
 def test_vocab_file_round_trip(tmp_path, vocab):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rallycast import autodiff as ad, network
 from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
 from rallycast.court import CourtSpec, Player, ShotTypeVocab
-from rallycast.dataset import FilterPolicy, ParseError, filter_training, parse_dataset, split
+from rallycast.dataset import TAU, FilterPolicy, ParseError, filter_training, parse_dataset, split
 from rallycast.network import (
     CACHE_BLOCK,
     Forecaster,
@@ -270,7 +270,7 @@ def test_a_corpus32_batch_stays_within_its_tape_budget():
     config = ModelConfig(embed_dim=16, n_heads=2, n_layers=1, dropout_rate=0.2, vocab_size=vocab.size, n_players=len(index))
     model = Forecaster(init_params(config, 7), config, court, vocab, index)
     heads = [forward_teacher_forced(model, r, training=True, rng=np.random.default_rng(i)) for i, r in enumerate(batch)]
-    targets = [s for r in batch for s in r.strokes[config.tau :]]
+    targets = [s for r in batch for s in r.strokes[TAU:]]
     tape = backward(step_loss(heads, targets, court).node)
     assert len(batch) == 16 and 0 < len(tape) <= TAPE_NODE_BUDGET, f"{len(tape)} tape nodes"
 
@@ -572,15 +572,7 @@ def any_forecaster(draw):
         embedding_mode=draw(st.sampled_from(["baseline", "modified"])),
     )
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    court = CourtSpec(
-        width_m=draw(positive),
-        length_m=draw(positive),
-        mean_x=draw(finite),
-        mean_y=draw(finite),
-        std_x=draw(positive),
-        std_y=draw(positive),
-    )
+    court = CourtSpec(width_m=draw(positive), length_m=draw(positive))
     params = init_params(config, 0)
     bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for t in params.tensors.values():
@@ -663,7 +655,7 @@ def test_full_model_gradient_check():
         for name, leaf in zip(names, leaves):
             model.params.tensors[name] = leaf
         heads = forward_teacher_forced(model, rally, training=True)
-        bundle = step_loss([heads], rally.strokes[model.config.tau :], court)
+        bundle = step_loss([heads], rally.strokes[TAU:], court)
         return bundle.node
 
     err = gradient_check(loss_fn, base)

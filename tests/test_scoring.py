@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from rallycast import scoring
 from rallycast.court import Player, Stroke, denormalize_coord, mirror_coord
+from rallycast.dataset import TAU
 from rallycast.scoring import (
     GeneratedStroke,
     evaluate_sample_set,
@@ -315,7 +316,7 @@ def _reference_draw(rng, prev, type_probs, mu, log_sigma, rho, serve_ids, court)
 def _reference_suffix(model, rally, horizon, seed):
     """One continuation the slow way: the taped forward over the whole history and a one-row draw per stroke."""
     rng = np.random.default_rng(seed)
-    history = list(rally.strokes[: model.config.tau])
+    history = list(rally.strokes[:TAU])
     out = []
     for _ in range(horizon):
         probs, mu, log_sigma, rho = model.forward_positions(history, (rally.player_a, rally.player_b))
@@ -358,14 +359,13 @@ def test_batched_quantize_simplex_rows_equal_the_per_row_reference(raw):
 
 def test_lockstep_sample_sets_equal_one_continuation_at_a_time(mixed_lengths):
     model, rallies = mixed_lengths
-    tau = model.config.tau
     seed = 21
     for horizon in (None, 9):
         sets = generate_sample_sets(model, rallies, 6, seed, horizon=horizon)
         assert len(sets) == 6
         for j, one in enumerate(sets):
             for r_idx, rally in enumerate(rallies):
-                steps = horizon if horizon is not None else len(rally) - tau
+                steps = horizon if horizon is not None else len(rally) - TAU
                 stream = np.random.SeedSequence([seed, TAG_EVAL, r_idx, j])
                 assert _same_strokes(one[r_idx], generate_suffix(model, rally, steps, stream))
                 assert _same_strokes(one[r_idx], _reference_suffix(model, rally, steps, stream))
