@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -48,11 +47,6 @@ class DistributionTable:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _points(pairs: list[tuple[float, float]]) -> np.ndarray:
-    """An (n, 2) float array of n (x, y) pairs."""
-    return np.fromiter(chain.from_iterable(pairs), dtype=np.float64, count=2 * len(pairs)).reshape(-1, 2)
-
-
 def shot_distribution(
     rallies: Sequence[Rally],
     group_by: str,
@@ -69,26 +63,25 @@ def shot_distribution(
     if group_by not in GROUPINGS:
         raise ValueError(f"group_by must be one of {GROUPINGS}, got {group_by!r}")
     court = court or CourtSpec()
-    type_ids = [s.shot_type for r in rallies for s in r.strokes]
-    n = len(type_ids)
-    types = np.fromiter(type_ids, dtype=np.int64, count=n)
+    if not rallies:
+        return DistributionTable(group_by, [])
+    types = np.concatenate([r.type_ids for r in rallies])
     if group_by == "player":
         labels = sorted({name for r in rallies for name in (r.player_a, r.player_b)})
         index = {name: i for i, name in enumerate(labels)}
-        lengths = [len(r.strokes) for r in rallies]
-        side_a = Player.A  # one enum lookup, not one per stroke
+        lengths = [len(r) for r in rallies]
         codes = np.where(
-            np.fromiter([s.player is side_a for r in rallies for s in r.strokes], dtype=bool, count=n),
+            np.concatenate([r.hit_by_a for r in rallies]),
             np.repeat(np.array([index[r.player_a] for r in rallies], dtype=np.int64), lengths),
             np.repeat(np.array([index[r.player_b] for r in rallies], dtype=np.int64), lengths),
         )
     else:
         if group_by == "ball_round":
-            keys = np.fromiter([s.round_index for r in rallies for s in r.strokes], dtype=np.int64, count=n)
+            keys = np.concatenate([r.rounds for r in rallies])
         elif group_by == "landing_zone":
-            keys = coord_to_zones(_points([s.landing for r in rallies for s in r.strokes]), court, Player.B)
+            keys = coord_to_zones(np.concatenate([r.landings for r in rallies]), court, Player.B)
         else:
-            keys = coord_to_zones(_points([s.player_location for r in rallies for s in r.strokes]), court, Player.A)
+            keys = coord_to_zones(np.concatenate([r.locations for r in rallies]), court, Player.A)
         values, codes = np.unique(keys, return_inverse=True)
         labels = [str(v) for v in values.tolist()]
     width = int(types.max(initial=0)) + 1

@@ -93,9 +93,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -267,18 +264,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a rank-2 or rank-3 tensor."""
-    if a.ndim not in (2, 3):
-        raise ValueError("transpose expects a rank-2 or rank-3 tensor")
-    out_data = np.swapaxes(a.data, -1, -2).copy()
-
-    def bwd(g):
-        _accumulate(a, np.swapaxes(g, -1, -2))
-
-    return _make(out_data, (a,), bwd, "transpose")
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow is reported as a health error
         out_data = np.exp(a.data)
@@ -297,15 +282,6 @@ def log(a: Tensor) -> Tensor:
         _accumulate(a, g / a.data)
 
     return _make(out_data, (a,), bwd, "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * 0.5 / out_data)
-
-    return _make(out_data, (a,), bwd, "sqrt")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -374,11 +350,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), bwd, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
     out_data = np.concatenate([p.data for p in parts], axis=axis)
@@ -421,18 +392,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         _accumulate(table, full)
 
     return _make(out_data, (table,), bwd, "embedding_lookup")
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float = NEG_MASK_VALUE) -> Tensor:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match tensor shape {a.shape}")
-    out_data = np.where(mask, value, a.data)
-
-    def bwd(g):
-        _accumulate(a, np.where(mask, 0.0, g))
-
-    return _make(out_data, (a,), bwd, "masked_fill")
 
 
 def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:

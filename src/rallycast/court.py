@@ -6,6 +6,11 @@ one corner of the court, x runs across the 6.1 m width, y runs along the
 increasing y. The hitter therefore occupies the low-y half at hit time and
 the receiver the high-y half. Data recorded in a fixed frame can be
 canonicalized on ingest (see dataset.parse_dataset's mirror option).
+
+A Rally holds its strokes as read-only column arrays, one row per stroke;
+Rally.strokes is a tuple-of-Stroke view of them, built on first use. A
+parsed or synthesized rally holds views of its corpus's columns and builds
+no Stroke until asked.
 """
 
 from __future__ import annotations
@@ -13,10 +18,11 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -208,8 +214,9 @@ class CourtSpec:
     length_m: float = DEFAULT_LENGTH_M
 
     def __post_init__(self) -> None:
-        if self.width_m <= 0 or self.length_m <= 0:
-            raise ValueError("court dimensions must be positive")
+        w, l = self.width_m, self.length_m
+        if not (w > 0 and l > 0 and math.isfinite(w) and math.isfinite(l)):
+            raise ValueError(f"court dimensions must be positive and finite, got width_m={w!r}, length_m={l!r}")
 
     @property
     def center(self) -> tuple[float, float]:
@@ -282,21 +289,86 @@ class Stroke:
     player_location: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class Rally:
-    """Ordered stroke sequence between two named players; player_a serves."""
+    """Ordered stroke sequence between two named players; player_a serves.
+
+    Row k-1 of the read-only columns is stroke k: rounds, hit_by_a and
+    type_ids are (n,), landings and locations (n, 2) in meters. Rallies
+    compare by their names and columns.
+    """
 
     rally_id: str
     match_id: str
     player_a: str
     player_b: str
-    strokes: tuple[Stroke, ...]
+    strokes: tuple[Stroke, ...]  # a field, so that dataclasses.replace(rally, strokes=...) passes it on
+    rounds: np.ndarray = field(init=False, repr=False)
+    hit_by_a: np.ndarray = field(init=False, repr=False)
+    type_ids: np.ndarray = field(init=False, repr=False)
+    landings: np.ndarray = field(init=False, repr=False)
+    locations: np.ndarray = field(init=False, repr=False)
+
+    def __init__(self, rally_id: str, match_id: str, player_a: str, player_b: str, strokes: Iterable[Stroke]):
+        strokes = tuple(strokes)
+        columns = (
+            np.array([s.round_index for s in strokes], dtype=np.int64),
+            np.array([s.player is Player.A for s in strokes], dtype=bool),
+            np.array([s.shot_type for s in strokes], dtype=np.int64),
+            np.array([s.landing for s in strokes], dtype=np.float64).reshape(-1, 2),
+            np.array([s.player_location for s in strokes], dtype=np.float64).reshape(-1, 2),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        for name, value in zip(_FIELDS + ("strokes",), (rally_id, match_id, player_a, player_b, *columns, strokes)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_columns(
+        cls, heads: Iterable[tuple[str, str, str, str]], bounds: Iterable[tuple[int, int]], columns: Sequence[np.ndarray]
+    ) -> list["Rally"]:
+        """A rally per (rally_id, match_id, player_a, player_b) head and (start, stop) bound, holding views of those rows."""
+        for column in columns:
+            column.flags.writeable = False  # so that no rally's columns can drift from its strokes
+        rallies = []
+        for head, (start, stop) in zip(heads, bounds):
+            rally = cls.__new__(cls)
+            for name, value in zip(_FIELDS, (*head, *(column[start:stop] for column in columns))):
+                object.__setattr__(rally, name, value)
+            rallies.append(rally)
+        return rallies
+
+    def __getattr__(self, name: str) -> tuple[Stroke, ...]:
+        """The strokes, built from the columns on first use: a rally from from_columns leaves that slot unset."""
+        if name != "strokes":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sides = [Player.A if a else Player.B for a in self.hit_by_a.tolist()]
+        landings, locations = map(tuple, self.landings.tolist()), map(tuple, self.locations.tolist())
+        strokes = tuple(map(Stroke, self.rounds.tolist(), sides, self.type_ids.tolist(), landings, locations))
+        object.__setattr__(self, "strokes", strokes)
+        return strokes
+
+    def __reduce__(self):  # a copy or an unpickled rally is rebuilt from its strokes, so its columns are read-only too
+        return Rally, (self.rally_id, self.match_id, self.player_a, self.player_b, self.strokes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rally):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in _FIELDS[:4]) and all(
+            np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True) for f in _FIELDS[4:]
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rally_id, self.match_id, self.player_a, self.player_b, len(self)))
 
     def __len__(self) -> int:
-        return len(self.strokes)
+        return len(self.rounds)
 
     def name_of(self, side: Player) -> str:
         return self.player_a if side is Player.A else self.player_b
+
+
+_FIELDS = ("rally_id", "match_id", "player_a", "player_b", "rounds", "hit_by_a", "type_ids", "landings", "locations")
 
 
 @dataclass(frozen=True)
@@ -310,24 +382,29 @@ class Violation:
 
 def validate_rally(rally: Rally, vocab: ShotTypeVocab, strict_serve: bool = False) -> list[Violation]:
     """Check rally structure; returns an empty list iff all invariants hold."""
-    out: list[Violation] = []
-    if not rally.strokes:
+    if not len(rally):
         return [Violation(0, "empty", "rally has no strokes")]
-    for k, s in enumerate(rally.strokes, start=1):
-        if s.round_index != k:
-            out.append(Violation(k, "round_index", f"expected round {k}, found {s.round_index}"))
-        expected = Player.A if k % 2 == 1 else Player.B
-        if s.player is not expected:
-            out.append(Violation(k, "alternation", f"expected player {expected.value}, found {s.player.value}"))
-        for label, (x, y) in (("landing", s.landing), ("player_location", s.player_location)):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                out.append(Violation(k, "nonfinite", f"{label} has a non-finite coordinate"))
-        if not 0 <= s.shot_type < vocab.size:
-            out.append(Violation(k, "unknown_type", f"type_id {s.shot_type} outside vocabulary"))
-            continue
-        if strict_serve:
-            if k == 1 and not vocab.is_serve(s.shot_type):
-                out.append(Violation(k, "serve_first", f"rally opens with non-service type {vocab.name_of(s.shot_type)!r}"))
-            if k > 1 and vocab.is_serve(s.shot_type):
-                out.append(Violation(k, "serve_after_open", f"service type {vocab.name_of(s.shot_type)!r} at round {k}"))
+    out: list[Violation] = []
+    # a sum is finite only if every term is: only a rally whose sums are not (or overflow) checks each coordinate
+    finite = math.isfinite(sum(rally.landings.ravel().tolist()) + sum(rally.locations.ravel().tolist()))
+    points = repeat(None) if finite else zip(rally.landings.tolist(), rally.locations.tolist())
+    columns = zip(rally.rounds.tolist(), rally.hit_by_a.tolist(), rally.type_ids.tolist(), points)
+    for k, (round_index, hit_by_a, shot_type, landing_and_location) in enumerate(columns, start=1):
+        if round_index != k:
+            out.append(Violation(k, "round_index", f"expected round {k}, found {round_index}"))
+        if hit_by_a != (k % 2 == 1):
+            expected, found = ("B", "A") if hit_by_a else ("A", "B")
+            out.append(Violation(k, "alternation", f"expected player {expected}, found {found}"))
+        if landing_and_location is not None:
+            for label, (x, y) in zip(("landing", "player_location"), landing_and_location):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    out.append(Violation(k, "nonfinite", f"{label} has a non-finite coordinate"))
+        if not 0 <= shot_type < vocab.size:
+            out.append(Violation(k, "unknown_type", f"type_id {shot_type} outside vocabulary"))
+        elif strict_serve and vocab.is_serve(shot_type) != (k == 1):
+            name = vocab.name_of(shot_type)
+            if k == 1:
+                out.append(Violation(k, "serve_first", f"rally opens with non-service type {name!r}"))
+            else:
+                out.append(Violation(k, "serve_after_open", f"service type {name!r} at round {k}"))
     return out

@@ -21,9 +21,9 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,10 +33,8 @@ from .court import (
     PARSE_BLOCK_LINES,
     CourtSpec,
     ParseError,
-    Player,
     Rally,
     ShotTypeVocab,
-    Stroke,
     line_blocks,
     run_starts,
     utf8_line_errors,
@@ -233,20 +231,6 @@ def _read_rows(
     return keys, tuple(np.concatenate(column) for column in zip(*blocks)), n_rows
 
 
-SIDES = (Player.A, Player.B)
-
-
-def _strokes(
-    order: np.ndarray, rounds: np.ndarray, is_b: np.ndarray, types: np.ndarray, coords: np.ndarray
-) -> Iterator[Stroke]:
-    """A Stroke per row in the given order, built PARSE_BLOCK_LINES rows at a time, so few lists are alive at once."""
-    for start in range(0, len(order), PARSE_BLOCK_LINES):
-        rows = order[start : start + PARSE_BLOCK_LINES]
-        lx, ly, px, py = coords[rows].T.tolist()
-        sides = map(SIDES.__getitem__, is_b[rows].tolist())
-        yield from map(Stroke, rounds[rows].tolist(), sides, types[rows].tolist(), zip(lx, ly), zip(px, py))
-
-
 def parse_dataset(
     path: str | Path,
     vocab: ShotTypeVocab | None = None,
@@ -292,8 +276,8 @@ def parse_dataset(
     sizes = np.diff(np.append(starts, len(order)))
     position = np.arange(1, len(order) + 1) - np.repeat(starts, sizes)
     wrong = np.flatnonzero(sorted_rounds != position)
-    pairs = [key.split(",") for key in keys]
-    broken = np.zeros(len(pairs), dtype=bool)
+    match_ids, rally_ids = [key.partition(",")[0] for key in keys], [key.partition(",")[2] for key in keys]
+    broken = np.zeros(len(keys), dtype=bool)
     for i in wrong[run_starts(sorted_codes[wrong])].tolist():  # the first row out of place in each broken rally
         code, k, got = int(sorted_codes[i]), int(position[i]), int(sorted_rounds[i])
         broken[code] = True
@@ -302,19 +286,18 @@ def parse_dataset(
         in_order = zip(rounds[rows].tolist(), numbers[rows].tolist())
         if huge_rounds:  # the arrays hold those rounds clipped
             in_order = sorted((huge_rounds.get(n, r), n) for r, n in in_order)
-        match_id, rally_id = pairs[code]
-        rejects.extend(RejectedRow(n, ("",) * 9, f"rally {match_id}/{rally_id}: {problem}") for _, n in in_order)
+        reason = f"rally {match_ids[code]}/{rally_ids[code]}: {problem}"
+        rejects.extend(RejectedRow(n, ("",) * 9, reason) for _, n in in_order)
     kept = ~broken
     kept_rows = order[np.repeat(kept, sizes)]
-    meta = _meta_from([pairs[code][0] for code in np.flatnonzero(kept).tolist()], sizes[kept], is_b[kept_rows])
-    del numbers, codes, sorted_codes, sorted_rounds, position, kept_rows  # freed before the strokes are built
+    match_ids = list(compress(match_ids, kept))
+    meta = _meta_from(match_ids, sizes[kept], is_b[kept_rows])
 
-    strokes = _strokes(order, rounds, is_b, types, coords)  # a broken rally's are built and skipped
-    rallies = []
-    for (match_id, rally_id), size, bad in zip(pairs, sizes.tolist(), broken.tolist()):
-        rally = tuple(islice(strokes, size))
-        if not bad:
-            rallies.append(Rally(rally_id, match_id, f"{match_id}:A", f"{match_id}:B", rally))
+    # each kept rally holds views of its rows in the sorted columns; zipped heads leave no tuple per rally alive
+    sides = [f"{match_id}:A" for match_id in match_ids], [f"{match_id}:B" for match_id in match_ids]
+    bounds = zip(starts[kept].tolist(), (starts + sizes)[kept].tolist())
+    columns = (sorted_rounds, ~is_b[order], types[order], coords[order, :2], coords[order, 2:])
+    rallies = Rally.from_columns(zip(compress(rally_ids, kept), match_ids, *sides), bounds, columns)
 
     if rejects and write_rejects:
         _write_rejects(path, rejects)
@@ -330,34 +313,21 @@ def _write_rejects(source: Path, rejects: list[RejectedRow]) -> None:
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def write_dataset(rallies: Sequence[Rally], vocab: ShotTypeVocab, path: str | Path) -> None:
-    """Write rallies in the dataset CSV contract.
+    """Write rallies in the dataset CSV contract, formatting each rally's columns.
 
     Floats use Python repr (shortest round-trip form), so parse followed by
     write reproduces a canonical file byte for byte.
     """
+    names = [e.name for e in vocab.entries]
     lines = [CSV_HEADER]
     for r in rallies:
-        for s in r.strokes:
-            lines.append(
-                ",".join(
-                    (
-                        r.match_id,
-                        r.rally_id,
-                        str(s.round_index),
-                        s.player.value,
-                        vocab.name_of(s.shot_type),
-                        _format_float(s.landing[0]),
-                        _format_float(s.landing[1]),
-                        _format_float(s.player_location[0]),
-                        _format_float(s.player_location[1]),
-                    )
-                )
-            )
+        head = f"{r.match_id},{r.rally_id},"
+        rows = zip(r.rounds.tolist(), r.hit_by_a.tolist(), r.type_ids.tolist(), r.landings.tolist(), r.locations.tolist())
+        lines.extend(
+            f"{head}{k},{'A' if a else 'B'},{names[t]},{lx!r},{ly!r},{px!r},{py!r}"
+            for k, a, t, (lx, ly), (px, py) in rows
+        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -522,19 +492,18 @@ def synthesize_dataset(config: SynthConfig) -> list[Rally]:
     rng = rng_from_key(config.seed, TAG_SYNTH, 0)
     excess_mean = config.mean_length - TAU
     p_geometric = 1.0 / max(excess_mean, 1.0)
+    location_max = np.array([court.width_m - 0.05, court.length_m / 2 - 0.05])  # the hitter stays in the low-y half
 
-    rallies: list[Rally] = []
+    heads, lengths, types, landings, locations = [], [], [], [], []
     for idx in range(config.n_rallies):
         pair = pairs[idx % len(pairs)]
         server = pair[idx // len(pairs) % 2]
         receiver = pair[0] if server == pair[1] else pair[1]
-        match_id = f"{pair[0]}--{pair[1]}"
+        heads.append((f"r{idx:04d}", f"{pair[0]}--{pair[1]}", server, receiver))
         length = TAU + int(rng.geometric(p_geometric))
-
-        strokes = []
+        lengths.append(length)
         for k in range(1, length + 1):
-            side = Player.A if k % 2 == 1 else Player.B
-            hitter = server if side is Player.A else receiver
+            hitter = server if k % 2 == 1 else receiver
             style = styles[hitter]
             if k == 1:
                 weights = np.where(non_serve_mask, 0.0, style.preferences)
@@ -543,26 +512,11 @@ def synthesize_dataset(config: SynthConfig) -> list[Rally]:
             else:
                 weights = np.where(non_serve_mask, style.preferences, 0.0)
             shot = _sample_categorical(rng, weights)
-            landing = style.landing_mean[shot] + chol[hitter][shot] @ rng.standard_normal(2)
+            types.append(shot)
+            landings.append(style.landing_mean[shot] + chol[hitter][shot] @ rng.standard_normal(2))
             location = np.array([court.width_m / 2, court.length_m / 4]) + rng.standard_normal(2) * (1.0, 1.3)
-            location[0] = float(np.clip(location[0], 0.05, court.width_m - 0.05))
-            location[1] = float(np.clip(location[1], 0.05, court.length_m / 2 - 0.05))
-            strokes.append(
-                Stroke(
-                    round_index=k,
-                    player=side,
-                    shot_type=shot,
-                    landing=(float(landing[0]), float(landing[1])),
-                    player_location=(float(location[0]), float(location[1])),
-                )
-            )
-        rallies.append(
-            Rally(
-                rally_id=f"r{idx:04d}",
-                match_id=match_id,
-                player_a=server,
-                player_b=receiver,
-                strokes=tuple(strokes),
-            )
-        )
-    return rallies
+            locations.append(np.clip(location, 0.05, location_max))
+    stops = np.cumsum(lengths)
+    rounds = np.arange(1, stops[-1] + 1) - np.repeat(stops - lengths, lengths)
+    columns = (rounds, rounds % 2 == 1, np.array(types, dtype=np.int64), np.array(landings), np.array(locations))
+    return Rally.from_columns(heads, zip((stops - lengths).tolist(), stops.tolist()), columns)

@@ -418,6 +418,19 @@ class Forecaster:
         ids = self.stroke_player_ids(rally_names, [s.player for s in strokes])
         return stroke_inputs(strokes, ids, self.court)
 
+    def rally_inputs(self, rallies: Sequence[Rally], n: int) -> StrokeInputs:
+        """(R, n) inputs of the first n strokes of each rally, read from its columns."""
+        center = np.array(self.court.center)  # also the half-extent, as in normalize_coord
+        sides = np.array([[self.player_id(r.player_a), self.player_id(r.player_b)] for r in rallies])
+        hit_by_a = np.stack([r.hit_by_a[:n] for r in rallies])
+        return StrokeInputs(
+            type_ids=np.stack([r.type_ids[:n] for r in rallies]),
+            player_ids=np.where(hit_by_a, sides[:, :1], sides[:, 1:]),
+            hit_by_a=hit_by_a,
+            landings=(np.stack([r.landings[:n] for r in rallies]) - center) / center,
+            locations=(np.stack([r.locations[:n] for r in rallies]) - center) / center,
+        )
+
     def forward(
         self,
         inputs: StrokeInputs,

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .court import PARSE_BLOCK_LINES, CourtSpec, Player, Rally, ShotTypeVocab, line_blocks, run_starts, utf8_line_errors
 from .dataset import TAU, ParseError
-from .network import Forecaster, KVCache, StrokeInputs
+from .network import Forecaster, KVCache
 from .seeding import TAG_EVAL
 
 PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
@@ -99,7 +99,7 @@ def generate_suffix(
     whole draw is deterministic under (params, prefix, seed). This is the
     one-continuation case of the lockstep sampler behind generate_sample_sets.
     """
-    return _sample_lockstep(model, [(rally, horizon, seed)])[0]
+    return _sample_lockstep(model, [rally], [(0, horizon, seed)])[0]
 
 
 def generate_sample_sets(
@@ -119,52 +119,53 @@ def generate_sample_sets(
     """
     tasks = [
         (
-            rally,
+            r_idx,
             horizon if horizon is not None else len(rally) - TAU,
             np.random.SeedSequence([seed, TAG_EVAL, r_idx, j]),
         )
         for j in range(n_sets)
         for r_idx, rally in enumerate(rallies)
     ]
-    results = _sample_lockstep(model, tasks)
+    results = _sample_lockstep(model, rallies, tasks)
     return [results[j * len(rallies) : (j + 1) * len(rallies)] for j in range(n_sets)]
 
 
 def _sample_lockstep(
     model: Forecaster,
-    tasks: Sequence[tuple[Rally, int, int | np.random.SeedSequence]],
+    rallies: Sequence[Rally],
+    tasks: Sequence[tuple[int, int, int | np.random.SeedSequence]],
 ) -> list[list[GeneratedStroke]]:
-    """Sample one continuation per (rally, horizon, seed), all in one batched forward per step.
+    """Sample one continuation per (rally index, horizon, seed), all in one batched forward per step.
 
-    Every history starts from its TAU-stroke prefix, so at step t all active
-    histories hold TAU + t strokes and need no padding; a continuation leaves
-    the batch once it reaches its horizon. The forward runs without a tape,
-    from a key/value cache of the earlier positions, and only each
-    continuation's own random() and standard_normal(2) are drawn per row.
+    Every history starts from its rally's TAU-stroke prefix, read once per
+    rally from its columns, so at step t all active histories hold TAU + t
+    strokes and need no padding; a continuation leaves the batch once it
+    reaches its horizon. The forward runs without a tape, from a key/value
+    cache of the earlier positions, and only each continuation's own
+    random() and standard_normal(2) are drawn per row.
     """
-    for rally, horizon, _ in tasks:
-        if len(rally) < TAU:
-            raise ValueError(f"rally {rally.rally_id}: prefix needs {TAU} strokes, found {len(rally)}")
-        if horizon < 1:
-            raise ValueError("horizon must be at least 1")
     if not tasks:
         return []
-    serve_ids = list(model.vocab.serve_ids)
-    names = [(rally.player_a, rally.player_b) for rally, _, _ in tasks]
-    rngs = [np.random.default_rng(seed) for _, _, seed in tasks]
+    for rally in rallies:
+        if len(rally) < TAU:
+            raise ValueError(f"rally {rally.rally_id}: prefix needs {TAU} strokes, found {len(rally)}")
     horizons = np.array([horizon for _, horizon, _ in tasks])
+    if horizons.min() < 1:
+        raise ValueError("horizon must be at least 1")
+    serve_ids = list(model.vocab.serve_ids)
+    rally_of = np.array([r_idx for r_idx, _, _ in tasks])  # each task's rally
+    rngs = [np.random.default_rng(seed) for _, _, seed in tasks]
     outs: list[list[GeneratedStroke]] = [[] for _ in tasks]
 
     # per batch row: the stroke before the next one, and the player-table rows of sides A and B
-    last = [rally.strokes[TAU - 1] for rally, _, _ in tasks]
-    prev_landing = np.array([s.landing for s in last])
-    prev_a = np.array([s.player is Player.A for s in last])
-    prev_round = np.array([s.round_index for s in last])
-    side_ids = np.array([[model.player_id(a), model.player_id(b)] for a, b in names])
+    prefixes = model.rally_inputs(rallies, TAU)
+    prev_landing = np.array([r.landings[TAU - 1] for r in rallies])[rally_of]
+    prev_a = prefixes.hit_by_a[rally_of, -1]
+    prev_round = np.array([r.rounds[TAU - 1] for r in rallies])[rally_of]
+    side_ids = np.array([[model.player_id(r.player_a), model.player_id(r.player_b)] for r in rallies])[rally_of]
 
     active = np.arange(len(tasks))  # task index of each batch row
-    prefixes = StrokeInputs.stack([model.stroke_inputs(r.strokes[:TAU], n) for (r, _, _), n in zip(tasks, names)])
-    history = prefixes.padded(TAU + int(horizons.max()))
+    history = prefixes.rows(rally_of).padded(TAU + int(horizons.max()))
     cache = KVCache(len(tasks), model.config)
     court = model.court
     center = np.array(court.center)  # also the half-extent, so normalized = (meters - center) / center
@@ -314,12 +315,11 @@ def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarra
         got = sets.rounds[starts[seg] : starts[seg] + flat[seg]].tolist()
         expected = list(range(TAU + 1, len(rally) + 1))
         raise ValueError(f"rally {rally.rally_id}: predictions cover rounds {got}, expected {expected}")
-    future = [s for r in truths for s in r.strokes[TAU:]]
-    n = len(future)
+    n = int(suffix.sum())
     if n == 0:
         raise ValueError("no predicted strokes to score")
-    true_types = np.tile(np.array([s.shot_type for s in future], dtype=np.int64), k)
-    true_xy = np.tile(np.array([s.landing for s in future], dtype=np.float64), (k, 1))
+    true_types = np.tile(np.concatenate([r.type_ids[TAU:] for r in truths]), k)
+    true_xy = np.tile(np.concatenate([r.landings[TAU:] for r in truths]), (k, 1))
     p_true = np.maximum(sets.probs[np.arange(k * n), true_types], PROB_FLOOR)
     ce = -np.fromiter(map(math.log, p_true.tolist()), dtype=np.float64, count=k * n)
     mae = np.abs(true_xy[:, 0] - sets.landings[:, 0]) + np.abs(true_xy[:, 1] - sets.landings[:, 1])
@@ -488,15 +488,18 @@ def export_predictions(
     order = _segment_rows(starts, by_rally)
     prefixes = [f"{rally_id},{set_idx}," for rally_id in ids for set_idx in range(1, k + 1)]
     prefix_of_row = np.repeat(np.arange(len(prefixes)), by_rally)
-    row = "%s%d" + ",%.6f" * (2 + sets.probs.shape[1]) + "\n"
+    width = 2 + sets.probs.shape[1]
+    row = "%s%d" + ",%.6f" * width + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(prediction_header(vocab) + "\n")
         for block in range(0, len(order), PARSE_BLOCK_LINES):  # so that few rows are Python objects at once
             rows = order[block : block + PARSE_BLOCK_LINES]
-            values = np.column_stack((sets.landings[rows], sets.probs[rows])).tolist()
+            # one flat list of floats, which the garbage collector does not track, not a list per row
+            values = np.column_stack((sets.landings[rows], sets.probs[rows])).ravel().tolist()
             prefix = prefix_of_row[block : block + PARSE_BLOCK_LINES].tolist()
             rounds = sets.rounds[rows].tolist()
-            fh.write("".join([row % (prefixes[p], r, *v) for p, r, v in zip(prefix, rounds, values)]))
+            starts = range(0, len(values), width)
+            fh.write("".join([row % (prefixes[p], r, *values[i : i + width]) for p, r, i in zip(prefix, rounds, starts)]))
 
 
 @dataclass(eq=False)

@@ -461,6 +461,8 @@ CHECKPOINT_DAMAGE = {
     ),
     # a normalization earlier headers carried, now fixed at the court's center
     "court_std_zero": (_edit_header(lambda h: h["court"].update(std_x=0.0)), "header std_x is 0.0, but std_x is fixed at 3.05"),
+    # json reads NaN; the court loaded, and predict failed later naming neither the file nor the field
+    "court_width_nan": (_edit_header(lambda h: h["court"].update(width_m=float("nan"))), "width_m=nan"),
     "vocab_ids_gapped": (
         _edit_header(lambda h: h["vocab"][1].__setitem__(0, 5)), "type_ids must be contiguous",
     ),

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from rallycast.court import (
     CourtSpec,
     Player,
+    Rally,
     ShotType,
     ShotTypeVocab,
     Stroke,
+    Violation,
     ZONE_OUT,
     coord_to_zone,
     coord_to_zones,
@@ -86,6 +88,19 @@ def test_validate_rally_round_index_and_nonfinite(vocab):
     rules = {v.rule for v in validate_rally(rally, vocab)}
     assert "round_index" in rules
     assert "nonfinite" in rules
+
+
+def test_validate_rally_names_both_sides_and_passes_huge_finite_coordinates(vocab):
+    """Finite coordinates whose sum overflows are not reported as non-finite."""
+    strokes = (
+        Stroke(1, Player.A, 0, (1e308, 1e308), (1e308, 3.0)),
+        Stroke(2, Player.A, 3, (2.0, -1e308), (3.0, 3.0)),
+        Stroke(3, Player.B, 3, (2.0, 8.0), (3.0, 3.0)),
+    )
+    assert validate_rally(Rally("r", "m", "a", "b", strokes), vocab) == [
+        Violation(2, "alternation", "expected player B, found A"),
+        Violation(3, "alternation", "expected player A, found B"),
+    ]
 
 
 def test_alternation_property(vocab):

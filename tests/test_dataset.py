@@ -1,9 +1,14 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rallycast import court as court_module
+from rallycast.analysis import GROUPINGS, shot_distribution
 from rallycast.court import PARSE_BLOCK_LINES, CourtSpec, Player, Rally, ShotTypeVocab, Stroke, validate_rally
 from rallycast.dataset import (
     CSV_HEADER,
@@ -156,8 +161,55 @@ def test_parse_then_write_is_byte_stable_on_generated_rallies(tmp_path_factory, 
     assert (d / "once.csv").read_bytes() == (d / "direct.csv").read_bytes()
     reparsed, _, _ = parse_dataset(d / "once.csv", vocab, write_rejects=False)
     assert reparsed == rallies  # the written floats lose no bit
+    assert [hash(r) for r in reparsed] == [hash(r) for r in rallies]
+    assert [r.strokes for r in reparsed] == [r.strokes for r in rallies]
     write_dataset(reparsed, vocab, d / "twice.csv")
     assert (d / "twice.csv").read_bytes() == (d / "once.csv").read_bytes()
+
+
+def _parsed_synthetic(tmp_path, vocab, n_rallies=12, seed=2):
+    write_dataset(synthesize_dataset(SynthConfig(n_rallies=n_rallies, vocab=vocab, seed=seed)), vocab, tmp_path / "d.csv")
+    return parse_dataset(tmp_path / "d.csv", vocab)[0]
+
+
+def test_ingest_builds_no_stroke_objects(tmp_path, vocab, monkeypatch):
+    """Synthesis, parse, validation, filter, split, the four shot tables and the writer read the columns alone."""
+    built = []
+    init = Stroke.__init__
+    monkeypatch.setattr(Stroke, "__init__", lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
+    rallies = _parsed_synthetic(tmp_path, vocab, n_rallies=40)
+    assert all(validate_rally(r, vocab, strict_serve=True) == [] for r in rallies)
+    kept, _ = filter_training(rallies, FilterPolicy(max_match_total_rounds=None))
+    split(kept, 0.8, 0)
+    for grouping in GROUPINGS:
+        shot_distribution(rallies, grouping, vocab)
+    write_dataset(rallies, vocab, tmp_path / "again.csv")
+    assert built == []
+    assert len(rallies[0].strokes) == len(built) > 0  # the count sees the strokes a view builds
+
+
+def test_replacing_the_strokes_with_their_first_k_keeps_those_rows(tmp_path, vocab):
+    for rally in _parsed_synthetic(tmp_path, vocab):
+        for k in (0, 1, len(rally) - 1, len(rally)):
+            cut = dataclasses.replace(rally, strokes=rally.strokes[:k])
+            assert (cut.rally_id, cut.match_id, cut.player_a, cut.player_b) == (
+                rally.rally_id, rally.match_id, rally.player_a, rally.player_b,
+            )
+            assert len(cut) == k and cut.strokes == rally.strokes[:k]
+            for column in ("rounds", "hit_by_a", "type_ids", "landings", "locations"):
+                assert np.array_equal(getattr(cut, column), getattr(rally, column)[:k])
+            assert (cut == rally) == (k == len(rally))
+
+
+@pytest.mark.parametrize("column", ["rounds", "hit_by_a", "type_ids", "landings", "locations"])
+def test_rally_columns_are_read_only(tmp_path, vocab, column):
+    """So a column cannot drift from the strokes view built from it, in a copy or an unpickled rally too."""
+    synthesized = synthesize_dataset(SynthConfig(n_rallies=2, vocab=vocab, seed=1))[0]
+    for rally in (make_rally([0, 3, 4]), _parsed_synthetic(tmp_path, vocab)[0], synthesized):
+        for each in (rally, copy.deepcopy(rally), pickle.loads(pickle.dumps(rally))):
+            assert each == rally
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(each, column)[0] = 1
 
 
 def test_parse_mirror_even_rounds(tmp_path, vocab):
