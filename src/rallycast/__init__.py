@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, coord_to_zone, validate_rally
 from .dataset import FilterPolicy, SynthConfig, filter_training, parse_dataset, split, synthesize_dataset, write_dataset
 from .network import Forecaster, ModelConfig, forward_teacher_forced, init_params
-from .scoring import GeneratedStroke, generate_suffix, sample_set_loss, score_min6
+from .scoring import GeneratedStroke, sample, sample_set_loss, score_min6
 from .training import TrainConfig, eval_best_of_k, step_loss, train
 
 __all__ = [
@@ -24,9 +24,9 @@ __all__ = [
     "eval_best_of_k",
     "filter_training",
     "forward_teacher_forced",
-    "generate_suffix",
     "init_params",
     "parse_dataset",
+    "sample",
     "sample_set_loss",
     "score_min6",
     "split",

@@ -261,10 +261,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    checkpoint = Path(_require(args, "checkpoint"))
-    if not checkpoint.exists():
-        raise UsageError(f"checkpoint not found: {checkpoint}")
-    model = Forecaster.load(checkpoint)
+    model = Forecaster.load(_require(args, "checkpoint"))
     rallies, _ = _load_rallies(_require(args, "data"), model.vocab, model.court, settings["mirror"])
     out = Path(_require(args, "out"))
     open_ended = bool(getattr(args, "open_ended", False))

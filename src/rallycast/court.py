@@ -223,20 +223,15 @@ class CourtSpec:
         """The court's center, which is also its half-extent: normalization maps the court onto [-1, 1]."""
         return self.width_m / 2, self.length_m / 2
 
+    def normalize(self, meters: np.ndarray) -> np.ndarray:
+        """(..., 2) points in meters, mapped so that the court spans [-1, 1] on each axis."""
+        center = np.array(self.center)
+        return (meters - center) / center
 
-def normalize_coord(p: tuple[float, float], court: CourtSpec) -> tuple[float, float]:
-    cx, cy = court.center
-    return (p[0] - cx) / cx, (p[1] - cy) / cy
-
-
-def denormalize_coord(p: tuple[float, float], court: CourtSpec) -> tuple[float, float]:
-    cx, cy = court.center
-    return p[0] * cx + cx, p[1] * cy + cy
-
-
-def mirror_coord(p: tuple[float, float], court: CourtSpec) -> tuple[float, float]:
-    """Reflect a point through the court center (flips which half it is in)."""
-    return court.width_m - p[0], court.length_m - p[1]
+    def denormalize(self, z: np.ndarray) -> np.ndarray:
+        """(..., 2) normalized points back in meters; the inverse of normalize."""
+        center = np.array(self.center)
+        return z * center + center
 
 
 def coord_to_zone(landing: tuple[float, float], court: CourtSpec, receiver_side: Player) -> ZoneId:

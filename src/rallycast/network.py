@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .court import CourtSpec, Player, Rally, ShotType, ShotTypeVocab, Stroke, normalize_coord
+from .court import CourtSpec, Rally, ShotType, ShotTypeVocab
 from .dataset import TAU, ParseError
 from .seeding import TAG_INIT, rng_from_key
 
@@ -193,23 +193,6 @@ class StrokeInputs:
         """The histories at the given batch rows, in that order."""
         idx = np.asarray(keep, dtype=np.int64)
         return StrokeInputs(*(a[idx] for a in self._arrays()))
-
-
-def stroke_inputs(strokes: Sequence[Stroke], player_ids: Sequence[int], court: CourtSpec) -> StrokeInputs:
-    """Arrays of one stroke sequence; player_ids gives each stroke's row of the player table."""
-    if not strokes:
-        raise ValueError("a history needs at least one stroke")
-    n = len(strokes)
-    ids = np.asarray(player_ids, dtype=np.int64)
-    if ids.shape != (n,):
-        raise ValueError("player_ids must align with strokes")
-    return StrokeInputs(
-        type_ids=np.array([s.shot_type for s in strokes], dtype=np.int64),
-        player_ids=ids,
-        hit_by_a=np.array([s.player is Player.A for s in strokes], dtype=bool),
-        landings=np.array([normalize_coord(s.landing, court) for s in strokes]),
-        locations=np.array([normalize_coord(s.player_location, court) for s in strokes]),
-    )
 
 
 # BLAS may round a row of a matrix product differently depending on where
@@ -409,26 +392,17 @@ class Forecaster:
     def player_id(self, name: str) -> int:
         return self.player_index.get(name, UNKNOWN_PLAYER)
 
-    def stroke_player_ids(self, rally_names: tuple[str, str], players: Sequence[Player]) -> list[int]:
-        a, b = rally_names
-        return [self.player_id(a if p is Player.A else b) for p in players]
-
-    def stroke_inputs(self, strokes: Sequence[Stroke], rally_names: tuple[str, str]) -> StrokeInputs:
-        """Inputs of one history whose A and B sides are the named players."""
-        ids = self.stroke_player_ids(rally_names, [s.player for s in strokes])
-        return stroke_inputs(strokes, ids, self.court)
-
-    def rally_inputs(self, rallies: Sequence[Rally], n: int) -> StrokeInputs:
-        """(R, n) inputs of the first n strokes of each rally, read from its columns."""
-        center = np.array(self.court.center)  # also the half-extent, as in normalize_coord
-        sides = np.array([[self.player_id(r.player_a), self.player_id(r.player_b)] for r in rallies])
-        hit_by_a = np.stack([r.hit_by_a[:n] for r in rallies])
+    def rally_inputs(self, rally: Rally, n: int) -> StrokeInputs:
+        """(n,) inputs of the rally's first n strokes, read from its columns."""
+        if not 1 <= n <= len(rally):
+            raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, cannot take the first {n}")
+        hit_by_a = rally.hit_by_a[:n]
         return StrokeInputs(
-            type_ids=np.stack([r.type_ids[:n] for r in rallies]),
-            player_ids=np.where(hit_by_a, sides[:, :1], sides[:, 1:]),
+            type_ids=rally.type_ids[:n],
+            player_ids=np.where(hit_by_a, self.player_id(rally.player_a), self.player_id(rally.player_b)),
             hit_by_a=hit_by_a,
-            landings=(np.stack([r.landings[:n] for r in rallies]) - center) / center,
-            locations=(np.stack([r.locations[:n] for r in rallies]) - center) / center,
+            landings=self.court.normalize(rally.landings[:n]),
+            locations=self.court.normalize(rally.locations[:n]),
         )
 
     def forward(
@@ -467,13 +441,13 @@ class Forecaster:
 
     def forward_positions(
         self,
-        strokes: Sequence[Stroke],
-        rally_names: tuple[str, str],
+        rally: Rally,
+        n: int,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Next-stroke head outputs at every position of the given history."""
-        return self.forward(self.stroke_inputs(strokes, rally_names), training=training, rng=rng)
+        """Next-stroke head outputs at every position of the rally's first n strokes."""
+        return self.forward(self.rally_inputs(rally, n), training=training, rng=rng)
 
     def save(self, path: str | Path) -> None:
         save_checkpoint(path, self)
@@ -496,10 +470,7 @@ def forward_teacher_forced(
     """
     if len(rally) < TAU + 1:
         raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")
-    history = rally.strokes[:-1]
-    probs, mu, log_sigma, rho = model.forward_positions(
-        history, (rally.player_a, rally.player_b), training=training, rng=rng
-    )
+    probs, mu, log_sigma, rho = model.forward_positions(rally, len(rally) - 1, training=training, rng=rng)
     # position p (0-based) predicts round p + 2, so round TAU + 1 is row TAU - 1
     return probs[TAU - 1 :], mu[TAU - 1 :], log_sigma[TAU - 1 :], rho[TAU - 1 :]
 
@@ -552,9 +523,13 @@ def load_checkpoint(path: str | Path) -> Forecaster:
     A file without the magic, a truncated file, a header that does not
     parse or holds a value its config, court or vocabulary rejects, a header
     that does not describe the file's arrays, and bytes after the last array
-    raise ParseError naming the file and what is wrong.
+    raise ParseError naming the file and what is wrong; a missing file raises
+    FileNotFoundError.
     """
-    raw = Path(path).read_bytes()
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"checkpoint file not found: {path}")
+    raw = path.read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise ParseError(f"{path}: not a checkpoint file (no {CHECKPOINT_MAGIC.strip().decode()} magic)")
     off = len(CHECKPOINT_MAGIC)

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .court import PARSE_BLOCK_LINES, CourtSpec, Player, Rally, ShotTypeVocab, line_blocks, run_starts, utf8_line_errors
 from .dataset import TAU, ParseError
-from .network import Forecaster, KVCache
+from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
 
 PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
@@ -85,23 +85,6 @@ class GeneratedStroke:
     type_probs: np.ndarray  # (V,), serve-masked, renormalized, quantized
 
 
-def generate_suffix(
-    model: Forecaster,
-    rally: Rally,
-    horizon: int,
-    seed: int | np.random.SeedSequence,
-) -> list[GeneratedStroke]:
-    """Autoregressively sample `horizon` strokes after the observed prefix.
-
-    Service types are masked out of the sampled distribution (they occur only
-    on the opening stroke), the hitter of each generated stroke is the
-    previous landing point mirrored into the new canonical frame, and the
-    whole draw is deterministic under (params, prefix, seed). This is the
-    one-continuation case of the lockstep sampler behind generate_sample_sets.
-    """
-    return _sample_lockstep(model, [rally], [(0, horizon, seed)])[0]
-
-
 def generate_sample_sets(
     model: Forecaster,
     rallies: Sequence[Rally],
@@ -126,23 +109,30 @@ def generate_sample_sets(
         for j in range(n_sets)
         for r_idx, rally in enumerate(rallies)
     ]
-    results = _sample_lockstep(model, rallies, tasks)
+    results = sample(model, rallies, tasks)
     return [results[j * len(rallies) : (j + 1) * len(rallies)] for j in range(n_sets)]
 
 
-def _sample_lockstep(
+def sample(
     model: Forecaster,
     rallies: Sequence[Rally],
     tasks: Sequence[tuple[int, int, int | np.random.SeedSequence]],
 ) -> list[list[GeneratedStroke]]:
-    """Sample one continuation per (rally index, horizon, seed), all in one batched forward per step.
+    """Sample one continuation per (rally index, horizon, seed) task, all in one batched forward per step.
 
-    Every history starts from its rally's TAU-stroke prefix, read once per
-    rally from its columns, so at step t all active histories hold TAU + t
-    strokes and need no padding; a continuation leaves the batch once it
-    reaches its horizon. The forward runs without a tape, from a key/value
-    cache of the earlier positions, and only each continuation's own
-    random() and standard_normal(2) are drawn per row.
+    A continuation autoregressively samples `horizon` strokes after its
+    rally's TAU-stroke prefix. Service types are masked out of the sampled
+    distribution (they occur only on the opening stroke), the hitter of each
+    generated stroke stands at the previous landing point mirrored into the
+    new canonical frame, and the draw is deterministic under (params,
+    prefix, seed): each continuation draws only its own random() and
+    standard_normal(2) from its own seed, so it does not depend on the
+    other tasks.
+
+    Each rally's prefix is read once from its columns, so at step t all
+    active histories hold TAU + t strokes and need no padding; a
+    continuation leaves the batch once it reaches its horizon. The forward
+    runs without a tape, from a key/value cache of the earlier positions.
     """
     if not tasks:
         return []
@@ -158,7 +148,7 @@ def _sample_lockstep(
     outs: list[list[GeneratedStroke]] = [[] for _ in tasks]
 
     # per batch row: the stroke before the next one, and the player-table rows of sides A and B
-    prefixes = model.rally_inputs(rallies, TAU)
+    prefixes = StrokeInputs.stack([model.rally_inputs(r, TAU) for r in rallies])
     prev_landing = np.array([r.landings[TAU - 1] for r in rallies])[rally_of]
     prev_a = prefixes.hit_by_a[rally_of, -1]
     prev_round = np.array([r.rounds[TAU - 1] for r in rallies])[rally_of]
@@ -168,7 +158,6 @@ def _sample_lockstep(
     history = prefixes.rows(rally_of).padded(TAU + int(horizons.max()))
     cache = KVCache(len(tasks), model.config)
     court = model.court
-    center = np.array(court.center)  # also the half-extent, so normalized = (meters - center) / center
     size = np.array([court.width_m, court.length_m])
     with ad.no_tape():
         for n in range(TAU, history.type_ids.shape[1]):
@@ -180,7 +169,7 @@ def _sample_lockstep(
                 log_sigma.data[:, -1],
                 rho.data[:, -1],
                 serve_ids,
-                center,
+                court,
             )
             hit_a = ~prev_a
             rounds = prev_round + 1
@@ -191,8 +180,8 @@ def _sample_lockstep(
             history.type_ids[:, n] = type_ids
             history.player_ids[:, n] = np.where(hit_a, side_ids[:, 0], side_ids[:, 1])
             history.hit_by_a[:, n] = hit_a
-            history.landings[:, n] = (landing - center) / center
-            history.locations[:, n] = (size - prev_landing - center) / center  # the previous landing, mirrored
+            history.landings[:, n] = court.normalize(landing)
+            history.locations[:, n] = court.normalize(size - prev_landing)  # the previous landing, mirrored
             prev_landing, prev_a, prev_round = landing, hit_a, rounds
 
             keep = np.flatnonzero(horizons[active] > n + 1 - TAU)
@@ -212,14 +201,14 @@ def _draw_strokes(
     log_sigma: np.ndarray,
     rho: np.ndarray,
     serve_ids: list[int],
-    center: np.ndarray,
+    court: CourtSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the next stroke of each row: random() picks the type, then standard_normal(2) the landing.
 
     Takes (B, V), (B, 2), (B, 2) and (B,) head outputs, one generator per
-    row, and the court's center, which normalizes landings. Returns the (B,) type
-    ids, the (B, 2) quantized landings in meters and the (B, V) serve-masked,
-    renormalized, quantized distributions.
+    row, and the court, whose frame the landings are normalized in. Returns
+    the (B,) type ids, the (B, 2) quantized landings in meters and the
+    (B, V) serve-masked, renormalized, quantized distributions.
     """
     probs = type_probs.copy()
     probs[:, serve_ids] = 0.0
@@ -241,7 +230,7 @@ def _draw_strokes(
     chol[:, 1, 0] = rho * sigma[:, 1]
     chol[:, 1, 1] = sigma[:, 1] * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
     z = mu + (chol @ noise[:, :, None])[:, :, 0]  # a matrix-vector product per row, as for one row
-    return type_ids, quantize6_array(z * center + center), quantize_simplex(probs)
+    return type_ids, quantize6_array(court.denormalize(z)), quantize_simplex(probs)
 
 
 # ---------------------------------------------------------------------------

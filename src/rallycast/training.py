@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericHealthError, Tensor
-from .court import CourtSpec, Rally, ShotTypeVocab, Stroke, normalize_coord
+from .court import CourtSpec, Rally, ShotTypeVocab
 from .dataset import TAU
 from .network import (
     Forecaster,
@@ -98,20 +98,22 @@ class LossBundle:
 Heads = tuple[Tensor, Tensor, Tensor, Tensor]  # (m, V), (m, 2), (m, 2), (m,)
 
 
-def step_loss(heads: Sequence[Heads], targets: Sequence[Stroke], court: CourtSpec) -> LossBundle:
-    """Mean cross-entropy and mean Gaussian NLL over a batch of target strokes.
+def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec) -> LossBundle:
+    """Mean cross-entropy and mean Gaussian NLL over a batch's target strokes.
 
     heads holds one (probs, mu, log_sigma, rho) tuple per rally, as returned
-    by forward_teacher_forced; their rows, concatenated, align with targets.
+    by forward_teacher_forced; their rows, concatenated, align with the
+    rallies' strokes TAU+1 .. n, read from the type_ids and landings columns.
     Both losses are computed once over (N,) arrays. Differentiable when the
     heads are live graph nodes; constant heads give only the values.
     """
     n = sum(h[0].shape[0] for h in heads)
-    if n != len(targets) or not targets:
-        raise ValueError(f"got {n} prediction rows for {len(targets)} targets")
+    targets = sum(max(len(r) - TAU, 0) for r in rallies)
+    if n != targets or not targets:
+        raise ValueError(f"got {n} prediction rows for {targets} targets")
     probs, mu, log_sigma, rho = (ad.concat(parts, axis=0) for parts in zip(*heads))
-    true_types = np.array([s.shot_type for s in targets], dtype=np.int64)
-    xy = np.array([normalize_coord(s.landing, court) for s in targets])
+    true_types = np.concatenate([r.type_ids[TAU:] for r in rallies])
+    xy = court.normalize(np.concatenate([r.landings[TAU:] for r in rallies]))
 
     p_true = probs[np.arange(n), true_types]
     underflowed = p_true.data < PROB_FLOOR
@@ -214,13 +216,11 @@ def train(
             batch = [train_set[i] for i in order[b_idx : b_idx + train_config.batch_size]]
             params.zero_grad()
             heads: list[Heads] = []
-            targets: list[Stroke] = []
             try:
                 for pos, rally in enumerate(batch):
                     rng = rng_from_key(train_config.seed, TAG_DROPOUT, epoch, b_idx, pos)
                     heads.append(forward_teacher_forced(model, rally, training=True, rng=rng))
-                    targets.extend(rally.strokes[TAU:])
-                bundle = step_loss(heads, targets, court)
+                bundle = step_loss(heads, batch, court)
                 ad.backward(bundle.node)
             except NumericHealthError as exc:
                 ids = ", ".join(r.rally_id for r in batch)

@@ -21,13 +21,12 @@ from rallycast.network import (
     forward_teacher_forced,
     init_params,
     sinusoidal_encoding,
-    stroke_inputs,
 )
 from rallycast.scoring import (
     GeneratedStroke,
     evaluate_sample_set,
-    generate_suffix,
     import_predictions,
+    sample,
     sample_set_loss,
     score_min6,
     score_sample_sets,
@@ -136,7 +135,7 @@ def test_criterion_gradient_integrity():
         for name, leaf in zip(names, leaves):
             model.params.tensors[name] = leaf
         heads = forward_teacher_forced(model, rally, training=True)
-        return step_loss([heads], rally.strokes[4:], court).node
+        return step_loss([heads], [rally], court).node
 
     err = ad.gradient_check(loss_fn, base)
     elapsed = time.perf_counter() - started
@@ -151,15 +150,15 @@ def test_criterion_embedding_mode_contract(corpus):
     results = {}
     for mode in ("modified", "baseline"):
         model = tiny_model(rallies, vocab, embedding_mode=mode, param_scale=0.4, seed=2)
-        ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-        _, area0 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
+        inputs = model.rally_inputs(rally, len(rally))
+        _, area0 = embed_strokes(inputs, model.params, model.config)
         model.params["player_emb"].data += 0.37
-        _, area1 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
+        _, area1 = embed_strokes(inputs, model.params, model.config)
         insensitive = np.array_equal(area0.data, area1.data)
 
         zero_params(model.params)
         model.params["area_b"].data[:] = -1.5
-        _, area = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
+        _, area = embed_strokes(inputs, model.params, model.config)
         residual = area.data - sinusoidal_encoding(len(rally), model.config.embed_dim)
         keeps_negative = np.all(residual < 0.0)
         clamped = np.all(residual == 0.0)
@@ -196,11 +195,8 @@ def test_criterion_overfit_experiment(corpus):
 
     model, report = train(rallies, [], model_config, train_config, vocab=vocab)
 
-    heads, targets = [], []
-    for rally in rallies:
-        heads.append(forward_teacher_forced(model, rally))
-        targets.extend(rally.strokes[4:])
-    final_shot = step_loss(heads, targets, model.court).shot_loss
+    heads = [forward_teacher_forced(model, rally) for rally in rallies]
+    final_shot = step_loss(heads, rallies, model.court).shot_loss
 
     untrained = Forecaster(init_params(model.config, train_config.seed), model.config, model.court, vocab, model.player_index)
     score_before = eval_best_of_k(untrained, rallies, 6, train_config.seed).score
@@ -227,8 +223,9 @@ def test_criterion_serve_mask(corpus):
     trial = 0
     while generated < 10_000:
         model = tiny_model(rallies, vocab, param_scale=float(rng.uniform(0.2, 1.2)), seed=trial)
-        for r_idx, rally in enumerate(rallies):
-            for g in generate_suffix(model, rally, horizon=10, seed=np.random.SeedSequence([trial, r_idx])):
+        tasks = [(r_idx, 10, np.random.SeedSequence([trial, r_idx])) for r_idx in range(len(rallies))]
+        for suffix in sample(model, rallies, tasks):
+            for g in suffix:
                 generated += 1
                 if g.type_id in serve_ids or any(g.type_probs[s] != 0.0 for s in serve_ids):
                     bad += 1
@@ -244,10 +241,8 @@ def test_criterion_best_of_k_monotonicity(corpus):
     seed = 31
     evals = []
     for j in range(100):
-        one = [
-            generate_suffix(model, rally, len(rally) - 4, np.random.SeedSequence([seed, 4, r_idx, j]))
-            for r_idx, rally in enumerate(rallies)
-        ]
+        tasks = [(r_idx, len(rally) - 4, np.random.SeedSequence([seed, 4, r_idx, j])) for r_idx, rally in enumerate(rallies)]
+        one = sample(model, rallies, tasks)
         evals.append(evaluate_sample_set(one, rallies))
     sums = np.stack([e.rally_sums for e in evals])  # (100, R)
     n = evals[0].n_strokes

@@ -58,6 +58,10 @@ def test_missing_vocab_file_exits_2(tmp_path):
 MISSING_FILE = {
     "validate_data": (lambda missing, tmp: ["validate", "--data", missing], "dataset"),
     "train_data": (lambda missing, tmp: ["train", "--data", missing, "--out-dir", tmp / "run"], "dataset"),
+    "checkpoint": (
+        lambda missing, tmp: ["predict", "--checkpoint", missing, "--data", CORPUS32, "--out", tmp / "p.csv"],
+        "checkpoint",
+    ),
     "predict_data": (
         lambda missing, tmp: ["predict", "--checkpoint", tmp / "m.ckpt", "--data", missing, "--out", tmp / "p.csv"],
         "dataset",

@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rallycast import court as court_module
 from rallycast.court import (
     CourtSpec,
     Player,
@@ -16,14 +19,12 @@ from rallycast.court import (
     ZONE_OUT,
     coord_to_zone,
     coord_to_zones,
-    denormalize_coord,
-    mirror_coord,
-    normalize_coord,
     validate_rally,
 )
 
 from analysis_reference import reference_coord_to_zone
 from conftest import make_rally
+from network_reference import denormalize_coord, normalize_coord
 
 REQUIRED_TYPE_NAMES = ["long service", "short service", "net shot", "smash", "drive", "defensive shot"]
 
@@ -200,43 +201,33 @@ def test_zones_partition_the_court(x, y, side):
             assert (value > edges[index] or index == 0) and value <= edges[index + 1]
 
 
-@given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False))
-def test_mirror_coord_is_an_involution(x, y):
-    court = CourtSpec()
-    back = mirror_coord(mirror_coord((x, y), court), court)
-    # exact up to the rounding of the two subtractions
-    for got, want in zip(back, (x, y)):
-        assert abs(got - want) <= 2 * math.ulp(max(abs(want), court.length_m))
-
-
-@given(st.integers(0, 6_100_000), st.integers(0, 13_400_000))
-def test_mirror_coord_twice_keeps_a_six_decimal_point(kx, ky):
-    """Prediction-file coordinates survive two mirrorings bit for bit at 6 decimals."""
-    from rallycast.scoring import quantize6
-
-    court = CourtSpec()
-    p = (quantize6(kx / 1e6), quantize6(ky / 1e6))
-    back = mirror_coord(mirror_coord(p, court), court)
-    assert (quantize6(back[0]), quantize6(back[1])) == p
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
 
 def test_normalize_reference_points(court):
     cx, cy = court.width_m / 2, court.length_m / 2
-    assert normalize_coord((cx, cy), court) == (0.0, 0.0)
-    nx, ny = normalize_coord((court.width_m, cy), court)
+    assert court.normalize(np.array([cx, cy])).tolist() == [0.0, 0.0]
+    nx, ny = court.normalize(np.array([court.width_m, cy])).tolist()
     assert math.isclose(nx, 1.0, abs_tol=1e-15) and ny == 0.0
 
 
 def test_normalize_round_trip(court):
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        p = (float(rng.uniform(-5, 15)), float(rng.uniform(-5, 25)))
-        q = denormalize_coord(normalize_coord(p, court), court)
-        assert abs(q[0] - p[0]) < 1e-12 and abs(q[1] - p[1]) < 1e-12
+    p = np.column_stack([rng.uniform(-5, 15, 200), rng.uniform(-5, 25, 200)])
+    assert np.abs(court.denormalize(court.normalize(p)) - p).max() < 1e-12
+
+
+@given(
+    st.floats(0.5, 30.0),
+    st.floats(0.5, 30.0),
+    st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=8),
+)
+def test_array_normalization_equals_the_per_point_reference(width, length, points):
+    court = CourtSpec(width_m=width, length_m=length)
+    arr = np.array(points)
+    assert court.normalize(arr).tolist() == [list(normalize_coord(p, court)) for p in points]
+    assert court.denormalize(arr).tolist() == [list(denormalize_coord(p, court)) for p in points]
 
 
 def test_vocab_file_round_trip(tmp_path, vocab):
@@ -277,3 +268,22 @@ def test_array_zones_equal_the_per_point_reference(court, free, on_lines, side):
 def test_array_zones_reject_a_non_finite_point(court):
     with pytest.raises(ValueError, match=r"non-finite landing coordinate: \(nan, 10.0\)"):
         coord_to_zones(np.array([[3.0, 10.0], [math.nan, 10.0], [math.inf, 1.0]]), court, Player.B)
+
+
+# ---------------------------------------------------------------------------
+# who may see a rally as Stroke objects
+# ---------------------------------------------------------------------------
+
+def test_only_court_and_the_package_root_know_the_stroke_view():
+    """Past court.py, the library reads a rally's columns: no other module imports Stroke or reads .strokes."""
+    package = Path(court_module.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("court.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "Stroke" for a in node.names):
+                found.append(f"{path.name}:{node.lineno} imports Stroke")
+            elif isinstance(node, ast.Attribute) and node.attr in ("Stroke", "strokes"):
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert found == []

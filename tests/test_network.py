@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from rallycast import autodiff as ad, network
 from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
-from rallycast.court import CourtSpec, Player, ShotTypeVocab
-from rallycast.dataset import TAU, FilterPolicy, ParseError, filter_training, parse_dataset, split
+from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab
+from rallycast.dataset import FilterPolicy, ParseError, filter_training, parse_dataset, split
 from rallycast.network import (
     CACHE_BLOCK,
     Forecaster,
@@ -23,11 +24,11 @@ from rallycast.network import (
     init_params,
     prediction_heads,
     sinusoidal_encoding,
-    stroke_inputs,
 )
 from rallycast.training import step_loss
 
 from conftest import FIXTURES, make_rally, small_vocab, tiny_model, zero_params
+from network_reference import rally_stroke_inputs
 
 
 def _replace_stroke(rally, index, **changes):
@@ -58,21 +59,21 @@ def setup():
 def test_zero_params_leave_positional_encoding_only(setup):
     vocab, rally, model = setup
     zero_params(model.params)
-    ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
+    inputs = model.rally_inputs(rally, len(rally))
     pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
     for mode in ("modified", "baseline"):
         config = ModelConfig(**{**model.config.__dict__, "embedding_mode": mode})
-        e_s, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, config)
+        e_s, e_a = embed_strokes(inputs, model.params, config)
         assert np.array_equal(e_s.data, pe)
         assert np.array_equal(e_a.data, pe)
 
 
 def test_modified_area_channel_ignores_player_embedding(setup):
     vocab, rally, model = setup
-    ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-    e_s0, e_a0 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
+    inputs = model.rally_inputs(rally, len(rally))
+    e_s0, e_a0 = embed_strokes(inputs, model.params, model.config)
     model.params["player_emb"].data += 0.731
-    e_s1, e_a1 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
+    e_s1, e_a1 = embed_strokes(inputs, model.params, model.config)
     assert np.array_equal(e_a0.data, e_a1.data)  # bit-identical
     assert not np.array_equal(e_s0.data, e_s1.data)
 
@@ -80,10 +81,10 @@ def test_modified_area_channel_ignores_player_embedding(setup):
 def test_baseline_area_channel_sees_player_embedding(setup):
     vocab, rally, model = setup
     config = ModelConfig(**{**model.config.__dict__, "embedding_mode": "baseline"})
-    ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-    _, e_a0 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, config)
+    inputs = model.rally_inputs(rally, len(rally))
+    _, e_a0 = embed_strokes(inputs, model.params, config)
     model.params["player_emb"].data += 0.5
-    _, e_a1 = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, config)
+    _, e_a1 = embed_strokes(inputs, model.params, config)
     assert not np.array_equal(e_a0.data, e_a1.data)
 
 
@@ -93,22 +94,22 @@ def test_area_relu_only_in_baseline_mode(setup):
     zero_params(model.params)
     model.params["area_w"].data[:] = 0.0
     model.params["area_b"].data[:] = -2.0
-    ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
+    inputs = model.rally_inputs(rally, len(rally))
     pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
 
     modified = ModelConfig(**{**model.config.__dict__, "embedding_mode": "modified"})
-    _, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, modified)
+    _, e_a = embed_strokes(inputs, model.params, modified)
     assert np.allclose(e_a.data - pe, -2.0)  # negatives preserved
 
     baseline = ModelConfig(**{**model.config.__dict__, "embedding_mode": "baseline"})
-    _, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, baseline)
+    _, e_a = embed_strokes(inputs, model.params, baseline)
     assert np.allclose(e_a.data - pe, 0.0)  # clamped at zero
 
 
 def test_area_gradient_wrt_player_table_is_zero_in_modified_mode(setup):
     vocab, rally, model = setup
-    ids = model.stroke_player_ids((rally.player_a, rally.player_b), [s.player for s in rally.strokes])
-    _, e_a = embed_strokes(stroke_inputs(rally.strokes, ids, model.court), model.params, model.config)
+    inputs = model.rally_inputs(rally, len(rally))
+    _, e_a = embed_strokes(inputs, model.params, model.config)
     backward(ad.tsum(e_a))
     assert np.array_equal(grad_of(model.params["player_emb"]), np.zeros_like(model.params["player_emb"].data))
 
@@ -116,7 +117,47 @@ def test_area_gradient_wrt_player_table_is_zero_in_modified_mode(setup):
 def test_embed_rejects_unknown_player_id(setup):
     vocab, rally, model = setup
     with pytest.raises(ValueError):
-        embed_strokes(stroke_inputs(rally.strokes, [99] * len(rally), model.court), model.params, model.config)
+        inputs = dataclasses.replace(model.rally_inputs(rally, len(rally)), player_ids=np.full(len(rally), 99))
+        embed_strokes(inputs, model.params, model.config)
+
+
+# ---------------------------------------------------------------------------
+# inputs read from a rally's columns, against the per-stroke oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rally_and_model(draw):
+    """A rally built from columns, as a parse builds it, and a model on any court that may not know its players."""
+    n = draw(st.integers(1, 12))
+    coord = st.floats(-20.0, 40.0, allow_nan=False)
+    columns = (
+        np.arange(1, n + 1, dtype=np.int64),
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.int64),
+        np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)), dtype=np.float64),
+        np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)), dtype=np.float64),
+    )
+    names = draw(st.lists(st.sampled_from(["ana", "bo", "unseen", "stranger"]), min_size=2, max_size=2, unique=True))
+    (rally,) = Rally.from_columns([("r", "m", *names)], [(0, n)], columns)
+    size = st.floats(0.5, 30.0)
+    court = CourtSpec(width_m=draw(size), length_m=draw(size))
+    return rally, tiny_model([make_rally([0, 2], player_a="ana", player_b="bo")], small_vocab(), court=court)
+
+
+@given(rally_and_model())
+def test_rally_inputs_match_the_per_stroke_oracle_for_every_prefix(case):
+    rally, model = case
+    for n in range(1, len(rally) + 1):
+        got, want = model.rally_inputs(rally, n), rally_stroke_inputs(model, rally, n)
+        for g, w in zip(got._arrays(), want._arrays()):
+            assert g.dtype == w.dtype and np.array_equal(g, w), n
+
+
+def test_rally_inputs_take_one_to_all_strokes(setup):
+    vocab, rally, model = setup
+    for n in (0, len(rally) + 1):
+        with pytest.raises(ValueError, match=f"cannot take the first {n}"):
+            model.rally_inputs(rally, n)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +173,9 @@ def test_length_one_contexts_coincide(setup):
 
 def test_causality_bit_exact(setup):
     vocab, rally, model = setup
-    probs0, mu0, ls0, rho0 = model.forward_positions(rally.strokes, (rally.player_a, rally.player_b))
+    probs0, mu0, ls0, rho0 = model.forward_positions(rally, len(rally))
     perturbed = _replace_stroke(rally, 4, landing=(1.0, 12.9), shot_type=5)
-    probs1, mu1, ls1, rho1 = model.forward_positions(perturbed.strokes, (rally.player_a, rally.player_b))
+    probs1, mu1, ls1, rho1 = model.forward_positions(perturbed, len(perturbed))
     k = 4  # positions 0..3 precede the change
     assert np.array_equal(probs0.data[:k], probs1.data[:k])
     assert np.array_equal(mu0.data[:k], mu1.data[:k])
@@ -146,18 +187,17 @@ def test_causality_bit_exact(setup):
 def test_player_context_masks_out_other_player(setup):
     vocab, rally, model = setup
     players = [s.player for s in rally.strokes]
-    ids = model.stroke_player_ids((rally.player_a, rally.player_b), players)
 
-    def player_ctx_at_a_positions(strokes):
-        e_s, e_a = embed_strokes(stroke_inputs(strokes, ids, model.court), model.params, model.config)
+    def player_ctx_at_a_positions(r):
+        e_s, e_a = embed_strokes(model.rally_inputs(r, len(r)), model.params, model.config)
         x = ad.scale(ad.add(e_s, e_a), 0.5)
         _, player_ctx = encode_contexts(x, np.array([p is Player.A for p in players]), model.params, model.config)
         a_rows = [i for i, p in enumerate(players) if p is Player.A]
         return player_ctx.data[a_rows]
 
-    base = player_ctx_at_a_positions(rally.strokes)
+    base = player_ctx_at_a_positions(rally)
     changed = _replace_stroke(rally, 1, landing=(0.4, 7.1), shot_type=4)  # stroke 2 is B's
-    after = player_ctx_at_a_positions(changed.strokes)
+    after = player_ctx_at_a_positions(changed)
     assert np.max(np.abs(base - after)) <= 1e-12
 
 
@@ -270,8 +310,7 @@ def test_a_corpus32_batch_stays_within_its_tape_budget():
     config = ModelConfig(embed_dim=16, n_heads=2, n_layers=1, dropout_rate=0.2, vocab_size=vocab.size, n_players=len(index))
     model = Forecaster(init_params(config, 7), config, court, vocab, index)
     heads = [forward_teacher_forced(model, r, training=True, rng=np.random.default_rng(i)) for i, r in enumerate(batch)]
-    targets = [s for r in batch for s in r.strokes[TAU:]]
-    tape = backward(step_loss(heads, targets, court).node)
+    tape = backward(step_loss(heads, batch, court).node)
     assert len(batch) == 16 and 0 < len(tape) <= TAPE_NODE_BUDGET, f"{len(tape)} tape nodes"
 
 
@@ -528,7 +567,7 @@ def test_cached_steps_equal_the_full_forward_bit_for_bit():
 
 def test_cached_forward_refuses_the_tape_and_training(setup):
     vocab, rally, model = setup
-    inputs = StrokeInputs.stack([model.stroke_inputs(rally.strokes, (rally.player_a, rally.player_b))])
+    inputs = StrokeInputs.stack([model.rally_inputs(rally, len(rally))])
     with pytest.raises(RuntimeError, match="no_tape"):
         model.forward(inputs, cache=KVCache(1, model.config))
     with ad.no_tape(), pytest.raises(RuntimeError, match="no_tape"):
@@ -655,7 +694,7 @@ def test_full_model_gradient_check():
         for name, leaf in zip(names, leaves):
             model.params.tensors[name] = leaf
         heads = forward_teacher_forced(model, rally, training=True)
-        bundle = step_loss([heads], rally.strokes[TAU:], court)
+        bundle = step_loss([heads], [rally], court)
         return bundle.node
 
     err = gradient_check(loss_fn, base)

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rallycast import scoring
-from rallycast.court import Player, Stroke, denormalize_coord, mirror_coord
+from rallycast.court import Player, Stroke
 from rallycast.dataset import TAU
 from rallycast.scoring import (
     GeneratedStroke,
     evaluate_sample_set,
     export_predictions,
     generate_sample_sets,
-    generate_suffix,
     import_predictions,
     quantize6,
     quantize6_array,
     quantize_simplex,
+    sample,
     sample_set_loss,
     score_min6,
     score_sample_sets,
@@ -28,6 +28,7 @@ from rallycast.seeding import TAG_EVAL
 
 from conftest import make_rally, random_rallies, small_vocab, tiny_model
 from metric_reference import reference_min6, reference_sample_set_loss
+from network_reference import denormalize_coord, mirror_coord, stroke_inputs
 
 
 def _gen(round_index, true_type, p_true, landing, vocab, spread_type=None):
@@ -190,10 +191,10 @@ def _same_strokes(a, b):
 
 def test_generate_deterministic_under_seed(gen_setup):
     vocab, rally, model = gen_setup
-    a = generate_suffix(model, rally, horizon=5, seed=11)
-    b = generate_suffix(model, rally, horizon=5, seed=11)
+    a = sample(model, [rally], [(0, 5, 11)])[0]
+    b = sample(model, [rally], [(0, 5, 11)])[0]
     assert _same_strokes(a, b)
-    c = generate_suffix(model, rally, horizon=5, seed=12)
+    c = sample(model, [rally], [(0, 5, 12)])[0]
     assert any(x.landing != y.landing for x, y in zip(a, c))
 
 
@@ -204,14 +205,14 @@ def test_generate_never_emits_serves(gen_setup):
     for trial in range(10):
         for t in model.params.tensors.values():
             t.data[:] = rng.normal(0.0, 1.0, size=t.shape)
-        for g in generate_suffix(model, rally, horizon=8, seed=trial):
+        for g in sample(model, [rally], [(0, 8, trial)])[0]:
             assert g.type_id not in serve_ids
             assert all(g.type_probs[s] == 0.0 for s in serve_ids)
 
 
 def test_generate_rounds_and_players_continue_prefix(gen_setup):
     vocab, rally, model = gen_setup
-    out = generate_suffix(model, rally, horizon=4, seed=0)
+    out = sample(model, [rally], [(0, 4, 0)])[0]
     assert [g.round_index for g in out] == [5, 6, 7, 8]
     assert [g.player for g in out] == [Player.A, Player.B, Player.A, Player.B]
 
@@ -220,9 +221,7 @@ def test_generate_degenerate_gaussian_hits_mean(gen_setup):
     vocab, rally, model = gen_setup
     model.params["area_head_w"].data[:] = 0.0
     model.params["area_head_b"].data[:] = [0.25, -0.4, math.log(1e-9), math.log(1e-9), 0.0]
-    out = generate_suffix(model, rally, horizon=3, seed=5)
-    from rallycast.court import denormalize_coord
-
+    out = sample(model, [rally], [(0, 3, 5)])[0]
     expected = denormalize_coord((0.25, -0.4), model.court)
     for g in out:
         assert abs(g.landing[0] - expected[0]) < 1e-6
@@ -232,15 +231,15 @@ def test_generate_degenerate_gaussian_hits_mean(gen_setup):
 def test_generate_argument_checks(gen_setup):
     vocab, rally, model = gen_setup
     with pytest.raises(ValueError):
-        generate_suffix(model, rally, horizon=0, seed=0)
+        sample(model, [rally], [(0, 0, 0)])
     short = make_rally([0, 2, 3])
     with pytest.raises(ValueError):
-        generate_suffix(model, short, horizon=1, seed=0)
+        sample(model, [short], [(0, 1, 0)])
 
 
 def test_generated_values_are_quantized(gen_setup):
     vocab, rally, model = gen_setup
-    for g in generate_suffix(model, rally, horizon=3, seed=1):
+    for g in sample(model, [rally], [(0, 3, 1)])[0]:
         assert g.landing[0] == quantize6(g.landing[0])
         assert all(p == quantize6(p) for p in g.type_probs)
         assert abs(g.type_probs.sum() - 1.0) < 1e-6
@@ -319,7 +318,8 @@ def _reference_suffix(model, rally, horizon, seed):
     history = list(rally.strokes[:TAU])
     out = []
     for _ in range(horizon):
-        probs, mu, log_sigma, rho = model.forward_positions(history, (rally.player_a, rally.player_b))
+        ids = [model.player_id(rally.name_of(s.player)) for s in history]
+        probs, mu, log_sigma, rho = model.forward(stroke_inputs(history, ids, model.court))
         stroke, generated = _reference_draw(
             rng, history[-1], probs.data[-1], mu.data[-1], log_sigma.data[-1], float(rho.data[-1]),
             list(model.vocab.serve_ids), model.court,
@@ -367,7 +367,7 @@ def test_lockstep_sample_sets_equal_one_continuation_at_a_time(mixed_lengths):
             for r_idx, rally in enumerate(rallies):
                 steps = horizon if horizon is not None else len(rally) - TAU
                 stream = np.random.SeedSequence([seed, TAG_EVAL, r_idx, j])
-                assert _same_strokes(one[r_idx], generate_suffix(model, rally, steps, stream))
+                assert _same_strokes(one[r_idx], sample(model, [rally], [(0, steps, stream)])[0])
                 assert _same_strokes(one[r_idx], _reference_suffix(model, rally, steps, stream))
     six = generate_sample_sets(model, rallies, 6, seed)
     two = generate_sample_sets(model, rallies, 2, seed)
@@ -388,7 +388,7 @@ def test_export_import_round_trip_scores_identically(tmp_path, gen_setup):
     vocab, rally, model = gen_setup
     truths = [rally, make_rally([1, 3, 4, 5, 3, 4], rally_id="r9")]
     sets = [
-        [generate_suffix(model, r, len(r) - 4, seed=100 + 10 * j + i) for i, r in enumerate(truths)]
+        sample(model, truths, [(i, len(r) - 4, 100 + 10 * j + i) for i, r in enumerate(truths)])
         for j in range(6)
     ]
     path = tmp_path / "preds.csv"
@@ -507,7 +507,7 @@ def test_nested_streams_are_monotone(gen_setup):
         out = []
         for j in range(k):
             if j not in seqs:
-                seqs[j] = generate_suffix(model, rally, len(rally) - 4, seed=np.random.SeedSequence([7, 0, j]))
+                seqs[j] = sample(model, [rally], [(0, len(rally) - 4, np.random.SeedSequence([7, 0, j]))])[0]
             out.append([seqs[j]])
         return out
 

@@ -5,13 +5,13 @@ import pytest
 
 from rallycast import autodiff as ad
 from rallycast.autodiff import Tensor
-from rallycast.court import denormalize_coord, normalize_coord
 from rallycast.dataset import SynthConfig, synthesize_dataset
 from rallycast.network import ModelConfig, forward_teacher_forced
 from rallycast.scoring import PROB_FLOOR
 from rallycast.training import Adam, TrainConfig, eval_best_of_k, step_loss, train
 
 from conftest import make_rally, tiny_model
+from network_reference import denormalize_coord, normalize_coord
 
 
 def _plain_heads(vocab, p_true, true_type, mu, sigma=(1.0, 1.0), rho=0.0):
@@ -25,7 +25,7 @@ def test_step_loss_gaussian_at_mean(vocab, court):
     mu = (0.3, -0.2)
     target = make_rally([0, 2, 3, 4, 2], landings=[(1.0, 8.0)] * 4 + [denormalize_coord(mu, court)])
     heads = _plain_heads(vocab, 1.0, target.strokes[4].shot_type, mu)
-    bundle = step_loss([heads], target.strokes[4:], court)
+    bundle = step_loss([heads], [target], court)
     assert bundle.shot_loss == 0.0
     assert abs(bundle.area_loss - math.log(2 * math.pi)) < 1e-9
     assert abs(bundle.area_loss - 1.8379) < 1e-4
@@ -34,7 +34,7 @@ def test_step_loss_gaussian_at_mean(vocab, court):
 def test_step_loss_half_probability(vocab, court):
     target = make_rally([0, 2, 3, 4, 2])
     heads = _plain_heads(vocab, 0.5, target.strokes[4].shot_type, (0.0, 0.0))
-    bundle = step_loss([heads], target.strokes[4:], court)
+    bundle = step_loss([heads], [target], court)
     assert abs(bundle.shot_loss - math.log(2)) < 1e-12
 
 
@@ -44,7 +44,7 @@ def test_step_loss_two_step_mean(vocab, court):
         _plain_heads(vocab, 0.5, target.strokes[4].shot_type, (0.0, 0.0)),
         _plain_heads(vocab, 0.25, target.strokes[5].shot_type, (0.0, 0.0)),
     ]
-    bundle = step_loss(heads, target.strokes[4:], court)
+    bundle = step_loss(heads, [target], court)
     assert abs(bundle.shot_loss - 1.0397) < 1e-4
     assert abs(bundle.shot_loss - (0.6931471805599453 + 1.3862943611198906) / 2) < 1e-12
 
@@ -52,7 +52,7 @@ def test_step_loss_two_step_mean(vocab, court):
 def test_step_loss_total_is_sum(vocab, court):
     target = make_rally([0, 2, 3, 4, 2])
     heads = _plain_heads(vocab, 0.5, target.strokes[4].shot_type, (0.1, 0.2), sigma=(0.5, 2.0), rho=0.3)
-    bundle = step_loss([heads], target.strokes[4:], court)
+    bundle = step_loss([heads], [target], court)
     assert abs(bundle.total_loss - (bundle.shot_loss + bundle.area_loss)) < 1e-12
     assert bundle.node.size == 1
 
@@ -60,7 +60,7 @@ def test_step_loss_total_is_sum(vocab, court):
 def test_step_loss_length_mismatch(vocab, court):
     target = make_rally([0, 2, 3, 4, 2])
     with pytest.raises(ValueError):
-        step_loss([], target.strokes[4:], court)
+        step_loss([], [target], court)
 
 
 def _reference_losses(rows, targets, court):
@@ -115,7 +115,7 @@ def test_step_loss_matches_a_per_stroke_closed_form_reference(vocab, court, capl
     assert [h[0].shape[0] for h in heads] == [1, 3, 6]
 
     with caplog.at_level("WARNING", logger="rallycast.training"):
-        bundle = step_loss(heads, targets, court)
+        bundle = step_loss(heads, rallies, court)
     shot_ref, area_ref = _reference_losses(rows, targets, court)
     assert abs(bundle.shot_loss - shot_ref) < 1e-10
     assert abs(bundle.area_loss - area_ref) < 1e-10
@@ -126,7 +126,7 @@ def test_step_loss_matches_a_per_stroke_closed_form_reference(vocab, court, capl
     # the loss graph has the same size for 10 targets as for 3
     short = [make_rally([0, 2, 3, 4, 2], rally_id=f"s{i}") for i in range(3)]
     short_heads = [_random_heads(rng, rally, vocab, court)[1] for rally in short]
-    short_loss = step_loss(short_heads, [r.strokes[4] for r in short], court)
+    short_loss = step_loss(short_heads, short, court)
     assert len(ad.backward(bundle.node)) == len(ad.backward(short_loss.node))
 
 
@@ -178,11 +178,8 @@ def test_single_tiny_step_does_not_increase_smooth_loss(vocab, corpus):
     model = tiny_model(corpus, vocab, dropout_rate=0.0, param_scale=None)
 
     def batch_loss():
-        heads, targets = [], []
-        for rally in corpus[:4]:
-            heads.append(forward_teacher_forced(model, rally, training=True))
-            targets.extend(rally.strokes[4:])
-        return step_loss(heads, targets, model.court)
+        heads = [forward_teacher_forced(model, rally, training=True) for rally in corpus[:4]]
+        return step_loss(heads, corpus[:4], model.court)
 
     before = batch_loss()
     model.params.zero_grad()
