@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, coord_to_zone, validate_rally
+from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, validate_rally
 from .dataset import FilterPolicy, SynthConfig, filter_training, parse_dataset, split, synthesize_dataset, write_dataset
 from .network import Forecaster, ModelConfig, forward_teacher_forced, init_params
-from .scoring import GeneratedStroke, sample, sample_set_loss, score_min6
+from .scoring import GeneratedStroke, sample, score_min6
 from .training import TrainConfig, eval_best_of_k, step_loss, train
 
 __all__ = [
@@ -20,14 +20,12 @@ __all__ = [
     "Stroke",
     "SynthConfig",
     "TrainConfig",
-    "coord_to_zone",
     "eval_best_of_k",
     "filter_training",
     "forward_teacher_forced",
     "init_params",
     "parse_dataset",
     "sample",
-    "sample_set_loss",
     "score_min6",
     "split",
     "step_loss",

@@ -190,6 +190,8 @@ class RoundTrend:
 
 def round_trend(pred: PredictionFile, vocab: ShotTypeVocab) -> RoundTrend:
     """Per-round mean of the predicted type distribution over all samples."""
+    if len(pred.probs) == 0:
+        raise ValueError("prediction file has no strokes")
     order = np.argsort(pred.rounds, kind="stable")
     vectors = _normalized(pred)[order]
     rounds, starts, counts = np.unique(pred.rounds[order], return_index=True, return_counts=True)

@@ -35,7 +35,7 @@ from .dataset import (
     synthesize_dataset,
     write_dataset,
 )
-from .network import Forecaster, ModelConfig
+from .network import ModelConfig, load_checkpoint, save_checkpoint
 from .scoring import (
     EXPECTED_SAMPLE_SETS,
     export_predictions,
@@ -251,7 +251,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, report = train(train_set, val_set, model_config, train_config, court, vocab, progress=progress)
 
     checkpoint = out_dir / "model.ckpt"
-    model.save(checkpoint)
+    save_checkpoint(checkpoint, model)
     report.write_csv(out_dir / "report.csv")
     write_dataset(train_set, vocab, out_dir / "train_split.csv")
     write_dataset(val_set, vocab, out_dir / "val_split.csv")
@@ -261,7 +261,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    model = Forecaster.load(_require(args, "checkpoint"))
+    model = load_checkpoint(_require(args, "checkpoint"))
     rallies, _ = _load_rallies(_require(args, "data"), model.vocab, model.court, settings["mirror"])
     out = Path(_require(args, "out"))
     open_ended = bool(getattr(args, "open_ended", False))

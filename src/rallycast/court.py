@@ -29,13 +29,11 @@ import numpy as np
 DEFAULT_WIDTH_M = 6.1
 DEFAULT_LENGTH_M = 13.4
 
-N_ZONES = 10
-ZONE_OUT = 10  # any point outside the chosen half-court
-
 # Zone ids 1..9 tile the receiver half-court as a 3x3 grid from the
 # receiver's perspective: rows run near-net to baseline, columns left to
 # right, zone = 3 * row + col + 1. Boundary ties resolve to the lower id.
-ZoneId = int
+N_ZONES = 10
+ZONE_OUT = 10  # any point outside the chosen half-court
 
 
 class ParseError(RuntimeError):
@@ -175,7 +173,11 @@ VOCAB_COLUMNS = ("type_id", "name", "is_serve")
 
 
 def load_vocab(path: str | Path) -> ShotTypeVocab:
-    """Read a vocabulary CSV with header type_id,name,is_serve."""
+    """Read a vocabulary CSV with header type_id,name,is_serve.
+
+    A damaged file, or one that ShotTypeVocab rejects, raises ParseError
+    naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"vocabulary file not found: {path}")
@@ -196,7 +198,10 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
                 raise ParseError(f"{path}: line {reader.line_num}: type_id {row['type_id']!r} is not an integer") from None
             entries.append(ShotType(type_id, row["name"], row["is_serve"].strip().lower() in ("1", "true", "yes")))
     entries.sort(key=lambda e: e.type_id)
-    return ShotTypeVocab(tuple(entries))
+    try:
+        return ShotTypeVocab(tuple(entries))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_vocab(vocab: ShotTypeVocab, path: str | Path) -> None:
@@ -234,23 +239,14 @@ class CourtSpec:
         return z * center + center
 
 
-def coord_to_zone(landing: tuple[float, float], court: CourtSpec, receiver_side: Player) -> ZoneId:
-    """Map a landing point to one of 10 zones on the receiver's half-court.
-
-    Side A occupies the low-y half, side B the high-y half. Zones 1..9 are a
-    3x3 grid oriented from the receiver's point of view (row 0 nearest the
-    net, column 0 on the receiver's left); zone 10 is anything outside the
-    receiver's half, including the far half and out-of-court points. This is
-    the one-point case of coord_to_zones.
-    """
-    x, y = landing
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite landing coordinate: {landing!r}")
-    return int(coord_to_zones(np.array([[x, y]], dtype=np.float64), court, receiver_side)[0])
-
-
 def coord_to_zones(points: np.ndarray, court: CourtSpec, receiver_side: Player) -> np.ndarray:
-    """coord_to_zone of every row of an (n, 2) array of points, as an (n,) int array."""
+    """The zone of every row of an (n, 2) array of landing points, as an (n,) int array.
+
+    Side A occupies the low-y half, side B the high-y half. Zones 1..9 tile
+    the receiver's half (row 0 nearest the net, column 0 on the receiver's
+    left); zone 10 is anything outside it, including the far half and
+    out-of-court points. A non-finite point raises ValueError.
+    """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():

@@ -449,13 +449,6 @@ class Forecaster:
         """Next-stroke head outputs at every position of the rally's first n strokes."""
         return self.forward(self.rally_inputs(rally, n), training=training, rng=rng)
 
-    def save(self, path: str | Path) -> None:
-        save_checkpoint(path, self)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Forecaster":
-        return load_checkpoint(path)
-
 
 def forward_teacher_forced(
     model: Forecaster,

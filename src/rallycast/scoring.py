@@ -100,6 +100,8 @@ def generate_sample_sets(
     draws of a larger n_sets reproduce a smaller run exactly.
     When horizon is None each rally is continued to its ground-truth length.
     """
+    if n_sets < 1:
+        raise ValueError(f"need at least one sample set, got {n_sets}")
     tasks = [
         (
             r_idx,
@@ -287,7 +289,9 @@ def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarra
     """(k, N) per-stroke CE + L1 losses of every set, and the (R,) suffix length of each rally.
 
     Every set's suffix of a rally must cover the rally's rounds TAU+1..n, so
-    all sets share one layout of N strokes.
+    all sets share one layout of N strokes. A stroke whose loss, or whose
+    probability of the true type, is not finite raises ValueError naming its
+    set and rally, whatever the number of sets and the protocol.
     """
     k, n_rallies = sets.lengths.shape
     if n_rallies != len(truths):
@@ -309,10 +313,21 @@ def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarra
         raise ValueError("no predicted strokes to score")
     true_types = np.tile(np.concatenate([r.type_ids[TAU:] for r in truths]), k)
     true_xy = np.tile(np.concatenate([r.landings[TAU:] for r in truths]), (k, 1))
-    p_true = np.maximum(sets.probs[np.arange(k * n), true_types], PROB_FLOOR)
-    ce = -np.fromiter(map(math.log, p_true.tolist()), dtype=np.float64, count=k * n)
+    p_true = sets.probs[np.arange(k * n), true_types]
+    ce = -np.fromiter(map(math.log, np.maximum(p_true, PROB_FLOOR).tolist()), dtype=np.float64, count=k * n)
     mae = np.abs(true_xy[:, 0] - sets.landings[:, 0]) + np.abs(true_xy[:, 1] - sets.landings[:, 1])
-    return (ce + mae).reshape(k, n), suffix
+    losses = ce + mae
+    finite = np.isfinite(p_true) & np.isfinite(losses)  # the clamp would hide a probability of -inf
+    if not finite.all():
+        row = int(np.argmin(finite))
+        set_idx, stroke = divmod(row, n)
+        rally = truths[int(np.searchsorted(np.cumsum(suffix), stroke, side="right"))]
+        x, y = sets.landings[row].tolist()
+        raise ValueError(
+            f"sample set {set_idx + 1}, rally {rally.rally_id}, round {sets.rounds[row]}: stroke loss is not finite "
+            f"(landing ({x}, {y}), probability {p_true[row]} of the true type)"
+        )
+    return losses.reshape(k, n), suffix
 
 
 def _rally_sums(losses: np.ndarray, suffix: np.ndarray) -> np.ndarray:
@@ -327,28 +342,6 @@ def _rally_sums(losses: np.ndarray, suffix: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(suffix > j)
         sums[:, live] += losses[:, starts[live] + j]
     return sums
-
-
-@dataclass
-class SetEvaluation:
-    """Per-rally losses of one sample set."""
-
-    rally_sums: np.ndarray  # (R,) summed stroke losses per rally
-    n_strokes: int
-
-    @property
-    def loss(self) -> float:
-        return float(self.rally_sums.sum() / self.n_strokes)
-
-
-def evaluate_sample_set(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally]) -> SetEvaluation:
-    losses, suffix = _stroke_losses(SampleSets.from_nested([samples]), truths)
-    return SetEvaluation(_rally_sums(losses, suffix)[0], losses.shape[1])
-
-
-def sample_set_loss(samples: Sequence[Sequence[GeneratedStroke]], truths: Sequence[Rally]) -> float:
-    """Mean per-stroke CE + L1 loss of one sample set over all rallies."""
-    return evaluate_sample_set(samples, truths).loss
 
 
 def score_min6(losses: Sequence[float]) -> float:
@@ -413,12 +406,7 @@ def score_sample_sets(
     n = stroke_losses.shape[1]
     losses = [float(row.sum() / n) for row in rally_sums]
 
-    if protocol == "min_of_sets":
-        min_sets = score_min6(losses) if len(losses) == EXPECTED_SAMPLE_SETS else min(losses)
-    else:
-        min_sets = min(losses)
-    assert all(min_sets <= l for l in losses)
-
+    min_sets = min(losses)
     best_idx = np.argmin(rally_sums, axis=0)
     best_agg = float(rally_sums.min(axis=0).sum() / n)
 

@@ -50,7 +50,7 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 16
     learning_rate: float = 1e-4
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0  # 0 disables clipping
     eval_every: int = 0  # 0 disables periodic evaluation
     eval_samples: int = 100
     seed: int = 0
@@ -58,8 +58,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        for name in ("learning_rate", "clip_norm", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.eval_samples < 1:
+            raise ValueError(f"eval_samples must be at least 1, got {self.eval_samples}")
 
 
 @dataclass(frozen=True)
@@ -268,8 +271,6 @@ def eval_best_of_k(
     Sample streams are derived per (seed, rally index, sample index), so the
     first draws of a larger k reproduce a smaller k's draws exactly.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if not rallies:
         raise ValueError("no rallies to evaluate")
     sets = generate_sample_sets(model, rallies, k, seed)

@@ -24,10 +24,8 @@ from rallycast.network import (
 )
 from rallycast.scoring import (
     GeneratedStroke,
-    evaluate_sample_set,
     import_predictions,
     sample,
-    sample_set_loss,
     score_min6,
     score_sample_sets,
 )
@@ -81,7 +79,7 @@ def test_criterion_scorer_oracle(corpus):
                     )
                 )
             suffixes.append(one)
-        worst = max(worst, abs(sample_set_loss(suffixes, truths) - reference_sample_set_loss(suffixes, truths)))
+        worst = max(worst, abs(score_sample_sets([suffixes], truths).sample_losses[0] - reference_sample_set_loss(suffixes, truths)))
 
     truth_rallies, _, _ = parse_dataset(HAND_SCORED / "truth.csv", vocab, write_rejects=False)
     pred = import_predictions(HAND_SCORED / "predictions.csv", vocab)
@@ -239,21 +237,19 @@ def test_criterion_best_of_k_monotonicity(corpus):
     vocab, rallies = corpus
     model = tiny_model(rallies, vocab, param_scale=0.5, seed=4)
     seed = 31
-    evals = []
+    sets = []
     for j in range(100):
         tasks = [(r_idx, len(rally) - 4, np.random.SeedSequence([seed, 4, r_idx, j])) for r_idx, rally in enumerate(rallies)]
-        one = sample(model, rallies, tasks)
-        evals.append(evaluate_sample_set(one, rallies))
-    sums = np.stack([e.rally_sums for e in evals])  # (100, R)
-    n = evals[0].n_strokes
+        sets.append(sample(model, rallies, tasks))
+    reports = {k: score_sample_sets(sets[:k], rallies, protocol="best_of_k") for k in (1, 10, 100)}
 
     def score_at(k):
-        return sums[:k].min(axis=0)
+        return reports[k].per_rally  # rally id -> the sum of its best set's stroke losses
 
     ok = True
-    for rally_idx in range(len(rallies)):
-        ok &= score_at(100)[rally_idx] <= score_at(10)[rally_idx] <= score_at(1)[rally_idx]
-    s1, s10, s100 = (float(score_at(k).sum() / n) for k in (1, 10, 100))
+    for rally in rallies:
+        ok &= score_at(100)[rally.rally_id] <= score_at(10)[rally.rally_id] <= score_at(1)[rally.rally_id]
+    s1, s10, s100 = (reports[k].score for k in (1, 10, 100))
     ok &= s100 <= s10 <= s1
     _report("best-of-k-monotonicity", ok, f"scores k=1:{s1:.3f} k=10:{s10:.3f} k=100:{s100:.3f}")
 

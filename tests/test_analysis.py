@@ -229,6 +229,17 @@ def test_mean_probability_sums_to_one(vocab):
     assert set(means) == {e.name for e in vocab.entries}
 
 
+def test_prediction_analyses_of_a_file_without_rows_raise(vocab, court):
+    empty = prediction_file(vocab, {})
+    for analysis in (
+        lambda: landing_zone_distribution(empty, court),
+        lambda: round_trend(empty, vocab),
+        lambda: mean_probability(empty, vocab),
+    ):
+        with pytest.raises(ValueError, match="^prediction file has no strokes$"):
+            analysis()
+
+
 def test_analyses_are_pure(vocab):
     rallies = synthesize_dataset(SynthConfig(n_rallies=15, seed=4, vocab=vocab))
     a = shot_distribution(rallies, "landing_zone", vocab)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from rallycast.dataset import TAU
-from rallycast.network import CHECKPOINT_MAGIC
+from rallycast.network import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 from conftest import FIXTURES, make_rally, tiny_model
 
@@ -85,7 +85,7 @@ MISSING_FILE = {
 @pytest.mark.parametrize("case", list(MISSING_FILE))
 def test_a_missing_input_file_exits_2_naming_its_kind_and_path(tmp_path, vocab, case):
     command, kind = MISSING_FILE[case]
-    tiny_model([make_rally([0, 2, 3, 4, 5])], vocab).save(tmp_path / "m.ckpt")
+    save_checkpoint(tmp_path / "m.ckpt", tiny_model([make_rally([0, 2, 3, 4, 5])], vocab))
     missing = tmp_path / "missing.csv"
     out = run_cli(*command(missing, tmp_path))
     assert out.returncode == 2, out.stderr
@@ -137,7 +137,11 @@ def test_vocabulary_with_a_non_integer_type_id_exits_1_naming_its_line_and_field
     ("type_id,name\n0,long service\n1,net shot\n", "line 1: missing column is_serve; the header must be type_id,name,is_serve"),
     # a short row read its missing cell as None and died with an AttributeError traceback
     ("type_id,name,is_serve\n0,long service\n1,net shot,false\n", "line 2: expected 3 cells"),
-], ids=["missing_column", "short_row"])
+    # these three exited 2 with the vocabulary's bare message, naming no file
+    ("type_id,name,is_serve\n0,long service,true\n2,net shot,false\n", "type_ids must be contiguous 0..V-1 in order"),
+    ("type_id,name,is_serve\n0,long service,true\n1,Smash,false\n2,smash,false\n", "shot type names must be unique"),
+    ("type_id,name,is_serve\n0,net shot,false\n1,smash,false\n", "vocabulary needs at least one service type"),
+], ids=["missing_column", "short_row", "type_id_gap", "name_repeated_in_another_case", "no_service_type"])
 def test_vocabulary_with_a_missing_column_or_cell_exits_1_naming_it(tmp_path, text, message):
     vocab = tmp_path / "vocab.csv"
     vocab.write_text(text, encoding="utf-8")
@@ -190,6 +194,21 @@ def test_a_config_value_outside_its_choices_exits_2_naming_its_line(tmp_path, li
     assert out.returncode == 2
     assert f"{cfg}:2: {message}" in out.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    # trained a whole epoch, then exited 2 with "k must be at least 1"
+    (["--eval-every", 1, "--eval-samples", 0], "eval_samples must be at least 1, got 0"),
+    # these two silently turned evaluation or clipping off
+    (["--eval-every", -1], "eval_every must be nonnegative, got -1"),
+    (["--clip-norm", -1.0], "clip_norm must be nonnegative, got -1.0"),
+])
+def test_a_training_setting_out_of_range_exits_2_before_training(tmp_path, flags, message):
+    out = run_cli("train", "--data", CORPUS32, "--out-dir", tmp_path / "run", "--embed-dim", 4, "--epochs", 1, *flags)
+    assert out.returncode == 2, out.stderr
+    assert f"error: {message}" in out.stderr
+    assert "epoch" not in out.stdout
+    assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
 # each subcommand's flags: (option strings, dest, choices, nargs); nargs 0 is a switch
@@ -335,7 +354,7 @@ def test_train_on_300_synthesized_rallies_needs_no_match_rounds_limit(tmp_path):
 
 
 def test_flags_override_the_config_file_which_overrides_defaults(tmp_path):
-    from rallycast.network import Forecaster, ModelConfig
+    from rallycast.network import ModelConfig
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text("embed_dim = 8\ndropout = 0.1\nepochs = 1\n", encoding="utf-8")
@@ -343,7 +362,7 @@ def test_flags_override_the_config_file_which_overrides_defaults(tmp_path):
         "train", "--data", CORPUS32, "--out-dir", tmp_path / "run", "--config", cfg, "--embed-dim", 4,
     )
     assert result.returncode == 0, result.stderr
-    config = Forecaster.load(tmp_path / "run" / "model.ckpt").config
+    config = load_checkpoint(tmp_path / "run" / "model.ckpt").config
     assert config.embed_dim == 4  # the flag beats the config file
     assert config.dropout_rate == 0.1  # the config file beats the default
     assert config.n_heads == ModelConfig.n_heads  # set by neither
@@ -379,8 +398,6 @@ def test_train_outputs_exist_and_are_deterministic(trained, tmp_path):
 
 
 def test_embedding_mode_flag_changes_only_that_config_field(tmp_path):
-    from rallycast.network import Forecaster
-
     dirs = {}
     for mode in ("baseline", "modified"):
         dirs[mode] = tmp_path / mode
@@ -390,8 +407,8 @@ def test_embedding_mode_flag_changes_only_that_config_field(tmp_path):
             "--embedding-mode", mode,
         )
         assert result.returncode == 0, result.stderr
-    base = Forecaster.load(dirs["baseline"] / "model.ckpt")
-    mod = Forecaster.load(dirs["modified"] / "model.ckpt")
+    base = load_checkpoint(dirs["baseline"] / "model.ckpt")
+    mod = load_checkpoint(dirs["modified"] / "model.ckpt")
     diff = {
         k for k in base.config.__dict__
         if getattr(base.config, k) != getattr(mod.config, k)
@@ -492,12 +509,10 @@ def test_predict_with_a_damaged_checkpoint_exits_1(trained, tmp_path, damage):
 
 
 def test_a_checkpoint_in_the_earlier_header_format_loads_and_predicts_the_same_bytes(trained, tmp_path):
-    from rallycast.network import Forecaster
-
     current = trained / "model.ckpt"
     earlier = tmp_path / "earlier.ckpt"
     earlier.write_bytes(_earlier_header_format(current.read_bytes()))
-    want, got = Forecaster.load(current), Forecaster.load(earlier)
+    want, got = load_checkpoint(current), load_checkpoint(earlier)
     assert (got.config, got.court, got.vocab, got.player_index) == (want.config, want.court, want.vocab, want.player_index)
     for name in want.params.names():
         assert got.params[name].data.tobytes() == want.params[name].data.tobytes()
@@ -508,6 +523,16 @@ def test_a_checkpoint_in_the_earlier_header_format_loads_and_predicts_the_same_b
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_predict_with_no_sample_sets_exits_2_and_writes_no_file(trained, tmp_path):
+    """--samples 0 exited 0 and wrote a file that held only the header."""
+    pred = tmp_path / "p.csv"
+    out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", trained / "val_split.csv", "--out", pred,
+                  "--samples", 0)
+    assert out.returncode == 2, out.stderr
+    assert "error: need at least one sample set, got 0" in out.stderr
+    assert not pred.exists()
 
 
 def test_predict_open_ended_horizon(trained, tmp_path, vocab):
@@ -685,6 +710,19 @@ def test_analyze_zones_has_ten_rows(trained, tmp_path):
     assert out.returncode == 0, out.stderr
     lines = (tmp_path / "analysis_zone_histogram_landing_zone.csv").read_text().splitlines()
     assert len(lines) == 11  # header + zones 1..10
+
+
+@pytest.mark.parametrize("kind", ["zones", "trend"])
+def test_analyze_a_prediction_file_without_rows_exits_2(tmp_path, vocab, kind):
+    """trend printed numpy's "need at least one array to stack"."""
+    from rallycast.scoring import prediction_header
+
+    empty = tmp_path / "empty.csv"
+    empty.write_text(prediction_header(vocab) + "\n", encoding="utf-8")
+    out = run_cli("analyze", "--kind", kind, "--predictions", empty, "--out-dir", tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "error: prediction file has no strokes" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_analyze_vote_requires_predictions(tmp_path):

@@ -17,7 +17,6 @@ from rallycast.court import (
     Stroke,
     Violation,
     ZONE_OUT,
-    coord_to_zone,
     coord_to_zones,
     validate_rally,
 )
@@ -125,16 +124,16 @@ def test_alternation_property(vocab):
 
 def test_zone_center_is_five(court):
     center = (court.width_m / 2, 3 * court.length_m / 4)
-    assert coord_to_zone(center, court, Player.B) == 5
-    assert coord_to_zone((court.width_m / 2, court.length_m / 4), court, Player.A) == 5
+    assert coord_to_zones(center, court, Player.B)[0] == 5
+    assert coord_to_zones((court.width_m / 2, court.length_m / 4), court, Player.A)[0] == 5
 
 
 def test_zone_out_of_bounds(court):
-    assert coord_to_zone((3.0, court.length_m + 1.0), court, Player.B) == ZONE_OUT
-    assert coord_to_zone((3.0, 1.0), court, Player.B) == ZONE_OUT  # other half
-    assert coord_to_zone((-0.1, 10.0), court, Player.B) == ZONE_OUT
+    assert coord_to_zones((3.0, court.length_m + 1.0), court, Player.B)[0] == ZONE_OUT
+    assert coord_to_zones((3.0, 1.0), court, Player.B)[0] == ZONE_OUT  # other half
+    assert coord_to_zones((-0.1, 10.0), court, Player.B)[0] == ZONE_OUT
     with pytest.raises(ValueError):
-        coord_to_zone((float("inf"), 1.0), court, Player.B)
+        coord_to_zones((float("inf"), 1.0), court, Player.B)
 
 
 def _centroids(court, side):
@@ -156,26 +155,26 @@ def _centroids(court, side):
 @pytest.mark.parametrize("side", [Player.A, Player.B])
 def test_zone_centroids_enumerate_one_to_nine(court, side):
     for i, p in enumerate(_centroids(court, side)):
-        assert coord_to_zone(p, court, side) == i + 1
+        assert coord_to_zones(p, court, side)[0] == i + 1
 
 
 def test_zone_boundary_ties_go_to_lower_id():
     # exact thirds avoid float noise on the boundaries
     court = CourtSpec(width_m=6.0, length_m=12.0)
     # depth exactly l/6, receiver-left exactly w/3 -> row 0, col 0 -> zone 1
-    assert coord_to_zone((4.0, 8.0), court, Player.B) == 1
-    assert coord_to_zone((4.0 - 1e-9, 8.0), court, Player.B) == 2  # just past the column boundary
-    assert coord_to_zone((4.0, 8.0 + 1e-9), court, Player.B) == 4  # just past the row boundary
+    assert coord_to_zones((4.0, 8.0), court, Player.B)[0] == 1
+    assert coord_to_zones((4.0 - 1e-9, 8.0), court, Player.B)[0] == 2  # just past the column boundary
+    assert coord_to_zones((4.0, 8.0 + 1e-9), court, Player.B)[0] == 4  # just past the row boundary
     # net line and baseline belong to the half
-    assert coord_to_zone((3.0, 6.0), court, Player.B) == 2
-    assert coord_to_zone((3.0, 12.0), court, Player.B) == 8
+    assert coord_to_zones((3.0, 6.0), court, Player.B)[0] == 2
+    assert coord_to_zones((3.0, 12.0), court, Player.B)[0] == 8
 
 
 def test_zone_partition_property(court):
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.0, court.width_m, size=10_000)
     ys = rng.uniform(court.length_m / 2, court.length_m, size=10_000)
-    zones = np.array([coord_to_zone((x, y), court, Player.B) for x, y in zip(xs, ys)])
+    zones = np.array([coord_to_zones((x, y), court, Player.B)[0] for x, y in zip(xs, ys)])
     assert zones.min() >= 1 and zones.max() <= 9
 
 
@@ -189,7 +188,7 @@ def test_zones_partition_the_court(x, y, side):
     court = CourtSpec()
     w, l = court.width_m, court.length_m
     half = l / 2
-    zone = coord_to_zone((x, y), court, side)
+    zone = coord_to_zones((x, y), court, side)[0]
     in_half = 0.0 <= x <= w and (half <= y <= l if side is Player.B else 0.0 <= y <= half)
     assert 1 <= zone <= 10
     assert (zone != ZONE_OUT) == in_half
@@ -262,7 +261,7 @@ def test_array_zones_equal_the_per_point_reference(court, free, on_lines, side):
     points = free + [(lines[i], lines[j]) for i, j in on_lines]
     want = [reference_coord_to_zone(p, court, side) for p in points]
     assert coord_to_zones(np.array(points).reshape(-1, 2), court, side).tolist() == want
-    assert [coord_to_zone(p, court, side) for p in points] == want
+    assert [coord_to_zones(p, court, side)[0] for p in points] == want
 
 
 def test_array_zones_reject_a_non_finite_point(court):
@@ -286,4 +285,16 @@ def test_only_court_and_the_package_root_know_the_stroke_view():
                 found.append(f"{path.name}:{node.lineno} imports Stroke")
             elif isinstance(node, ast.Attribute) and node.attr in ("Stroke", "strokes"):
                 found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert found == []
+
+
+def test_no_module_of_the_library_asserts():
+    """python -O strips assert statements, so a check the library needs must raise instead."""
+    package = Path(court_module.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []

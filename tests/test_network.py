@@ -22,7 +22,9 @@ from rallycast.network import (
     forward_teacher_forced,
     fuse_contexts,
     init_params,
+    load_checkpoint,
     prediction_heads,
+    save_checkpoint,
     sinusoidal_encoding,
 )
 from rallycast.training import step_loss
@@ -583,14 +585,14 @@ def test_cached_forward_refuses_the_tape_and_training(setup):
 def test_checkpoint_round_trip_bit_exact(tmp_path, setup):
     vocab, rally, model = setup
     path = tmp_path / "model.ckpt"
-    model.save(path)
-    loaded = type(model).load(path)
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
     assert loaded.config == model.config
     assert loaded.player_index == model.player_index
     assert loaded.vocab == model.vocab
     for name in model.params.names():
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
-    loaded.save(tmp_path / "again.ckpt")
+    save_checkpoint(tmp_path / "again.ckpt", loaded)
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
@@ -623,59 +625,59 @@ def any_forecaster(draw):
 @given(any_forecaster())
 def test_checkpoint_write_read_write_is_byte_identical(tmp_path_factory, model):
     d = tmp_path_factory.mktemp("ckpt")
-    model.save(d / "once.ckpt")
-    loaded = Forecaster.load(d / "once.ckpt")
+    save_checkpoint(d / "once.ckpt", model)
+    loaded = load_checkpoint(d / "once.ckpt")
     assert (loaded.config, loaded.court, loaded.vocab) == (model.config, model.court, model.vocab)
     assert loaded.player_index == model.player_index
     for name in model.params.names():
         assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
-    loaded.save(d / "twice.ckpt")
+    save_checkpoint(d / "twice.ckpt", loaded)
     assert (d / "twice.ckpt").read_bytes() == (d / "once.ckpt").read_bytes()
 
 
 def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, setup):
     vocab, rally, model = setup
     path = tmp_path / "model.ckpt"
-    model.save(path)
+    save_checkpoint(path, model)
     raw = path.read_bytes()
     last = model.params.names()[-1]
 
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(raw[:-3])
     with pytest.raises(ParseError, match=f"array '{last}'"):
-        type(model).load(cut)
+        load_checkpoint(cut)
 
     padded = tmp_path / "padded.ckpt"
     padded.write_bytes(raw + b"\0" * 8)
     with pytest.raises(ParseError, match="8 trailing bytes"):
-        type(model).load(padded)
+        load_checkpoint(padded)
 
     header_cut = tmp_path / "header_cut.ckpt"
     header_cut.write_bytes(raw[:40])
     with pytest.raises(ParseError, match="header length"):
-        type(model).load(header_cut)
+        load_checkpoint(header_cut)
 
     with pytest.raises(ParseError, match="not a checkpoint file"):
-        type(model).load(FIXTURES / "corpus32.csv")
+        load_checkpoint(FIXTURES / "corpus32.csv")
 
 
 def test_checkpoint_rejects_a_header_that_disagrees_with_its_config(tmp_path, setup):
     vocab, rally, model = setup
     path = tmp_path / "model.ckpt"
-    model.save(path)
+    save_checkpoint(path, model)
     raw = path.read_bytes()
     # claim a wider model; the header keeps its length, so only the shape check can catch it
     bad = raw.replace(b'"embed_dim":4', b'"embed_dim":8', 1)
     assert bad != raw
     path.write_bytes(bad)
     with pytest.raises(ParseError, match="parameter shapes"):
-        type(model).load(path)
+        load_checkpoint(path)
     # a value the model config rejects, again at the same header length
     bad = raw.replace(b'"n_heads":2', b'"n_heads":3', 1)
     assert bad != raw
     path.write_bytes(bad)
     with pytest.raises(ParseError, match=f"{re.escape(str(path))}: .*embed_dim must be divisible by n_heads"):
-        type(model).load(path)
+        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

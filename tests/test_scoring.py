@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,20 +7,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rallycast import scoring
-from rallycast.court import Player, Stroke
-from rallycast.dataset import TAU
+from rallycast import court as court_module, scoring
+from rallycast.court import PARSE_BLOCK_LINES, Player, Stroke
+from rallycast.dataset import TAU, ParseError
 from rallycast.scoring import (
     GeneratedStroke,
-    evaluate_sample_set,
     export_predictions,
     generate_sample_sets,
     import_predictions,
+    prediction_header,
     quantize6,
     quantize6_array,
     quantize_simplex,
     sample,
-    sample_set_loss,
     score_min6,
     score_sample_sets,
 )
@@ -55,7 +55,7 @@ def test_hand_computed_case(vocab):
         _gen(5, 2, 0.5, (2.3, 9.0), vocab),
         _gen(6, 3, 0.25, (3.0, 10.7), vocab),
     ]
-    loss = sample_set_loss([suffix], [truth])
+    loss = score_sample_sets([[suffix]], [truth]).sample_losses[0]
     assert abs(loss - 1.539721) < 1e-6
     expected = ((-math.log(0.5) + 0.3) + (-math.log(0.25) + 0.7)) / 2
     assert abs(loss - expected) < 1e-12
@@ -67,7 +67,7 @@ def test_perfect_predictions_score_zero(vocab):
         _gen(5, truth.strokes[4].shot_type, 1.0, truth.strokes[4].landing, vocab),
         _gen(6, truth.strokes[5].shot_type, 1.0, truth.strokes[5].landing, vocab),
     ]
-    assert sample_set_loss([suffix], [truth]) == 0.0
+    assert score_sample_sets([[suffix]], [truth]).sample_losses[0] == 0.0
 
 
 def test_stroke_count_denominator(vocab):
@@ -79,13 +79,13 @@ def test_stroke_count_denominator(vocab):
         _gen(5, r2.strokes[4].shot_type, 1.0, (1.0, 10.0), vocab),  # L1 = 2.0
         _gen(6, r2.strokes[5].shot_type, 1.0, (4.0, 9.0), vocab),  # L1 = 4.0
     ]
-    assert abs(sample_set_loss([s1, s2], [r1, r2]) - 7.0 / 3.0) < 1e-12
+    assert abs(score_sample_sets([[s1, s2]], [r1, r2]).sample_losses[0] - 7.0 / 3.0) < 1e-12
 
 
 def test_zero_probability_clamped(vocab):
     truth = make_rally([0, 2, 3, 4, 2])
     suffix = [_gen(5, 3, 1.0, truth.strokes[4].landing, vocab)]  # prob 0 on true type 2
-    loss = sample_set_loss([suffix], [truth])
+    loss = score_sample_sets([[suffix]], [truth]).sample_losses[0]
     assert abs(loss - (-math.log(1e-12))) < 1e-9
 
 
@@ -93,7 +93,48 @@ def test_mismatched_rounds_rejected(vocab):
     truth = make_rally([0, 2, 3, 4, 2, 3])
     suffix = [_gen(5, 2, 1.0, (1.0, 8.0), vocab)]  # missing round 6
     with pytest.raises(ValueError, match="expected"):
-        evaluate_sample_set([suffix], [truth])
+        score_sample_sets([[suffix]], [truth])
+
+
+def _with_probability(g, type_id, value):
+    probs = g.type_probs.copy()
+    probs[type_id] = value
+    return replace(g, type_probs=probs)
+
+
+# each turns a generated stroke, whose true type is t, into one with a non-finite loss or true-type probability
+NON_FINITE_STROKES = {
+    "landing_nan": lambda g, t: replace(g, landing=(math.nan, g.landing[1])),
+    "landing_inf": lambda g, t: replace(g, landing=(g.landing[0], -math.inf)),
+    "probability_nan": lambda g, t: _with_probability(g, t, math.nan),
+    "probability_minus_inf": lambda g, t: _with_probability(g, t, -math.inf),  # clamped, it would read as a finite loss
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NON_FINITE_STROKES))
+def test_a_non_finite_stroke_raises_the_same_error_for_any_set_count_and_protocol(vocab, fault):
+    """With six sets a NaN landing raised ValueError; with any other count, or best-of-k, a bare AssertionError."""
+    truths = [make_rally([0, 2, 3, 4, 2, 3], rally_id="r1"), make_rally([0, 2, 3, 4, 2], rally_id="r2")]
+
+    def one_set(bad_rally=None):
+        suffixes = [[_gen(i, t.type_ids[i - 1], 0.5, (1.0, 8.0), vocab) for i in range(5, len(t) + 1)] for t in truths]
+        if bad_rally is not None:
+            suffixes[bad_rally][0] = NON_FINITE_STROKES[fault](suffixes[bad_rally][0], truths[bad_rally].type_ids[4])
+        return suffixes
+
+    messages = set()
+    for k in (1, 2, 6):
+        for protocol in ("min_of_sets", "best_of_k"):
+            sets = [one_set(bad_rally=1)] + [one_set() for _ in range(k - 1)]
+            with pytest.raises(ValueError) as caught:
+                score_sample_sets(sets, truths, protocol=protocol)
+            messages.add(str(caught.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith("sample set 1, rally r2, round 5: stroke loss is not finite")
+    sets = [one_set() for _ in range(6)]
+    sets[3] = one_set(bad_rally=0)
+    with pytest.raises(ValueError, match="^sample set 4, rally r1, round 5: stroke loss is not finite"):
+        score_sample_sets(sets, truths)
 
 
 def test_brute_force_equivalence_on_random_fixtures(vocab):
@@ -109,7 +150,7 @@ def test_brute_force_equivalence_on_random_fixtures(vocab):
                 landing = (float(rng.uniform(0, 6.1)), float(rng.uniform(5, 13.4)))
                 one.append(_gen(k, true_type, p_true, landing, vocab))
             suffixes.append(one)
-        mine = sample_set_loss(suffixes, truths)
+        mine = score_sample_sets([suffixes], truths).sample_losses[0]
         theirs = reference_sample_set_loss(suffixes, truths)
         assert abs(mine - theirs) < 1e-12
 
@@ -380,6 +421,12 @@ def test_sample_sets_reject_a_rally_without_a_suffix(mixed_lengths):
         generate_sample_sets(model, rallies + [make_rally([0, 2, 3, 4], rally_id="short")], 2, seed=1)
 
 
+def test_sample_sets_need_at_least_one_set(mixed_lengths):
+    model, rallies = mixed_lengths
+    with pytest.raises(ValueError, match="^need at least one sample set, got 0$"):
+        generate_sample_sets(model, rallies, 0, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # prediction files
 # ---------------------------------------------------------------------------
@@ -495,6 +542,76 @@ def test_import_rejects_wrong_header(tmp_path, vocab):
     path.write_text("rally_id,sample_id\n", encoding="utf-8")
     with pytest.raises(ValueError):
         import_predictions(path, vocab)
+
+
+# each turns the cells of one prediction row into a damaged row
+PREDICTION_ROW_DAMAGE = {
+    "sample_id_word": lambda cells: cells[:1] + ["x"] + cells[2:],
+    "sample_id_zero": lambda cells: cells[:1] + ["0"] + cells[2:],
+    "sample_id_beyond_int64": lambda cells: cells[:1] + [str(2**64)] + cells[2:],
+    "round_fraction": lambda cells: cells[:2] + ["5.5"] + cells[3:],
+    "round_beyond_int64": lambda cells: cells[:2] + [str(2**64)] + cells[3:],
+    "landing_nan": lambda cells: cells[:3] + ["nan"] + cells[4:],
+    "landing_inf": lambda cells: cells[:4] + ["-inf"] + cells[5:],
+    "probability_negative": lambda cells: cells[:5] + ["-0.200000"] + cells[6:],
+    "probability_word": lambda cells: cells[:-1] + ["x"],
+    "probabilities_off_one": lambda cells: cells[:5] + [f"{float(cells[5]) + 0.01:.6f}"] + cells[6:],
+    "short_row": lambda cells: cells[:-1],
+    "long_row": lambda cells: cells + ["0.000000"],
+}
+
+
+@st.composite
+def damaged_prediction_text(draw):
+    """(prediction CSV text, parse block size) with damaged rows, a repeated (rally, sample, round), a gap in the
+    sample ids, blank and whitespace-only lines, shuffled rows and every line ending."""
+    vocab = small_vocab()
+    n_samples = draw(st.integers(1, 3))
+    rows = []
+    for r in range(draw(st.integers(0, 3))):
+        for sample_id in range(1, n_samples + 1):
+            for ball_round in range(5, 5 + draw(st.integers(1, 4))):
+                w = np.array(draw(st.lists(st.integers(0, 3), min_size=vocab.size, max_size=vocab.size).filter(any)))
+                probs = quantize_simplex((w / w.sum())[None, :])[0]
+                rows.append([f"r{r}", str(sample_id), str(ball_round), "1.500000", "9.250000", *(f"{p:.6f}" for p in probs)])
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))  # a (rally, sample, round) twice
+    if rows and draw(st.booleans()):
+        gap = draw(st.integers(1, n_samples))  # sample ids from the gap on move up by one
+        rows = [cells[:1] + [str(int(cells[1]) + (int(cells[1]) >= gap))] + cells[2:] for cells in rows]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = PREDICTION_ROW_DAMAGE[draw(st.sampled_from(sorted(PREDICTION_ROW_DAMAGE)))](rows[i])
+    lines = [",".join(cells) for cells in rows] + draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3))
+    lines = draw(st.permutations(lines))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = "".join(line + end for line, end in zip([prediction_header(vocab), *lines], endings))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line ending after the last row
+    return vocab, text
+
+
+def _import_outcome(path, vocab):
+    """The columns an import returns, or the text of the ParseError it raises."""
+    try:
+        pred = import_predictions(path, vocab)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+    columns = (pred.rally_index, pred.sample_ids, pred.rounds, pred.landings, pred.probs)
+    return pred.n_samples, pred.rally_ids, [(a.dtype, a.shape, a.tobytes()) for a in columns]
+
+
+@given(damaged_prediction_text())
+def test_prediction_import_does_not_depend_on_the_parse_block_size(tmp_path_factory, case):
+    vocab, text = case
+    path = tmp_path_factory.mktemp("blocks") / "pred.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for block_lines in (1, 2, 3, 5, PARSE_BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(court_module, "PARSE_BLOCK_LINES", block_lines)
+            outcomes.append(_import_outcome(path, vocab))
+    assert all(outcome == outcomes[-1] for outcome in outcomes)
 
 
 def test_nested_streams_are_monotone(gen_setup):
