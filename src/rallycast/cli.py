@@ -38,6 +38,7 @@ from .dataset import (
 from .network import ModelConfig, load_checkpoint, save_checkpoint
 from .scoring import (
     EXPECTED_SAMPLE_SETS,
+    check_rally_ids_unique,
     export_predictions,
     generate_sample_sets,
     import_predictions,
@@ -271,6 +272,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if short:
             raise ParseError(f"rallies too short to predict (need {TAU + 1} strokes): {short[:5]}")
 
+    check_rally_ids_unique(rallies)
     n_samples = settings["samples"]
     sets = generate_sample_sets(model, rallies, n_samples, settings["seed"], horizon=horizon)
     export_predictions(rallies, sets, model.vocab, out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -62,24 +62,43 @@ def utf8_line_errors(path: Path) -> Iterator[None]:
 PARSE_BLOCK_LINES = 1024
 
 
-def line_blocks(fh: TextIO) -> Iterator[list[str]]:
-    """The file's remaining lines in blocks of PARSE_BLOCK_LINES.
+def line_blocks(fh: TextIO, strip: Callable[[str], str]) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The lines after the header in blocks of PARSE_BLOCK_LINES, as the non-empty ones after strip and their numbers.
 
     Before a byte that is not UTF-8 stops the read, the lines read so far
     are handed on, so a bad row before it is still reported first.
     """
     block: list[str] = []
+    first_line = 2
     try:
         for line in fh:
-            block.append(line)
+            block.append(strip(line))
             if len(block) == PARSE_BLOCK_LINES:
-                yield block
-                block = []
+                yield _non_empty(block, first_line)
+                block, first_line = [], first_line + len(block)
     except UnicodeDecodeError:
-        yield block
+        yield _non_empty(block, first_line)
         raise
     if block:
-        yield block
+        yield _non_empty(block, first_line)
+
+
+def _non_empty(lines: list[str], first_line: int) -> tuple[list[str], np.ndarray]:
+    kept = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
+    return list(filter(None, lines)), np.flatnonzero(kept) + first_line
+
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def int_column(cells: list[str]) -> tuple[np.ndarray, dict[int, int]]:
+    """int() of each cell as int64, and {row: value} of the values beyond int64, which the array holds clipped."""
+    try:
+        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells)), {}
+    except OverflowError:
+        exact = list(map(int, cells))
+        beyond = {i: v for i, v in enumerate(exact) if not INT64_MIN <= v <= INT64_MAX}
+        return np.array([min(max(v, INT64_MIN), INT64_MAX) for v in exact], dtype=np.int64), beyond
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -30,11 +30,11 @@ import numpy as np
 from .court import (
     DEFAULT_LENGTH_M,
     DEFAULT_WIDTH_M,
-    PARSE_BLOCK_LINES,
     CourtSpec,
     ParseError,
     Rally,
     ShotTypeVocab,
+    int_column,
     line_blocks,
     run_starts,
     utf8_line_errors,
@@ -102,61 +102,43 @@ def _meta_from(match_ids: list[str], lengths: np.ndarray, is_b: np.ndarray) -> D
     )
 
 
-def _parse_row(fields: list[str], vocab: ShotTypeVocab) -> tuple[str, str, int, str, int, list[float]]:
-    """(match_id, rally_id, ball_round, player, type id, coordinates) of one row's cells.
-
-    Raises ValueError or KeyError, whose text is the row's reject reason.
-    """
-    if len(fields) != 9:
-        raise ValueError(f"expected 9 columns, found {len(fields)}")
-    match_id, rally_id, round_s, player_s, type_name = fields[:5]
-    if player_s not in ("A", "B"):
-        raise ValueError(f"player must be A or B, found {player_s!r}")
-    round_index = int(round_s)
-    if round_index < 1:
-        raise ValueError(f"ball_round must be >= 1, found {round_index}")
-    type_id = vocab.id_of(type_name)  # KeyError for unknown names
-    coords = [float(v) for v in fields[5:]]
-    if not all(math.isfinite(c) for c in coords):
-        raise ValueError("non-finite coordinate")
-    return match_id, rally_id, round_index, player_s, type_id, coords
-
-
 # The columns of a run of rows: line numbers, codes of "match_id,rally_id",
 # ball rounds, whether player is B, type ids and (n, 4) coordinates.
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-INT64_MAX = int(np.iinfo(np.int64).max)
-
 
 def _parse_block(
-    lines: list[str], numbers: np.ndarray, vocab: ShotTypeVocab, keys: dict[str, int]
-) -> Columns | None:
-    """The columns of a block of non-empty lines, or None if any line fails a check of _parse_row.
+    lines: list[str], numbers: np.ndarray, vocab: ShotTypeVocab, keys: dict[str, int], huge_rounds: dict[int, int]
+) -> Columns:
+    """The columns of a block of non-empty lines; raises ValueError or KeyError at the first check that fails.
 
-    keys maps each "match_id,rally_id" to its code, in first-seen order; a
-    block that passes adds its new ones. (Strings, unlike tuples, add no
-    work for the garbage collector.)
+    The checks run in this order, so a one-line block raises its row's reject
+    reason. keys maps each "match_id,rally_id" to its code, in first-seen
+    order; a block that passes adds its new ones, and its lines' ball rounds
+    beyond int64, which the rounds hold clipped, to huge_rounds. (Strings,
+    unlike tuples, add no work for the garbage collector.)
     """
     if set(map(str.count, lines, repeat(","))) - {8}:
-        return None
+        found = next(line.count(",") for line in lines if line.count(",") != 8) + 1
+        raise ValueError(f"expected 9 columns, found {found}")
     n = len(lines)
     cells = ",".join(lines).split(",") if lines else []
     players, type_names = cells[3::9], cells[4::9]
     if set(players) - {"A", "B"}:
-        return None
-    try:
-        rounds = np.fromiter(map(int, cells[2::9]), dtype=np.int64, count=n)
-        ids = {name: vocab.id_of(name) for name in set(type_names)}
-        columns = chain(cells[5::9], cells[6::9], cells[7::9], cells[8::9])
-        coords = np.fromiter(map(float, columns), dtype=np.float64, count=4 * n).reshape(4, n).T
-    except (ValueError, KeyError, OverflowError):
-        return None
-    if not ((rounds >= 1).all() and np.isfinite(coords).all()):
-        return None
+        raise ValueError(f"player must be A or B, found {next(p for p in players if p not in ('A', 'B'))!r}")
+    rounds, beyond = int_column(cells[2::9])
+    if (rounds < 1).any():
+        i = int(np.argmax(rounds < 1))
+        raise ValueError(f"ball_round must be >= 1, found {beyond.get(i, rounds[i])}")
+    ids = {name: vocab.id_of(name) for name in set(type_names)}  # KeyError for unknown names
+    columns = chain(cells[5::9], cells[6::9], cells[7::9], cells[8::9])
+    coords = np.fromiter(map(float, columns), dtype=np.float64, count=4 * n).reshape(4, n).T
+    if not np.isfinite(coords).all():
+        raise ValueError("non-finite coordinate")
     rallies = list(map(",".join, zip(cells[0::9], cells[1::9])))
     for key in dict.fromkeys(rallies):
         keys.setdefault(key, len(keys))
+    huge_rounds.update((int(numbers[i]), v) for i, v in beyond.items())
     return (
         numbers,
         np.fromiter(map(keys.__getitem__, rallies), dtype=np.int64, count=n),
@@ -167,49 +149,14 @@ def _parse_block(
     )
 
 
-def _parse_lines(
-    lines: list[str],
-    numbers: np.ndarray,
-    vocab: ShotTypeVocab,
-    keys: dict[str, int],
-    rejects: list[RejectedRow],
-    huge_rounds: dict[int, int],
-) -> Columns:
-    """The columns of _parse_block, one line at a time: a line that fails a check of _parse_row is rejected.
-
-    A ball_round beyond int64 is held clipped; huge_rounds keeps its line's true value.
-    """
-    rows = []
-    for line_number, line in zip(numbers.tolist(), lines):
-        fields = line.split(",")
-        try:
-            match_id, rally_id, round_index, player_s, type_id, coords = _parse_row(fields, vocab)
-        except (ValueError, KeyError) as exc:
-            rejects.append(RejectedRow(line_number, tuple(fields), str(exc).strip("'\"")))
-            continue
-        if round_index > INT64_MAX:
-            huge_rounds[line_number] = round_index
-        code = keys.setdefault(f"{match_id},{rally_id}", len(keys))
-        rows.append((line_number, code, min(round_index, INT64_MAX), player_s == "B", type_id, coords))
-    line_numbers, codes, rounds, is_b, types, coords = zip(*rows) if rows else ((),) * 6
-    return (
-        np.array(line_numbers, dtype=np.int64),
-        np.array(codes, dtype=np.int64),
-        np.array(rounds, dtype=np.int64),
-        np.array(is_b, dtype=bool),
-        np.array(types, dtype=np.int64),
-        np.array(coords, dtype=np.float64).reshape(-1, 4),
-    )
-
-
 def _read_rows(
     path: Path, vocab: ShotTypeVocab, rejects: list[RejectedRow], huge_rounds: dict[int, int]
 ) -> tuple[dict[str, int], Columns, int]:
     """The file's rows as columns, the code of each "match_id,rally_id", and the number of non-empty lines.
 
     Lines are parsed in blocks, each converted and checked as arrays; a block
-    that fails a check is read again line by line, which appends its
-    malformed rows to rejects.
+    that fails a check is parsed again one line at a time, by the same
+    function, which rejects each failing line and keeps the others' rows.
     """
     keys: dict[str, int] = {}
     blocks: list[Columns] = []
@@ -218,16 +165,18 @@ def _read_rows(
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ParseError(f"unexpected header in {path}: {header!r}")
-        line_number = 2
-        for block in line_blocks(fh):
-            stripped = [line.rstrip("\n").rstrip("\r") for line in block]
-            lines = list(filter(None, stripped))
-            numbers = np.flatnonzero(np.fromiter(map(bool, stripped), dtype=bool, count=len(stripped))) + line_number
+        for lines, numbers in line_blocks(fh, lambda line: line.rstrip("\n").rstrip("\r")):
             n_rows += len(lines)
-            columns = _parse_block(lines, numbers, vocab, keys)
-            blocks.append(columns or _parse_lines(lines, numbers, vocab, keys, rejects, huge_rounds))
-            line_number += len(block)
-    blocks.append(_parse_block([], np.zeros(0, dtype=np.int64), vocab, keys))  # columns even for a file without rows
+            try:
+                blocks.append(_parse_block(lines, numbers, vocab, keys, huge_rounds))
+            except (ValueError, KeyError):
+                for i, line in enumerate(lines):
+                    try:
+                        blocks.append(_parse_block([line], numbers[i : i + 1], vocab, keys, huge_rounds))
+                    except (ValueError, KeyError) as exc:
+                        rejects.append(RejectedRow(int(numbers[i]), tuple(line.split(",")), str(exc).strip("'\"")))
+    # columns even for a file without rows
+    blocks.append(_parse_block([], np.zeros(0, dtype=np.int64), vocab, keys, huge_rounds))
     return keys, tuple(np.concatenate(column) for column in zip(*blocks)), n_rows
 
 
@@ -245,7 +194,7 @@ def parse_dataset(
     aborting; only a row-level malformed share above 10% is a hard failure.
 
     Lines are parsed in blocks of arrays (_read_rows), so every reject is
-    worded by _parse_row, and rows are grouped into rallies by one sort.
+    worded by _parse_block, and rows are grouped into rallies by one sort.
     """
     path = Path(path)
     if not path.exists():

@@ -25,7 +25,17 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .court import PARSE_BLOCK_LINES, CourtSpec, Player, Rally, ShotTypeVocab, line_blocks, run_starts, utf8_line_errors
+from .court import (
+    PARSE_BLOCK_LINES,
+    CourtSpec,
+    Player,
+    Rally,
+    ShotTypeVocab,
+    int_column,
+    line_blocks,
+    run_starts,
+    utf8_line_errors,
+)
 from .dataset import TAU, ParseError
 from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
@@ -315,7 +325,8 @@ def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarra
     true_xy = np.tile(np.concatenate([r.landings[TAU:] for r in truths]), (k, 1))
     p_true = sets.probs[np.arange(k * n), true_types]
     ce = -np.fromiter(map(math.log, np.maximum(p_true, PROB_FLOOR).tolist()), dtype=np.float64, count=k * n)
-    mae = np.abs(true_xy[:, 0] - sets.landings[:, 0]) + np.abs(true_xy[:, 1] - sets.landings[:, 1])
+    with np.errstate(over="ignore"):  # a huge finite landing makes an infinite loss, which the rule below reports
+        mae = np.abs(true_xy[:, 0] - sets.landings[:, 0]) + np.abs(true_xy[:, 1] - sets.landings[:, 1])
     losses = ce + mae
     finite = np.isfinite(p_true) & np.isfinite(losses)  # the clamp would hide a probability of -inf
     if not finite.all():
@@ -445,6 +456,18 @@ def prediction_header(vocab: ShotTypeVocab) -> str:
     return ",".join(["rally_id", "sample_id", "ball_round", "landing_x", "landing_y"] + _prob_columns(vocab))
 
 
+def check_rally_ids_unique(rallies: Sequence[Rally]) -> None:
+    """Raise ValueError if two rallies share a rally id: a prediction file keys its rows by rally id alone."""
+    match_of: dict[str, str] = {}
+    for rally in rallies:
+        if rally.rally_id in match_of:
+            raise ValueError(
+                f"rally id {rally.rally_id} is used by match {match_of[rally.rally_id]} and by match {rally.match_id}; "
+                "a prediction file keys its rows by rally id alone"
+            )
+        match_of[rally.rally_id] = rally.match_id
+
+
 def export_predictions(
     truths: Sequence[Rally],
     sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]],
@@ -452,9 +475,8 @@ def export_predictions(
     path: str | Path,
 ) -> None:
     """Write sample sets, as columns or [set][rally][stroke] lists, as a prediction CSV (6-decimal floats)."""
+    check_rally_ids_unique(truths)
     ids = [r.rally_id for r in truths]
-    if len(set(ids)) != len(ids):
-        raise ValueError("rally_ids must be unique to export predictions")
     sets = _as_sample_sets(sets)
     k, n_rallies = sets.lengths.shape
     if k and n_rallies != len(truths):
@@ -549,6 +571,7 @@ class PredictionFile:
 
     def sample_sets(self, truths: Sequence[Rally]) -> SampleSets:
         """Sample sets 1..n_samples over the given rallies, in their order."""
+        check_rally_ids_unique(truths)
         index = {rally_id: i for i, rally_id in enumerate(self.rally_ids)}
         missing = [r.rally_id for r in truths if r.rally_id not in index]
         if missing:
@@ -576,130 +599,99 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     that does not match the vocabulary raises ValueError.
 
     Lines are parsed in blocks, each converted and checked as arrays; a block
-    that fails is read again line by line, which names the first bad line.
+    that fails is parsed again one line at a time, by the same function, to
+    name the first bad line. The file is read once: each row keeps its line
+    number, which the sample-id gap and repeat messages name.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"prediction file not found: {path}")
     expected_header = prediction_header(vocab)
     codes: dict[str, int] = {}  # rally id -> its position in first-seen order
+    huge_ids: dict[int, int] = {}  # line number -> its sample id beyond int64, which the sample ids hold clipped
     blocks: list[tuple[np.ndarray, ...]] = []
     with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
         header = fh.readline().strip()
         if header != expected_header:
             raise ValueError(f"prediction header does not match the vocabulary: {header!r}")
         columns = header.split(",")
-        line_number = 2
-        huge_sample_id = False
-        for block in line_blocks(fh):
-            arrays = _parse_block(block, len(columns), codes)
-            if arrays is None:
-                _check_lines(block, line_number, columns)
-                huge_sample_id = True  # its lines pass one at a time, so a sample id overflowed int64
-            else:
-                blocks.append(arrays)
-            line_number += len(block)
-    blocks.append(_parse_block([], len(columns), codes))  # columns even for a file without rows
-    rally_index, sample_ids, rounds, numbers = (np.concatenate(column) for column in zip(*blocks))
+        for lines, numbers in line_blocks(fh, str.strip):
+            try:
+                blocks.append(_parse_block(lines, numbers, columns, codes, huge_ids))
+            except ValueError:
+                for i, line in enumerate(lines):
+                    try:
+                        blocks.append(_parse_block([line], numbers[i : i + 1], columns, codes, huge_ids))
+                    except ValueError as exc:
+                        raise ParseError(f"line {numbers[i]}: {exc}") from exc
+    # columns even for a file without rows
+    blocks.append(_parse_block([], np.zeros(0, dtype=np.int64), columns, codes, huge_ids))
+    line_numbers, rally_index, sample_ids, rounds, values = (np.concatenate(column) for column in zip(*blocks))
     blocks.clear()
     ids = np.unique(sample_ids)
-    if huge_sample_id or (len(ids) and ids[-1] != len(ids)):
-        raise ParseError(_grouping_error(path))
-    landings, probs = numbers[:, :2], numbers[:, 2:]
+    if len(ids) and ids[-1] != len(ids):
+        gap = int(np.argmax(ids != np.arange(1, len(ids) + 1))) + 1
+        row = int(np.argmax(sample_ids > gap))  # rows run in file order
+        sample_id = huge_ids.get(int(line_numbers[row]), sample_ids[row])
+        raise ParseError(f"line {line_numbers[row]}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
+    landings, probs = values[:, :2], values[:, 2:]
     pred = PredictionFile.from_columns(vocab, list(codes), rally_index, sample_ids, rounds, landings, probs)
     if not run_starts(pred.rally_index, pred.sample_ids, pred.rounds).all():
-        raise ParseError(_grouping_error(path))
+        # the earliest line whose (rally, sample, round) an earlier line has, found by a sort that only this error pays
+        order = np.lexsort((rounds, sample_ids, rally_index))
+        new = run_starts(rally_index[order], sample_ids[order], rounds[order])
+        repeats = np.flatnonzero(~new)
+        i = repeats[np.argmin(order[repeats])]
+        row, first = order[i], order[np.flatnonzero(new)[np.cumsum(new)[i] - 1]]
+        raise ParseError(
+            f"line {line_numbers[row]}: rally {pred.rally_ids[rally_index[row]]} sample {sample_ids[row]} "
+            f"round {rounds[row]} repeats line {line_numbers[first]}"
+        )
     return pred
 
 
-def _parse_block(block: list[str], n_columns: int, codes: dict[str, int]) -> tuple[np.ndarray, ...] | None:
-    """(rally index, sample id, round, landings and probabilities) arrays of a block, or None if a check fails."""
-    lines = list(filter(None, map(str.strip, block)))
-    if set(map(str.count, lines, repeat(","))) - {n_columns - 1}:
-        return None
+def _parse_block(
+    lines: list[str], numbers: np.ndarray, columns: list[str], codes: dict[str, int], huge_ids: dict[int, int]
+) -> tuple[np.ndarray, ...]:
+    """(line number, rally index, sample id, round, landings and probabilities) arrays of a block of non-empty lines.
+
+    Raises ValueError at the first check that fails; the checks run in this
+    order, so a one-line block raises its row's fault. A block that passes
+    adds its new rally ids to codes, and its sample ids beyond int64, by line
+    number, to huge_ids.
+    """
+    width = len(columns)
+    if set(map(str.count, lines, repeat(","))) - {width - 1}:
+        found = next(line.count(",") for line in lines if line.count(",") != width - 1) + 1
+        raise ValueError(f"expected {width} columns, found {found}")
     n = len(lines)
     cells = ",".join(lines).split(",") if lines else []
-    numeric = cycle([False] * 3 + [True] * (n_columns - 3))
-    try:
-        sample_ids = np.fromiter(map(int, cells[1::n_columns]), dtype=np.int64, count=n)
-        rounds = np.fromiter(map(int, cells[2::n_columns]), dtype=np.int64, count=n)
-        numbers = np.fromiter(map(float, compress(cells, numeric)), dtype=np.float64, count=n * (n_columns - 3))
-    except (ValueError, OverflowError):
-        return None
-    numbers = numbers.reshape(n, n_columns - 3)
-    probs = numbers[:, 2:]
-    if not (
-        np.isfinite(numbers[:, :2]).all()
-        and ((probs >= 0.0) & (probs <= 1.0)).all()
-        and (np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all()
-        and (sample_ids >= 1).all()
-    ):
-        return None
-    rally_ids = cells[0::n_columns]
+    sample_ids, beyond_ids = int_column(cells[1::width])
+    rounds, beyond_rounds = int_column(cells[2::width])
+    numeric = cycle([False] * 3 + [True] * (width - 3))
+    values = np.fromiter(map(float, compress(cells, numeric)), dtype=np.float64, count=n * (width - 3))
+    values = values.reshape(n, width - 3)
+    landings, probs = values[:, :2], values[:, 2:]
+    if not np.isfinite(landings).all():
+        row = int(np.argmax(~np.isfinite(landings).all(axis=1)))
+        x, y = cells[row * width + 3 : row * width + 5]
+        raise ValueError(f"landing ({x}, {y}) is not finite")
+    outside = ~((probs >= 0.0) & (probs <= 1.0))  # NaN is outside too
+    if outside.any():
+        row, col = divmod(int(np.argmax(outside)), width - 5)
+        raise ValueError(f"{columns[col + 5]} = {cells[row * width + col + 5]} is not in [0, 1]")
+    totals = probs.sum(axis=1)
+    off = np.abs(totals - 1.0) > PROB_SUM_TOL
+    if off.any():
+        raise ValueError(f"probabilities sum to {totals[np.argmax(off)]:.8f}")
+    if (sample_ids < 1).any():
+        row = int(np.argmax(sample_ids < 1))
+        raise ValueError(f"sample id {beyond_ids.get(row, sample_ids[row])} is below 1")
+    if beyond_rounds:
+        raise ValueError(f"ball round {beyond_rounds[min(beyond_rounds)]} does not fit in 64 bits")
+    rally_ids = cells[0::width]
     for rally_id in dict.fromkeys(rally_ids):
         codes.setdefault(rally_id, len(codes))
+    huge_ids.update((int(numbers[row]), sample_id) for row, sample_id in beyond_ids.items())
     rally_index = np.fromiter(map(codes.__getitem__, rally_ids), dtype=np.int64, count=n)
-    return rally_index, sample_ids, rounds, numbers
-
-
-def _check_lines(block: list[str], first_line: int, columns: list[str]) -> None:
-    """The checks of _parse_block, one line at a time: raises ParseError naming the first bad line.
-
-    Returns only for a block whose one fault is a sample id beyond int64, a
-    sample id that must skip one.
-    """
-    for line_number, line in enumerate(block, start=first_line):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ParseError(f"line {line_number}: expected {len(columns)} columns, found {len(cells)}")
-        try:
-            sample_id, ball_round = int(cells[1]), int(cells[2])
-            landing = (float(cells[3]), float(cells[4]))
-            values = [float(c) for c in cells[5:]]
-        except ValueError as exc:
-            raise ParseError(f"line {line_number}: {exc}") from exc
-        if not (math.isfinite(landing[0]) and math.isfinite(landing[1])):
-            raise ParseError(f"line {line_number}: landing ({cells[3]}, {cells[4]}) is not finite")
-        for col, p in enumerate(values, start=5):
-            if not 0.0 <= p <= 1.0:  # NaN fails too
-                raise ParseError(f"line {line_number}: {columns[col]} = {cells[col]} is not in [0, 1]")
-        total = np.array(values).sum()
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ParseError(f"line {line_number}: probabilities sum to {total:.8f}")
-        if sample_id < 1:
-            raise ParseError(f"line {line_number}: sample id {sample_id} is below 1")
-        if not -(2**63) <= ball_round < 2**63:
-            raise ParseError(f"line {line_number}: ball round {ball_round} does not fit in 64 bits")
-
-
-def _grouping_error(path: Path) -> str:
-    """The message for a file whose sample ids skip one or whose (rally, sample, round) repeats.
-
-    Sample ids are checked first: the message names the first line whose id
-    lies past the first unused one, else the first line that repeats an
-    earlier line's (rally, sample, round). Only a file known to have one of these faults is read again, so a valid
-    file costs no per-row record.
-    """
-    first_line: dict[int, int] = {}  # sample id -> the first line that has it
-    seen: dict[tuple[str, int, int], int] = {}
-    repeat = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        fh.readline()
-        for line_number, line in enumerate(fh, start=2):
-            cells = line.strip().split(",", 3)
-            if len(cells) < 3:
-                continue
-            key = (cells[0], int(cells[1]), int(cells[2]))
-            first_line.setdefault(key[1], line_number)
-            if repeat is None and key in seen:
-                repeat = f"line {line_number}: rally {key[0]} sample {key[1]} round {key[2]} repeats line {seen[key]}"
-            seen.setdefault(key, line_number)
-    ids = sorted(first_line)
-    if ids and ids[-1] != len(ids):
-        gap = next(i for i, sample_id in enumerate(ids, start=1) if sample_id != i)
-        line_number, sample_id = min((line, sid) for sid, line in first_line.items() if sid > gap)
-        return f"line {line_number}: sample id {sample_id} skips sample id {gap}; ids must run 1..k"
-    return repeat or f"{path}: a fault that a second read no longer finds; the file changed while it was read"
+    return numbers, rally_index, sample_ids, rounds, values

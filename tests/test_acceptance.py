@@ -46,7 +46,10 @@ def _report(name, ok, detail=""):
 
 def _cli(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-m", "rallycast", *map(str, args)], capture_output=True, text=True, cwd=cwd
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rallycast", *map(str, args)],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
     )
 
 

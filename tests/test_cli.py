@@ -16,7 +16,7 @@ HAND_SCORED = FIXTURES / "hand_scored"
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-m", "rallycast", *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rallycast", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -682,6 +682,43 @@ def test_damaged_row_past_the_first_parse_block_names_its_line(tmp_path, vocab):
 
     with pytest.raises(ParseError, match=f"^line {damaged_line}: prob_net_shot = -0.200000 is not in \\[0, 1\\]$"):
         import_predictions(damaged, vocab)
+
+
+def _with_a_rally_copied_into_another_match(source, rally_id, out, drop_last=False):
+    """source's rows, then rally_id's rows again under match id "copy" (without its last row if drop_last)."""
+    lines = source.read_text().splitlines()
+    copied = [line.split(",", 1)[1] for line in lines[1:] if line.split(",")[1] == rally_id]
+    out.write_text("\n".join(lines + [f"copy,{row}" for row in copied[: len(copied) - drop_last]]) + "\n", encoding="utf-8")
+    return lines[[line.split(",")[1] for line in lines].index(rally_id)].split(",")[0]
+
+
+@pytest.mark.parametrize("drop_last", [False, True])
+def test_score_refuses_a_rally_id_that_two_matches_share(tmp_path, drop_last):
+    """This scored one prediction block against both truths (Score = 1.539721), or, with the copy one stroke
+    shorter, failed on the rounds the predictions cover."""
+    truth = tmp_path / "truth.csv"
+    match_id = _with_a_rally_copied_into_another_match(HAND_SCORED / "truth.csv", "h0001", truth, drop_last)
+    out = run_cli("score", "--predictions", HAND_SCORED / "predictions.csv", "--truth", truth)
+    assert out.returncode == 2, out.stdout
+    assert f"rally id h0001 is used by match {match_id} and by match copy" in out.stderr
+    assert "Score" not in out.stdout
+
+
+def test_predict_refuses_a_rally_id_that_two_matches_share_before_it_samples(trained, tmp_path, monkeypatch):
+    from rallycast import cli
+
+    data = tmp_path / "data.csv"
+    rally_id = (trained / "val_split.csv").read_text().splitlines()[1].split(",")[1]
+    match_id = _with_a_rally_copied_into_another_match(trained / "val_split.csv", rally_id, data)
+    message = f"rally id {rally_id} is used by match {match_id} and by match copy"
+    out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", data, "--out", tmp_path / "p.csv")
+    assert out.returncode == 2, out.stdout
+    assert message in out.stderr
+    assert not (tmp_path / "p.csv").exists()
+
+    monkeypatch.setattr(cli, "generate_sample_sets", lambda *args, **kwargs: pytest.fail("sampled before the check"))
+    argv = ["predict", "--checkpoint", str(trained / "model.ckpt"), "--data", str(data), "--out", str(tmp_path / "p.csv")]
+    assert cli.main(argv) == 2
 
 
 def test_score_deterministic_report(tmp_path):

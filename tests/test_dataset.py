@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import numpy as np
@@ -371,7 +372,7 @@ def test_synthetic_lengths_geometric_floor(vocab):
 # the block parser against the line-by-line oracle
 # ---------------------------------------------------------------------------
 
-# each damage breaks one row in the way _parse_row words one reject reason,
+# each damage breaks one row in the way _parse_block words one reject reason,
 # or spells a cell in a form int or float still accepts
 ROW_DAMAGE = {
     "eight_columns": lambda cells: cells[:8],
@@ -385,6 +386,7 @@ ROW_DAMAGE = {
     "round_spaced": lambda cells: cells[:2] + [" " + cells[2]] + cells[3:],
     "round_underscored": lambda cells: cells[:2] + ["1_0"] + cells[3:],
     "round_beyond_int64": lambda cells: cells[:2] + [str(2**64 + int(cells[2]))] + cells[3:],
+    "round_below_int64": lambda cells: cells[:2] + [str(-(2**64))] + cells[3:],
     "type_unknown": lambda cells: cells[:4] + ["banana"] + cells[5:],
     "coord_nan": lambda cells: cells[:5] + ["nan"] + cells[6:],
     "coord_inf": lambda cells: cells[:8] + ["-inf"],
@@ -463,6 +465,25 @@ def test_each_row_damage_is_rejected_as_the_oracle_rejects_it(tmp_path, vocab, d
     lines[7] = ",".join(ROW_DAMAGE[damage](lines[7].split(",")))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _assert_parse_matches_the_oracle(path, "odd", 5)
+
+
+def test_every_ordered_pair_of_row_damages_is_rejected_as_the_oracle_rejects_it(tmp_path, vocab):
+    """Two faults in one row: its reject reason is the fault that the oracle's checks reach first."""
+    rallies = synthesize_dataset(SynthConfig(n_rallies=4, seed=1, vocab=vocab))
+    path = tmp_path / "data.csv"
+    write_dataset(rallies, vocab, path)
+    lines = path.read_text().splitlines()
+    for first, second in itertools.product(sorted(ROW_DAMAGE), repeat=2):
+        try:
+            cells = ROW_DAMAGE[second](ROW_DAMAGE[first](lines[7].split(",")))
+        except ValueError:  # the second damage reads a round that the first one spoiled
+            continue
+        path.write_text("\n".join([*lines[:7], ",".join(cells), *lines[8:]]) + "\n", encoding="utf-8")
+        want = _parse_outcome(reference_parse_dataset, path, vocab, "odd")
+        for block_lines in (1, 5, PARSE_BLOCK_LINES):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(court_module, "PARSE_BLOCK_LINES", block_lines)
+                assert _parse_outcome(parse_dataset, path, vocab, "odd") == want, (first, second, block_lines)
 
 
 def test_rounds_beyond_int64_list_a_broken_rally_in_round_order(tmp_path, vocab):

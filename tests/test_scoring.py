@@ -1,3 +1,5 @@
+import builtins
+import itertools
 import math
 from dataclasses import replace
 
@@ -26,9 +28,10 @@ from rallycast.scoring import (
 
 from rallycast.seeding import TAG_EVAL
 
-from conftest import make_rally, random_rallies, small_vocab, tiny_model
+from conftest import FIXTURES, make_rally, prediction_file, random_rallies, small_vocab, tiny_model
 from metric_reference import reference_min6, reference_sample_set_loss
 from network_reference import denormalize_coord, mirror_coord, stroke_inputs
+from prediction_reference import reference_import_predictions
 
 
 def _gen(round_index, true_type, p_true, landing, vocab, spread_type=None):
@@ -108,6 +111,7 @@ NON_FINITE_STROKES = {
     "landing_inf": lambda g, t: replace(g, landing=(g.landing[0], -math.inf)),
     "probability_nan": lambda g, t: _with_probability(g, t, math.nan),
     "probability_minus_inf": lambda g, t: _with_probability(g, t, -math.inf),  # clamped, it would read as a finite loss
+    "landing_huge": lambda g, t: replace(g, landing=(1e308, -1e308)),  # finite, but its L1 distance overflows
 }
 
 
@@ -549,6 +553,7 @@ PREDICTION_ROW_DAMAGE = {
     "sample_id_word": lambda cells: cells[:1] + ["x"] + cells[2:],
     "sample_id_zero": lambda cells: cells[:1] + ["0"] + cells[2:],
     "sample_id_beyond_int64": lambda cells: cells[:1] + [str(2**64)] + cells[2:],
+    "sample_id_below_int64": lambda cells: cells[:1] + [str(-(2**64))] + cells[2:],
     "round_fraction": lambda cells: cells[:2] + ["5.5"] + cells[3:],
     "round_beyond_int64": lambda cells: cells[:2] + [str(2**64)] + cells[3:],
     "landing_nan": lambda cells: cells[:3] + ["nan"] + cells[4:],
@@ -591,10 +596,10 @@ def damaged_prediction_text(draw):
     return vocab, text
 
 
-def _import_outcome(path, vocab):
-    """The columns an import returns, or the text of the ParseError it raises."""
+def _import_outcome(path, vocab, read=import_predictions):
+    """The columns a reader returns, or the text of the ParseError it raises."""
     try:
-        pred = import_predictions(path, vocab)
+        pred = read(path, vocab)
     except ParseError as exc:
         return f"ParseError: {exc}"
     columns = (pred.rally_index, pred.sample_ids, pred.rounds, pred.landings, pred.probs)
@@ -612,6 +617,69 @@ def test_prediction_import_does_not_depend_on_the_parse_block_size(tmp_path_fact
             patch.setattr(court_module, "PARSE_BLOCK_LINES", block_lines)
             outcomes.append(_import_outcome(path, vocab))
     assert all(outcome == outcomes[-1] for outcome in outcomes)
+
+
+def _assert_import_matches_the_reference(path, vocab, block_sizes, context=None):
+    want = _import_outcome(path, vocab, reference_import_predictions)
+    for block_lines in block_sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(court_module, "PARSE_BLOCK_LINES", block_lines)
+            assert _import_outcome(path, vocab) == want, (context, block_lines)
+
+
+@given(damaged_prediction_text())
+def test_prediction_import_equals_the_line_by_line_reference(tmp_path_factory, case):
+    vocab, text = case
+    path = tmp_path_factory.mktemp("blocks") / "pred.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_import_matches_the_reference(path, vocab, (1, 2, 3, 5, PARSE_BLOCK_LINES))
+
+
+def test_every_ordered_pair_of_prediction_row_damages_raises_as_the_reference_does(tmp_path, vocab):
+    """Two faults in one row: the error names the fault that the reference's checks reach first."""
+    lines = (FIXTURES / "hand_scored" / "predictions.csv").read_text().splitlines()
+    path = tmp_path / "pred.csv"
+    for first, second in itertools.product(sorted(PREDICTION_ROW_DAMAGE), repeat=2):
+        cells = PREDICTION_ROW_DAMAGE[second](PREDICTION_ROW_DAMAGE[first](lines[7].split(",")))
+        path.write_text("\n".join([*lines[:7], ",".join(cells), *lines[8:]]) + "\n", encoding="utf-8")
+        _assert_import_matches_the_reference(path, vocab, (1, 5, PARSE_BLOCK_LINES), (first, second))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[:1] + rows, "line 3: rally h0001 sample 1 round 5 repeats line 2"),
+        (lambda rows: [r.replace("h0001,6,", "h0001,7,") for r in rows], "line 12: sample id 7 skips sample id 6"),
+    ],
+    ids=["repeated_row", "sample_id_gap"],
+)
+def test_a_prediction_file_with_a_grouping_fault_is_opened_once(tmp_path, vocab, edit, message):
+    lines = (FIXTURES / "hand_scored" / "predictions.csv").read_text().splitlines()
+    path = tmp_path / "pred.csv"
+    path.write_text("\n".join([lines[0], *edit(lines[1:])]) + "\n", encoding="utf-8")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "open", counting_open)
+        with pytest.raises(ParseError, match=f"^{message}"):
+            import_predictions(path, vocab)
+    assert opened == [path]
+
+
+def test_rallies_sharing_a_rally_id_are_refused_before_export_or_scoring(tmp_path, vocab):
+    truths = [make_rally([0, 2, 3, 4, 2], rally_id="r1", match_id="m1"), make_rally([0, 2, 3, 4, 2], rally_id="r1", match_id="m2")]
+    suffix = [_gen(5, 2, 0.5, (1.0, 8.0), vocab)]
+    message = "^rally id r1 is used by match m1 and by match m2"
+    with pytest.raises(ValueError, match=message):
+        export_predictions(truths, [[suffix, suffix]], vocab, tmp_path / "pred.csv")
+    assert not (tmp_path / "pred.csv").exists()
+    with pytest.raises(ValueError, match=message):
+        prediction_file(vocab, {("r1", 1): suffix}).sample_sets(truths)
 
 
 def test_nested_streams_are_monotone(gen_setup):
