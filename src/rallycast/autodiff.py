@@ -294,12 +294,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1, so no exp overflows
+    e = np.exp(-np.abs(a.data))
+    out_data = np.maximum(e, a.data >= 0) / (1.0 + e)
 
     def bwd(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -308,11 +305,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
-    out_data = np.where(keep, a.data, 0.0)
+    out_data = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * (out_data > 0))
 
     return _make(out_data, (a,), bwd, "relu")
 

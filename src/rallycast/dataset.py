@@ -395,12 +395,37 @@ def default_player_styles(vocab: ShotTypeVocab) -> dict[str, PlayerStyle]:
     return styles
 
 
-def _sample_categorical(rng: np.random.Generator, weights: np.ndarray) -> int:
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("categorical weights sum to zero")
-    cum = np.cumsum(weights / total)
-    return int(min(np.searchsorted(cum, rng.random(), side="right"), len(weights) - 1))
+def _style_kernels(
+    styles: dict[str, PlayerStyle], vocab: ShotTypeVocab
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """Each style's (opening-stroke, rally-stroke) shot CDFs, and the (S, V, 2) landing means and (S, V, 2, 2)
+    Cholesky factors of the styles in order; raises ValueError naming a style that cannot be sampled."""
+    non_serve_mask = np.ones(vocab.size, dtype=bool)
+    non_serve_mask[list(vocab.serve_ids)] = False
+    cdfs = []
+    chol = np.zeros((len(styles), vocab.size, 2, 2))
+    for s, (name, style) in enumerate(styles.items()):
+        if style.preferences.shape != (vocab.size,):
+            raise ValueError(f"style {name}: preferences must have length {vocab.size}")
+        if style.landing_mean.shape != (vocab.size, 2) or style.landing_cov.shape != (vocab.size, 2, 2):
+            raise ValueError(f"style {name}: landing kernel shapes do not match the vocabulary")
+        if not (np.isfinite(style.preferences).all() and (style.preferences >= 0).all()):
+            raise ValueError(f"style {name}: preferences must be finite and nonnegative")
+        if not (np.isfinite(style.landing_mean).all() and np.isfinite(style.landing_cov).all()):
+            raise ValueError(f"style {name}: landing means and covariances must be finite")
+        for t in range(vocab.size):
+            try:
+                chol[s, t] = np.linalg.cholesky(style.landing_cov[t])
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"style {name}: degenerate covariance for type {t}") from exc
+        opening = np.where(non_serve_mask, 0.0, style.preferences)
+        if opening.sum() <= 0:  # a style with no service preference serves uniformly
+            opening = np.where(non_serve_mask, 0.0, 1.0)
+        rally = np.where(non_serve_mask, style.preferences, 0.0)
+        if rally.sum() <= 0:
+            raise ValueError(f"style {name}: preferences for rally (non-service) strokes sum to zero")
+        cdfs.append((np.cumsum(opening / opening.sum()), np.cumsum(rally / rally.sum())))
+    return cdfs, np.stack([style.landing_mean for style in styles.values()]), chol
 
 
 def synthesize_dataset(config: SynthConfig) -> list[Rally]:
@@ -409,63 +434,53 @@ def synthesize_dataset(config: SynthConfig) -> list[Rally]:
     Every rally opens with a service type, services never recur, players
     alternate from the server, and stroke counts are geometric around
     mean_length with a floor of five. Deterministic under the seed.
+
+    The seeded stream is read in one fixed order: per rally, one geometric
+    draw for its length; then per stroke, one uniform for the shot type and
+    four normals, two for the landing and two for the hitter's location.
+    Changing that order changes every synthesized corpus. Only the draws run
+    stroke by stroke; the shot CDFs, landings and locations are computed
+    afterwards over whole columns. Styles are checked before the first draw.
     """
     vocab = config.vocab
     court = CourtSpec()
     styles = config.player_styles or default_player_styles(vocab)
     if len(styles) < 2:
         raise ValueError("need at least two player styles")
-    for name, style in styles.items():
-        if style.preferences.shape != (vocab.size,):
-            raise ValueError(f"style {name}: preferences must have length {vocab.size}")
-        if style.landing_mean.shape != (vocab.size, 2) or style.landing_cov.shape != (vocab.size, 2, 2):
-            raise ValueError(f"style {name}: landing kernel shapes do not match the vocabulary")
-
+    cdfs, means, chol = _style_kernels(styles, vocab)
+    index = {name: s for s, name in enumerate(styles)}
     names = list(styles)
     pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
-    serve_ids = np.array(vocab.serve_ids)
-    non_serve_mask = np.ones(vocab.size, dtype=bool)
-    non_serve_mask[serve_ids] = False
-
-    # validate covariances once, and keep cholesky factors for sampling
-    chol: dict[str, np.ndarray] = {}
-    for name, style in styles.items():
-        factors = np.zeros_like(style.landing_cov)
-        for t in range(vocab.size):
-            try:
-                factors[t] = np.linalg.cholesky(style.landing_cov[t])
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"style {name}: degenerate covariance for type {t}") from exc
-        chol[name] = factors
 
     rng = rng_from_key(config.seed, TAG_SYNTH, 0)
     excess_mean = config.mean_length - TAU
     p_geometric = 1.0 / max(excess_mean, 1.0)
-    location_max = np.array([court.width_m - 0.05, court.length_m / 2 - 0.05])  # the hitter stays in the low-y half
-
-    heads, lengths, types, landings, locations = [], [], [], [], []
+    heads, draws = [], []
     for idx in range(config.n_rallies):
         pair = pairs[idx % len(pairs)]
         server = pair[idx // len(pairs) % 2]
         receiver = pair[0] if server == pair[1] else pair[1]
         heads.append((f"r{idx:04d}", f"{pair[0]}--{pair[1]}", server, receiver))
-        length = TAU + int(rng.geometric(p_geometric))
-        lengths.append(length)
-        for k in range(1, length + 1):
-            hitter = server if k % 2 == 1 else receiver
-            style = styles[hitter]
-            if k == 1:
-                weights = np.where(non_serve_mask, 0.0, style.preferences)
-                if weights.sum() <= 0:
-                    weights = np.where(non_serve_mask, 0.0, 1.0)
-            else:
-                weights = np.where(non_serve_mask, style.preferences, 0.0)
-            shot = _sample_categorical(rng, weights)
-            types.append(shot)
-            landings.append(style.landing_mean[shot] + chol[hitter][shot] @ rng.standard_normal(2))
-            location = np.array([court.width_m / 2, court.length_m / 4]) + rng.standard_normal(2) * (1.0, 1.3)
-            locations.append(np.clip(location, 0.05, location_max))
+        rally = np.empty((TAU + int(rng.geometric(p_geometric)), 5))  # per stroke: the uniform, then four normals
+        for stroke in rally:
+            stroke[0] = rng.random()
+            rng.standard_normal(out=stroke[1:])
+        draws.append(rally)
+
+    lengths = np.array([len(rally) for rally in draws])
+    draws = np.concatenate(draws)
     stops = np.cumsum(lengths)
     rounds = np.arange(1, stops[-1] + 1) - np.repeat(stops - lengths, lengths)
-    columns = (rounds, rounds % 2 == 1, np.array(types, dtype=np.int64), np.array(landings), np.array(locations))
+    hit_by_a = rounds % 2 == 1
+    servers, receivers = (np.array([index[head[i]] for head in heads]) for i in (2, 3))
+    hitters = np.where(hit_by_a, np.repeat(servers, lengths), np.repeat(receivers, lengths))
+    types = np.empty(len(draws), dtype=np.int64)
+    for s, (opening_cdf, rally_cdf) in enumerate(cdfs):
+        for cdf, rows in ((opening_cdf, (hitters == s) & (rounds == 1)), (rally_cdf, (hitters == s) & (rounds > 1))):
+            types[rows] = np.minimum(np.searchsorted(cdf, draws[rows, 0], side="right"), vocab.size - 1)
+    landings = means[hitters, types] + (chol[hitters, types] @ draws[:, 1:3, None])[:, :, 0]
+    location_max = np.array([court.width_m - 0.05, court.length_m / 2 - 0.05])  # the hitter stays in the low-y half
+    locations = np.array([court.width_m / 2, court.length_m / 4]) + draws[:, 3:] * (1.0, 1.3)
+    np.clip(locations, 0.05, location_max, out=locations)
+    columns = (rounds, hit_by_a, types, landings, locations)
     return Rally.from_columns(heads, zip((stops - lengths).tolist(), stops.tolist()), columns)

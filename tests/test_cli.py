@@ -40,6 +40,13 @@ def test_synth_deterministic_bytes(tmp_path):
     assert c.read_bytes() != a.read_bytes()
 
 
+def test_synth_reproduces_the_bundled_corpus32_fixture(tmp_path):
+    """README states the command that made fixtures/corpus32.csv; it pins the synthesizer's random stream."""
+    out = run_cli("synth", "--n", 32, "--mean-length", 7, "--seed", 20230709, "--out", tmp_path / "c.csv")
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "c.csv").read_bytes() == CORPUS32.read_bytes()
+
+
 def test_synth_output_validates_cleanly(tmp_path):
     path = tmp_path / "d.csv"
     assert run_cli("synth", "--n", 15, "--seed", 3, "--out", path).returncode == 0

@@ -27,6 +27,7 @@ from rallycast.dataset import (
 
 from conftest import make_rally
 from dataset_reference import reference_parse_dataset
+from synth_reference import reference_synthesize_dataset
 
 
 def _write(tmp_path, rows, name="data.csv"):
@@ -361,6 +362,89 @@ def test_synthetic_rejects_degenerate_covariance(vocab):
         synthesize_dataset(SynthConfig(n_rallies=5, seed=0, vocab=vocab, player_styles=styles))
 
 
+def _custom_styles(vocab, n_styles=3):
+    """Seeded styles with uneven preferences and correlated landing kernels; the first never prefers a service."""
+    gen = np.random.default_rng(11)
+    styles = {}
+    for k in range(n_styles):
+        prefs = gen.gamma(0.5, size=vocab.size)
+        if k == 0:
+            prefs[list(vocab.serve_ids)] = 0.0  # serves uniformly over the service types
+        factors = gen.normal(size=(vocab.size, 2, 2))
+        covs = factors @ factors.transpose(0, 2, 1) + 0.05 * np.eye(2)
+        styles[f"p{k}"] = PlayerStyle(prefs, gen.uniform(0.0, 10.0, size=(vocab.size, 2)), covs)
+    return styles
+
+
+def _assert_same_corpus(got, want):
+    """Bit for bit, column by column, with the same heads and dtypes."""
+    assert [(r.rally_id, r.match_id, r.player_a, r.player_b) for r in got] == [
+        (r.rally_id, r.match_id, r.player_a, r.player_b) for r in want
+    ]
+    for name in ("rounds", "hit_by_a", "type_ids", "landings", "locations"):
+        a, b = (np.concatenate([getattr(r, name) for r in rallies]) for rallies in (got, want))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20230709])
+@pytest.mark.parametrize(("n_rallies", "mean_length"), [(1, 5.0), (5, 5.0), (37, 7.0), (13, 12.0), (40, 40.0)])
+def test_synthesizer_equals_the_stroke_by_stroke_reference(vocab, seed, n_rallies, mean_length):
+    config = SynthConfig(n_rallies=n_rallies, mean_length=mean_length, seed=seed, vocab=vocab)
+    _assert_same_corpus(synthesize_dataset(config), reference_synthesize_dataset(config))
+
+
+@pytest.mark.parametrize("n_styles", [2, 3])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_synthesizer_equals_the_reference_with_custom_styles(vocab, seed, n_styles):
+    styles = _custom_styles(vocab, n_styles)
+    config = SynthConfig(n_rallies=60, mean_length=9.5, seed=seed, vocab=vocab, player_styles=styles)
+    rallies = synthesize_dataset(config)
+    _assert_same_corpus(rallies, reference_synthesize_dataset(config))
+    served = {int(r.type_ids[0]) for r in rallies if r.player_a == "p0"}
+    assert len(served) > 1  # p0 has no service preference, so it serves uniformly over the service types
+
+
+def _set(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# each damage spoils one part of a style as (preferences, landing means, landing covariances), with the error it raises
+STYLE_DAMAGE = {
+    "negative_preference": (lambda p, m, c: (_set(p, 5, -2.5), m, c), "preferences must be finite and nonnegative"),
+    "nan_preference": (lambda p, m, c: (_set(p, 5, np.nan), m, c), "preferences must be finite and nonnegative"),
+    "infinite_preference": (lambda p, m, c: (_set(p, 5, np.inf), m, c), "preferences must be finite and nonnegative"),
+    "infinite_mean": (lambda p, m, c: (p, _set(m, (3, 1), np.inf), c), "landing means and covariances must be finite"),
+    "nan_mean": (lambda p, m, c: (p, _set(m, (0, 0), np.nan), c), "landing means and covariances must be finite"),
+    "no_rally_preference": (
+        lambda p, m, c: (_set(p, slice(2, None), 0.0), m, c),
+        "preferences for rally (non-service) strokes sum to zero",
+    ),
+    "infinite_covariance": (
+        lambda p, m, c: (p, m, _set(c, (2, 0, 0), np.inf)),
+        "landing means and covariances must be finite",
+    ),
+    "nan_covariance": (
+        lambda p, m, c: (p, m, _set(c, (4, 1, 1), np.nan)),
+        "landing means and covariances must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(STYLE_DAMAGE))
+def test_synthetic_rejects_a_style_it_cannot_sample_before_the_first_draw(vocab, damage):
+    assert vocab.serve_ids == (0, 1)  # so that types 2 and up are the rally strokes
+    styles = default_player_styles(vocab)
+    spoil, message = STYLE_DAMAGE[damage]
+    chen = styles["chen"]
+    styles["chen"] = PlayerStyle(*spoil(chen.preferences, chen.landing_mean, chen.landing_cov))
+    # one rally pairs alice with bruno, so chen never hits: the style is checked before any draw, not when first used
+    with pytest.raises(ValueError) as err:
+        synthesize_dataset(SynthConfig(n_rallies=1, seed=0, vocab=vocab, player_styles=styles))
+    assert str(err.value) == f"style chen: {message}"
+
+
 def test_synthetic_lengths_geometric_floor(vocab):
     rallies = synthesize_dataset(SynthConfig(n_rallies=300, mean_length=6.0, seed=1, vocab=vocab))
     lengths = np.array([len(r) for r in rallies])
@@ -507,6 +591,26 @@ def test_damaged_rows_on_both_sides_of_a_parse_block_boundary_match_the_oracle(t
     assert got == _parse_outcome(reference_parse_dataset, path, vocab, "none")
     _, _, rejects = parse_dataset(path, vocab, write_rejects=False)
     assert [r.line_number for r in rejects[:2]] == [PARSE_BLOCK_LINES + 1, PARSE_BLOCK_LINES + 2]
+
+
+def _damage_every(path, stride, vocab):
+    """A 700-rally corpus with every ROW_DAMAGE in turn on each stride-th row, on adjacent rows and on the first two."""
+    write_dataset(synthesize_dataset(SynthConfig(n_rallies=700, seed=3, vocab=vocab)), vocab, path)
+    lines = path.read_text().splitlines()  # lines[k] is line k + 1
+    damages = itertools.cycle(sorted(ROW_DAMAGE))
+    for k in sorted({1, 2, 600, 601, 602, *range(5, len(lines), stride)}):
+        lines[k] = ",".join(ROW_DAMAGE[next(damages)](lines[k].split(",")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("block_lines", [1, 5, PARSE_BLOCK_LINES])
+def test_scattered_damaged_rows_are_rejected_as_the_oracle_rejects_them(tmp_path, vocab, block_lines):
+    path = tmp_path / "data.csv"
+    _damage_every(path, 41, vocab)
+    want = _parse_outcome(reference_parse_dataset, path, vocab, "none")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(court_module, "PARSE_BLOCK_LINES", block_lines)
+        assert _parse_outcome(parse_dataset, path, vocab, "none") == want
 
 
 def test_parse_names_the_first_malformed_rows_above_the_threshold(tmp_path, vocab):
