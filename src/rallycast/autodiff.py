@@ -9,6 +9,14 @@ computation fails at the op that produced the bad values instead of at the
 loss. Inside `no_tape()` the same primitives run with the same checks but
 record no graph, which is how inference avoids keeping every intermediate
 alive.
+
+Every forward product gives a row the same bits wherever the row sits, in
+a batch or alone, which lets a decoder cache every earlier position's keys
+and values. A BLAS kernel rounds a row by its place in the kernel's row
+groups, and numpy sends a one-row product to a matrix-vector kernel. So
+`linear` and `matmul` with a shared weight pad rows to whole ROW_GROUPs, and
+`attention` computes each query row alone, over keys padded to whole groups,
+with a softmax denominator summed in key order.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ import numpy as np
 
 MAX_RANK = 3
 NEG_MASK_VALUE = -1e30  # finite stand-in for -inf in attention masks
+ROW_GROUP = 8  # rows and attention keys are padded to whole groups of this many
+BLOCK_ROWS = 64  # rows per BLAS call: OpenBLAS threads a larger product, which ran slower on 2 cores
 
 
 class NumericHealthError(RuntimeError):
@@ -195,6 +205,38 @@ def grad_of(param: Tensor) -> np.ndarray:
     return param.grad if param.grad is not None else np.zeros_like(param.data)
 
 
+def whole_groups(n: int) -> int:
+    """n rounded up to whole ROW_GROUPs, at least one."""
+    return max(-(-n // ROW_GROUP), 1) * ROW_GROUP
+
+
+def _row_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for a 2-D w, each row of x rounded the same in any product that holds it.
+
+    The rows of x, flattened and zero-padded to whole ROW_GROUPs, go to BLAS
+    as a stack of BLOCK_ROWS-row products, then one product of the rest.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    n, k = rows.shape
+    if n % ROW_GROUP:
+        padded = np.zeros((whole_groups(n), k))
+        padded[:n] = rows
+        rows = padded
+    full = len(rows) - len(rows) % BLOCK_ROWS
+    if not full:
+        out = rows @ w
+    else:
+        out = np.empty((len(rows), w.shape[1]))
+        np.matmul(rows[:full].reshape(-1, BLOCK_ROWS, k), w, out=out[:full].reshape(-1, BLOCK_ROWS, w.shape[1]))
+        np.matmul(rows[full:], w, out=out[full:])
+    return out[:n].reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _row_by_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as one vector-matrix product per row of a, so no row's rounding depends on another."""
+    return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
+
+
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
@@ -255,7 +297,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects rank-2 or rank-3 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    out_data = _row_product(a.data, b.data) if b.ndim == 2 else a.data @ b.data
 
     def bwd(g):
         _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
@@ -391,9 +433,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
-    # shift by the rowwise max, which softmax is invariant to
+    # shift by the rowwise max, which softmax is invariant to; the denominator adds the terms in order,
+    # so trailing zero terms (blocked attention keys) leave it as it was
     e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    last = [slice(None)] * e.ndim
+    last[axis] = slice(-1, None)
+    return e / np.add.accumulate(e, axis=axis)[tuple(last)]
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -458,18 +503,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, blocked: np.ndarray, n_heads: int
         raise ValueError(f"mask shape {blocked.shape} does not match scores shape {q.shape[:-1] + k.shape[-2:-1]}")
     dh = d // n_heads
     c = float(1.0 / np.sqrt(dh))
+    m, lead = k.shape[-2], k.shape[:-2]
+    width = whole_groups(m)  # zero keys fill the last group, and their scores are blocked
     saved = []
     heads = []
     for h in range(n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        qh, vh = q.data[..., cols].copy(), v.data[..., cols].copy()
-        kh_t = np.swapaxes(k.data[..., cols], -1, -2).copy()
-        scores = np.where(blocked, NEG_MASK_VALUE, (qh @ kh_t) * c)
+        qh = q.data[..., cols].copy()
+        kh_t, vh = np.zeros(lead + (dh, width)), np.zeros(lead + (width, dh))
+        kh_t[..., :m] = np.swapaxes(k.data[..., cols], -1, -2)
+        vh[..., :m, :] = v.data[..., cols]
+        scores = _row_by_row(qh, kh_t) * c
+        np.copyto(scores[..., :m], NEG_MASK_VALUE, where=blocked)
+        scores[..., m:] = NEG_MASK_VALUE
         if not np.isfinite(scores).all():
             raise NumericHealthError("attention produced non-finite scores")
         probs = _softmax_data(scores, -1)
-        heads.append(probs @ vh)
-        saved.append((cols, qh, kh_t, vh, probs))
+        heads.append(_row_by_row(probs, vh))
+        saved.append((cols, qh, kh_t[..., :m], vh[..., :m, :], probs[..., :m]))
     out_data = np.concatenate(heads, axis=-1)
 
     def bwd(g):
@@ -492,7 +543,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a rank-2 or rank-3 x, a rank-2 weight w and a bias b over w's columns."""
     if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    out_data = x.data @ w.data
+    out_data = _row_product(x.data, w.data)
     out_data += b.data
 
     def bwd(g):

@@ -267,10 +267,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out = Path(_require(args, "out"))
     open_ended = bool(getattr(args, "open_ended", False))
     horizon = settings["horizon"] if open_ended else None
-    if not open_ended:
-        short = [r.rally_id for r in rallies if len(r) < TAU + 1]
-        if short:
-            raise ParseError(f"rallies too short to predict (need {TAU + 1} strokes): {short[:5]}")
+    need = TAU if open_ended else TAU + 1  # the prefix, and in scoring mode one stroke to predict
+    short = [r.rally_id for r in rallies if len(r) < need]
+    if short:
+        raise ParseError(f"rallies too short to predict (need {need} strokes): {short[:5]}")
 
     check_rally_ids_unique(rallies)
     n_samples = settings["samples"]

@@ -177,14 +177,6 @@ class StrokeInputs:
         """Batch equal-length (n,) histories into one (B, n) input."""
         return StrokeInputs(*(np.stack(arrays) for arrays in zip(*(h._arrays() for h in histories))))
 
-    def padded(self, width: int) -> "StrokeInputs":
-        """The (B, n) histories in zeroed (B, width) arrays, so a caller can write later strokes in place."""
-        out = StrokeInputs(*(np.zeros(a.shape[:1] + (width,) + a.shape[2:], a.dtype) for a in self._arrays()))
-        n = self.type_ids.shape[1]
-        for buf, a in zip(out._arrays(), self._arrays()):
-            buf[:, :n] = a
-        return out
-
     def positions(self, start: int, stop: int) -> "StrokeInputs":
         """The strokes at positions start .. stop-1 of (B, n) histories, as contiguous arrays."""
         return StrokeInputs(*(np.ascontiguousarray(a[:, start:stop]) for a in self._arrays()))
@@ -195,49 +187,44 @@ class StrokeInputs:
         return StrokeInputs(*(a[idx] for a in self._arrays()))
 
 
-# BLAS may round a row of a matrix product differently depending on where
-# the row falls in the product's row blocking: OpenBLAS's SkylakeX kernels
-# round the rows of whole 4-row groups one way and leftover rows another,
-# and numpy sends a one-row product to a matrix-vector kernel. So the cache
-# keeps only whole blocks of CACHE_BLOCK positions, a multiple of such
-# groups, and each cached step recomputes every position after the last
-# whole block, at least two: each product then blocks its rows as the full
-# forward does, so every row is rounded the same.
-CACHE_BLOCK = 8
-
-
 class KVCache:
     """Keys and values of the first `length` positions of B histories, per encoder layer.
 
-    Forecaster.forward(inputs, cache=cache) extends it; see there. It carries
-    no autodiff tape, so it serves inference only.
+    Forecaster.forward(inputs, cache=cache) extends it by the positions it
+    feeds; see there. The buffers are written in place and grow by whole
+    autodiff.ROW_GROUPs. A step attends over every buffered position: the
+    cached ones, its own, and the zero ones after them, which it blocks as
+    the full forward blocks its padded keys. It carries no autodiff tape, so
+    it serves inference only.
     """
 
     def __init__(self, batch: int, config: ModelConfig):
-        self.hitters = np.zeros((batch, 0), dtype=bool)  # (B, length) hit_by_a of the cached positions
-        # kv[layer] = [keys, values], each (2B, length, d): the B rally-context rows, then the B player-context rows
-        empty = np.zeros((2 * batch, 0, config.embed_dim))
-        self.kv = [[empty, empty] for _ in range(config.n_layers)]
+        self.length = 0
+        self.hitters = np.zeros((batch, 0), dtype=bool)  # hit_by_a of each buffered position
+        # kv[layer] is (2, 2B, width, d): keys then values, of the B rally-context rows, then the B player-context rows
+        self.kv = [np.zeros((2, 2 * batch, 0, config.embed_dim)) for _ in range(config.n_layers)]
 
-    @property
-    def length(self) -> int:
-        return self.hitters.shape[1]
+    def feed(self, hitters: np.ndarray) -> np.ndarray:
+        """Buffer the (B, n) hit_by_a of the n positions after length, and return every buffered one.
+
+        Every buffer grows with zeros to whole ROW_GROUPs first. length does
+        not move: a position past it is read only where it is blocked, so a
+        step that raises leaves the cache as valid as before.
+        """
+        stop = self.length + hitters.shape[1]
+        grow = ad.whole_groups(stop) - self.hitters.shape[1]
+        if grow > 0:
+            self.hitters = np.pad(self.hitters, ((0, 0), (0, grow)))
+            self.kv = [np.pad(layer, ((0, 0), (0, 0), (0, grow), (0, 0))) for layer in self.kv]
+        self.hitters[:, self.length : stop] = hitters
+        return self.hitters
 
     def keep_rows(self, keep: Sequence[int]) -> None:
         """Keep only the histories at the given batch rows, in that order."""
         idx = np.asarray(keep, dtype=np.int64)
         both = np.concatenate([idx, idx + len(self.hitters)])
         self.hitters = self.hitters[idx]
-        self.kv = [[a[both] for a in layer] for layer in self.kv]
-
-    def commit(self, hitters: np.ndarray, kv: list[list[np.ndarray]]) -> None:
-        """Keep the whole blocks of a step's positions; hitters and kv cover every position it attended over.
-
-        The last position is never kept, so the next step feeds at least two.
-        """
-        keep = CACHE_BLOCK * ((hitters.shape[1] - 1) // CACHE_BLOCK)
-        self.hitters = hitters[:, :keep]
-        self.kv = [[a[:, :keep] for a in layer] for layer in kv]
+        self.kv = [layer[:, both] for layer in self.kv]
 
 
 def embed_strokes(
@@ -275,22 +262,22 @@ def _attention(
     params: ModelParams,
     layer: int,
     config: ModelConfig,
-    kv: list[np.ndarray] | None = None,
+    cache: KVCache | None = None,
 ) -> Tensor:
     """Masked multi-head self-attention of x's positions.
 
-    kv, when given, holds the [keys, values] of cached positions before x's:
-    they are prepended to x's own keys and values, and kv is replaced by the
-    result, so allowed has one column per cached and new position.
+    With a cache, x's keys and values go into its buffers after the cached
+    positions', and x attends over the whole buffers, so allowed has one
+    column per buffered position.
     """
     p = f"enc{layer}_"
     q = ad.matmul(x, params[p + "wq"])
     k = ad.matmul(x, params[p + "wk"])
     v = ad.matmul(x, params[p + "wv"])
-    if kv is not None:
-        k = ad.concat([Tensor(kv[0]), k], axis=-2)
-        v = ad.concat([Tensor(kv[1]), v], axis=-2)
-        kv[:] = [k.data, v.data]
+    if cache is not None:
+        kv, new = cache.kv[layer], slice(cache.length, cache.length + x.shape[-2])
+        kv[0, :, new], kv[1, :, new] = k.data, v.data
+        k, v = Tensor(kv[0]), Tensor(kv[1])
     merged = ad.attention(q, k, v, ~allowed, config.n_heads)
     return ad.linear(merged, params[p + "wo"], params[p + "bo"])
 
@@ -301,12 +288,12 @@ def _encoder_stack(
     params: ModelParams,
     config: ModelConfig,
     uniforms: np.ndarray | None,
-    kv: list[list[np.ndarray]] | None = None,
+    cache: KVCache | None = None,
 ) -> Tensor:
     """The encoder layers over x; uniforms[2i] and uniforms[2i + 1] drive layer i's two dropouts."""
     for i in range(config.n_layers):
         p = f"enc{i}_"
-        att = _attention(x, allowed, params, i, config, None if kv is None else kv[i])
+        att = _attention(x, allowed, params, i, config, cache)
         att = ad.dropout(att, config.dropout_rate, None if uniforms is None else uniforms[2 * i])
         x = ad.layer_norm(ad.add(x, att), params[p + "ln1_g"], params[p + "ln1_b"])
         hidden = ad.relu(ad.linear(x, params[p + "ffn_w1"], params[p + "ffn_b1"]))
@@ -332,24 +319,23 @@ def encode_contexts(
     the causal same-hitter mask, so a length-1 sequence yields identical
     contexts. rng draws the dropout masks as two separate passes would.
     With a cache, x holds the (B, n, d) positions after the cached ones;
-    they also attend over the cached positions, and the cache then keeps
-    every whole block of positions.
+    they also attend over the cached positions, and the cache then holds
+    them too.
     """
     if hitters.shape != x.shape[:-1]:
         raise ValueError("hitters must align with the sequence")
     single = x.ndim == 2
     if single:  # a one-row batch
         x, hitters = x[None], hitters[None]
-    every = hitters if cache is None else np.concatenate([cache.hitters, hitters], axis=-1)
-    n_new, n = hitters.shape[-1], every.shape[-1]
+    start, n_new = (0 if cache is None else cache.length), hitters.shape[-1]
+    every = hitters if cache is None else cache.feed(hitters)
     same = hitters[..., :, None] == every[..., None, :]
-    causal = np.broadcast_to(np.tril(np.ones((n_new, n), dtype=bool), n - n_new), same.shape)
+    causal = np.broadcast_to(np.tril(np.ones((n_new, every.shape[-1]), dtype=bool), start), same.shape)
     # (2, 2 * n_layers, B, n, d) uniforms -> (2 * n_layers, 2B, n, d), rally rows first
     uniforms = None if rng is None else np.concatenate(rng.random((2, 2 * config.n_layers) + x.shape), axis=1)
-    kv = None if cache is None else [list(layer) for layer in cache.kv]  # a step that raises leaves the cache as it was
-    out = _encoder_stack(ad.concat([x, x], axis=0), np.concatenate([causal, causal & same]), params, config, uniforms, kv)
+    out = _encoder_stack(ad.concat([x, x], axis=0), np.concatenate([causal, causal & same]), params, config, uniforms, cache)
     if cache is not None:
-        cache.commit(every, kv)
+        cache.length = start + n_new
     b = len(hitters)
     return (out[0], out[1]) if single else (out[:b], out[b:])
 
@@ -421,8 +407,9 @@ class Forecaster:
         With a cache (inference only, inside autodiff.no_tape()), inputs holds
         the strokes of B histories from position cache.length on, and the
         outputs are those of these positions, bit-identical to the full
-        forward's. The cache then holds the keys and values of every whole
-        block of CACHE_BLOCK positions; the caller feeds the rest again.
+        forward's, since every product rounds a row the same wherever it
+        sits. The cache then holds the keys and values of every position fed,
+        so a decoder feeds each new stroke once.
         """
         start = 0
         if cache is not None:

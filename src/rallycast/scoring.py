@@ -144,7 +144,8 @@ def sample(
     Each rally's prefix is read once from its columns, so at step t all
     active histories hold TAU + t strokes and need no padding; a
     continuation leaves the batch once it reaches its horizon. The forward
-    runs without a tape, from a key/value cache of the earlier positions.
+    runs without a tape, from a key/value cache of the earlier positions: the
+    first step feeds the prefixes, and each later step the strokes just drawn.
     """
     if not tasks:
         return []
@@ -162,18 +163,17 @@ def sample(
     # per batch row: the stroke before the next one, and the player-table rows of sides A and B
     prefixes = StrokeInputs.stack([model.rally_inputs(r, TAU) for r in rallies])
     prev_landing = np.array([r.landings[TAU - 1] for r in rallies])[rally_of]
-    prev_a = prefixes.hit_by_a[rally_of, -1]
     prev_round = np.array([r.rounds[TAU - 1] for r in rallies])[rally_of]
     side_ids = np.array([[model.player_id(r.player_a), model.player_id(r.player_b)] for r in rallies])[rally_of]
 
     active = np.arange(len(tasks))  # task index of each batch row
-    history = prefixes.rows(rally_of).padded(TAU + int(horizons.max()))
+    fed = prefixes.rows(rally_of)  # the strokes the next step feeds
     cache = KVCache(len(tasks), model.config)
     court = model.court
     size = np.array([court.width_m, court.length_m])
     with ad.no_tape():
-        for n in range(TAU, history.type_ids.shape[1]):
-            probs, mu, log_sigma, rho = model.forward(history.positions(cache.length, n), cache=cache)
+        for step in range(1, int(horizons.max()) + 1):
+            probs, mu, log_sigma, rho = model.forward(fed, cache=cache)
             type_ids, landing, type_probs = _draw_strokes(
                 [rngs[c] for c in active],
                 probs.data[:, -1],
@@ -183,25 +183,27 @@ def sample(
                 serve_ids,
                 court,
             )
-            hit_a = ~prev_a
+            hit_a = ~fed.hit_by_a[:, -1]
             rounds = prev_round + 1
             for row, (c, t, xy, a, r) in enumerate(
                 zip(active.tolist(), type_ids.tolist(), landing.tolist(), hit_a.tolist(), rounds.tolist())
             ):
                 outs[c].append(GeneratedStroke(r, Player.A if a else Player.B, t, tuple(xy), type_probs[row]))
-            history.type_ids[:, n] = type_ids
-            history.player_ids[:, n] = np.where(hit_a, side_ids[:, 0], side_ids[:, 1])
-            history.hit_by_a[:, n] = hit_a
-            history.landings[:, n] = court.normalize(landing)
-            history.locations[:, n] = court.normalize(size - prev_landing)  # the previous landing, mirrored
-            prev_landing, prev_a, prev_round = landing, hit_a, rounds
+            fed = StrokeInputs(
+                type_ids=type_ids[:, None],
+                player_ids=np.where(hit_a, side_ids[:, 0], side_ids[:, 1])[:, None],
+                hit_by_a=hit_a[:, None],
+                landings=court.normalize(landing)[:, None],
+                locations=court.normalize(size - prev_landing)[:, None],  # the previous landing, mirrored
+            )
+            prev_landing, prev_round = landing, rounds
 
-            keep = np.flatnonzero(horizons[active] > n + 1 - TAU)
+            keep = np.flatnonzero(horizons[active] > step)
             if len(keep) == 0:
                 break
             if len(keep) < len(active):
-                active, history = active[keep], history.rows(keep)
-                prev_landing, prev_a, prev_round, side_ids = prev_landing[keep], prev_a[keep], prev_round[keep], side_ids[keep]
+                active, fed = active[keep], fed.rows(keep)
+                prev_landing, prev_round, side_ids = prev_landing[keep], prev_round[keep], side_ids[keep]
                 cache.keep_rows(keep)
     return outs
 

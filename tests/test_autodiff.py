@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rallycast import autodiff as ad
 from rallycast.autodiff import NumericHealthError, Tape, Tensor, backward, gradient_check, grad_of
@@ -182,6 +184,34 @@ def test_batched_matmul_rows_equal_unbatched_products():
     batched = ad.matmul(Tensor(a), Tensor(w)).data
     for row in range(5):
         assert np.array_equal(batched[row], ad.matmul(Tensor(a[row]), Tensor(w)).data)
+
+
+@settings(max_examples=150)
+@given(
+    width=st.sampled_from([5, 10, 16, 64]),
+    inner=st.sampled_from([2, 16, 48, 64]),
+    n=st.integers(1, 300),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=64, inner=64, n=65, share=1.0, seed=0)  # the whole product, one row past a 64-row block
+@example(width=5, inner=2, n=300, share=0.0, seed=1)  # one row alone
+@example(width=16, inner=48, n=128, share=0.5, seed=2)
+def test_products_give_each_row_the_same_bits_wherever_it_sits(width, inner, n, share, seed):
+    """Any subset of rows, in any order, gets the bits of the same rows of the full product.
+
+    A key/value cache rests on this: a row fed alone in a decoding step must
+    round as it does inside the full forward.
+    """
+    rng = np.random.default_rng(seed)
+    x, w, b = Tensor(rng.normal(size=(n, inner))), Tensor(rng.normal(size=(inner, width))), Tensor(rng.normal(size=width))
+    rows = rng.permutation(n)[: max(1, round(share * n))]
+    part = Tensor(x.data[rows])
+    assert np.array_equal(ad.linear(part, w, b).data, ad.linear(x, w, b).data[rows])
+    assert np.array_equal(ad.matmul(part, w).data, ad.matmul(x, w).data[rows])
+    if len(rows) % 2 == 0:  # a rank-3 batch of the same rows
+        batch = Tensor(part.data.reshape(2, -1, inner))
+        assert np.array_equal(ad.linear(batch, w, b).data.reshape(-1, width), ad.linear(x, w, b).data[rows])
 
 
 def test_matmul_rejects_mismatched_batches():

@@ -558,6 +558,23 @@ def test_predict_open_ended_horizon(trained, tmp_path, vocab):
     assert max(rounds) == 11  # prefix of 4 plus horizon 7
 
 
+@pytest.mark.parametrize("mode", [[], ["--open-ended"]])
+def test_predict_refuses_a_rally_shorter_than_its_prefix(trained, tmp_path, mode):
+    """--open-ended exited 2 (usage) with a ValueError from the sampler; scoring mode already exited 1."""
+    lines = (trained / "val_split.csv").read_text().splitlines()
+    rally_id = lines[1].split(",")[1]
+    own = [line for line in lines[1:] if line.split(",")[1] == rally_id]
+    assert len(own) > TAU - 1
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([lines[0], *own[: TAU - 1], *lines[1 + len(own) :]]) + "\n", encoding="utf-8")
+    pred = tmp_path / "p.csv"
+    out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", data, "--out", pred, *mode)
+    need = TAU if mode else TAU + 1
+    assert out.returncode == 1, out.stderr
+    assert f"error: rallies too short to predict (need {need} strokes): ['{rally_id}']" in out.stderr
+    assert not pred.exists()
+
+
 def test_analyze_trend_emits_mean_probability_table(trained, tmp_path):
     pred = tmp_path / "p.csv"
     run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", trained / "val_split.csv", "--out", pred, "--seed", 2)

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,6 @@ from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
 from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab
 from rallycast.dataset import FilterPolicy, ParseError, filter_training, parse_dataset, split
 from rallycast.network import (
-    CACHE_BLOCK,
     Forecaster,
     KVCache,
     ModelConfig,
@@ -320,9 +323,22 @@ def test_a_corpus32_batch_stays_within_its_tape_budget():
 # the fused encoder against plain numpy
 # ---------------------------------------------------------------------------
 
-def _np_softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _np_rows(x, w):
+    """x @ w with x's rows zero-padded to a multiple of 8, multiplied 64 rows at a time; x's shape, w's columns."""
+    rows = x.reshape(-1, x.shape[-1])
+    padded = np.zeros((-(-len(rows) // 8) * 8, rows.shape[1]))
+    padded[: len(rows)] = rows
+    out = np.concatenate([padded[i : i + 64] @ w for i in range(0, len(padded), 64)])
+    return out[: len(rows)].reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _np_softmax_rows(scores):
+    """Row softmax whose denominator adds the terms one at a time, left to right."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    total = e[..., :1].copy()
+    for j in range(1, e.shape[-1]):
+        total = total + e[..., j : j + 1]
+    return e / total
 
 
 def _np_layer_norm(x, gain, bias):
@@ -333,24 +349,31 @@ def _np_layer_norm(x, gain, bias):
 
 
 def _np_attention(x, allowed, w, layer, config, kv=None):
-    """Multi-head attention as a loop over heads of plain-numpy scores, scale, mask, softmax and weighted sum.
+    """Multi-head attention as a loop over heads and query rows of plain-numpy scores, scale, mask, softmax and weighted sum.
 
-    Each head's slices and transposed keys are contiguous copies, as the
-    per-head loop of elementary ops made them, so every product sees the
-    memory layout it had there.
+    Keys and values are zero-padded to a multiple of 8 positions (at least 8),
+    the padding blocked; each query row's scores and weighted sum are a
+    one-row product of their own, and every product with a weight goes
+    through _np_rows.
     """
     p = f"enc{layer}_"
-    q, k, v = x @ w[p + "wq"], x @ w[p + "wk"], x @ w[p + "wv"]
+    q, k, v = _np_rows(x, w[p + "wq"]), _np_rows(x, w[p + "wk"]), _np_rows(x, w[p + "wv"])
     if kv is not None:
         k, v = np.concatenate([kv[0], k], axis=-2), np.concatenate([kv[1], v], axis=-2)
+    n, m = q.shape[-2], k.shape[-2]
+    m8 = max(-(-m // 8), 1) * 8
+    k = np.concatenate([k, np.zeros(k.shape[:-2] + (m8 - m, k.shape[-1]))], axis=-2)
+    v = np.concatenate([v, np.zeros(v.shape[:-2] + (m8 - m, v.shape[-1]))], axis=-2)
+    allowed = np.concatenate([allowed, np.zeros(allowed.shape[:-1] + (m8 - m,), dtype=bool)], axis=-1)
     dh = x.shape[-1] // config.n_heads
     heads = []
     for h in range(config.n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[..., cols].copy(), k[..., cols].copy(), v[..., cols].copy()
-        scores = (qh @ np.swapaxes(kh, -1, -2).copy()) * float(1.0 / np.sqrt(dh))
-        heads.append(_np_softmax(np.where(allowed, scores, ad.NEG_MASK_VALUE)) @ vh)
-    return np.concatenate(heads, axis=-1) @ w[p + "wo"] + w[p + "bo"]
+        qh, kh_t, vh = q[..., cols].copy(), np.swapaxes(k[..., cols], -1, -2).copy(), v[..., cols].copy()
+        scores = np.stack([qh[..., i : i + 1, :] @ kh_t for i in range(n)], axis=-3)[..., 0, :] * float(1.0 / np.sqrt(dh))
+        probs = _np_softmax_rows(np.where(allowed, scores, ad.NEG_MASK_VALUE))
+        heads.append(np.stack([probs[..., i : i + 1, :] @ vh for i in range(n)], axis=-3)[..., 0, :])
+    return _np_rows(np.concatenate(heads, axis=-1), w[p + "wo"]) + w[p + "bo"]
 
 
 def _np_encoder(x, allowed, w, config, uniforms, kv=None):
@@ -363,8 +386,8 @@ def _np_encoder(x, allowed, w, config, uniforms, kv=None):
         p = f"enc{i}_"
         att = drop(_np_attention(x, allowed, w, i, config, None if kv is None else kv[i]), None if uniforms is None else uniforms[2 * i])
         x = _np_layer_norm(x + att, w[p + "ln1_g"], w[p + "ln1_b"])
-        hidden = x @ w[p + "ffn_w1"] + w[p + "ffn_b1"]
-        ff = np.where(hidden > 0, hidden, 0.0) @ w[p + "ffn_w2"] + w[p + "ffn_b2"]
+        hidden = _np_rows(x, w[p + "ffn_w1"]) + w[p + "ffn_b1"]
+        ff = _np_rows(np.where(hidden > 0, hidden, 0.0), w[p + "ffn_w2"]) + w[p + "ffn_b2"]
         x = _np_layer_norm(x + drop(ff, None if uniforms is None else uniforms[2 * i + 1]), w[p + "ln2_g"], w[p + "ln2_b"])
     return x
 
@@ -404,22 +427,21 @@ def test_fused_cached_step_equals_a_plain_numpy_reference_bit_for_bit():
     params = init_params(config, 5)
     w = {name: params[name].data for name in params.names()}
     rng = np.random.default_rng(11)
-    width = CACHE_BLOCK + 5
+    first, width = 10, 13
     x, hitters = rng.normal(size=(3, width, config.embed_dim)), rng.random((3, width)) < 0.5
     cache = KVCache(3, config)
     with ad.no_tape():
-        encode_contexts(Tensor(x[:, : CACHE_BLOCK + 2]), hitters[:, : CACHE_BLOCK + 2], params, config, cache=cache)
-        assert cache.length == CACHE_BLOCK
-        cached = (cache.hitters, [list(layer) for layer in cache.kv])
-        # one attention layer over cached keys: 5 queries against 13 keys
-        allowed = np.tril(np.ones((5, width), dtype=bool), width - 5)
-        x_new = np.concatenate([x[:, CACHE_BLOCK:], x[:, CACHE_BLOCK:]])
-        allowed = np.broadcast_to(allowed, (6, 5, width))
-        got = network._attention(Tensor(x_new), allowed, params, 0, config, list(cache.kv[0])).data
-        want = _np_attention(x_new, allowed, w, 0, config, cached[1][0])
+        encode_contexts(Tensor(x[:, :first]), hitters[:, :first], params, config, cache=cache)
+        assert cache.length == first
+        cached = (cache.hitters[:, :first].copy(), [[a[:, :first].copy() for a in layer] for layer in cache.kv])
+        # one attention layer over cached keys: 3 queries against 13 keys, in buffers of 16
+        allowed = np.broadcast_to(np.tril(np.ones((width - first, 16), dtype=bool), first), (6, width - first, 16))
+        x_new = np.concatenate([x[:, first:], x[:, first:]])
+        got = network._attention(Tensor(x_new), allowed, params, 0, config, cache).data
+        want = _np_attention(x_new, allowed[..., :width], w, 0, config, cached[1][0])
         assert np.array_equal(got, want)
-        got = encode_contexts(Tensor(x[:, CACHE_BLOCK:]), hitters[:, CACHE_BLOCK:], params, config, cache=cache)
-    want = _np_encode_contexts(x[:, CACHE_BLOCK:], hitters[:, CACHE_BLOCK:], w, config, cached=cached)
+        got = encode_contexts(Tensor(x[:, first:]), hitters[:, first:], params, config, cache=cache)
+    want = _np_encode_contexts(x[:, first:], hitters[:, first:], w, config, cached=cached)
     for g, ref in zip(got, want):
         assert np.array_equal(g.data, ref)
 
@@ -536,27 +558,28 @@ def _random_histories(rng, batch, width, config):
     )
 
 
-def test_cached_steps_equal_the_full_forward_bit_for_bit():
-    # the benchmark's width and the default 10 types, two layers; the lengths
-    # cross several cache blocks, and rows leave at different steps
-    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10, n_players=3)
+def _check_cached_steps(n_layers, last_step, seed):
+    """Step every row's cache one position at a time, against the full forward of that row alone.
+
+    last_step maps each row to the history length of its last step; rows
+    leave at different steps. Returns the number of steps checked.
+    """
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=n_layers, vocab_size=10, n_players=3)
     model = Forecaster(init_params(config, 4), config, CourtSpec(), ShotTypeVocab.default())
-    rng = np.random.default_rng(0)
-    tau, width = 4, 3 * CACHE_BLOCK + 5
-    history = _random_histories(rng, 7, width, config)
+    tau, width = 4, max(last_step.values())
+    history = _random_histories(np.random.default_rng(seed), len(last_step), width, config)
     assert (history.player_ids == 0).any() and (history.hit_by_a[:, 1:] == history.hit_by_a[:, :-1]).any()
-    last_step = {0: 9, 1: width, 2: 5, 3: 17, 4: width, 5: 12, 6: 24}  # row -> history length of its last step
-    rows = list(range(7))
+    rows = list(range(len(last_step)))
     cache = KVCache(len(rows), config)
     steps = 0
     with ad.no_tape():
         for n in range(tau, width + 1):
             cached = model.forward(history.rows(rows).positions(cache.length, n), cache=cache)
-            assert cache.length % CACHE_BLOCK == 0 and cache.length < n
+            assert cache.length == n
             for i, row in enumerate(rows):
                 full = model.forward(history.rows([row]).positions(0, n))
                 for c, f in zip(cached, full):
-                    assert np.array_equal(c.data[i, -1], f.data[0, -1]), (n, row)
+                    assert np.array_equal(c.data[i, -1], f.data[0, -1]), (n_layers, n, row)
                 steps += 1
             keep = [i for i, row in enumerate(rows) if last_step[row] > n]
             if len(keep) < len(rows):
@@ -564,7 +587,36 @@ def test_cached_steps_equal_the_full_forward_bit_for_bit():
                 cache.keep_rows(keep)
             if not rows:
                 break
-    assert rows == [] and steps == sum(last_step[r] - tau + 1 for r in range(7))
+    assert rows == [] and steps == sum(last - tau + 1 for last in last_step.values())
+    return steps
+
+
+def test_cached_steps_equal_the_full_forward_bit_for_bit():
+    # the benchmark's width and the default 10 types, two layers, rows leaving at different steps
+    _check_cached_steps(2, {0: 9, 1: 29, 2: 5, 3: 17, 4: 29, 5: 12, 6: 24}, seed=0)
+    # past 128 positions numpy's pairwise sum groups a softmax denominator by the key count; with two
+    # layers, the cached positions' keys and values then differed from the full forward's
+    for n_layers in (1, 2):
+        assert _check_cached_steps(n_layers, {0: 220, 1: 131}, seed=n_layers) == 217 + 128
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_cached_steps_equal_the_full_forward_under_other_blas_kernels(coretype):
+    """OpenBLAS picks its kernels by CPU when it loads; OPENBLAS_CORETYPE makes a child process load others."""
+    here = Path(__file__).resolve()
+    checks = [
+        f"{here}::test_cached_steps_equal_the_full_forward_bit_for_bit",
+        f"{here.parent / 'test_autodiff.py'}::test_products_give_each_row_the_same_bits_wherever_it_sits",
+    ]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *checks],
+        env=dict(os.environ, OPENBLAS_CORETYPE=coretype),
+        cwd=here.parent.parent,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "2 passed" in result.stdout
 
 
 def test_cached_forward_refuses_the_tape_and_training(setup):
