@@ -2,7 +2,7 @@
 
 Small by design: rank <= 3, numpy storage, one backward closure per
 primitive. Layer norm, softmax, multi-head attention and the affine map
-x @ w + b are single primitives with hand-derived backwards, so a forward
+x @ w (+ b) are single primitives with hand-derived backwards, so a forward
 pays the per-op overhead once for each. Every primitive checks its output
 for NaN/Inf and raises NumericHealthError on violation, so a diverging
 computation fails at the op that produced the bad values instead of at the
@@ -14,9 +14,11 @@ Every forward product gives a row the same bits wherever the row sits, in
 a batch or alone, which lets a decoder cache every earlier position's keys
 and values. A BLAS kernel rounds a row by its place in the kernel's row
 groups, and numpy sends a one-row product to a matrix-vector kernel. So
-`linear` and `matmul` with a shared weight pad rows to whole ROW_GROUPs, and
-`attention` computes each query row alone, over keys padded to whole groups,
-with a softmax denominator summed in key order.
+`linear`, the one product with a shared weight, pads rows to whole
+ROW_GROUPs, and `attention` computes each query row alone, over keys padded
+to whole groups, with a softmax denominator summed in key order. Only
+`_row_product` and `_row_by_row` multiply in a forward; backward products
+carry no such rule.
 """
 
 from __future__ import annotations
@@ -93,9 +95,6 @@ class Tensor:
 
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return tslice(self, key)
@@ -291,21 +290,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(out_data, (a,), bwd, "scale")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of rank-2 or rank-3 operands; a rank-2 operand is shared by the batch."""
-    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
-        raise ValueError(f"matmul expects rank-2 or rank-3 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2] or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = _row_product(a.data, b.data) if b.ndim == 2 else a.data @ b.data
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _make(out_data, (a, b), bwd, "matmul")
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow is reported as a health error
         out_data = np.exp(a.data)
@@ -490,8 +474,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, blocked: np.ndarray, n_heads: int
     q is (..., n, d) and k, v are (..., m, d); head h reads columns
     h*d/n_heads .. (h+1)*d/n_heads of each. blocked is the (..., n, m) bool
     array of the keys each query may not see: their scores become
-    NEG_MASK_VALUE before the row softmax. The output is the heads' weighted
-    sums of v side by side, (..., n, d).
+    NEG_MASK_VALUE before the row softmax, and every query must see at least
+    one key. The output is the heads' weighted sums of v side by side,
+    (..., n, d).
     """
     d = q.shape[-1]
     if q.ndim not in (2, 3) or k.shape != v.shape or k.shape[:-2] + k.shape[-1:] != q.shape[:-2] + (d,):
@@ -501,57 +486,59 @@ def attention(q: Tensor, k: Tensor, v: Tensor, blocked: np.ndarray, n_heads: int
     blocked = np.asarray(blocked, dtype=bool)
     if blocked.shape != q.shape[:-1] + k.shape[-2:-1]:
         raise ValueError(f"mask shape {blocked.shape} does not match scores shape {q.shape[:-1] + k.shape[-2:-1]}")
+    if blocked.all(axis=-1).any():  # its softmax would spread the row over the padding keys
+        raise ValueError("attention mask leaves a query row without a key")
     dh = d // n_heads
     c = float(1.0 / np.sqrt(dh))
-    m, lead = k.shape[-2], k.shape[:-2]
+    n, m, lead = q.shape[-2], k.shape[-2], k.shape[:-2]
     width = whole_groups(m)  # zero keys fill the last group, and their scores are blocked
-    saved = []
-    heads = []
-    for h in range(n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        qh = q.data[..., cols].copy()
-        kh_t, vh = np.zeros(lead + (dh, width)), np.zeros(lead + (width, dh))
-        kh_t[..., :m] = np.swapaxes(k.data[..., cols], -1, -2)
-        vh[..., :m, :] = v.data[..., cols]
-        scores = _row_by_row(qh, kh_t) * c
-        np.copyto(scores[..., :m], NEG_MASK_VALUE, where=blocked)
-        scores[..., m:] = NEG_MASK_VALUE
-        if not np.isfinite(scores).all():
-            raise NumericHealthError("attention produced non-finite scores")
-        probs = _softmax_data(scores, -1)
-        heads.append(_row_by_row(probs, vh))
-        saved.append((cols, qh, kh_t[..., :m], vh[..., :m, :], probs[..., :m]))
-    out_data = np.concatenate(heads, axis=-1)
+
+    def split(x, rows):  # (..., rows, d) -> (..., heads, rows, dh)
+        return np.swapaxes(x.reshape(lead + (rows, n_heads, dh)), -2, -3)
+
+    def merge(x):  # (..., heads, rows, dh) -> (..., rows, d)
+        return np.swapaxes(x, -2, -3).reshape(lead + (x.shape[-2], d))
+
+    qh = np.ascontiguousarray(split(q.data, n))
+    kh_t, vh = np.zeros(lead + (n_heads, dh, width)), np.zeros(lead + (n_heads, width, dh))
+    kh_t[..., :m] = np.swapaxes(split(k.data, m), -1, -2)
+    vh[..., :m, :] = split(v.data, m)
+    blocked = blocked[..., None, :, :]
+    scores = _row_by_row(qh, kh_t) * c
+    np.copyto(scores[..., :m], NEG_MASK_VALUE, where=blocked)
+    scores[..., m:] = NEG_MASK_VALUE
+    if not np.isfinite(scores).all():
+        raise NumericHealthError("attention produced non-finite scores")
+    probs = _softmax_data(scores, -1)
+    out_data = merge(_row_by_row(probs, vh))
+    kh_t, vh, probs = kh_t[..., :m], vh[..., :m, :], probs[..., :m]
 
     def bwd(g):
-        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        for cols, qh, kh_t, vh, probs in saved:
-            gh = g[..., cols]
-            dv[..., cols] = np.swapaxes(probs, -1, -2) @ gh
-            d_scores = _softmax_grad(probs, gh @ np.swapaxes(vh, -1, -2), -1)
-            d_scores = np.where(blocked, 0.0, d_scores) * c
-            dq[..., cols] = d_scores @ np.swapaxes(kh_t, -1, -2)
-            dk[..., cols] = np.swapaxes(d_scores, -1, -2) @ qh
-        _accumulate(q, dq)
-        _accumulate(k, dk)
-        _accumulate(v, dv)
+        gh = split(g, n)
+        d_scores = _softmax_grad(probs, gh @ np.swapaxes(vh, -1, -2), -1)
+        d_scores = np.where(blocked, 0.0, d_scores) * c
+        _accumulate(q, merge(d_scores @ np.swapaxes(kh_t, -1, -2)))
+        _accumulate(k, merge(np.swapaxes(d_scores, -1, -2) @ qh))
+        _accumulate(v, merge(np.swapaxes(probs, -1, -2) @ gh))
 
     return _make(out_data, (q, k, v), bwd, "attention")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a rank-2 or rank-3 x, a rank-2 weight w and a bias b over w's columns."""
-    if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w + b for a rank-2 or rank-3 x, a rank-2 weight w and a bias b over w's columns; x @ w without b."""
+    if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0] or (b is not None and b.shape != w.shape[1:]):
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape}" + ("" if b is None else f" + {b.shape}"))
     out_data = _row_product(x.data, w.data)
-    out_data += b.data
+    if b is not None:
+        out_data += b.data
 
     def bwd(g):
         _accumulate(x, g @ w.data.T)
         _accumulate(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if b is not None:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _make(out_data, (x, w, b), bwd, "linear")
+    return _make(out_data, (x, w) if b is None else (x, w, b), bwd, "linear")
 
 
 def dropout(a: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:

@@ -209,23 +209,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     settings = Settings(args)
     vocab = _resolve_vocab(settings)
-    court = CourtSpec()
-    out_dir = Path(_require(args, "out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
-    policy = FilterPolicy(
-        max_rally_length=settings["max_rally_length"],
-        max_match_total_rounds=settings["max_match_total_rounds"],
-        min_rally_length=settings["min_rally_length"],
-    )
-    kept, dropped = filter_training(rallies, policy)
-    if dropped:
-        print(f"filter dropped {len(dropped)} of {len(rallies)} rallies")
-    if not kept:
-        raise UsageError("no rallies left after filtering")
-    train_set, val_set = split(kept, settings["train_fraction"], settings["seed"], by_match=settings["split_by_match"])
-
     model_config = ModelConfig(
         embed_dim=settings["embed_dim"],
         n_heads=settings["n_heads"],
@@ -244,6 +227,23 @@ def cmd_train(args: argparse.Namespace) -> int:
         eval_samples=settings["eval_samples"],
         seed=settings["seed"],
     )
+
+    court = CourtSpec()
+    out_dir = Path(_require(args, "out_dir"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
+    policy = FilterPolicy(
+        max_rally_length=settings["max_rally_length"],
+        max_match_total_rounds=settings["max_match_total_rounds"],
+        min_rally_length=settings["min_rally_length"],
+    )
+    kept, dropped = filter_training(rallies, policy)
+    if dropped:
+        print(f"filter dropped {len(dropped)} of {len(rallies)} rallies")
+    if not kept:
+        raise UsageError("no rallies left after filtering")
+    train_set, val_set = split(kept, settings["train_fraction"], settings["seed"], by_match=settings["split_by_match"])
 
     def progress(stats, val_score):
         val = f" val {val_score:.6f}" if val_score is not None else ""

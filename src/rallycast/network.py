@@ -49,6 +49,10 @@ class ModelConfig:
     embedding_mode: str = "modified"
 
     def __post_init__(self) -> None:
+        for name in ("embed_dim", "n_heads", "ffn_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.embed_dim % self.n_heads != 0:
             raise ValueError("embed_dim must be divisible by n_heads")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -271,9 +275,9 @@ def _attention(
     column per buffered position.
     """
     p = f"enc{layer}_"
-    q = ad.matmul(x, params[p + "wq"])
-    k = ad.matmul(x, params[p + "wk"])
-    v = ad.matmul(x, params[p + "wv"])
+    q = ad.linear(x, params[p + "wq"])
+    k = ad.linear(x, params[p + "wk"])
+    v = ad.linear(x, params[p + "wv"])
     if cache is not None:
         kv, new = cache.kv[layer], slice(cache.length, cache.length + x.shape[-2])
         kv[0, :, new], kv[1, :, new] = k.data, v.data

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -54,7 +57,7 @@ def test_relu_definition():
 def test_matmul_identity():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 3))
-    out = ad.matmul(Tensor(np.eye(3)), Tensor(a))
+    out = ad.linear(Tensor(np.eye(3)), Tensor(a))
     assert np.array_equal(out.data, a)
 
 
@@ -155,14 +158,14 @@ def test_grad_add_sub_mul_div(case):
 
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_grad_matmul_transpose_scale(case):
-    """matmul, also against an operand transposed in NumPy (a strided view), and scale."""
+    """linear without a bias, also against a weight transposed in NumPy (a strided view), and scale."""
     rng = np.random.default_rng(200 + case)
     m, k, n = (int(rng.integers(1, 5)) for _ in range(3))
     a, b = _rand(rng, m, k), _rand(rng, k, n)
     w = rng.normal(size=(m, n))
     bt = rng.normal(size=(n, k))
-    _check(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], ts[1]), Tensor(w))), [a, b])
-    _check(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], Tensor(bt.T)), Tensor(w))), [a])
+    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1]), Tensor(w))), [a, b])
+    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], Tensor(bt.T)), Tensor(w))), [a])
     _check(lambda ts: ad.tsum(ad.scale(ts[0], 1.7)), [a])
 
 
@@ -170,20 +173,17 @@ def test_grad_matmul_transpose_scale(case):
 def test_grad_batched_matmul_transpose(case):
     rng = np.random.default_rng(250 + case)
     bsz, m, k, n = (int(rng.integers(1, 4)) for _ in range(4))
-    a, b2, b3 = _rand(rng, bsz, m, k), _rand(rng, k, n), _rand(rng, bsz, k, n)
+    a, b2 = _rand(rng, bsz, m, k), _rand(rng, k, n)
     w = rng.normal(size=(bsz, m, n))
-    b3t = rng.normal(size=(bsz, n, k))
-    _check(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], ts[1]), Tensor(w))), [a, b2])  # shared rank-2 weight
-    _check(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], ts[1]), Tensor(w))), [a, b3])
-    _check(lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], Tensor(np.swapaxes(b3t, -1, -2))), Tensor(w))), [a])
+    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1]), Tensor(w))), [a, b2])  # shared rank-2 weight
 
 
 def test_batched_matmul_rows_equal_unbatched_products():
     rng = np.random.default_rng(3)
     a, w = _rand(rng, 5, 7, 16), _rand(rng, 16, 16)
-    batched = ad.matmul(Tensor(a), Tensor(w)).data
+    batched = ad.linear(Tensor(a), Tensor(w)).data
     for row in range(5):
-        assert np.array_equal(batched[row], ad.matmul(Tensor(a[row]), Tensor(w)).data)
+        assert np.array_equal(batched[row], ad.linear(Tensor(a[row]), Tensor(w)).data)
 
 
 @settings(max_examples=150)
@@ -208,19 +208,51 @@ def test_products_give_each_row_the_same_bits_wherever_it_sits(width, inner, n, 
     rows = rng.permutation(n)[: max(1, round(share * n))]
     part = Tensor(x.data[rows])
     assert np.array_equal(ad.linear(part, w, b).data, ad.linear(x, w, b).data[rows])
-    assert np.array_equal(ad.matmul(part, w).data, ad.matmul(x, w).data[rows])
+    assert np.array_equal(ad.linear(part, w).data, ad.linear(x, w).data[rows])
     if len(rows) % 2 == 0:  # a rank-3 batch of the same rows
         batch = Tensor(part.data.reshape(2, -1, inner))
         assert np.array_equal(ad.linear(batch, w, b).data.reshape(-1, width), ad.linear(x, w, b).data[rows])
 
 
+# the only forward code that may multiply: each rounds a row the same wherever the row sits
+ROW_PRODUCTS = {"_row_product", "_row_by_row"}
+
+
+def _forward_products(tree):
+    """(function, line) of each @, np.matmul or np.dot outside the row products, backward closures and gradient_check."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                if child.name not in ROW_PRODUCTS | {"gradient_check"} and not (fn and child.name == "bwd"):
+                    visit(child, child.name)
+                continue
+            if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)) or (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr in ("matmul", "dot")
+            ):
+                found.append((fn, child.lineno))
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_forward_code_multiplies_only_through_the_row_products():
+    """The key/value cache rests on every forward product giving a row the same bits wherever it sits."""
+    tree = ast.parse(inspect.getsource(ad))
+    assert ROW_PRODUCTS <= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert _forward_products(tree) == []
+    assert _forward_products(ast.parse("def f(a, b):\n    return np.dot(a, b) + a @ b\n")) == [("f", 2), ("f", 2)]
+
+
 def test_matmul_rejects_mismatched_batches():
     with pytest.raises(ValueError):
-        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        ad.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
     with pytest.raises(ValueError):
-        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 2))))
+        ad.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 2))))
     with pytest.raises(ValueError):
-        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+        ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -311,6 +343,10 @@ def test_grad_layer_norm(case):
         _check(lambda ts: ad.tsum(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), Tensor(w3))), [x3, gain, bias])
 
 
+# the head count of cases 0-4, 5-9, ...: 1 and 2 heads over 4 columns, then 4 and 8 heads over 8
+ATTENTION_HEADS = (1, 2, 1, 2, 4, 8)
+
+
 def _attention_inputs(rng, case):
     """q, k, v, blocked and n_heads for one case, cycling through the shapes and masks the model meets.
 
@@ -320,21 +356,22 @@ def _attention_inputs(rng, case):
     """
     kind = case % 5
     lead = () if case % 2 == 0 else (2,)
-    n_heads = 1 + (case // 5) % 2
+    n_heads = ATTENTION_HEADS[case // 5]
+    d = 4 if n_heads <= 2 else 8
     n, m = {1: (1, 1), 2: (3, 7)}.get(kind, (4, 4))
-    q, k, v = _rand(rng, *lead, n, 4), _rand(rng, *lead, m, 4), _rand(rng, *lead, m, 4)
+    q, k, v = _rand(rng, *lead, n, d), _rand(rng, *lead, m, d), _rand(rng, *lead, m, d)
     blocked = np.broadcast_to(~np.tril(np.ones((n, m), dtype=bool), m - n), lead + (n, m)).copy()
     if kind == 3:
         blocked[..., :, 1] = True  # no query sees key 1
-        blocked[..., 2, :] = True  # and query 2 sees nothing at all
+        blocked[..., 2, 2] = True  # and query 2 sees key 0 alone
     if kind == 4:
         # key j's columns sum to about 3j, so the scores of a row differ by far more than 50
-        q = np.full(lead + (n, 4), 40.0) + 0.1 * q
+        q = np.full(lead + (n, d), 40.0) + 0.1 * q
         k = 3.0 * np.arange(m)[:, None] + 0.1 * k
     return q, k, v, blocked, n_heads
 
 
-@pytest.mark.parametrize("case", range(N_CASES))
+@pytest.mark.parametrize("case", range(5 * len(ATTENTION_HEADS)))
 def test_grad_attention(case):
     rng = np.random.default_rng(1100 + case)
     q, k, v, blocked, n_heads = _attention_inputs(rng, case)
@@ -347,6 +384,24 @@ def test_grad_attention(case):
     _check(lambda ts: ad.tsum(ad.mul(ad.attention(ts[0], ts[1], ts[2], blocked, n_heads), Tensor(w))), [q, k, v])
     if q.shape == k.shape and case % 5 != 4:  # self-attention: one tensor feeds q, k and v, so its gradients add up
         _check(lambda ts: ad.tsum(ad.mul(ad.attention(ts[0], ts[0], ts[0], blocked, n_heads), Tensor(w))), [q])
+
+
+def test_attention_refuses_a_query_that_sees_no_key():
+    """Such a row's softmax would spread it over the zero padding keys, so it would read the key count.
+
+    With every value 1.0, five keys read 0.625 in each column and eight keys 1.0.
+    """
+    ones, batch = Tensor(np.ones((5, 4))), Tensor(np.ones((2, 5, 4)))
+    blocked = np.zeros((5, 5), dtype=bool)
+    blocked[3] = True
+    for q, k, mask in (
+        (ones, ones, blocked),
+        (batch, batch, np.stack([np.zeros_like(blocked), blocked])),
+        (ones, Tensor(np.ones((0, 4))), np.zeros((5, 0), dtype=bool)),  # no keys at all
+    ):
+        with ad.no_tape(), pytest.raises(ValueError, match="without a key"):
+            ad.attention(q, k, k, mask, 2)
+    assert np.array_equal(ad.attention(ones, ones, ones, ~np.eye(5, dtype=bool), 2).data, ones.data)  # one key each
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -448,14 +503,14 @@ def test_no_tape_still_checks_every_op():
 def test_no_tape_records_no_parents():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     with ad.no_tape():
-        y = ad.softmax(ad.matmul(x, x), axis=-1)
+        y = ad.softmax(ad.linear(x, x), axis=-1)
         z = ad.tsum(ad.mul(y, y))
     assert y._parents == () and y._bwd is None
     assert z._parents == () and z._bwd is None
     assert len(Tape(z)) == 1
     taped = ad.tsum(ad.mul(x, x))
     assert taped._parents and taped._bwd is not None
-    assert np.array_equal(ad.softmax(ad.matmul(x, x), axis=-1).data, y.data)
+    assert np.array_equal(ad.softmax(ad.linear(x, x), axis=-1).data, y.data)
 
 
 def test_no_tape_restores_taping_after_the_body_raises():

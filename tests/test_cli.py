@@ -209,13 +209,19 @@ def test_a_config_value_outside_its_choices_exits_2_naming_its_line(tmp_path, li
     # these two silently turned evaluation or clipping off
     (["--eval-every", -1], "eval_every must be nonnegative, got -1"),
     (["--clip-norm", -1.0], "clip_norm must be nonnegative, got -1.0"),
+    (["--n-heads", 0], "n_heads must be at least 1, got 0"),  # a ZeroDivisionError traceback
+    # "cannot reshape array of size 0" after a numpy RuntimeWarning
+    (["--embed-dim", 0], "embed_dim must be at least 1, got 0"),
+    (["--ffn-dim", 0], "ffn_dim must be at least 1, got 0"),
+    (["--ffn-dim", -3], "ffn_dim must be at least 1, got -3"),  # "negative dimensions are not allowed"
+    (["--n-heads", -2], "n_heads must be at least 1, got -2"),  # refused only at the first forward
 ])
 def test_a_training_setting_out_of_range_exits_2_before_training(tmp_path, flags, message):
     out = run_cli("train", "--data", CORPUS32, "--out-dir", tmp_path / "run", "--embed-dim", 4, "--epochs", 1, *flags)
     assert out.returncode == 2, out.stderr
     assert f"error: {message}" in out.stderr
     assert "epoch" not in out.stdout
-    assert not (tmp_path / "run" / "model.ckpt").exists()
+    assert not (tmp_path / "run").exists()  # refused before the output directory is made
 
 
 # each subcommand's flags: (option strings, dest, choices, nargs); nargs 0 is a switch
@@ -487,6 +493,8 @@ CHECKPOINT_DAMAGE = {
     "n_heads_not_dividing": (
         _edit_header(lambda h: h["config"].update(n_heads=3)), "embed_dim must be divisible by n_heads",
     ),
+    # a ZeroDivisionError traceback
+    "n_heads_zero": (_edit_header(lambda h: h["config"].update(n_heads=0)), "n_heads must be at least 1, got 0"),
     # a normalization earlier headers carried, now fixed at the court's center
     "court_std_zero": (_edit_header(lambda h: h["court"].update(std_x=0.0)), "header std_x is 0.0, but std_x is fixed at 3.05"),
     # json reads NaN; the court loaded, and predict failed later naming neither the file nor the field

@@ -219,8 +219,8 @@ def _reference_encode_contexts(x, hitters, params, config, rng=None):
             p = f"enc{i}_"
             att = drop(network._attention(x, allowed, params, i, config))
             x = ad.layer_norm(ad.add(x, att), params[p + "ln1_g"], params[p + "ln1_b"])
-            hidden = ad.relu(ad.add(ad.matmul(x, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
-            ff = drop(ad.add(ad.matmul(hidden, params[p + "ffn_w2"]), params[p + "ffn_b2"]))
+            hidden = ad.relu(ad.add(ad.linear(x, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
+            ff = drop(ad.add(ad.linear(hidden, params[p + "ffn_w2"]), params[p + "ffn_b2"]))
             x = ad.layer_norm(ad.add(x, ff), params[p + "ln2_g"], params[p + "ln2_b"])
         return x
 
@@ -230,9 +230,9 @@ def _reference_encode_contexts(x, hitters, params, config, rng=None):
     return stack(x, causal), stack(x, causal & same)
 
 
-def _context_case(n_layers, batch, dropout_rate):
+def _context_case(n_layers, batch, dropout_rate, n_heads):
     """A config, its initial params, x and mixed hitters for one (n, d) history or a (B, n, d) batch."""
-    config = ModelConfig(embed_dim=8, n_heads=2, n_layers=n_layers, dropout_rate=dropout_rate, vocab_size=4)
+    config = ModelConfig(embed_dim=8, n_heads=n_heads, n_layers=n_layers, dropout_rate=dropout_rate, vocab_size=4)
     rng = np.random.default_rng(10 * n_layers + (batch or 0))
     params = init_params(config, n_layers)
     lead = (6,) if batch is None else (batch, 6)
@@ -242,14 +242,20 @@ def _context_case(n_layers, batch, dropout_rate):
     return config, params, x, hitters
 
 
+def _context_param(n_layers, batch, rate, n_heads=2):
+    """One CONTEXT_CASES input; its id names the head count only where it is not 2."""
+    heads = "" if n_heads == 2 else f"-{n_heads}heads"
+    return pytest.param(n_layers, batch, rate, n_heads, id=f"{n_layers}-{batch}-{rate}{heads}")
+
+
 CONTEXT_CASES = [
-    (n_layers, batch, rate) for n_layers in (1, 2) for batch in (None, 3) for rate in (0.0, 0.2)
-]
+    _context_param(n_layers, batch, rate) for n_layers in (1, 2) for batch in (None, 3) for rate in (0.0, 0.2)
+] + [_context_param(2, batch, 0.2, n_heads) for n_heads in (1, 4, 8) for batch in (None, 3)]
 
 
-@pytest.mark.parametrize("n_layers,batch,dropout_rate", CONTEXT_CASES)
-def test_one_pass_contexts_equal_two_passes_bit_for_bit(n_layers, batch, dropout_rate):
-    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate)
+@pytest.mark.parametrize("n_layers,batch,dropout_rate,n_heads", CONTEXT_CASES)
+def test_one_pass_contexts_equal_two_passes_bit_for_bit(n_layers, batch, dropout_rate, n_heads):
+    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate, n_heads)
     for training in (False, True):
         # eval mode passes no generator; in training both sides draw from the same seed
         got = encode_contexts(Tensor(x), hitters, params, config, np.random.default_rng(7) if training else None)
@@ -261,9 +267,9 @@ def test_one_pass_contexts_equal_two_passes_bit_for_bit(n_layers, batch, dropout
         assert not np.array_equal(got[0].data, encode_contexts(Tensor(x), hitters, params, config)[0].data)
 
 
-@pytest.mark.parametrize("n_layers,batch,dropout_rate", CONTEXT_CASES)
-def test_one_pass_context_gradients_equal_two_passes(n_layers, batch, dropout_rate):
-    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate)
+@pytest.mark.parametrize("n_layers,batch,dropout_rate,n_heads", CONTEXT_CASES)
+def test_one_pass_context_gradients_equal_two_passes(n_layers, batch, dropout_rate, n_heads):
+    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate, n_heads)
     weights = np.random.default_rng(3).normal(size=(2,) + x.shape)
 
     def grads(encode):
@@ -407,9 +413,9 @@ def _np_encode_contexts(x, hitters, w, config, rng=None, cached=None):
     return (out[0], out[1]) if single else (out[:b], out[b:])
 
 
-@pytest.mark.parametrize("n_layers,batch,dropout_rate", CONTEXT_CASES)
-def test_fused_encoder_equals_a_plain_numpy_reference_bit_for_bit(n_layers, batch, dropout_rate):
-    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate)
+@pytest.mark.parametrize("n_layers,batch,dropout_rate,n_heads", CONTEXT_CASES)
+def test_fused_encoder_equals_a_plain_numpy_reference_bit_for_bit(n_layers, batch, dropout_rate, n_heads):
+    config, params, x, hitters = _context_case(n_layers, batch, dropout_rate, n_heads)
     w = {name: params[name].data for name in params.names()}
     allowed = np.broadcast_to(np.tril(np.ones((6, 6), dtype=bool)), hitters.shape + (6,))
     got = network._attention(Tensor(x), allowed, params, 0, config).data
