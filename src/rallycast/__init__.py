@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke, validate_rally
 from .dataset import FilterPolicy, SynthConfig, filter_training, parse_dataset, split, synthesize_dataset, write_dataset
 from .network import Forecaster, ModelConfig, forward_teacher_forced, init_params
-from .scoring import GeneratedStroke, sample, score_min6
+from .scoring import GeneratedStroke, sample
 from .training import TrainConfig, eval_best_of_k, step_loss, train
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "init_params",
     "parse_dataset",
     "sample",
-    "score_min6",
     "split",
     "step_loss",
     "synthesize_dataset",

@@ -8,7 +8,6 @@ trends suitable for comparing two embedding modes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,12 +32,6 @@ class DistRow:
 class DistributionTable:
     group_key: str
     rows: list[DistRow]
-
-    def fractions_by_group(self) -> dict[str, float]:
-        sums: dict[str, float] = defaultdict(float)
-        for row in self.rows:
-            sums[row.key] += row.fraction
-        return dict(sums)
 
     def write_csv(self, path: str | Path) -> None:
         lines = [f"{self.group_key},type,count,fraction"]

@@ -33,6 +33,7 @@ MAX_RANK = 3
 NEG_MASK_VALUE = -1e30  # finite stand-in for -inf in attention masks
 ROW_GROUP = 8  # rows and attention keys are padded to whole groups of this many
 BLOCK_ROWS = 64  # rows per BLAS call: OpenBLAS threads a larger product, which ran slower on 2 cores
+LAYER_NORM_EPS = 1e-5  # added to each row's variance
 
 
 class NumericHealthError(RuntimeError):
@@ -98,9 +99,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return tslice(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
 
 def _wrap(x) -> Tensor:
@@ -339,16 +337,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bwd, "relu")
 
 
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    keep = a.data > floor
-    out_data = np.where(keep, a.data, floor)
-
-    def bwd(g):
-        _accumulate(a, g * keep)
-
-    return _make(out_data, (a,), bwd, "clamp_min")
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     inside = (a.data > lo) & (a.data < hi)
     out_data = np.clip(a.data, lo, hi)
@@ -359,15 +347,12 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make(out_data, (a,), bwd, "clip")
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry, as a rank-0 tensor."""
+    out_data = a.data.sum()
 
     def bwd(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+        _accumulate(a, np.full(a.shape, g))
 
     return _make(out_data, (a,), bwd, "sum")
 
@@ -416,30 +401,29 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out_data, (table,), bwd, "embedding_lookup")
 
 
-def _softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+def _softmax_data(x: np.ndarray) -> np.ndarray:
     # shift by the rowwise max, which softmax is invariant to; the denominator adds the terms in order,
     # so trailing zero terms (blocked attention keys) leave it as it was
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    last = [slice(None)] * e.ndim
-    last[axis] = slice(-1, None)
-    return e / np.add.accumulate(e, axis=axis)[tuple(last)]
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / np.add.accumulate(e, axis=-1)[..., -1:]
 
 
-def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of the logits of softmax output y, given the output's gradient g."""
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out_data = _softmax_data(a.data, axis)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    out_data = _softmax_data(a.data)
 
     def bwd(g):
-        _accumulate(a, _softmax_grad(out_data, g, axis))
+        _accumulate(a, _softmax_grad(out_data, g))
 
     return _make(out_data, (a,), bwd, "softmax")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The backward is the closed form of Ba et al. (2016), "Layer Normalization".
@@ -452,7 +436,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
     if not np.isfinite(var).all():  # an overflowed variance would normalize every row to 0
         raise NumericHealthError("layer_norm produced a non-finite variance")
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + LAYER_NORM_EPS)
     normed = centered / std
     out_data = normed * gain.data
     out_data += bias.data
@@ -509,13 +493,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, blocked: np.ndarray, n_heads: int
     scores[..., m:] = NEG_MASK_VALUE
     if not np.isfinite(scores).all():
         raise NumericHealthError("attention produced non-finite scores")
-    probs = _softmax_data(scores, -1)
+    probs = _softmax_data(scores)
     out_data = merge(_row_by_row(probs, vh))
     kh_t, vh, probs = kh_t[..., :m], vh[..., :m, :], probs[..., :m]
 
     def bwd(g):
         gh = split(g, n)
-        d_scores = _softmax_grad(probs, gh @ np.swapaxes(vh, -1, -2), -1)
+        d_scores = _softmax_grad(probs, gh @ np.swapaxes(vh, -1, -2))
         d_scores = np.where(blocked, 0.0, d_scores) * c
         _accumulate(q, merge(d_scores @ np.swapaxes(kh_t, -1, -2)))
         _accumulate(k, merge(np.swapaxes(d_scores, -1, -2) @ qh))

@@ -227,23 +227,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         eval_samples=settings["eval_samples"],
         seed=settings["seed"],
     )
-
-    court = CourtSpec()
-    out_dir = Path(_require(args, "out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
     policy = FilterPolicy(
         max_rally_length=settings["max_rally_length"],
         max_match_total_rounds=settings["max_match_total_rounds"],
         min_rally_length=settings["min_rally_length"],
     )
+
+    court = CourtSpec()
+    out_dir = Path(_require(args, "out_dir"))
+    rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
     kept, dropped = filter_training(rallies, policy)
     if dropped:
         print(f"filter dropped {len(dropped)} of {len(rallies)} rallies")
     if not kept:
         raise UsageError("no rallies left after filtering")
     train_set, val_set = split(kept, settings["train_fraction"], settings["seed"], by_match=settings["split_by_match"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def progress(stats, val_score):
         val = f" val {val_score:.6f}" if val_score is not None else ""
@@ -299,12 +298,11 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Read the input, build every table, then make --out-dir and write them, so a refusal writes nothing."""
     settings = Settings(args)
     vocab = _resolve_vocab(settings)
     court = CourtSpec()
     kind = args.kind
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     dataset_kinds = {
         "shot-by-round": "ball_round",
@@ -312,46 +310,43 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "shot-by-zone": "landing_zone",
         "shot-by-location": "player_location_zone",
     }
+    # outputs maps each file name to the function that writes that file to a path
     if kind in dataset_kinds:
         rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
         grouping = dataset_kinds[kind]
         table = shot_distribution(rallies, grouping, vocab, court)
-        path = out_dir / f"analysis_shot_distribution_{grouping}.csv"
-        table.write_csv(path)
-        print(f"wrote {path}")
-        return EXIT_OK
-
-    if kind not in ("vote", "zones", "trend"):
-        raise UsageError(f"unknown --kind {kind!r}")
-    pred_path = getattr(args, "predictions", None)
-    if not pred_path:
-        raise UsageError(f"--kind {kind} needs --predictions")
-    pred = import_predictions(pred_path, vocab)
-
-    if kind == "vote":
-        winners, table = predicted_type_vote(pred, vocab)
-        per_stroke = out_dir / "analysis_vote_per_stroke.csv"
-        lines = ["rally_id,ball_round,final_type,votes"]
-        for wv in winners:
-            lines.append(f"{wv.rally_id},{wv.ball_round},{wv.type_name},{wv.votes}")
-        per_stroke.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        dist = out_dir / "analysis_vote_distribution.csv"
-        table.write_csv(dist)
-        print(f"wrote {per_stroke}")
-        print(f"wrote {dist}")
-    elif kind == "zones":
-        hist = landing_zone_distribution(pred, court)
-        path = out_dir / "analysis_zone_histogram_landing_zone.csv"
-        hist.write_csv(path)
-        print(f"wrote {path}")
+        outputs = {f"analysis_shot_distribution_{grouping}.csv": table.write_csv}
+    elif kind in ("vote", "zones", "trend"):
+        pred_path = getattr(args, "predictions", None)
+        if not pred_path:
+            raise UsageError(f"--kind {kind} needs --predictions")
+        pred = import_predictions(pred_path, vocab)
+        if kind == "vote":
+            winners, table = predicted_type_vote(pred, vocab)
+            lines = ["rally_id,ball_round,final_type,votes"]
+            lines += [f"{wv.rally_id},{wv.ball_round},{wv.type_name},{wv.votes}" for wv in winners]
+            per_stroke = "\n".join(lines) + "\n"
+            outputs = {
+                "analysis_vote_per_stroke.csv": lambda path: path.write_text(per_stroke, encoding="utf-8"),
+                "analysis_vote_distribution.csv": table.write_csv,
+            }
+        elif kind == "zones":
+            outputs = {"analysis_zone_histogram_landing_zone.csv": landing_zone_distribution(pred, court).write_csv}
+        else:
+            means = mean_probability(pred, vocab)
+            outputs = {
+                "analysis_round_trend_ball_round.csv": round_trend(pred, vocab).write_csv,
+                "analysis_mean_probability_all.csv": lambda path: write_mean_probability(means, path),
+            }
     else:
-        trend = round_trend(pred, vocab)
-        path = out_dir / "analysis_round_trend_ball_round.csv"
-        trend.write_csv(path)
-        means_path = out_dir / "analysis_mean_probability_all.csv"
-        write_mean_probability(mean_probability(pred, vocab), means_path)
+        raise UsageError(f"unknown --kind {kind!r}")
+
+    out_dir = Path(args.out_dir or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in outputs.items():
+        path = out_dir / name
+        write(path)
         print(f"wrote {path}")
-        print(f"wrote {means_path}")
     return EXIT_OK
 
 

@@ -114,10 +114,6 @@ class Player(str, Enum):
     A = "A"
     B = "B"
 
-    @property
-    def opponent(self) -> "Player":
-        return Player.B if self is Player.A else Player.A
-
 
 @dataclass(frozen=True)
 class ShotType:
@@ -160,11 +156,6 @@ class ShotTypeVocab:
     @classmethod
     def default(cls) -> "ShotTypeVocab":
         return cls(tuple(ShotType(i, name, serve) for i, (name, serve) in enumerate(_DEFAULT_TYPES)))
-
-    @classmethod
-    def from_names(cls, names: Iterable[str], serve_names: Iterable[str]) -> "ShotTypeVocab":
-        serves = {s.casefold() for s in serve_names}
-        return cls(tuple(ShotType(i, n, n.casefold() in serves) for i, n in enumerate(names)))
 
     @property
     def size(self) -> int:
@@ -221,13 +212,6 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
         return ShotTypeVocab(tuple(entries))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-
-
-def save_vocab(vocab: ShotTypeVocab, path: str | Path) -> None:
-    lines = [",".join(VOCAB_COLUMNS)]
-    for e in vocab.entries:
-        lines.append(f"{e.type_id},{e.name},{'true' if e.is_serve else 'false'}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,10 @@ class FilterPolicy:
     def __post_init__(self) -> None:
         if self.min_rally_length < TAU + 1:
             raise ValueError(f"min_rally_length must be at least {TAU + 1}")
+        for name in ("max_rally_length", "max_match_total_rounds"):
+            value = getattr(self, name)
+            if value is not None and value < self.min_rally_length:  # it would drop every rally
+                raise ValueError(f"{name} must be at least min_rally_length {self.min_rally_length}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -367,6 +371,8 @@ class SynthConfig:
             raise ValueError("n_rallies must be positive")
         if self.mean_length < TAU + 1:
             raise ValueError(f"mean_length must be at least {TAU + 1}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def default_player_styles(vocab: ShotTypeVocab) -> dict[str, PlayerStyle]:

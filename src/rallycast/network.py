@@ -67,26 +67,6 @@ class ModelConfig:
         return self.ffn_dim if self.ffn_dim is not None else 4 * self.embed_dim
 
 
-class ModelParams:
-    """Named learnable arrays; iteration order is fixed by construction order."""
-
-    def __init__(self, tensors: dict[str, Tensor]):
-        self.tensors = tensors
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.grad = None
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: Tensor(v.data.copy()) for k, v in self.tensors.items()})
-
-
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, v = config.embed_dim, config.vocab_size
     shapes: dict[str, tuple[int, ...]] = {
@@ -127,7 +107,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
+def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """The learnable arrays by name, in param_shapes order."""
     rng = rng_from_key(seed, TAG_INIT)
     tensors: dict[str, Tensor] = {}
     for name, shape in param_shapes(config).items():
@@ -141,7 +122,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
             fan_in = shape[0]
             data = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
         tensors[name] = Tensor(data)
-    return ModelParams(tensors)
+    return tensors
 
 
 def build_player_index(rallies: Sequence[Rally]) -> dict[str, int]:
@@ -180,10 +161,6 @@ class StrokeInputs:
     def stack(histories: Sequence["StrokeInputs"]) -> "StrokeInputs":
         """Batch equal-length (n,) histories into one (B, n) input."""
         return StrokeInputs(*(np.stack(arrays) for arrays in zip(*(h._arrays() for h in histories))))
-
-    def positions(self, start: int, stop: int) -> "StrokeInputs":
-        """The strokes at positions start .. stop-1 of (B, n) histories, as contiguous arrays."""
-        return StrokeInputs(*(np.ascontiguousarray(a[:, start:stop]) for a in self._arrays()))
 
     def rows(self, keep: Sequence[int]) -> "StrokeInputs":
         """The histories at the given batch rows, in that order."""
@@ -232,12 +209,12 @@ class KVCache:
 
 
 def embed_strokes(
-    inputs: StrokeInputs, params: ModelParams, config: ModelConfig, pe: np.ndarray | None = None
+    inputs: StrokeInputs, params: dict[str, Tensor], config: ModelConfig, pe: np.ndarray
 ) -> tuple[Tensor, Tensor]:
     """Per-stroke shot and area channels, positional encoding included; shape (..., n, d).
 
     pe holds the (n, d) sinusoidal encodings of the strokes' positions in
-    their histories; by default the strokes sit at positions 0 .. n-1.
+    their histories.
     """
     if inputs.player_ids.max() > config.n_players or inputs.player_ids.min() < 0:
         raise ValueError("player id outside the embedding table")
@@ -256,14 +233,14 @@ def embed_strokes(
         shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(ad.relu(area_proj), player_e)
 
-    pe = Tensor(sinusoidal_encoding(inputs.type_ids.shape[-1], config.embed_dim) if pe is None else pe)
+    pe = Tensor(pe)
     return ad.add(shot_channel, pe), ad.add(area_channel, pe)
 
 
 def _attention(
     x: Tensor,
     allowed: np.ndarray,
-    params: ModelParams,
+    params: dict[str, Tensor],
     layer: int,
     config: ModelConfig,
     cache: KVCache | None = None,
@@ -289,7 +266,7 @@ def _attention(
 def _encoder_stack(
     x: Tensor,
     allowed: np.ndarray,
-    params: ModelParams,
+    params: dict[str, Tensor],
     config: ModelConfig,
     uniforms: np.ndarray | None,
     cache: KVCache | None = None,
@@ -310,7 +287,7 @@ def _encoder_stack(
 def encode_contexts(
     x: Tensor,
     hitters: np.ndarray,
-    params: ModelParams,
+    params: dict[str, Tensor],
     config: ModelConfig,
     rng: np.random.Generator | None = None,
     cache: KVCache | None = None,
@@ -344,7 +321,7 @@ def encode_contexts(
     return (out[0], out[1]) if single else (out[:b], out[b:])
 
 
-def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: ModelParams) -> Tensor:
+def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Position-aware gate: fused = g * rally + (1 - g) * player."""
     gate_in = ad.concat([rally_ctx, player_ctx, pos_enc], axis=-1)
     g = ad.sigmoid(ad.linear(gate_in, params["gate_w"], params["gate_b"]))
@@ -358,10 +335,10 @@ LOG_SIGMA_RANGE = 300.0
 RHO_CAP = 1.0 - 1e-12
 
 
-def prediction_heads(fused: Tensor, params: ModelParams) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+def prediction_heads(fused: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Per-position (type_probs, mu, log_sigma, rho) for a (..., n, d) fused tensor."""
     logits = ad.linear(fused, params["type_head_w"], params["type_head_b"])
-    probs = ad.softmax(logits, axis=-1)
+    probs = ad.softmax(logits)
     area = ad.linear(fused, params["area_head_w"], params["area_head_b"])
     mu = area[..., 0:2]
     log_sigma = ad.clip(area[..., 2:4], -LOG_SIGMA_RANGE, LOG_SIGMA_RANGE)
@@ -373,7 +350,7 @@ def prediction_heads(fused: Tensor, params: ModelParams) -> tuple[Tensor, Tensor
 class Forecaster:
     """A trained (or freshly initialized) model plus everything needed to run it."""
 
-    params: ModelParams
+    params: dict[str, Tensor]
     config: ModelConfig
     court: CourtSpec
     vocab: ShotTypeVocab
@@ -398,7 +375,6 @@ class Forecaster:
     def forward(
         self,
         inputs: StrokeInputs,
-        training: bool = False,
         rng: np.random.Generator | None = None,
         cache: KVCache | None = None,
     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -406,9 +382,9 @@ class Forecaster:
 
         One definition serves one history (training, teacher forcing) and a
         (B, n) batch (lockstep sampling); every row of a batch gets the same
-        values it would get alone.
+        values it would get alone. Dropout runs if and only if rng is given.
 
-        With a cache (inference only, inside autodiff.no_tape()), inputs holds
+        With a cache (inference only: no rng, inside autodiff.no_tape()), inputs holds
         the strokes of B histories from position cache.length on, and the
         outputs are those of these positions, bit-identical to the full
         forward's, since every product rounds a row the same wherever it
@@ -417,16 +393,15 @@ class Forecaster:
         """
         start = 0
         if cache is not None:
-            if training or ad.is_recording():
-                raise RuntimeError("a cached forward is for inference inside autodiff.no_tape()")
+            if rng is not None or ad.is_recording():
+                raise RuntimeError("a cached forward is for inference, without an rng, inside autodiff.no_tape()")
             if inputs.type_ids.ndim != 2 or len(inputs.type_ids) != len(cache.hitters):
                 raise ValueError("a cached forward takes (B, n) inputs for the cache's B histories")
             start = cache.length
         pe = sinusoidal_encoding(start + inputs.type_ids.shape[-1], self.config.embed_dim, start)
         shot_ch, area_ch = embed_strokes(inputs, self.params, self.config, pe)
         x = ad.scale(ad.add(shot_ch, area_ch), 0.5)
-        drop_rng = rng if training else None
-        rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, drop_rng, cache)
+        rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, rng, cache)
         fused = fuse_contexts(rally_ctx, player_ctx, Tensor(np.broadcast_to(pe, x.shape)), self.params)
         return prediction_heads(fused, self.params)
 
@@ -434,27 +409,25 @@ class Forecaster:
         self,
         rally: Rally,
         n: int,
-        training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """Next-stroke head outputs at every position of the rally's first n strokes."""
-        return self.forward(self.rally_inputs(rally, n), training=training, rng=rng)
+        return self.forward(self.rally_inputs(rally, n), rng=rng)
 
 
 def forward_teacher_forced(
     model: Forecaster,
     rally: Rally,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Head outputs for strokes TAU+1 .. |rally|, conditioned on truth.
+    """Head outputs for strokes TAU+1 .. |rally|, conditioned on truth; dropout runs when rng is given.
 
     Row i predicts stroke TAU+1+i from the strokes before it. The shapes are
     (m, V), (m, 2), (m, 2) and (m,) for m = |rally| - TAU targets.
     """
     if len(rally) < TAU + 1:
         raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")
-    probs, mu, log_sigma, rho = model.forward_positions(rally, len(rally) - 1, training=training, rng=rng)
+    probs, mu, log_sigma, rho = model.forward_positions(rally, len(rally) - 1, rng=rng)
     # position p (0-based) predicts round p + 2, so round TAU + 1 is row TAU - 1
     return probs[TAU - 1 :], mu[TAU - 1 :], log_sigma[TAU - 1 :], rho[TAU - 1 :]
 
@@ -464,7 +437,7 @@ def forward_teacher_forced(
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str | Path, model: Forecaster) -> None:
-    names = model.params.names()
+    names = list(model.params)
     header = {
         "config": asdict(model.config),
         "court": asdict(model.court),
@@ -546,7 +519,7 @@ def load_checkpoint(path: str | Path) -> Forecaster:
     if off != len(raw):
         raise ParseError(f"{path}: {len(raw) - off} trailing bytes after the last array {arrays[-1][0]!r}")
     return Forecaster(
-        params=ModelParams(tensors),
+        params=tensors,
         config=config,
         court=court,
         vocab=vocab,

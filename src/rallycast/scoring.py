@@ -112,6 +112,8 @@ def generate_sample_sets(
     """
     if n_sets < 1:
         raise ValueError(f"need at least one sample set, got {n_sets}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     tasks = [
         (
             r_idx,
@@ -355,16 +357,6 @@ def _rally_sums(losses: np.ndarray, suffix: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(suffix > j)
         sums[:, live] += losses[:, starts[live] + j]
     return sums
-
-
-def score_min6(losses: Sequence[float]) -> float:
-    """Exact minimum of the six sample-set losses."""
-    values = [float(v) for v in losses]
-    if len(values) != EXPECTED_SAMPLE_SETS:
-        raise ValueError(f"expected {EXPECTED_SAMPLE_SETS} sample sets, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("sample-set losses must be finite")
-    return min(values)
 
 
 @dataclass

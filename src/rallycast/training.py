@@ -58,7 +58,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        for name in ("learning_rate", "clip_norm", "eval_every"):
+        for name in ("learning_rate", "clip_norm", "eval_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.eval_samples < 1:
@@ -126,13 +126,13 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
             int(underflowed.sum()),
             float(p_true.data.min()),
         )
-    ce = -ad.log(ad.clamp_min(p_true, PROB_FLOOR))
+    ce = -ad.log(ad.clip(p_true, PROB_FLOOR, math.inf))
 
     # bivariate-Gaussian NLL of each true landing point
     ls_x, ls_y = log_sigma[:, 0], log_sigma[:, 1]
     zx = (Tensor(xy[:, 0]) - mu[:, 0]) / ad.exp(ls_x)
     zy = (Tensor(xy[:, 1]) - mu[:, 1]) / ad.exp(ls_y)
-    one_m_rho2 = ad.clamp_min(Tensor(1.0) - rho * rho, RHO_FLOOR)
+    one_m_rho2 = ad.clip(Tensor(1.0) - rho * rho, RHO_FLOOR, math.inf)
     quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
     nll = Tensor(LOG_2PI) + ls_x + ls_y + 0.5 * ad.log(one_m_rho2) + quad / (2.0 * one_m_rho2)
 
@@ -152,16 +152,16 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
 class Adam:
     """Adam with bias correction and global-norm gradient clipping."""
 
-    def __init__(self, model_params, config: TrainConfig):
-        self.params = model_params
+    def __init__(self, params: dict[str, Tensor], config: TrainConfig):
+        self.params = params
         self.config = config
-        self.m = {k: np.zeros_like(t.data) for k, t in model_params.tensors.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in model_params.tensors.items()}
+        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
 
     def step(self) -> None:
         c = self.config
-        grads = {k: ad.grad_of(t) for k, t in self.params.tensors.items()}
+        grads = {k: ad.grad_of(t) for k, t in self.params.items()}
         if c.clip_norm > 0:
             norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
             if norm > c.clip_norm:
@@ -170,7 +170,7 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for k, tensor in self.params.tensors.items():
+        for k, tensor in self.params.items():
             g = grads[k]
             self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
             self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
@@ -217,12 +217,13 @@ def train(
         n_steps = 0
         for b_idx in range(0, len(order), train_config.batch_size):
             batch = [train_set[i] for i in order[b_idx : b_idx + train_config.batch_size]]
-            params.zero_grad()
+            for t in params.values():
+                t.grad = None
             heads: list[Heads] = []
             try:
                 for pos, rally in enumerate(batch):
                     rng = rng_from_key(train_config.seed, TAG_DROPOUT, epoch, b_idx, pos)
-                    heads.append(forward_teacher_forced(model, rally, training=True, rng=rng))
+                    heads.append(forward_teacher_forced(model, rally, rng=rng))
                 bundle = step_loss(heads, batch, court)
                 ad.backward(bundle.node)
             except NumericHealthError as exc:
@@ -248,13 +249,13 @@ def train(
             report.evals.append((epoch, val_score))
             if val_score < best_score:
                 best_score = val_score
-                best_params = params.copy()
+                best_params = {k: Tensor(t.data.copy()) for k, t in params.items()}
                 report.best_epoch = epoch
         if progress is not None:
             progress(stats, val_score)
 
     if best_params is None:
-        best_params = params.copy()
+        best_params = {k: Tensor(t.data.copy()) for k, t in params.items()}
         report.best_epoch = train_config.epochs
     report.wall_clock_s = time.perf_counter() - started
     return Forecaster(best_params, config, court, vocab, player_index), report

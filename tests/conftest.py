@@ -1,10 +1,11 @@
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab, Stroke
+from rallycast.court import CourtSpec, Player, Rally, ShotType, ShotTypeVocab, Stroke
 from rallycast.network import Forecaster, ModelConfig, build_player_index, init_params
 from rallycast.scoring import PredictionFile
 
@@ -25,9 +26,23 @@ def court():
     return CourtSpec()
 
 
+def vocab_from_names(names, serve_names):
+    """A vocabulary of the names in order, ids 0.., with the serve names (matched case-insensitively) as serves."""
+    serves = {s.casefold() for s in serve_names}
+    return ShotTypeVocab(tuple(ShotType(i, n, n.casefold() in serves) for i, n in enumerate(names)))
+
+
 def small_vocab(n_types=6):
     names = ["long service", "short service", "net shot", "smash", "drive", "defensive shot"][:n_types]
-    return ShotTypeVocab.from_names(names, ["long service", "short service"][: max(1, min(2, n_types))])
+    return vocab_from_names(names, ["long service", "short service"][: max(1, min(2, n_types))])
+
+
+def fractions_by_group(table):
+    """{group key: sum of its rows' fractions} of a DistributionTable."""
+    sums = defaultdict(float)
+    for row in table.rows:
+        sums[row.key] += row.fraction
+    return dict(sums)
 
 
 def make_rally(
@@ -98,14 +113,14 @@ def tiny_model(
     params = init_params(config, seed)
     if param_scale is not None:
         rng = np.random.default_rng(seed + 1)
-        for t in params.tensors.values():
+        for t in params.values():
             t.data[:] = rng.normal(0.0, param_scale, size=t.shape)
     return Forecaster(params, config, court, vocab, index)
 
 
 def zero_params(params):
-    """Set every learnable array of a ModelParams to zero, in place."""
-    for t in params.tensors.values():
+    """Set every learnable array of a params dict to zero, in place."""
+    for t in params.values():
         t.data[:] = 0.0
 
 

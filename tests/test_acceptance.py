@@ -26,12 +26,20 @@ from rallycast.scoring import (
     GeneratedStroke,
     import_predictions,
     sample,
-    score_min6,
     score_sample_sets,
 )
 from rallycast.training import TrainConfig, eval_best_of_k, step_loss, train
 
-from conftest import FIXTURES, make_rally, prediction_file, random_rallies, tiny_model, zero_params
+from conftest import (
+    FIXTURES,
+    fractions_by_group,
+    make_rally,
+    prediction_file,
+    random_rallies,
+    tiny_model,
+    vocab_from_names,
+    zero_params,
+)
 from metric_reference import reference_min6, reference_sample_set_loss
 import test_autodiff as op_checks
 
@@ -92,19 +100,27 @@ def test_criterion_scorer_oracle(corpus):
     _report("scorer-oracle", ok, f"max |diff|={worst:.2e}, hand case={hand:.6f}, {elapsed:.1f}s")
 
 
-def test_criterion_min_of_six():
+def test_criterion_min_of_six(corpus):
+    """The min of six through score_sample_sets, the route `rallycast score` takes, on one-stroke suffixes."""
+    vocab, _ = corpus
     started = time.perf_counter()
     rng = np.random.default_rng(99)
+    truth = make_rally([0, 2, 3, 4, 5])  # one target, round 5, hit by A
     ok = True
     for _ in range(1000):
-        values = list(rng.uniform(0.0, 10.0, size=6))
-        base = score_min6(values)
-        ok &= base == reference_min6(values)
+        probs = rng.dirichlet(np.ones(vocab.size), size=6)
+        landings = rng.uniform((0.0, 0.0), (6.1, 13.4), size=(6, 2)).tolist()
+        sets = [[[GeneratedStroke(5, Player.A, int(np.argmax(p)), tuple(xy), p)]] for p, xy in zip(probs, landings)]
+        report = score_sample_sets(sets, [truth])
+        values, base = report.sample_losses, report.min_of_sets
+        ok &= base == report.score == reference_min6(values)
         ok &= base == min(values)
-        ok &= score_min6(list(rng.permutation(values))) == base
+        order = rng.permutation(6)
+        shuffled = score_sample_sets([sets[i] for i in order], [truth])
+        ok &= shuffled.sample_losses == [values[i] for i in order] and shuffled.min_of_sets == base
         ok &= all(base <= v for v in values)
     elapsed = time.perf_counter() - started
-    _report("min-of-6", ok and elapsed < 1.0, f"{elapsed:.2f}s over 1000 sextuples")
+    _report("min-of-6", ok and elapsed < 1.0, f"{elapsed:.2f}s over 1000 six-set cases")
 
 
 def test_criterion_gradient_integrity():
@@ -125,17 +141,17 @@ def test_criterion_gradient_integrity():
         op_checks.test_grad_dropout_fixed_mask(case)
 
     # full model at d=4, V=4, 2 heads, sequence length 5
-    vocab = ShotTypeVocab.from_names(["long service", "net shot", "smash", "drive"], ["long service"])
+    vocab = vocab_from_names(["long service", "net shot", "smash", "drive"], ["long service"])
     rally = make_rally([0, 1, 2, 3, 1, 2])
     court = CourtSpec()
     model = tiny_model([rally], vocab, court=court, seed=3)
-    names = model.params.names()
+    names = list(model.params)
     base = [model.params[n].data.copy() for n in names]
 
     def loss_fn(leaves):
         for name, leaf in zip(names, leaves):
-            model.params.tensors[name] = leaf
-        heads = forward_teacher_forced(model, rally, training=True)
+            model.params[name] = leaf
+        heads = forward_teacher_forced(model, rally)
         return step_loss([heads], [rally], court).node
 
     err = ad.gradient_check(loss_fn, base)
@@ -152,15 +168,16 @@ def test_criterion_embedding_mode_contract(corpus):
     for mode in ("modified", "baseline"):
         model = tiny_model(rallies, vocab, embedding_mode=mode, param_scale=0.4, seed=2)
         inputs = model.rally_inputs(rally, len(rally))
-        _, area0 = embed_strokes(inputs, model.params, model.config)
+        pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
+        _, area0 = embed_strokes(inputs, model.params, model.config, pe)
         model.params["player_emb"].data += 0.37
-        _, area1 = embed_strokes(inputs, model.params, model.config)
+        _, area1 = embed_strokes(inputs, model.params, model.config, pe)
         insensitive = np.array_equal(area0.data, area1.data)
 
         zero_params(model.params)
         model.params["area_b"].data[:] = -1.5
-        _, area = embed_strokes(inputs, model.params, model.config)
-        residual = area.data - sinusoidal_encoding(len(rally), model.config.embed_dim)
+        _, area = embed_strokes(inputs, model.params, model.config, pe)
+        residual = area.data - pe
         keeps_negative = np.all(residual < 0.0)
         clamped = np.all(residual == 0.0)
         results[mode] = (insensitive, keeps_negative, clamped)
@@ -302,7 +319,7 @@ def test_criterion_analysis_partitions(corpus):
     worst = 0.0
     for grouping in ("ball_round", "player", "landing_zone", "player_location_zone"):
         table = shot_distribution(rallies, grouping, vocab, court)
-        for total in table.fractions_by_group().values():
+        for total in fractions_by_group(table).values():
             worst = max(worst, abs(total - 1.0))
     ok &= worst < 1e-9
 

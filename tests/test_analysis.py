@@ -22,7 +22,7 @@ from analysis_reference import (
     reference_type_vote,
     reference_zone_distribution,
 )
-from conftest import make_rally, prediction_file, small_vocab
+from conftest import fractions_by_group, make_rally, prediction_file, small_vocab
 
 
 def _g(vocab, round_index, probs, landing=(3.0, 10.0)):
@@ -84,7 +84,7 @@ def test_fractions_sum_to_one_per_group(vocab):
     rallies = synthesize_dataset(SynthConfig(n_rallies=40, seed=7, vocab=vocab))
     for grouping in ("ball_round", "player", "landing_zone", "player_location_zone"):
         table = shot_distribution(rallies, grouping, vocab)
-        for key, total in table.fractions_by_group().items():
+        for key, total in fractions_by_group(table).items():
             assert abs(total - 1.0) < 1e-9, (grouping, key)
 
 

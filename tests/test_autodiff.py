@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_softmax_equal_logits_uniform():
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = ad.softmax(Tensor(rng.normal(size=(5, 7))), axis=-1)
+    out = ad.softmax(Tensor(rng.normal(size=(5, 7))))
     assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) < 1e-12)
 
 
@@ -271,7 +272,7 @@ def test_grad_relu_clamp(case):
     x = _away_from_kinks(_rand(rng, 4, 3))
     _check(lambda ts: _weighted_sum(ad.relu(ts[0]), np.random.default_rng(case)), [x])
     y = np.where(np.abs(x - 0.3) < 0.05, x + 0.2, x)
-    _check(lambda ts: _weighted_sum(ad.clamp_min(ts[0], 0.3), np.random.default_rng(case)), [y])
+    _check(lambda ts: _weighted_sum(ad.clip(ts[0], 0.3, math.inf), np.random.default_rng(case)), [y])
     z = np.where(np.abs(np.abs(x) - 1.1) < 0.05, x * 1.2, x)
     _check(lambda ts: _weighted_sum(ad.clip(ts[0], -1.1, 1.1), np.random.default_rng(case)), [z])
 
@@ -281,27 +282,20 @@ def test_grad_softmax(case):
     rng = np.random.default_rng(500 + case)
     x = _rand(rng, 3, 4)
     w = rng.normal(size=(3, 4))
-    _check(lambda ts: ad.tsum(ad.mul(ad.softmax(ts[0], axis=-1), Tensor(w))), [x])
-    # rank 3 over each axis, with saturated rows: one logit 60 above the rest of its row
+    _check(lambda ts: ad.tsum(ad.mul(ad.softmax(ts[0]), Tensor(w))), [x])
+    # rank 3, with saturated rows: one logit 60 above the rest of its row
     x3 = _rand(rng, 2, 3, 4)
     x3[0, 1, int(rng.integers(4))] += 60.0
     x3[1, :, 0] -= 55.0
     w3 = rng.normal(size=x3.shape)
-    for axis in (-1, 1, 0):
-        _check(lambda ts, a=axis: ad.tsum(ad.mul(ad.softmax(ts[0], axis=a), Tensor(w3))), [x3])
+    _check(lambda ts: ad.tsum(ad.mul(ad.softmax(ts[0]), Tensor(w3))), [x3])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_grad_reductions(case):
     rng = np.random.default_rng(600 + case)
     x = _rand(rng, 3, 4)
-    for axis, keepdims in ((None, False), (0, False), (1, True), (-1, False)):
-        _check(
-            lambda ts, a=axis, kd=keepdims: ad.tsum(
-                ad.mul(ad.tsum(ts[0], axis=a, keepdims=kd), Tensor(np.full(np.sum(ts[0].data, axis=a, keepdims=kd).shape, 1.3)))
-            ),
-            [x],
-        )
+    _check(lambda ts: ad.tsum(ad.mul(ad.tsum(ts[0]), Tensor(1.3))), [x])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -417,8 +411,8 @@ def test_fused_primitives_evaluate_the_composite_expressions_bit_for_bit():
     rng = np.random.default_rng(5)
     x, w, b = rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
     assert np.array_equal(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    assert np.array_equal(ad.softmax(Tensor(x), axis=1).data, e / e.sum(axis=1, keepdims=True))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert np.array_equal(ad.softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
 
 
 def test_fused_primitives_reject_mismatched_shapes():
@@ -503,14 +497,14 @@ def test_no_tape_still_checks_every_op():
 def test_no_tape_records_no_parents():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     with ad.no_tape():
-        y = ad.softmax(ad.linear(x, x), axis=-1)
+        y = ad.softmax(ad.linear(x, x))
         z = ad.tsum(ad.mul(y, y))
     assert y._parents == () and y._bwd is None
     assert z._parents == () and z._bwd is None
     assert len(Tape(z)) == 1
     taped = ad.tsum(ad.mul(x, x))
     assert taped._parents and taped._bwd is not None
-    assert np.array_equal(ad.softmax(ad.linear(x, x), axis=-1).data, y.data)
+    assert np.array_equal(ad.softmax(ad.linear(x, x)).data, y.data)
 
 
 def test_no_tape_restores_taping_after_the_body_raises():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rallycast.dataset import TAU
+from rallycast.dataset import TAU, write_dataset
 from rallycast.network import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 from conftest import FIXTURES, make_rally, tiny_model
@@ -215,6 +215,12 @@ def test_a_config_value_outside_its_choices_exits_2_naming_its_line(tmp_path, li
     (["--ffn-dim", 0], "ffn_dim must be at least 1, got 0"),
     (["--ffn-dim", -3], "ffn_dim must be at least 1, got -3"),  # "negative dimensions are not allowed"
     (["--n-heads", -2], "n_heads must be at least 1, got -2"),  # refused only at the first forward
+    # these four made the output directory first
+    (["--train-fraction", 1.5], "train_fraction must be in (0, 1)"),
+    (["--train-fraction", 0], "train_fraction must be in (0, 1)"),
+    (["--min-rally-length", 2], "min_rally_length must be at least 5"),
+    (["--max-rally-length", -1], "max_rally_length must be at least min_rally_length 5, got -1"),  # dropped every rally
+    (["--max-match-total-rounds", 4], "max_match_total_rounds must be at least min_rally_length 5, got 4"),
 ])
 def test_a_training_setting_out_of_range_exits_2_before_training(tmp_path, flags, message):
     out = run_cli("train", "--data", CORPUS32, "--out-dir", tmp_path / "run", "--embed-dim", 4, "--epochs", 1, *flags)
@@ -529,7 +535,7 @@ def test_a_checkpoint_in_the_earlier_header_format_loads_and_predicts_the_same_b
     earlier.write_bytes(_earlier_header_format(current.read_bytes()))
     want, got = load_checkpoint(current), load_checkpoint(earlier)
     assert (got.config, got.court, got.vocab, got.player_index) == (want.config, want.court, want.vocab, want.player_index)
-    for name in want.params.names():
+    for name in want.params:
         assert got.params[name].data.tobytes() == want.params[name].data.tobytes()
     outputs = []
     for checkpoint in (current, earlier):
@@ -538,6 +544,26 @@ def test_a_checkpoint_in_the_earlier_header_format_loads_and_predicts_the_same_b
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "predict"])
+def test_a_negative_seed_exits_2_naming_the_setting(tmp_path, vocab, command):
+    """Each printed numpy's "expected non-negative integer", and train left its --out-dir behind."""
+    rally = make_rally([0, 2, 3, 4, 5])
+    checkpoint = tmp_path / "m.ckpt"
+    save_checkpoint(checkpoint, tiny_model([rally], vocab))
+    data = tmp_path / "d.csv"
+    write_dataset([rally], vocab, data)
+    out_path = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--n", 5, "--out", out_path],
+        "train": ["train", "--data", CORPUS32, "--out-dir", out_path, "--epochs", 1, "--embed-dim", 4],
+        "predict": ["predict", "--checkpoint", checkpoint, "--data", data, "--out", out_path],
+    }[command]
+    out = run_cli(*args, "--seed", -1)
+    assert out.returncode == 2, out.stderr
+    assert "error: seed must be nonnegative, got -1" in out.stderr
+    assert not out_path.exists()
 
 
 def test_predict_with_no_sample_sets_exits_2_and_writes_no_file(trained, tmp_path):
@@ -795,9 +821,22 @@ def test_analyze_a_prediction_file_without_rows_exits_2(tmp_path, vocab, kind):
 
 
 def test_analyze_vote_requires_predictions(tmp_path):
-    out = run_cli("analyze", "--kind", "vote", "--out-dir", tmp_path)
+    out = run_cli("analyze", "--kind", "vote", "--out-dir", tmp_path / "t")
     assert out.returncode == 2
     assert "--predictions" in out.stderr
+    assert not (tmp_path / "t").exists()  # it made the directory first
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "bogus"], "unknown --kind 'bogus'"),
+    (["--kind", "shot-by-round"], "--data is required for this command"),
+    (["--kind", "trend", "--predictions", HAND_SCORED / "missing.csv"], "prediction file not found"),
+])
+def test_a_refused_analyze_makes_no_output_directory(tmp_path, flags, message):
+    out = run_cli("analyze", *flags, "--out-dir", tmp_path / "t")
+    assert out.returncode == 2, out.stderr
+    assert f"error: {message}" in out.stderr
+    assert not (tmp_path / "t").exists()
 
 
 def test_predict_then_score_matches_trainer_eval(trained, tmp_path, vocab):

@@ -230,10 +230,11 @@ def test_array_normalization_equals_the_per_point_reference(width, length, point
 
 
 def test_vocab_file_round_trip(tmp_path, vocab):
-    from rallycast.court import load_vocab, save_vocab
+    from rallycast.court import load_vocab
 
     path = tmp_path / "vocab.csv"
-    save_vocab(vocab, path)
+    rows = [f"{e.type_id},{e.name},{'true' if e.is_serve else 'false'}" for e in vocab.entries]
+    path.write_text("\n".join(["type_id,name,is_serve", *rows]) + "\n", encoding="utf-8")
     assert load_vocab(path) == vocab
     with pytest.raises(FileNotFoundError):
         load_vocab(tmp_path / "missing.csv")
@@ -285,6 +286,42 @@ def test_only_court_and_the_package_root_know_the_stroke_view():
                 found.append(f"{path.name}:{node.lineno} imports Stroke")
             elif isinstance(node, ast.Attribute) and node.attr in ("Stroke", "strokes"):
                 found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert found == []
+
+
+# the gradient oracle: the tests check every primitive's backward against it
+TEST_ONLY_SURFACE = {"gradient_check"}
+
+
+def test_every_public_name_of_the_library_has_a_caller_outside_the_tests():
+    """Each public function, class and method of src/ is named in src/, past the package root, or in perfbench/.
+
+    A name counts as used where it appears as an identifier: a variable, an
+    attribute or an import. One that only tests use is surface to delete.
+    """
+    package = Path(court_module.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    callers = [path for path in modules if path.name != "__init__.py"]
+    callers += sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name for alias in node.names)
+    found = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else []
+            for defined in [node, *methods]:
+                name = defined.name
+                if not name.startswith("_") and name not in used and name not in TEST_ONLY_SURFACE:
+                    found.append(f"{path.name}:{defined.lineno} {name}")
     assert found == []
 
 

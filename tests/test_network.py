@@ -32,8 +32,19 @@ from rallycast.network import (
 )
 from rallycast.training import step_loss
 
-from conftest import FIXTURES, make_rally, small_vocab, tiny_model, zero_params
+from conftest import FIXTURES, make_rally, small_vocab, tiny_model, vocab_from_names, zero_params
 from network_reference import rally_stroke_inputs
+
+
+def _embed(inputs, params, config):
+    """embed_strokes of strokes at positions 0 .. n-1 of their histories."""
+    return embed_strokes(inputs, params, config, sinusoidal_encoding(inputs.type_ids.shape[-1], config.embed_dim))
+
+
+def _positions(inputs, start, stop):
+    """The strokes at positions start .. stop-1 of (B, n) histories, as contiguous arrays."""
+    columns = (getattr(inputs, f.name) for f in dataclasses.fields(inputs))
+    return StrokeInputs(*(np.ascontiguousarray(a[:, start:stop]) for a in columns))
 
 
 def _replace_stroke(rally, index, **changes):
@@ -68,7 +79,7 @@ def test_zero_params_leave_positional_encoding_only(setup):
     pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
     for mode in ("modified", "baseline"):
         config = ModelConfig(**{**model.config.__dict__, "embedding_mode": mode})
-        e_s, e_a = embed_strokes(inputs, model.params, config)
+        e_s, e_a = _embed(inputs, model.params, config)
         assert np.array_equal(e_s.data, pe)
         assert np.array_equal(e_a.data, pe)
 
@@ -76,9 +87,9 @@ def test_zero_params_leave_positional_encoding_only(setup):
 def test_modified_area_channel_ignores_player_embedding(setup):
     vocab, rally, model = setup
     inputs = model.rally_inputs(rally, len(rally))
-    e_s0, e_a0 = embed_strokes(inputs, model.params, model.config)
+    e_s0, e_a0 = _embed(inputs, model.params, model.config)
     model.params["player_emb"].data += 0.731
-    e_s1, e_a1 = embed_strokes(inputs, model.params, model.config)
+    e_s1, e_a1 = _embed(inputs, model.params, model.config)
     assert np.array_equal(e_a0.data, e_a1.data)  # bit-identical
     assert not np.array_equal(e_s0.data, e_s1.data)
 
@@ -87,9 +98,9 @@ def test_baseline_area_channel_sees_player_embedding(setup):
     vocab, rally, model = setup
     config = ModelConfig(**{**model.config.__dict__, "embedding_mode": "baseline"})
     inputs = model.rally_inputs(rally, len(rally))
-    _, e_a0 = embed_strokes(inputs, model.params, config)
+    _, e_a0 = _embed(inputs, model.params, config)
     model.params["player_emb"].data += 0.5
-    _, e_a1 = embed_strokes(inputs, model.params, config)
+    _, e_a1 = _embed(inputs, model.params, config)
     assert not np.array_equal(e_a0.data, e_a1.data)
 
 
@@ -103,18 +114,18 @@ def test_area_relu_only_in_baseline_mode(setup):
     pe = sinusoidal_encoding(len(rally), model.config.embed_dim)
 
     modified = ModelConfig(**{**model.config.__dict__, "embedding_mode": "modified"})
-    _, e_a = embed_strokes(inputs, model.params, modified)
+    _, e_a = _embed(inputs, model.params, modified)
     assert np.allclose(e_a.data - pe, -2.0)  # negatives preserved
 
     baseline = ModelConfig(**{**model.config.__dict__, "embedding_mode": "baseline"})
-    _, e_a = embed_strokes(inputs, model.params, baseline)
+    _, e_a = _embed(inputs, model.params, baseline)
     assert np.allclose(e_a.data - pe, 0.0)  # clamped at zero
 
 
 def test_area_gradient_wrt_player_table_is_zero_in_modified_mode(setup):
     vocab, rally, model = setup
     inputs = model.rally_inputs(rally, len(rally))
-    _, e_a = embed_strokes(inputs, model.params, model.config)
+    _, e_a = _embed(inputs, model.params, model.config)
     backward(ad.tsum(e_a))
     assert np.array_equal(grad_of(model.params["player_emb"]), np.zeros_like(model.params["player_emb"].data))
 
@@ -123,7 +134,7 @@ def test_embed_rejects_unknown_player_id(setup):
     vocab, rally, model = setup
     with pytest.raises(ValueError):
         inputs = dataclasses.replace(model.rally_inputs(rally, len(rally)), player_ids=np.full(len(rally), 99))
-        embed_strokes(inputs, model.params, model.config)
+        _embed(inputs, model.params, model.config)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +205,7 @@ def test_player_context_masks_out_other_player(setup):
     players = [s.player for s in rally.strokes]
 
     def player_ctx_at_a_positions(r):
-        e_s, e_a = embed_strokes(model.rally_inputs(r, len(r)), model.params, model.config)
+        e_s, e_a = _embed(model.rally_inputs(r, len(r)), model.params, model.config)
         x = ad.scale(ad.add(e_s, e_a), 0.5)
         _, player_ctx = encode_contexts(x, np.array([p is Player.A for p in players]), model.params, model.config)
         a_rows = [i for i, p in enumerate(players) if p is Player.A]
@@ -273,12 +284,12 @@ def test_one_pass_context_gradients_equal_two_passes(n_layers, batch, dropout_ra
     weights = np.random.default_rng(3).normal(size=(2,) + x.shape)
 
     def grads(encode):
-        leaves = params.copy()
+        leaves = {k: Tensor(t.data.copy()) for k, t in params.items()}
         x_leaf = Tensor(x)
         rally_ctx, player_ctx = encode(x_leaf, hitters, leaves, config, np.random.default_rng(7))
         loss = ad.add(ad.tsum(ad.mul(rally_ctx, Tensor(weights[0]))), ad.tsum(ad.mul(player_ctx, Tensor(weights[1]))))
         backward(loss)
-        return {"x": grad_of(x_leaf), **{name: grad_of(leaves[name]) for name in leaves.names() if name.startswith("enc")}}
+        return {"x": grad_of(x_leaf), **{name: grad_of(leaves[name]) for name in leaves if name.startswith("enc")}}
 
     got, want = grads(encode_contexts), grads(_reference_encode_contexts)
     assert got.keys() == want.keys() and len(got) == 1 + 13 * n_layers
@@ -302,7 +313,7 @@ def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
     made = []
     make = ad._make
     monkeypatch.setattr(ad, "_make", lambda *args: made.append(args[-1]) or make(*args))
-    forward_teacher_forced(model, rally, training=True, rng=np.random.default_rng(0))
+    forward_teacher_forced(model, rally, rng=np.random.default_rng(0))
     assert 0 < len(made) <= FORWARD_OP_BUDGET, f"{len(made)} ops: {sorted(set(made))}"
 
 
@@ -320,7 +331,7 @@ def test_a_corpus32_batch_stays_within_its_tape_budget():
     index = build_player_index(batch)
     config = ModelConfig(embed_dim=16, n_heads=2, n_layers=1, dropout_rate=0.2, vocab_size=vocab.size, n_players=len(index))
     model = Forecaster(init_params(config, 7), config, court, vocab, index)
-    heads = [forward_teacher_forced(model, r, training=True, rng=np.random.default_rng(i)) for i, r in enumerate(batch)]
+    heads = [forward_teacher_forced(model, r, rng=np.random.default_rng(i)) for i, r in enumerate(batch)]
     tape = backward(step_loss(heads, batch, court).node)
     assert len(batch) == 16 and 0 < len(tape) <= TAPE_NODE_BUDGET, f"{len(tape)} tape nodes"
 
@@ -416,7 +427,7 @@ def _np_encode_contexts(x, hitters, w, config, rng=None, cached=None):
 @pytest.mark.parametrize("n_layers,batch,dropout_rate,n_heads", CONTEXT_CASES)
 def test_fused_encoder_equals_a_plain_numpy_reference_bit_for_bit(n_layers, batch, dropout_rate, n_heads):
     config, params, x, hitters = _context_case(n_layers, batch, dropout_rate, n_heads)
-    w = {name: params[name].data for name in params.names()}
+    w = {name: t.data for name, t in params.items()}
     allowed = np.broadcast_to(np.tril(np.ones((6, 6), dtype=bool)), hitters.shape + (6,))
     got = network._attention(Tensor(x), allowed, params, 0, config).data
     assert np.array_equal(got, _np_attention(x, allowed, w, 0, config))
@@ -431,7 +442,7 @@ def test_fused_encoder_equals_a_plain_numpy_reference_bit_for_bit(n_layers, batc
 def test_fused_cached_step_equals_a_plain_numpy_reference_bit_for_bit():
     config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10)
     params = init_params(config, 5)
-    w = {name: params[name].data for name in params.names()}
+    w = {name: t.data for name, t in params.items()}
     rng = np.random.default_rng(11)
     first, width = 10, 13
     x, hitters = rng.normal(size=(3, width, config.embed_dim)), rng.random((3, width)) < 0.5
@@ -509,7 +520,7 @@ def test_head_ranges_over_random_draws(setup):
     vocab, rally, model = setup
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        for t in model.params.tensors.values():
+        for t in model.params.values():
             t.data[:] = rng.normal(0.0, 1.5, size=t.shape)
         fused = Tensor(rng.normal(0.0, 2.0, size=(1, model.config.embed_dim)))
         probs, mu, log_sigma, rho = prediction_heads(fused, model.params)
@@ -545,7 +556,7 @@ def test_forward_eval_mode_is_deterministic(setup):
 
 def test_forward_training_keeps_graph_nodes(setup):
     vocab, rally, model = setup
-    heads = forward_teacher_forced(model, rally, training=True, rng=np.random.default_rng(0))
+    heads = forward_teacher_forced(model, rally, rng=np.random.default_rng(0))
     assert all(h._bwd is not None for h in heads)
 
 
@@ -580,10 +591,10 @@ def _check_cached_steps(n_layers, last_step, seed):
     steps = 0
     with ad.no_tape():
         for n in range(tau, width + 1):
-            cached = model.forward(history.rows(rows).positions(cache.length, n), cache=cache)
+            cached = model.forward(_positions(history.rows(rows), cache.length, n), cache=cache)
             assert cache.length == n
             for i, row in enumerate(rows):
-                full = model.forward(history.rows([row]).positions(0, n))
+                full = model.forward(_positions(history.rows([row]), 0, n))
                 for c, f in zip(cached, full):
                     assert np.array_equal(c.data[i, -1], f.data[0, -1]), (n_layers, n, row)
                 steps += 1
@@ -631,7 +642,7 @@ def test_cached_forward_refuses_the_tape_and_training(setup):
     with pytest.raises(RuntimeError, match="no_tape"):
         model.forward(inputs, cache=KVCache(1, model.config))
     with ad.no_tape(), pytest.raises(RuntimeError, match="no_tape"):
-        model.forward(inputs, training=True, rng=np.random.default_rng(0), cache=KVCache(1, model.config))
+        model.forward(inputs, rng=np.random.default_rng(0), cache=KVCache(1, model.config))
     with ad.no_tape(), pytest.raises(ValueError, match="B histories"):
         model.forward(inputs, cache=KVCache(2, model.config))
 
@@ -648,7 +659,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, setup):
     assert loaded.config == model.config
     assert loaded.player_index == model.player_index
     assert loaded.vocab == model.vocab
-    for name in model.params.names():
+    for name in model.params:
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
     save_checkpoint(tmp_path / "again.ckpt", loaded)
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
@@ -674,9 +685,9 @@ def any_forecaster(draw):
     court = CourtSpec(width_m=draw(positive), length_m=draw(positive))
     params = init_params(config, 0)
     bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for t in params.tensors.values():
+    for t in params.values():
         t.data.view(np.uint64)[...] = bits.integers(0, 2**64, size=t.shape, dtype=np.uint64)
-    vocab = ShotTypeVocab.from_names(names, names[:1])
+    vocab = vocab_from_names(names, names[:1])
     return Forecaster(params, config, court, vocab, {name: i for i, name in enumerate(players)})
 
 
@@ -687,7 +698,7 @@ def test_checkpoint_write_read_write_is_byte_identical(tmp_path_factory, model):
     loaded = load_checkpoint(d / "once.ckpt")
     assert (loaded.config, loaded.court, loaded.vocab) == (model.config, model.court, model.vocab)
     assert loaded.player_index == model.player_index
-    for name in model.params.names():
+    for name in model.params:
         assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
     save_checkpoint(d / "twice.ckpt", loaded)
     assert (d / "twice.ckpt").read_bytes() == (d / "once.ckpt").read_bytes()
@@ -698,7 +709,7 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, setup):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
     raw = path.read_bytes()
-    last = model.params.names()[-1]
+    last = list(model.params)[-1]
 
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(raw[:-3])
@@ -743,17 +754,17 @@ def test_checkpoint_rejects_a_header_that_disagrees_with_its_config(tmp_path, se
 # ---------------------------------------------------------------------------
 
 def test_full_model_gradient_check():
-    vocab = ShotTypeVocab.from_names(["long service", "net shot", "smash", "drive"], ["long service"])
+    vocab = vocab_from_names(["long service", "net shot", "smash", "drive"], ["long service"])
     rally = make_rally([0, 1, 2, 3, 1, 2])  # history of 5 strokes, 2 prediction steps
     court = CourtSpec()
     model = tiny_model([rally], vocab, court=court, seed=3)
-    names = model.params.names()
+    names = list(model.params)
     base = [model.params[n].data.copy() for n in names]
 
     def loss_fn(leaves):
         for name, leaf in zip(names, leaves):
-            model.params.tensors[name] = leaf
-        heads = forward_teacher_forced(model, rally, training=True)
+            model.params[name] = leaf
+        heads = forward_teacher_forced(model, rally)
         bundle = step_loss([heads], [rally], court)
         return bundle.node
 

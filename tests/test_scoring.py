@@ -22,14 +22,13 @@ from rallycast.scoring import (
     quantize6_array,
     quantize_simplex,
     sample,
-    score_min6,
     score_sample_sets,
 )
 
 from rallycast.seeding import TAG_EVAL
 
 from conftest import FIXTURES, make_rally, prediction_file, random_rallies, small_vocab, tiny_model
-from metric_reference import reference_min6, reference_sample_set_loss
+from metric_reference import reference_sample_set_loss
 from network_reference import denormalize_coord, mirror_coord, stroke_inputs
 from prediction_reference import reference_import_predictions
 
@@ -163,31 +162,6 @@ def test_brute_force_equivalence_on_random_fixtures(vocab):
 # min-of-6
 # ---------------------------------------------------------------------------
 
-def test_score_min6_examples():
-    assert score_min6([3.1, 2.9, 3.0, 3.3, 2.95, 2.9]) == 2.9
-    assert score_min6([4.0] * 6) == 4.0
-
-
-def test_score_min6_permutation_invariant():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        values = list(rng.uniform(0, 10, size=6))
-        base = score_min6(values)
-        perm = list(rng.permutation(values))
-        assert score_min6(perm) == base
-        assert base == reference_min6(values)
-        assert all(base <= v for v in values)
-
-
-def test_score_min6_arity_and_finiteness():
-    with pytest.raises(ValueError):
-        score_min6([1.0] * 5)
-    with pytest.raises(ValueError):
-        score_min6([1.0] * 7)
-    with pytest.raises(ValueError):
-        score_min6([1.0, 2.0, 3.0, float("nan"), 5.0, 6.0])
-
-
 def test_score_sample_sets_reports_both_protocols(vocab):
     rng = np.random.default_rng(5)
     truths = random_rallies(rng, 3, vocab)
@@ -248,7 +222,7 @@ def test_generate_never_emits_serves(gen_setup):
     rng = np.random.default_rng(3)
     serve_ids = set(vocab.serve_ids)
     for trial in range(10):
-        for t in model.params.tensors.values():
+        for t in model.params.values():
             t.data[:] = rng.normal(0.0, 1.0, size=t.shape)
         for g in sample(model, [rally], [(0, 8, trial)])[0]:
             assert g.type_id not in serve_ids
@@ -342,7 +316,7 @@ def _reference_draw(rng, prev, type_probs, mu, log_sigma, rho, serve_ids, court)
 
     stroke = Stroke(
         round_index=prev.round_index + 1,
-        player=prev.player.opponent,
+        player=Player.B if prev.player is Player.A else Player.A,
         shot_type=type_id,
         landing=landing_q,
         player_location=mirror_coord(prev.landing, court),

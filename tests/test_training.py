@@ -152,7 +152,7 @@ def test_zero_learning_rate_leaves_params_unchanged(vocab, corpus):
     from rallycast.network import init_params
 
     fresh = init_params(model.config, 1)
-    for name in model.params.names():
+    for name in model.params:
         assert np.array_equal(model.params[name].data, fresh[name].data)
 
 
@@ -164,7 +164,7 @@ def test_training_deterministic(vocab, corpus):
     r0, r1 = runs[0][1], runs[1][1]
     assert r0.epochs == r1.epochs
     assert r0.evals == r1.evals
-    for name in runs[0][0].params.names():
+    for name in runs[0][0].params:
         assert np.array_equal(runs[0][0].params[name].data, runs[1][0].params[name].data)
 
 
@@ -178,11 +178,12 @@ def test_single_tiny_step_does_not_increase_smooth_loss(vocab, corpus):
     model = tiny_model(corpus, vocab, dropout_rate=0.0, param_scale=None)
 
     def batch_loss():
-        heads = [forward_teacher_forced(model, rally, training=True) for rally in corpus[:4]]
+        heads = [forward_teacher_forced(model, rally) for rally in corpus[:4]]
         return step_loss(heads, corpus[:4], model.court)
 
     before = batch_loss()
-    model.params.zero_grad()
+    for t in model.params.values():
+        t.grad = None
     ad.backward(before.node)
     Adam(model.params, _quick_config(learning_rate=1e-6)).step()
     after = batch_loss()
