@@ -1,14 +1,18 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Small by design: rank <= 3, numpy storage, one backward closure per
-primitive. Layer norm, softmax, multi-head attention and the affine map
-x @ w (+ b) are single primitives with hand-derived backwards, so a forward
-pays the per-op overhead once for each. Every primitive checks its output
-for NaN/Inf and raises NumericHealthError on violation, so a diverging
-computation fails at the op that produced the bad values instead of at the
-loss. Inside `no_tape()` the same primitives run with the same checks but
-record no graph, which is how inference avoids keeping every intermediate
-alive.
+primitive. A graph is built from the named primitives only (`add`, `mul`,
+`scale`, `log`, ...): Tensor defines no arithmetic operators, so `a + b` on
+tensors raises TypeError, and a Python scalar enters as a `scale` factor or
+an explicit `Tensor` leaf. `backward` returns `graph_nodes(loss)`, the nodes
+it visited, parents first. Layer norm, softmax, multi-head attention and
+the affine map x @ w (+ b) are single primitives with hand-derived
+backwards, so a forward pays the per-op overhead once for each. Every
+primitive checks its output for NaN/Inf and raises NumericHealthError on
+violation, so a diverging computation fails at the op that produced the bad
+values instead of at the loss. Inside `no_tape()` the same primitives run
+with the same checks but record no graph, which is how inference avoids
+keeping every intermediate alive.
 
 Every forward product gives a row the same bits wherever the row sits, in
 a batch or alone, which lets a decoder cache every earlier position's keys
@@ -69,40 +73,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, leaf={self._bwd is None})"
 
-    # operator sugar; scalars are promoted to constant tensors
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __getitem__(self, key):
         return tslice(self, key)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _TapeState(threading.local):
@@ -160,41 +132,36 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-class Tape:
-    """Topologically ordered record of the graph reachable from a root node."""
-
-    def __init__(self, root: Tensor):
-        nodes: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        self.nodes = nodes  # parents precede children
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every node reachable from root, each once, parents before children."""
+    nodes: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return nodes
 
 
-def backward(loss: Tensor) -> Tape:
-    """Accumulate d(loss)/d(node) into .grad for every node reachable from loss."""
+def backward(loss: Tensor) -> list[Tensor]:
+    """Accumulate d(loss)/d(node) into .grad for every node reachable from loss; returns graph_nodes(loss)."""
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = Tape(loss)
+    nodes = graph_nodes(loss)
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(tape.nodes):
+    for node in reversed(nodes):
         if node._bwd is not None:
             node._bwd(node.grad)
-    return tape
+    return nodes
 
 
 def grad_of(param: Tensor) -> np.ndarray:

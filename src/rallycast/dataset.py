@@ -369,8 +369,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_rallies < 1:
             raise ValueError("n_rallies must be positive")
-        if self.mean_length < TAU + 1:
-            raise ValueError(f"mean_length must be at least {TAU + 1}")
+        if not math.isfinite(self.mean_length) or self.mean_length < TAU + 1:
+            raise ValueError(f"mean_length must be finite and at least {TAU + 1}, got {self.mean_length}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

@@ -216,21 +216,15 @@ def embed_strokes(
     pe holds the (n, d) sinusoidal encodings of the strokes' positions in
     their histories.
     """
-    if inputs.player_ids.max() > config.n_players or inputs.player_ids.min() < 0:
-        raise ValueError("player id outside the embedding table")
-    if inputs.type_ids.max() >= config.vocab_size or inputs.type_ids.min() < 0:
-        raise ValueError("shot type id outside the vocabulary")
-
     type_e = ad.embedding_lookup(params["type_emb"], inputs.type_ids)
     player_e = ad.embedding_lookup(params["player_emb"], inputs.player_ids)
     area_proj = ad.linear(Tensor(inputs.landings), params["area_w"], params["area_b"])
 
+    shot_channel = ad.add(type_e, player_e)
     if config.embedding_mode == "modified":
         loc_proj = ad.linear(Tensor(inputs.locations), params["loc_w"], params["loc_b"])
-        shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(area_proj, loc_proj)
     else:
-        shot_channel = ad.add(type_e, player_e)
         area_channel = ad.add(ad.relu(area_proj), player_e)
 
     pe = Tensor(pe)
@@ -325,7 +319,7 @@ def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params
     """Position-aware gate: fused = g * rally + (1 - g) * player."""
     gate_in = ad.concat([rally_ctx, player_ctx, pos_enc], axis=-1)
     g = ad.sigmoid(ad.linear(gate_in, params["gate_w"], params["gate_b"]))
-    one_minus = ad.sub(Tensor(np.ones(g.shape)), g)
+    one_minus = ad.sub(Tensor(1.0), g)
     return ad.add(ad.mul(g, rally_ctx), ad.mul(one_minus, player_ctx))
 
 
@@ -478,10 +472,11 @@ def load_checkpoint(path: str | Path) -> Forecaster:
     """Read a checkpoint, checking every length in it against the file.
 
     A file without the magic, a truncated file, a header that does not
-    parse or holds a value its config, court or vocabulary rejects, a header
-    that does not describe the file's arrays, and bytes after the last array
-    raise ParseError naming the file and what is wrong; a missing file raises
-    FileNotFoundError.
+    parse or holds a value its config, court or vocabulary rejects, a
+    vocabulary or player index that does not fit the config's embedding
+    tables, a header that does not describe the file's arrays, and bytes
+    after the last array raise ParseError naming the file and what is
+    wrong; a missing file raises FileNotFoundError.
     """
     path = Path(path)
     if not path.exists():
@@ -499,11 +494,21 @@ def load_checkpoint(path: str | Path) -> Forecaster:
     try:
         header = json.loads(raw[off : off + hlen].decode("utf-8"))
         config, court = _config_and_court(path, header)
-        vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in header["vocab"]))
-        player_index = {k: int(v) for k, v in header["player_index"].items()}
+        vocab_rows, player_index = header["vocab"], header["player_index"]
+        not_str = [n for _, n, _ in vocab_rows if not isinstance(n, str)]
+        if not_str:
+            raise ParseError(f"{path}: header vocab name {not_str[0]!r} is not a string")
+        vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in vocab_rows))
         arrays = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers both decode errors
         raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    if vocab.size != config.vocab_size:
+        raise ParseError(f"{path}: header vocab has {vocab.size} types, but config vocab_size is {config.vocab_size}")
+    in_table = range(1, config.n_players + 1)  # row 0 of the player table is for unseen players
+    if not isinstance(player_index, dict) or not all(type(i) is int and i in in_table for i in player_index.values()):
+        raise ParseError(
+            f"{path}: header player_index must map names to ids in 1..{config.n_players}, got {player_index!r:.80}"
+        )
     off += hlen
     if arrays != list(param_shapes(config).items()):
         raise ParseError(f"{path}: header arrays do not match the parameter shapes of its model config")

@@ -61,6 +61,9 @@ class TrainConfig:
         for name in ("learning_rate", "clip_norm", "eval_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("learning_rate", "clip_norm"):  # a NaN passes every comparison above
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eval_samples < 1:
             raise ValueError(f"eval_samples must be at least 1, got {self.eval_samples}")
 
@@ -126,20 +129,22 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
             int(underflowed.sum()),
             float(p_true.data.min()),
         )
-    ce = -ad.log(ad.clip(p_true, PROB_FLOOR, math.inf))
+    ce = ad.scale(ad.log(ad.clip(p_true, PROB_FLOOR, math.inf)), -1.0)
 
-    # bivariate-Gaussian NLL of each true landing point
+    # bivariate-Gaussian NLL of each true landing point:
+    # log 2pi + ls_x + ls_y + log(1 - rho^2) / 2 + (zx^2 + zy^2 - 2 rho zx zy) / (2 (1 - rho^2))
     ls_x, ls_y = log_sigma[:, 0], log_sigma[:, 1]
-    zx = (Tensor(xy[:, 0]) - mu[:, 0]) / ad.exp(ls_x)
-    zy = (Tensor(xy[:, 1]) - mu[:, 1]) / ad.exp(ls_y)
-    one_m_rho2 = ad.clip(Tensor(1.0) - rho * rho, RHO_FLOOR, math.inf)
-    quad = zx * zx + zy * zy - 2.0 * rho * zx * zy
-    nll = Tensor(LOG_2PI) + ls_x + ls_y + 0.5 * ad.log(one_m_rho2) + quad / (2.0 * one_m_rho2)
+    zx = ad.div(ad.sub(Tensor(xy[:, 0]), mu[:, 0]), ad.exp(ls_x))
+    zy = ad.div(ad.sub(Tensor(xy[:, 1]), mu[:, 1]), ad.exp(ls_y))
+    one_m_rho2 = ad.clip(ad.sub(Tensor(1.0), ad.mul(rho, rho)), RHO_FLOOR, math.inf)
+    quad = ad.sub(ad.add(ad.mul(zx, zx), ad.mul(zy, zy)), ad.mul(ad.mul(ad.scale(rho, 2.0), zx), zy))
+    nll = ad.add(ad.add(ad.add(Tensor(LOG_2PI), ls_x), ls_y), ad.scale(ad.log(one_m_rho2), 0.5))
+    nll = ad.add(nll, ad.div(quad, ad.scale(one_m_rho2, 2.0)))
 
     inv_n = 1.0 / n
     shot = ad.scale(ad.tsum(ce), inv_n)
     area = ad.scale(ad.tsum(nll), inv_n)
-    total = shot + area
+    total = ad.add(shot, area)
     return LossBundle(
         shot_loss=float(shot.data),
         area_loss=float(area.data),
@@ -190,13 +195,18 @@ def train(
     """Teacher-forced training; returns the params of the best eval epoch.
 
     Deterministic under (data order, seed). With eval_every == 0 the final
-    epoch's parameters are returned.
+    epoch's parameters are returned. A training rally shorter than TAU+1,
+    or such a validation rally when eval_every > 0, raises ValueError
+    naming it before epoch 1.
     """
     if not train_set:
         raise ValueError("training set is empty")
     short = [r.rally_id for r in train_set if len(r) < TAU + 1]
     if short:
         raise ValueError(f"rallies too short to train on: {short[:5]}")
+    short = [r.rally_id for r in val_set if len(r) < TAU + 1] if train_config.eval_every > 0 else []
+    if short:
+        raise ValueError(f"validation rallies too short to evaluate: {short[:5]}")
     court = court or CourtSpec()
     vocab = vocab or ShotTypeVocab.default()
 

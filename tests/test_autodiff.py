@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rallycast import autodiff as ad
-from rallycast.autodiff import NumericHealthError, Tape, Tensor, backward, gradient_check, grad_of
+from rallycast.autodiff import NumericHealthError, Tensor, backward, gradient_check, grad_of
 
 N_CASES = 20
 OP_TOL = 1e-6
@@ -118,12 +118,24 @@ def test_tape_orders_parents_before_children():
     x = Tensor([1.0, 2.0])
     y = ad.mul(x, x)
     z = ad.tsum(ad.add(y, x))
-    tape = Tape(z)
-    pos = {id(n): i for i, n in enumerate(tape.nodes)}
-    assert len(pos) == len(tape.nodes)  # each node recorded once
-    for node in tape.nodes:
+    nodes = ad.graph_nodes(z)
+    pos = {id(n): i for i, n in enumerate(nodes)}
+    assert len(pos) == len(nodes)  # each node recorded once
+    for node in nodes:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def test_tensor_has_no_arithmetic_operators():
+    """A graph is built from the named primitives only; an operator on a tensor raises TypeError."""
+    operators = (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+    )
+    assert [name for name in operators if hasattr(Tensor, name)] == []
+    x = Tensor([1.0, 2.0])
+    for apply in (lambda: x + x, lambda: 1.0 - x, lambda: 2.0 * x, lambda: x / 2.0, lambda: -x):
+        with pytest.raises(TypeError):
+            apply()
 
 
 def test_shared_subgraph_accumulates():
@@ -501,7 +513,7 @@ def test_no_tape_records_no_parents():
         z = ad.tsum(ad.mul(y, y))
     assert y._parents == () and y._bwd is None
     assert z._parents == () and z._bwd is None
-    assert len(Tape(z)) == 1
+    assert len(ad.graph_nodes(z)) == 1
     taped = ad.tsum(ad.mul(x, x))
     assert taped._parents and taped._bwd is not None
     assert np.array_equal(ad.softmax(ad.linear(x, x)).data, y.data)

@@ -221,6 +221,12 @@ def test_a_config_value_outside_its_choices_exits_2_naming_its_line(tmp_path, li
     (["--min-rally-length", 2], "min_rally_length must be at least 5"),
     (["--max-rally-length", -1], "max_rally_length must be at least min_rally_length 5, got -1"),  # dropped every rally
     (["--max-match-total-rounds", 4], "max_match_total_rounds must be at least min_rally_length 5, got 4"),
+    # trained with clipping silently off: no norm exceeds nan
+    (["--clip-norm", "nan"], "clip_norm must be finite, got nan"),
+    (["--clip-norm", "inf"], "clip_norm must be finite, got inf"),
+    # trained, then exited 1 with "embedding_lookup produced non-finite values"
+    (["--learning-rate", "nan"], "learning_rate must be finite, got nan"),
+    (["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
 ])
 def test_a_training_setting_out_of_range_exits_2_before_training(tmp_path, flags, message):
     out = run_cli("train", "--data", CORPUS32, "--out-dir", tmp_path / "run", "--embed-dim", 4, "--epochs", 1, *flags)
@@ -228,6 +234,15 @@ def test_a_training_setting_out_of_range_exits_2_before_training(tmp_path, flags
     assert f"error: {message}" in out.stderr
     assert "epoch" not in out.stdout
     assert not (tmp_path / "run").exists()  # refused before the output directory is made
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_mean_length_that_is_not_finite_exits_2_and_writes_no_file(tmp_path, value):
+    # numpy refused it mid-synthesis: "p <= 0, p > 1 or p contains NaNs"
+    out = run_cli("synth", "--n", 5, "--mean-length", value, "--out", tmp_path / "x.csv")
+    assert out.returncode == 2, out.stderr
+    assert f"error: mean_length must be finite and at least 5, got {value}" in out.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 # each subcommand's flags: (option strings, dest, choices, nargs); nargs 0 is a switch
@@ -473,9 +488,11 @@ def _edit_header(edit):
     return damage
 
 
-def _first_player_index_not_an_int(header):
-    first = next(iter(header["player_index"]))
-    header["player_index"][first] = "one"
+def _first_player_index_is(value):
+    def edit(header):
+        header["player_index"][next(iter(header["player_index"]))] = value
+
+    return edit
 
 
 def _earlier_header_format(raw, tau=TAU):
@@ -508,7 +525,22 @@ CHECKPOINT_DAMAGE = {
     "vocab_ids_gapped": (
         _edit_header(lambda h: h["vocab"][1].__setitem__(0, 5)), "type_ids must be contiguous",
     ),
-    "player_index_not_an_int": (_edit_header(_first_player_index_not_an_int), "invalid literal for int()"),
+    "player_index_not_an_int": (_edit_header(_first_player_index_is("one")), "player_index must map names to ids in 1.."),
+    # a vocab longer than the type table: predict wrote 16 header columns over rows of 15 cells
+    "vocab_one_type_more": (
+        _edit_header(lambda h: h["vocab"].append([10, "extra", False])),
+        "header vocab has 11 types, but config vocab_size is 10",
+    ),
+    # exited 2 with "player id outside the embedding table", naming no file
+    "player_id_past_the_table": (_edit_header(_first_player_index_is(99)), "player_index must map names to ids in 1.."),
+    "player_id_zero": (_edit_header(_first_player_index_is(0)), "player_index must map names to ids in 1.."),
+    # these two were AttributeError tracebacks
+    "player_index_a_list": (
+        _edit_header(lambda h: h.update(player_index=[])), "player_index must map names to ids in 1..",
+    ),
+    "vocab_name_not_a_string": (
+        _edit_header(lambda h: h["vocab"][2].__setitem__(1, 5)), "header vocab name 5 is not a string",
+    ),
     # an earlier header's tau other than the fixed one; it loaded and predicted rounds that score rejected
     "tau_5": (lambda raw: _earlier_header_format(raw, tau=5), "header tau is 5, but tau is fixed at 4"),
 }

@@ -318,9 +318,9 @@ def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
 
 
 # the tape of one 16-rally batch of overfit.cfg training on corpus32, loss
-# included, measured at 921 nodes; with layer norm, softmax, attention and
+# included, measured at 918 nodes; with layer norm, softmax, attention and
 # the affine maps built from elementary ops it was 1,881
-TAPE_NODE_BUDGET = 921
+TAPE_NODE_BUDGET = 918
 
 
 def test_a_corpus32_batch_stays_within_its_tape_budget():
@@ -688,7 +688,7 @@ def any_forecaster(draw):
     for t in params.values():
         t.data.view(np.uint64)[...] = bits.integers(0, 2**64, size=t.shape, dtype=np.uint64)
     vocab = vocab_from_names(names, names[:1])
-    return Forecaster(params, config, court, vocab, {name: i for i, name in enumerate(players)})
+    return Forecaster(params, config, court, vocab, {name: i for i, name in enumerate(players, start=1)})
 
 
 @given(any_forecaster())

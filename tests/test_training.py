@@ -216,6 +216,16 @@ def test_train_rejects_short_rallies(vocab):
         train([make_rally([0, 2, 3])], [], _model_config(vocab), _quick_config(), vocab=vocab)
 
 
+def test_train_refuses_short_validation_rallies_before_epoch_one(vocab, corpus):
+    val = [corpus[0], make_rally([0, 2, 3, 4], rally_id="v_short")]
+    epochs, config = [], _quick_config(eval_every=1)
+    with pytest.raises(ValueError, match=r"validation rallies too short to evaluate: \['v_short'\]"):
+        train(corpus, val, _model_config(vocab), config, vocab=vocab, progress=lambda *a: epochs.append(a))
+    assert epochs == []  # refused before epoch 1, not by the sampler after eval_every epochs
+    # without periodic evaluation the validation set is never read
+    train(corpus, val, _model_config(vocab), _quick_config(epochs=1), vocab=vocab)
+
+
 # ---------------------------------------------------------------------------
 # best-of-k evaluation
 # ---------------------------------------------------------------------------
