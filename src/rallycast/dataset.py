@@ -21,7 +21,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -350,20 +350,10 @@ def split(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlayerStyle:
-    """Categorical shot preference plus one landing Gaussian per type."""
-
-    preferences: np.ndarray  # (V,), nonnegative, normalized on use
-    landing_mean: np.ndarray  # (V, 2) meters, canonical frame
-    landing_cov: np.ndarray  # (V, 2, 2) SPD
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     n_rallies: int
     mean_length: float = 7.0
     vocab: ShotTypeVocab = field(default_factory=ShotTypeVocab.default)
-    player_styles: dict[str, PlayerStyle] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -375,88 +365,54 @@ class SynthConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def default_player_styles(vocab: ShotTypeVocab) -> dict[str, PlayerStyle]:
-    """Deterministic, visibly distinct styles of four players for synthetic corpora."""
-    v = vocab.size
-    non_serve = [i for i in range(v) if not vocab.is_serve(i)]
-    w, l = DEFAULT_WIDTH_M, DEFAULT_LENGTH_M
-    styles: dict[str, PlayerStyle] = {}
-    for k, name in enumerate(("alice", "bruno", "chen", "dara")):
-        prefs = np.full(v, 0.05)
-        for s in vocab.serve_ids:
-            prefs[s] = 0.5 if (s + k) % 2 == 0 else 0.1
-        # rotate which non-serve types dominate so per-player histograms differ
-        for rank, idx in enumerate(non_serve):
-            prefs[idx] = 3.0 if (rank + k) % len(non_serve) < 2 else 0.3
-        means = np.zeros((v, 2))
-        covs = np.zeros((v, 2, 2))
-        for t in range(v):
-            frac = (t + 1) / (v + 1)
-            means[t] = (
-                w * (0.25 + 0.5 * ((t + 2 * k) % 3) / 2.0),
-                l / 2 + l * 0.42 * frac + 0.3,
-            )
-            covs[t] = np.diag([0.35**2, 0.55**2])
-        styles[name] = PlayerStyle(prefs, means, covs)
-    return styles
+# the synthetic cast; every pair of them plays one match
+PLAYERS = ("alice", "bruno", "chen", "dara")
 
 
-def _style_kernels(
-    styles: dict[str, PlayerStyle], vocab: ShotTypeVocab
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    """Each style's (opening-stroke, rally-stroke) shot CDFs, and the (S, V, 2) landing means and (S, V, 2, 2)
-    Cholesky factors of the styles in order; raises ValueError naming a style that cannot be sampled."""
-    non_serve_mask = np.ones(vocab.size, dtype=bool)
-    non_serve_mask[list(vocab.serve_ids)] = False
-    cdfs = []
-    chol = np.zeros((len(styles), vocab.size, 2, 2))
-    for s, (name, style) in enumerate(styles.items()):
-        if style.preferences.shape != (vocab.size,):
-            raise ValueError(f"style {name}: preferences must have length {vocab.size}")
-        if style.landing_mean.shape != (vocab.size, 2) or style.landing_cov.shape != (vocab.size, 2, 2):
-            raise ValueError(f"style {name}: landing kernel shapes do not match the vocabulary")
-        if not (np.isfinite(style.preferences).all() and (style.preferences >= 0).all()):
-            raise ValueError(f"style {name}: preferences must be finite and nonnegative")
-        if not (np.isfinite(style.landing_mean).all() and np.isfinite(style.landing_cov).all()):
-            raise ValueError(f"style {name}: landing means and covariances must be finite")
-        for t in range(vocab.size):
-            try:
-                chol[s, t] = np.linalg.cholesky(style.landing_cov[t])
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"style {name}: degenerate covariance for type {t}") from exc
-        opening = np.where(non_serve_mask, 0.0, style.preferences)
-        if opening.sum() <= 0:  # a style with no service preference serves uniformly
-            opening = np.where(non_serve_mask, 0.0, 1.0)
-        rally = np.where(non_serve_mask, style.preferences, 0.0)
-        if rally.sum() <= 0:
-            raise ValueError(f"style {name}: preferences for rally (non-service) strokes sum to zero")
-        cdfs.append((np.cumsum(opening / opening.sum()), np.cumsum(rally / rally.sum())))
-    return cdfs, np.stack([style.landing_mean for style in styles.values()]), chol
+def player_table(vocab: ShotTypeVocab) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The players' (4, V) shot preferences, (4, V, 2) landing means in meters and shared (2, 2) landing covariance.
+
+    Player k prefers the services whose id has k's parity, and two rally
+    types, rotated by k so that per-player histograms differ. A vocabulary
+    without a rally (non-service) type raises ValueError.
+    """
+    is_serve = np.array([e.is_serve for e in vocab.entries])
+    if is_serve.all():
+        raise ValueError("vocabulary needs at least one rally (non-service) type")
+    k, t = np.arange(len(PLAYERS))[:, None], np.arange(vocab.size)
+    serve_preferences = np.where((t + k) % 2 == 0, 0.5, 0.1)
+    rally_preferences = np.where((np.cumsum(~is_serve) - 1 + k) % (~is_serve).sum() < 2, 3.0, 0.3)
+    preferences = np.where(is_serve, serve_preferences, rally_preferences)
+    across = DEFAULT_WIDTH_M * (0.25 + 0.5 * ((t + 2 * k) % 3) / 2.0)
+    deep = DEFAULT_LENGTH_M / 2 + DEFAULT_LENGTH_M * 0.42 * ((t + 1) / (vocab.size + 1)) + 0.3
+    means = np.stack(np.broadcast_arrays(across, deep), axis=-1)
+    return preferences, means, np.diag([0.35**2, 0.55**2])
 
 
 def synthesize_dataset(config: SynthConfig) -> list[Rally]:
-    """Generate valid rallies with planted serve and player-style structure.
+    """Generate valid rallies with planted serve and per-player structure.
 
     Every rally opens with a service type, services never recur, players
     alternate from the server, and stroke counts are geometric around
-    mean_length with a floor of five. Deterministic under the seed.
+    mean_length with a floor of five. Deterministic under the seed. The
+    players and their shot preferences and landing kernels are player_table's.
 
     The seeded stream is read in one fixed order: per rally, one geometric
     draw for its length; then per stroke, one uniform for the shot type and
     four normals, two for the landing and two for the hitter's location.
     Changing that order changes every synthesized corpus. Only the draws run
     stroke by stroke; the shot CDFs, landings and locations are computed
-    afterwards over whole columns. Styles are checked before the first draw.
+    afterwards over whole columns.
     """
     vocab = config.vocab
     court = CourtSpec()
-    styles = config.player_styles or default_player_styles(vocab)
-    if len(styles) < 2:
-        raise ValueError("need at least two player styles")
-    cdfs, means, chol = _style_kernels(styles, vocab)
-    index = {name: s for s, name in enumerate(styles)}
-    names = list(styles)
-    pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
+    preferences, means, cov = player_table(vocab)
+    is_serve = np.array([e.is_serve for e in vocab.entries])
+    # (4, 2, V): each player's opening-stroke and rally-stroke weights, then CDFs
+    weights = np.stack([np.where(is_serve, preferences, 0.0), np.where(is_serve, 0.0, preferences)], axis=1)
+    cdfs = np.cumsum(weights / weights.sum(axis=2, keepdims=True), axis=2)
+    chol = np.linalg.cholesky(cov)
+    pairs = list(combinations(PLAYERS, 2))
 
     rng = rng_from_key(config.seed, TAG_SYNTH, 0)
     excess_mean = config.mean_length - TAU
@@ -478,13 +434,12 @@ def synthesize_dataset(config: SynthConfig) -> list[Rally]:
     stops = np.cumsum(lengths)
     rounds = np.arange(1, stops[-1] + 1) - np.repeat(stops - lengths, lengths)
     hit_by_a = rounds % 2 == 1
-    servers, receivers = (np.array([index[head[i]] for head in heads]) for i in (2, 3))
+    servers, receivers = (np.array([PLAYERS.index(head[i]) for head in heads]) for i in (2, 3))
     hitters = np.where(hit_by_a, np.repeat(servers, lengths), np.repeat(receivers, lengths))
-    types = np.empty(len(draws), dtype=np.int64)
-    for s, (opening_cdf, rally_cdf) in enumerate(cdfs):
-        for cdf, rows in ((opening_cdf, (hitters == s) & (rounds == 1)), (rally_cdf, (hitters == s) & (rounds > 1))):
-            types[rows] = np.minimum(np.searchsorted(cdf, draws[rows, 0], side="right"), vocab.size - 1)
-    landings = means[hitters, types] + (chol[hitters, types] @ draws[:, 1:3, None])[:, :, 0]
+    # each stroke's searchsorted(cdf, uniform, side="right"): the count of its CDF's entries at or below the uniform
+    stroke_cdfs = cdfs[hitters, (rounds > 1).astype(np.int64)]
+    types = np.minimum((stroke_cdfs <= draws[:, :1]).sum(axis=1), vocab.size - 1)
+    landings = means[hitters, types] + draws[:, 1:3] @ chol.T
     location_max = np.array([court.width_m - 0.05, court.length_m / 2 - 0.05])  # the hitter stays in the low-y half
     locations = np.array([court.width_m / 2, court.length_m / 4]) + draws[:, 3:] * (1.0, 1.3)
     np.clip(locations, 0.05, location_max, out=locations)

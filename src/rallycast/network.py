@@ -49,8 +49,11 @@ class ModelConfig:
     embedding_mode: str = "modified"
 
     def __post_init__(self) -> None:
-        for name in ("embed_dim", "n_heads", "ffn_dim"):
+        for name in ("embed_dim", "n_heads", "n_layers", "ffn_dim", "vocab_size", "n_players"):
             value = getattr(self, name)
+            # a float or bool would pass the checks below
+            if type(value) is not int and not (name == "ffn_dim" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if self.embed_dim % self.n_heads != 0:
@@ -59,8 +62,6 @@ class ModelConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.embedding_mode not in ("baseline", "modified"):
             raise ValueError(f"unknown embedding_mode: {self.embedding_mode!r}")
-        if self.vocab_size < 1 or self.n_players < 1 or self.n_layers < 1:
-            raise ValueError("vocab_size, n_players, and n_layers must be positive")
 
     @property
     def ffn_width(self) -> int:
@@ -500,6 +501,9 @@ def load_checkpoint(path: str | Path) -> Forecaster:
             raise ParseError(f"{path}: header vocab name {not_str[0]!r} is not a string")
         vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in vocab_rows))
         arrays = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        for i, (_, shape) in enumerate(arrays):
+            if any(type(n) is not int for n in shape):  # (10.0, 16) == (10, 16) would pass the shape check below
+                raise ParseError(f"{path}: header arrays[{i}].shape {list(shape)} holds a size that is not an int")
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers both decode errors
         raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from exc
     if vocab.size != config.vocab_size:

@@ -590,7 +590,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     Every numeric cell must parse, landings must be finite, and each row's
     probabilities must lie in [0, 1] and sum to 1. A (rally, sample, round)
     may appear once, and the sample ids must run 1..k without a gap. A header
-    that does not match the vocabulary raises ValueError.
+    that does not match the vocabulary raises ParseError naming the file.
 
     Lines are parsed in blocks, each converted and checked as arrays; a block
     that fails is parsed again one line at a time, by the same function, to
@@ -607,7 +607,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
         header = fh.readline().strip()
         if header != expected_header:
-            raise ValueError(f"prediction header does not match the vocabulary: {header!r}")
+            raise ParseError(f"{path}: line 1: prediction header does not match the vocabulary: {header!r}")
         columns = header.split(",")
         for lines, numbers in line_blocks(fh, str.strip):
             try:

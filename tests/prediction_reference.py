@@ -47,7 +47,7 @@ def reference_import_predictions(path, vocab):
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != prediction_header(vocab):
-            raise ValueError(f"prediction header does not match the vocabulary: {header!r}")
+            raise ParseError(f"{path}: line 1: prediction header does not match the vocabulary: {header!r}")
         columns = header.split(",")
         for line_number, line in enumerate(fh, start=2):
             line = line.strip()

@@ -5,14 +5,15 @@ builds its weights, draws its shot type from a fresh CDF and computes its
 landing and location from its own normals. It reads the random stream in the
 same order (per rally one geometric draw; per stroke one uniform, then two
 normals for the landing and two for the location), so a corpus from
-synthesize_dataset must equal this one bit for bit, column by column. Style
-validation beyond shapes and covariances is left to the real synthesizer.
+synthesize_dataset must equal this one bit for bit, column by column. The
+players' table is built here type by type, as dataset.player_table was before
+it moved to arrays.
 """
 
 import numpy as np
 
-from rallycast.court import CourtSpec, Rally
-from rallycast.dataset import TAU, default_player_styles
+from rallycast.court import DEFAULT_LENGTH_M, DEFAULT_WIDTH_M, CourtSpec, Rally
+from rallycast.dataset import PLAYERS, TAU
 from rallycast.seeding import TAG_SYNTH, rng_from_key
 
 
@@ -24,34 +25,36 @@ def _sample_categorical(rng: np.random.Generator, weights: np.ndarray) -> int:
     return int(min(np.searchsorted(cum, rng.random(), side="right"), len(weights) - 1))
 
 
+def reference_player_table(vocab):
+    """The (4, V) preferences, (4, V, 2) landing means and (2, 2) landing covariance of the four players."""
+    v = vocab.size
+    non_serve = [i for i in range(v) if not vocab.is_serve(i)]
+    if not non_serve:
+        raise ValueError("vocabulary needs at least one rally (non-service) type")
+    w, l = DEFAULT_WIDTH_M, DEFAULT_LENGTH_M
+    preferences = np.zeros((len(PLAYERS), v))
+    means = np.zeros((len(PLAYERS), v, 2))
+    for k in range(len(PLAYERS)):
+        for s in vocab.serve_ids:
+            preferences[k, s] = 0.5 if (s + k) % 2 == 0 else 0.1
+        for rank, idx in enumerate(non_serve):
+            preferences[k, idx] = 3.0 if (rank + k) % len(non_serve) < 2 else 0.3
+        for t in range(v):
+            frac = (t + 1) / (v + 1)
+            means[k, t] = (w * (0.25 + 0.5 * ((t + 2 * k) % 3) / 2.0), l / 2 + l * 0.42 * frac + 0.3)
+    return preferences, means, np.diag([0.35**2, 0.55**2])
+
+
 def reference_synthesize_dataset(config) -> list[Rally]:
     vocab = config.vocab
     court = CourtSpec()
-    styles = config.player_styles or default_player_styles(vocab)
-    if len(styles) < 2:
-        raise ValueError("need at least two player styles")
-    for name, style in styles.items():
-        if style.preferences.shape != (vocab.size,):
-            raise ValueError(f"style {name}: preferences must have length {vocab.size}")
-        if style.landing_mean.shape != (vocab.size, 2) or style.landing_cov.shape != (vocab.size, 2, 2):
-            raise ValueError(f"style {name}: landing kernel shapes do not match the vocabulary")
-
-    names = list(styles)
+    preferences, means, cov = reference_player_table(vocab)
+    chol = np.linalg.cholesky(cov)
+    names = list(PLAYERS)
     pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
     serve_ids = np.array(vocab.serve_ids)
     non_serve_mask = np.ones(vocab.size, dtype=bool)
     non_serve_mask[serve_ids] = False
-
-    # validate covariances once, and keep cholesky factors for sampling
-    chol: dict[str, np.ndarray] = {}
-    for name, style in styles.items():
-        factors = np.zeros_like(style.landing_cov)
-        for t in range(vocab.size):
-            try:
-                factors[t] = np.linalg.cholesky(style.landing_cov[t])
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"style {name}: degenerate covariance for type {t}") from exc
-        chol[name] = factors
 
     rng = rng_from_key(config.seed, TAG_SYNTH, 0)
     excess_mean = config.mean_length - TAU
@@ -68,16 +71,14 @@ def reference_synthesize_dataset(config) -> list[Rally]:
         lengths.append(length)
         for k in range(1, length + 1):
             hitter = server if k % 2 == 1 else receiver
-            style = styles[hitter]
+            p = names.index(hitter)
             if k == 1:
-                weights = np.where(non_serve_mask, 0.0, style.preferences)
-                if weights.sum() <= 0:
-                    weights = np.where(non_serve_mask, 0.0, 1.0)
+                weights = np.where(non_serve_mask, 0.0, preferences[p])
             else:
-                weights = np.where(non_serve_mask, style.preferences, 0.0)
+                weights = np.where(non_serve_mask, preferences[p], 0.0)
             shot = _sample_categorical(rng, weights)
             types.append(shot)
-            landings.append(style.landing_mean[shot] + chol[hitter][shot] @ rng.standard_normal(2))
+            landings.append(means[p, shot] + chol @ rng.standard_normal(2))
             location = np.array([court.width_m / 2, court.length_m / 4]) + rng.standard_normal(2) * (1.0, 1.3)
             locations.append(np.clip(location, 0.05, location_max))
     stops = np.cumsum(lengths)

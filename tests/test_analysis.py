@@ -12,7 +12,7 @@ from rallycast.analysis import (
     shot_distribution,
 )
 from rallycast.court import CourtSpec, Player, Rally, Stroke
-from rallycast.dataset import PlayerStyle, SynthConfig, synthesize_dataset
+from rallycast.dataset import SynthConfig, synthesize_dataset
 from rallycast.scoring import GeneratedStroke, import_predictions, prediction_header, quantize_simplex
 
 from analysis_reference import (
@@ -58,26 +58,15 @@ def test_synthetic_corpus_has_no_serve_mass_after_round_one(vocab):
 
 
 def test_per_player_tables_differ_for_disjoint_styles(vocab):
-    v = vocab.size
-    non_serve = [i for i in range(v) if not vocab.is_serve(i)]
-    means = np.tile([[3.0, 10.0]], (v, 1))
-    covs = np.tile(np.diag([0.2**2, 0.2**2]), (v, 1, 1))
-
-    def style(t):
-        prefs = np.zeros(v)
-        prefs[list(vocab.serve_ids)] = 1.0
-        prefs[t] = 1.0
-        return PlayerStyle(prefs, means, covs)
-
-    styles = {"p1": style(non_serve[0]), "p2": style(non_serve[1])}
-    rallies = synthesize_dataset(SynthConfig(n_rallies=100, seed=0, vocab=vocab, player_styles=styles))
+    """alice and chen favour disjoint rally types, so their most frequent rally types differ."""
+    rallies = synthesize_dataset(SynthConfig(n_rallies=100, seed=0, vocab=vocab))
     table = shot_distribution(rallies, "player", vocab)
 
     def argmax_type(player):
         rows = [r for r in table.rows if r.key == player and not vocab.is_serve(vocab.id_of(r.type_name))]
         return max(rows, key=lambda r: r.count).type_name
 
-    assert argmax_type("p1") != argmax_type("p2")
+    assert argmax_type("alice") != argmax_type("chen")
 
 
 def test_fractions_sum_to_one_per_group(vocab):

@@ -55,6 +55,16 @@ def test_synth_output_validates_cleanly(tmp_path):
     assert "0 violations" in out.stdout
 
 
+def test_synth_refuses_a_vocabulary_without_a_rally_type_and_writes_no_file(tmp_path):
+    vocab = tmp_path / "serves.csv"
+    vocab.write_text("type_id,name,is_serve\n0,long service,1\n1,short service,1\n", encoding="utf-8")
+    out = run_cli("synth", "--n", 5, "--vocab", vocab, "--out", tmp_path / "x.csv")
+    assert out.returncode == 2, out.stderr
+    assert "error: vocabulary needs at least one rally (non-service) type" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_vocab_file_exits_2(tmp_path):
     out = run_cli("synth", "--n", 5, "--out", tmp_path / "x.csv", "--vocab", tmp_path / "missing_vocab.csv")
     assert out.returncode == 2
@@ -167,6 +177,21 @@ def test_prediction_file_with_a_byte_that_is_not_utf8_exits_1_naming_its_line(tm
     assert out.returncode == 1, out.stderr
     assert f"{damaged}: line 6: byte 0xff is not UTF-8" in out.stderr
     assert "Traceback" not in out.stderr and "Score" not in out.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--truth", HAND_SCORED / "truth.csv", "--out"],
+    ["analyze", "--kind", "vote", "--out-dir"],
+])
+def test_a_prediction_file_with_the_wrong_header_exits_1_naming_the_file(tmp_path, command):
+    """This exited 2 with "prediction header does not match the vocabulary", naming no file."""
+    damaged = tmp_path / "damaged.csv"
+    damaged.write_text("rally_id,sample_id\nh0001,1\n", encoding="utf-8")
+    out = run_cli(*command, tmp_path / "out", "--predictions", damaged)
+    assert out.returncode == 1, out.stderr
+    assert f"{damaged}: line 1: prediction header does not match the vocabulary: 'rally_id,sample_id'" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -349,13 +374,13 @@ def test_every_config_field_is_a_setting_or_derived_from_the_data():
     from dataclasses import fields
 
     from rallycast.cli import SETTINGS
-    from rallycast.dataset import FilterPolicy
+    from rallycast.dataset import FilterPolicy, SynthConfig
     from rallycast.network import ModelConfig
     from rallycast.training import TrainConfig
 
     derived = {"vocab_size", "n_players"}  # train() sets these from the vocabulary and the training set
     setting_of = {"dropout_rate": "dropout"}
-    for config in (ModelConfig, TrainConfig, FilterPolicy):
+    for config in (ModelConfig, TrainConfig, FilterPolicy, SynthConfig):
         for f in fields(config):
             assert f.name in derived or setting_of.get(f.name, f.name) in SETTINGS, f"{config.__name__}.{f.name}"
 
@@ -540,6 +565,15 @@ CHECKPOINT_DAMAGE = {
     ),
     "vocab_name_not_a_string": (
         _edit_header(lambda h: h["vocab"][2].__setitem__(1, 5)), "header vocab name 5 is not a string",
+    ),
+    # the run's own sizes as a float or bool passed the config's checks; a float ended in a TypeError traceback
+    "embed_dim_float": (_edit_header(lambda h: h["config"].update(embed_dim=4.0)), "embed_dim must be an int, got 4.0"),
+    "n_heads_float": (_edit_header(lambda h: h["config"].update(n_heads=2.0)), "n_heads must be an int, got 2.0"),
+    "n_layers_bool": (_edit_header(lambda h: h["config"].update(n_layers=True)), "n_layers must be an int, got True"),
+    # (10.0, 4.0) == (10, 4), so the shape passed the check against the config's parameter shapes
+    "array_shape_float": (
+        _edit_header(lambda h: h["arrays"][0].update(shape=[10.0, 4.0])),
+        "header arrays[0].shape [10.0, 4.0] holds a size that is not an int",
     ),
     # an earlier header's tau other than the fixed one; it loaded and predicted rounds that score rejected
     "tau_5": (lambda raw: _earlier_header_format(raw, tau=5), "header tau is 5, but tau is fixed at 4"),

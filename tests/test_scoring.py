@@ -1,6 +1,7 @@
 import builtins
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -518,7 +519,7 @@ def _loop_report(sets, truths, protocol, tau=4):
 def test_import_rejects_wrong_header(tmp_path, vocab):
     path = tmp_path / "bad.csv"
     path.write_text("rally_id,sample_id\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))}: line 1: prediction header does not match"):
         import_predictions(path, vocab)
 
 
