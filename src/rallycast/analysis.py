@@ -89,7 +89,6 @@ def shot_distribution(
 class VoteResult:
     rally_id: str
     ball_round: int
-    type_id: int
     type_name: str
     votes: int
 
@@ -133,7 +132,7 @@ def predicted_type_vote(pred: PredictionFile, vocab: ShotTypeVocab) -> tuple[lis
     best = tied.argmax(axis=1)
     counts = votes[np.arange(len(best)), best].tolist()
     winners = [
-        VoteResult(pred.rally_ids[r], ball_round, t, vocab.name_of(t), n)
+        VoteResult(pred.rally_ids[r], ball_round, vocab.name_of(t), n)
         for r, ball_round, t, n in zip(rally_index[starts].tolist(), rounds[starts].tolist(), best.tolist(), counts)
     ]
     aggregate = np.bincount(best, minlength=vocab.size).tolist()

@@ -290,6 +290,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise UsageError(f"expected {EXPECTED_SAMPLE_SETS} sample sets, found {pred.n_samples}")
     scorable = [r for r in truths if len(r) >= TAU + 1]
     report = score_sample_sets(pred.sample_sets(scorable), scorable, protocol="min_of_sets")
+    if len(scorable) < len(pred.rally_ids):
+        print(f"note: scored {len(scorable)} of {len(pred.rally_ids)} predicted rallies")
     for line in report.lines():
         print(line)
     if args.out:

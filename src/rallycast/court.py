@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,30 +62,63 @@ def utf8_line_errors(path: Path) -> Iterator[None]:
 PARSE_BLOCK_LINES = 1024
 
 
-def line_blocks(fh: TextIO, strip: Callable[[str], str]) -> Iterator[tuple[list[str], np.ndarray]]:
-    """The lines after the header in blocks of PARSE_BLOCK_LINES, as the non-empty ones after strip and their numbers.
+def read_csv(
+    path: Path,
+    kind: str,
+    header: str,
+    strip: Callable[[str], str],
+    parse: Callable[[list[str], np.ndarray], tuple[np.ndarray, ...]],
+    reject: Callable[[int, str, Exception], None],
+) -> tuple[np.ndarray, ...]:
+    """The columns of a CSV file with this header: parse's columns of each block of lines, concatenated.
 
-    Before a byte that is not UTF-8 stops the read, the lines read so far
-    are handed on, so a bad row before it is still reported first.
+    After the header, lines are read PARSE_BLOCK_LINES at a time and blank
+    ones (after strip) skipped; parse gets a block's cells and line numbers.
+    A block with a line of the wrong column count, or that parse refuses with
+    ValueError or KeyError, is parsed again one line at a time, and reject
+    gets each failing line's number, text and error. The lines read before a
+    byte that is not UTF-8 are parsed first, so a bad row among them is
+    reported first.
     """
-    block: list[str] = []
-    first_line = 2
-    try:
-        for line in fh:
-            block.append(strip(line))
-            if len(block) == PARSE_BLOCK_LINES:
-                yield _non_empty(block, first_line)
-                block, first_line = [], first_line + len(block)
-    except UnicodeDecodeError:
-        yield _non_empty(block, first_line)
-        raise
-    if block:
-        yield _non_empty(block, first_line)
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    width = header.count(",") + 1
+    blocks = [parse([], np.zeros(0, dtype=np.int64))]  # columns even for a file without rows
 
+    def cells(lines: list[str]) -> list[str]:
+        if set(map(str.count, lines, repeat(","))) - {width - 1}:
+            found = next(line.count(",") for line in lines if line.count(",") != width - 1) + 1
+            raise ValueError(f"expected {width} columns, found {found}")
+        return ",".join(lines).split(",") if lines else []
 
-def _non_empty(lines: list[str], first_line: int) -> tuple[list[str], np.ndarray]:
-    kept = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
-    return list(filter(None, lines)), np.flatnonzero(kept) + first_line
+    def add(block: list[str], first_line: int) -> None:
+        lines = list(filter(None, block))
+        numbers = np.flatnonzero(np.fromiter(map(bool, block), dtype=bool, count=len(block))) + first_line
+        try:
+            blocks.append(parse(cells(lines), numbers))
+        except (ValueError, KeyError):
+            for i, line in enumerate(lines):
+                try:
+                    blocks.append(parse(cells([line]), numbers[i : i + 1]))
+                except (ValueError, KeyError) as exc:
+                    reject(int(numbers[i]), line, exc)
+
+    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
+        found = fh.readline().strip()
+        if found != header:
+            raise ParseError(f"{path}: line 1: {kind} header does not match {header!r}: {found!r}")
+        block, first_line = [], 2
+        try:
+            for line in fh:
+                block.append(strip(line))
+                if len(block) == PARSE_BLOCK_LINES:
+                    add(block, first_line)
+                    block, first_line = [], first_line + len(block)
+        except UnicodeDecodeError:
+            add(block, first_line)
+            raise
+        add(block, first_line)
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -357,9 +390,6 @@ class Rally:
 
     def __len__(self) -> int:
         return len(self.rounds)
-
-    def name_of(self, side: Player) -> str:
-        return self.player_a if side is Player.A else self.player_b
 
 
 _FIELDS = ("rally_id", "match_id", "player_a", "player_b", "rounds", "hit_by_a", "type_ids", "landings", "locations")

@@ -21,7 +21,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress
 from pathlib import Path
 from typing import Sequence
 
@@ -35,9 +35,8 @@ from .court import (
     Rally,
     ShotTypeVocab,
     int_column,
-    line_blocks,
+    read_csv,
     run_starts,
-    utf8_line_errors,
 )
 from .seeding import TAG_SYNTH, rng_from_key
 
@@ -112,9 +111,9 @@ Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def _parse_block(
-    lines: list[str], numbers: np.ndarray, vocab: ShotTypeVocab, keys: dict[str, int], huge_rounds: dict[int, int]
+    cells: list[str], numbers: np.ndarray, vocab: ShotTypeVocab, keys: dict[str, int], huge_rounds: dict[int, int]
 ) -> Columns:
-    """The columns of a block of non-empty lines; raises ValueError or KeyError at the first check that fails.
+    """The columns of a block's cells, 9 per row; raises ValueError or KeyError at the first check that fails.
 
     The checks run in this order, so a one-line block raises its row's reject
     reason. keys maps each "match_id,rally_id" to its code, in first-seen
@@ -122,11 +121,7 @@ def _parse_block(
     beyond int64, which the rounds hold clipped, to huge_rounds. (Strings,
     unlike tuples, add no work for the garbage collector.)
     """
-    if set(map(str.count, lines, repeat(","))) - {8}:
-        found = next(line.count(",") for line in lines if line.count(",") != 8) + 1
-        raise ValueError(f"expected 9 columns, found {found}")
-    n = len(lines)
-    cells = ",".join(lines).split(",") if lines else []
+    n = len(numbers)
     players, type_names = cells[3::9], cells[4::9]
     if set(players) - {"A", "B"}:
         raise ValueError(f"player must be A or B, found {next(p for p in players if p not in ('A', 'B'))!r}")
@@ -153,37 +148,6 @@ def _parse_block(
     )
 
 
-def _read_rows(
-    path: Path, vocab: ShotTypeVocab, rejects: list[RejectedRow], huge_rounds: dict[int, int]
-) -> tuple[dict[str, int], Columns, int]:
-    """The file's rows as columns, the code of each "match_id,rally_id", and the number of non-empty lines.
-
-    Lines are parsed in blocks, each converted and checked as arrays; a block
-    that fails a check is parsed again one line at a time, by the same
-    function, which rejects each failing line and keeps the others' rows.
-    """
-    keys: dict[str, int] = {}
-    blocks: list[Columns] = []
-    n_rows = 0
-    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ParseError(f"unexpected header in {path}: {header!r}")
-        for lines, numbers in line_blocks(fh, lambda line: line.rstrip("\n").rstrip("\r")):
-            n_rows += len(lines)
-            try:
-                blocks.append(_parse_block(lines, numbers, vocab, keys, huge_rounds))
-            except (ValueError, KeyError):
-                for i, line in enumerate(lines):
-                    try:
-                        blocks.append(_parse_block([line], numbers[i : i + 1], vocab, keys, huge_rounds))
-                    except (ValueError, KeyError) as exc:
-                        rejects.append(RejectedRow(int(numbers[i]), tuple(line.split(",")), str(exc).strip("'\"")))
-    # columns even for a file without rows
-    blocks.append(_parse_block([], np.zeros(0, dtype=np.int64), vocab, keys, huge_rounds))
-    return keys, tuple(np.concatenate(column) for column in zip(*blocks)), n_rows
-
-
 def parse_dataset(
     path: str | Path,
     vocab: ShotTypeVocab | None = None,
@@ -197,21 +161,25 @@ def parse_dataset(
     (also written next to the input as <name>.rejects.csv) instead of
     aborting; only a row-level malformed share above 10% is a hard failure.
 
-    Lines are parsed in blocks of arrays (_read_rows), so every reject is
+    Lines are parsed in blocks of arrays (court.read_csv), so every reject is
     worded by _parse_block, and rows are grouped into rallies by one sort.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
     if mirror not in ("none", "odd", "even"):
         raise ValueError(f"mirror must be none, odd, or even, got {mirror!r}")
     vocab = vocab or ShotTypeVocab.default()
     court = court or CourtSpec()
 
     rejects: list[RejectedRow] = []
+    keys: dict[str, int] = {}
     huge_rounds: dict[int, int] = {}
-    keys, (numbers, codes, rounds, is_b, types, coords), n_rows = _read_rows(path, vocab, rejects, huge_rounds)
+    numbers, codes, rounds, is_b, types, coords = read_csv(
+        path, "dataset", CSV_HEADER, lambda line: line.rstrip("\n").rstrip("\r"),
+        lambda cells, numbers: _parse_block(cells, numbers, vocab, keys, huge_rounds),
+        lambda number, line, exc: rejects.append(RejectedRow(number, tuple(line.split(",")), str(exc).strip("'\""))),
+    )
     n_malformed = len(rejects)
+    n_rows = len(numbers) + n_malformed
     if n_rows and n_malformed / n_rows > MALFORMED_ROW_LIMIT:
         sample = ", ".join(f"line {r.line_number} ({r.reason})" for r in rejects[:20])
         raise ParseError(

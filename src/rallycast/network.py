@@ -499,7 +499,12 @@ def load_checkpoint(path: str | Path) -> Forecaster:
         not_str = [n for _, n, _ in vocab_rows if not isinstance(n, str)]
         if not_str:
             raise ParseError(f"{path}: header vocab name {not_str[0]!r} is not a string")
-        vocab = ShotTypeVocab(tuple(ShotType(int(i), n, bool(s)) for i, n, s in vocab_rows))
+        for row, (i, _, s) in enumerate(vocab_rows):  # int(1.9) would load as type 1, bool("no") as a service type
+            if type(i) is not int or type(s) is not bool:
+                raise ParseError(
+                    f"{path}: header vocab[{row}] {vocab_rows[row]!r} needs an int id and a true/false flag"
+                )
+        vocab = ShotTypeVocab(tuple(ShotType(i, n, s) for i, n, s in vocab_rows))
         arrays = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
         for i, (_, shape) in enumerate(arrays):
             if any(type(n) is not int for n in shape):  # (10.0, 16) == (10, 16) would pass the shape check below

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, cycle, repeat
+from itertools import compress, cycle
 from pathlib import Path
 from typing import Sequence
 
@@ -32,9 +32,8 @@ from .court import (
     Rally,
     ShotTypeVocab,
     int_column,
-    line_blocks,
+    read_csv,
     run_starts,
-    utf8_line_errors,
 )
 from .dataset import TAU, ParseError
 from .network import Forecaster, KVCache, StrokeInputs
@@ -375,7 +374,6 @@ class ScoreReport:
     best_per_rally_agg: float
     per_rally: dict[str, float]
     per_round: dict[int, float]
-    n_strokes: int
 
     def lines(self) -> list[str]:
         out = [f"l_{i + 1} = {l:.6f}" for i, l in enumerate(self.sample_losses)]
@@ -434,7 +432,6 @@ def score_sample_sets(
         best_per_rally_agg=best_agg,
         per_rally=per_rally,
         per_round=per_round,
-        n_strokes=n,
     )
 
 
@@ -504,7 +501,6 @@ class PredictionFile:
     one round keeping their file order.
     """
 
-    vocab: ShotTypeVocab
     n_samples: int
     rally_ids: list[str]  # in first-seen order
     rally_index: np.ndarray  # (M,) each row's position in rally_ids
@@ -516,7 +512,6 @@ class PredictionFile:
     @classmethod
     def from_columns(
         cls,
-        vocab: ShotTypeVocab,
         rally_ids: list[str],
         rally_index: np.ndarray,
         sample_ids: np.ndarray,
@@ -533,7 +528,6 @@ class PredictionFile:
         first_line[pair] = pair[new][np.cumsum(new) - 1]
         order = np.lexsort((rounds, first_line, rally_index))
         return cls(
-            vocab,
             int(sample_ids.max(initial=0)),
             rally_ids,
             rally_index[order],
@@ -592,36 +586,24 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     may appear once, and the sample ids must run 1..k without a gap. A header
     that does not match the vocabulary raises ParseError naming the file.
 
-    Lines are parsed in blocks, each converted and checked as arrays; a block
-    that fails is parsed again one line at a time, by the same function, to
-    name the first bad line. The file is read once: each row keeps its line
-    number, which the sample-id gap and repeat messages name.
+    Lines are parsed in blocks (court.read_csv), each converted and checked
+    as arrays; a block that fails is parsed again one line at a time, by the
+    same function, to name the first bad line. The file is read once: each
+    row keeps its line number, which the sample-id gap and repeat messages
+    name.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"prediction file not found: {path}")
-    expected_header = prediction_header(vocab)
+    header = prediction_header(vocab)
+    columns = header.split(",")
     codes: dict[str, int] = {}  # rally id -> its position in first-seen order
     huge_ids: dict[int, int] = {}  # line number -> its sample id beyond int64, which the sample ids hold clipped
-    blocks: list[tuple[np.ndarray, ...]] = []
-    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
-        header = fh.readline().strip()
-        if header != expected_header:
-            raise ParseError(f"{path}: line 1: prediction header does not match the vocabulary: {header!r}")
-        columns = header.split(",")
-        for lines, numbers in line_blocks(fh, str.strip):
-            try:
-                blocks.append(_parse_block(lines, numbers, columns, codes, huge_ids))
-            except ValueError:
-                for i, line in enumerate(lines):
-                    try:
-                        blocks.append(_parse_block([line], numbers[i : i + 1], columns, codes, huge_ids))
-                    except ValueError as exc:
-                        raise ParseError(f"line {numbers[i]}: {exc}") from exc
-    # columns even for a file without rows
-    blocks.append(_parse_block([], np.zeros(0, dtype=np.int64), columns, codes, huge_ids))
-    line_numbers, rally_index, sample_ids, rounds, values = (np.concatenate(column) for column in zip(*blocks))
-    blocks.clear()
+
+    def reject(number: int, line: str, exc: Exception) -> None:
+        raise ParseError(f"line {number}: {exc}") from exc
+
+    line_numbers, rally_index, sample_ids, rounds, values = read_csv(
+        Path(path), "prediction", header, str.strip,
+        lambda cells, numbers: _parse_block(cells, numbers, columns, codes, huge_ids), reject,
+    )
     ids = np.unique(sample_ids)
     if len(ids) and ids[-1] != len(ids):
         gap = int(np.argmax(ids != np.arange(1, len(ids) + 1))) + 1
@@ -629,7 +611,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
         sample_id = huge_ids.get(int(line_numbers[row]), sample_ids[row])
         raise ParseError(f"line {line_numbers[row]}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
     landings, probs = values[:, :2], values[:, 2:]
-    pred = PredictionFile.from_columns(vocab, list(codes), rally_index, sample_ids, rounds, landings, probs)
+    pred = PredictionFile.from_columns(list(codes), rally_index, sample_ids, rounds, landings, probs)
     if not run_starts(pred.rally_index, pred.sample_ids, pred.rounds).all():
         # the earliest line whose (rally, sample, round) an earlier line has, found by a sort that only this error pays
         order = np.lexsort((rounds, sample_ids, rally_index))
@@ -645,9 +627,9 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
 
 
 def _parse_block(
-    lines: list[str], numbers: np.ndarray, columns: list[str], codes: dict[str, int], huge_ids: dict[int, int]
+    cells: list[str], numbers: np.ndarray, columns: list[str], codes: dict[str, int], huge_ids: dict[int, int]
 ) -> tuple[np.ndarray, ...]:
-    """(line number, rally index, sample id, round, landings and probabilities) arrays of a block of non-empty lines.
+    """(line number, rally index, sample id, round, landings and probabilities) arrays of a block's cells.
 
     Raises ValueError at the first check that fails; the checks run in this
     order, so a one-line block raises its row's fault. A block that passes
@@ -655,11 +637,7 @@ def _parse_block(
     number, to huge_ids.
     """
     width = len(columns)
-    if set(map(str.count, lines, repeat(","))) - {width - 1}:
-        found = next(line.count(",") for line in lines if line.count(",") != width - 1) + 1
-        raise ValueError(f"expected {width} columns, found {found}")
-    n = len(lines)
-    cells = ",".join(lines).split(",") if lines else []
+    n = len(numbers)
     sample_ids, beyond_ids = int_column(cells[1::width])
     rounds, beyond_rounds = int_column(cells[2::width])
     numeric = cycle([False] * 3 + [True] * (width - 3))

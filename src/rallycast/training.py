@@ -96,7 +96,6 @@ class TrainReport:
 class LossBundle:
     shot_loss: float
     area_loss: float
-    total_loss: float
     node: Tensor  # scalar graph node for backward
     n_steps: int
 
@@ -144,12 +143,10 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
     inv_n = 1.0 / n
     shot = ad.scale(ad.tsum(ce), inv_n)
     area = ad.scale(ad.tsum(nll), inv_n)
-    total = ad.add(shot, area)
     return LossBundle(
         shot_loss=float(shot.data),
         area_loss=float(area.data),
-        total_loss=float(total.data),
-        node=total,
+        node=ad.add(shot, area),
         n_steps=n,
     )
 

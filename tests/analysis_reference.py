@@ -42,7 +42,7 @@ def reference_shot_distribution(rallies, group_by, vocab, court):
     if group_by == "ball_round":
         keys = [s.round_index for s in strokes]
     elif group_by == "player":
-        keys = [r.name_of(s.player) for r in rallies for s in r.strokes]
+        keys = [r.player_a if s.player is Player.A else r.player_b for r in rallies for s in r.strokes]
     elif group_by == "landing_zone":
         keys = [reference_coord_to_zone(s.landing, court, Player.B) for s in strokes]
     else:
@@ -77,7 +77,7 @@ def reference_type_vote(pred, vocab):
             for v in vectors[1:]:
                 summed += v
             best = max(votes, key=lambda t: (votes[t], summed[t], -t))
-            winners.append(VoteResult(rally_id, ball_round, best, vocab.name_of(best), votes[best]))
+            winners.append(VoteResult(rally_id, ball_round, vocab.name_of(best), votes[best]))
             aggregate[best] += 1
     total = sum(aggregate.values())
     rows = [DistRow("all", vocab.name_of(t), aggregate[t], aggregate[t] / total) for t in sorted(aggregate)]

@@ -129,7 +129,6 @@ def prediction_file(vocab, strokes_by_rally_sample):
     rally_ids = list(dict.fromkeys(rally_id for rally_id, _ in strokes_by_rally_sample))
     rows = [(rally_ids.index(r), s, g) for (r, s), strokes in strokes_by_rally_sample.items() for g in strokes]
     return PredictionFile.from_columns(
-        vocab,
         rally_ids,
         [r for r, _, _ in rows],
         [s for _, s, _ in rows],

@@ -52,7 +52,7 @@ def _meta_from(rallies):
     for r in rallies:
         lengths[len(r)] += 1
         for s in r.strokes:
-            per_player[r.name_of(s.player)] += 1
+            per_player[r.player_a if s.player is Player.A else r.player_b] += 1
     players = {name for r in rallies for name in (r.player_a, r.player_b)}
     return DatasetMeta(
         n_matches=len({r.match_id for r in rallies}),
@@ -81,7 +81,7 @@ def reference_parse_dataset(path, vocab, court, mirror="none", write_rejects=Tru
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
-            raise ParseError(f"unexpected header in {path}: {header!r}")
+            raise ParseError(f"{path}: line 1: dataset header does not match {CSV_HEADER!r}: {header!r}")
         for line_number, line in enumerate(fh, start=2):
             line = line.rstrip("\n").rstrip("\r")
             if not line:

@@ -45,5 +45,5 @@ def stroke_inputs(strokes, player_ids, court):
 def rally_stroke_inputs(model, rally, n):
     """The oracle's inputs of the rally's first n strokes, each hitter looked up in the model's player index."""
     strokes = rally.strokes[:n]
-    ids = [model.player_id(rally.name_of(s.player)) for s in strokes]
+    ids = [model.player_id(rally.player_a if s.player is Player.A else rally.player_b) for s in strokes]
     return stroke_inputs(strokes, ids, model.court)

@@ -45,9 +45,9 @@ def reference_import_predictions(path, vocab):
     path = Path(path)
     rows = []  # (line number, rally id, sample id, round, landing, probabilities) in file order
     with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != prediction_header(vocab):
-            raise ParseError(f"{path}: line 1: prediction header does not match the vocabulary: {header!r}")
+        header, expected = fh.readline().strip(), prediction_header(vocab)
+        if header != expected:
+            raise ParseError(f"{path}: line 1: prediction header does not match {expected!r}: {header!r}")
         columns = header.split(",")
         for line_number, line in enumerate(fh, start=2):
             line = line.strip()
@@ -84,7 +84,6 @@ def reference_import_predictions(path, vocab):
             if r == rally_id:
                 ordered.extend(sorted(sample_rows, key=lambda row: row[3]))
     return PredictionFile(
-        vocab,
         max(ids, default=0),
         rally_ids,
         np.array([rally_ids.index(row[1]) for row in ordered], dtype=np.int64),

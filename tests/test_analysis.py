@@ -99,7 +99,7 @@ def test_vote_unanimous(vocab):
     pred = prediction_file(vocab, {("r1", s): [_g(vocab, 5, probs)] for s in range(1, 7)})
     winners, table = predicted_type_vote(pred, vocab)
     assert len(winners) == 1
-    assert winners[0].type_id == 3 and winners[0].votes == 6
+    assert winners[0].type_name == vocab.name_of(3) and winners[0].votes == 6
     assert table.rows[0].fraction == 1.0
 
 
@@ -120,7 +120,7 @@ def test_vote_tie_breaks_by_summed_probability(vocab):
     total_smash = 3 * a[smash] + 3 * b[smash]
     total_net = 3 * a[net] + 3 * b[net]
     assert abs(total_smash - 2.9) < 1e-9 and abs(total_net - 2.7) < 1e-9
-    assert winners[0].type_id == smash
+    assert winners[0].type_name == "smash"
 
 
 def test_vote_tie_breaks_by_lower_type_id(vocab):
@@ -132,7 +132,7 @@ def test_vote_tie_breaks_by_lower_type_id(vocab):
     b[t1], b[t2] = 0.25, 0.75
     strokes = {("r1", s): [_g(vocab, 5, a if s <= 3 else b)] for s in range(1, 7)}
     winners, _ = predicted_type_vote(prediction_file(vocab, strokes), vocab)
-    assert winners[0].type_id == t1  # counts and summed probs equal
+    assert winners[0].type_name == vocab.name_of(t1)  # counts and summed probs equal
 
 
 def test_vote_aggregate_fractions_sum_to_one(vocab):

@@ -183,15 +183,35 @@ def test_prediction_file_with_a_byte_that_is_not_utf8_exits_1_naming_its_line(tm
     ["score", "--truth", HAND_SCORED / "truth.csv", "--out"],
     ["analyze", "--kind", "vote", "--out-dir"],
 ])
-def test_a_prediction_file_with_the_wrong_header_exits_1_naming_the_file(tmp_path, command):
+def test_a_prediction_file_with_the_wrong_header_exits_1_naming_the_file(tmp_path, vocab, command):
     """This exited 2 with "prediction header does not match the vocabulary", naming no file."""
+    from rallycast.scoring import prediction_header
+
     damaged = tmp_path / "damaged.csv"
     damaged.write_text("rally_id,sample_id\nh0001,1\n", encoding="utf-8")
     out = run_cli(*command, tmp_path / "out", "--predictions", damaged)
     assert out.returncode == 1, out.stderr
-    assert f"{damaged}: line 1: prediction header does not match the vocabulary: 'rally_id,sample_id'" in out.stderr
+    expected = prediction_header(vocab)
+    assert f"{damaged}: line 1: prediction header does not match {expected!r}: 'rally_id,sample_id'" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [lambda tmp: ["validate"], lambda tmp: ["train", "--out-dir", tmp / "run"]], ids=["validate", "train"],
+)
+def test_a_dataset_with_the_wrong_header_exits_1_naming_its_line(tmp_path, command):
+    """The message was "unexpected header in <path>: ...", naming no line."""
+    from rallycast.dataset import CSV_HEADER
+
+    damaged = tmp_path / "damaged.csv"
+    lines = CORPUS32.read_text(encoding="utf-8").splitlines()
+    damaged.write_text("\n".join(["match_id,rally_id,round", *lines[1:]]) + "\n", encoding="utf-8")
+    out = run_cli(*command(tmp_path), "--data", damaged)
+    assert out.returncode == 1, out.stderr
+    assert f"{damaged}: line 1: dataset header does not match {CSV_HEADER!r}: 'match_id,rally_id,round'" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["damaged.csv"]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -566,6 +586,15 @@ CHECKPOINT_DAMAGE = {
     "vocab_name_not_a_string": (
         _edit_header(lambda h: h["vocab"][2].__setitem__(1, 5)), "header vocab name 5 is not a string",
     ),
+    # int(1.9) loaded as type id 1, and bool("no") made net shot a service type that the sampler masked out
+    "vocab_id_float": (
+        _edit_header(lambda h: h["vocab"][1].__setitem__(0, 1.9)),
+        "header vocab[1] [1.9, 'short service', True] needs an int id and a true/false flag",
+    ),
+    "vocab_serve_flag_a_string": (
+        _edit_header(lambda h: h["vocab"][2].__setitem__(2, "no")),
+        "header vocab[2] [2, 'net shot', 'no'] needs an int id and a true/false flag",
+    ),
     # the run's own sizes as a float or bool passed the config's checks; a float ended in a TypeError traceback
     "embed_dim_float": (_edit_header(lambda h: h["config"].update(embed_dim=4.0)), "embed_dim must be an int, got 4.0"),
     "n_heads_float": (_edit_header(lambda h: h["config"].update(n_heads=2.0)), "n_heads must be an int, got 2.0"),
@@ -699,6 +728,33 @@ def test_score_perfect_fixture():
     out = run_cli("score", "--predictions", HAND_SCORED / "predictions_perfect.csv", "--truth", HAND_SCORED / "truth.csv")
     assert out.returncode == 0
     assert "Score = 0.000000" in out.stdout
+
+
+def test_score_notes_the_predicted_rallies_that_the_truth_lacks(tmp_path, vocab):
+    """With predictions over 10 rallies and a truth file of 6 of them, score printed a score over the 6 alone."""
+    import numpy as np
+
+    from rallycast.dataset import SynthConfig, synthesize_dataset
+    from rallycast.scoring import SampleSets, export_predictions
+
+    rallies = synthesize_dataset(SynthConfig(n_rallies=10, seed=3, vocab=vocab))
+    truth = tmp_path / "truth.csv"
+    write_dataset(rallies[:6], vocab, truth)
+    stdout = {}
+    for n in (10, 6):  # the same six sets, each predicting every stroke's type and landing 0.25 m off in x and y
+        rounds = np.concatenate([r.rounds[TAU:] for r in rallies[:n]])
+        landings = np.concatenate([r.landings[TAU:] for r in rallies[:n]]) + 0.25
+        probs = np.eye(vocab.size)[np.concatenate([r.type_ids[TAU:] for r in rallies[:n]])]
+        lengths = np.array([[len(r) - TAU for r in rallies[:n]]] * 6)
+        sets = SampleSets(lengths, np.tile(rounds, 6), np.tile(landings, (6, 1)), np.tile(probs, (6, 1)))
+        predictions, report = tmp_path / f"p{n}.csv", tmp_path / f"s{n}.csv"
+        export_predictions(rallies[:n], sets, vocab, predictions)
+        out = run_cli("score", "--predictions", predictions, "--truth", truth, "--out", report)
+        assert out.returncode == 0, out.stderr
+        stdout[n] = out.stdout.splitlines()
+    assert stdout[10] == ["note: scored 6 of 10 predicted rallies"] + stdout[6]
+    assert stdout[6][0].startswith("l_1 = ")
+    assert (tmp_path / "s10.csv").read_bytes() == (tmp_path / "s6.csv").read_bytes()
 
 
 def test_score_rejects_five_sample_file(tmp_path):

@@ -289,6 +289,25 @@ def test_only_court_and_the_package_root_know_the_stroke_view():
     assert found == []
 
 
+CSV_READER_PARTS = ("utf8_line_errors", "line_blocks")
+
+
+def test_only_court_reads_csv_lines():
+    """Datasets and prediction files are read through court.read_csv: no other module names the line reader's parts."""
+    package = Path(court_module.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "court.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            found += [f"{path.name}:{node.lineno} names {name}" for name in names if name in CSV_READER_PARTS]
+    assert found == []
+
+
 # the gradient oracle: the tests check every primitive's backward against it
 TEST_ONLY_SURFACE = {"gradient_check"}
 

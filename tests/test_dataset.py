@@ -332,7 +332,7 @@ def test_synthetic_disjoint_styles_differ(vocab):
         for s in r.strokes:
             if s.round_index == 1:
                 continue
-            hist[r.name_of(s.player)][s.shot_type] += 1
+            hist[r.player_a if s.player is Player.A else r.player_b][s.shot_type] += 1
     p = hist["alice"] / hist["alice"].sum()
     q = hist["chen"] / hist["chen"].sum()
     assert set(np.argsort(p)[-2:]).isdisjoint(np.argsort(q)[-2:])

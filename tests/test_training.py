@@ -53,7 +53,7 @@ def test_step_loss_total_is_sum(vocab, court):
     target = make_rally([0, 2, 3, 4, 2])
     heads = _plain_heads(vocab, 0.5, target.strokes[4].shot_type, (0.1, 0.2), sigma=(0.5, 2.0), rho=0.3)
     bundle = step_loss([heads], [target], court)
-    assert abs(bundle.total_loss - (bundle.shot_loss + bundle.area_loss)) < 1e-12
+    assert abs(float(bundle.node.data) - (bundle.shot_loss + bundle.area_loss)) < 1e-12
     assert bundle.node.size == 1
 
 
@@ -187,7 +187,7 @@ def test_single_tiny_step_does_not_increase_smooth_loss(vocab, corpus):
     ad.backward(before.node)
     Adam(model.params, _quick_config(learning_rate=1e-6)).step()
     after = batch_loss()
-    assert after.total_loss <= before.total_loss + 1e-6
+    assert float(after.node.data) <= float(before.node.data) + 1e-6
 
 
 def test_training_never_nans_across_seeds(vocab):
