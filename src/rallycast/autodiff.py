@@ -451,9 +451,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, blocked: np.ndarray, n_heads: int
         return np.swapaxes(x, -2, -3).reshape(lead + (x.shape[-2], d))
 
     qh = np.ascontiguousarray(split(q.data, n))
-    kh_t, vh = np.zeros(lead + (n_heads, dh, width)), np.zeros(lead + (n_heads, width, dh))
-    kh_t[..., :m] = np.swapaxes(split(k.data, m), -1, -2)
-    vh[..., :m, :] = split(v.data, m)
+    kh_t, vh = np.swapaxes(split(k.data, m), -1, -2), split(v.data, m)
+    if m < width:
+        padded_k, padded_v = np.zeros(lead + (n_heads, dh, width)), np.zeros(lead + (n_heads, width, dh))
+        padded_k[..., :m], padded_v[..., :m, :] = kh_t, vh
+        kh_t, vh = padded_k, padded_v
+    else:  # a KVCache's keys are already so; values are copied, as a strided head block can round otherwise
+        kh_t, vh = np.ascontiguousarray(kh_t), np.ascontiguousarray(vh)
     blocked = blocked[..., None, :, :]
     scores = _row_by_row(qh, kh_t) * c
     np.copyto(scores[..., :m], NEG_MASK_VALUE, where=blocked)

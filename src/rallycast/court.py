@@ -78,7 +78,7 @@ def read_csv(
     ValueError or KeyError, is parsed again one line at a time, and reject
     gets each failing line's number, text and error. The lines read before a
     byte that is not UTF-8 are parsed first, so a bad row among them is
-    reported first.
+    reported first. A UTF-8 byte-order mark before the header is skipped.
     """
     if not path.exists():
         raise FileNotFoundError(f"{kind} file not found: {path}")
@@ -103,7 +103,7 @@ def read_csv(
                 except (ValueError, KeyError) as exc:
                     reject(int(numbers[i]), line, exc)
 
-    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh, utf8_line_errors(path):
         found = fh.readline().strip()
         if found != header:
             raise ParseError(f"{path}: line 1: {kind} header does not match {header!r}: {found!r}")
@@ -216,7 +216,7 @@ VOCAB_COLUMNS = ("type_id", "name", "is_serve")
 
 
 def load_vocab(path: str | Path) -> ShotTypeVocab:
-    """Read a vocabulary CSV with header type_id,name,is_serve.
+    """Read a vocabulary CSV with header type_id,name,is_serve, after a UTF-8 byte-order mark if there is one.
 
     A damaged file, or one that ShotTypeVocab rejects, raises ParseError
     naming the file.
@@ -225,7 +225,7 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
     if not path.exists():
         raise FileNotFoundError(f"vocabulary file not found: {path}")
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh, utf8_line_errors(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh, utf8_line_errors(path):
         reader = csv.DictReader(fh)
         missing = [c for c in VOCAB_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:

@@ -178,13 +178,22 @@ class KVCache:
     cached ones, its own, and the zero ones after them, which it blocks as
     the full forward blocks its padded keys. It carries no autodiff tape, so
     it serves inference only.
+
+    Layer i's buffers are layers[i] = (keys, values), of shapes (B, 2, d,
+    width) and (B, 2, width, d). Axis 1 holds each history's two encoder
+    rows: its rally context, then its player context (see encode_contexts).
+    The keys are stored transposed, so head h's rows h*d/n_heads ..
+    (h+1)*d/n_heads of them are the block autodiff.attention multiplies, and
+    it copies no cached key. The histories stay in their batch order, so a
+    caller that orders them by falling horizon drops the finished ones from
+    the tail with keep_rows, which slices and copies nothing.
     """
 
     def __init__(self, batch: int, config: ModelConfig):
         self.length = 0
         self.hitters = np.zeros((batch, 0), dtype=bool)  # hit_by_a of each buffered position
-        # kv[layer] is (2, 2B, width, d): keys then values, of the B rally-context rows, then the B player-context rows
-        self.kv = [np.zeros((2, 2 * batch, 0, config.embed_dim)) for _ in range(config.n_layers)]
+        d = config.embed_dim
+        self.layers = [(np.zeros((batch, 2, d, 0)), np.zeros((batch, 2, 0, d))) for _ in range(config.n_layers)]
 
     def feed(self, hitters: np.ndarray) -> np.ndarray:
         """Buffer the (B, n) hit_by_a of the n positions after length, and return every buffered one.
@@ -197,16 +206,17 @@ class KVCache:
         grow = ad.whole_groups(stop) - self.hitters.shape[1]
         if grow > 0:
             self.hitters = np.pad(self.hitters, ((0, 0), (0, grow)))
-            self.kv = [np.pad(layer, ((0, 0), (0, 0), (0, grow), (0, 0))) for layer in self.kv]
+            self.layers = [
+                (np.pad(keys, ((0, 0), (0, 0), (0, 0), (0, grow))), np.pad(values, ((0, 0), (0, 0), (0, grow), (0, 0))))
+                for keys, values in self.layers
+            ]
         self.hitters[:, self.length : stop] = hitters
         return self.hitters
 
-    def keep_rows(self, keep: Sequence[int]) -> None:
-        """Keep only the histories at the given batch rows, in that order."""
-        idx = np.asarray(keep, dtype=np.int64)
-        both = np.concatenate([idx, idx + len(self.hitters)])
-        self.hitters = self.hitters[idx]
-        self.kv = [layer[:, both] for layer in self.kv]
+    def keep_rows(self, n: int) -> None:
+        """Keep only the first n histories."""
+        self.hitters = self.hitters[:n]
+        self.layers = [(keys[:n], values[:n]) for keys, values in self.layers]
 
 
 def embed_strokes(
@@ -251,9 +261,11 @@ def _attention(
     k = ad.linear(x, params[p + "wk"])
     v = ad.linear(x, params[p + "wv"])
     if cache is not None:
-        kv, new = cache.kv[layer], slice(cache.length, cache.length + x.shape[-2])
-        kv[0, :, new], kv[1, :, new] = k.data, v.data
-        k, v = Tensor(kv[0]), Tensor(kv[1])
+        # (2B, d, width) and (2B, width, d) views: the buffers are contiguous, keep_rows slicing whole histories off
+        keys, values = (a.reshape((-1,) + a.shape[2:]) for a in cache.layers[layer])
+        new = slice(cache.length, cache.length + x.shape[-2])
+        keys[..., new], values[:, new] = np.swapaxes(k.data, -1, -2), v.data
+        k, v = Tensor(np.swapaxes(keys, -1, -2)), Tensor(values)
     merged = ad.attention(q, k, v, ~allowed, config.n_heads)
     return ad.linear(merged, params[p + "wo"], params[p + "bo"])
 
@@ -291,9 +303,10 @@ def encode_contexts(
 
     x is (..., n, d). hitters is the (..., n) bool array of who hits each
     position, True for player A (StrokeInputs.hit_by_a). One encoder pass
-    runs over x's B histories twice, stacked: under the causal mask, then
-    the causal same-hitter mask, so a length-1 sequence yields identical
-    contexts. rng draws the dropout masks as two separate passes would.
+    runs over 2B rows, two per history: row 2i under the causal mask, row
+    2i + 1 under the causal same-hitter mask, so a length-1 sequence yields
+    identical contexts. rng draws the dropout masks as two separate passes
+    would.
     With a cache, x holds the (B, n, d) positions after the cached ones;
     they also attend over the cached positions, and the cache then holds
     them too.
@@ -307,13 +320,20 @@ def encode_contexts(
     every = hitters if cache is None else cache.feed(hitters)
     same = hitters[..., :, None] == every[..., None, :]
     causal = np.broadcast_to(np.tril(np.ones((n_new, every.shape[-1]), dtype=bool), start), same.shape)
+    allowed = np.concatenate([causal, causal & same])
     # (2, 2 * n_layers, B, n, d) uniforms -> (2 * n_layers, 2B, n, d), rally rows first
     uniforms = None if rng is None else np.concatenate(rng.random((2, 2 * config.n_layers) + x.shape), axis=1)
-    out = _encoder_stack(ad.concat([x, x], axis=0), np.concatenate([causal, causal & same]), params, config, uniforms, cache)
+    # the rows go in as an argument, not a name, so that the encoder frees them after its first layer
+    b = len(hitters)
+    if b == 1:  # rows 0 and 1 are paired already
+        out = _encoder_stack(ad.concat([x, x], axis=0), allowed, params, config, uniforms, cache)
+    else:  # history i to rows 2i and 2i + 1, so that KVCache.keep_rows keeps the first histories as a prefix
+        pairs = np.arange(2 * b).reshape(2, b).T.ravel()
+        uniforms = None if uniforms is None else uniforms[:, pairs]
+        out = _encoder_stack(ad.concat([x, x], axis=0)[pairs], allowed[pairs], params, config, uniforms, cache)
     if cache is not None:
         cache.length = start + n_new
-    b = len(hitters)
-    return (out[0], out[1]) if single else (out[:b], out[b:])
+    return (out[0], out[1]) if single else (out[0::2], out[1::2])
 
 
 def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: dict[str, Tensor]) -> Tensor:

@@ -144,9 +144,11 @@ def sample(
 
     Each rally's prefix is read once from its columns, so at step t all
     active histories hold TAU + t strokes and need no padding; a
-    continuation leaves the batch once it reaches its horizon. The forward
-    runs without a tape, from a key/value cache of the earlier positions: the
-    first step feeds the prefixes, and each later step the strokes just drawn.
+    continuation leaves the batch once it reaches its horizon. The batch
+    rows run by falling horizon, so continuations leave from its tail. The
+    forward runs without a tape, from a key/value cache of the earlier
+    positions: the first step feeds the prefixes, and each later step the
+    strokes just drawn.
     """
     if not tasks:
         return []
@@ -157,17 +159,17 @@ def sample(
     if horizons.min() < 1:
         raise ValueError("horizon must be at least 1")
     serve_ids = list(model.vocab.serve_ids)
-    rally_of = np.array([r_idx for r_idx, _, _ in tasks])  # each task's rally
     rngs = [np.random.default_rng(seed) for _, _, seed in tasks]
     outs: list[list[GeneratedStroke]] = [[] for _ in tasks]
 
+    active = np.argsort(-horizons, kind="stable")  # task index of each batch row
+    rally_of = np.array([r_idx for r_idx, _, _ in tasks])[active]  # each row's rally
     # per batch row: the stroke before the next one, and the player-table rows of sides A and B
     prefixes = StrokeInputs.stack([model.rally_inputs(r, TAU) for r in rallies])
     prev_landing = np.array([r.landings[TAU - 1] for r in rallies])[rally_of]
     prev_round = np.array([r.rounds[TAU - 1] for r in rallies])[rally_of]
     side_ids = np.array([[model.player_id(r.player_a), model.player_id(r.player_b)] for r in rallies])[rally_of]
 
-    active = np.arange(len(tasks))  # task index of each batch row
     fed = prefixes.rows(rally_of)  # the strokes the next step feeds
     cache = KVCache(len(tasks), model.config)
     court = model.court
@@ -190,22 +192,20 @@ def sample(
                 zip(active.tolist(), type_ids.tolist(), landing.tolist(), hit_a.tolist(), rounds.tolist())
             ):
                 outs[c].append(GeneratedStroke(r, Player.A if a else Player.B, t, tuple(xy), type_probs[row]))
+
+            n = int(np.count_nonzero(horizons[active] > step))
+            if n == 0:
+                break
+            active, type_ids, landing, hit_a, side_ids = active[:n], type_ids[:n], landing[:n], hit_a[:n], side_ids[:n]
+            cache.keep_rows(n)
             fed = StrokeInputs(
                 type_ids=type_ids[:, None],
                 player_ids=np.where(hit_a, side_ids[:, 0], side_ids[:, 1])[:, None],
                 hit_by_a=hit_a[:, None],
                 landings=court.normalize(landing)[:, None],
-                locations=court.normalize(size - prev_landing)[:, None],  # the previous landing, mirrored
+                locations=court.normalize(size - prev_landing[:n])[:, None],  # the previous landing, mirrored
             )
-            prev_landing, prev_round = landing, rounds
-
-            keep = np.flatnonzero(horizons[active] > step)
-            if len(keep) == 0:
-                break
-            if len(keep) < len(active):
-                active, fed = active[keep], fed.rows(keep)
-                prev_landing, prev_round, side_ids = prev_landing[keep], prev_round[keep], side_ids[keep]
-                cache.keep_rows(keep)
+            prev_landing, prev_round = landing, rounds[:n]
     return outs
 
 
@@ -604,7 +604,8 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
         Path(path), "prediction", header, str.strip,
         lambda cells, numbers: _parse_block(cells, numbers, columns, codes, huge_ids), reject,
     )
-    ids = np.unique(sample_ids)
+    ids = np.sort(sample_ids)
+    ids = ids[run_starts(ids)]  # not np.unique, which imports numpy.ma on its first call
     if len(ids) and ids[-1] != len(ids):
         gap = int(np.argmax(ids != np.arange(1, len(ids) + 1))) + 1
         row = int(np.argmax(sample_ids > gap))  # rows run in file order

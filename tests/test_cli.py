@@ -168,6 +168,35 @@ def test_vocabulary_with_a_missing_column_or_cell_exits_1_naming_it(tmp_path, te
     assert "Traceback" not in out.stderr
 
 
+def _vocabulary_csv(vocab):
+    return "type_id,name,is_serve\n" + "".join(f"{e.type_id},{e.name},{str(e.is_serve).lower()}\n" for e in vocab.entries)
+
+
+# (the file's text, the command line that reads it from `path`)
+BYTE_ORDER_MARK_CASES = {
+    "dataset": (lambda vocab: CORPUS32.read_text(encoding="utf-8"), lambda path: ["validate", "--data", path]),
+    "predictions": (
+        lambda vocab: (HAND_SCORED / "predictions.csv").read_text(encoding="utf-8"),
+        lambda path: ["score", "--predictions", path, "--truth", HAND_SCORED / "truth.csv"],
+    ),
+    "vocabulary": (_vocabulary_csv, lambda path: ["validate", "--data", CORPUS32, "--vocab", path]),
+}
+
+
+@pytest.mark.parametrize("case", list(BYTE_ORDER_MARK_CASES))
+def test_a_file_with_a_utf8_byte_order_mark_reads_as_without_it(tmp_path, vocab, case):
+    """Spreadsheet tools often start a UTF-8 file with EF BB BF; the header check refused it."""
+    text, command = BYTE_ORDER_MARK_CASES[case]
+    path = tmp_path / "input.csv"
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + text(vocab).encode("utf-8"))
+        runs.append(run_cli(*command(path)))
+    plain, marked = runs
+    assert plain.returncode == 0, plain.stderr
+    assert (marked.returncode, marked.stdout, marked.stderr) == (plain.returncode, plain.stdout, plain.stderr)
+
+
 def test_prediction_file_with_a_byte_that_is_not_utf8_exits_1_naming_its_line(tmp_path):
     lines = (HAND_SCORED / "predictions.csv").read_bytes().splitlines(keepends=True)
     lines[5] = lines[5].replace(b",", b"\xff,", 1)  # in the rally id of line 6

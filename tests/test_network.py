@@ -450,13 +450,21 @@ def test_fused_cached_step_equals_a_plain_numpy_reference_bit_for_bit():
     with ad.no_tape():
         encode_contexts(Tensor(x[:, :first]), hitters[:, :first], params, config, cache=cache)
         assert cache.length == first
-        cached = (cache.hitters[:, :first].copy(), [[a[:, :first].copy() for a in layer] for layer in cache.kv])
+        # the reference stacks the rally rows, then the player rows; the cache holds each history's two rows side by side
+        def rally_first(a):  # (B, 2, ...) -> (2B, ...)
+            return np.concatenate([a[:, 0], a[:, 1]])
+
+        kv = [
+            [rally_first(np.swapaxes(keys, -1, -2)[:, :, :first]), rally_first(values[:, :, :first])]
+            for keys, values in cache.layers
+        ]
+        cached = (cache.hitters[:, :first].copy(), kv)
         # one attention layer over cached keys: 3 queries against 13 keys, in buffers of 16
         allowed = np.broadcast_to(np.tril(np.ones((width - first, 16), dtype=bool), first), (6, width - first, 16))
         x_new = np.concatenate([x[:, first:], x[:, first:]])
-        got = network._attention(Tensor(x_new), allowed, params, 0, config, cache).data
+        got = network._attention(Tensor(np.repeat(x[:, first:], 2, axis=0)), allowed, params, 0, config, cache).data
         want = _np_attention(x_new, allowed[..., :width], w, 0, config, cached[1][0])
-        assert np.array_equal(got, want)
+        assert np.array_equal(rally_first(got.reshape((3, 2) + got.shape[1:])), want)
         got = encode_contexts(Tensor(x[:, first:]), hitters[:, first:], params, config, cache=cache)
     want = _np_encode_contexts(x[:, first:], hitters[:, first:], w, config, cached=cached)
     for g, ref in zip(got, want):
@@ -575,18 +583,20 @@ def _random_histories(rng, batch, width, config):
     )
 
 
-def _check_cached_steps(n_layers, last_step, seed):
+def _check_cached_steps(n_layers, last_step, seed, n_heads=2):
     """Step every row's cache one position at a time, against the full forward of that row alone.
 
     last_step maps each row to the history length of its last step; rows
-    leave at different steps. Returns the number of steps checked.
+    leave at different steps. The batch runs by falling last step, as the
+    sampler's does, so rows leave from its tail. Returns the number of steps
+    checked.
     """
-    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=n_layers, vocab_size=10, n_players=3)
+    config = ModelConfig(embed_dim=16, n_heads=n_heads, n_layers=n_layers, vocab_size=10, n_players=3)
     model = Forecaster(init_params(config, 4), config, CourtSpec(), ShotTypeVocab.default())
     tau, width = 4, max(last_step.values())
     history = _random_histories(np.random.default_rng(seed), len(last_step), width, config)
     assert (history.player_ids == 0).any() and (history.hit_by_a[:, 1:] == history.hit_by_a[:, :-1]).any()
-    rows = list(range(len(last_step)))
+    rows = sorted(last_step, key=lambda row: -last_step[row])
     cache = KVCache(len(rows), config)
     steps = 0
     with ad.no_tape():
@@ -599,9 +609,10 @@ def _check_cached_steps(n_layers, last_step, seed):
                     assert np.array_equal(c.data[i, -1], f.data[0, -1]), (n_layers, n, row)
                 steps += 1
             keep = [i for i, row in enumerate(rows) if last_step[row] > n]
+            assert keep == list(range(len(keep)))
             if len(keep) < len(rows):
-                rows = [rows[i] for i in keep]
-                cache.keep_rows(keep)
+                rows = rows[: len(keep)]
+                cache.keep_rows(len(keep))
             if not rows:
                 break
     assert rows == [] and steps == sum(last - tau + 1 for last in last_step.values())
@@ -609,8 +620,10 @@ def _check_cached_steps(n_layers, last_step, seed):
 
 
 def test_cached_steps_equal_the_full_forward_bit_for_bit():
-    # the benchmark's width and the default 10 types, two layers, rows leaving at different steps
-    _check_cached_steps(2, {0: 9, 1: 29, 2: 5, 3: 17, 4: 29, 5: 12, 6: 24}, seed=0)
+    # the benchmark's width and the default 10 types, two layers, rows leaving at different steps; the
+    # cache lays its keys out per head, so under 1, 2 and 4 heads
+    for n_heads in (1, 2, 4):
+        _check_cached_steps(2, {0: 9, 1: 29, 2: 5, 3: 17, 4: 29, 5: 12, 6: 24}, seed=0, n_heads=n_heads)
     # past 128 positions numpy's pairwise sum groups a softmax denominator by the key count; with two
     # layers, the cached positions' keys and values then differed from the full forward's
     for n_layers in (1, 2):
@@ -634,6 +647,20 @@ def test_cached_steps_equal_the_full_forward_under_other_blas_kernels(coretype):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "2 passed" in result.stdout
+
+
+def test_keep_rows_copies_nothing():
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10, n_players=3)
+    model = Forecaster(init_params(config, 4), config, CourtSpec(), ShotTypeVocab.default())
+    cache = KVCache(5, config)
+    with ad.no_tape():
+        model.forward(_random_histories(np.random.default_rng(2), 5, 6, config), cache=cache)
+    before = [cache.hitters, *(buffer for layer in cache.layers for buffer in layer)]
+    cache.keep_rows(3)
+    after = [cache.hitters, *(buffer for layer in cache.layers for buffer in layer)]
+    assert len(after) == len(before) == 1 + 2 * config.n_layers
+    for old, new in zip(before, after):
+        assert np.shares_memory(new, old) and np.array_equal(new, old[:3])
 
 
 def test_cached_forward_refuses_the_tape_and_training(setup):

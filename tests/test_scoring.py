@@ -2,6 +2,8 @@ import builtins
 import itertools
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -464,6 +466,39 @@ def scored_predictions(draw):
             one.append(suffix)
         sets.append(one)
     return vocab, truths, sets
+
+
+# predict then score, as `rallycast predict` and `rallycast score` run them, in a fresh interpreter
+PREDICT_THEN_SCORE = f"""
+import sys
+from pathlib import Path
+
+from rallycast import CourtSpec, ModelConfig, ShotTypeVocab, parse_dataset
+from rallycast.network import Forecaster, build_player_index, init_params
+from rallycast.scoring import generate_sample_sets, import_predictions, score_sample_sets
+
+hand_scored = Path({str(FIXTURES / "hand_scored")!r})
+vocab, court = ShotTypeVocab.default(), CourtSpec()
+truths, _, _ = parse_dataset(hand_scored / "truth.csv", vocab, court, write_rejects=False)
+index = build_player_index(truths)
+config = ModelConfig(embed_dim=8, n_heads=2, vocab_size=vocab.size, n_players=len(index))
+model = Forecaster(init_params(config, 0), config, court, vocab, index)
+assert len(generate_sample_sets(model, truths, 2, seed=0)[0]) == len(truths)
+pred = import_predictions(hand_scored / "predictions.csv", vocab)
+print(score_sample_sets(pred.sample_sets(truths), truths).score)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_predict_then_score_does_not_import_numpy_ma():
+    """np.unique's first call imported numpy.ma (numpy >= 2.3), about 12 ms of every `score` run."""
+    out = subprocess.run(
+        [sys.executable, "-c", PREDICT_THEN_SCORE], capture_output=True, text=True, cwd=FIXTURES.parent, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    score, imported = out.stdout.split()
+    assert abs(float(score) - 1.539721) < 1e-6
+    assert imported == "False"
 
 
 @given(scored_predictions(), st.sampled_from(["min_of_sets", "best_of_k"]))
