@@ -346,7 +346,10 @@ def tslice(a: Tensor, key) -> Tensor:
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[key] = g
+        if any(isinstance(k, (np.ndarray, list)) for k in (key if isinstance(key, tuple) else (key,))):
+            np.add.at(full, key, g)  # an index array may repeat a row, whose gradients add
+        else:
+            full[key] = g
         _accumulate(a, full)
 
     return _make(out_data.copy(), (a,), bwd, "slice")

@@ -23,7 +23,7 @@ from .analysis import (
     write_mean_probability,
 )
 from .autodiff import NumericHealthError
-from .court import CourtSpec, ShotTypeVocab, load_vocab, validate_rally
+from .court import CourtSpec, ShotTypeVocab, boolean, load_vocab, validate_rally
 from .dataset import (
     FilterPolicy,
     ParseError,
@@ -53,15 +53,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
-
-
-def boolean(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def int_or_none(raw: str) -> int | None:

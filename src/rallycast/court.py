@@ -15,14 +15,12 @@ no Stroke until asked.
 
 from __future__ import annotations
 
-import csv
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,21 +36,6 @@ ZONE_OUT = 10  # any point outside the chosen half-court
 
 class ParseError(RuntimeError):
     """Raised when a dataset, vocabulary, checkpoint or prediction file is too damaged to use."""
-
-
-@contextmanager
-def utf8_line_errors(path: Path) -> Iterator[None]:
-    """Turn a UnicodeDecodeError while reading path as text into a ParseError naming the line of the first bad byte."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        raw = path.read_bytes()
-        try:
-            raw.decode("utf-8")  # the text reader decodes in chunks, so find the byte's offset in the whole file
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise ParseError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
-        raise
 
 
 # File lines parsed and checked, or rows formatted, as one block. At 4096 a
@@ -76,9 +59,10 @@ def read_csv(
     ones (after strip) skipped; parse gets a block's cells and line numbers.
     A block with a line of the wrong column count, or that parse refuses with
     ValueError or KeyError, is parsed again one line at a time, and reject
-    gets each failing line's number, text and error. The lines read before a
-    byte that is not UTF-8 are parsed first, so a bad row among them is
-    reported first. A UTF-8 byte-order mark before the header is skipped.
+    gets each failing line's number, text and error. A byte that is not UTF-8
+    raises ParseError naming its line, after the lines read before it are
+    parsed, so a bad row among them is reported first. A UTF-8 byte-order
+    mark before the header is skipped.
     """
     if not path.exists():
         raise FileNotFoundError(f"{kind} file not found: {path}")
@@ -103,12 +87,12 @@ def read_csv(
                 except (ValueError, KeyError) as exc:
                     reject(int(numbers[i]), line, exc)
 
-    with open(path, newline="", encoding="utf-8-sig") as fh, utf8_line_errors(path):
-        found = fh.readline().strip()
-        if found != header:
-            raise ParseError(f"{path}: line 1: {kind} header does not match {header!r}: {found!r}")
-        block, first_line = [], 2
+    block, first_line = [], 2
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
+            found = fh.readline().strip()
+            if found != header:
+                raise ParseError(f"{path}: line 1: {kind} header does not match {header!r}: {found!r}")
             for line in fh:
                 block.append(strip(line))
                 if len(block) == PARSE_BLOCK_LINES:
@@ -116,22 +100,39 @@ def read_csv(
                     block, first_line = [], first_line + len(block)
         except UnicodeDecodeError:
             add(block, first_line)
+            raw = path.read_bytes()
+            try:
+                raw.decode("utf-8")  # the text reader decodes in chunks, so find the byte's offset in the whole file
+            except UnicodeDecodeError as exc:
+                line = raw.count(b"\n", 0, exc.start) + 1
+                raise ParseError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
             raise
         add(block, first_line)
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+def strip_line_ending(line: str) -> str:
+    """A line without its ending: "\\n", "\\r\\n" or "\\r"."""
+    return line.rstrip("\n").rstrip("\r")
 
 
-def int_column(cells: list[str]) -> tuple[np.ndarray, dict[int, int]]:
-    """int() of each cell as int64, and {row: value} of the values beyond int64, which the array holds clipped."""
+def int_column(cells: list[str], name: str) -> np.ndarray:
+    """int() of each cell as int64; a value beyond int64 raises ValueError naming the column."""
     try:
-        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells)), {}
+        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
     except OverflowError:
-        exact = list(map(int, cells))
-        beyond = {i: v for i, v in enumerate(exact) if not INT64_MIN <= v <= INT64_MAX}
-        return np.array([min(max(v, INT64_MIN), INT64_MAX) for v in exact], dtype=np.int64), beyond
+        value = next(v for v in map(int, cells) if not -(2**63) <= v < 2**63)
+        raise ValueError(f"{name} {value} does not fit in 64 bits") from None
+
+
+def boolean(raw: str) -> bool:
+    """The one reading of a true/false word, for settings and vocabulary files alike."""
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -212,35 +213,23 @@ class ShotTypeVocab:
         return self.entries[type_id].is_serve
 
 
-VOCAB_COLUMNS = ("type_id", "name", "is_serve")
-
-
 def load_vocab(path: str | Path) -> ShotTypeVocab:
-    """Read a vocabulary CSV with header type_id,name,is_serve, after a UTF-8 byte-order mark if there is one.
+    """Read a vocabulary CSV through read_csv: header type_id,name,is_serve, no quoting, names kept as they are.
 
-    A damaged file, or one that ShotTypeVocab rejects, raises ParseError
+    A damaged line, or a file that ShotTypeVocab rejects, raises ParseError
     naming the file.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"vocabulary file not found: {path}")
-    entries = []
-    with open(path, newline="", encoding="utf-8-sig") as fh, utf8_line_errors(path):
-        reader = csv.DictReader(fh)
-        missing = [c for c in VOCAB_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(
-                f"{path}: line 1: missing column {', '.join(missing)}; the header must be {','.join(VOCAB_COLUMNS)}"
-            )
-        for row in reader:
-            if None in row.values():
-                raise ParseError(f"{path}: line {reader.line_num}: expected {len(VOCAB_COLUMNS)} cells")
-            try:
-                type_id = int(row["type_id"])
-            except ValueError:
-                raise ParseError(f"{path}: line {reader.line_num}: type_id {row['type_id']!r} is not an integer") from None
-            entries.append(ShotType(type_id, row["name"], row["is_serve"].strip().lower() in ("1", "true", "yes")))
-    entries.sort(key=lambda e: e.type_id)
+
+    def parse(cells: list[str], numbers: np.ndarray) -> tuple[np.ndarray, ...]:
+        serves = np.fromiter(map(boolean, cells[2::3]), dtype=bool, count=len(numbers))
+        return int_column(cells[0::3], "type_id"), np.array(cells[1::3], dtype=object), serves
+
+    def reject(number: int, line: str, exc: Exception) -> None:
+        raise ParseError(f"{path}: line {number}: {exc}") from exc
+
+    ids, names, serves = read_csv(path, "vocabulary", "type_id,name,is_serve", strip_line_ending, parse, reject)
+    entries = sorted(map(ShotType, ids.tolist(), names.tolist(), serves.tolist()), key=lambda e: e.type_id)
     try:
         return ShotTypeVocab(tuple(entries))
     except ValueError as exc:

@@ -37,6 +37,7 @@ from .court import (
     int_column,
     read_csv,
     run_starts,
+    strip_line_ending,
 )
 from .seeding import TAG_SYNTH, rng_from_key
 
@@ -110,25 +111,21 @@ def _meta_from(match_ids: list[str], lengths: np.ndarray, is_b: np.ndarray) -> D
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _parse_block(
-    cells: list[str], numbers: np.ndarray, vocab: ShotTypeVocab, keys: dict[str, int], huge_rounds: dict[int, int]
-) -> Columns:
+def _parse_block(cells: list[str], numbers: np.ndarray, vocab: ShotTypeVocab, keys: dict[str, int]) -> Columns:
     """The columns of a block's cells, 9 per row; raises ValueError or KeyError at the first check that fails.
 
     The checks run in this order, so a one-line block raises its row's reject
     reason. keys maps each "match_id,rally_id" to its code, in first-seen
-    order; a block that passes adds its new ones, and its lines' ball rounds
-    beyond int64, which the rounds hold clipped, to huge_rounds. (Strings,
-    unlike tuples, add no work for the garbage collector.)
+    order; a block that passes adds its new ones. (Strings, unlike tuples,
+    add no work for the garbage collector.)
     """
     n = len(numbers)
     players, type_names = cells[3::9], cells[4::9]
     if set(players) - {"A", "B"}:
         raise ValueError(f"player must be A or B, found {next(p for p in players if p not in ('A', 'B'))!r}")
-    rounds, beyond = int_column(cells[2::9])
+    rounds = int_column(cells[2::9], "ball_round")
     if (rounds < 1).any():
-        i = int(np.argmax(rounds < 1))
-        raise ValueError(f"ball_round must be >= 1, found {beyond.get(i, rounds[i])}")
+        raise ValueError(f"ball_round must be >= 1, found {rounds[np.argmax(rounds < 1)]}")
     ids = {name: vocab.id_of(name) for name in set(type_names)}  # KeyError for unknown names
     columns = chain(cells[5::9], cells[6::9], cells[7::9], cells[8::9])
     coords = np.fromiter(map(float, columns), dtype=np.float64, count=4 * n).reshape(4, n).T
@@ -137,7 +134,6 @@ def _parse_block(
     rallies = list(map(",".join, zip(cells[0::9], cells[1::9])))
     for key in dict.fromkeys(rallies):
         keys.setdefault(key, len(keys))
-    huge_rounds.update((int(numbers[i]), v) for i, v in beyond.items())
     return (
         numbers,
         np.fromiter(map(keys.__getitem__, rallies), dtype=np.int64, count=n),
@@ -172,10 +168,9 @@ def parse_dataset(
 
     rejects: list[RejectedRow] = []
     keys: dict[str, int] = {}
-    huge_rounds: dict[int, int] = {}
     numbers, codes, rounds, is_b, types, coords = read_csv(
-        path, "dataset", CSV_HEADER, lambda line: line.rstrip("\n").rstrip("\r"),
-        lambda cells, numbers: _parse_block(cells, numbers, vocab, keys, huge_rounds),
+        path, "dataset", CSV_HEADER, strip_line_ending,
+        lambda cells, numbers: _parse_block(cells, numbers, vocab, keys),
         lambda number, line, exc: rejects.append(RejectedRow(number, tuple(line.split(",")), str(exc).strip("'\""))),
     )
     n_malformed = len(rejects)
@@ -204,11 +199,8 @@ def parse_dataset(
         broken[code] = True
         problem = f"round_index gap at {k}" if got > k else f"duplicate round_index {got}"
         rows = order[starts[code] : starts[code] + sizes[code]]
-        in_order = zip(rounds[rows].tolist(), numbers[rows].tolist())
-        if huge_rounds:  # the arrays hold those rounds clipped
-            in_order = sorted((huge_rounds.get(n, r), n) for r, n in in_order)
         reason = f"rally {match_ids[code]}/{rally_ids[code]}: {problem}"
-        rejects.extend(RejectedRow(n, ("",) * 9, reason) for _, n in in_order)
+        rejects.extend(RejectedRow(n, ("",) * 9, reason) for n in numbers[rows].tolist())
     kept = ~broken
     kept_rows = order[np.repeat(kept, sizes)]
     match_ids = list(compress(match_ids, kept))

@@ -595,22 +595,22 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     header = prediction_header(vocab)
     columns = header.split(",")
     codes: dict[str, int] = {}  # rally id -> its position in first-seen order
-    huge_ids: dict[int, int] = {}  # line number -> its sample id beyond int64, which the sample ids hold clipped
 
     def reject(number: int, line: str, exc: Exception) -> None:
         raise ParseError(f"line {number}: {exc}") from exc
 
     line_numbers, rally_index, sample_ids, rounds, values = read_csv(
         Path(path), "prediction", header, str.strip,
-        lambda cells, numbers: _parse_block(cells, numbers, columns, codes, huge_ids), reject,
+        lambda cells, numbers: _parse_block(cells, numbers, columns, codes), reject,
     )
     ids = np.sort(sample_ids)
     ids = ids[run_starts(ids)]  # not np.unique, which imports numpy.ma on its first call
     if len(ids) and ids[-1] != len(ids):
         gap = int(np.argmax(ids != np.arange(1, len(ids) + 1))) + 1
         row = int(np.argmax(sample_ids > gap))  # rows run in file order
-        sample_id = huge_ids.get(int(line_numbers[row]), sample_ids[row])
-        raise ParseError(f"line {line_numbers[row]}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
+        raise ParseError(
+            f"line {line_numbers[row]}: sample id {sample_ids[row]} skips sample id {gap}; ids must run 1..k"
+        )
     landings, probs = values[:, :2], values[:, 2:]
     pred = PredictionFile.from_columns(list(codes), rally_index, sample_ids, rounds, landings, probs)
     if not run_starts(pred.rally_index, pred.sample_ids, pred.rounds).all():
@@ -628,19 +628,18 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
 
 
 def _parse_block(
-    cells: list[str], numbers: np.ndarray, columns: list[str], codes: dict[str, int], huge_ids: dict[int, int]
+    cells: list[str], numbers: np.ndarray, columns: list[str], codes: dict[str, int]
 ) -> tuple[np.ndarray, ...]:
     """(line number, rally index, sample id, round, landings and probabilities) arrays of a block's cells.
 
     Raises ValueError at the first check that fails; the checks run in this
     order, so a one-line block raises its row's fault. A block that passes
-    adds its new rally ids to codes, and its sample ids beyond int64, by line
-    number, to huge_ids.
+    adds its new rally ids to codes.
     """
     width = len(columns)
     n = len(numbers)
-    sample_ids, beyond_ids = int_column(cells[1::width])
-    rounds, beyond_rounds = int_column(cells[2::width])
+    sample_ids = int_column(cells[1::width], "sample id")
+    rounds = int_column(cells[2::width], "ball round")
     numeric = cycle([False] * 3 + [True] * (width - 3))
     values = np.fromiter(map(float, compress(cells, numeric)), dtype=np.float64, count=n * (width - 3))
     values = values.reshape(n, width - 3)
@@ -659,12 +658,9 @@ def _parse_block(
         raise ValueError(f"probabilities sum to {totals[np.argmax(off)]:.8f}")
     if (sample_ids < 1).any():
         row = int(np.argmax(sample_ids < 1))
-        raise ValueError(f"sample id {beyond_ids.get(row, sample_ids[row])} is below 1")
-    if beyond_rounds:
-        raise ValueError(f"ball round {beyond_rounds[min(beyond_rounds)]} does not fit in 64 bits")
+        raise ValueError(f"sample id {sample_ids[row]} is below 1")
     rally_ids = cells[0::width]
     for rally_id in dict.fromkeys(rally_ids):
         codes.setdefault(rally_id, len(codes))
-    huge_ids.update((int(numbers[row]), sample_id) for row, sample_id in beyond_ids.items())
     rally_index = np.fromiter(map(codes.__getitem__, rally_ids), dtype=np.int64, count=n)
     return numbers, rally_index, sample_ids, rounds, values

@@ -32,6 +32,8 @@ def _parse_row(fields, vocab, court, mirror):
     if player_s not in ("A", "B"):
         raise ValueError(f"player must be A or B, found {player_s!r}")
     round_index = int(round_s)
+    if not -(2**63) <= round_index < 2**63:
+        raise ValueError(f"ball_round {round_index} does not fit in 64 bits")
     if round_index < 1:
         raise ValueError(f"ball_round must be >= 1, found {round_index}")
     type_id = _type_id(vocab, type_name)

@@ -16,12 +16,19 @@ from rallycast.court import ParseError
 from rallycast.scoring import PROB_SUM_TOL, PredictionFile, prediction_header
 
 
+def _int64(cell, name):
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name} {value} does not fit in 64 bits")
+    return value
+
+
 def _check_row(cells, columns, line_number):
     """(sample id, round, landing, probabilities) of one row's cells; raises ParseError naming the line."""
     if len(cells) != len(columns):
         raise ParseError(f"line {line_number}: expected {len(columns)} columns, found {len(cells)}")
     try:
-        sample_id, ball_round = int(cells[1]), int(cells[2])
+        sample_id, ball_round = _int64(cells[1], "sample id"), _int64(cells[2], "ball round")
         landing = (float(cells[3]), float(cells[4]))
         values = [float(c) for c in cells[5:]]
     except ValueError as exc:
@@ -36,8 +43,6 @@ def _check_row(cells, columns, line_number):
         raise ParseError(f"line {line_number}: probabilities sum to {total:.8f}")
     if sample_id < 1:
         raise ParseError(f"line {line_number}: sample id {sample_id} is below 1")
-    if not -(2**63) <= ball_round < 2**63:
-        raise ParseError(f"line {line_number}: ball round {ball_round} does not fit in 64 bits")
     return sample_id, ball_round, landing, values
 
 

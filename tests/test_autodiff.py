@@ -318,6 +318,9 @@ def test_grad_concat_slice(case):
     _check(lambda ts: ad.tsum(ad.mul(ad.concat([ts[0], ts[1]], axis=1), Tensor(w))), [a, b])
     _check(lambda ts: _weighted_sum(ts[0][1:3, :2], np.random.default_rng(case)), [b])
     _check(lambda ts: _weighted_sum(ts[0][2], np.random.default_rng(case)), [b])
+    rows = rng.integers(0, 3, size=5)  # repeated rows accumulate
+    _check(lambda ts: _weighted_sum(ts[0][rows], np.random.default_rng(case)), [b])
+    _check(lambda ts: _weighted_sum(ts[0][rows.tolist(), 1:], np.random.default_rng(case)), [b])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))

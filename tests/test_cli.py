@@ -140,20 +140,14 @@ def test_dataset_byte_that_is_not_utf8_past_the_first_parse_block_exits_1_naming
     assert "Traceback" not in out.stderr
 
 
-def test_vocabulary_with_a_non_integer_type_id_exits_1_naming_its_line_and_field(tmp_path):
-    vocab = tmp_path / "vocab.csv"
-    vocab.write_text("type_id,name,is_serve\n0,long service,true\nx,net shot,false\n", encoding="utf-8")
-    out = run_cli("validate", "--data", CORPUS32, "--vocab", vocab)
-    assert out.returncode == 1, out.stderr
-    assert f"{vocab}: line 3: type_id 'x' is not an integer" in out.stderr
-    assert "Traceback" not in out.stderr
-
-
 @pytest.mark.parametrize("text, message", [
     # a missing column reached the CLI as a bare KeyError and exited 2
-    ("type_id,name\n0,long service\n1,net shot\n", "line 1: missing column is_serve; the header must be type_id,name,is_serve"),
+    (
+        "type_id,name\n0,long service\n1,net shot\n",
+        "line 1: vocabulary header does not match 'type_id,name,is_serve': 'type_id,name'",
+    ),
     # a short row read its missing cell as None and died with an AttributeError traceback
-    ("type_id,name,is_serve\n0,long service\n1,net shot,false\n", "line 2: expected 3 cells"),
+    ("type_id,name,is_serve\n0,long service\n1,net shot,false\n", "line 2: expected 3 columns, found 2"),
     # these three exited 2 with the vocabulary's bare message, naming no file
     ("type_id,name,is_serve\n0,long service,true\n2,net shot,false\n", "type_ids must be contiguous 0..V-1 in order"),
     ("type_id,name,is_serve\n0,long service,true\n1,Smash,false\n2,smash,false\n", "shot type names must be unique"),
@@ -170,6 +164,59 @@ def test_vocabulary_with_a_missing_column_or_cell_exits_1_naming_it(tmp_path, te
 
 def _vocabulary_csv(vocab):
     return "type_id,name,is_serve\n" + "".join(f"{e.type_id},{e.name},{str(e.is_serve).lower()}\n" for e in vocab.entries)
+
+
+# damage: (edit of the default vocabulary file's bytes, what the error names after the file)
+VOCABULARY_DAMAGE = {
+    # a CSV writer quotes such a name; it was read whole, and synth wrote a dataset that validate refused
+    "name_with_a_comma": (
+        lambda text: text.replace(b"7,drop,false", b'7,"drop, slice",false'), "line 9: expected 3 columns, found 4",
+    ),
+    # an extra cell was dropped without a word, and "maybe" read as false
+    "extra_cell": (lambda text: text.replace(b"4,drive,false", b"4,drive,false,x"), "line 6: expected 3 columns, found 4"),
+    "is_serve_maybe": (lambda text: text.replace(b"3,smash,false", b"3,smash,maybe"), "line 5: not a boolean: 'maybe'"),
+    "type_id_not_an_integer": (
+        lambda text: text.replace(b"2,net shot", b"x,net shot"), "line 4: invalid literal for int() with base 10: 'x'",
+    ),
+    "type_id_beyond_int64": (
+        lambda text: text.replace(b"9,lob", str(2**64 + 9).encode() + b",lob"),
+        f"line 11: type_id {2**64 + 9} does not fit in 64 bits",
+    ),
+    "byte_not_utf8": (lambda text: text.replace(b"6,clear", b"6,cl\xffear"), "line 8: byte 0xff is not UTF-8"),
+    # a mark is skipped only before the header
+    "byte_order_mark_inside": (
+        lambda text: text.replace(b"5,defensive", b"\xef\xbb\xbf5,defensive"),
+        "line 7: invalid literal for int() with base 10: '\\ufeff5'",
+    ),
+    "byte_order_mark_twice": (
+        lambda text: b"\xef\xbb\xbf\xef\xbb\xbf" + text,
+        "line 1: vocabulary header does not match 'type_id,name,is_serve': '\\ufefftype_id,name,is_serve'",
+    ),
+    "header_reordered": (
+        lambda text: text.replace(b"type_id,name,", b"name,type_id,"),
+        "line 1: vocabulary header does not match 'type_id,name,is_serve': 'name,type_id,is_serve'",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "synth"])
+@pytest.mark.parametrize("damage", list(VOCABULARY_DAMAGE))
+def test_a_damaged_vocabulary_exits_1_naming_its_file_and_line(tmp_path, vocab, damage, command):
+    edit, message = VOCABULARY_DAMAGE[damage]
+    path, out_file = tmp_path / "vocab.csv", tmp_path / "synth.csv"
+    text = _vocabulary_csv(vocab).encode("utf-8")
+    assert edit(text) != text
+    path.write_bytes(edit(text))
+    if command == "validate":  # a copy, so that a vocabulary read wrongly leaves no reject report in the fixtures
+        data = tmp_path / "corpus32.csv"
+        data.write_bytes(CORPUS32.read_bytes())
+        out = run_cli("validate", "--data", data, "--vocab", path)
+    else:
+        out = run_cli("synth", "--n", 5, "--vocab", path, "--out", out_file)
+    assert out.returncode == 1, out.stderr
+    assert f"error: {path}: {message}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not out_file.exists()
 
 
 # (the file's text, the command line that reads it from `path`)
@@ -845,7 +892,7 @@ PREDICTION_FILE_DAMAGE = {
     # beyond int64, where an array of sample ids cannot hold it
     "sample_id_overflow": (
         lambda rows: [r.replace("h0001,6,", "h0001,100000000000000000000,") for r in rows],
-        "line 12: sample id 100000000000000000000 skips sample id 6",
+        "line 12: sample id 100000000000000000000 does not fit in 64 bits",
     ),
     "ball_round_overflow": (
         lambda rows: [r.replace("h0001,3,6,", "h0001,3,100000000000000000000,") for r in rows],

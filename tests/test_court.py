@@ -240,6 +240,16 @@ def test_vocab_file_round_trip(tmp_path, vocab):
         load_vocab(tmp_path / "missing.csv")
 
 
+def test_vocabulary_serve_flags_read_as_the_settings_read_booleans(tmp_path):
+    """is_serve takes the CLI's true/false words; "on" used to read as false."""
+    from rallycast.court import load_vocab
+
+    words = ["1", "TRUE", "yes", " on", "0", "False", "no", "off "]
+    path = tmp_path / "vocab.csv"
+    path.write_text("type_id,name,is_serve\n" + "".join(f"{i},t{i},{w}\n" for i, w in enumerate(words)), encoding="utf-8")
+    assert [e.is_serve for e in load_vocab(path).entries] == [True] * 4 + [False] * 4
+
+
 def _zone_lines(court):
     """Every row and column boundary of both half-courts, and the lines just either side of each."""
     w, l = court.width_m, court.length_m
@@ -289,23 +299,38 @@ def test_only_court_and_the_package_root_know_the_stroke_view():
     assert found == []
 
 
-CSV_READER_PARTS = ("utf8_line_errors", "line_blocks")
+CSV_READER_PARTS = ("line_blocks",)
 
 
 def test_only_court_reads_csv_lines():
-    """Datasets and prediction files are read through court.read_csv: no other module names the line reader's parts."""
+    """Every CSV input is read through court.read_csv: no module imports csv, and no other one names the reader's parts."""
     package = Path(court_module.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "court.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} imports csv" for alias in node.names if alias.name == "csv"]
             if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} imports csv"] if node.module == "csv" else []
                 names = [alias.name for alias in node.names]
             else:
                 names = [getattr(node, "id", None), getattr(node, "attr", None)]
-            found += [f"{path.name}:{node.lineno} names {name}" for name in names if name in CSV_READER_PARTS]
+            if path.name != "court.py":
+                found += [f"{path.name}:{node.lineno} names {name}" for name in names if name in CSV_READER_PARTS]
     assert found == []
+
+
+# each CSV format's reader: (module, function)
+CSV_FORMAT_READERS = (("court.py", "load_vocab"), ("dataset.py", "parse_dataset"), ("scoring.py", "import_predictions"))
+
+
+@pytest.mark.parametrize("module, function", CSV_FORMAT_READERS)
+def test_every_csv_format_is_read_by_read_csv(module, function):
+    """Vocabularies, datasets and prediction files share one reader, so one header, cell and UTF-8 rule."""
+    tree = ast.parse((Path(court_module.__file__).parent / module).read_text(encoding="utf-8"))
+    reader = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
+    calls = [node.func for node in ast.walk(reader) if isinstance(node, ast.Call)]
+    assert any(isinstance(func, ast.Name) and func.id == "read_csv" for func in calls)
 
 
 # the gradient oracle: the tests check every primitive's backward against it

@@ -501,12 +501,24 @@ def test_every_ordered_pair_of_row_damages_is_rejected_as_the_oracle_rejects_it(
                 assert _parse_outcome(parse_dataset, path, vocab, "odd") == want, (first, second, block_lines)
 
 
-def test_rounds_beyond_int64_list_a_broken_rally_in_round_order(tmp_path, vocab):
-    rows = [_row(ball_round=1)] + [_row(ball_round=2**64 + k, player="B", type_name="drive") for k in (9, 1, 2**70, 5)]
-    path = _write(tmp_path, rows * 3)
+def test_a_round_beyond_int64_rejects_only_its_own_row(tmp_path, vocab):
+    """Such a round was held clipped, which broke its whole rally; now it is a damaged cell like any other."""
+    types = ["short service", "net shot", "smash", "drive", "clear"]
+    rows = [
+        _row(rally=rally, ball_round=k, player="AB"[(k + 1) % 2], type_name=name)
+        for rally in ("r1", "r2", "r3", "r4")
+        for k, name in enumerate(types, start=1)
+    ]
+    rows[2:2] = [_row(rally="r1", ball_round=2**64 + 3, type_name="smash")]
+    rows[9:9] = [_row(rally="r2", ball_round=-(2**64), type_name="smash")]
+    path = _write(tmp_path, rows)
     _assert_parse_matches_the_oracle(path, "none", 4)
-    _, _, rejects = parse_dataset(path, vocab, write_rejects=False)
-    assert [r.line_number for r in rejects] == [2, 7, 12, 4, 9, 14, 6, 11, 16, 3, 8, 13, 5, 10, 15]
+    rallies, _, rejects = parse_dataset(path, vocab, write_rejects=False)
+    assert [r.rally_id for r in rallies] == ["r1", "r2", "r3", "r4"]
+    assert [(r.line_number, r.reason) for r in rejects] == [
+        (4, f"ball_round {2**64 + 3} does not fit in 64 bits"),
+        (11, f"ball_round {-(2**64)} does not fit in 64 bits"),
+    ]
 
 
 def test_damaged_rows_on_both_sides_of_a_parse_block_boundary_match_the_oracle(tmp_path, vocab):
