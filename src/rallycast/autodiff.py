@@ -14,6 +14,16 @@ values instead of at the loss. Inside `no_tape()` the same primitives run
 with the same checks but record no graph, which is how inference avoids
 keeping every intermediate alive.
 
+A training or sampling step pays for that diagnosis only when it fails:
+`replay_step` runs the step inside `checked_by_step()`, where no primitive
+checks its output, checks the step's outputs once, and on any fault runs
+the same step again with every per-op check on. So when a non-finite value
+appears in a step, the error names the op that first produced it, as a
+per-op check would, and the CLI exits 1 with it. Inside the mode a primitive still checks each input
+through which a non-finite value could vanish before the step's outputs
+(see `_check_input`), and `layer_norm` and `attention` keep their inline
+checks.
+
 Every forward product gives a row the same bits wherever the row sits, in
 a batch or alone, which lets a decoder cache every earlier position's keys
 and values. A BLAS kernel rounds a row by its place in the kernel's row
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,6 +48,8 @@ NEG_MASK_VALUE = -1e30  # finite stand-in for -inf in attention masks
 ROW_GROUP = 8  # rows and attention keys are padded to whole groups of this many
 BLOCK_ROWS = 64  # rows per BLAS call: OpenBLAS threads a larger product, which ran slower on 2 cores
 LAYER_NORM_EPS = 1e-5  # added to each row's variance
+
+T = TypeVar("T")
 
 
 class NumericHealthError(RuntimeError):
@@ -79,6 +91,7 @@ class Tensor:
 
 class _TapeState(threading.local):
     recording = True
+    by_step = False  # inside checked_by_step(): no primitive checks its output
 
 
 _tape_state = _TapeState()
@@ -105,12 +118,66 @@ def is_recording() -> bool:
     return _tape_state.recording
 
 
+@contextmanager
+def checked_by_step() -> Iterator[None]:
+    """Run primitives without their output checks, for a caller that checks a step's outputs once.
+
+    Inside, a primitive checks only the inputs through which a non-finite
+    value could vanish before the step's outputs, and layer_norm and
+    attention keep their inline checks; a check that fails raises
+    NumericHealthError. So a step whose checks pass and whose outputs are
+    finite held no non-finite value. Nests, also with no_tape(), and
+    restores the previous mode when the body exits or raises.
+    """
+    saved = _tape_state.by_step
+    _tape_state.by_step = True
+    try:
+        yield
+    finally:
+        _tape_state.by_step = saved
+
+
+def replay_step(step: Callable[[], T], outputs: Callable[[T], Iterable[Tensor]]) -> T:
+    """step(), run inside checked_by_step() with outputs(step()) checked once.
+
+    On a fault, a check that raised or a non-finite output, step runs again
+    outside, with every per-op check on, and what that run returns or raises
+    is the result. So step must give the same values when run twice.
+    """
+    try:
+        with checked_by_step():
+            result = step()
+        if all(np.isfinite(t.data).all() for t in outputs(result)):
+            return result
+    except NumericHealthError:
+        pass
+    return step()
+
+
+def _check_input(data: np.ndarray, op: str) -> None:
+    """Inside checked_by_step(), refuse a non-finite input of an op whose output could hide it.
+
+    relu, sigmoid, tanh, clip, softmax and exp map an infinite input to a
+    finite output, div maps an infinite denominator to 0, tslice and
+    embedding_lookup may leave the entry out, and attention's mask may
+    cover a score made from it; elsewhere a non-finite input gives a
+    non-finite output, which the step's output check finds.
+    """
+    if _tape_state.by_step and not np.isfinite(data).all():
+        raise NumericHealthError(f"{op} got a non-finite input")
+
+
 def _make(data: np.ndarray, parents: tuple, bwd: Callable, op: str) -> Tensor:
-    if not np.isfinite(data).all():
+    state = _tape_state
+    if not state.by_step and not np.isfinite(data).all():
         raise NumericHealthError(f"{op} produced non-finite values")
-    if not _tape_state.recording:
-        return Tensor(data)
-    return Tensor(data, _parents=parents, _bwd=bwd)
+    data = np.asarray(data, dtype=np.float64)  # a sum is a numpy scalar
+    if data.ndim > MAX_RANK:
+        raise ValueError(f"rank {data.ndim} exceeds the rank-{MAX_RANK} cap")
+    t = object.__new__(Tensor)  # without Tensor.__init__'s keyword call
+    t.data, t.grad = data, None
+    t._parents, t._bwd = (parents, bwd) if state.recording else ((), None)
+    return t
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -124,6 +191,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over the axes numpy broadcast during the forward op."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -236,6 +305,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
+    _check_input(b.data, "div")
     out_data = a.data / b.data
 
     def bwd(g):
@@ -256,6 +326,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
+    _check_input(a.data, "exp")
     with np.errstate(over="ignore"):  # overflow is reported as a health error
         out_data = np.exp(a.data)
 
@@ -276,6 +347,7 @@ def log(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
+    _check_input(a.data, "tanh")
     out_data = np.tanh(a.data)
 
     def bwd(g):
@@ -286,6 +358,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1, so no exp overflows
+    _check_input(a.data, "sigmoid")
     e = np.exp(-np.abs(a.data))
     out_data = np.maximum(e, a.data >= 0) / (1.0 + e)
 
@@ -296,6 +369,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _check_input(a.data, "relu")
     out_data = np.maximum(a.data, 0.0)
 
     def bwd(g):
@@ -305,6 +379,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    _check_input(a.data, "clip")
     inside = (a.data > lo) & (a.data < hi)
     out_data = np.clip(a.data, lo, hi)
 
@@ -340,17 +415,20 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def tslice(a: Tensor, key) -> Tensor:
+    _check_input(a.data, "slice")
     out_data = a.data[key]
     if np.isscalar(out_data) or out_data.ndim == 0:
         out_data = np.asarray(out_data)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
         if any(isinstance(k, (np.ndarray, list)) for k in (key if isinstance(key, tuple) else (key,))):
+            full = np.zeros_like(a.data)
             np.add.at(full, key, g)  # an index array may repeat a row, whose gradients add
-        else:
-            full[key] = g
-        _accumulate(a, full)
+            _accumulate(a, full)
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
     return _make(out_data.copy(), (a,), bwd, "slice")
 
@@ -361,6 +439,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ValueError("embedding_lookup expects a 1-D or 2-D id array")
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ValueError("embedding id out of range")
+    _check_input(table.data, "embedding_lookup")
     out_data = table.data[ids]
 
     def bwd(g):
@@ -385,6 +464,7 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
+    _check_input(a.data, "softmax")
     out_data = _softmax_data(a.data)
 
     def bwd(g):
@@ -463,6 +543,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, blocked: np.ndarray, n_heads: int
         kh_t, vh = np.ascontiguousarray(kh_t), np.ascontiguousarray(vh)
     blocked = blocked[..., None, :, :]
     scores = _row_by_row(qh, kh_t) * c
+    _check_input(scores, "attention")  # a non-finite q or k entry makes a score non-finite, which the mask could hide
     np.copyto(scores[..., :m], NEG_MASK_VALUE, where=blocked)
     scores[..., m:] = NEG_MASK_VALUE
     if not np.isfinite(scores).all():
@@ -515,48 +596,3 @@ def dropout(a: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
 
     return _make(out_data, (a,), bwd, "dropout")
 
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-def gradient_check(
-    f: Callable[[list[Tensor]], Tensor],
-    arrays: Sequence[np.ndarray],
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between taped gradients and central differences.
-
-    f maps a list of leaf tensors to a scalar tensor and must be pure: the
-    numeric side re-evaluates it at perturbed copies of the inputs. The
-    relative error of each element is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-8).
-    """
-    leaves = [Tensor(np.array(a, dtype=np.float64)) for a in arrays]
-    backward(f(leaves))
-    analytic = [grad_of(t) for t in leaves]
-
-    worst = 0.0
-    for i, base in enumerate(arrays):
-        base = np.array(base, dtype=np.float64)
-        numeric = np.zeros_like(base)
-        flat = base.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = float(f([Tensor(a) for a in _replace(arrays, i, base)]).data)
-            flat[j] = orig - eps
-            lo = float(f([Tensor(a) for a in _replace(arrays, i, base)]).data)
-            flat[j] = orig
-            num_flat[j] = (hi - lo) / (2.0 * eps)
-        denom = np.maximum(np.maximum(np.abs(analytic[i]), np.abs(numeric)), 1e-8)
-        err = float(np.max(np.abs(analytic[i] - numeric) / denom)) if base.size else 0.0
-        worst = max(worst, err)
-    return worst
-
-
-def _replace(arrays: Sequence[np.ndarray], i: int, new: np.ndarray) -> list[np.ndarray]:
-    out = [np.array(a, dtype=np.float64) for a in arrays]
-    out[i] = new
-    return out

@@ -104,7 +104,8 @@ def read_csv(
             try:
                 raw.decode("utf-8")  # the text reader decodes in chunks, so find the byte's offset in the whole file
             except UnicodeDecodeError as exc:
-                line = raw.count(b"\n", 0, exc.start) + 1
+                head = raw[: exc.start]  # lines end as the reader splits them: "\n", "\r\n" or a lone "\r"
+                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
                 raise ParseError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
             raise
         add(block, first_line)

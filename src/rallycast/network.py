@@ -203,13 +203,10 @@ class KVCache:
         step that raises leaves the cache as valid as before.
         """
         stop = self.length + hitters.shape[1]
-        grow = ad.whole_groups(stop) - self.hitters.shape[1]
-        if grow > 0:
-            self.hitters = np.pad(self.hitters, ((0, 0), (0, grow)))
-            self.layers = [
-                (np.pad(keys, ((0, 0), (0, 0), (0, 0), (0, grow))), np.pad(values, ((0, 0), (0, 0), (0, grow), (0, 0))))
-                for keys, values in self.layers
-            ]
+        width = ad.whole_groups(stop)
+        if width > self.hitters.shape[1]:
+            self.hitters = _grown(self.hitters, -1, width)
+            self.layers = [(_grown(keys, -1, width), _grown(values, -2, width)) for keys, values in self.layers]
         self.hitters[:, self.length : stop] = hitters
         return self.hitters
 
@@ -217,6 +214,15 @@ class KVCache:
         """Keep only the first n histories."""
         self.hitters = self.hitters[:n]
         self.layers = [(keys[:n], values[:n]) for keys, values in self.layers]
+
+
+def _grown(buffer: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """A contiguous copy of buffer with zeros after it along axis, up to width positions."""
+    shape, index = list(buffer.shape), [slice(None)] * buffer.ndim
+    shape[axis], index[axis] = width, slice(0, buffer.shape[axis])
+    grown = np.zeros(shape, dtype=buffer.dtype)
+    grown[tuple(index)] = buffer
+    return grown
 
 
 def embed_strokes(

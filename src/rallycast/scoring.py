@@ -176,7 +176,13 @@ def sample(
     size = np.array([court.width_m, court.length_m])
     with ad.no_tape():
         for step in range(1, int(horizons.max()) + 1):
-            probs, mu, log_sigma, rho = model.forward(fed, cache=cache)
+            start = cache.length
+
+            def forward() -> tuple[ad.Tensor, ...]:  # repeatable: a replay feeds the cache from the same length
+                cache.length = start
+                return model.forward(fed, cache=cache)
+
+            probs, mu, log_sigma, rho = ad.replay_step(forward, lambda heads: heads)
             type_ids, landing, type_probs = _draw_strokes(
                 [rngs[c] for c in active],
                 probs.data[:, -1],
@@ -579,7 +585,7 @@ class PredictionFile:
 
 
 def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile:
-    """Read a prediction file; a damaged row raises ParseError naming its line.
+    """Read a prediction file; a damaged row raises ParseError naming the file and the row's line.
 
     Every numeric cell must parse, landings must be finite, and each row's
     probabilities must lie in [0, 1] and sum to 1. A (rally, sample, round)
@@ -597,7 +603,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     codes: dict[str, int] = {}  # rally id -> its position in first-seen order
 
     def reject(number: int, line: str, exc: Exception) -> None:
-        raise ParseError(f"line {number}: {exc}") from exc
+        raise ParseError(f"{path}: line {number}: {exc}") from exc
 
     line_numbers, rally_index, sample_ids, rounds, values = read_csv(
         Path(path), "prediction", header, str.strip,
@@ -609,7 +615,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
         gap = int(np.argmax(ids != np.arange(1, len(ids) + 1))) + 1
         row = int(np.argmax(sample_ids > gap))  # rows run in file order
         raise ParseError(
-            f"line {line_numbers[row]}: sample id {sample_ids[row]} skips sample id {gap}; ids must run 1..k"
+            f"{path}: line {line_numbers[row]}: sample id {sample_ids[row]} skips sample id {gap}; ids must run 1..k"
         )
     landings, probs = values[:, :2], values[:, 2:]
     pred = PredictionFile.from_columns(list(codes), rally_index, sample_ids, rounds, landings, probs)
@@ -621,7 +627,7 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
         i = repeats[np.argmin(order[repeats])]
         row, first = order[i], order[np.flatnonzero(new)[np.cumsum(new)[i] - 1]]
         raise ParseError(
-            f"line {line_numbers[row]}: rally {pred.rally_ids[rally_index[row]]} sample {sample_ids[row]} "
+            f"{path}: line {line_numbers[row]}: rally {pred.rally_ids[rally_index[row]]} sample {sample_ids[row]} "
             f"round {rounds[row]} repeats line {line_numbers[first]}"
         )
     return pred

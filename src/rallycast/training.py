@@ -226,16 +226,22 @@ def train(
             batch = [train_set[i] for i in order[b_idx : b_idx + train_config.batch_size]]
             for t in params.values():
                 t.grad = None
-            heads: list[Heads] = []
+
+            def batch_loss() -> LossBundle:  # repeatable: the dropout streams are keyed, the params unchanged
+                heads = [
+                    forward_teacher_forced(
+                        model, rally, rng=rng_from_key(train_config.seed, TAG_DROPOUT, epoch, b_idx, pos)
+                    )
+                    for pos, rally in enumerate(batch)
+                ]
+                return step_loss(heads, batch, court)
+
             try:
-                for pos, rally in enumerate(batch):
-                    rng = rng_from_key(train_config.seed, TAG_DROPOUT, epoch, b_idx, pos)
-                    heads.append(forward_teacher_forced(model, rally, rng=rng))
-                bundle = step_loss(heads, batch, court)
-                ad.backward(bundle.node)
+                bundle = ad.replay_step(batch_loss, lambda loss: (loss.node,))
             except NumericHealthError as exc:
                 ids = ", ".join(r.rally_id for r in batch)
                 raise TrainingDivergedError(f"epoch {epoch}, batch of rallies [{ids}]: {exc}") from exc
+            ad.backward(bundle.node)
             adam.step()
             ce_sum += bundle.shot_loss * bundle.n_steps
             nll_sum += bundle.area_loss * bundle.n_steps

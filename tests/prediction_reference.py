@@ -23,26 +23,26 @@ def _int64(cell, name):
     return value
 
 
-def _check_row(cells, columns, line_number):
+def _check_row(cells, columns, path, line_number):
     """(sample id, round, landing, probabilities) of one row's cells; raises ParseError naming the line."""
     if len(cells) != len(columns):
-        raise ParseError(f"line {line_number}: expected {len(columns)} columns, found {len(cells)}")
+        raise ParseError(f"{path}: line {line_number}: expected {len(columns)} columns, found {len(cells)}")
     try:
         sample_id, ball_round = _int64(cells[1], "sample id"), _int64(cells[2], "ball round")
         landing = (float(cells[3]), float(cells[4]))
         values = [float(c) for c in cells[5:]]
     except ValueError as exc:
-        raise ParseError(f"line {line_number}: {exc}") from exc
+        raise ParseError(f"{path}: line {line_number}: {exc}") from exc
     if not (math.isfinite(landing[0]) and math.isfinite(landing[1])):
-        raise ParseError(f"line {line_number}: landing ({cells[3]}, {cells[4]}) is not finite")
+        raise ParseError(f"{path}: line {line_number}: landing ({cells[3]}, {cells[4]}) is not finite")
     for col, p in enumerate(values, start=5):
         if not 0.0 <= p <= 1.0:  # NaN fails too
-            raise ParseError(f"line {line_number}: {columns[col]} = {cells[col]} is not in [0, 1]")
+            raise ParseError(f"{path}: line {line_number}: {columns[col]} = {cells[col]} is not in [0, 1]")
     total = np.array(values).sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ParseError(f"line {line_number}: probabilities sum to {total:.8f}")
+        raise ParseError(f"{path}: line {line_number}: probabilities sum to {total:.8f}")
     if sample_id < 1:
-        raise ParseError(f"line {line_number}: sample id {sample_id} is below 1")
+        raise ParseError(f"{path}: line {line_number}: sample id {sample_id} is below 1")
     return sample_id, ball_round, landing, values
 
 
@@ -59,7 +59,7 @@ def reference_import_predictions(path, vocab):
             if not line:
                 continue
             cells = line.split(",")
-            rows.append((line_number, cells[0], *_check_row(cells, columns, line_number)))
+            rows.append((line_number, cells[0], *_check_row(cells, columns, path, line_number)))
 
     first_line = {}  # sample id -> the first line that has it
     for line_number, _, sample_id, *_ in rows:
@@ -68,13 +68,13 @@ def reference_import_predictions(path, vocab):
     if ids and ids[-1] != len(ids):
         gap = next(i for i, sample_id in enumerate(ids, start=1) if sample_id != i)
         line_number, sample_id = min((line, sid) for sid, line in first_line.items() if sid > gap)
-        raise ParseError(f"line {line_number}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
+        raise ParseError(f"{path}: line {line_number}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
     seen = {}
     for line_number, rally_id, sample_id, ball_round, _, _ in rows:
         key = (rally_id, sample_id, ball_round)
         if key in seen:
             raise ParseError(
-                f"line {line_number}: rally {rally_id} sample {sample_id} round {ball_round} repeats line {seen[key]}"
+                f"{path}: line {line_number}: rally {rally_id} sample {sample_id} round {ball_round} repeats line {seen[key]}"
             )
         seen[key] = line_number
 

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from rallycast import autodiff as ad
 from rallycast.analysis import landing_zone_distribution, shot_distribution
 from rallycast.court import CourtSpec, Player, ShotTypeVocab
 from rallycast.dataset import parse_dataset
@@ -40,6 +39,7 @@ from conftest import (
     vocab_from_names,
     zero_params,
 )
+from gradient_reference import gradient_check
 from metric_reference import reference_min6, reference_sample_set_loss
 import test_autodiff as op_checks
 
@@ -154,7 +154,7 @@ def test_criterion_gradient_integrity():
         heads = forward_teacher_forced(model, rally)
         return step_loss([heads], [rally], court).node
 
-    err = ad.gradient_check(loss_fn, base)
+    err = gradient_check(loss_fn, base)
     elapsed = time.perf_counter() - started
     ok = err < 1e-5 and elapsed < 120
     _report("gradient-integrity", ok, f"full-model rel err={err:.2e}, {elapsed:.1f}s")

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rallycast import autodiff as ad
-from rallycast.autodiff import NumericHealthError, Tensor, backward, gradient_check, grad_of
+from rallycast.autodiff import NumericHealthError, Tensor, backward, grad_of
+
+from gradient_reference import gradient_check
 
 N_CASES = 20
 OP_TOL = 1e-6
@@ -232,13 +235,13 @@ ROW_PRODUCTS = {"_row_product", "_row_by_row"}
 
 
 def _forward_products(tree):
-    """(function, line) of each @, np.matmul or np.dot outside the row products, backward closures and gradient_check."""
+    """(function, line) of each @, np.matmul or np.dot outside the row products and backward closures."""
     found = []
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
-                if child.name not in ROW_PRODUCTS | {"gradient_check"} and not (fn and child.name == "bwd"):
+                if child.name not in ROW_PRODUCTS and not (fn and child.name == "bwd"):
                     visit(child, child.name)
                 continue
             if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)) or (
@@ -540,3 +543,115 @@ def test_no_tape_nests():
     outside = ad.mul(x, x)
     assert inner._parents == () and after_inner._parents == ()
     assert outside._parents == (x, x)
+
+
+# ---------------------------------------------------------------------------
+# checked_by_step and replay_step
+# ---------------------------------------------------------------------------
+
+def _attention_mask(rng, n, m):
+    blocked = rng.random((n, m)) < 0.5
+    blocked[np.arange(n), rng.integers(0, m, size=n)] = False  # every query sees a key
+    return blocked
+
+
+# each primitive: (input shapes, the op over those input tensors)
+STEP_PRIMITIVES = {
+    "add": ([(3, 4), (4,)], lambda a, b: ad.add(a, b)),
+    "sub": ([(3, 4), (3, 4)], lambda a, b: ad.sub(a, b)),
+    "mul": ([(3, 4), (3, 1)], lambda a, b: ad.mul(a, b)),
+    "div": ([(3, 4), (3, 4)], lambda a, b: ad.div(a, b)),
+    "scale": ([(3, 4)], lambda a: ad.scale(a, 0.5)),
+    "exp": ([(3, 4)], lambda a: ad.exp(a)),
+    "log": ([(3, 4)], lambda a: ad.log(a)),
+    "tanh": ([(3, 4)], lambda a: ad.tanh(a)),
+    "sigmoid": ([(3, 4)], lambda a: ad.sigmoid(a)),
+    "relu": ([(3, 4)], lambda a: ad.relu(a)),
+    "clip": ([(3, 4)], lambda a: ad.clip(a, -0.5, 0.5)),
+    "tsum": ([(3, 4)], lambda a: ad.tsum(a)),
+    "concat": ([(3, 4), (2, 4)], lambda a, b: ad.concat([a, b], axis=0)),
+    "slice": ([(3, 4)], lambda a: a[1:, :2]),
+    "fancy_slice": ([(3, 4)], lambda a: a[np.array([2, 2, 0])]),
+    "embedding_lookup": ([(5, 4)], lambda t: ad.embedding_lookup(t, np.array([[0, 3], [3, 1]]))),
+    "softmax": ([(3, 4)], lambda a: ad.softmax(a)),
+    "layer_norm": ([(3, 4), (4,), (4,)], lambda a, g, b: ad.layer_norm(a, g, b)),
+    "attention": (
+        [(2, 3, 4), (2, 5, 4), (2, 5, 4)],
+        lambda q, k, v: ad.attention(q, k, v, _attention_mask(np.random.default_rng(0), 3, 5)[None].repeat(2, 0), 2),
+    ),
+    "linear": ([(3, 4), (4, 2), (2,)], lambda x, w, b: ad.linear(x, w, b)),
+    "dropout": ([(3, 4)], lambda a: ad.dropout(a, 0.5, np.random.default_rng(1).random((3, 4)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PRIMITIVES))
+def test_a_non_finite_input_entry_either_replays_the_step_or_reaches_the_output(name):
+    """Inside checked_by_step() no output is checked, so no op may turn a non-finite input into a finite output unnoticed.
+
+    Every entry of every input, in turn, holds +inf, -inf or NaN.
+    """
+    shapes, op = STEP_PRIMITIVES[name]
+    rng = np.random.default_rng(0)
+    base = [rng.normal(size=shape) for shape in shapes]
+    if name == "log":
+        base[0] = np.abs(base[0]) + 0.1
+    for which, value in itertools.product(range(len(base)), (math.inf, -math.inf, math.nan)):
+        for entry in range(base[which].size):
+            arrays = [a.copy() for a in base]
+            arrays[which].flat[entry] = value
+            with ad.checked_by_step(), np.errstate(all="ignore"):
+                try:
+                    out = op(*map(Tensor, arrays))
+                except NumericHealthError:
+                    continue  # replay_step would run the step again with the per-op checks
+            assert not np.isfinite(out.data).all(), (which, entry, value)
+
+
+def test_checked_by_step_skips_output_checks_only_inside_and_nests():
+    with ad.checked_by_step():
+        with ad.checked_by_step():
+            assert ad.exp(Tensor([1000.0])).data[0] == math.inf
+        assert ad.exp(Tensor([1000.0])).data[0] == math.inf
+        with ad.no_tape():
+            assert ad.exp(Tensor([1000.0])).data[0] == math.inf
+    with pytest.raises(NumericHealthError, match="^exp produced non-finite values$"):
+        ad.exp(Tensor([1000.0]))
+
+
+def test_checked_by_step_restores_the_checks_after_the_body_raises():
+    with pytest.raises(NumericHealthError, match="sigmoid got a non-finite input"):
+        with ad.checked_by_step():
+            ad.sigmoid(Tensor([math.inf]))
+    assert ad.sigmoid(Tensor([math.inf])).data[0] == 1.0  # a saturated leaf passes the output check, as before
+    with pytest.raises(NumericHealthError, match="^log produced non-finite values$"):
+        ad.log(Tensor([-1.0]))
+
+
+def test_replay_step_names_the_op_that_first_produced_a_non_finite_value():
+    x = Tensor([[1e200, 1.0], [2.0, 3.0]])
+    runs = []
+
+    def step():
+        runs.append(1)
+        return ad.tanh(ad.mul(x, x))  # mul overflows, tanh would hide it
+
+    with np.errstate(over="ignore"), pytest.raises(NumericHealthError, match="^mul produced non-finite values$"):
+        ad.replay_step(step, lambda out: (out,))
+    assert len(runs) == 2
+    with pytest.raises(NumericHealthError, match="^log produced non-finite values$"):  # an output check fires too
+        ad.replay_step(lambda: ad.log(Tensor([0.0, 1.0])), lambda out: (out,))
+
+
+def test_replay_step_returns_the_per_op_run_when_only_the_step_checks_fire():
+    """A saturated leaf trips the input check of sigmoid, which the per-op checks let pass: the replay's value stands."""
+    runs = []
+
+    def step():
+        runs.append(1)
+        return ad.sigmoid(Tensor([math.inf, -1.0]))
+
+    out = ad.replay_step(step, lambda out: (out,))
+    assert len(runs) == 2
+    assert np.array_equal(out.data, ad.sigmoid(Tensor([math.inf, -1.0])).data)
+    healthy = ad.replay_step(lambda: ad.exp(Tensor([1.0])), lambda out: (out,))
+    assert healthy.data[0] == math.e

@@ -849,6 +849,8 @@ PREDICTION_DAMAGE = {
     "negative_probability": ({"prob_net_shot": "-0.200000", "prob_smash": "0.700000"}, "prob_net_shot = -0.200000"),
     "nan_landing": ({"landing_x": "nan"}, "landing (nan, 9.000000) is not finite"),
     "probabilities_off_one": ({"prob_smash": "0.500002"}, "probabilities sum to 1.00000200"),
+    # the message began "line 2:" and named no file
+    "sample_id_not_an_integer": ({"sample_id": "x"}, "invalid literal for int() with base 10: 'x'"),
 }
 
 
@@ -866,11 +868,11 @@ def test_damaged_prediction_row_is_rejected_with_its_line(tmp_path, vocab, damag
     damaged = tmp_path / "damaged.csv"
     damaged.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n", encoding="utf-8")
 
-    with pytest.raises(ParseError, match=f"line 2: {re.escape(message)}"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(damaged))}: line 2: {re.escape(message)}"):
         import_predictions(damaged, vocab)
     out = run_cli("score", "--predictions", damaged, "--truth", HAND_SCORED / "truth.csv")
     assert out.returncode == 1, out.stdout
-    assert f"line 2: {message}" in out.stderr
+    assert f"error: {damaged}: line 2: {message}" in out.stderr
     assert "Traceback" not in out.stderr
     assert "Score" not in out.stdout
 
@@ -911,11 +913,11 @@ def test_damaged_prediction_file_is_rejected_with_its_line(tmp_path, vocab, dama
     damaged = tmp_path / "damaged.csv"
     damaged.write_text("\n".join([lines[0], *edit(lines[1:])]) + "\n", encoding="utf-8")
 
-    with pytest.raises(ParseError, match=re.escape(message)):
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{damaged}: {message}')}"):
         import_predictions(damaged, vocab)
     out = run_cli("score", "--predictions", damaged, "--truth", HAND_SCORED / "truth.csv")
     assert out.returncode == 1, out.stdout
-    assert message in out.stderr
+    assert f"error: {damaged}: {message}" in out.stderr
     assert "Traceback" not in out.stderr
     assert "Score" not in out.stdout
 
@@ -936,7 +938,9 @@ def test_damaged_row_past_the_first_parse_block_names_its_line(tmp_path, vocab):
     damaged = tmp_path / "damaged.csv"
     damaged.write_text("\n".join(text) + "\n", encoding="utf-8")
 
-    with pytest.raises(ParseError, match=f"^line {damaged_line}: prob_net_shot = -0.200000 is not in \\[0, 1\\]$"):
+    with pytest.raises(
+        ParseError, match=f"^{re.escape(str(damaged))}: line {damaged_line}: prob_net_shot = -0.200000 is not in \\[0, 1\\]$"
+    ):
         import_predictions(damaged, vocab)
 
 

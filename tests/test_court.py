@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from rallycast import court as court_module
 from rallycast.court import (
     CourtSpec,
+    ParseError,
     Player,
     Rally,
     ShotType,
@@ -250,6 +252,20 @@ def test_vocabulary_serve_flags_read_as_the_settings_read_booleans(tmp_path):
     assert [e.is_serve for e in load_vocab(path).entries] == [True] * 4 + [False] * 4
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "mixed"])
+def test_a_byte_that_is_not_utf8_is_named_by_the_line_the_reader_splits(tmp_path, vocab, ending):
+    """Lines end at "\\n", "\\r\\n" or a lone "\\r"; counting only "\\n" named line 1 of a "\\r" file."""
+    from rallycast.court import load_vocab
+
+    rows = ["type_id,name,is_serve"] + [f"{e.type_id},{e.name},{'true' if e.is_serve else 'false'}" for e in vocab.entries]
+    endings = ["\r\n", "\r", "\n"] * len(rows) if ending == "mixed" else [ending] * len(rows)
+    raw = "".join(row + end for row, end in zip(rows, endings)).encode("utf-8")
+    path = tmp_path / "vocab.csv"
+    path.write_bytes(raw.replace(f"{rows[4]}".encode(), f"{rows[4][:-1]}\xff{rows[4][-1]}".encode("latin-1"), 1))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 5: byte 0xff is not UTF-8$"):
+        load_vocab(path)
+
+
 def _zone_lines(court):
     """Every row and column boundary of both half-courts, and the lines just either side of each."""
     w, l = court.width_m, court.length_m
@@ -333,8 +349,8 @@ def test_every_csv_format_is_read_by_read_csv(module, function):
     assert any(isinstance(func, ast.Name) and func.id == "read_csv" for func in calls)
 
 
-# the gradient oracle: the tests check every primitive's backward against it
-TEST_ONLY_SURFACE = {"gradient_check"}
+# public names that only the tests call; oracles live on the test side instead (tests/*_reference.py)
+TEST_ONLY_SURFACE: set[str] = set()
 
 
 def test_every_public_name_of_the_library_has_a_caller_outside_the_tests():

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rallycast import autodiff as ad, network
-from rallycast.autodiff import Tensor, backward, grad_of, gradient_check
+from rallycast.autodiff import Tensor, backward, grad_of
 from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab
 from rallycast.dataset import FilterPolicy, ParseError, filter_training, parse_dataset, split
 from rallycast.network import (
@@ -33,6 +33,7 @@ from rallycast.network import (
 from rallycast.training import step_loss
 
 from conftest import FIXTURES, make_rally, small_vocab, tiny_model, vocab_from_names, zero_params
+from gradient_reference import gradient_check
 from network_reference import rally_stroke_inputs
 
 

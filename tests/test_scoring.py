@@ -12,9 +12,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rallycast import court as court_module, scoring
+from rallycast import autodiff as ad, court as court_module, scoring
+from rallycast.autodiff import NumericHealthError, Tensor
 from rallycast.court import PARSE_BLOCK_LINES, Player, Stroke
-from rallycast.dataset import TAU, ParseError
+from rallycast.dataset import TAU, ParseError, SynthConfig, synthesize_dataset
+from rallycast.network import Forecaster
 from rallycast.scoring import (
     GeneratedStroke,
     export_predictions,
@@ -34,6 +36,7 @@ from conftest import FIXTURES, make_rally, prediction_file, random_rallies, smal
 from metric_reference import reference_sample_set_loss
 from network_reference import denormalize_coord, mirror_coord, stroke_inputs
 from prediction_reference import reference_import_predictions
+from test_training import BLOWUPS, blow_up
 
 
 def _gen(round_index, true_type, p_true, landing, vocab, spread_type=None):
@@ -407,6 +410,68 @@ def test_sample_sets_need_at_least_one_set(mixed_lengths):
         generate_sample_sets(model, rallies, 0, seed=1)
 
 
+# the head weights blown up before a sampling step, and the error text of the per-op checks (see test_training)
+SAMPLING_BLOWUPS = {
+    "nan_type_head": ([("type_head_w", ..., math.nan)], "linear produced non-finite values"),
+    **{
+        case: BLOWUPS[case]
+        for case in ("infinite_rho_weight", "infinite_log_sigma_weight", "attention_scores", "gate_overflow", "ffn_overflow")
+    },
+}
+
+
+@pytest.fixture
+def synthesized(vocab):
+    rallies = synthesize_dataset(SynthConfig(n_rallies=8, mean_length=6.0, seed=3, vocab=vocab))
+    return tiny_model(rallies, vocab), rallies
+
+
+@pytest.mark.parametrize("step", [1, 3], ids=["first_cached_step", "later_step"])
+@pytest.mark.parametrize("case", list(SAMPLING_BLOWUPS))
+def test_a_weight_blown_up_while_sampling_names_the_op_that_first_produced_a_non_finite_value(synthesized, case, step):
+    model, rallies = synthesized
+    blowup, message = SAMPLING_BLOWUPS[case]
+    forward = Forecaster.forward
+    calls = []
+
+    def blown_up_forward(self, inputs, rng=None, cache=None):
+        calls.append(cache.length)
+        if len(calls) == step:
+            blow_up(self.params, blowup)
+        return forward(self, inputs, rng=rng, cache=cache)
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(Forecaster, "forward", blown_up_forward)
+        with pytest.raises(NumericHealthError) as raised:
+            generate_sample_sets(model, rallies, 2, 5)
+    assert str(raised.value) == message
+    # the per-op checks raised in the step that fed from this cache length; the step mode ran it, then the replay
+    fault_at = 0 if step == 1 else 7 if case == "ffn_overflow" else TAU + 1  # the overflow reaches a layer norm at 7
+    assert calls[-2:] == [fault_at, fault_at]
+    assert calls[:-1] == sorted(set(calls))
+
+
+def test_a_fault_only_the_step_mode_sees_replays_the_sampling_step_to_the_same_draws(synthesized):
+    """A check that fires after the cache took a step's positions: the replay feeds them again from the same length."""
+    model, rallies = synthesized
+    want = generate_sample_sets(model, rallies, 3, 5)
+    forward = Forecaster.forward
+    calls = []
+
+    def faulty_forward(self, inputs, rng=None, cache=None):
+        heads = forward(self, inputs, rng=rng, cache=cache)
+        calls.append(1)
+        if len(calls) == 3:
+            ad.sigmoid(Tensor([math.inf]))  # saturates: only the step mode's input check refuses it
+        return heads
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Forecaster, "forward", faulty_forward)
+        got = generate_sample_sets(model, rallies, 3, 5)
+    assert len(calls) == max(len(r) for r in rallies) - TAU + 1
+    assert all(_same_strokes(a, b) for gs, ws in zip(got, want) for a, b in zip(gs, ws))
+
+
 # ---------------------------------------------------------------------------
 # prediction files
 # ---------------------------------------------------------------------------
@@ -674,7 +739,7 @@ def test_a_prediction_file_with_a_grouping_fault_is_opened_once(tmp_path, vocab,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(builtins, "open", counting_open)
-        with pytest.raises(ParseError, match=f"^{message}"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}"):
             import_predictions(path, vocab)
     assert opened == [path]
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rallycast import autodiff as ad
+from rallycast import autodiff as ad, training
 from rallycast.autodiff import Tensor
 from rallycast.dataset import SynthConfig, synthesize_dataset
 from rallycast.network import ModelConfig, forward_teacher_forced
 from rallycast.scoring import PROB_FLOOR
-from rallycast.training import Adam, TrainConfig, eval_best_of_k, step_loss, train
+from rallycast.training import Adam, TrainConfig, TrainingDivergedError, eval_best_of_k, step_loss, train
 
 from conftest import make_rally, tiny_model
 from network_reference import denormalize_coord, normalize_coord
@@ -188,6 +188,61 @@ def test_single_tiny_step_does_not_increase_smooth_loss(vocab, corpus):
     Adam(model.params, _quick_config(learning_rate=1e-6)).step()
     after = batch_loss()
     assert float(after.node.data) <= float(before.node.data) + 1e-6
+
+
+# a weight blown up after the third Adam step, the fault the next batch meets: [(parameter, index, value)], and the
+# error text the per-op checks gave before a training step checked its loss once
+BLOWUPS = {
+    "ffn_overflow": ([("enc0_ffn_w1", (0, 0), 1e300)], "layer_norm produced a non-finite variance"),
+    "gate_overflow": ([("gate_w", (0, 0), math.inf)], "linear produced non-finite values"),  # the sigmoid saturates
+    "attention_scores": ([("enc0_wq", ..., 1e160), ("enc0_wk", ..., 1e160)], "attention produced non-finite scores"),
+    "nan_type_embedding": ([("type_emb", ..., math.nan)], "embedding_lookup produced non-finite values"),
+    "infinite_norm_gain": ([("enc0_ln2_g", ..., math.inf)], "layer_norm produced non-finite values"),
+    # the heads clip the log-std column to LOG_SIGMA_RANGE and saturate the correlation column with tanh
+    "infinite_log_sigma_weight": ([("area_head_w", (slice(None), 2), math.inf)], "linear produced non-finite values"),
+    "infinite_rho_weight": ([("area_head_w", (slice(None), 4), math.inf)], "linear produced non-finite values"),
+}
+
+
+def blow_up(params, blowup):
+    for name, index, value in blowup:
+        params[name].data[index] = value
+
+
+@pytest.mark.parametrize("case", list(BLOWUPS))
+def test_a_weight_blown_up_mid_training_names_the_op_that_first_produced_a_non_finite_value(vocab, corpus, case):
+    blowup, message = BLOWUPS[case]
+    adam_step = Adam.step
+
+    def step(self):
+        adam_step(self)
+        if self.t == 3:
+            blow_up(self.params, blowup)
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(Adam, "step", step)
+        with pytest.raises(TrainingDivergedError) as raised:
+            train(corpus, [], _model_config(vocab), _quick_config(epochs=3), vocab=vocab)
+    assert str(raised.value) == f"epoch 2, batch of rallies [r0003, r0006, r0000, r0001]: {message}"
+
+
+def test_a_fault_only_the_step_mode_sees_replays_the_batch_to_the_same_parameters(vocab, corpus):
+    """A check that fires inside checked_by_step() reruns the batch; dropout streams and params make the rerun exact."""
+    want, _ = train(corpus, [], _model_config(vocab), _quick_config(epochs=2), vocab=vocab)
+    calls = []
+
+    def forward(model, rally, rng=None):
+        calls.append(1)
+        if len(calls) == 5:
+            ad.sigmoid(Tensor([math.inf]))  # saturates: only the step mode's input check refuses it
+        return forward_teacher_forced(model, rally, rng=rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "forward_teacher_forced", forward)
+        got, _ = train(corpus, [], _model_config(vocab), _quick_config(epochs=2), vocab=vocab)
+    assert len(calls) == 2 * len(corpus) + 1  # the second batch of epoch 1 stopped at its first rally, then ran again
+    for name in want.params:
+        assert got.params[name].data.tobytes() == want.params[name].data.tobytes()
 
 
 def test_training_never_nans_across_seeds(vocab):
