@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .court import N_ZONES, CourtSpec, Player, Rally, ShotTypeVocab, coord_to_zones, run_starts
+from .court import N_ZONES, CourtSpec, Player, Rally, ShotTypeVocab, coord_to_zones, run_starts, write_csv
 from .scoring import PredictionFile
 
 GROUPINGS = ("ball_round", "player", "landing_zone", "player_location_zone")
@@ -34,10 +34,8 @@ class DistributionTable:
     rows: list[DistRow]
 
     def write_csv(self, path: str | Path) -> None:
-        lines = [f"{self.group_key},type,count,fraction"]
-        for row in self.rows:
-            lines.append(f"{row.key},{row.type_name},{row.count},{row.fraction!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = (f"{row.key},{row.type_name},{row.count},{row.fraction!r}" for row in self.rows)
+        write_csv(path, f"{self.group_key},type,count,fraction", lines)
 
 
 def shot_distribution(
@@ -147,10 +145,8 @@ class ZoneHistogram:
     fractions: dict[int, float]
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["landing_zone,count,fraction"]
-        for zone in range(1, N_ZONES + 1):
-            lines.append(f"{zone},{self.counts[zone]},{self.fractions[zone]!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = (f"{zone},{self.counts[zone]},{self.fractions[zone]!r}" for zone in range(1, N_ZONES + 1))
+        write_csv(path, "landing_zone,count,fraction", lines)
 
 
 def landing_zone_distribution(pred: PredictionFile, court: CourtSpec | None = None) -> ZoneHistogram:
@@ -174,10 +170,8 @@ class RoundTrend:
 
     def write_csv(self, path: str | Path) -> None:
         header = "ball_round," + ",".join(n.replace(" ", "_") for n in self.type_names)
-        lines = [header]
-        for i, r in enumerate(self.rounds):
-            lines.append(f"{r}," + ",".join(repr(float(v)) for v in self.matrix[i]))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = [f"{r}," + ",".join(map(repr, row)) for r, row in zip(self.rounds, self.matrix.tolist())]
+        write_csv(path, header, lines)
 
 
 def round_trend(pred: PredictionFile, vocab: ShotTypeVocab) -> RoundTrend:
@@ -198,10 +192,3 @@ def mean_probability(pred: PredictionFile, vocab: ShotTypeVocab) -> dict[str, fl
         raise ValueError("prediction file has no strokes")
     total = _running_sum(_normalized(pred))
     return {e.name: float(total[e.type_id] / count) for e in vocab.entries}
-
-
-def write_mean_probability(means: dict[str, float], path: str | Path) -> None:
-    lines = ["type,mean_probability"]
-    for name, value in means.items():
-        lines.append(f"{name},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -3,7 +3,7 @@
 Settings resolve in three layers: the defaults in SETTINGS, then a flat
 `key = value` config file (--config), then explicit flags. Unknown config
 keys are rejected. Exit codes: 0 success, 1 runtime or numeric failure,
-2 config or usage error.
+2 config or usage error, or a file the system refuses (OSError).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from .analysis import (
     predicted_type_vote,
     round_trend,
     shot_distribution,
-    write_mean_probability,
 )
 from .autodiff import NumericHealthError
-from .court import CourtSpec, ShotTypeVocab, boolean, load_vocab, validate_rally
+from .court import CourtSpec, ShotTypeVocab, boolean, load_vocab, validate_rally, write_csv
 from .dataset import (
     FilterPolicy,
     ParseError,
@@ -316,20 +315,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         pred = import_predictions(pred_path, vocab)
         if kind == "vote":
             winners, table = predicted_type_vote(pred, vocab)
-            lines = ["rally_id,ball_round,final_type,votes"]
-            lines += [f"{wv.rally_id},{wv.ball_round},{wv.type_name},{wv.votes}" for wv in winners]
-            per_stroke = "\n".join(lines) + "\n"
+            header = "rally_id,ball_round,final_type,votes"
+            per_stroke = [f"{wv.rally_id},{wv.ball_round},{wv.type_name},{wv.votes}" for wv in winners]
             outputs = {
-                "analysis_vote_per_stroke.csv": lambda path: path.write_text(per_stroke, encoding="utf-8"),
+                "analysis_vote_per_stroke.csv": lambda path: write_csv(path, header, per_stroke),
                 "analysis_vote_distribution.csv": table.write_csv,
             }
         elif kind == "zones":
             outputs = {"analysis_zone_histogram_landing_zone.csv": landing_zone_distribution(pred, court).write_csv}
         else:
-            means = mean_probability(pred, vocab)
+            means = [f"{name},{value!r}" for name, value in mean_probability(pred, vocab).items()]
             outputs = {
                 "analysis_round_trend_ball_round.csv": round_trend(pred, vocab).write_csv,
-                "analysis_mean_probability_all.csv": lambda path: write_mean_probability(means, path),
+                "analysis_mean_probability_all.csv": lambda path: write_csv(path, "type,mean_probability", means),
             }
     else:
         raise UsageError(f"unknown --kind {kind!r}")
@@ -413,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (UsageError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, NumericHealthError, TrainingDivergedError, RuntimeError) as exc:

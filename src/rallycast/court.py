@@ -16,9 +16,10 @@ no Stroke until asked.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -110,6 +111,33 @@ def read_csv(
             raise
         add(block, first_line)
     return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a new file beside path, then rename it over path, so no reader sees a partial file.
+
+    On any exception the new file is removed. Its exclusive create lets the umask set its mode.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        raise FileExistsError(f"output path exists and is not a regular file: {path}")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"output directory not found: {path.parent}")
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            fh.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: str | Path, header: str, lines: Iterable[str]) -> None:
+    """Write the header and lines through write_file as UTF-8, each ended by "\\n", PARSE_BLOCK_LINES lines a chunk."""
+    rows = chain([header], lines)
+    blocks = iter(lambda: list(islice(rows, PARSE_BLOCK_LINES)), [])
+    write_file(path, (("\n".join(block) + "\n").encode("utf-8") for block in blocks))
 
 
 def strip_line_ending(line: str) -> str:

@@ -38,6 +38,7 @@ from .court import (
     read_csv,
     run_starts,
     strip_line_ending,
+    write_csv,
 )
 from .seeding import TAG_SYNTH, rng_from_key
 
@@ -213,17 +214,12 @@ def parse_dataset(
     rallies = Rally.from_columns(zip(compress(rally_ids, kept), match_ids, *sides), bounds, columns)
 
     if rejects and write_rejects:
-        _write_rejects(path, rejects)
+        lines = []
+        for r in sorted(rejects, key=lambda x: x.line_number):
+            fields = list(r.fields)[:9] + [""] * max(0, 9 - len(r.fields))
+            lines.append(",".join(fields + [r.reason.replace(",", ";")]))
+        write_csv(path.with_name(path.name + ".rejects.csv"), CSV_HEADER + ",reason", lines)
     return rallies, meta, rejects
-
-
-def _write_rejects(source: Path, rejects: list[RejectedRow]) -> None:
-    out = source.with_name(source.name + ".rejects.csv")
-    lines = [CSV_HEADER + ",reason"]
-    for r in sorted(rejects, key=lambda x: x.line_number):
-        fields = list(r.fields)[:9] + [""] * max(0, 9 - len(r.fields))
-        lines.append(",".join(fields + [r.reason.replace(",", ";")]))
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_dataset(rallies: Sequence[Rally], vocab: ShotTypeVocab, path: str | Path) -> None:
@@ -233,15 +229,14 @@ def write_dataset(rallies: Sequence[Rally], vocab: ShotTypeVocab, path: str | Pa
     write reproduces a canonical file byte for byte.
     """
     names = [e.name for e in vocab.entries]
-    lines = [CSV_HEADER]
-    for r in rallies:
-        head = f"{r.match_id},{r.rally_id},"
-        rows = zip(r.rounds.tolist(), r.hit_by_a.tolist(), r.type_ids.tolist(), r.landings.tolist(), r.locations.tolist())
-        lines.extend(
-            f"{head}{k},{'A' if a else 'B'},{names[t]},{lx!r},{ly!r},{px!r},{py!r}"
-            for k, a, t, (lx, ly), (px, py) in rows
+    lines = (
+        f"{r.match_id},{r.rally_id},{k},{'A' if a else 'B'},{names[t]},{lx!r},{ly!r},{px!r},{py!r}"
+        for r in rallies
+        for k, a, t, (lx, ly), (px, py) in zip(
+            r.rounds.tolist(), r.hit_by_a.tolist(), r.type_ids.tolist(), r.landings.tolist(), r.locations.tolist()
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    )
+    write_csv(path, CSV_HEADER, lines)
 
 
 def filter_training(

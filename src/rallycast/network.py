@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .court import CourtSpec, Rally, ShotType, ShotTypeVocab
+from .court import CourtSpec, Rally, ShotType, ShotTypeVocab, write_file
 from .dataset import TAU, ParseError
 from .seeding import TAG_INIT, rng_from_key
 
@@ -467,12 +467,8 @@ def save_checkpoint(path: str | Path, model: Forecaster) -> None:
         "arrays": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
+    arrays = [np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes() for n in names]
+    write_file(path, [CHECKPOINT_MAGIC, len(blob).to_bytes(8, "little"), blob, *arrays])
 
 
 def _config_and_court(path: str | Path, header: dict) -> tuple[ModelConfig, CourtSpec]:

@@ -34,6 +34,7 @@ from .court import (
     int_column,
     read_csv,
     run_starts,
+    write_csv,
 )
 from .dataset import TAU, ParseError
 from .network import Forecaster, KVCache, StrokeInputs
@@ -388,16 +389,12 @@ class ScoreReport:
         return out
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["metric,key,value", f"score,,{self.score:.6f}"]
-        for i, l in enumerate(self.sample_losses, start=1):
-            lines.append(f"sample_loss,{i},{l:.6f}")
-        lines.append(f"min_of_sets,,{self.min_of_sets:.6f}")
-        lines.append(f"best_per_rally,,{self.best_per_rally_agg:.6f}")
-        for rally_id, v in self.per_rally.items():
-            lines.append(f"rally_sum,{rally_id},{v:.6f}")
-        for ball_round in sorted(self.per_round):
-            lines.append(f"round_mean,{ball_round},{self.per_round[ball_round]:.6f}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = [f"score,,{self.score:.6f}"]
+        lines += [f"sample_loss,{i},{l:.6f}" for i, l in enumerate(self.sample_losses, start=1)]
+        lines += [f"min_of_sets,,{self.min_of_sets:.6f}", f"best_per_rally,,{self.best_per_rally_agg:.6f}"]
+        lines += [f"rally_sum,{rally_id},{v:.6f}" for rally_id, v in self.per_rally.items()]
+        lines += [f"round_mean,{ball_round},{self.per_round[ball_round]:.6f}" for ball_round in sorted(self.per_round)]
+        write_csv(path, "metric,key,value", lines)
 
 
 def score_sample_sets(
@@ -445,12 +442,9 @@ def score_sample_sets(
 # prediction files
 # ---------------------------------------------------------------------------
 
-def _prob_columns(vocab: ShotTypeVocab) -> list[str]:
-    return [f"prob_{e.name.replace(' ', '_')}" for e in vocab.entries]
-
-
 def prediction_header(vocab: ShotTypeVocab) -> str:
-    return ",".join(["rally_id", "sample_id", "ball_round", "landing_x", "landing_y"] + _prob_columns(vocab))
+    probs = [f"prob_{e.name.replace(' ', '_')}" for e in vocab.entries]
+    return ",".join(["rally_id", "sample_id", "ball_round", "landing_x", "landing_y"] + probs)
 
 
 def check_rally_ids_unique(rallies: Sequence[Rally]) -> None:
@@ -485,9 +479,9 @@ def export_predictions(
     prefixes = [f"{rally_id},{set_idx}," for rally_id in ids for set_idx in range(1, k + 1)]
     prefix_of_row = np.repeat(np.arange(len(prefixes)), by_rally)
     width = 2 + sets.probs.shape[1]
-    row = "%s%d" + ",%.6f" * width + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(prediction_header(vocab) + "\n")
+    row = "%s%d" + ",%.6f" * width
+
+    def lines():
         for block in range(0, len(order), PARSE_BLOCK_LINES):  # so that few rows are Python objects at once
             rows = order[block : block + PARSE_BLOCK_LINES]
             # one flat list of floats, which the garbage collector does not track, not a list per row
@@ -495,7 +489,9 @@ def export_predictions(
             prefix = prefix_of_row[block : block + PARSE_BLOCK_LINES].tolist()
             rounds = sets.rounds[rows].tolist()
             starts = range(0, len(values), width)
-            fh.write("".join([row % (prefixes[p], r, *values[i : i + width]) for p, r, i in zip(prefix, rounds, starts)]))
+            yield from [row % (prefixes[p], r, *values[i : i + width]) for p, r, i in zip(prefix, rounds, starts)]
+
+    write_csv(path, prediction_header(vocab), lines())
 
 
 @dataclass(eq=False)

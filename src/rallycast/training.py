@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericHealthError, Tensor
-from .court import CourtSpec, Rally, ShotTypeVocab
+from .court import CourtSpec, Rally, ShotTypeVocab, write_csv
 from .dataset import TAU
 from .network import (
     Forecaster,
@@ -84,12 +84,11 @@ class TrainReport:
     wall_clock_s: float = 0.0
 
     def write_csv(self, path: str | Path) -> None:
-        scores = dict(self.evals)
-        lines = ["epoch,shot_loss,area_loss,total_loss,val_score"]
-        for e in self.epochs:
-            val = repr(scores[e.epoch]) if e.epoch in scores else ""
-            lines.append(f"{e.epoch},{e.shot_loss!r},{e.area_loss!r},{e.total_loss!r},{val}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        scores = {epoch: repr(score) for epoch, score in self.evals}
+        lines = [
+            f"{e.epoch},{e.shot_loss!r},{e.area_loss!r},{e.total_loss!r},{scores.get(e.epoch, '')}" for e in self.epochs
+        ]
+        write_csv(path, "epoch,shot_loss,area_loss,total_loss,val_score", lines)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,12 +15,13 @@ CORPUS32 = FIXTURES / "corpus32.csv"
 HAND_SCORED = FIXTURES / "hand_scored"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "rallycast", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -108,6 +110,60 @@ def test_a_missing_input_file_exits_2_naming_its_kind_and_path(tmp_path, vocab, 
     assert out.returncode == 2, out.stderr
     assert f"error: {kind} file not found: {missing}" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# a command line that reads the given path as an input, given a directory for its outputs
+INPUT_COMMANDS = {
+    "validate": lambda path, tmp: ["validate", "--data", path],
+    "score": lambda path, tmp: ["score", "--predictions", path, "--truth", HAND_SCORED / "truth.csv"],
+    "predict": lambda path, tmp: ["predict", "--checkpoint", path, "--data", CORPUS32, "--out", tmp / "p.csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(INPUT_COMMANDS))
+def test_an_input_path_that_is_a_directory_exits_2_naming_it(tmp_path, command):
+    """An OSError other than FileNotFoundError left a traceback (IsADirectoryError) and exit 1."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = run_cli(*INPUT_COMMANDS[command](folder, tmp_path))
+    assert out.returncode == 2, out.stderr
+    assert str(folder) in out.stderr and "Traceback" not in out.stderr
+
+
+# a command line that writes the given path
+OUTPUT_COMMANDS = {
+    "synth": lambda path: ["synth", "--n", 4, "--out", path],
+    "score": lambda path: [
+        "score", "--predictions", HAND_SCORED / "predictions.csv", "--truth", HAND_SCORED / "truth.csv", "--out", path
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+@pytest.mark.parametrize("make", ["directory", "fifo"])
+def test_an_output_path_that_is_not_a_regular_file_exits_2_and_is_left_as_it_was(tmp_path, command, make):
+    """synth --out <directory> left an IsADirectoryError traceback; a rename would have replaced a FIFO."""
+    path = tmp_path / "out.csv"
+    if make == "directory":
+        path.mkdir()
+    else:
+        os.mkfifo(path)
+    out = run_cli(*OUTPUT_COMMANDS[command](path), timeout=60)  # a write that opened the FIFO would wait for a reader
+    assert out.returncode == 2, out.stderr
+    assert f"error: output path exists and is not a regular file: {path}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert path.is_dir() if make == "directory" else path.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="needs /dev/stdout as a symlink")
+def test_out_dev_stdout_is_refused_and_left_a_symlink():
+    """A write renames over its path, so --out /dev/stdout would replace the symlink: it is refused instead."""
+    link = os.readlink("/dev/stdout")
+    out = run_cli("synth", "--n", 4, "--out", "/dev/stdout")  # stdout is a pipe here
+    assert out.returncode == 2, out.stderr
+    assert "error: output path exists and is not a regular file: /dev/stdout" in out.stderr
+    assert out.stdout == "" and os.readlink("/dev/stdout") == link
 
 
 @pytest.mark.parametrize("kept_rows", [4, None])  # None keeps the whole file, past the text reader's first chunk

@@ -1,5 +1,6 @@
 import ast
 import math
+import os
 import re
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from rallycast.court import (
     ZONE_OUT,
     coord_to_zones,
     validate_rally,
+    write_csv,
+    write_file,
 )
 
 from analysis_reference import reference_coord_to_zone
@@ -297,6 +300,82 @@ def test_array_zones_reject_a_non_finite_point(court):
 
 
 # ---------------------------------------------------------------------------
+# writing files: whole or not at all
+# ---------------------------------------------------------------------------
+
+def _chunks_then_stop(*chunks):
+    yield from chunks
+    raise KeyboardInterrupt  # a stop that is not an Exception, as a signal's is
+
+
+@pytest.mark.parametrize("old", [b"old bytes\n", None])
+def test_a_write_stopped_mid_chunks_leaves_the_old_file_or_none_and_no_file_beside_it(tmp_path, old):
+    path = tmp_path / "out.csv"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(KeyboardInterrupt):
+        write_file(path, _chunks_then_stop(b"new ", b"bytes"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["out.csv"])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_write_csv_ends_every_line_and_replaces_the_old_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(court_module, "PARSE_BLOCK_LINES", 2)  # the header and lines span several chunks
+    path = tmp_path / "out.csv"
+    path.write_text("a much longer old file\n" * 10, encoding="utf-8")
+    write_csv(path, "h", (f"é{i}" for i in range(4)))
+    assert path.read_bytes() == "h\né0\né1\né2\né3\n".encode("utf-8")
+    write_csv(path, "h", [])
+    assert path.read_bytes() == b"h\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_a_new_output_has_the_mode_that_write_text_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "by_write_text").write_text("x", encoding="utf-8")
+        write_file(tmp_path / "by_write_file", [b"x"])
+    finally:
+        os.umask(previous)
+    modes = [os.stat(tmp_path / name).st_mode for name in ("by_write_text", "by_write_file")]
+    assert modes[0] == modes[1] == 0o100666 & ~umask
+
+
+def test_a_symlink_at_the_output_path_is_replaced_not_written_through(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"target\n")
+    link.symlink_to(target)
+    write_file(link, [b"new\n"])
+    assert not link.is_symlink() and link.read_bytes() == b"new\n"
+    assert target.read_bytes() == b"target\n"
+
+
+@pytest.mark.parametrize("make", ["directory", "fifo", "symlink_to_fifo"])
+def test_an_output_path_that_is_not_a_regular_file_is_refused_before_anything_is_written(tmp_path, make):
+    fifo, path = tmp_path / "fifo", tmp_path / "out.csv"
+    if make == "directory":
+        path.mkdir()
+    else:
+        os.mkfifo(fifo)
+        if make == "fifo":
+            fifo.rename(path)
+        else:
+            path.symlink_to(fifo)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(FileExistsError, match=f"output path exists and is not a regular file: {re.escape(str(path))}"):
+        write_file(path, [b"x"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert path.is_dir() if make == "directory" else path.is_fifo()
+
+
+def test_an_output_in_a_missing_directory_is_refused_naming_the_directory(tmp_path):
+    with pytest.raises(FileNotFoundError, match=f"output directory not found: {re.escape(str(tmp_path / 'no'))}$"):
+        write_file(tmp_path / "no" / "out.csv", [b"x"])
+
+
+# ---------------------------------------------------------------------------
 # who may see a rally as Stroke objects
 # ---------------------------------------------------------------------------
 
@@ -347,6 +426,31 @@ def test_every_csv_format_is_read_by_read_csv(module, function):
     reader = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
     calls = [node.func for node in ast.walk(reader) if isinstance(node, ast.Call)]
     assert any(isinstance(func, ast.Name) and func.id == "read_csv" for func in calls)
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A call of write_text or write_bytes, or of open with a mode holding w, a or x."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    position = 1 if isinstance(call.func, ast.Name) else 0  # open(path, mode) or path.open(mode)
+    modes = call.args[position : position + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax") for m in modes)
+
+
+def test_only_court_writes_files():
+    """Every output is written through court.write_file, so whole or not at all: no other module opens a file to write."""
+    package = Path(court_module.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "court.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    ]
+    assert found == []
 
 
 # public names that only the tests call; oracles live on the test side instead (tests/*_reference.py)

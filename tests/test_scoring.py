@@ -566,6 +566,28 @@ def test_predict_then_score_does_not_import_numpy_ma():
     assert imported == "False"
 
 
+def test_an_export_stopped_after_its_first_block_leaves_no_prediction_file(tmp_path, gen_setup, monkeypatch):
+    """A partial prediction file would read as damaged; the file appears whole, at the rename, or not at all."""
+    vocab, rally, model = gen_setup
+    sets = [sample(model, [rally], [(0, len(rally) - 4, 100 + j)]) for j in range(6)]
+    path = tmp_path / "preds.csv"
+    monkeypatch.setattr(scoring, "PARSE_BLOCK_LINES", 4)  # 18 rows: the export formats them in five blocks
+    monkeypatch.setattr(court_module, "PARSE_BLOCK_LINES", 4)  # and the writer writes each block as it comes
+    column_stack, seen = np.column_stack, []
+
+    def stop_at_the_second_block(arrays):
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+        return column_stack(arrays)
+
+    monkeypatch.setattr(np, "column_stack", stop_at_the_second_block)
+    with pytest.raises(KeyboardInterrupt):
+        export_predictions([rally], sets, vocab, path)
+    assert len(seen[1]) == 1 and seen[1][0].startswith(".preds.csv.")  # the first block went to the file beside path
+    assert list(tmp_path.iterdir()) == []
+
+
 @given(scored_predictions(), st.sampled_from(["min_of_sets", "best_of_k"]))
 def test_export_import_score_equals_the_in_memory_score_bit_for_bit(tmp_path_factory, case, protocol):
     vocab, truths, sets = case
