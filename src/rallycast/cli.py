@@ -2,16 +2,23 @@
 
 Settings resolve in three layers: the defaults in SETTINGS, then a flat
 `key = value` config file (--config), then explicit flags. Unknown config
-keys are rejected. Exit codes: 0 success, 1 runtime or numeric failure,
-2 config or usage error, or a file the system refuses (OSError).
+keys are rejected.
+
+An exception's type sets the exit code: ParseError (a damaged input file,
+named first in its text), NumericHealthError and TrainingDivergedError exit
+1; UsageError (a refused setting, flag or config file) and OSError exit 2;
+any other exception is a bug and keeps its traceback. validate also exits 1
+when it finds violations.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import (
@@ -22,10 +29,9 @@ from .analysis import (
     shot_distribution,
 )
 from .autodiff import NumericHealthError
-from .court import CourtSpec, ShotTypeVocab, boolean, load_vocab, validate_rally, write_csv
+from .court import CourtSpec, ParseError, ShotTypeVocab, boolean, check_output, load_vocab, validate_rally, write_csv
 from .dataset import (
     FilterPolicy,
-    ParseError,
     SynthConfig,
     TAU,
     filter_training,
@@ -38,6 +44,7 @@ from .network import ModelConfig, load_checkpoint, save_checkpoint
 from .scoring import (
     EXPECTED_SAMPLE_SETS,
     check_rally_ids_unique,
+    check_sampling,
     export_predictions,
     generate_sample_sets,
     import_predictions,
@@ -52,6 +59,15 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
+
+
+@contextmanager
+def value_errors_as(error: type[Exception], *args) -> Iterator[None]:
+    """Raise a ValueError from the body as error(*args, its message): a refused setting, or a damaged file's content."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(*args, str(exc)) from exc
 
 
 def int_or_none(raw: str) -> int | None:
@@ -111,7 +127,11 @@ def load_config_file(path: str) -> dict:
     if not p.exists():
         raise UsageError(f"config file not found: {p}")
     out = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, encoded in enumerate(p.read_bytes().splitlines(), start=1):
+        try:
+            raw = encoded.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{p}:{lineno}: byte 0x{encoded[exc.start]:02x} is not UTF-8") from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -140,6 +160,12 @@ class Settings:
     def __getitem__(self, key: str):
         return self.values[key]
 
+    def config(self, cls: type, **derived):
+        """cls of the settings its fields name (dropout_rate's is dropout) and of derived; a refusal is a UsageError."""
+        keys = {f.name: {"dropout_rate": "dropout"}.get(f.name, f.name) for f in fields(cls) if f.name not in derived}
+        with value_errors_as(UsageError):
+            return cls(**{name: self[key] for name, key in keys.items() if key in SETTINGS}, **derived)
+
 
 def _resolve_vocab(settings: Settings) -> ShotTypeVocab:
     path = settings["vocab"]
@@ -162,6 +188,14 @@ def _load_rallies(path: str, vocab: ShotTypeVocab, court: CourtSpec, mirror: str
     return rallies, meta
 
 
+def _outputs(out_dir: Path, names: Sequence[str]) -> list[Path]:
+    """The named files in out_dir, checked now as write_file will check them, unless out_dir is still to be made."""
+    paths = [out_dir / name for name in names]
+    for path in paths if out_dir.exists() else []:
+        check_output(path)
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -170,13 +204,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     settings = Settings(args)
     vocab = _resolve_vocab(settings)
     out = Path(_require(args, "out"))
-    config = SynthConfig(
-        n_rallies=settings["n_rallies"],
-        mean_length=settings["mean_length"],
-        vocab=vocab,
-        seed=settings["seed"],
-    )
-    rallies = synthesize_dataset(config)
+    rallies = synthesize_dataset(settings.config(SynthConfig, vocab=vocab))
     write_dataset(rallies, vocab, out)
     print(f"wrote {sum(len(r) for r in rallies)} strokes in {len(rallies)} rallies to {out}")
     return EXIT_OK
@@ -199,39 +227,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     settings = Settings(args)
     vocab = _resolve_vocab(settings)
-    model_config = ModelConfig(
-        embed_dim=settings["embed_dim"],
-        n_heads=settings["n_heads"],
-        n_layers=settings["n_layers"],
-        ffn_dim=settings["ffn_dim"],
-        dropout_rate=settings["dropout"],
-        vocab_size=vocab.size,
-        embedding_mode=settings["embedding_mode"],
-    )
-    train_config = TrainConfig(
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        learning_rate=settings["learning_rate"],
-        clip_norm=settings["clip_norm"],
-        eval_every=settings["eval_every"],
-        eval_samples=settings["eval_samples"],
-        seed=settings["seed"],
-    )
-    policy = FilterPolicy(
-        max_rally_length=settings["max_rally_length"],
-        max_match_total_rounds=settings["max_match_total_rounds"],
-        min_rally_length=settings["min_rally_length"],
-    )
+    model_config = settings.config(ModelConfig, vocab_size=vocab.size)
+    train_config = settings.config(TrainConfig)
+    policy = settings.config(FilterPolicy)
 
     court = CourtSpec()
     out_dir = Path(_require(args, "out_dir"))
+    names = ("model.ckpt", "report.csv", "train_split.csv", "val_split.csv")
+    checkpoint, report_csv, train_csv, val_csv = _outputs(out_dir, names)
     rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
     kept, dropped = filter_training(rallies, policy)
     if dropped:
         print(f"filter dropped {len(dropped)} of {len(rallies)} rallies")
     if not kept:
         raise UsageError("no rallies left after filtering")
-    train_set, val_set = split(kept, settings["train_fraction"], settings["seed"], by_match=settings["split_by_match"])
+    with value_errors_as(UsageError):  # the train fraction
+        train_set, val_set = split(kept, settings["train_fraction"], settings["seed"], settings["split_by_match"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def progress(stats, val_score):
@@ -240,29 +251,32 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model, report = train(train_set, val_set, model_config, train_config, court, vocab, progress=progress)
 
-    checkpoint = out_dir / "model.ckpt"
     save_checkpoint(checkpoint, model)
-    report.write_csv(out_dir / "report.csv")
-    write_dataset(train_set, vocab, out_dir / "train_split.csv")
-    write_dataset(val_set, vocab, out_dir / "val_split.csv")
+    report.write_csv(report_csv)
+    write_dataset(train_set, vocab, train_csv)
+    write_dataset(val_set, vocab, val_csv)
     print(f"best epoch {report.best_epoch}, wall clock {report.wall_clock_s:.1f}s, checkpoint {checkpoint}")
     return EXIT_OK
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    model = load_checkpoint(_require(args, "checkpoint"))
-    rallies, _ = _load_rallies(_require(args, "data"), model.vocab, model.court, settings["mirror"])
-    out = Path(_require(args, "out"))
     open_ended = bool(getattr(args, "open_ended", False))
     horizon = settings["horizon"] if open_ended else None
+    n_samples = settings["samples"]
+    with value_errors_as(UsageError):
+        check_sampling(n_samples, settings["seed"], horizon)
+    model = load_checkpoint(_require(args, "checkpoint"))
+    data = _require(args, "data")
+    rallies, _ = _load_rallies(data, model.vocab, model.court, settings["mirror"])
+    out = Path(_require(args, "out"))
     need = TAU if open_ended else TAU + 1  # the prefix, and in scoring mode one stroke to predict
     short = [r.rally_id for r in rallies if len(r) < need]
     if short:
-        raise ParseError(f"rallies too short to predict (need {need} strokes): {short[:5]}")
+        raise ParseError(data, f"rallies too short to predict (need {need} strokes): {short[:5]}")
+    with value_errors_as(ParseError, data):
+        check_rally_ids_unique(rallies)
 
-    check_rally_ids_unique(rallies)
-    n_samples = settings["samples"]
     sets = generate_sample_sets(model, rallies, n_samples, settings["seed"], horizon=horizon)
     export_predictions(rallies, sets, model.vocab, out)
     n_rows = sum(len(suffix) for one in sets for suffix in one)
@@ -274,12 +288,18 @@ def cmd_score(args: argparse.Namespace) -> int:
     settings = Settings(args)
     vocab = _resolve_vocab(settings)
     court = CourtSpec()
-    truths, _ = _load_rallies(_require(args, "truth"), vocab, court, settings["mirror"])
-    pred = import_predictions(_require(args, "predictions"), vocab)
-    if pred.n_samples != EXPECTED_SAMPLE_SETS:
-        raise UsageError(f"expected {EXPECTED_SAMPLE_SETS} sample sets, found {pred.n_samples}")
+    truth, predictions = _require(args, "truth"), _require(args, "predictions")
+    truths, _ = _load_rallies(truth, vocab, court, settings["mirror"])
+    with value_errors_as(ParseError, truth):
+        check_rally_ids_unique(truths)
     scorable = [r for r in truths if len(r) >= TAU + 1]
-    report = score_sample_sets(pred.sample_sets(scorable), scorable, protocol="min_of_sets")
+    if not scorable:
+        raise ParseError(truth, f"no rally has the {TAU + 1} strokes that scoring needs")
+    pred = import_predictions(predictions, vocab)
+    if pred.n_samples != EXPECTED_SAMPLE_SETS:
+        raise ParseError(predictions, f"expected {EXPECTED_SAMPLE_SETS} sample sets, found {pred.n_samples}")
+    with value_errors_as(ParseError, predictions):  # the rallies, samples and rounds the file covers
+        report = score_sample_sets(pred.sample_sets(scorable), scorable, protocol="min_of_sets")
     if len(scorable) < len(pred.rally_ids):
         print(f"note: scored {len(scorable)} of {len(pred.rally_ids)} predicted rallies")
     for line in report.lines():
@@ -290,11 +310,12 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Read the input, build every table, then make --out-dir and write them, so a refusal writes nothing."""
+    """Check outputs, read input, build every table, then make --out-dir and write, so a refusal writes nothing."""
     settings = Settings(args)
     vocab = _resolve_vocab(settings)
     court = CourtSpec()
     kind = args.kind
+    out_dir = Path(args.out_dir or ".")
 
     dataset_kinds = {
         "shot-by-round": "ball_round",
@@ -302,40 +323,38 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "shot-by-zone": "landing_zone",
         "shot-by-location": "player_location_zone",
     }
-    # outputs maps each file name to the function that writes that file to a path
+    # writers holds the function that writes each of the paths, in order
     if kind in dataset_kinds:
-        rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
-        grouping = dataset_kinds[kind]
-        table = shot_distribution(rallies, grouping, vocab, court)
-        outputs = {f"analysis_shot_distribution_{grouping}.csv": table.write_csv}
+        data, grouping = _require(args, "data"), dataset_kinds[kind]
+        paths = _outputs(out_dir, [f"analysis_shot_distribution_{grouping}.csv"])
+        rallies, _ = _load_rallies(data, vocab, court, settings["mirror"])
+        writers = [shot_distribution(rallies, grouping, vocab, court).write_csv]
     elif kind in ("vote", "zones", "trend"):
         pred_path = getattr(args, "predictions", None)
         if not pred_path:
             raise UsageError(f"--kind {kind} needs --predictions")
+        paths = _outputs(out_dir, {
+            "vote": ["analysis_vote_per_stroke.csv", "analysis_vote_distribution.csv"],
+            "zones": ["analysis_zone_histogram_landing_zone.csv"],
+            "trend": ["analysis_round_trend_ball_round.csv", "analysis_mean_probability_all.csv"],
+        }[kind])
         pred = import_predictions(pred_path, vocab)
-        if kind == "vote":
-            winners, table = predicted_type_vote(pred, vocab)
-            header = "rally_id,ball_round,final_type,votes"
-            per_stroke = [f"{wv.rally_id},{wv.ball_round},{wv.type_name},{wv.votes}" for wv in winners]
-            outputs = {
-                "analysis_vote_per_stroke.csv": lambda path: write_csv(path, header, per_stroke),
-                "analysis_vote_distribution.csv": table.write_csv,
-            }
-        elif kind == "zones":
-            outputs = {"analysis_zone_histogram_landing_zone.csv": landing_zone_distribution(pred, court).write_csv}
-        else:
-            means = [f"{name},{value!r}" for name, value in mean_probability(pred, vocab).items()]
-            outputs = {
-                "analysis_round_trend_ball_round.csv": round_trend(pred, vocab).write_csv,
-                "analysis_mean_probability_all.csv": lambda path: write_csv(path, "type,mean_probability", means),
-            }
+        with value_errors_as(ParseError, pred_path):  # a file without strokes
+            if kind == "vote":
+                winners, table = predicted_type_vote(pred, vocab)
+                header = "rally_id,ball_round,final_type,votes"
+                per_stroke = [f"{wv.rally_id},{wv.ball_round},{wv.type_name},{wv.votes}" for wv in winners]
+                writers = [lambda path: write_csv(path, header, per_stroke), table.write_csv]
+            elif kind == "zones":
+                writers = [landing_zone_distribution(pred, court).write_csv]
+            else:
+                means = [f"{name},{value!r}" for name, value in mean_probability(pred, vocab).items()]
+                writers = [round_trend(pred, vocab).write_csv, lambda path: write_csv(path, "type,mean_probability", means)]
     else:
         raise UsageError(f"unknown --kind {kind!r}")
 
-    out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, write in outputs.items():
-        path = out_dir / name
+    for path, write in zip(paths, writers):
         write(path)
         print(f"wrote {path}")
     return EXIT_OK
@@ -411,10 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, OSError, KeyError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, NumericHealthError, TrainingDivergedError, RuntimeError) as exc:
+    except (ParseError, NumericHealthError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -35,8 +35,11 @@ N_ZONES = 10
 ZONE_OUT = 10  # any point outside the chosen half-court
 
 
-class ParseError(RuntimeError):
-    """Raised when a dataset, vocabulary, checkpoint or prediction file is too damaged to use."""
+class ParseError(Exception):
+    """A dataset, vocabulary, checkpoint or prediction file too damaged to use, named with the line if known."""
+
+    def __init__(self, path: str | Path, message: str, line: int | None = None):
+        super().__init__(f"{path}: {message}" if line is None else f"{path}: line {line}: {message}")
 
 
 # File lines parsed and checked, or rows formatted, as one block. At 4096 a
@@ -52,7 +55,7 @@ def read_csv(
     header: str,
     strip: Callable[[str], str],
     parse: Callable[[list[str], np.ndarray], tuple[np.ndarray, ...]],
-    reject: Callable[[int, str, Exception], None],
+    reject: Callable[[int, str, Exception], None] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """The columns of a CSV file with this header: parse's columns of each block of lines, concatenated.
 
@@ -60,10 +63,11 @@ def read_csv(
     ones (after strip) skipped; parse gets a block's cells and line numbers.
     A block with a line of the wrong column count, or that parse refuses with
     ValueError or KeyError, is parsed again one line at a time, and reject
-    gets each failing line's number, text and error. A byte that is not UTF-8
-    raises ParseError naming its line, after the lines read before it are
-    parsed, so a bad row among them is reported first. A UTF-8 byte-order
-    mark before the header is skipped.
+    gets each failing line's number, text and error; without reject, the
+    first failing line raises ParseError. A byte that is not UTF-8 raises
+    ParseError naming its line, after the lines read before it are parsed,
+    so a bad row among them is reported first. A UTF-8 byte-order mark
+    before the header is skipped.
     """
     if not path.exists():
         raise FileNotFoundError(f"{kind} file not found: {path}")
@@ -86,6 +90,8 @@ def read_csv(
                 try:
                     blocks.append(parse(cells([line]), numbers[i : i + 1]))
                 except (ValueError, KeyError) as exc:
+                    if reject is None:
+                        raise ParseError(path, exc.args[0], int(numbers[i])) from exc
                     reject(int(numbers[i]), line, exc)
 
     block, first_line = [], 2
@@ -93,7 +99,7 @@ def read_csv(
         try:
             found = fh.readline().strip()
             if found != header:
-                raise ParseError(f"{path}: line 1: {kind} header does not match {header!r}: {found!r}")
+                raise ParseError(path, f"{kind} header does not match {header!r}: {found!r}", 1)
             for line in fh:
                 block.append(strip(line))
                 if len(block) == PARSE_BLOCK_LINES:
@@ -107,7 +113,7 @@ def read_csv(
             except UnicodeDecodeError as exc:
                 head = raw[: exc.start]  # lines end as the reader splits them: "\n", "\r\n" or a lone "\r"
                 line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-                raise ParseError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from exc
+                raise ParseError(path, f"byte 0x{raw[exc.start]:02x} is not UTF-8", line) from exc
             raise
         add(block, first_line)
     return tuple(np.concatenate(column) for column in zip(*blocks))
@@ -119,10 +125,7 @@ def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
     On any exception the new file is removed. Its exclusive create lets the umask set its mode.
     """
     path = Path(path)
-    if path.exists() and not path.is_file():
-        raise FileExistsError(f"output path exists and is not a regular file: {path}")
-    if not path.parent.is_dir():
-        raise FileNotFoundError(f"output directory not found: {path.parent}")
+    check_output(path)
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(temp, "xb") as fh:
@@ -131,6 +134,14 @@ def write_file(path: str | Path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def check_output(path: Path) -> None:
+    """Raise write_file's OSError for path: it exists and is not a regular file, or its directory is missing."""
+    if path.exists() and not path.is_file():
+        raise FileExistsError(f"output path exists and is not a regular file: {path}")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"output directory not found: {path.parent}")
 
 
 def write_csv(path: str | Path, header: str, lines: Iterable[str]) -> None:
@@ -215,6 +226,8 @@ class ShotTypeVocab:
         object.__setattr__(self, "_id_by_name", by_name)  # built once, for id_of
         if not any(e.is_serve for e in self.entries):
             raise ValueError("vocabulary needs at least one service type")
+        if all(e.is_serve for e in self.entries):  # the sampler masks services out after the opening stroke
+            raise ValueError("vocabulary needs at least one rally (non-service) type")
 
     @classmethod
     def default(cls) -> "ShotTypeVocab":
@@ -254,15 +267,12 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
         serves = np.fromiter(map(boolean, cells[2::3]), dtype=bool, count=len(numbers))
         return int_column(cells[0::3], "type_id"), np.array(cells[1::3], dtype=object), serves
 
-    def reject(number: int, line: str, exc: Exception) -> None:
-        raise ParseError(f"{path}: line {number}: {exc}") from exc
-
-    ids, names, serves = read_csv(path, "vocabulary", "type_id,name,is_serve", strip_line_ending, parse, reject)
+    ids, names, serves = read_csv(path, "vocabulary", "type_id,name,is_serve", strip_line_ending, parse)
     entries = sorted(map(ShotType, ids.tolist(), names.tolist(), serves.tolist()), key=lambda e: e.type_id)
     try:
         return ShotTypeVocab(tuple(entries))
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(path, str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -172,15 +172,13 @@ def parse_dataset(
     numbers, codes, rounds, is_b, types, coords = read_csv(
         path, "dataset", CSV_HEADER, strip_line_ending,
         lambda cells, numbers: _parse_block(cells, numbers, vocab, keys),
-        lambda number, line, exc: rejects.append(RejectedRow(number, tuple(line.split(",")), str(exc).strip("'\""))),
+        lambda number, line, exc: rejects.append(RejectedRow(number, tuple(line.split(",")), exc.args[0])),
     )
     n_malformed = len(rejects)
     n_rows = len(numbers) + n_malformed
     if n_rows and n_malformed / n_rows > MALFORMED_ROW_LIMIT:
         sample = ", ".join(f"line {r.line_number} ({r.reason})" for r in rejects[:20])
-        raise ParseError(
-            f"{n_malformed}/{n_rows} rows malformed in {path} (limit {MALFORMED_ROW_LIMIT:.0%}): {sample}"
-        )
+        raise ParseError(path, f"{n_malformed}/{n_rows} rows malformed (limit {MALFORMED_ROW_LIMIT:.0%}): {sample}")
 
     if mirror != "none":
         flip = (rounds % 2 == 1) == (mirror == "odd")
@@ -328,12 +326,9 @@ def player_table(vocab: ShotTypeVocab) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The players' (4, V) shot preferences, (4, V, 2) landing means in meters and shared (2, 2) landing covariance.
 
     Player k prefers the services whose id has k's parity, and two rally
-    types, rotated by k so that per-player histograms differ. A vocabulary
-    without a rally (non-service) type raises ValueError.
+    types, rotated by k so that per-player histograms differ.
     """
     is_serve = np.array([e.is_serve for e in vocab.entries])
-    if is_serve.all():
-        raise ValueError("vocabulary needs at least one rally (non-service) type")
     k, t = np.arange(len(PLAYERS))[:, None], np.arange(vocab.size)
     serve_preferences = np.where((t + k) % 2 == 0, 0.5, 0.1)
     rally_preferences = np.where((np.cumsum(~is_serve) - 1 + k) % (~is_serve).sum() < 2, 3.0, 0.3)

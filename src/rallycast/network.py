@@ -26,8 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .court import CourtSpec, Rally, ShotType, ShotTypeVocab, write_file
-from .dataset import TAU, ParseError
+from .court import CourtSpec, ParseError, Rally, ShotType, ShotTypeVocab, write_file
+from .dataset import TAU
 from .seeding import TAG_INIT, rng_from_key
 
 UNKNOWN_PLAYER = 0  # reserved row of the player embedding table
@@ -487,7 +487,7 @@ def _config_and_court(path: str | Path, header: dict) -> tuple[ModelConfig, Cour
     fixed = {"tau": TAU, "mean_x": cx, "mean_y": cy, "std_x": cx, "std_y": cy}
     for key, value in found.items():
         if value != fixed[key]:
-            raise ParseError(f"{path}: header {key} is {value!r}, but {key} is fixed at {fixed[key]!r}")
+            raise ParseError(path, f"header {key} is {value!r}, but {key} is fixed at {fixed[key]!r}")
     return config, court
 
 
@@ -506,54 +506,52 @@ def load_checkpoint(path: str | Path) -> Forecaster:
         raise FileNotFoundError(f"checkpoint file not found: {path}")
     raw = path.read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
-        raise ParseError(f"{path}: not a checkpoint file (no {CHECKPOINT_MAGIC.strip().decode()} magic)")
+        raise ParseError(path, f"not a checkpoint file (no {CHECKPOINT_MAGIC.strip().decode()} magic)")
     off = len(CHECKPOINT_MAGIC)
     if len(raw) < off + 8:
-        raise ParseError(f"{path}: truncated before the header length")
+        raise ParseError(path, "truncated before the header length")
     hlen = int.from_bytes(raw[off : off + 8], "little")
     off += 8
     if hlen > len(raw) - off:
-        raise ParseError(f"{path}: header length {hlen} exceeds the {len(raw) - off} bytes after it")
+        raise ParseError(path, f"header length {hlen} exceeds the {len(raw) - off} bytes after it")
     try:
         header = json.loads(raw[off : off + hlen].decode("utf-8"))
         config, court = _config_and_court(path, header)
         vocab_rows, player_index = header["vocab"], header["player_index"]
         not_str = [n for _, n, _ in vocab_rows if not isinstance(n, str)]
         if not_str:
-            raise ParseError(f"{path}: header vocab name {not_str[0]!r} is not a string")
+            raise ParseError(path, f"header vocab name {not_str[0]!r} is not a string")
         for row, (i, _, s) in enumerate(vocab_rows):  # int(1.9) would load as type 1, bool("no") as a service type
             if type(i) is not int or type(s) is not bool:
-                raise ParseError(
-                    f"{path}: header vocab[{row}] {vocab_rows[row]!r} needs an int id and a true/false flag"
-                )
+                raise ParseError(path, f"header vocab[{row}] {vocab_rows[row]!r} needs an int id and a true/false flag")
         vocab = ShotTypeVocab(tuple(ShotType(i, n, s) for i, n, s in vocab_rows))
         arrays = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
         for i, (_, shape) in enumerate(arrays):
             if any(type(n) is not int for n in shape):  # (10.0, 16) == (10, 16) would pass the shape check below
-                raise ParseError(f"{path}: header arrays[{i}].shape {list(shape)} holds a size that is not an int")
+                raise ParseError(path, f"header arrays[{i}].shape {list(shape)} holds a size that is not an int")
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers both decode errors
-        raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from exc
+        raise ParseError(path, f"unreadable checkpoint header: {exc}") from exc
     if vocab.size != config.vocab_size:
-        raise ParseError(f"{path}: header vocab has {vocab.size} types, but config vocab_size is {config.vocab_size}")
+        raise ParseError(path, f"header vocab has {vocab.size} types, but config vocab_size is {config.vocab_size}")
     in_table = range(1, config.n_players + 1)  # row 0 of the player table is for unseen players
     if not isinstance(player_index, dict) or not all(type(i) is int and i in in_table for i in player_index.values()):
         raise ParseError(
-            f"{path}: header player_index must map names to ids in 1..{config.n_players}, got {player_index!r:.80}"
+            path, f"header player_index must map names to ids in 1..{config.n_players}, got {player_index!r:.80}"
         )
     off += hlen
     if arrays != list(param_shapes(config).items()):
-        raise ParseError(f"{path}: header arrays do not match the parameter shapes of its model config")
+        raise ParseError(path, "header arrays do not match the parameter shapes of its model config")
     tensors: dict[str, Tensor] = {}
     for name, shape in arrays:
         nbytes = 8 * int(np.prod(shape))
         if nbytes > len(raw) - off:
             raise ParseError(
-                f"{path}: array {name!r} {shape} needs {nbytes} bytes at offset {off}, only {len(raw) - off} remain"
+                path, f"array {name!r} {shape} needs {nbytes} bytes at offset {off}, only {len(raw) - off} remain"
             )
         tensors[name] = Tensor(np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy())
         off += nbytes
     if off != len(raw):
-        raise ParseError(f"{path}: {len(raw) - off} trailing bytes after the last array {arrays[-1][0]!r}")
+        raise ParseError(path, f"{len(raw) - off} trailing bytes after the last array {arrays[-1][0]!r}")
     return Forecaster(
         params=tensors,
         config=config,

@@ -28,6 +28,7 @@ from . import autodiff as ad
 from .court import (
     PARSE_BLOCK_LINES,
     CourtSpec,
+    ParseError,
     Player,
     Rally,
     ShotTypeVocab,
@@ -36,7 +37,7 @@ from .court import (
     run_starts,
     write_csv,
 )
-from .dataset import TAU, ParseError
+from .dataset import TAU
 from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
 
@@ -95,6 +96,16 @@ class GeneratedStroke:
     type_probs: np.ndarray  # (V,), serve-masked, renormalized, quantized
 
 
+def check_sampling(n_sets: int, seed: int, horizon: int | None) -> None:
+    """Raise ValueError for a set count, seed or horizon that generate_sample_sets cannot sample with."""
+    if n_sets < 1:
+        raise ValueError(f"need at least one sample set, got {n_sets}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be at least 1")
+
+
 def generate_sample_sets(
     model: Forecaster,
     rallies: Sequence[Rally],
@@ -110,10 +121,7 @@ def generate_sample_sets(
     draws of a larger n_sets reproduce a smaller run exactly.
     When horizon is None each rally is continued to its ground-truth length.
     """
-    if n_sets < 1:
-        raise ValueError(f"need at least one sample set, got {n_sets}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_sampling(n_sets, seed, horizon)
     tasks = [
         (
             r_idx,
@@ -235,8 +243,8 @@ def _draw_strokes(
     probs = type_probs.copy()
     probs[:, serve_ids] = 0.0
     mass = probs.sum(axis=1)
-    if (mass <= 0.0).any():
-        raise RuntimeError("service mask removed all probability mass; vocabulary has no rally types")
+    if (mass <= 0.0).any():  # every vocabulary has a rally type, so only an underflowed softmax leaves none
+        raise ad.NumericHealthError("the service mask left a type distribution with no probability mass")
     probs /= mass[:, None]
     u = np.empty(len(rngs))
     noise = np.empty((len(rngs), 2))
@@ -598,21 +606,16 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
     columns = header.split(",")
     codes: dict[str, int] = {}  # rally id -> its position in first-seen order
 
-    def reject(number: int, line: str, exc: Exception) -> None:
-        raise ParseError(f"{path}: line {number}: {exc}") from exc
-
     line_numbers, rally_index, sample_ids, rounds, values = read_csv(
-        Path(path), "prediction", header, str.strip,
-        lambda cells, numbers: _parse_block(cells, numbers, columns, codes), reject,
+        Path(path), "prediction", header, str.strip, lambda cells, numbers: _parse_block(cells, numbers, columns, codes)
     )
     ids = np.sort(sample_ids)
     ids = ids[run_starts(ids)]  # not np.unique, which imports numpy.ma on its first call
     if len(ids) and ids[-1] != len(ids):
         gap = int(np.argmax(ids != np.arange(1, len(ids) + 1))) + 1
         row = int(np.argmax(sample_ids > gap))  # rows run in file order
-        raise ParseError(
-            f"{path}: line {line_numbers[row]}: sample id {sample_ids[row]} skips sample id {gap}; ids must run 1..k"
-        )
+        message = f"sample id {sample_ids[row]} skips sample id {gap}; ids must run 1..k"
+        raise ParseError(path, message, line_numbers[row])
     landings, probs = values[:, :2], values[:, 2:]
     pred = PredictionFile.from_columns(list(codes), rally_index, sample_ids, rounds, landings, probs)
     if not run_starts(pred.rally_index, pred.sample_ids, pred.rounds).all():
@@ -622,10 +625,9 @@ def import_predictions(path: str | Path, vocab: ShotTypeVocab) -> PredictionFile
         repeats = np.flatnonzero(~new)
         i = repeats[np.argmin(order[repeats])]
         row, first = order[i], order[np.flatnonzero(new)[np.cumsum(new)[i] - 1]]
-        raise ParseError(
-            f"{path}: line {line_numbers[row]}: rally {pred.rally_ids[rally_index[row]]} sample {sample_ids[row]} "
-            f"round {rounds[row]} repeats line {line_numbers[first]}"
-        )
+        rally = pred.rally_ids[rally_index[row]]
+        message = f"rally {rally} sample {sample_ids[row]} round {rounds[row]} repeats line {line_numbers[first]}"
+        raise ParseError(path, message, line_numbers[row])
     return pred
 
 

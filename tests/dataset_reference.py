@@ -83,7 +83,7 @@ def reference_parse_dataset(path, vocab, court, mirror="none", write_rejects=Tru
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
-            raise ParseError(f"{path}: line 1: dataset header does not match {CSV_HEADER!r}: {header!r}")
+            raise ParseError(path, f"dataset header does not match {CSV_HEADER!r}: {header!r}", 1)
         for line_number, line in enumerate(fh, start=2):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
@@ -94,15 +94,13 @@ def reference_parse_dataset(path, vocab, court, mirror="none", write_rejects=Tru
                 match_id, rally_id, stroke = _parse_row(fields, vocab, court, mirror)
             except (ValueError, KeyError) as exc:
                 n_malformed += 1
-                rejects.append(RejectedRow(line_number, tuple(fields), str(exc).strip("'\"")))
+                rejects.append(RejectedRow(line_number, tuple(fields), exc.args[0]))
                 continue
             groups.setdefault((match_id, rally_id), []).append((line_number, stroke))
 
     if n_rows and n_malformed / n_rows > MALFORMED_ROW_LIMIT:
         sample = ", ".join(f"line {r.line_number} ({r.reason})" for r in rejects[:20])
-        raise ParseError(
-            f"{n_malformed}/{n_rows} rows malformed in {path} (limit {MALFORMED_ROW_LIMIT:.0%}): {sample}"
-        )
+        raise ParseError(path, f"{n_malformed}/{n_rows} rows malformed (limit {MALFORMED_ROW_LIMIT:.0%}): {sample}")
 
     rallies = []
     for (match_id, rally_id), rows in groups.items():

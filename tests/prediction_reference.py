@@ -26,23 +26,23 @@ def _int64(cell, name):
 def _check_row(cells, columns, path, line_number):
     """(sample id, round, landing, probabilities) of one row's cells; raises ParseError naming the line."""
     if len(cells) != len(columns):
-        raise ParseError(f"{path}: line {line_number}: expected {len(columns)} columns, found {len(cells)}")
+        raise ParseError(path, f"expected {len(columns)} columns, found {len(cells)}", line_number)
     try:
         sample_id, ball_round = _int64(cells[1], "sample id"), _int64(cells[2], "ball round")
         landing = (float(cells[3]), float(cells[4]))
         values = [float(c) for c in cells[5:]]
     except ValueError as exc:
-        raise ParseError(f"{path}: line {line_number}: {exc}") from exc
+        raise ParseError(path, str(exc), line_number) from exc
     if not (math.isfinite(landing[0]) and math.isfinite(landing[1])):
-        raise ParseError(f"{path}: line {line_number}: landing ({cells[3]}, {cells[4]}) is not finite")
+        raise ParseError(path, f"landing ({cells[3]}, {cells[4]}) is not finite", line_number)
     for col, p in enumerate(values, start=5):
         if not 0.0 <= p <= 1.0:  # NaN fails too
-            raise ParseError(f"{path}: line {line_number}: {columns[col]} = {cells[col]} is not in [0, 1]")
+            raise ParseError(path, f"{columns[col]} = {cells[col]} is not in [0, 1]", line_number)
     total = np.array(values).sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ParseError(f"{path}: line {line_number}: probabilities sum to {total:.8f}")
+        raise ParseError(path, f"probabilities sum to {total:.8f}", line_number)
     if sample_id < 1:
-        raise ParseError(f"{path}: line {line_number}: sample id {sample_id} is below 1")
+        raise ParseError(path, f"sample id {sample_id} is below 1", line_number)
     return sample_id, ball_round, landing, values
 
 
@@ -52,7 +52,7 @@ def reference_import_predictions(path, vocab):
     with open(path, newline="", encoding="utf-8") as fh:
         header, expected = fh.readline().strip(), prediction_header(vocab)
         if header != expected:
-            raise ParseError(f"{path}: line 1: prediction header does not match {expected!r}: {header!r}")
+            raise ParseError(path, f"prediction header does not match {expected!r}: {header!r}", 1)
         columns = header.split(",")
         for line_number, line in enumerate(fh, start=2):
             line = line.strip()
@@ -68,13 +68,13 @@ def reference_import_predictions(path, vocab):
     if ids and ids[-1] != len(ids):
         gap = next(i for i, sample_id in enumerate(ids, start=1) if sample_id != i)
         line_number, sample_id = min((line, sid) for sid, line in first_line.items() if sid > gap)
-        raise ParseError(f"{path}: line {line_number}: sample id {sample_id} skips sample id {gap}; ids must run 1..k")
+        raise ParseError(path, f"sample id {sample_id} skips sample id {gap}; ids must run 1..k", line_number)
     seen = {}
     for line_number, rally_id, sample_id, ball_round, _, _ in rows:
         key = (rally_id, sample_id, ball_round)
         if key in seen:
             raise ParseError(
-                f"{path}: line {line_number}: rally {rally_id} sample {sample_id} round {ball_round} repeats line {seen[key]}"
+                path, f"rally {rally_id} sample {sample_id} round {ball_round} repeats line {seen[key]}", line_number
             )
         seen[key] = line_number
 

@@ -57,14 +57,20 @@ def test_synth_output_validates_cleanly(tmp_path):
     assert "0 violations" in out.stdout
 
 
-def test_synth_refuses_a_vocabulary_without_a_rally_type_and_writes_no_file(tmp_path):
+@pytest.mark.parametrize("command", [
+    lambda tmp: ["synth", "--n", 5, "--out", tmp / "x.csv"],
+    # train accepted it and wrote a checkpoint that predict then failed on in the sampler
+    lambda tmp: ["train", "--data", CORPUS32, "--out-dir", tmp / "run", "--epochs", 1, "--embed-dim", 4],
+], ids=["synth", "train"])
+def test_a_vocabulary_without_a_rally_type_exits_1_naming_it_and_writes_no_file(tmp_path, command):
+    """synth exited 2 with the vocabulary's bare message, naming no file."""
     vocab = tmp_path / "serves.csv"
     vocab.write_text("type_id,name,is_serve\n0,long service,1\n1,short service,1\n", encoding="utf-8")
-    out = run_cli("synth", "--n", 5, "--vocab", vocab, "--out", tmp_path / "x.csv")
-    assert out.returncode == 2, out.stderr
-    assert "error: vocabulary needs at least one rally (non-service) type" in out.stderr
+    out = run_cli(*command(tmp_path), "--vocab", vocab)
+    assert out.returncode == 1, out.stderr
+    assert f"error: {vocab}: vocabulary needs at least one rally (non-service) type" in out.stderr
     assert "Traceback" not in out.stderr
-    assert not (tmp_path / "x.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["serves.csv"]
 
 
 def test_missing_vocab_file_exits_2(tmp_path):
@@ -154,6 +160,23 @@ def test_an_output_path_that_is_not_a_regular_file_exits_2_and_is_left_as_it_was
     assert "Traceback" not in out.stderr
     assert path.is_dir() if make == "directory" else path.is_fifo()
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("command, blocked", [
+    (lambda tmp: ["train", "--data", CORPUS32, "--out-dir", tmp / "run", "--epochs", 1, "--embed-dim", 4], "report.csv"),
+    (
+        lambda tmp: ["analyze", "--kind", "vote", "--predictions", HAND_SCORED / "predictions.csv", "--out-dir", tmp / "run"],
+        "analysis_vote_distribution.csv",
+    ),
+], ids=["train", "analyze"])
+def test_a_command_refuses_an_output_path_before_its_work(tmp_path, command, blocked):
+    """train trained and wrote model.ckpt, and analyze wrote its first table, before each exited 2."""
+    (tmp_path / "run" / blocked).mkdir(parents=True)
+    out = run_cli(*command(tmp_path))
+    assert out.returncode == 2, out.stderr
+    assert f"error: output path exists and is not a regular file: {tmp_path / 'run' / blocked}" in out.stderr
+    assert out.stdout == ""
+    assert [p.name for p in (tmp_path / "run").iterdir()] == [blocked]
 
 
 @pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="needs /dev/stdout as a symlink")
@@ -736,6 +759,11 @@ CHECKPOINT_DAMAGE = {
         _edit_header(lambda h: h["arrays"][0].update(shape=[10.0, 4.0])),
         "header arrays[0].shape [10.0, 4.0] holds a size that is not an int",
     ),
+    # it loaded, and predict failed in the sampler with "vocabulary has no rally types", naming no file
+    "vocab_services_only": (
+        _edit_header(lambda h: [row.__setitem__(2, True) for row in h["vocab"]]),
+        "vocabulary needs at least one rally (non-service) type",
+    ),
     # an earlier header's tau other than the fixed one; it loaded and predicted rounds that score rejected
     "tau_5": (lambda raw: _earlier_header_format(raw, tau=5), "header tau is 5, but tau is fixed at 4"),
 }
@@ -793,13 +821,16 @@ def test_a_negative_seed_exits_2_naming_the_setting(tmp_path, vocab, command):
     assert not out_path.exists()
 
 
-def test_predict_with_no_sample_sets_exits_2_and_writes_no_file(trained, tmp_path):
-    """--samples 0 exited 0 and wrote a file that held only the header."""
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", 0], "need at least one sample set, got 0"),  # it exited 0 and wrote a file that held only the header
+    (["--open-ended", "--horizon", 0], "horizon must be at least 1"),
+], ids=["no_sample_sets", "horizon_0"])
+def test_predict_refuses_a_sampling_setting_and_writes_no_file(trained, tmp_path, flags, message):
     pred = tmp_path / "p.csv"
     out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", trained / "val_split.csv", "--out", pred,
-                  "--samples", 0)
+                  *flags)
     assert out.returncode == 2, out.stderr
-    assert "error: need at least one sample set, got 0" in out.stderr
+    assert f"error: {message}" in out.stderr
     assert not pred.exists()
 
 
@@ -832,7 +863,7 @@ def test_predict_refuses_a_rally_shorter_than_its_prefix(trained, tmp_path, mode
     out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", data, "--out", pred, *mode)
     need = TAU if mode else TAU + 1
     assert out.returncode == 1, out.stderr
-    assert f"error: rallies too short to predict (need {need} strokes): ['{rally_id}']" in out.stderr
+    assert f"error: {data}: rallies too short to predict (need {need} strokes): ['{rally_id}']" in out.stderr
     assert not pred.exists()
 
 
@@ -895,8 +926,8 @@ def test_score_rejects_five_sample_file(tmp_path):
     kept = [lines[0]] + [l for l in lines[1:] if l.split(",")[1] != "6"]
     five.write_text("\n".join(kept) + "\n", encoding="utf-8")
     out = run_cli("score", "--predictions", five, "--truth", HAND_SCORED / "truth.csv")
-    assert out.returncode == 2
-    assert "expected 6 sample sets" in out.stderr
+    assert out.returncode == 1, out.stderr  # it exited 2, naming no file
+    assert f"error: {five}: expected 6 sample sets, found 5" in out.stderr
 
 
 # damage: (column of the first data row, sample 1 round 5, to overwrite, with what, what the error names)
@@ -1015,8 +1046,8 @@ def test_score_refuses_a_rally_id_that_two_matches_share(tmp_path, drop_last):
     truth = tmp_path / "truth.csv"
     match_id = _with_a_rally_copied_into_another_match(HAND_SCORED / "truth.csv", "h0001", truth, drop_last)
     out = run_cli("score", "--predictions", HAND_SCORED / "predictions.csv", "--truth", truth)
-    assert out.returncode == 2, out.stdout
-    assert f"rally id h0001 is used by match {match_id} and by match copy" in out.stderr
+    assert out.returncode == 1, out.stdout  # it exited 2, naming no file
+    assert f"error: {truth}: rally id h0001 is used by match {match_id} and by match copy" in out.stderr
     assert "Score" not in out.stdout
 
 
@@ -1026,15 +1057,45 @@ def test_predict_refuses_a_rally_id_that_two_matches_share_before_it_samples(tra
     data = tmp_path / "data.csv"
     rally_id = (trained / "val_split.csv").read_text().splitlines()[1].split(",")[1]
     match_id = _with_a_rally_copied_into_another_match(trained / "val_split.csv", rally_id, data)
-    message = f"rally id {rally_id} is used by match {match_id} and by match copy"
+    message = f"error: {data}: rally id {rally_id} is used by match {match_id} and by match copy"
     out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", data, "--out", tmp_path / "p.csv")
-    assert out.returncode == 2, out.stdout
+    assert out.returncode == 1, out.stdout  # it exited 2, naming no file
     assert message in out.stderr
     assert not (tmp_path / "p.csv").exists()
 
     monkeypatch.setattr(cli, "generate_sample_sets", lambda *args, **kwargs: pytest.fail("sampled before the check"))
     argv = ["predict", "--checkpoint", str(trained / "model.ckpt"), "--data", str(data), "--out", str(tmp_path / "p.csv")]
-    assert cli.main(argv) == 2
+    assert cli.main(argv) == 1
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("row_missing", "rally h0001: predictions cover rounds [5], expected [5, 6]"),
+    ("sample_missing", "rally h0002 lacks sample 6"),
+], ids=["row_missing", "sample_missing"])
+def test_a_prediction_file_that_does_not_cover_the_truth_exits_1_naming_it(tmp_path, damage, message):
+    """Each exited 2 with a message that named no file."""
+    truth, predictions = tmp_path / "truth.csv", tmp_path / "predictions.csv"
+    for source, path in ((HAND_SCORED / "truth.csv", truth), (HAND_SCORED / "predictions.csv", predictions)):
+        lines = source.read_text(encoding="utf-8").splitlines()  # h0001, then a copy of it named h0002
+        path.write_text("\n".join(lines + [line.replace("h0001", "h0002") for line in lines[1:]]) + "\n", encoding="utf-8")
+    dropped = {"row_missing": "h0001,3,6,", "sample_missing": "h0002,6,"}[damage]
+    lines = predictions.read_text(encoding="utf-8").splitlines()
+    predictions.write_text("\n".join(line for line in lines if not line.startswith(dropped)) + "\n", encoding="utf-8")
+    out = run_cli("score", "--predictions", predictions, "--truth", truth, "--out", tmp_path / "score.csv")
+    assert out.returncode == 1, out.stderr
+    assert f"error: {predictions}: {message}" in out.stderr
+    assert "Traceback" not in out.stderr and "Score" not in out.stdout
+    assert not (tmp_path / "score.csv").exists()
+
+
+def test_a_truth_file_without_a_rally_to_score_exits_1_naming_it(tmp_path):
+    """It exited 2 with "no predicted strokes to score", naming no file."""
+    truth = tmp_path / "truth.csv"
+    lines = (HAND_SCORED / "truth.csv").read_text(encoding="utf-8").splitlines()
+    truth.write_text("\n".join(lines[: 1 + TAU]) + "\n", encoding="utf-8")  # the rally's first TAU strokes
+    out = run_cli("score", "--predictions", HAND_SCORED / "predictions.csv", "--truth", truth)
+    assert out.returncode == 1, out.stderr
+    assert f"error: {truth}: no rally has the {TAU + 1} strokes that scoring needs" in out.stderr
 
 
 def test_score_deterministic_report(tmp_path):
@@ -1066,15 +1127,15 @@ def test_analyze_zones_has_ten_rows(trained, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["zones", "trend"])
-def test_analyze_a_prediction_file_without_rows_exits_2(tmp_path, vocab, kind):
-    """trend printed numpy's "need at least one array to stack"."""
+def test_analyze_a_prediction_file_without_rows_exits_1_naming_it(tmp_path, vocab, kind):
+    """trend printed numpy's "need at least one array to stack"; then both exited 2, naming no file."""
     from rallycast.scoring import prediction_header
 
     empty = tmp_path / "empty.csv"
     empty.write_text(prediction_header(vocab) + "\n", encoding="utf-8")
     out = run_cli("analyze", "--kind", kind, "--predictions", empty, "--out-dir", tmp_path)
-    assert out.returncode == 2, out.stderr
-    assert "error: prediction file has no strokes" in out.stderr
+    assert out.returncode == 1, out.stderr
+    assert f"error: {empty}: prediction file has no strokes" in out.stderr
     assert "Traceback" not in out.stderr
 
 

@@ -499,3 +499,45 @@ def test_no_module_of_the_library_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_parse_error_words_a_path_prefix():
+    """Damaged content is ParseError(path, message, line), whose __init__ alone builds the "<path>: " text.
+
+    So no other f-string starts with a formatted value and then ": ". The
+    config file's "<path>:<line>: " errors are settings, and do not match.
+    """
+    package = Path(court_module.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for cls in tree.body if getattr(cls, "name", None) == "ParseError" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and id(node) not in exempt and len(node.values) > 1:
+                first, then = node.values[:2]
+                if isinstance(first, ast.FormattedValue) and str(getattr(then, "value", "")).startswith(": "):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_parse_error_names_the_file_and_the_line_if_known():
+    assert str(ParseError(Path("d/x.csv"), "bad cell", 7)) == "d/x.csv: line 7: bad cell"
+    assert str(ParseError("d/x.csv", "no magic")) == "d/x.csv: no magic"
+
+
+def test_main_maps_five_exception_types_to_exit_codes():
+    """An exception's type sets the exit code; main catches no ValueError, KeyError or bare RuntimeError."""
+    tree = ast.parse((Path(court_module.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    codes = {}
+    for handler in (node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)):
+        names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        returned = next(node.value.id for node in handler.body if isinstance(node, ast.Return))
+        codes.update((ast.unparse(name) if name else "bare except", returned) for name in names)
+    assert codes == {
+        "UsageError": "EXIT_USAGE",
+        "OSError": "EXIT_USAGE",
+        "ParseError": "EXIT_RUNTIME",
+        "NumericHealthError": "EXIT_RUNTIME",
+        "TrainingDivergedError": "EXIT_RUNTIME",
+    }

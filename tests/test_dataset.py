@@ -94,6 +94,16 @@ def test_parse_rejects_unknown_type_row(tmp_path, vocab):
     assert len(rejects) == 1 and "banana" in rejects[0].reason
 
 
+def test_a_reject_reason_keeps_its_closing_quote(tmp_path, vocab):
+    """Quotes were stripped from both ends of each reason, which cut the closing one off these two."""
+    rows = [_row(ball_round=k, player="AB"[(k + 1) % 2], type_name="drive") for k in range(1, 21)]
+    path = _write(tmp_path, rows + [_row(rally="r2", player="Q"), _row(rally="r3", type_name="banana")])
+    _, _, rejects = parse_dataset(path, vocab)
+    assert [r.reason for r in rejects] == ["player must be A or B, found 'Q'", "unknown shot type: 'banana'"]
+    report = path.with_name(path.name + ".rejects.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.rsplit(",", 1)[1] for line in report[1:]] == ["player must be A or B; found 'Q'", "unknown shot type: 'banana'"]
+
+
 def test_parse_fails_above_malformed_threshold(tmp_path, vocab):
     rows = [_row()] + ["garbage,row"] * 2
     with pytest.raises(ParseError) as err:
@@ -559,8 +569,8 @@ def test_scattered_damaged_rows_are_rejected_as_the_oracle_rejects_them(tmp_path
 def test_parse_names_the_first_malformed_rows_above_the_threshold(tmp_path, vocab):
     path = _write(tmp_path, [_row(), "garbage,row", _row(ball_round=2, player="B", type_name="kiwi")])
     message = (
-        f"2/3 rows malformed in {path} (limit 10%): line 3 (expected 9 columns, found 2), "
-        "line 4 (unknown shot type: 'kiwi)"
+        f"{path}: 2/3 rows malformed (limit 10%): line 3 (expected 9 columns, found 2), "
+        "line 4 (unknown shot type: 'kiwi')"
     )
     with pytest.raises(ParseError) as err:
         parse_dataset(path, vocab)

@@ -696,7 +696,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, setup):
 @st.composite
 def any_forecaster(draw):
     """A model of any valid shape, header and court, with arbitrary float64 bit patterns for its weights."""
-    names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6, unique_by=str.casefold))
+    # names[0] is the one service type, so a vocabulary has at least one rally type too
+    names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=2, max_size=6, unique_by=str.casefold))
     players = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
     n_heads = draw(st.integers(1, 3))
     config = ModelConfig(
