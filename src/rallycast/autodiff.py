@@ -57,18 +57,18 @@ class NumericHealthError(RuntimeError):
 
 
 class Tensor:
-    """Node in the computation graph. data is float64, row-major, rank <= 3."""
+    """Node in the computation graph: float64 data, row-major, rank <= 3. Tensor(data) is a leaf; _make builds the rest."""
 
     __slots__ = ("data", "grad", "_parents", "_bwd")
 
-    def __init__(self, data, _parents: tuple = (), _bwd: Callable | None = None):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > MAX_RANK:
             raise ValueError(f"rank {arr.ndim} exceeds the rank-{MAX_RANK} cap")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._bwd = _bwd
+        self._parents: tuple = ()
+        self._bwd: Callable | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -174,7 +174,7 @@ def _make(data: np.ndarray, parents: tuple, bwd: Callable, op: str) -> Tensor:
     data = np.asarray(data, dtype=np.float64)  # a sum is a numpy scalar
     if data.ndim > MAX_RANK:
         raise ValueError(f"rank {data.ndim} exceeds the rank-{MAX_RANK} cap")
-    t = object.__new__(Tensor)  # without Tensor.__init__'s keyword call
+    t = object.__new__(Tensor)  # Tensor.__init__ builds a leaf
     t.data, t.grad = data, None
     t._parents, t._bwd = (parents, bwd) if state.recording else ((), None)
     return t

@@ -298,10 +298,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     pred = import_predictions(predictions, vocab)
     if pred.n_samples != EXPECTED_SAMPLE_SETS:
         raise ParseError(predictions, f"expected {EXPECTED_SAMPLE_SETS} sample sets, found {pred.n_samples}")
-    with value_errors_as(ParseError, predictions):  # the rallies, samples and rounds the file covers
+    with value_errors_as(ParseError, predictions):  # the rallies, samples and rounds the file covers, and finite losses
         report = score_sample_sets(pred.sample_sets(scorable), scorable, protocol="min_of_sets")
-    if len(scorable) < len(pred.rally_ids):
-        print(f"note: scored {len(scorable)} of {len(pred.rally_ids)} predicted rallies")
     for line in report.lines():
         print(line)
     if args.out:

@@ -21,12 +21,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
-
-DEFAULT_WIDTH_M = 6.1
-DEFAULT_LENGTH_M = 13.4
 
 # Zone ids 1..9 tile the receiver half-court as a 3x3 grid from the
 # receiver's perspective: rows run near-net to baseline, columns left to
@@ -277,15 +274,10 @@ def load_vocab(path: str | Path) -> ShotTypeVocab:
 
 @dataclass(frozen=True)
 class CourtSpec:
-    """Court dimensions; coordinates normalize by the court's own size (see center)."""
+    """The badminton court, whose size is fixed; coordinates normalize by it (see center)."""
 
-    width_m: float = DEFAULT_WIDTH_M
-    length_m: float = DEFAULT_LENGTH_M
-
-    def __post_init__(self) -> None:
-        w, l = self.width_m, self.length_m
-        if not (w > 0 and l > 0 and math.isfinite(w) and math.isfinite(l)):
-            raise ValueError(f"court dimensions must be positive and finite, got width_m={w!r}, length_m={l!r}")
+    width_m: ClassVar[float] = 6.1
+    length_m: ClassVar[float] = 13.4
 
     @property
     def center(self) -> tuple[float, float]:

@@ -28,8 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .court import (
-    DEFAULT_LENGTH_M,
-    DEFAULT_WIDTH_M,
     CourtSpec,
     ParseError,
     Rally,
@@ -333,8 +331,9 @@ def player_table(vocab: ShotTypeVocab) -> tuple[np.ndarray, np.ndarray, np.ndarr
     serve_preferences = np.where((t + k) % 2 == 0, 0.5, 0.1)
     rally_preferences = np.where((np.cumsum(~is_serve) - 1 + k) % (~is_serve).sum() < 2, 3.0, 0.3)
     preferences = np.where(is_serve, serve_preferences, rally_preferences)
-    across = DEFAULT_WIDTH_M * (0.25 + 0.5 * ((t + 2 * k) % 3) / 2.0)
-    deep = DEFAULT_LENGTH_M / 2 + DEFAULT_LENGTH_M * 0.42 * ((t + 1) / (vocab.size + 1)) + 0.3
+    w, l = CourtSpec.width_m, CourtSpec.length_m
+    across = w * (0.25 + 0.5 * ((t + 2 * k) % 3) / 2.0)
+    deep = l / 2 + l * 0.42 * ((t + 1) / (vocab.size + 1)) + 0.3
     means = np.stack(np.broadcast_arrays(across, deep), axis=-1)
     return preferences, means, np.diag([0.35**2, 0.55**2])
 

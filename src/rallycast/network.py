@@ -461,7 +461,7 @@ def save_checkpoint(path: str | Path, model: Forecaster) -> None:
     names = list(model.params)
     header = {
         "config": asdict(model.config),
-        "court": asdict(model.court),
+        "court": {"width_m": model.court.width_m, "length_m": model.court.length_m},
         "vocab": [[e.type_id, e.name, e.is_serve] for e in model.vocab.entries],
         "player_index": model.player_index,
         "arrays": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
@@ -471,20 +471,19 @@ def save_checkpoint(path: str | Path, model: Forecaster) -> None:
     write_file(path, [CHECKPOINT_MAGIC, len(blob).to_bytes(8, "little"), blob, *arrays])
 
 
-def _config_and_court(path: str | Path, header: dict) -> tuple[ModelConfig, CourtSpec]:
-    """The model config and court of a checkpoint header.
+# A checkpoint header's court: its size, and the normalization by its center that earlier headers also
+# carried. Each key loads only at its value here, as tau loads only at TAU.
+COURT_HEADER = {"width_m": CourtSpec.width_m, "length_m": CourtSpec.length_m}
+COURT_HEADER.update(zip(("mean_x", "mean_y", "std_x", "std_y"), CourtSpec().center * 2))
 
-    Earlier headers also carried tau and the court normalization (mean_x,
-    mean_y, std_x, std_y), values that are now fixed: tau is TAU, and a court
-    normalizes by its center. Such a key loads at its fixed value; any other
-    value raises ParseError naming the key.
-    """
+
+def _config_and_court(path: str | Path, header: dict) -> tuple[ModelConfig, CourtSpec]:
+    """The model config and court of a checkpoint header; a tau or COURT_HEADER value not fixed there raises ParseError."""
     config_fields, court_fields = dict(header["config"]), dict(header["court"])
     found = {"tau": config_fields.pop("tau", TAU)}
-    found.update((key, court_fields.pop(key)) for key in ("mean_x", "mean_y", "std_x", "std_y") if key in court_fields)
-    config, court = ModelConfig(**config_fields), CourtSpec(**court_fields)
-    cx, cy = court.center
-    fixed = {"tau": TAU, "mean_x": cx, "mean_y": cy, "std_x": cx, "std_y": cy}
+    found.update((key, court_fields.pop(key)) for key in COURT_HEADER if key in court_fields)
+    config, court = ModelConfig(**config_fields), CourtSpec(**court_fields)  # a key left over is unknown
+    fixed = {"tau": TAU, **COURT_HEADER}
     for key, value in found.items():
         if value != fixed[key]:
             raise ParseError(path, f"header {key} is {value!r}, but {key} is fixed at {fixed[key]!r}")
@@ -497,9 +496,10 @@ def load_checkpoint(path: str | Path) -> Forecaster:
     A file without the magic, a truncated file, a header that does not
     parse or holds a value its config, court or vocabulary rejects, a
     vocabulary or player index that does not fit the config's embedding
-    tables, a header that does not describe the file's arrays, and bytes
-    after the last array raise ParseError naming the file and what is
-    wrong; a missing file raises FileNotFoundError.
+    tables, a header that does not describe the file's arrays, an array
+    holding NaN or an infinity, and bytes after the last array raise
+    ParseError naming the file and what is wrong; a missing file raises
+    FileNotFoundError.
     """
     path = Path(path)
     if not path.exists():
@@ -549,6 +549,8 @@ def load_checkpoint(path: str | Path) -> Forecaster:
                 path, f"array {name!r} {shape} needs {nbytes} bytes at offset {off}, only {len(raw) - off} remain"
             )
         tensors[name] = Tensor(np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy())
+        if not np.isfinite(tensors[name].data).all():
+            raise ParseError(path, f"array {name!r} holds a non-finite value")
         off += nbytes
     if off != len(raw):
         raise ParseError(path, f"{len(raw) - off} trailing bytes after the last array {arrays[-1][0]!r}")

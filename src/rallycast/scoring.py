@@ -416,9 +416,18 @@ def score_sample_sets(
     if not len(sets):
         raise ValueError("need at least one sample set")
     stroke_losses, suffix = _stroke_losses(_as_sample_sets(sets), truths)
-    rally_sums = _rally_sums(stroke_losses, suffix)  # (k, R)
+    with np.errstate(over="ignore"):  # finite stroke losses can add up to inf
+        rally_sums = _rally_sums(stroke_losses, suffix)  # (k, R)
+        set_sums = [row.sum() for row in rally_sums]
+    overflowed = ~np.isfinite(set_sums)  # if none is, no sum below is either: losses are not negative
+    if overflowed.any():
+        set_idx = int(np.argmax(overflowed))
+        rally = truths[int(np.argmax(rally_sums[set_idx]))]  # the set's largest rally sum
+        raise ValueError(
+            f"sample set {set_idx + 1}, rally {rally.rally_id}: loss sum is not finite (stroke losses too large to add)"
+        )
     n = stroke_losses.shape[1]
-    losses = [float(row.sum() / n) for row in rally_sums]
+    losses = [float(total / n) for total in set_sums]
 
     min_sets = min(losses)
     best_idx = np.argmin(rally_sums, axis=0)
@@ -574,6 +583,10 @@ class PredictionFile:
         missing = [r.rally_id for r in truths if r.rally_id not in index]
         if missing:
             raise ValueError(f"prediction file lacks rallies: {missing[:5]}")
+        scored = {r.rally_id for r in truths}
+        extra = [rally_id for rally_id in self.rally_ids if rally_id not in scored]
+        if extra:
+            raise ValueError(f"prediction file holds rallies the truth does not score: {extra[:5]}")
         starts = np.flatnonzero(run_starts(self.rally_index, self.sample_ids))  # one run of rows per (rally, sample)
         counts = np.diff(np.append(starts, len(self.rounds)))
         sample_ids = self.sample_ids[starts]

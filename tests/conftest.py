@@ -90,7 +90,6 @@ def random_rallies(rng, n_rallies, vocab, min_len=5, max_len=9):
 def tiny_model(
     rallies,
     vocab,
-    court=None,
     seed=0,
     embed_dim=4,
     n_heads=2,
@@ -99,7 +98,6 @@ def tiny_model(
     param_scale=None,
 ):
     """Small Forecaster wired to the given rallies' players."""
-    court = court or CourtSpec()
     index = build_player_index(rallies)
     config = ModelConfig(
         embed_dim=embed_dim,
@@ -115,7 +113,7 @@ def tiny_model(
         rng = np.random.default_rng(seed + 1)
         for t in params.values():
             t.data[:] = rng.normal(0.0, param_scale, size=t.shape)
-    return Forecaster(params, config, court, vocab, index)
+    return Forecaster(params, config, CourtSpec(), vocab, index)
 
 
 def zero_params(params):

@@ -12,7 +12,7 @@ it moved to arrays.
 
 import numpy as np
 
-from rallycast.court import DEFAULT_LENGTH_M, DEFAULT_WIDTH_M, CourtSpec, Rally
+from rallycast.court import CourtSpec, Rally
 from rallycast.dataset import PLAYERS, TAU
 from rallycast.seeding import TAG_SYNTH, rng_from_key
 
@@ -31,7 +31,7 @@ def reference_player_table(vocab):
     non_serve = [i for i in range(v) if not vocab.is_serve(i)]
     if not non_serve:
         raise ValueError("vocabulary needs at least one rally (non-service) type")
-    w, l = DEFAULT_WIDTH_M, DEFAULT_LENGTH_M
+    w, l = CourtSpec.width_m, CourtSpec.length_m
     preferences = np.zeros((len(PLAYERS), v))
     means = np.zeros((len(PLAYERS), v, 2))
     for k in range(len(PLAYERS)):

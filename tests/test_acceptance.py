@@ -144,7 +144,7 @@ def test_criterion_gradient_integrity():
     vocab = vocab_from_names(["long service", "net shot", "smash", "drive"], ["long service"])
     rally = make_rally([0, 1, 2, 3, 1, 2])
     court = CourtSpec()
-    model = tiny_model([rally], vocab, court=court, seed=3)
+    model = tiny_model([rally], vocab, seed=3)
     names = list(model.params)
     base = [model.params[n].data.copy() for n in names]
 

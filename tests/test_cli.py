@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -721,7 +722,18 @@ CHECKPOINT_DAMAGE = {
     # a normalization earlier headers carried, now fixed at the court's center
     "court_std_zero": (_edit_header(lambda h: h["court"].update(std_x=0.0)), "header std_x is 0.0, but std_x is fixed at 3.05"),
     # json reads NaN; the court loaded, and predict failed later naming neither the file nor the field
-    "court_width_nan": (_edit_header(lambda h: h["court"].update(width_m=float("nan"))), "width_m=nan"),
+    "court_width_nan": (
+        _edit_header(lambda h: h["court"].update(width_m=float("nan"))), "header width_m is nan, but width_m is fixed at 6.1",
+    ),
+    # the court is fixed: a header with another size loaded it, and every landing normalized by it
+    "court_width_6": (
+        _edit_header(lambda h: h["court"].update(width_m=6.0)), "header width_m is 6.0, but width_m is fixed at 6.1",
+    ),
+    "court_key_unknown": (
+        _edit_header(lambda h: h["court"].update(depth_m=1.0)), "got an unexpected keyword argument 'depth_m'",
+    ),
+    # it loaded, and predict failed with "linear produced non-finite values", naming no file
+    "array_nan": (lambda raw: raw[:-8] + struct.pack("<d", float("nan")), "array 'area_head_b' holds a non-finite value"),
     "vocab_ids_gapped": (
         _edit_header(lambda h: h["vocab"][1].__setitem__(0, 5)), "type_ids must be contiguous",
     ),
@@ -893,8 +905,8 @@ def test_score_perfect_fixture():
     assert "Score = 0.000000" in out.stdout
 
 
-def test_score_notes_the_predicted_rallies_that_the_truth_lacks(tmp_path, vocab):
-    """With predictions over 10 rallies and a truth file of 6 of them, score printed a score over the 6 alone."""
+def test_score_refuses_predicted_rallies_that_the_truth_lacks(tmp_path, vocab):
+    """With predictions over 10 rallies and a truth file of 6 of them, score printed a note and scored the 6 alone."""
     import numpy as np
 
     from rallycast.dataset import SynthConfig, synthesize_dataset
@@ -903,21 +915,44 @@ def test_score_notes_the_predicted_rallies_that_the_truth_lacks(tmp_path, vocab)
     rallies = synthesize_dataset(SynthConfig(n_rallies=10, seed=3, vocab=vocab))
     truth = tmp_path / "truth.csv"
     write_dataset(rallies[:6], vocab, truth)
-    stdout = {}
+    outs = {}
     for n in (10, 6):  # the same six sets, each predicting every stroke's type and landing 0.25 m off in x and y
         rounds = np.concatenate([r.rounds[TAU:] for r in rallies[:n]])
         landings = np.concatenate([r.landings[TAU:] for r in rallies[:n]]) + 0.25
         probs = np.eye(vocab.size)[np.concatenate([r.type_ids[TAU:] for r in rallies[:n]])]
         lengths = np.array([[len(r) - TAU for r in rallies[:n]]] * 6)
         sets = SampleSets(lengths, np.tile(rounds, 6), np.tile(landings, (6, 1)), np.tile(probs, (6, 1)))
-        predictions, report = tmp_path / f"p{n}.csv", tmp_path / f"s{n}.csv"
+        predictions = tmp_path / f"p{n}.csv"
         export_predictions(rallies[:n], sets, vocab, predictions)
-        out = run_cli("score", "--predictions", predictions, "--truth", truth, "--out", report)
-        assert out.returncode == 0, out.stderr
-        stdout[n] = out.stdout.splitlines()
-    assert stdout[10] == ["note: scored 6 of 10 predicted rallies"] + stdout[6]
-    assert stdout[6][0].startswith("l_1 = ")
-    assert (tmp_path / "s10.csv").read_bytes() == (tmp_path / "s6.csv").read_bytes()
+        outs[n] = run_cli("score", "--predictions", predictions, "--truth", truth, "--out", tmp_path / f"s{n}.csv")
+    assert outs[6].returncode == 0, outs[6].stderr
+    assert outs[6].stdout.splitlines()[0].startswith("l_1 = ")
+    extra = [r.rally_id for r in rallies[6:]]
+    assert outs[10].returncode == 1
+    assert outs[10].stdout == ""
+    assert outs[10].stderr == f"error: {tmp_path / 'p10.csv'}: prediction file holds rallies the truth does not score: {extra}\n"
+    assert not (tmp_path / "s10.csv").exists()
+
+
+def test_score_refuses_a_loss_sum_that_overflows(tmp_path, vocab):
+    """Three finite landings 1e308 m off overflowed a rally's loss sum: score printed l_2 = inf, or a
+    RuntimeWarning traceback under -W error::RuntimeWarning."""
+    import numpy as np
+
+    from rallycast.scoring import SampleSets, export_predictions
+
+    rally = make_rally([0, 2, 3, 4, 2, 3, 4], rally_id="r1")
+    truth, predictions = tmp_path / "truth.csv", tmp_path / "p.csv"
+    write_dataset([rally], vocab, truth)
+    landings = np.tile(rally.landings[TAU:], (6, 1))
+    landings[3:6, 0] = 1e308  # the three strokes of sample set 2
+    probs = np.eye(vocab.size)[np.tile(rally.type_ids[TAU:], 6)]
+    export_predictions([rally], SampleSets(np.full((6, 1), 3), np.tile(rally.rounds[TAU:], 6), landings, probs), vocab, predictions)
+    out = run_cli("score", "--predictions", predictions, "--truth", truth, "--out", tmp_path / "s.csv")
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"error: {predictions}: sample set 2, rally r1: loss sum is not finite")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_score_rejects_five_sample_file(tmp_path):

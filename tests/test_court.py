@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import re
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rallycast import court as court_module
+from rallycast.autodiff import Tensor
 from rallycast.court import (
     CourtSpec,
     ParseError,
@@ -163,16 +165,17 @@ def test_zone_centroids_enumerate_one_to_nine(court, side):
         assert coord_to_zones(p, court, side)[0] == i + 1
 
 
-def test_zone_boundary_ties_go_to_lower_id():
-    # exact thirds avoid float noise on the boundaries
-    court = CourtSpec(width_m=6.0, length_m=12.0)
-    # depth exactly l/6, receiver-left exactly w/3 -> row 0, col 0 -> zone 1
-    assert coord_to_zones((4.0, 8.0), court, Player.B)[0] == 1
-    assert coord_to_zones((4.0 - 1e-9, 8.0), court, Player.B)[0] == 2  # just past the column boundary
-    assert coord_to_zones((4.0, 8.0 + 1e-9), court, Player.B)[0] == 4  # just past the row boundary
+def test_zone_boundary_ties_go_to_lower_id(court):
+    w, l = court.width_m, court.length_m
+    half = l / 2
+    x, y = w - w / 3, half + l / 6
+    assert (w - x, y - half) == (w / 3, l / 6)  # receiver-left exactly w/3, depth exactly l/6
+    assert coord_to_zones((x, y), court, Player.B)[0] == 1  # row 0, col 0
+    assert coord_to_zones((math.nextafter(x, 0.0), y), court, Player.B)[0] == 2  # just past the column boundary
+    assert coord_to_zones((x, math.nextafter(y, l)), court, Player.B)[0] == 4  # just past the row boundary
     # net line and baseline belong to the half
-    assert coord_to_zones((3.0, 6.0), court, Player.B)[0] == 2
-    assert coord_to_zones((3.0, 12.0), court, Player.B)[0] == 8
+    assert coord_to_zones((3.0, half), court, Player.B)[0] == 2
+    assert coord_to_zones((3.0, l), court, Player.B)[0] == 8
 
 
 def test_zone_partition_property(court):
@@ -222,13 +225,9 @@ def test_normalize_round_trip(court):
     assert np.abs(court.denormalize(court.normalize(p)) - p).max() < 1e-12
 
 
-@given(
-    st.floats(0.5, 30.0),
-    st.floats(0.5, 30.0),
-    st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=8),
-)
-def test_array_normalization_equals_the_per_point_reference(width, length, points):
-    court = CourtSpec(width_m=width, length_m=length)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=8))
+def test_array_normalization_equals_the_per_point_reference(points):
+    court = CourtSpec()
     arr = np.array(points)
     assert court.normalize(arr).tolist() == [list(normalize_coord(p, court)) for p in points]
     assert court.denormalize(arr).tolist() == [list(denormalize_coord(p, court)) for p in points]
@@ -279,13 +278,13 @@ def _zone_lines(court):
 
 
 @given(
-    st.sampled_from([CourtSpec(), CourtSpec(width_m=6.0, length_m=12.0)]),
     st.lists(st.tuples(st.floats(-2.0, 16.0), st.floats(-2.0, 16.0)), max_size=30),
     st.lists(st.tuples(st.integers(0, 38), st.integers(0, 38)), max_size=30),
     st.sampled_from([Player.A, Player.B]),
 )
-def test_array_zones_equal_the_per_point_reference(court, free, on_lines, side):
+def test_array_zones_equal_the_per_point_reference(free, on_lines, side):
     """Random points and points on exact row and column boundaries, ties included."""
+    court = CourtSpec()
     lines = _zone_lines(court)
     assert len(lines) == 39
     points = free + [(lines[i], lines[j]) for i, j in on_lines]
@@ -379,12 +378,12 @@ def test_an_output_in_a_missing_directory_is_refused_naming_the_directory(tmp_pa
 # who may see a rally as Stroke objects
 # ---------------------------------------------------------------------------
 
-def test_only_court_and_the_package_root_know_the_stroke_view():
+def test_only_court_knows_the_stroke_view():
     """Past court.py, the library reads a rally's columns: no other module imports Stroke or reads .strokes."""
     package = Path(court_module.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("court.py", "__init__.py"):
+        if path.name == "court.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and any(a.name == "Stroke" for a in node.names):
@@ -458,15 +457,14 @@ TEST_ONLY_SURFACE: set[str] = set()
 
 
 def test_every_public_name_of_the_library_has_a_caller_outside_the_tests():
-    """Each public function, class and method of src/ is named in src/, past the package root, or in perfbench/.
+    """Each public function, class and method of src/ is named in src/ or in perfbench/.
 
     A name counts as used where it appears as an identifier: a variable, an
     attribute or an import. One that only tests use is surface to delete.
     """
     package = Path(court_module.__file__).parent
     modules = sorted(package.glob("*.py"))
-    callers = [path for path in modules if path.name != "__init__.py"]
-    callers += sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+    callers = modules + sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
     used = set()
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -487,6 +485,37 @@ def test_every_public_name_of_the_library_has_a_caller_outside_the_tests():
                 if not name.startswith("_") and name not in used and name not in TEST_ONLY_SURFACE:
                     found.append(f"{path.name}:{defined.lineno} {name}")
     assert found == []
+
+
+def test_the_package_root_binds_only_its_version():
+    """Every caller imports a name from the module that defines it, so the root holds no second route to it."""
+    tree = ast.parse((Path(court_module.__file__).parent / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    assert bound == {"__version__"}
+
+
+def test_the_court_has_one_size():
+    """The court's size is two class constants, not fields that a caller or a checkpoint could set."""
+    assert dataclasses.fields(CourtSpec) == ()
+    assert (CourtSpec.width_m, CourtSpec.length_m) == (6.1, 13.4)
+    with pytest.raises(TypeError):
+        CourtSpec(width_m=6.0)
+
+
+def test_a_tensor_built_by_hand_is_a_leaf():
+    """Only autodiff._make records parents and a backward closure; Tensor(data) takes nothing else."""
+    x = np.ones(3)
+    with pytest.raises(TypeError):
+        Tensor(x, (), None)
+    leaf = Tensor(x)
+    assert (leaf._parents, leaf._bwd) == ((), None)
 
 
 def test_no_module_of_the_library_asserts():

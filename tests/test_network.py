@@ -144,7 +144,7 @@ def test_embed_rejects_unknown_player_id(setup):
 
 @st.composite
 def rally_and_model(draw):
-    """A rally built from columns, as a parse builds it, and a model on any court that may not know its players."""
+    """A rally built from columns, as a parse builds it, and a model that may not know its players."""
     n = draw(st.integers(1, 12))
     coord = st.floats(-20.0, 40.0, allow_nan=False)
     columns = (
@@ -156,9 +156,7 @@ def rally_and_model(draw):
     )
     names = draw(st.lists(st.sampled_from(["ana", "bo", "unseen", "stranger"]), min_size=2, max_size=2, unique=True))
     (rally,) = Rally.from_columns([("r", "m", *names)], [(0, n)], columns)
-    size = st.floats(0.5, 30.0)
-    court = CourtSpec(width_m=draw(size), length_m=draw(size))
-    return rally, tiny_model([make_rally([0, 2], player_a="ana", player_b="bo")], small_vocab(), court=court)
+    return rally, tiny_model([make_rally([0, 2], player_a="ana", player_b="bo")], small_vocab())
 
 
 @given(rally_and_model())
@@ -695,7 +693,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, setup):
 
 @st.composite
 def any_forecaster(draw):
-    """A model of any valid shape, header and court, with arbitrary float64 bit patterns for its weights."""
+    """A model of any valid shape and header, with arbitrary finite float64 bit patterns for its weights."""
     # names[0] is the one service type, so a vocabulary has at least one rally type too
     names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=2, max_size=6, unique_by=str.casefold))
     players = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
@@ -710,14 +708,14 @@ def any_forecaster(draw):
         n_players=len(players),
         embedding_mode=draw(st.sampled_from(["baseline", "modified"])),
     )
-    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    court = CourtSpec(width_m=draw(positive), length_m=draw(positive))
     params = init_params(config, 0)
     bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for t in params.values():
-        t.data.view(np.uint64)[...] = bits.integers(0, 2**64, size=t.shape, dtype=np.uint64)
+        pattern = bits.integers(0, 2**64, size=t.shape, dtype=np.uint64)
+        pattern[pattern >> np.uint64(52) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 52)  # NaN, inf: refused
+        t.data.view(np.uint64)[...] = pattern
     vocab = vocab_from_names(names, names[:1])
-    return Forecaster(params, config, court, vocab, {name: i for i, name in enumerate(players, start=1)})
+    return Forecaster(params, config, CourtSpec(), vocab, {name: i for i, name in enumerate(players, start=1)})
 
 
 @given(any_forecaster())
@@ -786,7 +784,7 @@ def test_full_model_gradient_check():
     vocab = vocab_from_names(["long service", "net shot", "smash", "drive"], ["long service"])
     rally = make_rally([0, 1, 2, 3, 1, 2])  # history of 5 strokes, 2 prediction steps
     court = CourtSpec()
-    model = tiny_model([rally], vocab, court=court, seed=3)
+    model = tiny_model([rally], vocab, seed=3)
     names = list(model.params)
     base = [model.params[n].data.copy() for n in names]
 

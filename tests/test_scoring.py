@@ -146,6 +146,35 @@ def test_a_non_finite_stroke_raises_the_same_error_for_any_set_count_and_protoco
         score_sample_sets(sets, truths)
 
 
+# far-off landing x by stroke, strokes 0..2 being rally r1's suffix and 3 rally r2's, and the rally named
+HUGE_SUMS = {
+    "one_rally": ({0: 1e308, 1: 1e308, 2: 1e308}, "r1"),  # the three overflow r1's sum
+    "across_rallies": ({2: 1e308, 3: 1.7e308}, "r2"),  # each rally's sum is finite, the set's is not; r2's is larger
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_SUMS))
+def test_a_loss_sum_that_overflows_raises_the_same_error_for_any_set_count_and_protocol(vocab, case):
+    """Landings 1e308 m off make finite stroke losses whose sum overflowed: l_1 read inf, with a RuntimeWarning."""
+    huge, rally = HUGE_SUMS[case]
+    truths = [make_rally([0, 2, 3, 4, 2, 3, 4], rally_id="r1"), make_rally([0, 2, 3, 4, 2], rally_id="r2")]
+    suffixes = [[_gen(i, t.type_ids[i - 1], 0.5, (1.0, 8.0), vocab) for i in range(5, len(t) + 1)] for t in truths]
+    strokes = [(r, j) for r, suffix in enumerate(suffixes) for j in range(len(suffix))]
+    bad = [list(suffix) for suffix in suffixes]
+    for i, x in huge.items():
+        r, j = strokes[i]
+        bad[r][j] = replace(bad[r][j], landing=(x, 8.0))
+    messages = set()
+    for k in (1, 2, 6):
+        for protocol in ("min_of_sets", "best_of_k"):
+            with pytest.raises(ValueError) as caught:
+                score_sample_sets([bad] + [suffixes] * (k - 1), truths, protocol=protocol)
+            messages.add(str(caught.value))
+    assert messages == {f"sample set 1, rally {rally}: loss sum is not finite (stroke losses too large to add)"}
+    with pytest.raises(ValueError, match=f"^sample set 4, rally {rally}: loss sum is not finite"):
+        score_sample_sets([suffixes] * 3 + [bad] + [suffixes] * 2, truths)
+
+
 def test_brute_force_equivalence_on_random_fixtures(vocab):
     rng = np.random.default_rng(123)
     for case in range(50):
@@ -538,8 +567,9 @@ PREDICT_THEN_SCORE = f"""
 import sys
 from pathlib import Path
 
-from rallycast import CourtSpec, ModelConfig, ShotTypeVocab, parse_dataset
-from rallycast.network import Forecaster, build_player_index, init_params
+from rallycast.court import CourtSpec, ShotTypeVocab
+from rallycast.dataset import parse_dataset
+from rallycast.network import Forecaster, ModelConfig, build_player_index, init_params
 from rallycast.scoring import generate_sample_sets, import_predictions, score_sample_sets
 
 hand_scored = Path({str(FIXTURES / "hand_scored")!r})
