@@ -14,6 +14,12 @@ values instead of at the loss. Inside `no_tape()` the same primitives run
 with the same checks but record no graph, which is how inference avoids
 keeping every intermediate alive.
 
+No primitive writes into an input's data: each builds its output in a
+fresh array. So `tslice` with a basic key returns a view of its input's
+data, not a copy, and the view stays valid as long as nothing outside the
+engine writes into the input; an optimizer updates the parameters in place
+only after the backward pass.
+
 A training or sampling step pays for that diagnosis only when it fails:
 `replay_step` runs the step inside `checked_by_step()`, where no primitive
 checks its output, checks the step's outputs once, and on any fault runs
@@ -415,10 +421,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def tslice(a: Tensor, key) -> Tensor:
+    """a[key]: a view of a's data for a basic key, a copy for an index array."""
     _check_input(a.data, "slice")
-    out_data = a.data[key]
-    if np.isscalar(out_data) or out_data.ndim == 0:
-        out_data = np.asarray(out_data)
+    out_data = np.asarray(a.data[key])  # a scalar entry becomes a rank-0 array
 
     def bwd(g):
         if any(isinstance(k, (np.ndarray, list)) for k in (key if isinstance(key, tuple) else (key,))):
@@ -430,7 +435,7 @@ def tslice(a: Tensor, key) -> Tensor:
             a.grad = np.zeros_like(a.data)
         a.grad[key] += g
 
-    return _make(out_data.copy(), (a,), bwd, "slice")
+    return _make(out_data, (a,), bwd, "slice")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -573,9 +578,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bwd(g):
         _accumulate(x, g @ w.data.T)
-        _accumulate(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+        g2d = g.reshape(-1, g.shape[-1])  # every row of a rank-3 x is one more row of the one weight product
+        _accumulate(w, x.data.reshape(-1, x.shape[-1]).T @ g2d)
         if b is not None:
-            _accumulate(b, _unbroadcast(g, b.shape))
+            _accumulate(b, g2d.sum(axis=0))
 
     return _make(out_data, (x, w) if b is None else (x, w, b), bwd, "linear")
 

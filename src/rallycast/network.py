@@ -17,6 +17,7 @@ Embedding modes:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -132,12 +133,14 @@ def build_player_index(rallies: Sequence[Rally]) -> dict[str, int]:
     return {name: i + 1 for i, name in enumerate(names)}
 
 
+@functools.lru_cache(maxsize=1024)
 def sinusoidal_encoding(n: int, d: int, start: int = 0) -> np.ndarray:
-    """Encodings of positions start .. n-1, shape (n - start, d)."""
+    """Encodings of positions start .. n-1, shape (n - start, d); one read-only table per (n, d, start)."""
     pos = np.arange(start, n, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / d)
     enc = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
+    enc.flags.writeable = False
     return enc
 
 
@@ -304,8 +307,9 @@ def encode_contexts(
     config: ModelConfig,
     rng: np.random.Generator | None = None,
     cache: KVCache | None = None,
+    first: int = 0,
 ) -> tuple[Tensor, Tensor]:
-    """Causal rally context and player-restricted context for each position.
+    """Causal rally context and player-restricted context for each position from first on.
 
     x is (..., n, d). hitters is the (..., n) bool array of who hits each
     position, True for player A (StrokeInputs.hit_by_a). One encoder pass
@@ -315,7 +319,8 @@ def encode_contexts(
     would.
     With a cache, x holds the (B, n, d) positions after the cached ones;
     they also attend over the cached positions, and the cache then holds
-    them too.
+    them too. Every position is encoded, since later ones attend over it,
+    but the contexts returned are those of x's positions first .. n-1.
     """
     if hitters.shape != x.shape[:-1]:
         raise ValueError("hitters must align with the sequence")
@@ -339,7 +344,7 @@ def encode_contexts(
         out = _encoder_stack(ad.concat([x, x], axis=0)[pairs], allowed[pairs], params, config, uniforms, cache)
     if cache is not None:
         cache.length = start + n_new
-    return (out[0], out[1]) if single else (out[0::2], out[1::2])
+    return (out[0, first:], out[1, first:]) if single else (out[0::2, first:], out[1::2, first:])
 
 
 def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -398,8 +403,9 @@ class Forecaster:
         inputs: StrokeInputs,
         rng: np.random.Generator | None = None,
         cache: KVCache | None = None,
+        first: int = 0,
     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Next-stroke head outputs at every position: (..., n, V), (..., n, 2), (..., n, 2), (..., n).
+        """Next-stroke head outputs at positions first .. n-1: (..., m, V), (..., m, 2), (..., m, 2), (..., m).
 
         One definition serves one history (training, teacher forcing) and a
         (B, n) batch (lockstep sampling); every row of a batch gets the same
@@ -411,7 +417,17 @@ class Forecaster:
         forward's, since every product rounds a row the same wherever it
         sits. The cache then holds the keys and values of every position fed,
         so a decoder feeds each new stroke once.
+
+        first counts from the first position inputs holds, and m = n - first.
+        The encoder runs over every position, since later ones attend over
+        earlier ones, but the gate and the heads run only on positions first
+        on, so a caller pays only for the rows it reads. The rows returned
+        are bit-identical to rows first .. n-1 of the outputs with first = 0:
+        the gate, the heads and their softmax treat each row alone.
         """
+        n = inputs.type_ids.shape[-1]
+        if not 0 <= first < n:
+            raise ValueError(f"first must be in 0 .. {n - 1} for {n} positions, got {first}")
         start = 0
         if cache is not None:
             if rng is not None or ad.is_recording():
@@ -419,11 +435,11 @@ class Forecaster:
             if inputs.type_ids.ndim != 2 or len(inputs.type_ids) != len(cache.hitters):
                 raise ValueError("a cached forward takes (B, n) inputs for the cache's B histories")
             start = cache.length
-        pe = sinusoidal_encoding(start + inputs.type_ids.shape[-1], self.config.embed_dim, start)
+        pe = sinusoidal_encoding(start + n, self.config.embed_dim, start)
         shot_ch, area_ch = embed_strokes(inputs, self.params, self.config, pe)
         x = ad.scale(ad.add(shot_ch, area_ch), 0.5)
-        rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, rng, cache)
-        fused = fuse_contexts(rally_ctx, player_ctx, Tensor(np.broadcast_to(pe, x.shape)), self.params)
+        rally_ctx, player_ctx = encode_contexts(x, inputs.hit_by_a, self.params, self.config, rng, cache, first)
+        fused = fuse_contexts(rally_ctx, player_ctx, Tensor(np.broadcast_to(pe[first:], rally_ctx.shape)), self.params)
         return prediction_heads(fused, self.params)
 
     def forward_positions(
@@ -431,9 +447,10 @@ class Forecaster:
         rally: Rally,
         n: int,
         rng: np.random.Generator | None = None,
+        first: int = 0,
     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Next-stroke head outputs at every position of the rally's first n strokes."""
-        return self.forward(self.rally_inputs(rally, n), rng=rng)
+        """Next-stroke head outputs at positions first .. n-1 of the rally's first n strokes."""
+        return self.forward(self.rally_inputs(rally, n), rng=rng, first=first)
 
 
 def forward_teacher_forced(
@@ -448,9 +465,8 @@ def forward_teacher_forced(
     """
     if len(rally) < TAU + 1:
         raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")
-    probs, mu, log_sigma, rho = model.forward_positions(rally, len(rally) - 1, rng=rng)
-    # position p (0-based) predicts round p + 2, so round TAU + 1 is row TAU - 1
-    return probs[TAU - 1 :], mu[TAU - 1 :], log_sigma[TAU - 1 :], rho[TAU - 1 :]
+    # position p (0-based) predicts round p + 2, so round TAU + 1 is position TAU - 1
+    return model.forward_positions(rally, len(rally) - 1, rng=rng, first=TAU - 1)
 
 
 # ---------------------------------------------------------------------------

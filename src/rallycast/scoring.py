@@ -157,7 +157,8 @@ def sample(
     rows run by falling horizon, so continuations leave from its tail. The
     forward runs without a tape, from a key/value cache of the earlier
     positions: the first step feeds the prefixes, and each later step the
-    strokes just drawn.
+    strokes just drawn. The gate and the heads run on the last fed position
+    only, the one a draw reads.
     """
     if not tasks:
         return []
@@ -189,7 +190,7 @@ def sample(
 
             def forward() -> tuple[ad.Tensor, ...]:  # repeatable: a replay feeds the cache from the same length
                 cache.length = start
-                return model.forward(fed, cache=cache)
+                return model.forward(fed, cache=cache, first=fed.type_ids.shape[-1] - 1)  # only the last is read
 
             probs, mu, log_sigma, rho = ad.replay_step(forward, lambda heads: heads)
             type_ids, landing, type_probs = _draw_strokes(
@@ -560,20 +561,25 @@ class PredictionFile:
     def rows(self) -> dict[str, dict[int, list[GeneratedStroke]]]:
         """rally_id -> sample_id -> suffix, one GeneratedStroke per row, built on first use.
 
-        Each type_probs is a view of its row of probs.
+        Each type_probs is a view of its row of probs. The columns become
+        Python lists PARSE_BLOCK_LINES rows at a time, so that few of their
+        values are Python objects at once.
         """
         out: dict[str, dict[int, list[GeneratedStroke]]] = {}
-        columns = zip(
-            self.rally_index.tolist(),
-            self.sample_ids.tolist(),
-            self.rounds.tolist(),
-            self.landings.tolist(),
-            self.probs.argmax(axis=1).tolist(),
-            self.probs,
-        )
-        for r, sample_id, ball_round, xy, type_id, probs in columns:
-            g = GeneratedStroke(ball_round, Player.A if ball_round % 2 == 1 else Player.B, type_id, tuple(xy), probs)
-            out.setdefault(self.rally_ids[r], {}).setdefault(sample_id, []).append(g)
+        for lo in range(0, len(self.rounds), PARSE_BLOCK_LINES):
+            block = slice(lo, lo + PARSE_BLOCK_LINES)
+            columns = zip(
+                self.rally_index[block].tolist(),
+                self.sample_ids[block].tolist(),
+                self.rounds[block].tolist(),
+                self.landings[block].tolist(),
+                self.probs[block].argmax(axis=1).tolist(),
+                self.probs[block],
+            )
+            for r, sample_id, ball_round, xy, type_id, probs in columns:
+                side = Player.A if ball_round % 2 == 1 else Player.B
+                g = GeneratedStroke(ball_round, side, type_id, tuple(xy), probs)
+                out.setdefault(self.rally_ids[r], {}).setdefault(sample_id, []).append(g)
         return out
 
     def sample_sets(self, truths: Sequence[Rally]) -> SampleSets:

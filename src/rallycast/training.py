@@ -151,32 +151,43 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
 
 
 class Adam:
-    """Adam with bias correction and global-norm gradient clipping."""
+    """Adam with bias correction and global-norm gradient clipping, over all parameters as one flat array.
+
+    Every parameter's data becomes a view of one flat array, and m and v are
+    flat arrays beside it, so a step updates every parameter with one array
+    expression; a step writes into the parameters' data in place. The
+    gradient norm adds up each parameter's sum of squares in turn, so the
+    clipping factor, and every update, has the bits of a loop over the
+    parameters.
+    """
 
     def __init__(self, params: dict[str, Tensor], config: TrainConfig):
         self.params = params
         self.config = config
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self.flat = np.concatenate([t.data.ravel() for t in params.values()])
+        offset = 0
+        for t in params.values():
+            t.data = self.flat[offset : offset + t.size].reshape(t.shape)
+            offset += t.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
     def step(self) -> None:
         c = self.config
-        grads = {k: ad.grad_of(t) for k, t in self.params.items()}
+        grads = [ad.grad_of(t) for t in self.params.values()]
+        g = np.concatenate([grad.ravel() for grad in grads])
         if c.clip_norm > 0:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            norm = math.sqrt(sum(float((grad * grad).sum()) for grad in grads))
             if norm > c.clip_norm:
-                factor = c.clip_norm / norm
-                grads = {k: g * factor for k, g in grads.items()}
+                g *= c.clip_norm / norm
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for k, tensor in self.params.items():
-            g = grads[k]
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
-            tensor.data -= c.learning_rate * update
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        self.flat -= c.learning_rate * update
 
 
 def train(

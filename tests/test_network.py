@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from rallycast import autodiff as ad, network
 from rallycast.autodiff import Tensor, backward, grad_of
 from rallycast.court import CourtSpec, Player, Rally, ShotTypeVocab
-from rallycast.dataset import FilterPolicy, ParseError, filter_training, parse_dataset, split
+from rallycast.dataset import TAU, FilterPolicy, ParseError, filter_training, parse_dataset, split
 from rallycast.network import (
     Forecaster,
     KVCache,
@@ -72,6 +73,21 @@ def setup():
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
+
+def test_the_positional_table_is_read_only_memoized_and_the_sinusoid_formula():
+    for n, d, start in [(7, 16, 0), (9, 6, 4), (1, 2, 0), (300, 16, 299)]:
+        table = sinusoidal_encoding(n, d, start)
+        assert table.shape == (n - start, d) and sinusoidal_encoding(n, d, start) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        for pos in range(start, n):
+            for i in range(d):
+                angle = pos / 10000.0 ** (2 * (i // 2) / d)
+                want = math.sin(angle) if i % 2 == 0 else math.cos(angle)
+                # an ulp of the angle, whose pow and sine libm and numpy may round apart
+                assert abs(table[pos - start, i] - want) <= 4e-16 * max(1.0, angle), (n, d, start, pos, i)
+
 
 def test_zero_params_leave_positional_encoding_only(setup):
     vocab, rally, model = setup
@@ -297,11 +313,12 @@ def test_one_pass_context_gradients_equal_two_passes(n_layers, batch, dropout_ra
         assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
 
 
-# a teacher-forced forward at overfit.cfg width in training mode takes 48
+# a teacher-forced forward at overfit.cfg width in training mode takes 44
 # primitive ops with the fused layer norm, softmax, attention and linear
-# primitives; the one-pass encoder built from elementary ops took 103, and
-# the two-pass encoder 160
-FORWARD_OP_BUDGET = 50
+# primitives and the gate and heads run on the target rows only; slicing
+# the target rows off the heads took 48, the one-pass encoder built from
+# elementary ops 103, and the two-pass encoder 160
+FORWARD_OP_BUDGET = 44
 
 
 def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
@@ -317,9 +334,10 @@ def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
 
 
 # the tape of one 16-rally batch of overfit.cfg training on corpus32, loss
-# included, measured at 918 nodes; with layer norm, softmax, attention and
-# the affine maps built from elementary ops it was 1,881
-TAPE_NODE_BUDGET = 918
+# included, measured at 854 nodes; with four head slices per rally it was
+# 918, and with layer norm, softmax, attention and the affine maps built
+# from elementary ops 1,881
+TAPE_NODE_BUDGET = 854
 
 
 def test_a_corpus32_batch_stays_within_its_tape_budget():
@@ -671,6 +689,53 @@ def test_cached_forward_refuses_the_tape_and_training(setup):
         model.forward(inputs, rng=np.random.default_rng(0), cache=KVCache(1, model.config))
     with ad.no_tape(), pytest.raises(ValueError, match="B histories"):
         model.forward(inputs, cache=KVCache(2, model.config))
+
+
+def _from(heads, first, axis):
+    """Rows first .. of each head output, along the position axis."""
+    return [np.take(h.data, range(first, h.shape[axis]), axis=axis) for h in heads]
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3], ids=["one_history", "B=1", "B=3"])
+def test_taped_heads_from_first_equal_those_rows_of_the_full_forward(batch):
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10, n_players=3)
+    model = Forecaster(init_params(config, 4), config, CourtSpec(), ShotTypeVocab.default())
+    inputs = _random_histories(np.random.default_rng(5), batch or 1, 9, config)
+    if batch is None:  # (n,) arrays: the teacher-forced forward's shape
+        inputs = StrokeInputs(*(a[0] for a in inputs._arrays()))
+    axis = 0 if batch is None else 1
+    for seed in (None, 1):  # eval mode, then dropout drawn from the same stream on both sides
+        full = model.forward(inputs, rng=None if seed is None else np.random.default_rng(seed))
+        for first in range(9):
+            part = model.forward(inputs, rng=None if seed is None else np.random.default_rng(seed), first=first)
+            for got, want in zip(part, _from(full, first, axis)):
+                assert got.shape == want.shape and got.data.tobytes() == want.tobytes(), (batch, seed, first)
+    with pytest.raises(ValueError, match="first must be in 0 .. 8"):
+        model.forward(inputs, first=9)
+
+
+def test_cached_heads_from_first_equal_those_rows_of_the_full_forward():
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10, n_players=3)
+    model = Forecaster(init_params(config, 4), config, CourtSpec(), ShotTypeVocab.default())
+    history = _random_histories(np.random.default_rng(6), 3, 7, config)
+    with ad.no_tape():
+        full = model.forward(history)
+        for first in range(5):
+            cache = KVCache(3, config)
+            prefix = model.forward(_positions(history, 0, 5), cache=cache, first=first)
+            for got, want in zip(prefix, _from(full, first, 1)):
+                assert got.data.tobytes() == np.ascontiguousarray(want[:, : 5 - first]).tobytes(), first
+            step = model.forward(_positions(history, 5, 7), cache=cache, first=1)  # the last of two fed positions
+            for got, want in zip(step, _from(full, 6, 1)):
+                assert got.data.tobytes() == want.tobytes(), first
+
+
+def test_teacher_forced_heads_are_the_target_rows_of_forward_positions(setup):
+    vocab, rally, model = setup
+    heads = forward_teacher_forced(model, rally, rng=np.random.default_rng(3))
+    full = model.forward_positions(rally, len(rally) - 1, rng=np.random.default_rng(3))
+    for got, want in zip(heads, _from(full, TAU - 1, 0)):
+        assert got.data.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -463,11 +463,11 @@ def test_a_weight_blown_up_while_sampling_names_the_op_that_first_produced_a_non
     forward = Forecaster.forward
     calls = []
 
-    def blown_up_forward(self, inputs, rng=None, cache=None):
+    def blown_up_forward(self, inputs, rng=None, cache=None, first=0):
         calls.append(cache.length)
         if len(calls) == step:
             blow_up(self.params, blowup)
-        return forward(self, inputs, rng=rng, cache=cache)
+        return forward(self, inputs, rng=rng, cache=cache, first=first)
 
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(Forecaster, "forward", blown_up_forward)
@@ -487,8 +487,8 @@ def test_a_fault_only_the_step_mode_sees_replays_the_sampling_step_to_the_same_d
     forward = Forecaster.forward
     calls = []
 
-    def faulty_forward(self, inputs, rng=None, cache=None):
-        heads = forward(self, inputs, rng=rng, cache=cache)
+    def faulty_forward(self, inputs, rng=None, cache=None, first=0):
+        heads = forward(self, inputs, rng=rng, cache=cache, first=first)
         calls.append(1)
         if len(calls) == 3:
             ad.sigmoid(Tensor([math.inf]))  # saturates: only the step mode's input check refuses it
@@ -499,6 +499,22 @@ def test_a_fault_only_the_step_mode_sees_replays_the_sampling_step_to_the_same_d
         got = generate_sample_sets(model, rallies, 3, 5)
     assert len(calls) == max(len(r) for r in rallies) - TAU + 1
     assert all(_same_strokes(a, b) for gs, ws in zip(got, want) for a, b in zip(gs, ws))
+
+
+def test_heads_on_the_last_fed_position_write_the_prediction_file_of_heads_on_every_position(tmp_path, synthesized):
+    """The sampler reads one position a step, and the rows a forward returns do not depend on the rows it skips."""
+    model, rallies = synthesized
+    forward = Forecaster.forward
+
+    def every_position(self, inputs, rng=None, cache=None, first=0):
+        return tuple(head[:, first:] for head in forward(self, inputs, rng=rng, cache=cache))
+
+    paths = tmp_path / "last.csv", tmp_path / "every.csv"
+    export_predictions(rallies, generate_sample_sets(model, rallies, 6, 5), model.vocab, paths[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Forecaster, "forward", every_position)
+        export_predictions(rallies, generate_sample_sets(model, rallies, 6, 5), model.vocab, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +543,35 @@ def test_export_import_round_trip_scores_identically(tmp_path, gen_setup):
     reimported = score_sample_sets(round_tripped, truths, protocol="min_of_sets")
     assert direct.score == reimported.score
     assert direct.sample_losses == reimported.sample_losses
+
+
+def test_prediction_rows_built_block_by_block_equal_a_whole_column_build():
+    rng = np.random.default_rng(4)
+    m = 2 * PARSE_BLOCK_LINES + 37  # rows of three blocks, the last one partial
+    rally_index = np.sort(rng.integers(0, 5, size=m))
+    probs = rng.random((m, 6))
+    probs /= probs.sum(axis=1, keepdims=True)
+    pred = scoring.PredictionFile.from_columns(
+        [f"r{i}" for i in range(5)], rally_index, rng.integers(1, 4, size=m), np.arange(m) % 9 + 5,
+        rng.normal(size=(m, 2)), probs,
+    )
+    want: dict = {}
+    for i in range(m):
+        ball_round = int(pred.rounds[i])
+        g = GeneratedStroke(
+            ball_round, Player.A if ball_round % 2 == 1 else Player.B, int(pred.probs[i].argmax()),
+            tuple(pred.landings[i].tolist()), pred.probs[i],
+        )
+        want.setdefault(pred.rally_ids[pred.rally_index[i]], {}).setdefault(int(pred.sample_ids[i]), []).append(g)
+
+    def fields(rows):
+        def strokes(suffix):
+            return [(g.round_index, g.player, g.type_id, g.landing, g.type_probs.tobytes()) for g in suffix]
+
+        return [(r, [(k, strokes(suffix)) for k, suffix in per_sample.items()]) for r, per_sample in rows.items()]
+
+    assert fields(pred.rows) == fields(want)  # in the same order, too
+    assert all(np.shares_memory(g.type_probs, pred.probs) for s in pred.rows.values() for v in s.values() for g in v)
 
 
 @st.composite

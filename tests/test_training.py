@@ -10,6 +10,7 @@ from rallycast.network import ModelConfig, forward_teacher_forced
 from rallycast.scoring import PROB_FLOOR
 from rallycast.training import Adam, TrainConfig, TrainingDivergedError, eval_best_of_k, step_loss, train
 
+from adam_reference import ReferenceAdam
 from conftest import make_rally, tiny_model
 from network_reference import denormalize_coord, normalize_coord
 
@@ -145,6 +146,65 @@ def _model_config(vocab, **over):
     base = dict(embed_dim=4, n_heads=2, n_layers=1, dropout_rate=0.2, vocab_size=vocab.size)
     base.update(over)
     return ModelConfig(**base)
+
+
+def _batch_backward(model, rallies, seed):
+    """One taped training step's forward, loss and backward on the rallies; returns the gradient norm."""
+    for t in model.params.values():
+        t.grad = None
+    heads = [forward_teacher_forced(model, r, rng=np.random.default_rng(seed + i)) for i, r in enumerate(rallies)]
+    ad.backward(step_loss(heads, rallies, model.court).node)
+    return math.sqrt(sum(float((ad.grad_of(t) ** 2).sum()) for t in model.params.values()))
+
+
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e9, 0.0], ids=["clipping", "clip_norm_not_reached", "no_clipping"])
+def test_the_flat_adam_steps_as_the_per_parameter_reference_bit_for_bit(vocab, corpus, clip_norm):
+    model = tiny_model(corpus, vocab, dropout_rate=0.2)
+    reference_params = {name: Tensor(t.data.copy()) for name, t in model.params.items()}
+    config = _quick_config(learning_rate=1e-2, clip_norm=clip_norm)
+    adam, reference = Adam(model.params, config), ReferenceAdam(reference_params, config)
+    for step in range(6):
+        norm = _batch_backward(model, corpus[step % 2 :: 2], step)
+        assert (0 < clip_norm < norm) == (clip_norm == 1e-3)  # the clipping fires in the one case only
+        if step == 2:
+            model.params["type_head_b"].grad = None  # a parameter the loss did not reach
+        for name, t in model.params.items():
+            reference_params[name].grad = t.grad
+        adam.step()
+        reference.step()
+        for name, t in model.params.items():
+            assert t.data.tobytes() == reference_params[name].data.tobytes(), (step, name)
+    assert adam.t == reference.t == 6
+
+
+def test_a_taped_training_step_leaves_its_inputs_and_parameters_alone_until_adam_steps(vocab, corpus, monkeypatch):
+    """The slices of a taped step are views, so no op of the forward, loss or backward may write into its inputs.
+
+    Every array of the step, each parameter, input leaf and op output, must
+    hold after the backward the bits it held when it was made.
+    """
+    model = tiny_model(corpus, vocab, dropout_rate=0.2, param_scale=0.5)
+    adam = Adam(model.params, _quick_config())
+    made = [(t, t.data.tobytes()) for t in model.params.values()]
+    leaf, make = Tensor.__init__, ad._make
+
+    def recorded_leaf(self, data):
+        leaf(self, data)
+        made.append((self, self.data.tobytes()))
+
+    def recorded_node(*args):
+        t = make(*args)
+        made.append((t, t.data.tobytes()))
+        return t
+
+    monkeypatch.setattr(Tensor, "__init__", recorded_leaf)
+    monkeypatch.setattr(ad, "_make", recorded_node)
+    _batch_backward(model, corpus[:4], 0)
+    monkeypatch.undo()
+    assert len(made) > 4 * 44 and all(t.data.tobytes() == bits for t, bits in made)
+    before = {name: t.data.tobytes() for name, t in model.params.items()}
+    adam.step()
+    assert all(t.data.tobytes() != before[name] for name, t in model.params.items() if np.any(t.grad))
 
 
 def test_zero_learning_rate_leaves_params_unchanged(vocab, corpus):
