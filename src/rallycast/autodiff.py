@@ -2,17 +2,17 @@
 
 Small by design: rank <= 3, numpy storage, one backward closure per
 primitive. A graph is built from the named primitives only (`add`, `mul`,
-`scale`, `log`, ...): Tensor defines no arithmetic operators, so `a + b` on
+`scale`, `tanh`, ...): Tensor defines no arithmetic operators, so `a + b` on
 tensors raises TypeError, and a Python scalar enters as a `scale` factor or
 an explicit `Tensor` leaf. `backward` returns `graph_nodes(loss)`, the nodes
-it visited, parents first. Layer norm, softmax, multi-head attention and
-the affine map x @ w (+ b) are single primitives with hand-derived
-backwards, so a forward pays the per-op overhead once for each. Every
-primitive checks its output for NaN/Inf and raises NumericHealthError on
-violation, so a diverging computation fails at the op that produced the bad
-values instead of at the loss. Inside `no_tape()` the same primitives run
-with the same checks but record no graph, which is how inference avoids
-keeping every intermediate alive.
+it visited, parents first. Layer norm, softmax, multi-head attention, the
+affine map x @ w (+ b) and the training loss's cross-entropy and Gaussian
+NLL are single primitives with hand-derived backwards, so a forward pays the
+per-op overhead once for each. Every primitive checks its output for NaN/Inf
+and raises NumericHealthError on violation, so a diverging computation fails
+at the op that produced the bad values instead of at the loss. Inside
+`no_tape()` the same primitives run with the same checks but record no
+graph, which is how inference avoids keeping every intermediate alive.
 
 No primitive writes into an input's data: each builds its output in a
 fresh array. So `tslice` with a basic key returns a view of its input's
@@ -43,6 +43,7 @@ carry no such rule.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -54,6 +55,8 @@ NEG_MASK_VALUE = -1e30  # finite stand-in for -inf in attention masks
 ROW_GROUP = 8  # rows and attention keys are padded to whole groups of this many
 BLOCK_ROWS = 64  # rows per BLAS call: OpenBLAS threads a larger product, which ran slower on 2 cores
 LAYER_NORM_EPS = 1e-5  # added to each row's variance
+PROB_FLOOR = 1e-12  # cross-entropy clamp; quantized probabilities can be exactly zero
+LOG_2PI = math.log(2.0 * math.pi)
 
 T = TypeVar("T")
 
@@ -163,11 +166,11 @@ def replay_step(step: Callable[[], T], outputs: Callable[[T], Iterable[Tensor]])
 def _check_input(data: np.ndarray, op: str) -> None:
     """Inside checked_by_step(), refuse a non-finite input of an op whose output could hide it.
 
-    relu, sigmoid, tanh, clip, softmax and exp map an infinite input to a
-    finite output, div maps an infinite denominator to 0, tslice and
-    embedding_lookup may leave the entry out, and attention's mask may
-    cover a score made from it; elsewhere a non-finite input gives a
-    non-finite output, which the step's output check finds.
+    relu, sigmoid, tanh, clip and softmax map an infinite input to a finite
+    output, tslice, embedding_lookup and cross_entropy may leave the entry
+    out, and attention's mask may cover a score made from it; elsewhere a
+    non-finite input gives a non-finite output, which the step's output
+    check finds.
     """
     if _tape_state.by_step and not np.isfinite(data).all():
         raise NumericHealthError(f"{op} got a non-finite input")
@@ -310,17 +313,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd, "mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_input(b.data, "div")
-    out_data = a.data / b.data
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), bwd, "div")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out_data = a.data * c
@@ -329,27 +321,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         _accumulate(a, g * c)
 
     return _make(out_data, (a,), bwd, "scale")
-
-
-def exp(a: Tensor) -> Tensor:
-    _check_input(a.data, "exp")
-    with np.errstate(over="ignore"):  # overflow is reported as a health error
-        out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), bwd, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-
-    def bwd(g):
-        _accumulate(a, g / a.data)
-
-    return _make(out_data, (a,), bwd, "log")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -602,3 +573,49 @@ def dropout(a: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
 
     return _make(out_data, (a,), bwd, "dropout")
 
+
+def cross_entropy(probs: Tensor, targets) -> Tensor:
+    """-log(max(p, PROB_FLOOR)) per row of the (N, V) probs, p the row's target probability; at the floor, no gradient."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if probs.ndim != 2 or targets.shape != probs.shape[:1]:
+        raise ValueError(f"cross_entropy shape mismatch: probs {probs.shape}, targets {targets.shape}")
+    _check_input(probs.data, "cross_entropy")  # only the target column is read
+    rows = np.arange(len(targets))
+    p = probs.data[rows, targets]
+    floored = np.maximum(p, PROB_FLOOR)
+    out_data = -np.log(floored)
+
+    def bwd(g):
+        full = np.zeros_like(probs.data)
+        full[rows, targets] = -g / floored * (p > PROB_FLOOR)
+        _accumulate(probs, full)
+
+    return _make(out_data, (probs,), bwd, "cross_entropy")
+
+
+def gaussian_nll(mu: Tensor, log_sigma: Tensor, rho: Tensor, xy: np.ndarray) -> Tensor:
+    """Negative log-likelihood of each constant point of the (N, 2) xy under its row's bivariate Gaussian.
+
+    mu and log_sigma are (N, 2) and rho is (N,). With z = (xy - mu) / sigma
+    and r = 1 - rho^2, a row is log 2pi + ls_x + ls_y + log(r) / 2
+    + (zx^2 + zy^2 - 2 rho zx zy) / (2 r). A |rho| >= 1 gives a non-finite
+    row, as does any non-finite input entry, so no input needs a check.
+    """
+    xy = np.asarray(xy, dtype=np.float64)
+    if xy.shape[1:] != (2,) or (mu.shape, log_sigma.shape, rho.shape) != (xy.shape, xy.shape, xy.shape[:1]):
+        raise ValueError(f"gaussian_nll shapes {mu.shape}, {log_sigma.shape}, {rho.shape} do not fit xy {xy.shape}")
+    ls, r = log_sigma.data, rho.data
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite row is a health error
+        sx, sy = np.exp(ls[:, 0]), np.exp(ls[:, 1])
+        zx, zy = (xy[:, 0] - mu.data[:, 0]) / sx, (xy[:, 1] - mu.data[:, 1]) / sy
+        one_m_rho2 = 1.0 - r * r
+        quad = zx * zx + zy * zy - r * 2.0 * zx * zy
+        out_data = LOG_2PI + ls[:, 0] + ls[:, 1] + np.log(one_m_rho2) * 0.5 + quad / (one_m_rho2 * 2.0)
+
+    def bwd(g):
+        d_zx, d_zy = (zx - r * zy) / one_m_rho2, (zy - r * zx) / one_m_rho2  # d row / d zx and / d zy
+        _accumulate(mu, np.stack([-g * d_zx / sx, -g * d_zy / sy], axis=1))
+        _accumulate(log_sigma, np.stack([g * (1.0 - zx * d_zx), g * (1.0 - zy * d_zy)], axis=1))
+        _accumulate(rho, g * (r * quad / one_m_rho2 - r - zx * zy) / one_m_rho2)
+
+    return _make(out_data, (mu, log_sigma, rho), bwd, "gaussian_nll")

@@ -41,7 +41,6 @@ from .dataset import TAU
 from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
 
-PROB_FLOOR = 1e-12  # CE clamp; quantized probabilities can be exactly zero
 PROB_SUM_TOL = 1e-6  # how far a prediction row's probabilities may sum from 1
 EXPECTED_SAMPLE_SETS = 6
 
@@ -343,7 +342,7 @@ def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarra
     true_types = np.tile(np.concatenate([r.type_ids[TAU:] for r in truths]), k)
     true_xy = np.tile(np.concatenate([r.landings[TAU:] for r in truths]), (k, 1))
     p_true = sets.probs[np.arange(k * n), true_types]
-    ce = -np.fromiter(map(math.log, np.maximum(p_true, PROB_FLOOR).tolist()), dtype=np.float64, count=k * n)
+    ce = -np.fromiter(map(math.log, np.maximum(p_true, ad.PROB_FLOOR).tolist()), dtype=np.float64, count=k * n)
     with np.errstate(over="ignore"):  # a huge finite landing makes an infinite loss, which the rule below reports
         mae = np.abs(true_xy[:, 0] - sets.landings[:, 0]) + np.abs(true_xy[:, 1] - sets.landings[:, 1])
     losses = ce + mae

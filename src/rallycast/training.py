@@ -29,13 +29,11 @@ from .network import (
     forward_teacher_forced,
     init_params,
 )
-from .scoring import PROB_FLOOR, ScoreReport, generate_sample_sets, score_sample_sets
+from .scoring import ScoreReport, generate_sample_sets, score_sample_sets
 from .seeding import TAG_DROPOUT, TAG_SHUFFLE, rng_from_key
 
 log = logging.getLogger(__name__)
 
-LOG_2PI = math.log(2.0 * math.pi)
-RHO_FLOOR = 1e-12  # keeps log(1 - rho^2) finite
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -108,8 +106,9 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
     heads holds one (probs, mu, log_sigma, rho) tuple per rally, as returned
     by forward_teacher_forced; their rows, concatenated, align with the
     rallies' strokes TAU+1 .. n, read from the type_ids and landings columns.
-    Both losses are computed once over (N,) arrays. Differentiable when the
-    heads are live graph nodes; constant heads give only the values.
+    The graph is the four heads concatenated, ad.cross_entropy and
+    ad.gaussian_nll over the (N,) rows, and the two means. Differentiable
+    when the heads are live graph nodes; constant heads give only the values.
     """
     n = sum(h[0].shape[0] for h in heads)
     targets = sum(max(len(r) - TAU, 0) for r in rallies)
@@ -119,29 +118,13 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
     true_types = np.concatenate([r.type_ids[TAU:] for r in rallies])
     xy = court.normalize(np.concatenate([r.landings[TAU:] for r in rallies]))
 
-    p_true = probs[np.arange(n), true_types]
-    underflowed = p_true.data < PROB_FLOOR
-    if underflowed.any():
-        log.warning(
-            "%d true-type probabilities underflowed (min %.3e); clamping",
-            int(underflowed.sum()),
-            float(p_true.data.min()),
-        )
-    ce = ad.scale(ad.log(ad.clip(p_true, PROB_FLOOR, math.inf)), -1.0)
-
-    # bivariate-Gaussian NLL of each true landing point:
-    # log 2pi + ls_x + ls_y + log(1 - rho^2) / 2 + (zx^2 + zy^2 - 2 rho zx zy) / (2 (1 - rho^2))
-    ls_x, ls_y = log_sigma[:, 0], log_sigma[:, 1]
-    zx = ad.div(ad.sub(Tensor(xy[:, 0]), mu[:, 0]), ad.exp(ls_x))
-    zy = ad.div(ad.sub(Tensor(xy[:, 1]), mu[:, 1]), ad.exp(ls_y))
-    one_m_rho2 = ad.clip(ad.sub(Tensor(1.0), ad.mul(rho, rho)), RHO_FLOOR, math.inf)
-    quad = ad.sub(ad.add(ad.mul(zx, zx), ad.mul(zy, zy)), ad.mul(ad.mul(ad.scale(rho, 2.0), zx), zy))
-    nll = ad.add(ad.add(ad.add(Tensor(LOG_2PI), ls_x), ls_y), ad.scale(ad.log(one_m_rho2), 0.5))
-    nll = ad.add(nll, ad.div(quad, ad.scale(one_m_rho2, 2.0)))
+    p_true = probs.data[np.arange(n), true_types]
+    if underflowed := int((p_true < ad.PROB_FLOOR).sum()):
+        log.warning("%d true-type probabilities underflowed (min %.3e); clamping", underflowed, float(p_true.min()))
 
     inv_n = 1.0 / n
-    shot = ad.scale(ad.tsum(ce), inv_n)
-    area = ad.scale(ad.tsum(nll), inv_n)
+    shot = ad.scale(ad.tsum(ad.cross_entropy(probs, true_types)), inv_n)
+    area = ad.scale(ad.tsum(ad.gaussian_nll(mu, log_sigma, rho, xy)), inv_n)
     return LossBundle(
         shot_loss=float(shot.data),
         area_loss=float(area.data),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rallycast import autodiff as ad
 from rallycast.autodiff import NumericHealthError, Tensor, backward, grad_of
+from rallycast.network import LOG_SIGMA_RANGE, RHO_CAP
 
 from gradient_reference import gradient_check
 
@@ -25,18 +26,24 @@ def _away_from_kinks(x, margin=0.05, shift=0.2):
     return np.where(np.abs(x) < margin, x + shift, x)
 
 
-def _positive(x):
-    return np.abs(x) + 0.5
-
-
 def _weighted_sum(t, rng):
     w = Tensor(rng.normal(0.0, 1.0, size=t.shape))
     return ad.tsum(ad.mul(t, w))
 
 
-def _check(fn, arrays):
-    err = gradient_check(fn, arrays)
+def _check(fn, arrays, eps=1e-5):
+    err = gradient_check(fn, arrays, eps)
     assert err < OP_TOL, f"gradient error {err:.3e}"
+
+
+def _degenerate_nll():
+    """gaussian_nll at rho = 1, where 1 - rho^2 is 0: the row is NaN."""
+    return ad.gaussian_nll(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), Tensor([1.0]), np.zeros((1, 2)))
+
+
+def _infinite_ce():
+    """cross_entropy of an infinite true-type probability: the row is -inf."""
+    return ad.cross_entropy(Tensor([[math.inf, 0.5]]), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +79,9 @@ def test_rank_cap():
 
 def test_numeric_health_trips():
     with pytest.raises(NumericHealthError):
-        ad.log(Tensor([-1.0]))
+        _degenerate_nll()
     with pytest.raises(NumericHealthError):
-        ad.exp(Tensor([1000.0]))
+        _infinite_ce()
 
 
 def test_fused_primitives_trip_on_overflow():
@@ -158,18 +165,16 @@ def _shapes(rng):
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
-def test_grad_add_sub_mul_div(case):
+def test_grad_add_sub_mul(case):
     rng = np.random.default_rng(100 + case)
     shape = _shapes(rng)
     a = _rand(rng, *shape)
     b_shape = shape if rng.random() < 0.6 else shape[-1:]  # exercise broadcasting
     b = _rand(rng, *b_shape)
-    b_safe = np.sign(b) * (np.abs(b) + 0.5)
     w = rng.normal(size=shape)
 
     for op in (ad.add, ad.sub, ad.mul):
         _check(lambda ts, op=op: ad.tsum(ad.mul(op(ts[0], ts[1]), Tensor(w))), [a, b])
-    _check(lambda ts: ad.tsum(ad.mul(ad.div(ts[0], ts[1]), Tensor(w))), [a, b_safe])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -276,9 +281,78 @@ def test_grad_unary_smooth(case):
     rng = np.random.default_rng(300 + case)
     shape = _shapes(rng)
     x = _rand(rng, *shape)
-    for op in (ad.tanh, ad.sigmoid, ad.exp):
+    for op in (ad.tanh, ad.sigmoid):
         _check(lambda ts, op=op: _weighted_sum(op(ts[0]), np.random.default_rng(case)), [x])
-    _check(lambda ts: _weighted_sum(ad.log(ts[0]), np.random.default_rng(case)), [_positive(x)])
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_grad_cross_entropy(case):
+    rng = np.random.default_rng(1300 + case)
+    n, v = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    targets = rng.integers(0, v, size=n)
+    w = rng.normal(size=n)
+
+    def weighted(ts):
+        return ad.tsum(ad.mul(ad.cross_entropy(ts[0], targets), Tensor(w)))
+
+    probs = rng.dirichlet(np.ones(v), size=n)
+    _check(weighted, [probs])
+    # true-type probabilities below PROB_FLOOR, which get no gradient, and a little above it; a step of 1e-15 keeps
+    # each on its side of the floor
+    below = rng.random(n) < 0.5
+    probs[np.arange(n), targets] = np.where(below, rng.uniform(1e-14, 5e-13, n), rng.uniform(1e-11, 1e-10, n))
+    assert (probs[np.arange(n), targets] < ad.PROB_FLOOR).tolist() == below.tolist()
+    _check(weighted, [probs], eps=1e-15)
+
+
+# rho just inside +-RHO_CAP: the squares of 1 - 2**-39 and of it +- 2**-51 round to nothing but the term 2**-78, so
+# the finite differences in rho see 1 - rho^2 without the rounding error that RHO_CAP's own square carries
+RHO_NEAR_CAP = 1.0 - 2.0**-39
+RHO_EPS = 2.0**-51
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_grad_gaussian_nll(case):
+    rng = np.random.default_rng(1400 + case)
+    n = int(rng.integers(1, 6))
+    w = rng.normal(size=n)
+
+    def weighted(xy, mu=None, log_sigma=None, rho=None):
+        """The weighted NLL over the inputs given as leaves, in order, with the rest held."""
+
+        def f(ts):
+            it = iter(ts)
+            held = [Tensor(a) if a is not None else next(it) for a in (mu, log_sigma, rho)]
+            return ad.tsum(ad.mul(ad.gaussian_nll(*held, xy), Tensor(w)))
+
+        return f
+
+    mu, log_sigma = rng.normal(size=(n, 2)), rng.normal(0.0, 0.5, size=(n, 2))
+    rho, xy = rng.uniform(0.2, 0.9, size=n) * rng.choice([-1.0, 1.0], size=n), rng.normal(size=(n, 2))
+    _check(weighted(xy), [mu, log_sigma, rho])
+    # either end of the heads' clip; at +LOG_SIGMA_RANGE a row is about 600 nats, so a rho gradient near 0 would
+    # drown in its rounding, hence |rho| >= 0.2
+    for bound in (-LOG_SIGMA_RANGE, LOG_SIGMA_RANGE):
+        _check(weighted(xy), [mu, np.full((n, 2), bound), rho])
+
+    # rho near +-RHO_CAP, with zx and zy of the signs that keep zx - rho zy and zy - rho zx from cancelling
+    near_cap = np.where(rng.random(n) < 0.5, RHO_NEAR_CAP, -RHO_NEAR_CAP)
+    assert (np.abs(near_cap) < RHO_CAP).all() and (1.0 - np.abs(near_cap) < 2e-12).all()
+    z = rng.uniform(0.5, 2.0, size=(n, 2)) * np.where(rng.random(n) < 0.5, 1.0, -1.0)[:, None]
+    z[:, 1] *= -np.sign(near_cap)
+    xy = mu + z * np.exp(log_sigma)
+    _check(weighted(xy, mu=mu, log_sigma=log_sigma), [near_cap], eps=RHO_EPS)
+    _check(weighted(xy, rho=near_cap), [mu, log_sigma])
+
+
+def test_gaussian_nll_refuses_a_correlation_of_one():
+    """There is no clamp on 1 - rho^2: the heads keep |rho| within RHO_CAP, and a hand-built rho of +-1 fails the check."""
+    for rho in (1.0, -1.0):
+        args = Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))), Tensor([0.5, rho]), np.full((2, 2), 0.2)
+        with pytest.raises(NumericHealthError, match="^gaussian_nll produced non-finite values$"):
+            ad.gaussian_nll(*args)
+        with ad.checked_by_step():
+            assert np.isfinite(ad.gaussian_nll(*args).data).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -431,6 +505,15 @@ def test_fused_primitives_evaluate_the_composite_expressions_bit_for_bit():
     assert np.array_equal(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     assert np.array_equal(ad.softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True))
+    probs, targets = e[0] / e[0].sum(axis=-1, keepdims=True), np.array([3, 0, 1, 1, 2])
+    probs[2, 1] = 0.0
+    assert np.array_equal(ad.cross_entropy(Tensor(probs), targets).data, -np.log(np.maximum(probs[range(5), targets], 1e-12)))
+    mu, ls, rho, xy = x[0, :, :2], x[0, :, 2:], np.tanh(x[1, :, 0]), x[1, :, 1:3]
+    zx, zy = (xy[:, 0] - mu[:, 0]) / np.exp(ls[:, 0]), (xy[:, 1] - mu[:, 1]) / np.exp(ls[:, 1])
+    r = 1.0 - rho * rho
+    nll = ((math.log(2.0 * math.pi) + ls[:, 0]) + ls[:, 1]) + np.log(r) * 0.5
+    nll = nll + ((zx * zx + zy * zy) - ((rho * 2.0) * zx) * zy) / (r * 2.0)
+    assert np.array_equal(ad.gaussian_nll(Tensor(mu), Tensor(ls), Tensor(rho), xy).data, nll)
 
 
 def test_fused_primitives_reject_mismatched_shapes():
@@ -506,10 +589,10 @@ def test_dropout_rejects_uniforms_of_another_shape():
 
 def test_no_tape_still_checks_every_op():
     with ad.no_tape():
-        with pytest.raises(NumericHealthError, match="log"):
-            ad.log(Tensor([-1.0]))
-        with pytest.raises(NumericHealthError, match="exp"):
-            ad.exp(Tensor([1000.0]))
+        with pytest.raises(NumericHealthError, match="gaussian_nll"):
+            _degenerate_nll()
+        with pytest.raises(NumericHealthError, match="cross_entropy"):
+            _infinite_ce()
 
 
 def test_no_tape_records_no_parents():
@@ -529,7 +612,7 @@ def test_no_tape_restores_taping_after_the_body_raises():
     x = Tensor([1.0, 2.0])
     with pytest.raises(NumericHealthError):
         with ad.no_tape():
-            ad.log(Tensor([-1.0]))
+            _degenerate_nll()
     y = ad.mul(x, x)
     assert y._parents == (x, x)
 
@@ -560,10 +643,7 @@ STEP_PRIMITIVES = {
     "add": ([(3, 4), (4,)], lambda a, b: ad.add(a, b)),
     "sub": ([(3, 4), (3, 4)], lambda a, b: ad.sub(a, b)),
     "mul": ([(3, 4), (3, 1)], lambda a, b: ad.mul(a, b)),
-    "div": ([(3, 4), (3, 4)], lambda a, b: ad.div(a, b)),
     "scale": ([(3, 4)], lambda a: ad.scale(a, 0.5)),
-    "exp": ([(3, 4)], lambda a: ad.exp(a)),
-    "log": ([(3, 4)], lambda a: ad.log(a)),
     "tanh": ([(3, 4)], lambda a: ad.tanh(a)),
     "sigmoid": ([(3, 4)], lambda a: ad.sigmoid(a)),
     "relu": ([(3, 4)], lambda a: ad.relu(a)),
@@ -581,6 +661,8 @@ STEP_PRIMITIVES = {
     ),
     "linear": ([(3, 4), (4, 2), (2,)], lambda x, w, b: ad.linear(x, w, b)),
     "dropout": ([(3, 4)], lambda a: ad.dropout(a, 0.5, np.random.default_rng(1).random((3, 4)))),
+    "cross_entropy": ([(3, 4)], lambda p: ad.cross_entropy(p, [2, 0, 3])),
+    "gaussian_nll": ([(3, 2), (3, 2), (3,)], lambda m, ls, r: ad.gaussian_nll(m, ls, r, np.full((3, 2), 0.3))),
 }
 
 
@@ -593,8 +675,10 @@ def test_a_non_finite_input_entry_either_replays_the_step_or_reaches_the_output(
     shapes, op = STEP_PRIMITIVES[name]
     rng = np.random.default_rng(0)
     base = [rng.normal(size=shape) for shape in shapes]
-    if name == "log":
+    if name == "cross_entropy":
         base[0] = np.abs(base[0]) + 0.1
+    if name == "gaussian_nll":  # inside |rho| < 1, where every row is finite
+        base[2] = np.tanh(base[2])
     for which, value in itertools.product(range(len(base)), (math.inf, -math.inf, math.nan)):
         for entry in range(base[which].size):
             arrays = [a.copy() for a in base]
@@ -610,12 +694,12 @@ def test_a_non_finite_input_entry_either_replays_the_step_or_reaches_the_output(
 def test_checked_by_step_skips_output_checks_only_inside_and_nests():
     with ad.checked_by_step():
         with ad.checked_by_step():
-            assert ad.exp(Tensor([1000.0])).data[0] == math.inf
-        assert ad.exp(Tensor([1000.0])).data[0] == math.inf
+            assert math.isnan(_degenerate_nll().data[0])
+        assert math.isnan(_degenerate_nll().data[0])
         with ad.no_tape():
-            assert ad.exp(Tensor([1000.0])).data[0] == math.inf
-    with pytest.raises(NumericHealthError, match="^exp produced non-finite values$"):
-        ad.exp(Tensor([1000.0]))
+            assert math.isnan(_degenerate_nll().data[0])
+    with pytest.raises(NumericHealthError, match="^gaussian_nll produced non-finite values$"):
+        _degenerate_nll()
 
 
 def test_checked_by_step_restores_the_checks_after_the_body_raises():
@@ -623,8 +707,8 @@ def test_checked_by_step_restores_the_checks_after_the_body_raises():
         with ad.checked_by_step():
             ad.sigmoid(Tensor([math.inf]))
     assert ad.sigmoid(Tensor([math.inf])).data[0] == 1.0  # a saturated leaf passes the output check, as before
-    with pytest.raises(NumericHealthError, match="^log produced non-finite values$"):
-        ad.log(Tensor([-1.0]))
+    with pytest.raises(NumericHealthError, match="^gaussian_nll produced non-finite values$"):
+        _degenerate_nll()
 
 
 def test_replay_step_names_the_op_that_first_produced_a_non_finite_value():
@@ -638,8 +722,8 @@ def test_replay_step_names_the_op_that_first_produced_a_non_finite_value():
     with np.errstate(over="ignore"), pytest.raises(NumericHealthError, match="^mul produced non-finite values$"):
         ad.replay_step(step, lambda out: (out,))
     assert len(runs) == 2
-    with pytest.raises(NumericHealthError, match="^log produced non-finite values$"):  # an output check fires too
-        ad.replay_step(lambda: ad.log(Tensor([0.0, 1.0])), lambda out: (out,))
+    with pytest.raises(NumericHealthError, match="^gaussian_nll produced non-finite values$"):  # an output check fires too
+        ad.replay_step(_degenerate_nll, lambda out: (out,))
 
 
 def test_replay_step_returns_the_per_op_run_when_only_the_step_checks_fire():
@@ -653,5 +737,5 @@ def test_replay_step_returns_the_per_op_run_when_only_the_step_checks_fire():
     out = ad.replay_step(step, lambda out: (out,))
     assert len(runs) == 2
     assert np.array_equal(out.data, ad.sigmoid(Tensor([math.inf, -1.0])).data)
-    healthy = ad.replay_step(lambda: ad.exp(Tensor([1.0])), lambda out: (out,))
-    assert healthy.data[0] == math.e
+    healthy = ad.replay_step(lambda: ad.cross_entropy(Tensor([[0.25, 0.75]]), [1]), lambda out: (out,))
+    assert healthy.data[0] == -math.log(0.75)

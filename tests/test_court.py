@@ -456,35 +456,82 @@ def test_only_court_writes_files():
 TEST_ONLY_SURFACE: set[str] = set()
 
 
+def _package_module(module: str | None, level: int) -> str | None:
+    """The package module that `from <module> import ...` reads: "" for the package itself, None outside it."""
+    if level:
+        return module or ""
+    head, _, rest = (module or "").partition(".")
+    return rest if head == "rallycast" else None
+
+
+def _names_reached(tree: ast.Module, own: str | None) -> set[tuple[str, str]]:
+    """(module, name) for each module-level name of the package that the source tree reaches.
+
+    A tree reaches a name of module M where it imports the name from M, where
+    it reads `<alias of M>.name`, or, when the tree is M itself (own), where it
+    names it.
+    """
+    aliases, reached = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (source := _package_module(node.module, node.level)) is not None:
+            for alias in node.names:
+                if source:
+                    reached.add((source, alias.name))
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and own:
+            reached.add((own, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            reached.add((aliases[node.value.id], node.attr))
+    return reached
+
+
 def test_every_public_name_of_the_library_has_a_caller_outside_the_tests():
     """Each public function, class and method of src/ is named in src/ or in perfbench/.
 
-    A name counts as used where it appears as an identifier: a variable, an
-    attribute or an import. One that only tests use is surface to delete.
+    A module-level function or class of module M counts as used where M
+    itself names it, where another module imports it from M, or where one
+    reads it as `<alias of M>.name`; a name that only matches, such as
+    `np.exp` or a logger called `log`, is no use of `autodiff.exp` or
+    `autodiff.log`. A method counts as used where any identifier names it:
+    a variable, an attribute or an import. One that only tests use is
+    surface to delete.
     """
     package = Path(court_module.__file__).parent
     modules = sorted(package.glob("*.py"))
     callers = modules + sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
-    used = set()
+    reached, identifiers = set(), set()
     for path in callers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reached |= _names_reached(tree, path.stem if path.parent == package else None)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                identifiers.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                identifiers.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                used.update(alias.name for alias in node.names)
+                identifiers.update(alias.name for alias in node.names)
     found = []
     for path in modules:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else []
-            for defined in [node, *methods]:
-                name = defined.name
-                if not name.startswith("_") and name not in used and name not in TEST_ONLY_SURFACE:
-                    found.append(f"{path.name}:{defined.lineno} {name}")
+            unused = [] if (path.stem, node.name) in reached else [node]
+            if isinstance(node, ast.ClassDef):
+                unused += [m for m in node.body if isinstance(m, ast.FunctionDef) and m.name not in identifiers]
+            for defined in unused:
+                if not defined.name.startswith("_") and defined.name not in TEST_ONLY_SURFACE:
+                    found.append(f"{path.name}:{defined.lineno} {defined.name}")
     assert found == []
+
+
+def test_the_public_name_guard_counts_only_uses_of_the_defining_module():
+    lookalikes = "import logging\nimport numpy as np\nlog = logging.getLogger()\nnp.exp(np.log(2.0))\n"
+    assert _names_reached(ast.parse(lookalikes), None) == set()
+    uses = "from . import autodiff as ad\nfrom rallycast.court import write_csv\nad.exp(ad)\nexp(1)\n"
+    assert _names_reached(ast.parse(uses), None) == {("autodiff", "exp"), ("court", "write_csv")}
+    assert ("scoring", "exp") in _names_reached(ast.parse(uses), "scoring")
 
 
 def test_the_package_root_binds_only_its_version():

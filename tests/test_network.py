@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -334,13 +335,17 @@ def test_teacher_forced_forward_stays_within_its_op_budget(monkeypatch):
 
 
 # the tape of one 16-rally batch of overfit.cfg training on corpus32, loss
-# included, measured at 854 nodes; with four head slices per rally it was
-# 918, and with layer norm, softmax, attention and the affine maps built
-# from elementary ops 1,881
-TAPE_NODE_BUDGET = 854
+# included, measured at 820 nodes; with the loss built from 45 elementary
+# nodes rather than 11 it was 854, with four head slices per rally 918, and
+# with layer norm, softmax, attention and the affine maps built from
+# elementary ops 1,881
+TAPE_NODE_BUDGET = 820
+
+# the nodes step_loss adds: the four heads concatenated, the two loss primitives and the two means
+LOSS_NODES = {"concat": 4, "cross_entropy": 1, "gaussian_nll": 1, "sum": 2, "scale": 2, "add": 1}
 
 
-def test_a_corpus32_batch_stays_within_its_tape_budget():
+def test_a_corpus32_batch_stays_within_its_tape_budget(monkeypatch):
     vocab, court = ShotTypeVocab.default(), CourtSpec()
     rallies, _, _ = parse_dataset(FIXTURES / "corpus32.csv", vocab, court, write_rejects=False)
     kept, _ = filter_training(rallies, FilterPolicy())
@@ -349,7 +354,13 @@ def test_a_corpus32_batch_stays_within_its_tape_budget():
     config = ModelConfig(embed_dim=16, n_heads=2, n_layers=1, dropout_rate=0.2, vocab_size=vocab.size, n_players=len(index))
     model = Forecaster(init_params(config, 7), config, court, vocab, index)
     heads = [forward_teacher_forced(model, r, rng=np.random.default_rng(i)) for i, r in enumerate(batch)]
-    tape = backward(step_loss(heads, batch, court).node)
+    made, make, leaf = [], ad._make, Tensor.__init__
+    monkeypatch.setattr(ad, "_make", lambda *args: made.append(args[-1]) or make(*args))
+    monkeypatch.setattr(Tensor, "__init__", lambda self, data: made.append("leaf") or leaf(self, data))
+    loss = step_loss(heads, batch, court)
+    monkeypatch.undo()
+    assert Counter(made) == LOSS_NODES
+    tape = backward(loss.node)
     assert len(batch) == 16 and 0 < len(tape) <= TAPE_NODE_BUDGET, f"{len(tape)} tape nodes"
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from rallycast import autodiff as ad, training
-from rallycast.autodiff import Tensor
+from rallycast.autodiff import PROB_FLOOR, Tensor
 from rallycast.dataset import SynthConfig, synthesize_dataset
 from rallycast.network import ModelConfig, forward_teacher_forced
-from rallycast.scoring import PROB_FLOOR
 from rallycast.training import Adam, TrainConfig, TrainingDivergedError, eval_best_of_k, step_loss, train
 
 from adam_reference import ReferenceAdam
