@@ -96,12 +96,11 @@ def _normalized(pred: PredictionFile) -> np.ndarray:
     return pred.probs / pred.probs.sum(axis=1, keepdims=True)
 
 
-def _running_sum(rows: np.ndarray) -> np.ndarray:
-    """0.0 + rows[0] + rows[1] + ..., added in row order as a loop of += from zeros adds them.
-
-    The + 0.0 turns a column of only negative zeros into 0.0, as that loop does.
-    """
-    return np.cumsum(rows, axis=0)[-1] + 0.0
+def _group_sums(rows: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, V) sums of the (n, V) rows by their group, each 0.0 + its rows in row order."""
+    sums = np.zeros((n_groups, rows.shape[1]))
+    np.add.at(sums, groups, rows)
+    return sums
 
 
 def predicted_type_vote(pred: PredictionFile, vocab: ShotTypeVocab) -> tuple[list[VoteResult], DistributionTable]:
@@ -117,13 +116,10 @@ def predicted_type_vote(pred: PredictionFile, vocab: ShotTypeVocab) -> tuple[lis
     rally_index, rounds = pred.rally_index[order], pred.rounds[order]
     new = run_starts(rally_index, rounds)
     starts = np.flatnonzero(new)
-    sizes = np.diff(np.append(starts, len(order)))
+    stroke = np.cumsum(new) - 1
     votes = np.zeros((len(starts), vocab.size), dtype=np.int64)
-    np.add.at(votes, (np.cumsum(new) - 1, vectors.argmax(axis=1)), 1)
-    summed = vectors[starts]  # summed left to right, one sample position at a time
-    for j in range(1, int(sizes.max(initial=0))):
-        live = np.flatnonzero(sizes > j)
-        summed[live] += vectors[starts[live] + j]
+    np.add.at(votes, (stroke, vectors.argmax(axis=1)), 1)
+    summed = _group_sums(vectors, stroke, len(starts))
     tied = votes == votes.max(axis=1, keepdims=True)
     mass = np.where(tied, summed, -np.inf)
     tied &= mass == mass.max(axis=1, keepdims=True)
@@ -178,11 +174,9 @@ def round_trend(pred: PredictionFile, vocab: ShotTypeVocab) -> RoundTrend:
     """Per-round mean of the predicted type distribution over all samples."""
     if len(pred.probs) == 0:
         raise ValueError("prediction file has no strokes")
-    order = np.argsort(pred.rounds, kind="stable")
-    vectors = _normalized(pred)[order]
-    rounds, starts, counts = np.unique(pred.rounds[order], return_index=True, return_counts=True)
-    means = [_running_sum(vectors[s : s + c]) / c for s, c in zip(starts.tolist(), counts.tolist())]
-    return RoundTrend(rounds.tolist(), [e.name for e in vocab.entries], np.stack(means))
+    rounds, codes, counts = np.unique(pred.rounds, return_inverse=True, return_counts=True)
+    means = _group_sums(_normalized(pred), codes, len(rounds)) / counts[:, None]
+    return RoundTrend(rounds.tolist(), [e.name for e in vocab.entries], means)
 
 
 def mean_probability(pred: PredictionFile, vocab: ShotTypeVocab) -> dict[str, float]:
@@ -190,5 +184,5 @@ def mean_probability(pred: PredictionFile, vocab: ShotTypeVocab) -> dict[str, fl
     count = len(pred.probs)
     if count == 0:
         raise ValueError("prediction file has no strokes")
-    total = _running_sum(_normalized(pred))
+    total = _group_sums(_normalized(pred), np.zeros(count, dtype=np.int64), 1)[0]
     return {e.name: float(total[e.type_id] / count) for e in vocab.entries}

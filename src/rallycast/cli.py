@@ -8,7 +8,7 @@ An exception's type sets the exit code: ParseError (a damaged input file,
 named first in its text), NumericHealthError and TrainingDivergedError exit
 1; UsageError (a refused setting, flag or config file) and OSError exit 2;
 any other exception is a bug and keeps its traceback. validate also exits 1
-when it finds violations.
+when it finds violations, counting each row the dataset's parse rejected as one.
 """
 
 from __future__ import annotations
@@ -182,10 +182,12 @@ def _require(args: argparse.Namespace, name: str) -> str:
 
 
 def _load_rallies(path: str, vocab: ShotTypeVocab, court: CourtSpec, mirror: str):
-    rallies, meta, rejects = parse_dataset(path, vocab, court, mirror=mirror)
+    """The dataset's rallies and rejected rows; a note names the reject report that parse_dataset wrote."""
+    rallies, _, rejects = parse_dataset(path, vocab, court, mirror=mirror)
     if rejects:
-        print(f"note: {len(rejects)} rows rejected, see {Path(path).name}.rejects.csv")
-    return rallies, meta
+        path = Path(path)
+        print(f"note: {len(rejects)} rows rejected, see {path.with_name(path.name + '.rejects.csv')}")
+    return rallies, rejects
 
 
 def _outputs(out_dir: Path, names: Sequence[str]) -> list[Path]:
@@ -214,8 +216,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     settings = Settings(args)
     vocab = _resolve_vocab(settings)
     court = CourtSpec()
-    rallies, _ = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
-    n_violations = 0
+    rallies, rejects = _load_rallies(_require(args, "data"), vocab, court, settings["mirror"])
+    n_violations = len(rejects)  # each row the parse refused breaks a row or round rule
     for rally in rallies:
         for v in validate_rally(rally, vocab, strict_serve=args.strict_serve):
             n_violations += 1
@@ -389,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("synth", cmd_synth, "generate a synthetic dataset CSV", ("seed", "vocab", "n_rallies", "mean_length"))
     p.add_argument("--out", required=True)
 
-    p = command("validate", cmd_validate, "check a dataset against the rally invariants", ("vocab", "mirror"))
+    p = command("validate", cmd_validate, "count a dataset's rejected rows and its rallies' alternation breaks",
+                ("vocab", "mirror"))
     p.add_argument("--data", required=True)
-    p.add_argument("--strict-serve", action="store_true")
+    p.add_argument("--strict-serve", action="store_true", help="also check that only the opening stroke is a service")
 
     p = command("train", cmd_train, "filter, split, and train a forecaster", (
         "seed", "vocab", "mirror", "embed_dim", "n_heads", "n_layers", "ffn_dim", "dropout", "embedding_mode",

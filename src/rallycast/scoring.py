@@ -142,12 +142,13 @@ def sample(
     """Sample one continuation per (rally index, horizon, seed) task, all in one batched forward per step.
 
     A continuation autoregressively samples `horizon` strokes after its
-    rally's TAU-stroke prefix. Service types are masked out of the sampled
-    distribution (they occur only on the opening stroke), the hitter of each
-    generated stroke stands at the previous landing point mirrored into the
-    new canonical frame, and the draw is deterministic under (params,
-    prefix, seed): each continuation draws only its own random() and
-    standard_normal(2) from its own seed, so it does not depend on the
+    rally's TAU-stroke prefix, so step t draws round TAU + t; a rally
+    shorter than TAU raises ValueError. Service types are masked out of the
+    sampled distribution (they occur only on the opening stroke), the hitter
+    of each generated stroke stands at the previous landing point mirrored
+    into the new canonical frame, and the draw is deterministic under
+    (params, prefix, seed): each continuation draws only its own random()
+    and standard_normal(2) from its own seed, so it does not depend on the
     other tasks.
 
     Each rally's prefix is read once from its columns, so at step t all
@@ -161,9 +162,6 @@ def sample(
     """
     if not tasks:
         return []
-    for rally in rallies:
-        if len(rally) < TAU:
-            raise ValueError(f"rally {rally.rally_id}: prefix needs {TAU} strokes, found {len(rally)}")
     horizons = np.array([horizon for _, horizon, _ in tasks])
     if horizons.min() < 1:
         raise ValueError("horizon must be at least 1")
@@ -176,7 +174,6 @@ def sample(
     # per batch row: the stroke before the next one, and the player-table rows of sides A and B
     prefixes = StrokeInputs.stack([model.rally_inputs(r, TAU) for r in rallies])
     prev_landing = np.array([r.landings[TAU - 1] for r in rallies])[rally_of]
-    prev_round = np.array([r.rounds[TAU - 1] for r in rallies])[rally_of]
     side_ids = np.array([[model.player_id(r.player_a), model.player_id(r.player_b)] for r in rallies])[rally_of]
 
     fed = prefixes.rows(rally_of)  # the strokes the next step feeds
@@ -202,11 +199,9 @@ def sample(
                 court,
             )
             hit_a = ~fed.hit_by_a[:, -1]
-            rounds = prev_round + 1
-            for row, (c, t, xy, a, r) in enumerate(
-                zip(active.tolist(), type_ids.tolist(), landing.tolist(), hit_a.tolist(), rounds.tolist())
-            ):
-                outs[c].append(GeneratedStroke(r, Player.A if a else Player.B, t, tuple(xy), type_probs[row]))
+            columns = zip(active.tolist(), type_ids.tolist(), landing.tolist(), hit_a.tolist())
+            for row, (c, t, xy, a) in enumerate(columns):
+                outs[c].append(GeneratedStroke(TAU + step, Player.A if a else Player.B, t, tuple(xy), type_probs[row]))
 
             n = int(np.count_nonzero(horizons[active] > step))
             if n == 0:
@@ -220,7 +215,7 @@ def sample(
                 landings=court.normalize(landing)[:, None],
                 locations=court.normalize(size - prev_landing[:n])[:, None],  # the previous landing, mirrored
             )
-            prev_landing, prev_round = landing, rounds[:n]
+            prev_landing = landing
     return outs
 
 
@@ -359,20 +354,6 @@ def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarra
     return losses.reshape(k, n), suffix
 
 
-def _rally_sums(losses: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-    """(k, R) sums of each rally's stroke losses, added left to right as Python's sum does.
-
-    One step per stroke position, each across every set and every rally that
-    long.
-    """
-    starts = np.cumsum(suffix) - suffix
-    sums = np.zeros((len(losses), len(suffix)))
-    for j in range(int(suffix.max(initial=0))):
-        live = np.flatnonzero(suffix > j)
-        sums[:, live] += losses[:, starts[live] + j]
-    return sums
-
-
 @dataclass
 class ScoreReport:
     """Aggregate scoring outcome for a batch of sampled suffix sets.
@@ -416,8 +397,10 @@ def score_sample_sets(
     if not len(sets):
         raise ValueError("need at least one sample set")
     stroke_losses, suffix = _stroke_losses(_as_sample_sets(sets), truths)
+    rally_of_stroke = np.repeat(np.arange(len(truths)), suffix)
+    rally_sums = np.zeros((len(stroke_losses), len(truths)))  # (k, R), each rally's losses added left to right
     with np.errstate(over="ignore"):  # finite stroke losses can add up to inf
-        rally_sums = _rally_sums(stroke_losses, suffix)  # (k, R)
+        np.add.at(rally_sums.T, rally_of_stroke, stroke_losses.T)
         set_sums = [row.sum() for row in rally_sums]
     overflowed = ~np.isfinite(set_sums)  # if none is, no sum below is either: losses are not negative
     if overflowed.any():
@@ -437,7 +420,6 @@ def score_sample_sets(
     # winning set so they describe the scored prediction, not a loser;
     # round sums accumulate rally by rally, as a loop over the rallies would
     per_rally = {rally.rally_id: v for rally, v in zip(truths, rally_sums[best_idx, np.arange(len(truths))].tolist())}
-    rally_of_stroke = np.repeat(np.arange(len(truths)), suffix)
     position = np.arange(n) - np.repeat(np.cumsum(suffix) - suffix, suffix)
     round_sum = np.zeros(int(suffix.max()))
     np.add.at(round_sum, position, stroke_losses[best_idx[rally_of_stroke], np.arange(n)])

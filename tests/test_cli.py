@@ -58,6 +58,30 @@ def test_synth_output_validates_cleanly(tmp_path):
     assert "0 violations" in out.stdout
 
 
+# damage to the second line of corpus32's first rally (its round 2): (edit of the line, rows the parse rejects)
+ROW_DAMAGE = {
+    "row_removed": (lambda row: None, 5),  # the gap rejects the rally's other 5 rows
+    "nan_coordinate": (lambda row: row.replace(",2.847937887944315,", ",nan,"), 6),
+    "unknown_type": (lambda row: row.replace(",net shot,", ",banana,"), 6),
+    "player_c": (lambda row: row.replace(",B,", ",C,"), 6),
+}
+
+
+@pytest.mark.parametrize("damage", list(ROW_DAMAGE))
+def test_validate_counts_the_rows_the_parse_rejects_and_exits_1(tmp_path, damage):
+    edit, rejected = ROW_DAMAGE[damage]
+    lines = CORPUS32.read_text(encoding="utf-8").splitlines()
+    assert lines[2].startswith("alice--bruno,r0000,2,B,net shot,2.847937887944315,")
+    lines[2] = edit(lines[2])
+    data = tmp_path / "damaged.csv"
+    data.write_text("\n".join(line for line in lines if line is not None) + "\n", encoding="utf-8")
+    out = run_cli("validate", "--data", data)
+    assert out.returncode == 1, out.stderr
+    report = data.with_name("damaged.csv.rejects.csv")
+    assert report.exists()
+    assert out.stdout == f"note: {rejected} rows rejected, see {report}\n31 rallies checked, {rejected} violations\n"
+
+
 @pytest.mark.parametrize("command", [
     lambda tmp: ["synth", "--n", 5, "--out", tmp / "x.csv"],
     # train accepted it and wrote a checkpoint that predict then failed on in the sampler

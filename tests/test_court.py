@@ -76,6 +76,11 @@ def test_validate_rally_flags_broken_alternation(vocab):
     assert len(violations) == 1
     assert violations[0].stroke_index == 2
     assert violations[0].rule == "alternation"
+    shifted = (rally.strokes[0], bad, dataclasses.replace(rally.strokes[2], player=Player.B))
+    assert validate_rally(Rally("r", "m", "a", "b", shifted), vocab) == [
+        Violation(2, "alternation", "expected player B, found A"),
+        Violation(3, "alternation", "expected player A, found B"),
+    ]
 
 
 def test_validate_rally_strict_serve_after_open(vocab):
@@ -83,31 +88,11 @@ def test_validate_rally_strict_serve_after_open(vocab):
     violations = validate_rally(rally, vocab, strict_serve=True)
     assert [(v.stroke_index, v.rule) for v in violations] == [(3, "serve_after_open")]
     assert validate_rally(rally, vocab, strict_serve=False) == []
-
-
-def test_validate_rally_round_index_and_nonfinite(vocab):
-    strokes = (
-        Stroke(1, Player.A, 0, (2.0, 8.0), (3.0, 3.0)),
-        Stroke(3, Player.B, 3, (2.0, float("nan")), (3.0, 3.0)),
-    )
-    rally = make_rally([0])
-    rally = type(rally)("r", "m", "a", "b", strokes)
-    rules = {v.rule for v in validate_rally(rally, vocab)}
-    assert "round_index" in rules
-    assert "nonfinite" in rules
-
-
-def test_validate_rally_names_both_sides_and_passes_huge_finite_coordinates(vocab):
-    """Finite coordinates whose sum overflows are not reported as non-finite."""
-    strokes = (
-        Stroke(1, Player.A, 0, (1e308, 1e308), (1e308, 3.0)),
-        Stroke(2, Player.A, 3, (2.0, -1e308), (3.0, 3.0)),
-        Stroke(3, Player.B, 3, (2.0, 8.0), (3.0, 3.0)),
-    )
-    assert validate_rally(Rally("r", "m", "a", "b", strokes), vocab) == [
-        Violation(2, "alternation", "expected player B, found A"),
-        Violation(3, "alternation", "expected player A, found B"),
+    assert validate_rally(make_rally([3, 4]), vocab, strict_serve=True) == [
+        Violation(1, "serve_first", "rally opens with non-service type 'smash'"),
     ]
+
+
 
 
 def test_alternation_property(vocab):
@@ -139,8 +124,6 @@ def test_zone_out_of_bounds(court):
     assert coord_to_zones((3.0, court.length_m + 1.0), court, Player.B)[0] == ZONE_OUT
     assert coord_to_zones((3.0, 1.0), court, Player.B)[0] == ZONE_OUT  # other half
     assert coord_to_zones((-0.1, 10.0), court, Player.B)[0] == ZONE_OUT
-    with pytest.raises(ValueError):
-        coord_to_zones((float("inf"), 1.0), court, Player.B)
 
 
 def _centroids(court, side):
@@ -291,11 +274,6 @@ def test_array_zones_equal_the_per_point_reference(free, on_lines, side):
     want = [reference_coord_to_zone(p, court, side) for p in points]
     assert coord_to_zones(np.array(points).reshape(-1, 2), court, side).tolist() == want
     assert [coord_to_zones(p, court, side)[0] for p in points] == want
-
-
-def test_array_zones_reject_a_non_finite_point(court):
-    with pytest.raises(ValueError, match=r"non-finite landing coordinate: \(nan, 10.0\)"):
-        coord_to_zones(np.array([[3.0, 10.0], [math.nan, 10.0], [math.inf, 1.0]]), court, Player.B)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Every command that reads the damaged input runs on it. No exception escapes
 main. A damaged dataset, prediction file, vocabulary or checkpoint exits 0,
 or 1 with an `error:` line naming a file (validate's violation count, which
-prints none, is a result); only a damaged config file exits 2. A run that
+prints none, is a result); only a damaged config file exits 2. validate
+exits 0 on a damaged dataset only if its parse rejects no row and no rally
+breaks a rule. A run that
 fails leaves no output file. The property-test profile in conftest.py is
 derandomized, so every run draws the same damage.
 """
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rallycast import cli
-from rallycast.court import ShotTypeVocab
+from rallycast.court import ShotTypeVocab, validate_rally
 from rallycast.dataset import SynthConfig, parse_dataset, synthesize_dataset, write_dataset
 from rallycast.network import CHECKPOINT_MAGIC, save_checkpoint
 from rallycast.scoring import export_predictions, generate_sample_sets
@@ -189,6 +191,10 @@ def test_damage_to_an_input_exits_by_the_rule(inputs, kind, data):
                 assert code in (0, 1), (argv, stderr)
                 if code == 1 and not (argv[0] == "validate" and stderr == ""):
                     assert stderr.startswith(tuple(f"error: {paths[name]}: " for name in BLAMED[kind])), (argv, stderr)
+                if code == 0 and argv[0] == "validate" and kind == "dataset":
+                    rallies, _, rejects = parse_dataset(paths["dataset"], write_rejects=False)
+                    vocab = ShotTypeVocab.default()
+                    assert rejects == [] and not any(validate_rally(r, vocab) for r in rallies), argv
             if code != 0:
                 assert [p for p in out.rglob("*") if p.is_file()] == [], argv
             shutil.rmtree(out)
