@@ -1,18 +1,20 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Small by design: rank <= 3, numpy storage, one backward closure per
-primitive. A graph is built from the named primitives only (`add`, `mul`,
-`scale`, `tanh`, ...): Tensor defines no arithmetic operators, so `a + b` on
-tensors raises TypeError, and a Python scalar enters as a `scale` factor or
-an explicit `Tensor` leaf. `backward` returns `graph_nodes(loss)`, the nodes
-it visited, parents first. Layer norm, softmax, multi-head attention, the
-affine map x @ w (+ b) and the training loss's cross-entropy and Gaussian
-NLL are single primitives with hand-derived backwards, so a forward pays the
-per-op overhead once for each. Every primitive checks its output for NaN/Inf
-and raises NumericHealthError on violation, so a diverging computation fails
-at the op that produced the bad values instead of at the loss. Inside
-`no_tape()` the same primitives run with the same checks but record no
-graph, which is how inference avoids keeping every intermediate alive.
+primitive. A graph is built from the named primitives only (`add`,
+`scale`, `tslice`, ...): Tensor defines no arithmetic operators and no
+indexing, so `a + b` or `a[0]` on tensors raises TypeError, and a Python
+scalar enters as a `scale` factor or an explicit `Tensor` leaf. `backward`
+returns `graph_nodes(loss)`, the nodes it visited, parents first. Layer
+norm, softmax, multi-head attention, the affine map x @ w (+ b), the
+model's context gate and landing Gaussian, and the training loss's
+cross-entropy and Gaussian NLL are single primitives with hand-derived
+backwards, so a forward pays the per-op overhead once for each. Every
+primitive checks its output for NaN/Inf and raises NumericHealthError on
+violation, so a diverging computation fails at the op that produced the bad
+values instead of at the loss. Inside `no_tape()` the same primitives run
+with the same checks but record no graph, which is how inference avoids
+keeping every intermediate alive.
 
 No primitive writes into an input's data: each builds its output in a
 fresh array. So `tslice` with a basic key returns a view of its input's
@@ -57,6 +59,10 @@ BLOCK_ROWS = 64  # rows per BLAS call: OpenBLAS threads a larger product, which 
 LAYER_NORM_EPS = 1e-5  # added to each row's variance
 PROB_FLOOR = 1e-12  # cross-entropy clamp; quantized probabilities can be exactly zero
 LOG_2PI = math.log(2.0 * math.pi)
+# landing_params keeps sigma strictly positive and |rho| strictly below 1 even when the raw head
+# saturates exp/tanh in float64, so gaussian_nll and a sampler need no clamp of their own
+LOG_SIGMA_RANGE = 300.0
+RHO_CAP = 1.0 - 1e-12
 
 T = TypeVar("T")
 
@@ -93,9 +99,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, leaf={self._bwd is None})"
-
-    def __getitem__(self, key):
-        return tslice(self, key)
 
 
 class _TapeState(threading.local):
@@ -166,11 +169,11 @@ def replay_step(step: Callable[[], T], outputs: Callable[[T], Iterable[Tensor]])
 def _check_input(data: np.ndarray, op: str) -> None:
     """Inside checked_by_step(), refuse a non-finite input of an op whose output could hide it.
 
-    relu, sigmoid, tanh, clip and softmax map an infinite input to a finite
-    output, tslice, embedding_lookup and cross_entropy may leave the entry
-    out, and attention's mask may cover a score made from it; elsewhere a
-    non-finite input gives a non-finite output, which the step's output
-    check finds.
+    relu and softmax map an infinite input to a finite output, as gate does
+    its z and landing_params its log-sigma and rho columns; tslice,
+    embedding_lookup and cross_entropy may leave the entry out, and
+    attention's mask may cover a score made from it. Elsewhere a non-finite
+    input gives a non-finite output, which the step's output check finds.
     """
     if _tape_state.by_step and not np.isfinite(data).all():
         raise NumericHealthError(f"{op} got a non-finite input")
@@ -293,26 +296,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), bwd, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(out_data, (a, b), bwd, "mul")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out_data = a.data * c
@@ -323,28 +306,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(out_data, (a,), bwd, "scale")
 
 
-def tanh(a: Tensor) -> Tensor:
-    _check_input(a.data, "tanh")
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bwd, "tanh")
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1, so no exp overflows
-    _check_input(a.data, "sigmoid")
-    e = np.exp(-np.abs(a.data))
-    out_data = np.maximum(e, a.data >= 0) / (1.0 + e)
-
-    def bwd(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bwd, "sigmoid")
-
-
 def relu(a: Tensor) -> Tensor:
     _check_input(a.data, "relu")
     out_data = np.maximum(a.data, 0.0)
@@ -353,17 +314,6 @@ def relu(a: Tensor) -> Tensor:
         _accumulate(a, g * (out_data > 0))
 
     return _make(out_data, (a,), bwd, "relu")
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    _check_input(a.data, "clip")
-    inside = (a.data > lo) & (a.data < hi)
-    out_data = np.clip(a.data, lo, hi)
-
-    def bwd(g):
-        _accumulate(a, g * inside)
-
-    return _make(out_data, (a,), bwd, "clip")
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -574,6 +524,56 @@ def dropout(a: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
     return _make(out_data, (a,), bwd, "dropout")
 
 
+def gate(z: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """s * a + (1 - s) * b with s = sigmoid(z), for z, a and b of one shape.
+
+    ShuttleNet's position-aware fusion (Wang et al., 2022) in one op: z is
+    the gate's pre-activation, a and b the two contexts it mixes.
+    """
+    if not z.shape == a.shape == b.shape:
+        raise ValueError(f"gate shapes {z.shape}, {a.shape}, {b.shape} differ")
+    _check_input(z.data, "gate")  # a saturated z hides an infinity
+    # 1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|) <= 1, so no exp overflows
+    e = np.exp(-np.abs(z.data))
+    s = np.maximum(e, z.data >= 0) / (1.0 + e)
+    one_minus = 1.0 - s
+    out_data = s * a.data + one_minus * b.data
+
+    def bwd(g):
+        _accumulate(z, (g * a.data - g * b.data) * s * one_minus)
+        _accumulate(a, g * s)
+        _accumulate(b, g * one_minus)
+
+    return _make(out_data, (z, a, b), bwd, "gate")
+
+
+def landing_columns(landing: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the (..., 2) mu, (..., 2) log-sigma and (...,) rho of (..., 5) landing rows."""
+    return landing[..., 0:2], landing[..., 2:4], landing[..., 4]
+
+
+def landing_params(raw: Tensor) -> Tensor:
+    """The (..., 5) landing Gaussian of a raw (..., 5) head, in landing_columns' order.
+
+    mu is the raw columns as they are, log-sigma the raw columns clipped to
+    +-LOG_SIGMA_RANGE, and rho = tanh(raw) * RHO_CAP. A clipped entry gets
+    no gradient.
+    """
+    if raw.shape[-1:] != (5,):
+        raise ValueError(f"landing_params needs 5 columns, got shape {raw.shape}")
+    _check_input(raw.data, "landing_params")  # the clip and tanh hide an infinity
+    mu, log_sigma, rho_raw = landing_columns(raw.data)
+    inside = (log_sigma > -LOG_SIGMA_RANGE) & (log_sigma < LOG_SIGMA_RANGE)
+    t = np.tanh(rho_raw)
+    out_data = np.concatenate([mu, np.clip(log_sigma, -LOG_SIGMA_RANGE, LOG_SIGMA_RANGE), (t * RHO_CAP)[..., None]], axis=-1)
+
+    def bwd(g):
+        d_mu, d_ls, d_rho = landing_columns(g)
+        _accumulate(raw, np.concatenate([d_mu, d_ls * inside, (d_rho * RHO_CAP * (1.0 - t * t))[..., None]], axis=-1))
+
+    return _make(out_data, (raw,), bwd, "landing_params")
+
+
 def cross_entropy(probs: Tensor, targets) -> Tensor:
     """-log(max(p, PROB_FLOOR)) per row of the (N, V) probs, p the row's target probability; at the floor, no gradient."""
     targets = np.asarray(targets, dtype=np.int64)
@@ -593,29 +593,30 @@ def cross_entropy(probs: Tensor, targets) -> Tensor:
     return _make(out_data, (probs,), bwd, "cross_entropy")
 
 
-def gaussian_nll(mu: Tensor, log_sigma: Tensor, rho: Tensor, xy: np.ndarray) -> Tensor:
+def gaussian_nll(params: Tensor, xy: np.ndarray) -> Tensor:
     """Negative log-likelihood of each constant point of the (N, 2) xy under its row's bivariate Gaussian.
 
-    mu and log_sigma are (N, 2) and rho is (N,). With z = (xy - mu) / sigma
-    and r = 1 - rho^2, a row is log 2pi + ls_x + ls_y + log(r) / 2
-    + (zx^2 + zy^2 - 2 rho zx zy) / (2 r). A |rho| >= 1 gives a non-finite
-    row, as does any non-finite input entry, so no input needs a check.
+    params is (N, 5), packed as landing_params packs it (see
+    landing_columns). With z = (xy - mu) / sigma and r = 1 - rho^2, a row is
+    log 2pi + ls_x + ls_y + log(r) / 2 + (zx^2 + zy^2 - 2 rho zx zy) / (2 r).
+    A |rho| >= 1 gives a non-finite row, as does any non-finite input
+    entry, so no input needs a check.
     """
     xy = np.asarray(xy, dtype=np.float64)
-    if xy.shape[1:] != (2,) or (mu.shape, log_sigma.shape, rho.shape) != (xy.shape, xy.shape, xy.shape[:1]):
-        raise ValueError(f"gaussian_nll shapes {mu.shape}, {log_sigma.shape}, {rho.shape} do not fit xy {xy.shape}")
-    ls, r = log_sigma.data, rho.data
+    if xy.shape[1:] != (2,) or params.shape != (len(xy), 5):
+        raise ValueError(f"gaussian_nll params {params.shape} do not fit xy {xy.shape}")
+    mu, ls, r = landing_columns(params.data)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite row is a health error
         sx, sy = np.exp(ls[:, 0]), np.exp(ls[:, 1])
-        zx, zy = (xy[:, 0] - mu.data[:, 0]) / sx, (xy[:, 1] - mu.data[:, 1]) / sy
+        zx, zy = (xy[:, 0] - mu[:, 0]) / sx, (xy[:, 1] - mu[:, 1]) / sy
         one_m_rho2 = 1.0 - r * r
         quad = zx * zx + zy * zy - r * 2.0 * zx * zy
         out_data = LOG_2PI + ls[:, 0] + ls[:, 1] + np.log(one_m_rho2) * 0.5 + quad / (one_m_rho2 * 2.0)
 
     def bwd(g):
         d_zx, d_zy = (zx - r * zy) / one_m_rho2, (zy - r * zx) / one_m_rho2  # d row / d zx and / d zy
-        _accumulate(mu, np.stack([-g * d_zx / sx, -g * d_zy / sy], axis=1))
-        _accumulate(log_sigma, np.stack([g * (1.0 - zx * d_zx), g * (1.0 - zy * d_zy)], axis=1))
-        _accumulate(rho, g * (r * quad / one_m_rho2 - r - zx * zy) / one_m_rho2)
+        d_rho = g * (r * quad / one_m_rho2 - r - zx * zy) / one_m_rho2
+        columns = [-g * d_zx / sx, -g * d_zy / sy, g * (1.0 - zx * d_zx), g * (1.0 - zy * d_zy), d_rho]
+        _accumulate(params, np.stack(columns, axis=1))
 
-    return _make(out_data, (mu, log_sigma, rho), bwd, "gaussian_nll")
+    return _make(out_data, (params,), bwd, "gaussian_nll")

@@ -4,8 +4,9 @@ Dual-channel stroke embeddings feed a causal transformer encoder that runs
 once over two copies of each history, stacked along the batch axis: one copy
 attends over the whole rally (rally context), the other only over strokes
 hit by the query position's player (player context). A position-aware
-sigmoid gate fuses the two contexts, and two heads emit a shot-type
-distribution and a bivariate Gaussian over the normalized landing point.
+sigmoid gate (autodiff.gate) fuses the two contexts, and two heads emit a
+shot-type distribution and a bivariate Gaussian over the normalized landing
+point, packed by autodiff.landing_params.
 
 Embedding modes:
   modified  shot channel = type embedding + player-id embedding,
@@ -35,7 +36,7 @@ UNKNOWN_PLAYER = 0  # reserved row of the player embedding table
 
 CHECKPOINT_MAGIC = b"RCKPT1\n"
 
-AREA_PARAM_COUNT = 5  # mu_x, mu_y, log_sigma_x, log_sigma_y, rho_raw
+AREA_PARAM_COUNT = 5  # the raw landing head: mu_x, mu_y, log_sigma_x, log_sigma_y, rho before its tanh
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,7 @@ def encode_contexts(
         raise ValueError("hitters must align with the sequence")
     single = x.ndim == 2
     if single:  # a one-row batch
-        x, hitters = x[None], hitters[None]
+        x, hitters = ad.tslice(x, None), hitters[None]
     start, n_new = (0 if cache is None else cache.length), hitters.shape[-1]
     every = hitters if cache is None else cache.feed(hitters)
     same = hitters[..., :, None] == every[..., None, :]
@@ -341,35 +342,28 @@ def encode_contexts(
     else:  # history i to rows 2i and 2i + 1, so that KVCache.keep_rows keeps the first histories as a prefix
         pairs = np.arange(2 * b).reshape(2, b).T.ravel()
         uniforms = None if uniforms is None else uniforms[:, pairs]
-        out = _encoder_stack(ad.concat([x, x], axis=0)[pairs], allowed[pairs], params, config, uniforms, cache)
+        out = _encoder_stack(
+            ad.tslice(ad.concat([x, x], axis=0), pairs), allowed[pairs], params, config, uniforms, cache
+        )
     if cache is not None:
         cache.length = start + n_new
-    return (out[0, first:], out[1, first:]) if single else (out[0::2, first:], out[1::2, first:])
+    rally_rows, player_rows = (0, 1) if single else (slice(0, None, 2), slice(1, None, 2))
+    return ad.tslice(out, (rally_rows, slice(first, None))), ad.tslice(out, (player_rows, slice(first, None)))
 
 
 def fuse_contexts(rally_ctx: Tensor, player_ctx: Tensor, pos_enc: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Position-aware gate: fused = g * rally + (1 - g) * player."""
+    """Position-aware gate: fused = g * rally + (1 - g) * player, g the sigmoid of an affine map of all three."""
     gate_in = ad.concat([rally_ctx, player_ctx, pos_enc], axis=-1)
-    g = ad.sigmoid(ad.linear(gate_in, params["gate_w"], params["gate_b"]))
-    one_minus = ad.sub(Tensor(1.0), g)
-    return ad.add(ad.mul(g, rally_ctx), ad.mul(one_minus, player_ctx))
+    return ad.gate(ad.linear(gate_in, params["gate_w"], params["gate_b"]), rally_ctx, player_ctx)
 
 
-# keep sigma strictly positive and |rho| strictly below 1 even when the raw
-# head outputs saturate exp/tanh in float64
-LOG_SIGMA_RANGE = 300.0
-RHO_CAP = 1.0 - 1e-12
+def prediction_heads(fused: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Per-position (type_probs, landing) for a (..., n, d) fused tensor: (..., n, V) and (..., n, 5).
 
-
-def prediction_heads(fused: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Per-position (type_probs, mu, log_sigma, rho) for a (..., n, d) fused tensor."""
-    logits = ad.linear(fused, params["type_head_w"], params["type_head_b"])
-    probs = ad.softmax(logits)
-    area = ad.linear(fused, params["area_head_w"], params["area_head_b"])
-    mu = area[..., 0:2]
-    log_sigma = ad.clip(area[..., 2:4], -LOG_SIGMA_RANGE, LOG_SIGMA_RANGE)
-    rho = ad.scale(ad.tanh(area[..., 4]), RHO_CAP)
-    return probs, mu, log_sigma, rho
+    landing is the bivariate Gaussian packed as autodiff.landing_params packs it.
+    """
+    probs = ad.softmax(ad.linear(fused, params["type_head_w"], params["type_head_b"]))
+    return probs, ad.landing_params(ad.linear(fused, params["area_head_w"], params["area_head_b"]))
 
 
 @dataclass
@@ -404,8 +398,8 @@ class Forecaster:
         rng: np.random.Generator | None = None,
         cache: KVCache | None = None,
         first: int = 0,
-    ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Next-stroke head outputs at positions first .. n-1: (..., m, V), (..., m, 2), (..., m, 2), (..., m).
+    ) -> tuple[Tensor, Tensor]:
+        """Next-stroke (type_probs, landing) at positions first .. n-1: (..., m, V) and (..., m, 5).
 
         One definition serves one history (training, teacher forcing) and a
         (B, n) batch (lockstep sampling); every row of a batch gets the same
@@ -448,8 +442,8 @@ class Forecaster:
         n: int,
         rng: np.random.Generator | None = None,
         first: int = 0,
-    ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """Next-stroke head outputs at positions first .. n-1 of the rally's first n strokes."""
+    ) -> tuple[Tensor, Tensor]:
+        """Next-stroke (type_probs, landing) at positions first .. n-1 of the rally's first n strokes."""
         return self.forward(self.rally_inputs(rally, n), rng=rng, first=first)
 
 
@@ -457,11 +451,11 @@ def forward_teacher_forced(
     model: Forecaster,
     rally: Rally,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Head outputs for strokes TAU+1 .. |rally|, conditioned on truth; dropout runs when rng is given.
+) -> tuple[Tensor, Tensor]:
+    """(type_probs, landing) for strokes TAU+1 .. |rally|, conditioned on truth; dropout runs when rng is given.
 
     Row i predicts stroke TAU+1+i from the strokes before it. The shapes are
-    (m, V), (m, 2), (m, 2) and (m,) for m = |rally| - TAU targets.
+    (m, V) and (m, 5) for m = |rally| - TAU targets.
     """
     if len(rally) < TAU + 1:
         raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")

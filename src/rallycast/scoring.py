@@ -118,9 +118,13 @@ def generate_sample_sets(
     set index), and each row of the lockstep batch gets the values it would
     get alone. So the draws do not depend on batch composition, and the first
     draws of a larger n_sets reproduce a smaller run exactly.
-    When horizon is None each rally is continued to its ground-truth length.
+    When horizon is None each rally is continued to its ground-truth length,
+    and a rally of TAU strokes or fewer raises ValueError naming it.
     """
     check_sampling(n_sets, seed, horizon)
+    for rally in rallies if horizon is None else ():
+        if len(rally) <= TAU:
+            raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")
     tasks = [
         (
             r_idx,
@@ -142,9 +146,10 @@ def sample(
     """Sample one continuation per (rally index, horizon, seed) task, all in one batched forward per step.
 
     A continuation autoregressively samples `horizon` strokes after its
-    rally's TAU-stroke prefix, so step t draws round TAU + t; a rally
-    shorter than TAU raises ValueError. Service types are masked out of the
-    sampled distribution (they occur only on the opening stroke), the hitter
+    rally's TAU-stroke prefix, so step t draws round TAU + t. Every horizon
+    must be at least 1 (generate_sample_sets checks), and a rally shorter
+    than TAU raises ValueError. Service types are masked out of the sampled
+    distribution (they occur only on the opening stroke), the hitter
     of each generated stroke stands at the previous landing point mirrored
     into the new canonical frame, and the draw is deterministic under
     (params, prefix, seed): each continuation draws only its own random()
@@ -163,8 +168,6 @@ def sample(
     if not tasks:
         return []
     horizons = np.array([horizon for _, horizon, _ in tasks])
-    if horizons.min() < 1:
-        raise ValueError("horizon must be at least 1")
     serve_ids = list(model.vocab.serve_ids)
     rngs = [np.random.default_rng(seed) for _, _, seed in tasks]
     outs: list[list[GeneratedStroke]] = [[] for _ in tasks]
@@ -188,15 +191,9 @@ def sample(
                 cache.length = start
                 return model.forward(fed, cache=cache, first=fed.type_ids.shape[-1] - 1)  # only the last is read
 
-            probs, mu, log_sigma, rho = ad.replay_step(forward, lambda heads: heads)
+            probs, gaussian = ad.replay_step(forward, lambda heads: heads)
             type_ids, landing, type_probs = _draw_strokes(
-                [rngs[c] for c in active],
-                probs.data[:, -1],
-                mu.data[:, -1],
-                log_sigma.data[:, -1],
-                rho.data[:, -1],
-                serve_ids,
-                court,
+                [rngs[c] for c in active], probs.data[:, -1], gaussian.data[:, -1], serve_ids, court
             )
             hit_a = ~fed.hit_by_a[:, -1]
             columns = zip(active.tolist(), type_ids.tolist(), landing.tolist(), hit_a.tolist())
@@ -222,16 +219,15 @@ def sample(
 def _draw_strokes(
     rngs: Sequence[np.random.Generator],
     type_probs: np.ndarray,
-    mu: np.ndarray,
-    log_sigma: np.ndarray,
-    rho: np.ndarray,
+    gaussian: np.ndarray,
     serve_ids: list[int],
     court: CourtSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the next stroke of each row: random() picks the type, then standard_normal(2) the landing.
 
-    Takes (B, V), (B, 2), (B, 2) and (B,) head outputs, one generator per
-    row, and the court, whose frame the landings are normalized in. Returns
+    Takes the (B, V) type probabilities and the (B, 5) landing Gaussians,
+    packed as autodiff.landing_columns reads them, one generator per row,
+    and the court, whose frame the landings are normalized in. Returns
     the (B,) type ids, the (B, 2) quantized landings in meters and the
     (B, V) serve-masked, renormalized, quantized distributions.
     """
@@ -249,11 +245,12 @@ def _draw_strokes(
     cum = probs.cumsum(axis=1)
     type_ids = np.minimum((cum / cum[:, -1:] <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
 
+    mu, log_sigma, rho = ad.landing_columns(gaussian)
     sigma = np.exp(log_sigma)
     chol = np.zeros((len(rngs), 2, 2))
     chol[:, 0, 0] = sigma[:, 0]
     chol[:, 1, 0] = rho * sigma[:, 1]
-    chol[:, 1, 1] = sigma[:, 1] * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+    chol[:, 1, 1] = sigma[:, 1] * np.sqrt(1.0 - rho * rho)  # |rho| <= ad.RHO_CAP, so 1 - rho^2 >= 2e-12
     z = mu + (chol @ noise[:, :, None])[:, :, 0]  # a matrix-vector product per row, as for one row
     return type_ids, quantize6_array(court.denormalize(z)), quantize_simplex(probs)
 

@@ -97,16 +97,16 @@ class LossBundle:
     n_steps: int
 
 
-Heads = tuple[Tensor, Tensor, Tensor, Tensor]  # (m, V), (m, 2), (m, 2), (m,)
+Heads = tuple[Tensor, Tensor]  # (m, V) type probabilities, (m, 5) landing Gaussian
 
 
 def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec) -> LossBundle:
     """Mean cross-entropy and mean Gaussian NLL over a batch's target strokes.
 
-    heads holds one (probs, mu, log_sigma, rho) tuple per rally, as returned
-    by forward_teacher_forced; their rows, concatenated, align with the
+    heads holds one (probs, landing) pair per rally, as returned by
+    forward_teacher_forced; their rows, concatenated, align with the
     rallies' strokes TAU+1 .. n, read from the type_ids and landings columns.
-    The graph is the four heads concatenated, ad.cross_entropy and
+    The graph is the two heads concatenated, ad.cross_entropy and
     ad.gaussian_nll over the (N,) rows, and the two means. Differentiable
     when the heads are live graph nodes; constant heads give only the values.
     """
@@ -114,7 +114,7 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
     targets = sum(max(len(r) - TAU, 0) for r in rallies)
     if n != targets or not targets:
         raise ValueError(f"got {n} prediction rows for {targets} targets")
-    probs, mu, log_sigma, rho = (ad.concat(parts, axis=0) for parts in zip(*heads))
+    probs, landing = (ad.concat(parts, axis=0) for parts in zip(*heads))
     true_types = np.concatenate([r.type_ids[TAU:] for r in rallies])
     xy = court.normalize(np.concatenate([r.landings[TAU:] for r in rallies]))
 
@@ -124,7 +124,7 @@ def step_loss(heads: Sequence[Heads], rallies: Sequence[Rally], court: CourtSpec
 
     inv_n = 1.0 / n
     shot = ad.scale(ad.tsum(ad.cross_entropy(probs, true_types)), inv_n)
-    area = ad.scale(ad.tsum(ad.gaussian_nll(mu, log_sigma, rho, xy)), inv_n)
+    area = ad.scale(ad.tsum(ad.gaussian_nll(landing, xy)), inv_n)
     return LossBundle(
         shot_loss=float(shot.data),
         area_loss=float(area.data),

@@ -2,13 +2,21 @@
 
 The tests check every primitive's backward, the full model's and the
 acceptance criterion's against central differences through gradient_check.
+weighted_sum turns a tensor into the scalar those checks differentiate.
 """
 
 from typing import Callable, Sequence
 
 import numpy as np
 
+from rallycast import autodiff as ad
 from rallycast.autodiff import Tensor, backward, grad_of
+
+
+def weighted_sum(t: Tensor, w) -> Tensor:
+    """sum(t * w) for a constant array w of t's shape (or a scalar), as one taped node."""
+    w = np.asarray(w, dtype=np.float64)
+    return ad._make((t.data * w).sum(), (t,), lambda g: ad._accumulate(t, g * w), "weighted_sum")
 
 
 def gradient_check(

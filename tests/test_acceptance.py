@@ -127,10 +127,11 @@ def test_criterion_gradient_integrity():
     started = time.perf_counter()
     # every primitive at < 1e-6 over 20 random shapes/seeds
     for case in range(20):
-        op_checks.test_grad_add_sub_mul(case)
+        op_checks.test_grad_add(case)
         op_checks.test_grad_matmul_transpose_scale(case)
-        op_checks.test_grad_unary_smooth(case)
-        op_checks.test_grad_relu_clamp(case)
+        op_checks.test_grad_gate(case)
+        op_checks.test_grad_landing_params(case)
+        op_checks.test_grad_relu(case)
         op_checks.test_grad_softmax(case)
         op_checks.test_grad_reductions(case)
         op_checks.test_grad_concat_slice(case)

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rallycast import autodiff as ad
-from rallycast.autodiff import NumericHealthError, Tensor, backward, grad_of
-from rallycast.network import LOG_SIGMA_RANGE, RHO_CAP
+from rallycast.autodiff import LOG_SIGMA_RANGE, RHO_CAP, NumericHealthError, Tensor, backward, grad_of
 
-from gradient_reference import gradient_check
+from gradient_reference import gradient_check, weighted_sum
 
 N_CASES = 20
 OP_TOL = 1e-6
@@ -27,8 +26,7 @@ def _away_from_kinks(x, margin=0.05, shift=0.2):
 
 
 def _weighted_sum(t, rng):
-    w = Tensor(rng.normal(0.0, 1.0, size=t.shape))
-    return ad.tsum(ad.mul(t, w))
+    return weighted_sum(t, rng.normal(0.0, 1.0, size=t.shape))
 
 
 def _check(fn, arrays, eps=1e-5):
@@ -38,7 +36,7 @@ def _check(fn, arrays, eps=1e-5):
 
 def _degenerate_nll():
     """gaussian_nll at rho = 1, where 1 - rho^2 is 0: the row is NaN."""
-    return ad.gaussian_nll(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), Tensor([1.0]), np.zeros((1, 2)))
+    return ad.gaussian_nll(Tensor([[0.0, 0.0, 0.0, 0.0, 1.0]]), np.zeros((1, 2)))
 
 
 def _infinite_ce():
@@ -107,14 +105,14 @@ def test_backward_sum_gives_ones():
 
 def test_backward_square_sum():
     x = Tensor([1.0, 2.0])
-    backward(ad.tsum(ad.mul(x, x)))
+    backward(weighted_sum(ad.add(x, x), x.data))  # (x + x) * x, with the second factor held
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
-        backward(ad.mul(x, x))
+        backward(ad.add(x, x))
 
 
 def test_unused_parameter_gets_zero_gradient():
@@ -126,7 +124,7 @@ def test_unused_parameter_gets_zero_gradient():
 
 def test_tape_orders_parents_before_children():
     x = Tensor([1.0, 2.0])
-    y = ad.mul(x, x)
+    y = ad.add(x, x)
     z = ad.tsum(ad.add(y, x))
     nodes = ad.graph_nodes(z)
     pos = {id(n): i for i, n in enumerate(nodes)}
@@ -137,21 +135,22 @@ def test_tape_orders_parents_before_children():
 
 
 def test_tensor_has_no_arithmetic_operators():
-    """A graph is built from the named primitives only; an operator on a tensor raises TypeError."""
+    """A graph is built from the named primitives only; an operator or an index on a tensor raises TypeError."""
     operators = (
         "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+        "__getitem__",
     )
     assert [name for name in operators if hasattr(Tensor, name)] == []
     x = Tensor([1.0, 2.0])
-    for apply in (lambda: x + x, lambda: 1.0 - x, lambda: 2.0 * x, lambda: x / 2.0, lambda: -x):
+    for apply in (lambda: x + x, lambda: 1.0 - x, lambda: 2.0 * x, lambda: x / 2.0, lambda: -x, lambda: x[0]):
         with pytest.raises(TypeError):
             apply()
 
 
 def test_shared_subgraph_accumulates():
     x = Tensor([3.0])
-    y = ad.add(ad.mul(x, x), x)  # x^2 + x -> grad 2x + 1
-    backward(ad.tsum(y))
+    y = ad.add(weighted_sum(ad.add(x, x), x.data), ad.tsum(x))  # (x + x) * 3 + x -> grad 2 * 3 + 1
+    backward(y)
     assert np.allclose(x.grad, [7.0])
 
 
@@ -165,16 +164,14 @@ def _shapes(rng):
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
-def test_grad_add_sub_mul(case):
+def test_grad_add(case):
     rng = np.random.default_rng(100 + case)
     shape = _shapes(rng)
     a = _rand(rng, *shape)
     b_shape = shape if rng.random() < 0.6 else shape[-1:]  # exercise broadcasting
     b = _rand(rng, *b_shape)
     w = rng.normal(size=shape)
-
-    for op in (ad.add, ad.sub, ad.mul):
-        _check(lambda ts, op=op: ad.tsum(ad.mul(op(ts[0], ts[1]), Tensor(w))), [a, b])
+    _check(lambda ts: weighted_sum(ad.add(ts[0], ts[1]), w), [a, b])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -185,8 +182,8 @@ def test_grad_matmul_transpose_scale(case):
     a, b = _rand(rng, m, k), _rand(rng, k, n)
     w = rng.normal(size=(m, n))
     bt = rng.normal(size=(n, k))
-    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1]), Tensor(w))), [a, b])
-    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], Tensor(bt.T)), Tensor(w))), [a])
+    _check(lambda ts: weighted_sum(ad.linear(ts[0], ts[1]), w), [a, b])
+    _check(lambda ts: weighted_sum(ad.linear(ts[0], Tensor(bt.T)), w), [a])
     _check(lambda ts: ad.tsum(ad.scale(ts[0], 1.7)), [a])
 
 
@@ -196,7 +193,7 @@ def test_grad_batched_matmul_transpose(case):
     bsz, m, k, n = (int(rng.integers(1, 4)) for _ in range(4))
     a, b2 = _rand(rng, bsz, m, k), _rand(rng, k, n)
     w = rng.normal(size=(bsz, m, n))
-    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1]), Tensor(w))), [a, b2])  # shared rank-2 weight
+    _check(lambda ts: weighted_sum(ad.linear(ts[0], ts[1]), w), [a, b2])  # shared rank-2 weight
 
 
 def test_batched_matmul_rows_equal_unbatched_products():
@@ -277,12 +274,45 @@ def test_matmul_rejects_mismatched_batches():
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
-def test_grad_unary_smooth(case):
+def test_grad_gate(case):
     rng = np.random.default_rng(300 + case)
     shape = _shapes(rng)
-    x = _rand(rng, *shape)
-    for op in (ad.tanh, ad.sigmoid):
-        _check(lambda ts, op=op: _weighted_sum(op(ts[0]), np.random.default_rng(case)), [x])
+    z, a, b = _rand(rng, *shape), _rand(rng, *shape), _rand(rng, *shape)
+    w = rng.normal(size=shape)
+    _check(lambda ts: weighted_sum(ad.gate(ts[0], ts[1], ts[2]), w), [z, a, b])
+    # a saturated z: at 40 the gate is exactly 1 and passes a alone, at -40 it is 4e-18
+    z = np.where(rng.random(shape) < 0.5, 40.0, -40.0)
+    z.flat[:2] = [40.0, -40.0]
+    assert np.array_equal(ad.gate(Tensor(z), Tensor(a), Tensor(b)).data[z > 0], a[z > 0])
+    _check(lambda ts: weighted_sum(ad.gate(ts[0], ts[1], ts[2]), w), [z, a, b])
+
+
+# log-sigma half a unit inside and outside either clip bound, and rho's raw column from moderate to saturated:
+# tanh(+-3.5) is +-0.998, and tanh(+-40) rounds to +-1, where rho is +-RHO_CAP and has no gradient
+LOG_SIGMA_AT_BOUNDS = [LOG_SIGMA_RANGE - 0.5, LOG_SIGMA_RANGE + 0.5, 0.5 - LOG_SIGMA_RANGE, -0.5 - LOG_SIGMA_RANGE]
+RAW_RHO_NEAR_CAP = [3.5, -3.5, 40.0, -40.0]
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_grad_landing_params(case):
+    rng = np.random.default_rng(1500 + case)
+    lead = (int(rng.integers(4, 7)),) if case % 2 == 0 else (2, int(rng.integers(2, 4)))
+    w = rng.uniform(0.5, 1.5, size=lead + (5,)) * rng.choice([-1.0, 1.0], size=lead + (5,))  # no weight near 0
+
+    def weighted(ts):
+        return weighted_sum(ad.landing_params(ts[0]), w)
+
+    raw = _rand(rng, *lead, 5)
+    raw[..., 4] = rng.uniform(-1.0, 1.0, size=lead)  # 1 - tanh^2 >= 0.42, so no rho gradient drowns in rounding
+    _check(weighted, [raw])
+    raw[..., 2:4] = np.resize(rng.permutation(LOG_SIGMA_AT_BOUNDS), lead + (2,))
+    _check(weighted, [raw])
+    raw = _rand(rng, *lead, 5)
+    raw[..., 4] = np.resize(rng.permutation(RAW_RHO_NEAR_CAP), lead)
+    saturated = np.abs(raw[..., 4]) == 40.0
+    rho = ad.landing_params(Tensor(raw)).data[..., 4]
+    assert np.array_equal(rho[saturated], RHO_CAP * np.sign(raw[..., 4][saturated]))
+    _check(weighted, [raw])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -293,7 +323,7 @@ def test_grad_cross_entropy(case):
     w = rng.normal(size=n)
 
     def weighted(ts):
-        return ad.tsum(ad.mul(ad.cross_entropy(ts[0], targets), Tensor(w)))
+        return weighted_sum(ad.cross_entropy(ts[0], targets), w)
 
     probs = rng.dirichlet(np.ones(v), size=n)
     _check(weighted, [probs])
@@ -317,23 +347,22 @@ def test_grad_gaussian_nll(case):
     n = int(rng.integers(1, 6))
     w = rng.normal(size=n)
 
-    def weighted(xy, mu=None, log_sigma=None, rho=None):
-        """The weighted NLL over the inputs given as leaves, in order, with the rest held."""
+    def weighted(xy, before=(), after=()):
+        """The weighted NLL of the params whose leaf columns sit between the held columns before and after."""
 
         def f(ts):
-            it = iter(ts)
-            held = [Tensor(a) if a is not None else next(it) for a in (mu, log_sigma, rho)]
-            return ad.tsum(ad.mul(ad.gaussian_nll(*held, xy), Tensor(w)))
+            params = ad.concat([*map(Tensor, before), ts[0], *map(Tensor, after)], axis=1)
+            return weighted_sum(ad.gaussian_nll(params, xy), w)
 
         return f
 
     mu, log_sigma = rng.normal(size=(n, 2)), rng.normal(0.0, 0.5, size=(n, 2))
     rho, xy = rng.uniform(0.2, 0.9, size=n) * rng.choice([-1.0, 1.0], size=n), rng.normal(size=(n, 2))
-    _check(weighted(xy), [mu, log_sigma, rho])
-    # either end of the heads' clip; at +LOG_SIGMA_RANGE a row is about 600 nats, so a rho gradient near 0 would
-    # drown in its rounding, hence |rho| >= 0.2
+    _check(weighted(xy), [np.column_stack([mu, log_sigma, rho])])
+    # either end of landing_params' clip; at +LOG_SIGMA_RANGE a row is about 600 nats, so a rho gradient near 0
+    # would drown in its rounding, hence |rho| >= 0.2
     for bound in (-LOG_SIGMA_RANGE, LOG_SIGMA_RANGE):
-        _check(weighted(xy), [mu, np.full((n, 2), bound), rho])
+        _check(weighted(xy), [np.column_stack([mu, np.full((n, 2), bound), rho])])
 
     # rho near +-RHO_CAP, with zx and zy of the signs that keep zx - rho zy and zy - rho zx from cancelling
     near_cap = np.where(rng.random(n) < 0.5, RHO_NEAR_CAP, -RHO_NEAR_CAP)
@@ -341,14 +370,16 @@ def test_grad_gaussian_nll(case):
     z = rng.uniform(0.5, 2.0, size=(n, 2)) * np.where(rng.random(n) < 0.5, 1.0, -1.0)[:, None]
     z[:, 1] *= -np.sign(near_cap)
     xy = mu + z * np.exp(log_sigma)
-    _check(weighted(xy, mu=mu, log_sigma=log_sigma), [near_cap], eps=RHO_EPS)
-    _check(weighted(xy, rho=near_cap), [mu, log_sigma])
+    _check(weighted(xy, before=[mu, log_sigma]), [near_cap[:, None]], eps=RHO_EPS)
+    _check(weighted(xy, after=[near_cap[:, None]]), [np.column_stack([mu, log_sigma])])
 
 
 def test_gaussian_nll_refuses_a_correlation_of_one():
-    """There is no clamp on 1 - rho^2: the heads keep |rho| within RHO_CAP, and a hand-built rho of +-1 fails the check."""
+    """There is no clamp on 1 - rho^2: landing_params keeps |rho| within RHO_CAP, and a rho of +-1 fails the check."""
     for rho in (1.0, -1.0):
-        args = Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))), Tensor([0.5, rho]), np.full((2, 2), 0.2)
+        params = np.zeros((2, 5))
+        params[:, 4] = [0.5, rho]
+        args = Tensor(params), np.full((2, 2), 0.2)
         with pytest.raises(NumericHealthError, match="^gaussian_nll produced non-finite values$"):
             ad.gaussian_nll(*args)
         with ad.checked_by_step():
@@ -356,14 +387,10 @@ def test_gaussian_nll_refuses_a_correlation_of_one():
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
-def test_grad_relu_clamp(case):
+def test_grad_relu(case):
     rng = np.random.default_rng(400 + case)
     x = _away_from_kinks(_rand(rng, 4, 3))
     _check(lambda ts: _weighted_sum(ad.relu(ts[0]), np.random.default_rng(case)), [x])
-    y = np.where(np.abs(x - 0.3) < 0.05, x + 0.2, x)
-    _check(lambda ts: _weighted_sum(ad.clip(ts[0], 0.3, math.inf), np.random.default_rng(case)), [y])
-    z = np.where(np.abs(np.abs(x) - 1.1) < 0.05, x * 1.2, x)
-    _check(lambda ts: _weighted_sum(ad.clip(ts[0], -1.1, 1.1), np.random.default_rng(case)), [z])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -371,20 +398,20 @@ def test_grad_softmax(case):
     rng = np.random.default_rng(500 + case)
     x = _rand(rng, 3, 4)
     w = rng.normal(size=(3, 4))
-    _check(lambda ts: ad.tsum(ad.mul(ad.softmax(ts[0]), Tensor(w))), [x])
+    _check(lambda ts: weighted_sum(ad.softmax(ts[0]), w), [x])
     # rank 3, with saturated rows: one logit 60 above the rest of its row
     x3 = _rand(rng, 2, 3, 4)
     x3[0, 1, int(rng.integers(4))] += 60.0
     x3[1, :, 0] -= 55.0
     w3 = rng.normal(size=x3.shape)
-    _check(lambda ts: ad.tsum(ad.mul(ad.softmax(ts[0]), Tensor(w3))), [x3])
+    _check(lambda ts: weighted_sum(ad.softmax(ts[0]), w3), [x3])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_grad_reductions(case):
     rng = np.random.default_rng(600 + case)
     x = _rand(rng, 3, 4)
-    _check(lambda ts: ad.tsum(ad.mul(ad.tsum(ts[0]), Tensor(1.3))), [x])
+    _check(lambda ts: weighted_sum(ad.tsum(ts[0]), 1.3), [x])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -392,12 +419,12 @@ def test_grad_concat_slice(case):
     rng = np.random.default_rng(700 + case)
     a, b = _rand(rng, 3, 2), _rand(rng, 3, 4)
     w = rng.normal(size=(3, 6))
-    _check(lambda ts: ad.tsum(ad.mul(ad.concat([ts[0], ts[1]], axis=1), Tensor(w))), [a, b])
-    _check(lambda ts: _weighted_sum(ts[0][1:3, :2], np.random.default_rng(case)), [b])
-    _check(lambda ts: _weighted_sum(ts[0][2], np.random.default_rng(case)), [b])
+    _check(lambda ts: weighted_sum(ad.concat([ts[0], ts[1]], axis=1), w), [a, b])
+    _check(lambda ts: _weighted_sum(ad.tslice(ts[0], np.s_[1:3, :2]), np.random.default_rng(case)), [b])
+    _check(lambda ts: _weighted_sum(ad.tslice(ts[0], 2), np.random.default_rng(case)), [b])
     rows = rng.integers(0, 3, size=5)  # repeated rows accumulate
-    _check(lambda ts: _weighted_sum(ts[0][rows], np.random.default_rng(case)), [b])
-    _check(lambda ts: _weighted_sum(ts[0][rows.tolist(), 1:], np.random.default_rng(case)), [b])
+    _check(lambda ts: _weighted_sum(ad.tslice(ts[0], rows), np.random.default_rng(case)), [b])
+    _check(lambda ts: _weighted_sum(ad.tslice(ts[0], np.s_[rows.tolist(), 1:]), np.random.default_rng(case)), [b])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -410,8 +437,8 @@ def test_grad_embedding_masked_fill(case):
     _check(lambda ts: _weighted_sum(ad.embedding_lookup(ts[0], batch_ids), np.random.default_rng(case)), [table])
 
     mask = rng.random((3, 4)) < 0.3  # masked in NumPy: those entries get no gradient
-    keep = Tensor(np.where(mask, 0.0, 1.0)[:, :, None])
-    _check(lambda ts: _weighted_sum(ad.mul(ad.embedding_lookup(ts[0], batch_ids), keep), np.random.default_rng(case)), [table])
+    keep = np.where(mask, 0.0, 1.0)[:, :, None] * np.random.default_rng(case).normal(0.0, 1.0, size=(3, 4, 3))
+    _check(lambda ts: weighted_sum(ad.embedding_lookup(ts[0], batch_ids), keep), [table])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -421,12 +448,12 @@ def test_grad_layer_norm(case):
     gain = _rand(rng, 5)
     bias = _rand(rng, 5)
     w = rng.normal(size=(3, 5))
-    _check(lambda ts: ad.tsum(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), Tensor(w))), [x, gain, bias])
+    _check(lambda ts: weighted_sum(ad.layer_norm(ts[0], ts[1], ts[2]), w), [x, gain, bias])
     # rank 3 with rows of different spreads, and a one-position sequence
     for lead in ((2, 4), (1, 1)):
         x3 = _rand(rng, *lead, 5) * np.array([1.0, 30.0, 0.1, 1.0])[: lead[1], None]
         w3 = rng.normal(size=x3.shape)
-        _check(lambda ts: ad.tsum(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), Tensor(w3))), [x3, gain, bias])
+        _check(lambda ts: weighted_sum(ad.layer_norm(ts[0], ts[1], ts[2]), w3), [x3, gain, bias])
 
 
 # the head count of cases 0-4, 5-9, ...: 1 and 2 heads over 4 columns, then 4 and 8 heads over 8
@@ -467,9 +494,9 @@ def test_grad_attention(case):
         scores = q[..., :dh] @ np.swapaxes(k[..., :dh], -1, -2) / np.sqrt(dh)
         top2 = np.sort(np.where(blocked, -np.inf, scores), axis=-1)[..., -2:]
         assert (top2[..., 1] - top2[..., 0] > 50.0).all()
-    _check(lambda ts: ad.tsum(ad.mul(ad.attention(ts[0], ts[1], ts[2], blocked, n_heads), Tensor(w))), [q, k, v])
+    _check(lambda ts: weighted_sum(ad.attention(ts[0], ts[1], ts[2], blocked, n_heads), w), [q, k, v])
     if q.shape == k.shape and case % 5 != 4:  # self-attention: one tensor feeds q, k and v, so its gradients add up
-        _check(lambda ts: ad.tsum(ad.mul(ad.attention(ts[0], ts[0], ts[0], blocked, n_heads), Tensor(w))), [q])
+        _check(lambda ts: weighted_sum(ad.attention(ts[0], ts[0], ts[0], blocked, n_heads), w), [q])
 
 
 def test_attention_refuses_a_query_that_sees_no_key():
@@ -496,7 +523,7 @@ def test_grad_linear(case):
     lead = (3,) if case % 2 == 0 else (2, 3)
     x, wt, b = _rand(rng, *lead, 4), _rand(rng, 4, 5), _rand(rng, 5)
     w = rng.normal(size=lead + (5,))
-    _check(lambda ts: ad.tsum(ad.mul(ad.linear(ts[0], ts[1], ts[2]), Tensor(w))), [x, wt, b])
+    _check(lambda ts: weighted_sum(ad.linear(ts[0], ts[1], ts[2]), w), [x, wt, b])
 
 
 def test_fused_primitives_evaluate_the_composite_expressions_bit_for_bit():
@@ -513,7 +540,16 @@ def test_fused_primitives_evaluate_the_composite_expressions_bit_for_bit():
     r = 1.0 - rho * rho
     nll = ((math.log(2.0 * math.pi) + ls[:, 0]) + ls[:, 1]) + np.log(r) * 0.5
     nll = nll + ((zx * zx + zy * zy) - ((rho * 2.0) * zx) * zy) / (r * 2.0)
-    assert np.array_equal(ad.gaussian_nll(Tensor(mu), Tensor(ls), Tensor(rho), xy).data, nll)
+    assert np.array_equal(ad.gaussian_nll(Tensor(np.column_stack([mu, ls, rho])), xy).data, nll)
+    z, a, b = x[0], x[1], rng.normal(size=(5, 4))
+    s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    assert np.array_equal(ad.gate(Tensor(z), Tensor(a), Tensor(b)).data, s * a + (1.0 - s) * b)
+    raw = rng.normal(size=(2, 5, 5))
+    raw[..., 2:4] *= 300.0  # some past +-LOG_SIGMA_RANGE
+    assert (np.abs(raw[..., 2:4]) > LOG_SIGMA_RANGE).any() and (np.abs(raw[..., 2:4]) < LOG_SIGMA_RANGE).any()
+    clipped = np.clip(raw[..., 2:4], -LOG_SIGMA_RANGE, LOG_SIGMA_RANGE)
+    want = np.concatenate([raw[..., :2], clipped, np.tanh(raw[..., 4:]) * RHO_CAP], axis=-1)
+    assert np.array_equal(ad.landing_params(Tensor(raw)).data, want)
 
 
 def test_fused_primitives_reject_mismatched_shapes():
@@ -599,11 +635,11 @@ def test_no_tape_records_no_parents():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     with ad.no_tape():
         y = ad.softmax(ad.linear(x, x))
-        z = ad.tsum(ad.mul(y, y))
+        z = weighted_sum(y, y.data)
     assert y._parents == () and y._bwd is None
     assert z._parents == () and z._bwd is None
     assert len(ad.graph_nodes(z)) == 1
-    taped = ad.tsum(ad.mul(x, x))
+    taped = weighted_sum(x, x.data)
     assert taped._parents and taped._bwd is not None
     assert np.array_equal(ad.softmax(ad.linear(x, x)).data, y.data)
 
@@ -613,7 +649,7 @@ def test_no_tape_restores_taping_after_the_body_raises():
     with pytest.raises(NumericHealthError):
         with ad.no_tape():
             _degenerate_nll()
-    y = ad.mul(x, x)
+    y = ad.add(x, x)
     assert y._parents == (x, x)
 
 
@@ -621,9 +657,9 @@ def test_no_tape_nests():
     x = Tensor([1.0, 2.0])
     with ad.no_tape():
         with ad.no_tape():
-            inner = ad.mul(x, x)
-        after_inner = ad.mul(x, x)
-    outside = ad.mul(x, x)
+            inner = ad.add(x, x)
+        after_inner = ad.add(x, x)
+    outside = ad.add(x, x)
     assert inner._parents == () and after_inner._parents == ()
     assert outside._parents == (x, x)
 
@@ -641,17 +677,12 @@ def _attention_mask(rng, n, m):
 # each primitive: (input shapes, the op over those input tensors)
 STEP_PRIMITIVES = {
     "add": ([(3, 4), (4,)], lambda a, b: ad.add(a, b)),
-    "sub": ([(3, 4), (3, 4)], lambda a, b: ad.sub(a, b)),
-    "mul": ([(3, 4), (3, 1)], lambda a, b: ad.mul(a, b)),
     "scale": ([(3, 4)], lambda a: ad.scale(a, 0.5)),
-    "tanh": ([(3, 4)], lambda a: ad.tanh(a)),
-    "sigmoid": ([(3, 4)], lambda a: ad.sigmoid(a)),
     "relu": ([(3, 4)], lambda a: ad.relu(a)),
-    "clip": ([(3, 4)], lambda a: ad.clip(a, -0.5, 0.5)),
     "tsum": ([(3, 4)], lambda a: ad.tsum(a)),
     "concat": ([(3, 4), (2, 4)], lambda a, b: ad.concat([a, b], axis=0)),
-    "slice": ([(3, 4)], lambda a: a[1:, :2]),
-    "fancy_slice": ([(3, 4)], lambda a: a[np.array([2, 2, 0])]),
+    "slice": ([(3, 4)], lambda a: ad.tslice(a, np.s_[1:, :2])),
+    "fancy_slice": ([(3, 4)], lambda a: ad.tslice(a, np.array([2, 2, 0]))),
     "embedding_lookup": ([(5, 4)], lambda t: ad.embedding_lookup(t, np.array([[0, 3], [3, 1]]))),
     "softmax": ([(3, 4)], lambda a: ad.softmax(a)),
     "layer_norm": ([(3, 4), (4,), (4,)], lambda a, g, b: ad.layer_norm(a, g, b)),
@@ -661,8 +692,10 @@ STEP_PRIMITIVES = {
     ),
     "linear": ([(3, 4), (4, 2), (2,)], lambda x, w, b: ad.linear(x, w, b)),
     "dropout": ([(3, 4)], lambda a: ad.dropout(a, 0.5, np.random.default_rng(1).random((3, 4)))),
+    "gate": ([(3, 4), (3, 4), (3, 4)], lambda z, a, b: ad.gate(z, a, b)),
+    "landing_params": ([(3, 5)], lambda raw: ad.landing_params(raw)),
     "cross_entropy": ([(3, 4)], lambda p: ad.cross_entropy(p, [2, 0, 3])),
-    "gaussian_nll": ([(3, 2), (3, 2), (3,)], lambda m, ls, r: ad.gaussian_nll(m, ls, r, np.full((3, 2), 0.3))),
+    "gaussian_nll": ([(3, 5)], lambda params: ad.gaussian_nll(params, np.full((3, 2), 0.3))),
 }
 
 
@@ -678,7 +711,7 @@ def test_a_non_finite_input_entry_either_replays_the_step_or_reaches_the_output(
     if name == "cross_entropy":
         base[0] = np.abs(base[0]) + 0.1
     if name == "gaussian_nll":  # inside |rho| < 1, where every row is finite
-        base[2] = np.tanh(base[2])
+        base[0][:, 4] = np.tanh(base[0][:, 4])
     for which, value in itertools.product(range(len(base)), (math.inf, -math.inf, math.nan)):
         for entry in range(base[which].size):
             arrays = [a.copy() for a in base]
@@ -703,10 +736,11 @@ def test_checked_by_step_skips_output_checks_only_inside_and_nests():
 
 
 def test_checked_by_step_restores_the_checks_after_the_body_raises():
-    with pytest.raises(NumericHealthError, match="sigmoid got a non-finite input"):
+    with pytest.raises(NumericHealthError, match="gate got a non-finite input"):
         with ad.checked_by_step():
-            ad.sigmoid(Tensor([math.inf]))
-    assert ad.sigmoid(Tensor([math.inf])).data[0] == 1.0  # a saturated leaf passes the output check, as before
+            ad.gate(Tensor([math.inf]), Tensor([1.0]), Tensor([0.0]))
+    # a saturated leaf passes the output check, as before
+    assert ad.gate(Tensor([math.inf]), Tensor([1.0]), Tensor([0.0])).data[0] == 1.0
     with pytest.raises(NumericHealthError, match="^gaussian_nll produced non-finite values$"):
         _degenerate_nll()
 
@@ -717,9 +751,9 @@ def test_replay_step_names_the_op_that_first_produced_a_non_finite_value():
 
     def step():
         runs.append(1)
-        return ad.tanh(ad.mul(x, x))  # mul overflows, tanh would hide it
+        return ad.gate(ad.scale(x, 1e200), x, x)  # scale overflows, gate would hide it
 
-    with np.errstate(over="ignore"), pytest.raises(NumericHealthError, match="^mul produced non-finite values$"):
+    with np.errstate(over="ignore"), pytest.raises(NumericHealthError, match="^scale produced non-finite values$"):
         ad.replay_step(step, lambda out: (out,))
     assert len(runs) == 2
     with pytest.raises(NumericHealthError, match="^gaussian_nll produced non-finite values$"):  # an output check fires too
@@ -727,15 +761,15 @@ def test_replay_step_names_the_op_that_first_produced_a_non_finite_value():
 
 
 def test_replay_step_returns_the_per_op_run_when_only_the_step_checks_fire():
-    """A saturated leaf trips the input check of sigmoid, which the per-op checks let pass: the replay's value stands."""
+    """A saturated leaf trips the input check of gate, which the per-op checks let pass: the replay's value stands."""
     runs = []
 
     def step():
         runs.append(1)
-        return ad.sigmoid(Tensor([math.inf, -1.0]))
+        return ad.gate(Tensor([math.inf, -1.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
 
     out = ad.replay_step(step, lambda out: (out,))
     assert len(runs) == 2
-    assert np.array_equal(out.data, ad.sigmoid(Tensor([math.inf, -1.0])).data)
+    assert np.array_equal(out.data, ad.gate(Tensor([math.inf, -1.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0])).data)
     healthy = ad.replay_step(lambda: ad.cross_entropy(Tensor([[0.25, 0.75]]), [1]), lambda out: (out,))
     assert healthy.data[0] == -math.log(0.75)

@@ -283,8 +283,8 @@ def test_generate_degenerate_gaussian_hits_mean(gen_setup):
 
 def test_generate_argument_checks(gen_setup):
     vocab, rally, model = gen_setup
-    with pytest.raises(ValueError):
-        sample(model, [rally], [(0, 0, 0)])
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):  # sample takes the horizons as checked
+        generate_sample_sets(model, [rally], 1, 0, horizon=0)
     short = make_rally([0, 2, 3])
     with pytest.raises(ValueError):
         sample(model, [short], [(0, 1, 0)])
@@ -372,10 +372,10 @@ def _reference_suffix(model, rally, horizon, seed):
     out = []
     for _ in range(horizon):
         ids = [model.player_id(rally.player_a if s.player is Player.A else rally.player_b) for s in history]
-        probs, mu, log_sigma, rho = model.forward(stroke_inputs(history, ids, model.court))
+        probs, landing = model.forward(stroke_inputs(history, ids, model.court))
+        mu, log_sigma, rho = ad.landing_columns(landing.data[-1])
         stroke, generated = _reference_draw(
-            rng, history[-1], probs.data[-1], mu.data[-1], log_sigma.data[-1], float(rho.data[-1]),
-            list(model.vocab.serve_ids), model.court,
+            rng, history[-1], probs.data[-1], mu, log_sigma, float(rho), list(model.vocab.serve_ids), model.court
         )
         history.append(stroke)
         out.append(generated)
@@ -428,9 +428,12 @@ def test_lockstep_sample_sets_equal_one_continuation_at_a_time(mixed_lengths):
 
 
 def test_sample_sets_reject_a_rally_without_a_suffix(mixed_lengths):
+    """In scoring mode no horizon is passed, so the error names the rally and its strokes, not a horizon."""
     model, rallies = mixed_lengths
-    with pytest.raises(ValueError, match="horizon"):
-        generate_sample_sets(model, rallies + [make_rally([0, 2, 3, 4], rally_id="short")], 2, seed=1)
+    for types in ([0, 2, 3, 4], [0, 2, 3]):
+        short = make_rally(types, rally_id="short")
+        with pytest.raises(ValueError, match=f"^rally short has {len(types)} strokes, needs at least {TAU + 1}$"):
+            generate_sample_sets(model, rallies + [short], 2, seed=1)
 
 
 def test_sample_sets_need_at_least_one_set(mixed_lengths):
@@ -491,7 +494,8 @@ def test_a_fault_only_the_step_mode_sees_replays_the_sampling_step_to_the_same_d
         heads = forward(self, inputs, rng=rng, cache=cache, first=first)
         calls.append(1)
         if len(calls) == 3:
-            ad.sigmoid(Tensor([math.inf]))  # saturates: only the step mode's input check refuses it
+            # saturates: only the step mode's input check refuses it
+            ad.gate(Tensor([math.inf]), Tensor([1.0]), Tensor([0.0]))
         return heads
 
     with pytest.MonkeyPatch.context() as patch:
@@ -507,7 +511,7 @@ def test_heads_on_the_last_fed_position_write_the_prediction_file_of_heads_on_ev
     forward = Forecaster.forward
 
     def every_position(self, inputs, rng=None, cache=None, first=0):
-        return tuple(head[:, first:] for head in forward(self, inputs, rng=rng, cache=cache))
+        return tuple(ad.tslice(head, np.s_[:, first:]) for head in forward(self, inputs, rng=rng, cache=cache))
 
     paths = tmp_path / "last.csv", tmp_path / "every.csv"
     export_predictions(rallies, generate_sample_sets(model, rallies, 6, 5), model.vocab, paths[0])

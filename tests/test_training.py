@@ -15,10 +15,10 @@ from network_reference import denormalize_coord, normalize_coord
 
 
 def _plain_heads(vocab, p_true, true_type, mu, sigma=(1.0, 1.0), rho=0.0):
-    """Constant one-row heads: (1, V), (1, 2), (1, 2), (1,)."""
+    """Constant one-row heads: (1, V) type probabilities and the (1, 5) packed landing Gaussian."""
     probs = np.full(vocab.size, (1.0 - p_true) / (vocab.size - 1))
     probs[true_type] = p_true
-    return Tensor(probs[None]), Tensor([mu]), Tensor(np.log([sigma])), Tensor([rho])
+    return Tensor(probs[None]), Tensor([[*mu, *np.log(sigma), rho]])
 
 
 def test_step_loss_gaussian_at_mean(vocab, court):
@@ -87,9 +87,7 @@ def _random_heads(rng, rally, vocab, court, tau=4):
         rows.append((probs, mu, sigma, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.9))))
     heads = (
         Tensor(np.stack([r[0] for r in rows])),
-        Tensor(np.stack([r[1] for r in rows])),
-        Tensor(np.log(np.stack([r[2] for r in rows]))),
-        Tensor([r[3] for r in rows]),
+        Tensor([[*mu, *np.log(sigma), rho] for _, mu, sigma, rho in rows]),
     )
     return rows, heads
 
@@ -253,11 +251,11 @@ def test_single_tiny_step_does_not_increase_smooth_loss(vocab, corpus):
 # error text the per-op checks gave before a training step checked its loss once
 BLOWUPS = {
     "ffn_overflow": ([("enc0_ffn_w1", (0, 0), 1e300)], "layer_norm produced a non-finite variance"),
-    "gate_overflow": ([("gate_w", (0, 0), math.inf)], "linear produced non-finite values"),  # the sigmoid saturates
+    "gate_overflow": ([("gate_w", (0, 0), math.inf)], "linear produced non-finite values"),  # the gate saturates
     "attention_scores": ([("enc0_wq", ..., 1e160), ("enc0_wk", ..., 1e160)], "attention produced non-finite scores"),
     "nan_type_embedding": ([("type_emb", ..., math.nan)], "embedding_lookup produced non-finite values"),
     "infinite_norm_gain": ([("enc0_ln2_g", ..., math.inf)], "layer_norm produced non-finite values"),
-    # the heads clip the log-std column to LOG_SIGMA_RANGE and saturate the correlation column with tanh
+    # landing_params clips the log-std column to LOG_SIGMA_RANGE and saturates the correlation column with tanh
     "infinite_log_sigma_weight": ([("area_head_w", (slice(None), 2), math.inf)], "linear produced non-finite values"),
     "infinite_rho_weight": ([("area_head_w", (slice(None), 4), math.inf)], "linear produced non-finite values"),
 }
@@ -293,7 +291,8 @@ def test_a_fault_only_the_step_mode_sees_replays_the_batch_to_the_same_parameter
     def forward(model, rally, rng=None):
         calls.append(1)
         if len(calls) == 5:
-            ad.sigmoid(Tensor([math.inf]))  # saturates: only the step mode's input check refuses it
+            # saturates: only the step mode's input check refuses it
+            ad.gate(Tensor([math.inf]), Tensor([1.0]), Tensor([0.0]))
         return forward_teacher_forced(model, rally, rng=rng)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -364,3 +363,6 @@ def test_eval_best_of_k_argument_checks(vocab, corpus):
         eval_best_of_k(model, corpus, 0, seed=1)
     with pytest.raises(ValueError):
         eval_best_of_k(model, [], 2, seed=1)
+    for types in ([0, 2, 3, 4], [0, 2, 3]):  # a rally without a suffix is named, not blamed on a horizon
+        with pytest.raises(ValueError, match=f"^rally cut has {len(types)} strokes, needs at least 5$"):
+            eval_best_of_k(model, corpus + [make_rally(types, rally_id="cut")], 2, seed=1)
