@@ -167,11 +167,6 @@ class StrokeInputs:
         """Batch equal-length (n,) histories into one (B, n) input."""
         return StrokeInputs(*(np.stack(arrays) for arrays in zip(*(h._arrays() for h in histories))))
 
-    def rows(self, keep: Sequence[int]) -> "StrokeInputs":
-        """The histories at the given batch rows, in that order."""
-        idx = np.asarray(keep, dtype=np.int64)
-        return StrokeInputs(*(a[idx] for a in self._arrays()))
-
 
 class KVCache:
     """Keys and values of the first `length` positions of B histories, per encoder layer.
@@ -188,9 +183,11 @@ class KVCache:
     rows: its rally context, then its player context (see encode_contexts).
     The keys are stored transposed, so head h's rows h*d/n_heads ..
     (h+1)*d/n_heads of them are the block autodiff.attention multiplies, and
-    it copies no cached key. The histories stay in their batch order, so a
-    caller that orders them by falling horizon drops the finished ones from
-    the tail with keep_rows, which slices and copies nothing.
+    it copies no cached key. take_rows(rows) gathers copies of histories,
+    so several rows can continue one history's buffers apart. The histories
+    stay in their batch order, so a caller that orders them by falling
+    horizon drops the finished ones from the tail with keep_rows, which
+    slices and copies nothing.
     """
 
     def __init__(self, batch: int, config: ModelConfig):
@@ -213,6 +210,11 @@ class KVCache:
             self.layers = [(_grown(keys, -1, width), _grown(values, -2, width)) for keys, values in self.layers]
         self.hitters[:, self.length : stop] = hitters
         return self.hitters
+
+    def take_rows(self, rows: np.ndarray) -> None:
+        """Hold fresh copies of the histories at the given rows, in that order; a row may repeat."""
+        self.hitters = self.hitters[rows]
+        self.layers = [(keys[rows], values[rows]) for keys, values in self.layers]
 
     def keep_rows(self, n: int) -> None:
         """Keep only the first n histories."""

@@ -161,9 +161,10 @@ def sample(
     continuation leaves the batch once it reaches its horizon. The batch
     rows run by falling horizon, so continuations leave from its tail. The
     forward runs without a tape, from a key/value cache of the earlier
-    positions: the first step feeds the prefixes, and each later step the
-    strokes just drawn. The gate and the heads run on the last fed position
-    only, the one a draw reads.
+    positions: the first step feeds each rally's prefix once, and every
+    continuation takes copies of its rally's rows (KVCache.take_rows); each
+    later step feeds the strokes just drawn. The gate and the heads run on
+    the last fed position only, the one a draw reads.
     """
     if not tasks:
         return []
@@ -179,8 +180,8 @@ def sample(
     prev_landing = np.array([r.landings[TAU - 1] for r in rallies])[rally_of]
     side_ids = np.array([[model.player_id(r.player_a), model.player_id(r.player_b)] for r in rallies])[rally_of]
 
-    fed = prefixes.rows(rally_of)  # the strokes the next step feeds
-    cache = KVCache(len(tasks), model.config)
+    fed = prefixes  # the strokes the next step feeds: one row per rally at step 1, then one per batch row
+    cache = KVCache(len(rallies), model.config)
     court = model.court
     size = np.array([court.width_m, court.length_m])
     with ad.no_tape():
@@ -192,10 +193,11 @@ def sample(
                 return model.forward(fed, cache=cache, first=fed.type_ids.shape[-1] - 1)  # only the last is read
 
             probs, gaussian = ad.replay_step(forward, lambda heads: heads)
-            type_ids, landing, type_probs = _draw_strokes(
-                [rngs[c] for c in active], probs.data[:, -1], gaussian.data[:, -1], serve_ids, court
-            )
-            hit_a = ~fed.hit_by_a[:, -1]
+            probs, gaussian, hit_a = probs.data[:, -1], gaussian.data[:, -1], ~fed.hit_by_a[:, -1]
+            if step == 1:  # every continuation takes its rally's rows
+                cache.take_rows(rally_of)
+                probs, gaussian, hit_a = probs[rally_of], gaussian[rally_of], hit_a[rally_of]
+            type_ids, landing, type_probs = _draw_strokes([rngs[c] for c in active], probs, gaussian, serve_ids, court)
             columns = zip(active.tolist(), type_ids.tolist(), landing.tolist(), hit_a.tolist())
             for row, (c, t, xy, a) in enumerate(columns):
                 outs[c].append(GeneratedStroke(TAU + step, Player.A if a else Player.B, t, tuple(xy), type_probs[row]))
@@ -241,7 +243,7 @@ def _draw_strokes(
     noise = np.empty((len(rngs), 2))
     for row, rng in enumerate(rngs):
         u[row] = rng.random()
-        noise[row] = rng.standard_normal(2)
+        rng.standard_normal(out=noise[row])
     cum = probs.cumsum(axis=1)
     type_ids = np.minimum((cum / cum[:, -1:] <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
 

@@ -50,6 +50,12 @@ def _positions(inputs, start, stop):
     return StrokeInputs(*(np.ascontiguousarray(a[:, start:stop]) for a in columns))
 
 
+def _rows(inputs, keep):
+    """The histories at the given batch rows, in that order."""
+    columns = (getattr(inputs, f.name) for f in dataclasses.fields(inputs))
+    return StrokeInputs(*(a[list(keep)] for a in columns))
+
+
 def _replace_stroke(rally, index, **changes):
     strokes = list(rally.strokes)
     old = strokes[index]
@@ -632,10 +638,10 @@ def _check_cached_steps(n_layers, last_step, seed, n_heads=2):
     steps = 0
     with ad.no_tape():
         for n in range(tau, width + 1):
-            cached = model.forward(_positions(history.rows(rows), cache.length, n), cache=cache)
+            cached = model.forward(_positions(_rows(history, rows), cache.length, n), cache=cache)
             assert cache.length == n
             for i, row in enumerate(rows):
-                full = model.forward(_positions(history.rows([row]), 0, n))
+                full = model.forward(_positions(_rows(history, [row]), 0, n))
                 for c, f in zip(cached, full):
                     assert np.array_equal(c.data[i, -1], f.data[0, -1]), (n_layers, n, row)
                 steps += 1
@@ -692,6 +698,34 @@ def test_keep_rows_copies_nothing():
     assert len(after) == len(before) == 1 + 2 * config.n_layers
     for old, new in zip(before, after):
         assert np.shares_memory(new, old) and np.array_equal(new, old[:3])
+
+
+def test_rows_taken_from_one_history_continue_it_apart_as_caches_of_their_own():
+    """take_rows([1, 1, 0]): two rows copy history 1, feed different strokes, and match per-row caches bit for bit."""
+    config = ModelConfig(embed_dim=16, n_heads=2, n_layers=2, vocab_size=10, n_players=3)
+    model = Forecaster(init_params(config, 4), config, CourtSpec(), ShotTypeVocab.default())
+    rng = np.random.default_rng(5)
+    prefixes, taken_rows = _random_histories(rng, 2, 4, config), [1, 1, 0]
+    nexts = _random_histories(rng, len(taken_rows), 2, config)  # each taken row's own next two strokes
+    assert not np.array_equal(_rows(nexts, [0]).landings, _rows(nexts, [1]).landings)
+    taken, own = KVCache(2, config), [KVCache(1, config) for _ in taken_rows]
+    with ad.no_tape():
+        model.forward(prefixes, cache=taken)
+        for cache, row in zip(own, taken_rows):
+            model.forward(_rows(prefixes, [row]), cache=cache)
+        taken.take_rows(np.array(taken_rows))
+        for n in (1, 2):
+            stepped = model.forward(_positions(nexts, n - 1, n), cache=taken)
+            for i, cache in enumerate(own):
+                alone = model.forward(_positions(_rows(nexts, [i]), n - 1, n), cache=cache)
+                for s, a in zip(stepped, alone):
+                    assert np.array_equal(s.data[i], a.data[0]), (n, i)
+            assert not np.array_equal(stepped[1].data[0], stepped[1].data[1])
+    assert taken.length == 6
+    for i, cache in enumerate(own):
+        assert np.array_equal(taken.hitters[i], cache.hitters[0])
+        for (keys, values), (own_keys, own_values) in zip(taken.layers, cache.layers):
+            assert np.array_equal(keys[i], own_keys[0]) and np.array_equal(values[i], own_values[0])
 
 
 def test_cached_forward_refuses_the_tape_and_training(setup):

@@ -505,6 +505,25 @@ def test_a_fault_only_the_step_mode_sees_replays_the_sampling_step_to_the_same_d
     assert all(_same_strokes(a, b) for gs, ws in zip(got, want) for a, b in zip(gs, ws))
 
 
+def test_the_first_sampling_step_encodes_each_rally_prefix_once(synthesized):
+    """R rallies times 6 sets: the first forward feeds (R, TAU), then each continuation its horizon - 1 strokes."""
+    model, rallies = synthesized
+    forward = Forecaster.forward
+    fed = []
+
+    def counting_forward(self, inputs, rng=None, cache=None, first=0):
+        fed.append(inputs.type_ids.shape)
+        return forward(self, inputs, rng=rng, cache=cache, first=first)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Forecaster, "forward", counting_forward)
+        generate_sample_sets(model, rallies, 6, 5)
+    assert fed[0] == (len(rallies), TAU)
+    assert all(n == 1 for _, n in fed[1:])
+    horizons = [len(r) - TAU for r in rallies]
+    assert sum(b * n for b, n in fed) == len(rallies) * TAU + 6 * sum(h - 1 for h in horizons)
+
+
 def test_heads_on_the_last_fed_position_write_the_prediction_file_of_heads_on_every_position(tmp_path, synthesized):
     """The sampler reads one position a step, and the rows a forward returns do not depend on the rows it skips."""
     model, rallies = synthesized
