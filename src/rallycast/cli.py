@@ -36,6 +36,7 @@ from .dataset import (
     TAU,
     filter_training,
     parse_dataset,
+    require_strokes,
     split,
     synthesize_dataset,
     write_dataset,
@@ -204,8 +205,9 @@ def _outputs(out_dir: Path, names: Sequence[str]) -> list[Path]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    vocab = _resolve_vocab(settings)
     out = Path(_require(args, "out"))
+    check_output(out)
+    vocab = _resolve_vocab(settings)
     rallies = synthesize_dataset(settings.config(SynthConfig, vocab=vocab))
     write_dataset(rallies, vocab, out)
     print(f"wrote {sum(len(r) for r in rallies)} strokes in {len(rallies)} rallies to {out}")
@@ -268,15 +270,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     n_samples = settings["samples"]
     with value_errors_as(UsageError):
         check_sampling(n_samples, settings["seed"], horizon)
+    out = Path(_require(args, "out"))
+    check_output(out)
     model = load_checkpoint(_require(args, "checkpoint"))
     data = _require(args, "data")
     rallies, _ = _load_rallies(data, model.vocab, model.court, settings["mirror"])
-    out = Path(_require(args, "out"))
-    need = TAU if open_ended else TAU + 1  # the prefix, and in scoring mode one stroke to predict
-    short = [r.rally_id for r in rallies if len(r) < need]
-    if short:
-        raise ParseError(data, f"rallies too short to predict (need {need} strokes): {short[:5]}")
     with value_errors_as(ParseError, data):
+        require_strokes(rallies, TAU if open_ended else TAU + 1, "predict")
         check_rally_ids_unique(rallies)
 
     sets = generate_sample_sets(model, rallies, n_samples, settings["seed"], horizon=horizon)
@@ -288,6 +288,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     settings = Settings(args)
+    if args.out:
+        check_output(Path(args.out))
     vocab = _resolve_vocab(settings)
     court = CourtSpec()
     truth, predictions = _require(args, "truth"), _require(args, "predictions")

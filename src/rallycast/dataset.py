@@ -44,6 +44,13 @@ log = logging.getLogger(__name__)
 
 TAU = 4
 
+
+def require_strokes(rallies: Sequence[Rally], need: int, purpose: str) -> None:
+    """Refuse, naming up to five, rallies under need strokes: TAU + 1 to train, evaluate or score, TAU open-ended."""
+    if ids := [r.rally_id for r in rallies if len(r) < need]:
+        raise ValueError(f"rallies too short to {purpose} (need {need} strokes): {ids[:5]}")
+
+
 CSV_HEADER = "match_id,rally_id,ball_round,player,type,landing_x,landing_y,player_location_x,player_location_y"
 
 # share of row-level malformed rows above which parsing aborts

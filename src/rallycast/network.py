@@ -459,8 +459,6 @@ def forward_teacher_forced(
     Row i predicts stroke TAU+1+i from the strokes before it. The shapes are
     (m, V) and (m, 5) for m = |rally| - TAU targets.
     """
-    if len(rally) < TAU + 1:
-        raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")
     # position p (0-based) predicts round p + 2, so round TAU + 1 is position TAU - 1
     return model.forward_positions(rally, len(rally) - 1, rng=rng, first=TAU - 1)
 

@@ -37,7 +37,7 @@ from .court import (
     run_starts,
     write_csv,
 )
-from .dataset import TAU
+from .dataset import TAU, require_strokes
 from .network import Forecaster, KVCache, StrokeInputs
 from .seeding import TAG_EVAL
 
@@ -119,12 +119,10 @@ def generate_sample_sets(
     get alone. So the draws do not depend on batch composition, and the first
     draws of a larger n_sets reproduce a smaller run exactly.
     When horizon is None each rally is continued to its ground-truth length,
-    and a rally of TAU strokes or fewer raises ValueError naming it.
+    and a rally without TAU + 1 strokes (TAU with a horizon) raises ValueError naming it.
     """
     check_sampling(n_sets, seed, horizon)
-    for rally in rallies if horizon is None else ():
-        if len(rally) <= TAU:
-            raise ValueError(f"rally {rally.rally_id} has {len(rally)} strokes, needs at least {TAU + 1}")
+    require_strokes(rallies, TAU + 1 if horizon is None else TAU, "predict")
     tasks = [
         (
             r_idx,

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericHealthError, Tensor
 from .court import CourtSpec, Rally, ShotTypeVocab, write_csv
-from .dataset import TAU
+from .dataset import TAU, require_strokes
 from .network import (
     Forecaster,
     ModelConfig,
@@ -191,12 +191,8 @@ def train(
     """
     if not train_set:
         raise ValueError("training set is empty")
-    short = [r.rally_id for r in train_set if len(r) < TAU + 1]
-    if short:
-        raise ValueError(f"rallies too short to train on: {short[:5]}")
-    short = [r.rally_id for r in val_set if len(r) < TAU + 1] if train_config.eval_every > 0 else []
-    if short:
-        raise ValueError(f"validation rallies too short to evaluate: {short[:5]}")
+    require_strokes(train_set, TAU + 1, "train on")
+    require_strokes(val_set if train_config.eval_every > 0 else (), TAU + 1, "evaluate")
     court = court or CourtSpec()
     vocab = vocab or ShotTypeVocab.default()
 
@@ -278,7 +274,5 @@ def eval_best_of_k(
     Sample streams are derived per (seed, rally index, sample index), so the
     first draws of a larger k reproduce a smaller k's draws exactly.
     """
-    if not rallies:
-        raise ValueError("no rallies to evaluate")
     sets = generate_sample_sets(model, rallies, k, seed)
     return score_sample_sets(sets, rallies, protocol="best_of_k")

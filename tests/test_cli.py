@@ -204,6 +204,23 @@ def test_a_command_refuses_an_output_path_before_its_work(tmp_path, command, blo
     assert [p.name for p in (tmp_path / "run").iterdir()] == [blocked]
 
 
+def test_score_refuses_its_output_path_before_it_scores(tmp_path):
+    """score printed the whole report, then exited 2 at the write."""
+    missing = tmp_path / "missing"
+    out = run_cli(*OUTPUT_COMMANDS["score"](missing / "s.csv"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: output directory not found: {missing}\n"
+    assert out.stdout == ""
+
+
+def test_predict_refuses_its_output_path_before_it_reads_the_checkpoint(tmp_path):
+    """predict read the checkpoint and the data, and sampled every set, before it refused --out."""
+    missing = tmp_path / "missing"
+    out = run_cli("predict", "--checkpoint", tmp_path / "none.ckpt", "--data", CORPUS32, "--out", missing / "p.csv")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: output directory not found: {missing}\n"
+
+
 @pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="needs /dev/stdout as a symlink")
 def test_out_dev_stdout_is_refused_and_left_a_symlink():
     """A write renames over its path, so --out /dev/stdout would replace the symlink: it is refused instead."""
@@ -886,21 +903,51 @@ def test_predict_open_ended_horizon(trained, tmp_path, vocab):
     assert max(rounds) == 11  # prefix of 4 plus horizon 7
 
 
-@pytest.mark.parametrize("mode", [[], ["--open-ended"]])
-def test_predict_refuses_a_rally_shorter_than_its_prefix(trained, tmp_path, mode):
-    """--open-ended exited 2 (usage) with a ValueError from the sampler; scoring mode already exited 1."""
-    lines = (trained / "val_split.csv").read_text().splitlines()
-    rally_id = lines[1].split(",")[1]
-    own = [line for line in lines[1:] if line.split(",")[1] == rally_id]
-    assert len(own) > TAU - 1
-    data = tmp_path / "data.csv"
-    data.write_text("\n".join([lines[0], *own[: TAU - 1], *lines[1 + len(own) :]]) + "\n", encoding="utf-8")
-    pred = tmp_path / "p.csv"
-    out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", data, "--out", pred, *mode)
-    need = TAU if mode else TAU + 1
-    assert out.returncode == 1, out.stderr
-    assert f"error: {data}: rallies too short to predict (need {need} strokes): ['{rally_id}']" in out.stderr
-    assert not pred.exists()
+# entry point: (the short rally's strokes, the purpose and need its refusal names)
+SHORT_RALLY_REFUSALS = {
+    "train": (TAU, "train on", TAU + 1),
+    "train-validation": (TAU, "evaluate", TAU + 1),
+    "sample": (TAU, "predict", TAU + 1),
+    "sample-horizon-3": (TAU - 1, "predict", TAU),
+    "predict": (TAU, "predict", TAU + 1),
+    "predict-open-ended": (TAU - 1, "predict", TAU),
+}
+
+
+@pytest.mark.parametrize("entry", list(SHORT_RALLY_REFUSALS))
+def test_every_short_rally_refusal_is_the_one_rule(trained, tmp_path, vocab, entry):
+    """train, the sampler and predict refuse a short rally in dataset.require_strokes' one wording.
+
+    predict --open-ended exited 2 (usage) on a ValueError from the sampler, and each library entry point had its own
+    wording.
+    """
+    from rallycast.dataset import parse_dataset
+    from rallycast.scoring import generate_sample_sets
+    from rallycast.training import TrainConfig, train
+
+    n_strokes, purpose, need = SHORT_RALLY_REFUSALS[entry]
+    rallies, _, _ = parse_dataset(trained / "val_split.csv", vocab, write_rejects=False)
+    rallies.append(make_rally([0] + [2] * (n_strokes - 1), rally_id="short"))
+    message = f"rallies too short to {purpose} (need {need} strokes): ['short']"
+    if entry.startswith("predict"):
+        data, pred = tmp_path / "data.csv", tmp_path / "p.csv"
+        write_dataset(rallies, vocab, data)
+        mode = ["--open-ended"] if entry == "predict-open-ended" else []
+        out = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", data, "--out", pred, *mode)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr == f"error: {data}: {message}\n"
+        assert not pred.exists()
+        return
+    model = load_checkpoint(trained / "model.ckpt")
+    config = TrainConfig(epochs=1, eval_every=1, eval_samples=2)
+    run = {
+        "train": lambda: train(rallies, [], model.config, config, vocab=vocab),
+        "train-validation": lambda: train(rallies[:-1], rallies[-1:], model.config, config, vocab=vocab),
+        "sample": lambda: generate_sample_sets(model, rallies, 2, seed=1),
+        "sample-horizon-3": lambda: generate_sample_sets(model, rallies, 2, seed=1, horizon=3),
+    }[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
 
 
 def test_analyze_trend_emits_mean_probability_table(trained, tmp_path):

@@ -392,6 +392,19 @@ def test_only_court_reads_csv_lines():
     assert found == []
 
 
+def test_only_dataset_words_the_short_rally_refusal():
+    """dataset.require_strokes is the one rule for the strokes a rally needs: no other module says "too short"."""
+    package = Path(court_module.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "dataset.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))  # an f-string's text parts are Constants too
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "too short" in node.value
+    ]
+    assert found == []
+
+
 # each CSV format's reader: (module, function)
 CSV_FORMAT_READERS = (("court.py", "load_vocab"), ("dataset.py", "parse_dataset"), ("scoring.py", "import_predictions"))
 

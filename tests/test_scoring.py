@@ -432,7 +432,7 @@ def test_sample_sets_reject_a_rally_without_a_suffix(mixed_lengths):
     model, rallies = mixed_lengths
     for types in ([0, 2, 3, 4], [0, 2, 3]):
         short = make_rally(types, rally_id="short")
-        with pytest.raises(ValueError, match=f"^rally short has {len(types)} strokes, needs at least {TAU + 1}$"):
+        with pytest.raises(ValueError, match=rf"^rallies too short to predict \(need {TAU + 1} strokes\): \['short'\]$"):
             generate_sample_sets(model, rallies + [short], 2, seed=1)
 
 

@@ -332,7 +332,7 @@ def test_train_rejects_short_rallies(vocab):
 def test_train_refuses_short_validation_rallies_before_epoch_one(vocab, corpus):
     val = [corpus[0], make_rally([0, 2, 3, 4], rally_id="v_short")]
     epochs, config = [], _quick_config(eval_every=1)
-    with pytest.raises(ValueError, match=r"validation rallies too short to evaluate: \['v_short'\]"):
+    with pytest.raises(ValueError, match=r"^rallies too short to evaluate \(need 5 strokes\): \['v_short'\]$"):
         train(corpus, val, _model_config(vocab), config, vocab=vocab, progress=lambda *a: epochs.append(a))
     assert epochs == []  # refused before epoch 1, not by the sampler after eval_every epochs
     # without periodic evaluation the validation set is never read
@@ -361,8 +361,8 @@ def test_eval_best_of_k_argument_checks(vocab, corpus):
     model = tiny_model(corpus, vocab)
     with pytest.raises(ValueError):
         eval_best_of_k(model, corpus, 0, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no predicted strokes to score$"):
         eval_best_of_k(model, [], 2, seed=1)
     for types in ([0, 2, 3, 4], [0, 2, 3]):  # a rally without a suffix is named, not blamed on a horizon
-        with pytest.raises(ValueError, match=f"^rally cut has {len(types)} strokes, needs at least 5$"):
+        with pytest.raises(ValueError, match=r"^rallies too short to predict \(need 5 strokes\): \['cut'\]$"):
             eval_best_of_k(model, corpus + [make_rally(types, rally_id="cut")], 2, seed=1)
