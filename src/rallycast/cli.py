@@ -294,16 +294,16 @@ def cmd_score(args: argparse.Namespace) -> int:
     court = CourtSpec()
     truth, predictions = _require(args, "truth"), _require(args, "predictions")
     truths, _ = _load_rallies(truth, vocab, court, settings["mirror"])
+    if not truths:
+        raise ParseError(truth, "no rallies to score")
     with value_errors_as(ParseError, truth):
+        require_strokes(truths, TAU + 1, "score")
         check_rally_ids_unique(truths)
-    scorable = [r for r in truths if len(r) >= TAU + 1]
-    if not scorable:
-        raise ParseError(truth, f"no rally has the {TAU + 1} strokes that scoring needs")
     pred = import_predictions(predictions, vocab)
     if pred.n_samples != EXPECTED_SAMPLE_SETS:
         raise ParseError(predictions, f"expected {EXPECTED_SAMPLE_SETS} sample sets, found {pred.n_samples}")
     with value_errors_as(ParseError, predictions):  # the rallies, samples and rounds the file covers, and finite losses
-        report = score_sample_sets(pred.sample_sets(scorable), scorable, protocol="min_of_sets")
+        report = score_sample_sets(pred.sample_sets(truths), truths, protocol="min_of_sets")
     for line in report.lines():
         print(line)
     if args.out:

@@ -291,8 +291,11 @@ class SampleSets:
         )
 
 
-def _as_sample_sets(sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]]) -> SampleSets:
-    return sets if isinstance(sets, SampleSets) else SampleSets.from_nested(sets)
+def _as_sample_sets(sets: SampleSets | Sequence[Sequence[Sequence[GeneratedStroke]]], truths: Sequence[Rally]) -> SampleSets:
+    sets = sets if isinstance(sets, SampleSets) else SampleSets.from_nested(sets)
+    if len(sets) and sets.lengths.shape[1] != len(truths):  # every set covers the truths' rallies; zero sets, any
+        raise ValueError(f"sample set covers {sets.lengths.shape[1]} rallies, ground truth has {len(truths)}")
+    return sets
 
 
 def _segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -308,15 +311,14 @@ def _segment_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _stroke_losses(sets: SampleSets, truths: Sequence[Rally]) -> tuple[np.ndarray, np.ndarray]:
     """(k, N) per-stroke CE + L1 losses of every set, and the (R,) suffix length of each rally.
 
-    Every set's suffix of a rally must cover the rally's rounds TAU+1..n, so
-    all sets share one layout of N strokes. A stroke whose loss, or whose
-    probability of the true type, is not finite raises ValueError naming its
-    set and rally, whatever the number of sets and the protocol.
+    Every truth rally needs TAU + 1 strokes (require_strokes), and every set's suffix of it must
+    cover its rounds TAU+1..n, so all sets share one layout of N strokes. A stroke whose loss, or
+    whose probability of the true type, is not finite raises ValueError naming its set and rally,
+    whatever the number of sets and the protocol.
     """
+    require_strokes(truths, TAU + 1, "score")
     k, n_rallies = sets.lengths.shape
-    if n_rallies != len(truths):
-        raise ValueError(f"sample set covers {n_rallies} rallies, ground truth has {len(truths)}")
-    suffix = np.array([max(len(r) - TAU, 0) for r in truths], dtype=np.int64)
+    suffix = np.array([len(r) - TAU for r in truths], dtype=np.int64)
     flat = sets.lengths.ravel()
     starts = np.cumsum(flat) - flat
     position = np.arange(len(sets.rounds)) - np.repeat(starts, flat)
@@ -393,7 +395,7 @@ def score_sample_sets(
         raise ValueError(f"unknown protocol {protocol!r}")
     if not len(sets):
         raise ValueError("need at least one sample set")
-    stroke_losses, suffix = _stroke_losses(_as_sample_sets(sets), truths)
+    stroke_losses, suffix = _stroke_losses(_as_sample_sets(sets, truths), truths)
     rally_of_stroke = np.repeat(np.arange(len(truths)), suffix)
     rally_sums = np.zeros((len(stroke_losses), len(truths)))  # (k, R), each rally's losses added left to right
     with np.errstate(over="ignore"):  # finite stroke losses can add up to inf
@@ -464,10 +466,8 @@ def export_predictions(
     """Write sample sets, as columns or [set][rally][stroke] lists, as a prediction CSV (6-decimal floats)."""
     check_rally_ids_unique(truths)
     ids = [r.rally_id for r in truths]
-    sets = _as_sample_sets(sets)
+    sets = _as_sample_sets(sets, truths)
     k, n_rallies = sets.lengths.shape
-    if k and n_rallies != len(truths):
-        raise ValueError(f"sample set covers {n_rallies} rallies, ground truth has {len(truths)}")
     # the file runs rally by rally, each rally's sets in order
     by_rally = sets.lengths.T.ravel()
     starts = (np.cumsum(sets.lengths) - sets.lengths.ravel()).reshape(k, n_rallies).T.ravel()

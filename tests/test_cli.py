@@ -911,24 +911,36 @@ SHORT_RALLY_REFUSALS = {
     "sample-horizon-3": (TAU - 1, "predict", TAU),
     "predict": (TAU, "predict", TAU + 1),
     "predict-open-ended": (TAU - 1, "predict", TAU),
+    "score": (TAU, "score", TAU + 1),
+    "score_sample_sets": (TAU, "score", TAU + 1),
 }
 
 
 @pytest.mark.parametrize("entry", list(SHORT_RALLY_REFUSALS))
 def test_every_short_rally_refusal_is_the_one_rule(trained, tmp_path, vocab, entry):
-    """train, the sampler and predict refuse a short rally in dataset.require_strokes' one wording.
+    """train, the sampler, predict, score and the metric refuse a short rally in dataset.require_strokes' one wording.
 
     predict --open-ended exited 2 (usage) on a ValueError from the sampler, and each library entry point had its own
-    wording.
+    wording. score dropped the truth's short rally and scored the rest, and the metric scored it as an empty suffix.
     """
     from rallycast.dataset import parse_dataset
-    from rallycast.scoring import generate_sample_sets
+    from rallycast.scoring import generate_sample_sets, score_sample_sets
     from rallycast.training import TrainConfig, train
 
     n_strokes, purpose, need = SHORT_RALLY_REFUSALS[entry]
     rallies, _, _ = parse_dataset(trained / "val_split.csv", vocab, write_rejects=False)
     rallies.append(make_rally([0] + [2] * (n_strokes - 1), rally_id="short"))
     message = f"rallies too short to {purpose} (need {need} strokes): ['short']"
+    if entry == "score":  # predictions of every rally the truth can score
+        truth, pred, report = tmp_path / "truth.csv", tmp_path / "p.csv", tmp_path / "score.csv"
+        write_dataset(rallies, vocab, truth)
+        made = run_cli("predict", "--checkpoint", trained / "model.ckpt", "--data", trained / "val_split.csv", "--out", pred)
+        assert made.returncode == 0, made.stderr
+        out = run_cli("score", "--predictions", pred, "--truth", truth, "--out", report)
+        assert out.returncode == 1, out.stdout
+        assert out.stderr == f"error: {truth}: {message}\n"
+        assert out.stdout == "" and not report.exists()
+        return
     if entry.startswith("predict"):
         data, pred = tmp_path / "data.csv", tmp_path / "p.csv"
         write_dataset(rallies, vocab, data)
@@ -945,6 +957,9 @@ def test_every_short_rally_refusal_is_the_one_rule(trained, tmp_path, vocab, ent
         "train-validation": lambda: train(rallies[:-1], rallies[-1:], model.config, config, vocab=vocab),
         "sample": lambda: generate_sample_sets(model, rallies, 2, seed=1),
         "sample-horizon-3": lambda: generate_sample_sets(model, rallies, 2, seed=1, horizon=3),
+        "score_sample_sets": lambda: score_sample_sets(  # each set predicts no stroke of the short rally
+            [one + [[]] for one in generate_sample_sets(model, rallies[:-1], 2, seed=1)], rallies
+        ),
     }[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run()
@@ -1201,7 +1216,17 @@ def test_a_truth_file_without_a_rally_to_score_exits_1_naming_it(tmp_path):
     truth.write_text("\n".join(lines[: 1 + TAU]) + "\n", encoding="utf-8")  # the rally's first TAU strokes
     out = run_cli("score", "--predictions", HAND_SCORED / "predictions.csv", "--truth", truth)
     assert out.returncode == 1, out.stderr
-    assert f"error: {truth}: no rally has the {TAU + 1} strokes that scoring needs" in out.stderr
+    assert out.stderr == f"error: {truth}: rallies too short to score (need {TAU + 1} strokes): ['h0001']\n"
+
+
+def test_a_truth_file_without_rallies_exits_1_naming_it(tmp_path):
+    """Without a refusal of its own, a header-only truth blamed the prediction file for holding rallies."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text((HAND_SCORED / "truth.csv").read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    out = run_cli("score", "--predictions", HAND_SCORED / "predictions.csv", "--truth", truth)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith(f"error: {truth}: ")
+    assert "predictions.csv" not in out.stderr and out.stdout == ""
 
 
 def test_score_deterministic_report(tmp_path):

@@ -392,15 +392,31 @@ def test_only_court_reads_csv_lines():
     assert found == []
 
 
+def _states_a_stroke_count_rule(node: ast.AST) -> bool:
+    """A string saying "too short" or "strokes that", or a comparison of a len(...) with an expression naming TAU."""
+    if isinstance(node, ast.Constant):  # an f-string's text parts are Constants too
+        return isinstance(node.value, str) and ("too short" in node.value or "strokes that" in node.value)
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    lens = [side for side in sides if isinstance(side, ast.Call) and getattr(side.func, "id", None) == "len"]
+    names_tau = [side for side in sides if any(getattr(n, "id", None) == "TAU" for n in ast.walk(side))]
+    return any(a is not b for a in lens for b in names_tau)
+
+
 def test_only_dataset_words_the_short_rally_refusal():
-    """dataset.require_strokes is the one rule for the strokes a rally needs: no other module says "too short"."""
+    """dataset.require_strokes is the one rule for the strokes a rally needs: no other module states it.
+
+    cli.cmd_score kept its own copy: it dropped the truth's rallies under TAU + 1 strokes and refused a truth without
+    one as "no rally has the 5 strokes that scoring needs".
+    """
     package = Path(court_module.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         if path.name != "dataset.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))  # an f-string's text parts are Constants too
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "too short" in node.value
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _states_a_stroke_count_rule(node)
     ]
     assert found == []
 

@@ -667,9 +667,8 @@ def test_cached_steps_equal_the_full_forward_bit_for_bit():
         assert _check_cached_steps(n_layers, {0: 220, 1: 131}, seed=n_layers) == 217 + 128
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_cached_steps_equal_the_full_forward_under_other_blas_kernels(coretype):
-    """OpenBLAS picks its kernels by CPU when it loads; OPENBLAS_CORETYPE makes a child process load others."""
+def _bit_for_bit_checks_pass_in_a_child(**env: str) -> None:
+    """The cached-versus-full and row-placement bit-for-bit checks, run by a child process with env set."""
     here = Path(__file__).resolve()
     checks = [
         f"{here}::test_cached_steps_equal_the_full_forward_bit_for_bit",
@@ -677,13 +676,33 @@ def test_cached_steps_equal_the_full_forward_under_other_blas_kernels(coretype):
     ]
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *checks],
-        env=dict(os.environ, OPENBLAS_CORETYPE=coretype),
+        env=dict(os.environ, **env),
         cwd=here.parent.parent,
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "2 passed" in result.stdout
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_cached_steps_equal_the_full_forward_under_other_blas_kernels(coretype):
+    """OpenBLAS picks its kernels by CPU when it loads; OPENBLAS_CORETYPE makes a child process load others."""
+    _bit_for_bit_checks_pass_in_a_child(OPENBLAS_CORETYPE=coretype)
+
+
+@pytest.mark.parametrize("level", ["X86_V4", "X86_V3"])
+def test_cached_steps_equal_the_full_forward_under_other_numpy_dispatch_levels(level):
+    """numpy picks its exp, log and tanh kernels by CPU when it loads, as OpenBLAS does its products.
+
+    NPY_DISABLE_CPU_FEATURES makes a child process turn off the level's dispatch target and every one above it.
+    """
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = list(umath.__cpu_dispatch__)
+    if level not in targets or not umath.__cpu_features__.get(level):
+        pytest.skip(f"no {level} dispatch level: this CPU or numpy build lacks its targets")
+    above = [t for t in targets[targets.index(level) :] if umath.__cpu_features__.get(t)]
+    _bit_for_bit_checks_pass_in_a_child(NPY_DISABLE_CPU_FEATURES=" ".join(above))
 
 
 def test_keep_rows_copies_nothing():
